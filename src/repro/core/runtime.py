@@ -62,9 +62,13 @@ Two opt-in observability extensions ride on the loop:
   value)`` pair, driving windowed calibration tracking and drift
   detection online.
 
-Both are zero-cost when unused: with no monitor attached and no sinks
-on the ambient registry, the hot path builds no records and allocates
-nothing beyond the pre-existing counter/gauge updates.
+Both are cheap when unused, not free: with no monitor attached and no
+sinks on the ambient registry the hot path builds no records and no
+event payloads, but it still times its four spans and updates its
+counters.  The e2e benchmark's ``serve-bare`` workload puts that
+detached floor at 23 us per idle daemon tick (``idle_tick_us_p50``;
+38 us before ``span()`` and the histogram reservoir were slimmed — see
+``docs/benchmarks.md``).
 
 The loop also survives the failure modes a production control loop
 must (see :mod:`repro.faults` for the matching injectors):
@@ -195,8 +199,8 @@ def _decision_record(
     """Build the provenance record for one predictive planning step.
 
     Only called when someone is listening (a sink or
-    ``record_provenance``) — this is the allocation the zero-cost
-    guarantee avoids.
+    ``record_provenance``) — this is the allocation a detached run
+    avoids.
     """
     meta = plan.metadata
     record: dict = {

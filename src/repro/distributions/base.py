@@ -38,6 +38,15 @@ class Distribution(ABC):
     def log_prob(self, value: np.ndarray) -> np.ndarray:
         """Log density at ``value``."""
 
-    def quantiles(self, levels: list[float]) -> np.ndarray:
-        """Stack quantiles for several levels; shape (len(levels), *batch)."""
-        return np.stack([self.quantile(tau) for tau in levels])
+    @abstractmethod
+    def quantiles(self, levels: "list[float] | np.ndarray") -> np.ndarray:
+        """Quantiles at several levels in one broadcast call.
+
+        Shape (len(levels), *batch); row ``i`` is bit-identical to
+        ``quantile(levels[i])``.
+        """
+
+
+def level_column(levels: "list[float] | np.ndarray", batch_ndim: int) -> np.ndarray:
+    """``levels`` as shape (L, 1, ..., 1), broadcastable against a batch."""
+    return np.asarray(levels, dtype=np.float64).reshape(-1, *(1,) * batch_ndim)

@@ -40,6 +40,11 @@ class Empirical(Distribution):
     def quantile(self, tau: float | np.ndarray) -> np.ndarray:
         return np.quantile(self.samples, tau, axis=0)
 
+    def quantiles(self, levels: "list[float] | np.ndarray") -> np.ndarray:
+        # A 1-D ``q`` already yields (L, *batch): one partition serves
+        # every level.
+        return np.quantile(self.samples, levels, axis=0)
+
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         picks = rng.integers(0, self.num_samples, size=size)
         return self.samples[picks]

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
-from .base import Distribution
+from .base import Distribution, level_column
 
 __all__ = ["Gaussian"]
 
@@ -26,7 +26,12 @@ class Gaussian(Distribution):
         return np.broadcast_to(self.sigma, self.mu.shape).copy()
 
     def quantile(self, tau: float | np.ndarray) -> np.ndarray:
-        return stats.norm.ppf(tau, loc=self.mu, scale=self.sigma)
+        # scipy's ``norm.ppf`` minus its per-call argument checks: same
+        # ``_ppf(q) * scale + loc`` order, so the bits match.
+        return special.ndtri(tau) * self.sigma + self.mu
+
+    def quantiles(self, levels: "list[float] | np.ndarray") -> np.ndarray:
+        return self.quantile(level_column(levels, max(self.mu.ndim, self.sigma.ndim)))
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(self.mu, self.sigma, size=(size, *self.mu.shape))

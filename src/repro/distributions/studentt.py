@@ -8,9 +8,9 @@ noise" (Section III-B2).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
-from .base import Distribution
+from .base import Distribution, level_column
 
 __all__ = ["StudentT"]
 
@@ -41,7 +41,13 @@ class StudentT(Distribution):
         return scale * np.sqrt(variance_factor)
 
     def quantile(self, tau: float | np.ndarray) -> np.ndarray:
-        return stats.t.ppf(tau, df=self.df, loc=self.mu, scale=self.scale)
+        # scipy's ``t.ppf`` minus its per-call argument checks: same
+        # ``_ppf(q, df) * scale + loc`` order, so the bits match.
+        return special.stdtrit(self.df, tau) * self.scale + self.mu
+
+    def quantiles(self, levels: "list[float] | np.ndarray") -> np.ndarray:
+        batch_ndim = max(self.mu.ndim, self.scale.ndim, self.df.ndim)
+        return self.quantile(level_column(levels, batch_ndim))
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         shape = np.broadcast_shapes(self.mu.shape, self.scale.shape, self.df.shape)

@@ -13,7 +13,7 @@ point forecast.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .base import Forecaster, QuantileForecast
 
@@ -165,7 +165,7 @@ class ARIMAForecaster(Forecaster):
 
         point, spread = self._undifference(context, forecasts)
         levels = self._resolve_levels(levels)
-        quantiles = np.stack([point + stats.norm.ppf(tau) * spread for tau in levels])
+        quantiles = point + special.ndtri(np.asarray(levels))[:, None] * spread
         return QuantileForecast(levels=np.array(levels), values=quantiles, mean=point)
 
     def _recent_innovations(self, worked: np.ndarray) -> np.ndarray:

@@ -225,7 +225,7 @@ class DeepARForecaster(NeuralForecaster):
         """
         distribution = self.sample_paths(context, start_index)
         levels = self._resolve_levels(levels)
-        values = distribution.quantiles(list(levels))
+        values = distribution.quantiles(levels)
         mean = distribution.mean()
         return QuantileForecast(levels=np.array(levels), values=values, mean=mean)
 

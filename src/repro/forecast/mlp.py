@@ -147,7 +147,7 @@ class MLPForecaster(NeuralForecaster):
         std = sigma.data[0] * self.scaler.std_
         distribution = Gaussian(mean, std)
         levels = self._resolve_levels(levels)
-        values = distribution.quantiles(list(levels))
+        values = distribution.quantiles(levels)
         return QuantileForecast(levels=np.array(levels), values=values, mean=mean)
 
     def predictive_distribution(self, context: np.ndarray) -> Gaussian:

@@ -8,6 +8,7 @@ broken, and the test suite uses exactly that check.
 from __future__ import annotations
 
 import numpy as np
+from scipy import special
 
 from ..traces.synthetic import STEPS_PER_DAY
 from .base import Forecaster, QuantileForecast
@@ -102,13 +103,11 @@ class PersistenceForecaster(Forecaster):
         persistence has no calendar features.
         """
         self._require_fitted()
-        from scipy import stats
-
         last = float(np.asarray(context)[-1])
         levels = self._resolve_levels(levels)
         steps = np.arange(1, self.horizon + 1)
         spread = self._diff_std * np.sqrt(steps)
-        values = np.stack([last + stats.norm.ppf(tau) * spread for tau in levels])
+        values = last + special.ndtri(np.asarray(levels))[:, None] * spread
         return QuantileForecast(
             levels=np.array(levels), values=values, mean=np.full(self.horizon, last)
         )

@@ -71,7 +71,7 @@ class JsonlSink:
         if self._file is None:
             raise ValueError(f"JsonlSink({self.path}) already closed")
         try:
-            line = json.dumps(record, default=_jsonable, allow_nan=False)
+            line = _ENCODER.encode(record)
         except ValueError:
             # Non-finite floats (empty-histogram min/max, inf burn
             # rates) would serialize as bare NaN/Infinity tokens no
@@ -120,6 +120,11 @@ def _jsonable(value):
     if hasattr(value, "tolist"):
         return value.tolist()
     return str(value)
+
+
+# json.dumps builds a JSONEncoder per call whenever an argument is not
+# the default; the sinks share this one.
+_ENCODER = json.JSONEncoder(default=_jsonable, allow_nan=False)
 
 
 class TableSink:

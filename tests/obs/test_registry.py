@@ -146,6 +146,119 @@ class TestSpans:
         assert events[0]["labels"] == {"model": "tft"}
         assert all(e["duration_s"] >= 0.0 for e in events)
 
+    def test_failed_span_records_error_and_restores_the_stack(self):
+        sink = InMemorySink()
+        registry = MetricsRegistry(sinks=[sink])
+        with pytest.raises(RuntimeError):
+            with registry.span("outer"):
+                with registry.span("inner"):
+                    raise RuntimeError("boom")
+        assert registry.current_span_path is None
+        events = {r["name"]: r for r in sink.records if r["kind"] == "span"}
+        assert {name: e["status"] for name, e in events.items()} == {
+            "outer/inner": "error",
+            "outer": "error",
+        }
+        # The failed spans still count in their histograms.
+        assert registry.snapshot()["spans"]["outer/inner"]["count"] == 1
+
+    def test_span_record_schema(self):
+        sink = InMemorySink()
+        registry = MetricsRegistry(sinks=[sink], time_source=lambda: 7.0)
+        with registry.span("plan", model="tft"):
+            pass
+        (record,) = sink.records
+        assert list(record) == [
+            "kind", "name", "labels", "duration_s", "status", "depth", "ts"
+        ]
+        assert record["kind"] == "span"
+        assert record["name"] == "plan"
+        assert record["labels"] == {"model": "tft"}
+        assert isinstance(record["duration_s"], float)
+        assert record["status"] == "ok"
+        assert record["depth"] == 0
+        assert record["ts"] == 7.0
+
+    def test_tracer_hooks_called_once_per_span(self):
+        class Tracer:
+            def __init__(self):
+                self.calls = []
+
+            def open_span(self, path, labels):
+                self.calls.append(("open", path, dict(labels)))
+                return path
+
+            def close_span(self, token, duration, status):
+                self.calls.append(("close", token, status))
+
+        tracer = Tracer()
+        registry = MetricsRegistry()
+        registry.set_tracer(tracer)
+        with pytest.raises(KeyError):
+            with registry.span("step"):
+                with registry.span("plan", model="mlp"):
+                    pass
+                with registry.span("actuate"):
+                    raise KeyError("x")
+        assert tracer.calls == [
+            ("open", "step", {}),
+            ("open", "step/plan", {"model": "mlp"}),
+            ("close", "step/plan", "ok"),
+            ("open", "step/actuate", {}),
+            ("close", "step/actuate", "error"),
+            ("close", "step", "error"),
+        ]
+
+    def test_span_closes_on_the_tracer_that_opened_it(self):
+        class Tracer:
+            closed = 0
+
+            def open_span(self, path, labels):
+                return object()
+
+            def close_span(self, token, duration, status):
+                self.closed += 1
+
+        first, second = Tracer(), Tracer()
+        registry = MetricsRegistry()
+        registry.set_tracer(first)
+        with registry.span("step"):
+            registry.set_tracer(second)
+        assert (first.closed, second.closed) == (1, 0)
+
+
+class TestDetached:
+    """Without sinks no event payload is ever built."""
+
+    def test_sinkless_registry_never_reaches_emit(self, monkeypatch):
+        registry = MetricsRegistry()
+        payloads = []
+        monkeypatch.setattr(registry, "_emit", payloads.append)
+        registry.counter("decisions", model="tft").inc()
+        registry.gauge("nodes").set(4)
+        registry.gauge("nodes").add(1)
+        registry.histogram("latency").observe(0.5)
+        with registry.span("plan"):
+            with registry.span("forecast", model="tft"):
+                pass
+        registry.emit_event("provenance", "decision")
+        assert payloads == []
+        # ... while the aggregates still moved.
+        snap = registry.snapshot()
+        assert snap["counters"]["decisions{model=tft}"] == 1.0
+        assert snap["gauges"]["nodes"] == 5.0
+        assert snap["histograms"]["latency"]["count"] == 1
+        assert set(snap["spans"]) == {"plan", "plan/forecast{model=tft}"}
+
+    def test_attaching_a_sink_later_resumes_events(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("decisions")
+        counter.inc()
+        sink = InMemorySink()
+        registry.add_sink(sink)
+        counter.inc()
+        assert [(r["delta"], r["value"]) for r in sink.records] == [(1.0, 2.0)]
+
 
 class TestRegistry:
     def test_snapshot_groups_by_kind(self):
@@ -241,6 +354,52 @@ class TestReservoirDeterminism:
     def test_quantiles_identical_across_hash_seeds(self):
         outputs = {self._run(seed) for seed in (0, 1, 4242)}
         assert len(outputs) == 1
+
+
+class TestReservoirSampling:
+    """Past capacity the reservoir stays a uniform sample of everything seen."""
+
+    SIZE, TOTAL, TRIALS = 16, 400, 500
+
+    def _reservoir(self, shard):
+        hist = MetricsRegistry().histogram("lat", reservoir_size=self.SIZE, shard=shard)
+        for i in range(self.TOTAL):
+            hist.observe(float(i))
+        return hist._reservoir.copy()
+
+    def test_every_position_is_kept_with_probability_size_over_total(self):
+        # Seeds come from crc32(key), so this is one fixed experiment,
+        # not a flaky one: 500 histograms, 16 of 400 values kept in each.
+        kept = np.zeros(self.TOTAL)
+        for trial in range(self.TRIALS):
+            reservoir = self._reservoir(str(trial))
+            assert len(set(reservoir)) == self.SIZE  # no value kept twice
+            kept[reservoir.astype(int)] += 1
+        blocks = kept.reshape(8, -1).sum(axis=1)  # 50 positions each
+        expected = self.TRIALS * self.SIZE / 8
+        sigma = np.sqrt(expected * (1 - self.SIZE / self.TOTAL))
+        assert np.all(np.abs(blocks - expected) < 4 * sigma), blocks
+        # The values that filled the buffer get no head start.
+        head = kept[: self.SIZE].sum()
+        expected_head = self.TRIALS * self.SIZE * self.SIZE / self.TOTAL
+        assert abs(head - expected_head) < 4 * np.sqrt(expected_head)
+
+    def test_same_key_same_sample_other_key_other_sample(self):
+        assert np.array_equal(self._reservoir("a"), self._reservoir("a"))
+        assert not np.array_equal(self._reservoir("a"), self._reservoir("b"))
+
+    def test_rng_is_consulted_only_when_a_value_is_kept(self):
+        hist = MetricsRegistry().histogram("lat", reservoir_size=self.SIZE)
+        for i in range(self.SIZE):
+            hist.observe(float(i))
+        state = hist._rng.bit_generator.state
+        before = hist._reservoir.copy()
+        while hist.count + 1 < hist._next_keep:
+            hist.observe(-1.0)
+        assert hist._rng.bit_generator.state == state
+        assert np.array_equal(hist._reservoir, before)
+        hist.observe(-2.0)
+        assert -2.0 in hist._reservoir
 
 
 class TestAmbientRegistry:

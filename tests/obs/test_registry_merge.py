@@ -9,6 +9,7 @@ and span histograms re-root under the parent's open spans.
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
@@ -64,6 +65,33 @@ def test_reservoir_merge_is_deterministic():
         return parent.histogram("latency", reservoir_size=8).quantile([0.1, 0.5, 0.9])
 
     assert np.array_equal(merged(), merged())
+
+
+def test_overflowed_histogram_round_trips_and_keeps_sampling():
+    source = MetricsRegistry()
+    hist = source.histogram("latency", reservoir_size=8)
+    for v in range(100):
+        hist.observe(float(v))
+    state = json.loads(json.dumps(source.state_dict()))
+    (entry,) = state["histograms"]
+    assert set(entry) == {
+        "name", "labels", "count", "sum", "min", "max", "reservoir", "reservoir_size"
+    }
+
+    restored = MetricsRegistry()
+    restored.merge_state_dict(state)
+    copy = restored.histogram("latency", reservoir_size=8)
+    assert copy.summary() == hist.summary()
+    assert restored.state_dict() == source.state_dict()
+
+    # The restored histogram resumes at count 100, not at a fresh start:
+    # a uniform sample of 200 values holds about 4 of the second hundred,
+    # where a reservoir that believed itself new would hold almost only those.
+    for v in range(100, 200):
+        copy.observe(float(v))
+    kept_new = int((copy._reservoir >= 100).sum())
+    assert copy.count == 200
+    assert 1 <= kept_new <= 7
 
 
 def test_span_histograms_reroot_under_open_spans():

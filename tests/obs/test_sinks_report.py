@@ -62,6 +62,18 @@ class TestJsonlSink:
         assert record["value"] == 1.5
         assert record["n"] == 2
 
+    def test_lines_are_strict_json_and_non_finite_values_become_null(self, tmp_path):
+        path = tmp_path / "strict.jsonl"
+        finite = {"kind": "gauge", "name": "g", "labels": {"a": "é"}, "value": np.float64(0.1)}
+        with JsonlSink(path) as sink:
+            sink.emit(finite)
+            sink.emit({"kind": "gauge", "min": np.inf, "nested": [float("nan"), 1.0]})
+        first, second = path.read_text(encoding="utf-8").splitlines()
+        assert first == json.dumps(
+            {"kind": "gauge", "name": "g", "labels": {"a": "é"}, "value": 0.1}
+        )
+        assert json.loads(second) == {"kind": "gauge", "min": None, "nested": [None, 1.0]}
+
     def test_emit_after_close_raises(self, tmp_path):
         sink = JsonlSink(tmp_path / "x.jsonl")
         sink.close()
