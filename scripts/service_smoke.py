@@ -12,16 +12,21 @@ Two phases, both against real subprocesses:
    completion, repeat it with a mid-trace checkpoint + early stop (the
    simulated crash), restore from the checkpoint, and require the
    restored session's decision stream to be bit-identical to the
-   uninterrupted run's tail.
+   uninterrupted run's tail.  The checkpoint it restores from must be
+   format version 2 with every array a raw-byte record; ``--keep DIR``
+   copies that checkpoint out (CI uploads it as an artifact).
 
 Stdlib only; exits non-zero on the first failure.
 """
 
 from __future__ import annotations
 
+import argparse
 import http.client
 import json
 import os
+import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -199,7 +204,26 @@ def phase_live_control_plane(workdir: Path) -> None:
             process.kill()
 
 
-def phase_crash_restore(workdir: Path) -> None:
+def check_checkpoint_format(ckpt: Path) -> dict:
+    text = (ckpt / "state.json").read_text()
+    state = json.loads(text)
+    if state.get("version") != 2:
+        fail(f"checkpoint format version is {state.get('version')!r}, "
+             f"expected 2")
+    if '"__ndarray__"' not in text:
+        fail("checkpoint holds no array record at all")
+    # A quote inside a JSON string is escaped, so this only matches keys.
+    listed = re.findall(r'"__ndarray__"\s*:\s*\[', text)
+    if listed:
+        fail(f"{len(listed)} array records carry a list payload, not base64")
+    sizes = {path.name: path.stat().st_size for path in sorted(ckpt.iterdir())}
+    print(f"checkpoint format OK: version 2, "
+          f"{len(state['runtime']['decisions'])} retained decisions, "
+          f"sizes {sizes}")
+    return state
+
+
+def phase_crash_restore(workdir: Path, keep: "Path | None") -> None:
     print("== phase 2: crash/restore bit-identity ==")
     ckpt = workdir / "ckpt"
 
@@ -208,6 +232,9 @@ def phase_crash_restore(workdir: Path) -> None:
                "--max-ticks", str(MAX_TICKS),
                "--checkpoint-dir", str(ckpt),
                "--decisions-out", str(workdir / "crashed.jsonl")], workdir)
+    if keep is not None:
+        shutil.copytree(ckpt, keep, dirs_exist_ok=True)
+    state = check_checkpoint_format(ckpt)
     result = subprocess.run(
         [sys.executable, "-m", "repro.cli", "serve",
          "--restore", str(ckpt),
@@ -219,9 +246,7 @@ def phase_crash_restore(workdir: Path) -> None:
 
     full = read_decisions(workdir / "full.jsonl")
     restored = read_decisions(workdir / "restored.jsonl")
-    checkpoint_tick = json.loads(
-        (ckpt / "state.json").read_text()
-    )["runtime"]["tick"]
+    checkpoint_tick = state["runtime"]["tick"]
     tail = [d for d in full if d["tick"] >= checkpoint_tick]
 
     if not full:
@@ -240,10 +265,15 @@ def phase_crash_restore(workdir: Path) -> None:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="copy the phase-2 checkpoint directory here")
+    args = parser.parse_args()
+    keep = args.keep.resolve() if args.keep else None
     with tempfile.TemporaryDirectory(prefix="service-smoke-") as tmp:
         workdir = Path(tmp)
         phase_live_control_plane(workdir)
-        phase_crash_restore(workdir)
+        phase_crash_restore(workdir, keep)
     print("service smoke OK")
     return 0
 

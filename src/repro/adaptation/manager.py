@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ..core.plan import _decode_value, _encode_value
 from ..obs import get_registry
 from ..obs.monitor import ModelHealthMonitor
 from .promotion import GUARDING, IDLE, SHADOWING, PromotionPolicy, parse_promotion_policy
@@ -61,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["AdaptationError", "AdaptationManager"]
 
 #: Kept in sync with the state_dict layout; bump on breaking changes.
-_STATE_VERSION = 1
+_STATE_VERSION = 2
 
 
 class AdaptationError(RuntimeError):
@@ -616,16 +617,8 @@ class AdaptationManager:
                 else None
             ),
             "shadow_ticks": int(self._shadow_ticks),
-            "shadow_levels": (
-                self._shadow_levels.tolist()
-                if self._shadow_levels is not None
-                else None
-            ),
-            "shadow_values": (
-                self._shadow_values.tolist()
-                if self._shadow_values is not None
-                else None
-            ),
+            "shadow_levels": _encode_value(self._shadow_levels),
+            "shadow_values": _encode_value(self._shadow_values),
             "shadow_position": int(self._shadow_position),
             "incumbent_window_mark": int(self._incumbent_window_mark),
             "promote_tick": (
@@ -677,16 +670,8 @@ class AdaptationManager:
         else:
             self.shadow_monitor = None
         self._shadow_ticks = int(state["shadow_ticks"])
-        self._shadow_levels = (
-            np.asarray(state["shadow_levels"], dtype=np.float64)
-            if state["shadow_levels"] is not None
-            else None
-        )
-        self._shadow_values = (
-            np.asarray(state["shadow_values"], dtype=np.float64)
-            if state["shadow_values"] is not None
-            else None
-        )
+        self._shadow_levels = _decode_value(state["shadow_levels"])
+        self._shadow_values = _decode_value(state["shadow_values"])
         self._shadow_position = int(state["shadow_position"])
         self._incumbent_window_mark = int(state["incumbent_window_mark"])
         promote_tick = state["promote_tick"]

@@ -14,6 +14,7 @@ metrics (Section IV-C):
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -89,16 +90,17 @@ class ScalingPlan:
 
         Numpy arrays (including arrays inside :attr:`metadata`, such as
         the ``forecast_values`` grid the health monitor feeds from) are
-        tagged so :meth:`from_state` restores them with their dtype —
-        the checkpoint/restore path depends on the round trip being
-        exact.
+        written as raw-byte records (see :func:`_encode_value`), so
+        :meth:`from_state` restores them bit for bit with their dtype
+        and shape — the checkpoint/restore path depends on the round
+        trip being exact.
         """
         return {
-            "nodes": self.nodes.tolist(),
+            "nodes": _encode_value(self.nodes),
             "threshold": _encode_value(self.threshold),
             "strategy": self.strategy,
             "quantile_levels": (
-                np.asarray(self.quantile_levels, dtype=np.float64).tolist()
+                _encode_value(np.asarray(self.quantile_levels, dtype=np.float64))
                 if self.quantile_levels is not None
                 else None
             ),
@@ -108,14 +110,11 @@ class ScalingPlan:
     @classmethod
     def from_state(cls, state: dict) -> "ScalingPlan":
         """Rebuild a plan written by :meth:`to_state`."""
-        levels = state["quantile_levels"]
         return cls(
-            nodes=np.asarray(state["nodes"], dtype=np.int64),
+            nodes=_decode_value(state["nodes"]),
             threshold=_decode_value(state["threshold"]),
             strategy=state["strategy"],
-            quantile_levels=(
-                np.asarray(levels, dtype=np.float64) if levels is not None else None
-            ),
+            quantile_levels=_decode_value(state["quantile_levels"]),
             metadata={
                 k: _decode_value(v) for k, v in state["metadata"].items()
             },
@@ -123,18 +122,37 @@ class ScalingPlan:
 
 
 def _encode_value(value):
-    """JSON-safe encoding for plan fields: tag ndarrays, unwrap scalars."""
+    """JSON-safe encoding of checkpointed values: the one ndarray codec.
+
+    An ndarray becomes ``{"__ndarray__": base64 of its C-order bytes,
+    "dtype": arr.dtype.str, "shape": [...]}`` — exact for every bit
+    pattern (NaN, infinities, ``-0.0``) and far cheaper to write than a
+    ``repr`` per number.  Numpy scalars unwrap; the rest passes through.
+    """
     if isinstance(value, np.ndarray):
-        return {"__ndarray__": value.tolist(), "dtype": str(value.dtype)}
+        return {
+            "__ndarray__": base64.b64encode(value.tobytes()).decode("ascii"),
+            "dtype": value.dtype.str,
+            "shape": list(value.shape),
+        }
     if isinstance(value, np.generic):
         return value.item()
     return value
 
 
 def _decode_value(value):
-    if isinstance(value, dict) and "__ndarray__" in value:
-        return np.asarray(value["__ndarray__"], dtype=np.dtype(value["dtype"]))
-    return value
+    """Inverse of :func:`_encode_value`; arrays come back writable.
+
+    A record whose bytes do not fill ``shape`` x ``dtype`` is a ValueError.
+    """
+    if not (isinstance(value, dict) and "__ndarray__" in value):
+        return value
+    try:
+        raw = base64.b64decode(value["__ndarray__"], validate=True)
+        array = np.frombuffer(raw, dtype=np.dtype(value["dtype"]))
+        return array.reshape(value["shape"]).copy()
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"malformed __ndarray__ record: {error!r}") from error
 
 
 @runtime_checkable

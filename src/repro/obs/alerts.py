@@ -338,14 +338,12 @@ class AlertEngine:
         alerts carry their rule inline so the log survives even if the
         rule set changed between runs.
         """
-        from dataclasses import asdict
-
         return {
             "streaks": dict(self._streaks),
             "firing": dict(self._firing),
             "alerts": [
                 {
-                    "rule": asdict(alert.rule),
+                    "rule": dict(vars(alert.rule)),
                     "window": alert.window,
                     "end_index": alert.end_index,
                     "value": alert.value,

@@ -602,13 +602,16 @@ class ModelHealthMonitor:
         size, detector thresholds, rules) is not serialized; a restored
         monitor keeps what it was constructed with.
         """
-        from dataclasses import asdict
-
         return {
             "steps_observed": self.steps_observed,
             "window_count": self._window_count,
-            "windows": [asdict(w) for w in self.windows],
-            "drift_events": [asdict(d) for d in self.drift_events],
+            # Shallow field dicts, not asdict's recursive deep copy: the
+            # per-level dicts are the only mutable fields.
+            "windows": [
+                {**vars(w), "coverage": dict(w.coverage), "wql": dict(w.wql)}
+                for w in self.windows
+            ],
+            "drift_events": [dict(vars(d)) for d in self.drift_events],
             "detectors": [
                 {"name": d.name, "state": d.state_dict()} for d in self.detectors
             ],

@@ -8,16 +8,19 @@ A checkpoint is a directory:
   (:meth:`~repro.obs.monitor.ModelHealthMonitor.state_dict`), the
   source position, the forecaster's sampler rng state, and the config
   the daemon was launched with (so ``repro-autoscale serve --restore``
-  can rebuild the planner identically);
+  can rebuild the planner identically).  Every ndarray in it is a
+  raw-byte record (``{"__ndarray__": base64, "dtype", "shape"}``, see
+  :mod:`repro.core.plan`), never a list of numbers;
 * ``model.npz`` — the forecaster's weights, written through the
   forecaster's own ``save()`` (which persists via
   :mod:`repro.nn.serialization`), when the model supports it.
   Deterministically-fitted models without a ``save()`` (seasonal
   naive, ARIMA) are rebuilt from config by refitting instead.
 
-``state.json`` is written atomically (temp file + rename), so a crash
-mid-checkpoint leaves the previous checkpoint intact; the JSONL event
-log written by ``--telemetry`` / ``--decisions-out`` (crash-safe
+Each file is published atomically (temp file in the same directory +
+``os.replace``), weights first, so a crash mid-checkpoint leaves every
+file either old or new, never truncated; the JSONL event log written by
+``--telemetry`` / ``--decisions-out`` (crash-safe
 :class:`~repro.obs.sinks.JsonlSink`) covers the tail between the last
 checkpoint and the crash.
 
@@ -35,6 +38,8 @@ import os
 from pathlib import Path
 from typing import Any
 
+from ..core.plan import _decode_value
+
 __all__ = [
     "CHECKPOINT_VERSION",
     "save_checkpoint",
@@ -42,10 +47,16 @@ __all__ = [
     "restore_from_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _STATE_FILE = "state.json"
 _MODEL_FILE = "model.npz"
+#: Fields :func:`restore_from_checkpoint` reads unconditionally.
+_REQUIRED_FIELDS = {
+    "source_position": int,
+    "runtime": dict,
+    "monitor": (dict, type(None)),
+}
 
 
 def _find_forecaster(planner: Any):
@@ -148,7 +159,10 @@ def save_checkpoint(
     model_file = None
     forecaster = _find_forecaster(planner)
     if forecaster is not None and hasattr(forecaster, "save"):
-        forecaster.save(path / _MODEL_FILE)
+        # np.savez appends ".npz" to any other suffix: keep it on the temp.
+        tmp = path / ("tmp." + _MODEL_FILE)
+        forecaster.save(tmp)
+        os.replace(tmp, path / _MODEL_FILE)
         model_file = _MODEL_FILE
 
     monitor = getattr(runtime, "monitor", None)
@@ -171,27 +185,60 @@ def save_checkpoint(
     # Atomic publish: a crash mid-write must not corrupt the previous
     # checkpoint under the same path.
     tmp = path / (_STATE_FILE + ".tmp")
-    tmp.write_text(json.dumps(state), encoding="utf-8")
+    tmp.write_bytes(json.dumps(state, separators=(",", ":")).encode("ascii"))
     os.replace(tmp, path / _STATE_FILE)
     return path
 
 
+def _check_arrays(node: "dict | list", field: str = "") -> None:
+    """Raise ``ValueError`` naming the first undecodable array record."""
+    if isinstance(node, list):
+        for index, value in enumerate(node):
+            if isinstance(value, (dict, list)):
+                _check_arrays(value, f"{field}[{index}]")
+    elif "__ndarray__" in node:
+        try:
+            _decode_value(node)
+        except ValueError as error:
+            raise ValueError(f"field {field.lstrip('.')!r}: {error}") from error
+    else:
+        for key, value in node.items():
+            if isinstance(value, (dict, list)):
+                _check_arrays(value, f"{field}.{key}")
+
+
 def load_checkpoint(path: str | Path) -> dict:
-    """Read and validate a checkpoint's ``state.json``."""
+    """Read and validate a checkpoint's ``state.json``.
+
+    Runs before :func:`restore_from_checkpoint` touches any object:
+    unparseable or non-object JSON, another format version, a missing
+    top-level field, or an array record whose bytes do not match its
+    ``shape`` and ``dtype`` raise ``ValueError`` naming the file and
+    the offending field.
+    """
     path = Path(path)
     state_path = path / _STATE_FILE if path.is_dir() else path
     try:
-        state = json.loads(state_path.read_text(encoding="utf-8"))
+        state = json.loads(state_path.read_bytes())
     except FileNotFoundError:
         raise FileNotFoundError(f"no checkpoint at {path} ({state_path} missing)")
-    except json.JSONDecodeError as error:
+    except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
         raise ValueError(f"corrupt checkpoint {state_path}: {error}") from error
+    if not isinstance(state, dict):
+        raise ValueError(f"corrupt checkpoint {state_path}: not a JSON object")
     version = state.get("version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(
-            f"unsupported checkpoint version {version!r} "
-            f"(this build reads version {CHECKPOINT_VERSION})"
+            f"unsupported checkpoint version {version!r} in {state_path} "
+            f"(this build reads and writes version {CHECKPOINT_VERSION} only)"
         )
+    try:
+        for key, kind in _REQUIRED_FIELDS.items():
+            if not isinstance(state.get(key, ...), kind):
+                raise ValueError(f"field {key!r} is missing or malformed")
+        _check_arrays(state)
+    except ValueError as error:
+        raise ValueError(f"corrupt checkpoint {state_path}: {error}") from error
     return state
 
 

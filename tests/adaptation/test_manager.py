@@ -400,6 +400,45 @@ class TestStatusAndCheckpoint:
             == fresh_runtime.planner.forecaster.center
         )
 
+    def test_state_dict_is_a_fixed_point_mid_shadow(self):
+        runtime, manager = self.shadowing_manager()
+        state = manager.state_dict()
+        # The candidate's forecast grid rides as raw-byte records.
+        for key in ("shadow_levels", "shadow_values"):
+            assert isinstance(state[key]["__ndarray__"], str)
+
+        fresh_runtime = make_runtime(fitted_fake(), record_provenance=True)
+        fresh_runtime.load_state_dict(runtime.state_dict())
+        fresh_runtime.monitor.load_state_dict(runtime.monitor.state_dict())
+        fresh = make_manager(fresh_runtime)
+        fresh.load_state_dict(json.loads(json.dumps(state)))
+
+        assert fresh.state_dict() == state
+        for mine, theirs in (
+            (fresh._shadow_levels, manager._shadow_levels),
+            (fresh._shadow_values, manager._shadow_values),
+        ):
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert mine.tobytes() == theirs.tobytes()
+
+    def test_damaged_shadow_grid_is_rejected_before_restore(self, tmp_path):
+        from repro.service import restore_from_checkpoint, save_checkpoint
+
+        runtime, manager = self.shadowing_manager()
+        ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime,
+                               adaptation=manager, source_position=42)
+        state = json.loads((ckpt / "state.json").read_text())
+        state["adaptation"]["shadow_values"]["shape"] = [99, 99]
+        (ckpt / "state.json").write_text(json.dumps(state))
+
+        fresh_runtime = make_runtime(fitted_fake(), record_provenance=True)
+        fresh = make_manager(fresh_runtime)
+        with pytest.raises(ValueError, match=r"adaptation\.shadow_values"):
+            restore_from_checkpoint(ckpt, runtime=fresh_runtime, adaptation=fresh)
+        assert fresh_runtime.tick == fresh_runtime.start_tick
+        assert not fresh_runtime.decisions
+        assert fresh.state == IDLE and fresh.candidate is None
+
     def test_version_mismatch_rejected(self):
         _, manager = self.shadowing_manager()
         state = manager.state_dict()

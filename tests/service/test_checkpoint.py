@@ -10,6 +10,7 @@ from repro.core.plan import required_nodes
 from repro.faults import FaultSchedule, FlakyPlanner, corrupt_series
 from repro.obs import AlertEngine, ModelHealthMonitor, default_rules
 from repro.service import load_checkpoint, restore_from_checkpoint, save_checkpoint
+from repro.service.checkpoint import CHECKPOINT_VERSION
 
 SERIES = np.abs(np.random.default_rng(11).normal(400, 120, size=60))
 START_TICK = 200
@@ -90,7 +91,13 @@ class TestSaveLoad:
         assert state["sampler"] is not None
         # The checkpoint is plain JSON on disk, not pickles.
         raw = json.loads((path / "state.json").read_text())
-        assert raw["version"] == 1
+        assert raw["version"] == CHECKPOINT_VERSION == 2
+        # ...and every array in it is a raw-byte record, not a number list.
+        plan = raw["runtime"]["decisions"][-1]["plan"]
+        for record in (plan["nodes"], plan["metadata"]["forecast_values"]):
+            assert isinstance(record["__ndarray__"], str)
+        assert plan["metadata"]["forecast_values"]["shape"] == [3, 6]
+        assert not list(path.glob("*tmp*"))
 
     def test_missing_checkpoint_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -109,6 +116,141 @@ class TestSaveLoad:
         (ckpt / "state.json").write_text('{"version": 99}')
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(ckpt)
+
+    def test_version_1_file_is_rejected_naming_both_versions(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        # What the previous build wrote: list payloads under version 1.
+        (ckpt / "state.json").write_text(json.dumps({
+            "version": 1, "source_position": 0, "monitor": None,
+            "runtime": {"current_plan": {"nodes": [1, 2]}},
+        }))
+        with pytest.raises(ValueError, match=r"version 1 .*version 2"):
+            load_checkpoint(ckpt)
+
+
+def _edit_state(ckpt, edit):
+    """Rewrite a checkpoint's state.json through ``edit(state)``."""
+    state = json.loads((ckpt / "state.json").read_text())
+    edit(state)
+    (ckpt / "state.json").write_text(json.dumps(state))
+
+
+def _truncate_array(state):
+    record = state["runtime"]["current_plan"]["metadata"]["forecast_values"]
+    record["__ndarray__"] = record["__ndarray__"][:-12]
+
+
+def _list_payload(state):
+    state["runtime"]["decisions"][1]["plan"]["nodes"]["__ndarray__"] = [3, 3, 3]
+
+
+def _wrong_shape(state):
+    state["monitor"]["smuggled"] = {
+        "__ndarray__": "AAAAAAAA8D8=", "dtype": "<f8", "shape": [2],
+    }
+
+
+class TestDamagedCheckpoints:
+    """Every kind of damage is one ValueError before anything is touched."""
+
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        runtime, planner = make_loop()
+        runtime.run(SERIES[:25])
+        return save_checkpoint(tmp_path / "ckpt", runtime=runtime,
+                               planner=planner, source_position=25)
+
+    def _assert_rejected(self, ckpt, match):
+        restored, planner = make_loop()
+        before = json.dumps(restored.state_dict())
+        monitor_before = json.dumps(restored.monitor.state_dict())
+        with pytest.raises(ValueError, match=match) as raised:
+            restore_from_checkpoint(ckpt, runtime=restored, planner=planner)
+        assert "state.json" in str(raised.value)
+        assert json.dumps(restored.state_dict()) == before
+        assert json.dumps(restored.monitor.state_dict()) == monitor_before
+
+    def test_truncated_file(self, ckpt):
+        raw = (ckpt / "state.json").read_bytes()
+        (ckpt / "state.json").write_bytes(raw[: len(raw) // 2])
+        self._assert_rejected(ckpt, "corrupt")
+
+    def test_zero_byte_file(self, ckpt):
+        (ckpt / "state.json").write_bytes(b"")
+        self._assert_rejected(ckpt, "corrupt")
+
+    def test_binary_file(self, ckpt):
+        (ckpt / "state.json").write_bytes(b"\x93NUMPY\xff\xfe\x00garbage")
+        self._assert_rejected(ckpt, "corrupt")
+
+    def test_not_an_object(self, ckpt):
+        (ckpt / "state.json").write_text("[1, 2, 3]")
+        self._assert_rejected(ckpt, "not a JSON object")
+
+    @pytest.mark.parametrize("field", ["runtime", "source_position", "monitor"])
+    def test_missing_field_is_named(self, ckpt, field):
+        _edit_state(ckpt, lambda state: state.pop(field))
+        self._assert_rejected(ckpt, f"field '{field}' is missing or malformed")
+
+    @pytest.mark.parametrize(
+        "damage, field",
+        [
+            (_truncate_array, r"runtime\.current_plan\.metadata\.forecast_values"),
+            (_list_payload, r"runtime\.decisions\[1\]\.plan\.nodes"),
+            (_wrong_shape, r"monitor\.smuggled"),
+        ],
+    )
+    def test_malformed_array_record_is_named(self, ckpt, damage, field):
+        _edit_state(ckpt, damage)
+        self._assert_rejected(ckpt, f"field '{field}'.*__ndarray__")
+
+    def test_serve_restore_exits_nonzero_with_the_message(self, ckpt, capsys):
+        from repro.cli import main
+
+        _edit_state(ckpt, _truncate_array)
+        assert main(["serve", "--restore", str(ckpt)]) == 2
+        error = capsys.readouterr().err
+        assert "state.json" in error
+        assert "runtime.current_plan.metadata.forecast_values" in error
+
+    def test_undamaged_checkpoint_still_restores(self, ckpt):
+        restored, planner = make_loop()
+        assert restore_from_checkpoint(ckpt, runtime=restored, planner=planner) == 25
+
+
+class TestStateDictFixedPoint:
+    """state_dict -> JSON -> load_state_dict -> state_dict changes nothing."""
+
+    def test_monitor_and_alert_engine(self):
+        faults = FaultSchedule.parse("planner_error@14,spike@30:4")
+        observed, _ = corrupt_series(SERIES, faults)
+        runtime, _ = make_loop(faults=faults)
+        runtime.run(observed)
+        monitor = runtime.monitor
+        assert monitor.windows and monitor.alerts.alerts  # something to lose
+
+        state = monitor.state_dict()
+        fresh, _ = make_loop()
+        fresh.monitor.load_state_dict(json.loads(json.dumps(state)))
+        assert fresh.monitor.state_dict() == state
+        assert fresh.monitor.windows == monitor.windows
+        assert fresh.monitor.drift_events == monitor.drift_events
+        assert fresh.monitor.alerts.alerts == monitor.alerts.alerts
+
+        alerts = monitor.alerts.state_dict()
+        engine = AlertEngine(default_rules(nominal_level=0.9))
+        engine.load_state_dict(json.loads(json.dumps(alerts)))
+        assert engine.state_dict() == alerts
+
+    def test_state_dict_does_not_alias_live_windows(self):
+        runtime, _ = make_loop()
+        runtime.run(SERIES[:30])
+        state = runtime.monitor.state_dict()
+        state["windows"][0]["coverage"].clear()
+        state["windows"][0]["steps"] = -1
+        assert runtime.monitor.windows[0].coverage
+        assert runtime.monitor.windows[0].steps == 10
 
 
 class TestKillRestoreBitIdentity:
@@ -197,6 +339,63 @@ class TestRestoreMismatches:
 
 
 class TestModelWeights:
+    def test_crash_while_writing_weights_keeps_the_previous_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        """model.npz is published by rename, so it is never half-written."""
+        from repro.core import FixedQuantilePolicy, RobustPredictiveAutoscaler
+        from repro.forecast import MLPForecaster, TrainingConfig
+
+        train = np.abs(np.random.default_rng(3).normal(300, 60, size=120))
+        config = TrainingConfig(epochs=1, window_stride=4, seed=0)
+
+        def loop(fit):
+            forecaster = MLPForecaster(12, 4, config=config)
+            if fit:
+                forecaster.fit(train)
+            planner = RobustPredictiveAutoscaler(
+                forecaster, 60.0, FixedQuantilePolicy(0.9)
+            )
+            runtime = AutoscalingRuntime(
+                planner=planner, context_length=12, horizon=4, threshold=60.0,
+            )
+            return forecaster, planner, runtime
+
+        forecaster, planner, runtime = loop(fit=True)
+        runtime.run(train[:30])
+        path = save_checkpoint(tmp_path / "ckpt", runtime=runtime,
+                               source_position=30)
+        good_weights = (path / "model.npz").read_bytes()
+        good_state = (path / "state.json").read_bytes()
+        expected = forecaster.predict(train[-12:]).values
+
+        # The next checkpoint dies half-way through np.savez: part of the
+        # archive is on disk when the "process" goes away.
+        real_savez = np.savez
+
+        def dying_savez(file, **arrays):
+            real_savez(file, **arrays)
+            whole = open(file, "rb").read()
+            open(file, "wb").write(whole[: len(whole) // 2])
+            raise OSError("killed mid-write")
+
+        monkeypatch.setattr(np, "savez", dying_savez)
+        runtime.run(train[30:40])
+        with pytest.raises(OSError, match="killed"):
+            save_checkpoint(path, runtime=runtime, source_position=40)
+        monkeypatch.undo()
+
+        assert (path / "model.npz").read_bytes() == good_weights
+        assert (path / "state.json").read_bytes() == good_state
+        fresh, fresh_planner, fresh_runtime = loop(fit=False)
+        position = restore_from_checkpoint(
+            path, runtime=fresh_runtime, planner=fresh_planner
+        )
+        assert position == 30
+        np.testing.assert_array_equal(
+            fresh.predict(train[-12:]).values, expected
+        )
+
     def test_neural_weights_round_trip_through_the_checkpoint(self, tmp_path):
         from repro.core import FixedQuantilePolicy, RobustPredictiveAutoscaler
         from repro.forecast import MLPForecaster, TrainingConfig
