@@ -1,30 +1,21 @@
-"""Inference fast-path micro-benchmarks -> BENCH_inference.json.
+"""Inference micro-benchmarks -> BENCH_inference.json.
 
-Three timings, each comparing the tape-free kernels against the Tensor
-tape path:
+Two sections, neither of which the end-to-end ledger (``benchmarks/e2e``,
+which owns per-layer timings such as ``nn.lstm_step_us``,
+``forecast.sample_ms_p50`` and ``forecast.predict_ms_p50``) measures:
 
-* **lstm_step** — throughput of one fused multi-layer LSTM step at
-  sampling batch size (steps/second, fast vs tape);
-* **sample_paths** — full DeepAR ancestral sampling (num_samples
-  trajectories x horizon steps), fast path vs the tape path vs a
-  replica of the pre-fast-path implementation (batch-n Tensor warm-up,
-  per-step Tensor network calls) as the historical baseline;
 * **backtest** — rolling-origin evaluation wall-clock, serial vs
   ``n_jobs``, with a ``parallel_speedup`` field (serial median over
   parallel median) and a bit-determinism check of the fanned-out run;
 * **float32** — single-precision inference (``--dtype float32``) vs the
   float64 default: sampling wall-clock plus the accuracy gate (wQL and
-  coverage deltas on a small backtest must stay within tolerance);
-* **tft_predict** — the TFT quantile forward through the fused
-  attention/LayerNorm/GRN kernels vs the tape, with a bitwise gate on
-  both the quantile grid and the stored attention pattern (float64) and
-  the same wQL/coverage tolerances for float32.
+  coverage deltas on a small backtest must stay within tolerance).
 
-Timings interleave the variants (fast, tape, fast, tape, ...) so clock
-drift and cache state hit every variant equally — on noisy shared
-machines the *ratio* is far more stable than any absolute number.  The
-script also asserts fast/tape parity (identical samples for the same
-seed) and records the result in the JSON.
+Timings interleave the variants (a, b, a, b, ...) so clock drift and
+cache state hit every variant equally — on noisy shared machines the
+*ratio* is far more stable than any absolute number.  Raw-kernel vs
+autograd-tape parity is not measured here: it is bitwise and a tier-1
+test (``tests/nn``, ``tests/property/test_kernel_properties.py``).
 
 The parallel gate is warn-only by default (a one-core machine cannot
 win); ``--strict-parallel`` turns a sub-1x ``parallel_speedup`` into a
@@ -47,9 +38,7 @@ import time
 import numpy as np
 
 from repro.evaluation.backtest import backtest
-from repro.forecast import DeepARForecaster, TFTForecaster, TrainingConfig
-from repro.forecast.features import NUM_CALENDAR_FEATURES
-from repro.nn import Tensor, fastpath, no_grad
+from repro.forecast import DeepARForecaster, TrainingConfig
 from repro.traces import STEPS_PER_DAY, alibaba_like_trace
 
 LEVELS = (0.1, 0.5, 0.9)
@@ -60,37 +49,6 @@ LEVELS = (0.1, 0.5, 0.9)
 # that would change an auto-scaling decision.
 WQL_REL_TOLERANCE = 0.05
 COVERAGE_TOLERANCE = 0.05
-
-
-def legacy_sample_paths(
-    forecaster: DeepARForecaster, context: np.ndarray, start_index: int = 0
-) -> np.ndarray:
-    """Replica of the pre-fast-path ``sample_paths`` (the seed baseline).
-
-    Warm-up runs the full Tensor network at batch ``num_samples`` (the
-    context is tiled per trajectory) and every horizon step goes through
-    ``network(Tensor(...), state)`` with (n, 1, F) inputs.  Pinning the
-    tape path reproduces the historical execution exactly.
-    """
-    net = forecaster.network
-    context = np.asarray(context, dtype=np.float64)
-    normalised = forecaster.scaler.transform(context)
-    n = forecaster.num_samples
-    with no_grad(), fastpath.use_fast_path(False):
-        lagged = np.tile(normalised[:-1], (n, 1))
-        indices = start_index + 1 + np.tile(np.arange(len(context) - 1), (n, 1))
-        mu, scale, df, state = net(Tensor(forecaster._inputs(lagged, indices)))
-        last_value = np.full((n, 1), normalised[-1])
-        samples = np.empty((n, forecaster.horizon))
-        for h in range(forecaster.horizon):
-            step_index = np.full((n, 1), start_index + len(context) + h)
-            inputs = forecaster._inputs(last_value, step_index)
-            mu, scale, df, state = net(Tensor(inputs), state)
-            mu_h, scale_h = mu.data[:, 0], scale.data[:, 0]
-            draws = mu_h + scale_h * forecaster._sample_rng.standard_t(df.data[:, 0])
-            samples[:, h] = draws
-            last_value = draws[:, None]
-    return forecaster.scaler.inverse_transform(samples)
 
 
 def interleaved_times(variants: dict, repeats: int) -> dict[str, dict[str, float]]:
@@ -107,92 +65,6 @@ def interleaved_times(variants: dict, repeats: int) -> dict[str, dict[str, float
     return {
         name: {"best_ms": float(np.min(ts)), "median_ms": float(np.median(ts))}
         for name, ts in timings.items()
-    }
-
-
-def bench_lstm_step(forecaster: DeepARForecaster, repeats: int) -> dict:
-    """One fused multi-layer LSTM step at sampling batch size."""
-    net = forecaster.network
-    hs = forecaster.hidden_size
-    n = forecaster.num_samples
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(n, 1 + NUM_CALENDAR_FEATURES))
-    zeros = [
-        (np.zeros((n, hs)), np.zeros((n, hs))) for _ in range(forecaster.num_layers)
-    ]
-    prepared = fastpath.prepare_lstm_params(net.lstm._layer_params(), hs)
-    inner = 50  # one step is microseconds; time a block
-
-    def fast() -> None:
-        state = [(h.copy(), c.copy()) for h, c in zeros]
-        for _ in range(inner):
-            top = x
-            for layer, (w_ih, w_hh, bias) in enumerate(prepared):
-                h_prev, c_prev = state[layer]
-                h_new, c_new = fastpath.lstm_cell_permuted(
-                    top, h_prev, c_prev, w_ih, w_hh, bias, hs
-                )
-                state[layer] = (h_new, c_new)
-                top = h_new
-
-    x3d = x[:, None, :]
-
-    def tape() -> None:
-        state = [(Tensor(h.copy()), Tensor(c.copy())) for h, c in zeros]
-        with no_grad(), fastpath.use_fast_path(False):
-            for _ in range(inner):
-                _, state = net.lstm(Tensor(x3d), state)
-
-    times = interleaved_times({"fast": fast, "tape": tape}, repeats)
-    out = {
-        name: {
-            "steps_per_s": inner / (stats["best_ms"] / 1e3),
-            **stats,
-        }
-        for name, stats in times.items()
-    }
-    out["speedup"] = times["tape"]["best_ms"] / times["fast"]["best_ms"]
-    out["batch"] = forecaster.num_samples
-    out["inner_steps"] = inner
-    return out
-
-
-def bench_sample_paths(
-    forecaster: DeepARForecaster, context: np.ndarray, start_index: int, repeats: int
-) -> dict:
-    """Full ancestral sampling: fast vs tape vs the legacy baseline."""
-
-    def fast() -> None:
-        forecaster.sample_paths(context, start_index)
-
-    def tape() -> None:
-        with fastpath.use_fast_path(False):
-            forecaster.sample_paths(context, start_index)
-
-    def legacy() -> None:
-        legacy_sample_paths(forecaster, context, start_index)
-
-    times = interleaved_times({"fast": fast, "tape": tape, "legacy": legacy}, repeats)
-
-    # Parity: the fast and tape paths must draw identical trajectories
-    # for the same seed (the legacy baseline consumes the rng with
-    # different call shapes, so it is a timing reference only).
-    forecaster.reseed_sampler(1234)
-    fast_samples = forecaster.sample_paths(context, start_index).samples
-    forecaster.reseed_sampler(1234)
-    with fastpath.use_fast_path(False):
-        tape_samples = forecaster.sample_paths(context, start_index).samples
-    parity = bool(np.array_equal(fast_samples, tape_samples))
-
-    total_draws = forecaster.num_samples * forecaster.horizon
-    return {
-        **times,
-        "speedup_vs_legacy": times["legacy"]["best_ms"] / times["fast"]["best_ms"],
-        "speedup_vs_tape": times["tape"]["best_ms"] / times["fast"]["best_ms"],
-        "samples_per_s": total_draws / (times["fast"]["best_ms"] / 1e3),
-        "num_samples": forecaster.num_samples,
-        "horizon": forecaster.horizon,
-        "parity_fast_vs_tape": parity,
     }
 
 
@@ -330,92 +202,6 @@ def bench_float32(
     }
 
 
-def bench_tft_predict(
-    forecaster: TFTForecaster,
-    sample_context: np.ndarray,
-    test_values: np.ndarray,
-    train_length: int,
-    start_index: int,
-    repeats: int,
-    stride: int,
-) -> dict:
-    """TFT quantile predict: fused fastpath vs the tape, plus float32.
-
-    The float64 gate is *bitwise* — the fused attention/LayerNorm/GRN
-    kernels must reproduce both the quantile grid and the stored
-    attention pattern exactly.  float32 (an explicit opt-in) is held to
-    the same distribution-level wQL/coverage tolerances as the DeepAR
-    sampler.
-    """
-
-    def fast() -> None:
-        forecaster.predict(sample_context, start_index=start_index)
-
-    def tape() -> None:
-        with fastpath.use_fast_path(False):
-            forecaster.predict(sample_context, start_index=start_index)
-
-    def f32() -> None:
-        forecaster.set_inference_dtype(np.float32)
-        try:
-            forecaster.predict(sample_context, start_index=start_index)
-        finally:
-            forecaster.set_inference_dtype(np.float64)
-
-    times = interleaved_times({"fast": fast, "tape": tape, "float32": f32}, repeats)
-
-    fast_forecast = forecaster.predict(sample_context, start_index=start_index)
-    fast_attention = forecaster.attention_weights().copy()
-    with fastpath.use_fast_path(False):
-        tape_forecast = forecaster.predict(sample_context, start_index=start_index)
-    tape_attention = forecaster.attention_weights().copy()
-    values_bitwise = bool(np.array_equal(fast_forecast.values, tape_forecast.values))
-    attention_bitwise = bool(np.array_equal(fast_attention, tape_attention))
-
-    def run_backtest():
-        return backtest(
-            forecaster,
-            test_values,
-            forecaster.context_length,
-            forecaster.horizon,
-            LEVELS,
-            series_start_index=train_length,
-            stride=stride,
-            n_jobs=None,
-        )
-
-    f64_result = run_backtest()
-    forecaster.set_inference_dtype(np.float32)
-    try:
-        f32_result = run_backtest()
-    finally:
-        forecaster.set_inference_dtype(np.float64)
-    wql_64 = f64_result.mean_wql()
-    wql_32 = f32_result.mean_wql()
-    wql_rel_delta = abs(wql_32 - wql_64) / max(abs(wql_64), 1e-12)
-    coverage_delta = max(
-        abs(f32_result.coverage(level) - f64_result.coverage(level))
-        for level in LEVELS
-    )
-    return {
-        **times,
-        "speedup_vs_tape": times["tape"]["best_ms"] / times["fast"]["best_ms"],
-        "float32_speedup": times["tape"]["best_ms"] / times["float32"]["best_ms"],
-        "values_bitwise": values_bitwise,
-        "attention_bitwise": attention_bitwise,
-        "wql_float64": wql_64,
-        "wql_float32": wql_32,
-        "wql_rel_delta": wql_rel_delta,
-        "wql_rel_tolerance": WQL_REL_TOLERANCE,
-        "coverage_max_delta": coverage_delta,
-        "coverage_tolerance": COVERAGE_TOLERANCE,
-        "float32_accuracy_ok": bool(
-            wql_rel_delta <= WQL_REL_TOLERANCE
-            and coverage_delta <= COVERAGE_TOLERANCE
-        ),
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="perf_inference")
     parser.add_argument("--quick", action="store_true",
@@ -460,10 +246,6 @@ def main(argv: list[str] | None = None) -> int:
             "stride": stride,
             "cpu_count": os.cpu_count(),
         },
-        "lstm_step": bench_lstm_step(forecaster, repeats),
-        "sample_paths": bench_sample_paths(
-            forecaster, sample_context, len(train.values), repeats
-        ),
         "backtest": bench_backtest(
             forecaster, test.values, len(train.values), max(1, repeats // 2),
             args.jobs, stride,
@@ -474,26 +256,10 @@ def main(argv: list[str] | None = None) -> int:
         ),
     }
 
-    print(f"training TFT ({epochs} epochs)...", file=sys.stderr)
-    tft = TFTForecaster(
-        context_length, horizon, quantile_levels=LEVELS, d_model=32, num_heads=4,
-        config=TrainingConfig(epochs=epochs, batch_size=64, window_stride=3, seed=0),
-    ).fit(train.values)
-    report["tft_predict"] = bench_tft_predict(
-        tft, sample_context, test.values, len(train.values),
-        len(train.values), repeats, stride,
-    )
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
 
-    sp = report["sample_paths"]
-    print(f"lstm_step   : {report['lstm_step']['speedup']:.2f}x fast vs tape")
-    print(
-        f"sample_paths: fast {sp['fast']['best_ms']:.1f}ms  "
-        f"tape {sp['tape']['best_ms']:.1f}ms  legacy {sp['legacy']['best_ms']:.1f}ms  "
-        f"-> {sp['speedup_vs_legacy']:.2f}x vs legacy, parity={sp['parity_fast_vs_tape']}"
-    )
     bt = report["backtest"]
     jobs_key = f"jobs{bt['jobs']}"
     print(
@@ -510,32 +276,8 @@ def main(argv: list[str] | None = None) -> int:
         f"coverage delta {f32['coverage_max_delta']:.3f}  "
         f"accuracy_ok={f32['accuracy_ok']}"
     )
-    tp = report["tft_predict"]
-    print(
-        f"tft_predict : fast {tp['fast']['best_ms']:.1f}ms  "
-        f"tape {tp['tape']['best_ms']:.1f}ms  -> {tp['speedup_vs_tape']:.2f}x, "
-        f"bitwise values={tp['values_bitwise']} attention={tp['attention_bitwise']}, "
-        f"float32 wQL rel delta {tp['wql_rel_delta']:.2e} "
-        f"(accuracy_ok={tp['float32_accuracy_ok']})"
-    )
     print(f"wrote {args.output}")
     failed = False
-    if not sp["parity_fast_vs_tape"]:
-        print("PARITY FAILURE: fast and tape paths disagree", file=sys.stderr)
-        failed = True
-    if not (tp["values_bitwise"] and tp["attention_bitwise"]):
-        print(
-            "TFT PARITY FAILURE: fused kernels are not bitwise-identical "
-            "to the tape in float64",
-            file=sys.stderr,
-        )
-        failed = True
-    if not tp["float32_accuracy_ok"]:
-        print(
-            "TFT FLOAT32 ACCURACY FAILURE: deltas exceed the documented tolerance",
-            file=sys.stderr,
-        )
-        failed = True
     if not bt["deterministic"]:
         print(
             "DETERMINISM FAILURE: parallel backtest differs from n_jobs=1",

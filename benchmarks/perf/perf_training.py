@@ -1,31 +1,26 @@
-"""Training fast-path micro-benchmarks -> BENCH_training.json.
+"""Training-side micro-benchmarks -> BENCH_training.json.
 
-Three measurements around the analytic training kernels
-(:mod:`repro.nn.fastgrad`) and the persistent evaluation pool:
+Two sections, neither of which the end-to-end ledger (``benchmarks/e2e``,
+which owns fit wall-clock as ``forecast.fit_s`` /
+``adaptation.refit_s_p50``) measures:
 
-* **epoch_deepar / epoch_mlp / epoch_tft** — wall-clock of one training
-  epoch with ``train_fast_path=True`` (fused analytic forward+backward)
-  vs ``False`` (the autograd tape), on freshly built networks so both
-  variants optimise from the same weights; the TFT speedup is hard-gated
-  at ``TFT_MIN_SPEEDUP``;
-* **parity** — the two paths must follow the same loss trajectory; the
-  max relative divergence over a short multi-epoch fit is recorded and
-  gated (1e-6 drift allowance for DeepAR/MLP, bitwise-level 1e-12 for
-  the TFT, whose fastgrad mirrors the tape composition exactly);
 * **pool_reuse** — repeated ``backtest(n_jobs=2)`` calls on the shared
   persistent pool, against serial and against a fresh throwaway pool
   per call (the historical regression: per-call pool spawn made small
   parallel backtests ~14x slower than serial); records
   ``parallel_speedup`` (serial over reused-pool median);
-* **float32_kernels** — the fused LSTM training kernels
-  (:func:`repro.nn.fastgrad.lstm_forward_train` + backward) run in
-  float32 vs float64 at benchmark shapes.  Training itself stays
-  float64; this measures the kernel headroom the inference float32 mode
-  taps into.
+* **float32_kernels** — the LSTM scan with cached activations
+  (:func:`repro.nn.fastpath.lstm_forward`) plus
+  :func:`repro.nn.fastgrad.lstm_backward` run in float32 vs float64 at
+  benchmark shapes.  Training itself stays float64; this measures the
+  kernel headroom the inference float32 mode taps into.
 
-Variants are timed interleaved (fast, tape, fast, tape, ...) so clock
-drift hits both equally — ratios are stable where absolute numbers are
-not.
+Analytic-vs-tape gradient and fit-trajectory parity is not measured
+here: it is a tier-1 test (``tests/nn/test_fastgrad.py``,
+``tests/nn/test_tft_fastgrad.py``).
+
+Variants are timed interleaved (a, b, a, b, ...) so clock drift hits
+both equally — ratios are stable where absolute numbers are not.
 
 Usage::
 
@@ -43,96 +38,13 @@ import time
 import numpy as np
 
 from repro.evaluation.backtest import backtest
-from repro.forecast import DeepARForecaster, MLPForecaster, TFTForecaster, TrainingConfig
+from repro.forecast import DeepARForecaster, TrainingConfig
 from repro.parallel import shutdown_shared_pool
 from repro.traces import STEPS_PER_DAY, alibaba_like_trace
 
 from .perf_inference import interleaved_times
 
 LEVELS = (0.1, 0.5, 0.9)
-
-# Loss trajectories are mathematically identical; summation order
-# differs, so allow accumulated float drift but nothing structural.
-PARITY_RTOL = 1e-6
-
-# The TFT fastgrad path mirrors the tape composition op for op
-# (including summation order), so its losses are bitwise-identical —
-# gate at 1e-12 rather than the drift allowance above.
-TFT_PARITY_RTOL = 1e-12
-
-# Hard floor for the analytic TFT epoch speedup over the tape.
-TFT_MIN_SPEEDUP = 1.5
-
-
-def _fit_config(fast: bool, epochs: int, seed: int = 0) -> TrainingConfig:
-    return TrainingConfig(
-        epochs=epochs,
-        batch_size=64,
-        window_stride=3,
-        seed=seed,
-        patience=0,  # fixed-length runs: timing must not depend on early stopping
-        train_fast_path=fast,
-    )
-
-
-def _make_deepar(fast: bool, epochs: int, context_length: int, horizon: int):
-    return DeepARForecaster(
-        context_length, horizon, hidden_size=32, num_layers=2, num_samples=100,
-        config=_fit_config(fast, epochs),
-    )
-
-
-def _make_mlp(fast: bool, epochs: int, context_length: int, horizon: int):
-    return MLPForecaster(
-        context_length, horizon, hidden_size=64, config=_fit_config(fast, epochs)
-    )
-
-
-def _make_tft(fast: bool, epochs: int, context_length: int, horizon: int):
-    return TFTForecaster(
-        context_length, horizon, d_model=32, num_heads=4,
-        config=_fit_config(fast, epochs),
-    )
-
-
-def bench_epoch(factory, train_values: np.ndarray, repeats: int) -> dict:
-    """One-epoch fit wall-clock, analytic fast path vs tape.
-
-    Each timed call builds and fits a fresh forecaster (same seed, same
-    data) — that includes dataset/scaler setup, so the ratio slightly
-    *understates* the pure backward-pass speedup.
-    """
-
-    def run(fast: bool):
-        def fn() -> None:
-            factory(fast, 1).fit(train_values)
-
-        return fn
-
-    times = interleaved_times({"fast": run(True), "tape": run(False)}, repeats)
-    return {
-        **times,
-        "speedup": times["tape"]["best_ms"] / times["fast"]["best_ms"],
-    }
-
-
-def bench_parity(
-    factory, train_values: np.ndarray, epochs: int, rtol: float = PARITY_RTOL
-) -> dict:
-    """Max relative train-loss divergence between the two paths."""
-    fast = factory(True, epochs).fit(train_values)
-    tape = factory(False, epochs).fit(train_values)
-    fast_losses = np.array([r["train_loss"] for r in fast.history])
-    tape_losses = np.array([r["train_loss"] for r in tape.history])
-    rel = np.abs(fast_losses - tape_losses) / np.maximum(np.abs(tape_losses), 1e-12)
-    return {
-        "epochs": epochs,
-        "max_rel_loss_diff": float(rel.max()),
-        "fast_losses": [float(v) for v in fast_losses],
-        "tape_losses": [float(v) for v in tape_losses],
-        "rtol": rtol,
-        "ok": bool(rel.max() < rtol),
-    }
 
 
 def bench_pool_reuse(
@@ -207,7 +119,7 @@ def bench_float32_kernels(
     difference) as a sanity record — float32 training is not wired up,
     so this is informational, not gated.
     """
-    from repro.nn import fastgrad
+    from repro.nn import fastgrad, fastpath
 
     rng = np.random.default_rng(11)
     x = rng.normal(size=(batch, steps, features))
@@ -220,11 +132,16 @@ def bench_float32_kernels(
             rng.normal(size=4 * hidden_size, scale=0.1),
         ))
 
+    def forward(dtype):
+        caches: list = []
+        outputs, _ = fastpath.lstm_forward(
+            x, layer_params, hidden_size, dtype=dtype, cache=caches
+        )
+        return outputs, caches
+
     def run(dtype):
         def fn() -> None:
-            outputs, caches = fastgrad.lstm_forward_train(
-                x, layer_params, hidden_size, dtype=dtype
-            )
+            outputs, caches = forward(dtype)
             fastgrad.lstm_backward(np.ones_like(outputs), caches, hidden_size)
 
         return fn
@@ -235,9 +152,7 @@ def bench_float32_kernels(
 
     grads = {}
     for dtype in (np.float64, np.float32):
-        outputs, caches = fastgrad.lstm_forward_train(
-            x, layer_params, hidden_size, dtype=dtype
-        )
+        outputs, caches = forward(dtype)
         grads[dtype], _, _ = fastgrad.lstm_backward(
             np.ones_like(outputs), caches, hidden_size
         )
@@ -269,7 +184,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     repeats = args.repeats if args.repeats is not None else (3 if args.quick else 5)
-    parity_epochs = 2 if args.quick else 4
     days = 8 if args.quick else 12
     context_length, horizon = 72, 72
 
@@ -277,16 +191,6 @@ def main(argv: list[str] | None = None) -> int:
     trace = alibaba_like_trace(num_steps=days * STEPS_PER_DAY, seed=3)
     train, test = trace.split(test_fraction=0.25)
 
-    def deepar_factory(fast: bool, epochs: int):
-        return _make_deepar(fast, epochs, context_length, horizon)
-
-    def mlp_factory(fast: bool, epochs: int):
-        return _make_mlp(fast, epochs, context_length, horizon)
-
-    def tft_factory(fast: bool, epochs: int):
-        return _make_tft(fast, epochs, context_length, horizon)
-
-    print(f"timing epochs ({repeats} repeats/variant, interleaved)...", file=sys.stderr)
     report = {
         "benchmark": "training",
         "config": {
@@ -299,23 +203,19 @@ def main(argv: list[str] | None = None) -> int:
             "batch_size": 64,
             "window_stride": 3,
         },
-        "epoch_deepar": bench_epoch(deepar_factory, train.values, repeats),
-        "epoch_mlp": bench_epoch(mlp_factory, train.values, repeats),
-        "epoch_tft": bench_epoch(tft_factory, train.values, repeats),
-        "parity": {
-            "deepar": bench_parity(deepar_factory, train.values, parity_epochs),
-            "mlp": bench_parity(mlp_factory, train.values, parity_epochs),
-            "tft": bench_parity(
-                tft_factory, train.values, parity_epochs, rtol=TFT_PARITY_RTOL
-            ),
-        },
     }
 
     print("timing float32 kernels...", file=sys.stderr)
     report["float32_kernels"] = bench_float32_kernels(32, 2, repeats)
 
     print("timing pool reuse...", file=sys.stderr)
-    eval_forecaster = _make_deepar(True, 1, context_length, horizon).fit(train.values)
+    eval_forecaster = DeepARForecaster(
+        context_length, horizon, hidden_size=32, num_layers=2, num_samples=100,
+        config=TrainingConfig(
+            epochs=1, batch_size=64, window_stride=3, seed=0,
+            patience=0,  # fixed-length run: set-up must not depend on early stopping
+        ),
+    ).fit(train.values)
     report["pool_reuse"] = bench_pool_reuse(
         eval_forecaster, test.values, len(train.values), repeats, args.jobs
     )
@@ -324,17 +224,6 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(report, handle, indent=2)
         handle.write("\n")
 
-    for key in ("epoch_deepar", "epoch_mlp", "epoch_tft"):
-        e = report[key]
-        print(
-            f"{key:12s}: fast {e['fast']['best_ms']:.0f}ms  "
-            f"tape {e['tape']['best_ms']:.0f}ms  -> {e['speedup']:.2f}x"
-        )
-    for model, p in report["parity"].items():
-        print(
-            f"parity {model:6s}: max rel loss diff {p['max_rel_loss_diff']:.2e} "
-            f"({'ok' if p['ok'] else 'FAIL'})"
-        )
     fk = report["float32_kernels"]
     print(
         f"float32_kern: f64 {fk['float64']['best_ms']:.0f}ms  "
@@ -352,19 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"wrote {args.output}")
 
-    failed = [m for m, p in report["parity"].items() if not p["ok"]]
-    if failed:
-        print(f"PARITY FAILURE: {', '.join(failed)} trajectories diverge", file=sys.stderr)
-        return 1
     if not pr["deterministic"]:
         print("DETERMINISM FAILURE: pooled backtests disagree with serial", file=sys.stderr)
-        return 1
-    if report["epoch_tft"]["speedup"] < TFT_MIN_SPEEDUP:
-        print(
-            f"SPEEDUP FAILURE: analytic TFT epoch "
-            f"{report['epoch_tft']['speedup']:.2f}x < {TFT_MIN_SPEEDUP}x tape",
-            file=sys.stderr,
-        )
         return 1
     return 0
 

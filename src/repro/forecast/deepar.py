@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..distributions import Empirical
-from ..nn import LSTM, Linear, Module, Tensor, fastgrad, fastpath, no_grad
+from ..nn import LSTM, Linear, Module, Tensor, fastgrad, fastpath
 from ..nn import functional as F
 from .base import QuantileForecast
 from .features import NUM_CALENDAR_FEATURES, calendar_features, calendar_window
@@ -60,24 +60,6 @@ class _DeepARNetwork(Module):
         scale = fastpath.softplus(self.scale_head.fast_forward(hidden)[..., 0]) + _MIN_SCALE
         df = fastpath.softplus(self.df_head.fast_forward(hidden)[..., 0]) + _MIN_DF
         return mu, scale, df
-
-    def fast_forward(
-        self,
-        inputs: np.ndarray,
-        state: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-        """Tape-free forward over a full sequence on raw arrays."""
-        hidden, state = self.lstm.fast_forward(inputs, state)
-        mu, scale, df = self._heads(hidden)
-        return mu, scale, df, state
-
-    def fast_step(
-        self, x: np.ndarray, state: list[tuple[np.ndarray, np.ndarray]]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-        """Advance one timestep: x is (batch, features), no sequence axis."""
-        top, state = self.lstm.fast_step(x, state)
-        mu, scale, df = self._heads(top)
-        return mu, scale, df, state
 
 
 class DeepARForecaster(NeuralForecaster):
@@ -135,17 +117,14 @@ class DeepARForecaster(NeuralForecaster):
             return F.student_t_nll(mu, scale, df, targets)
         return F.gaussian_nll(mu, scale, targets)
 
-    def _supports_fastgrad(self) -> bool:
-        return True
-
     def _fastgrad_loss_backward(
         self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
     ) -> float:
         """Analytic teacher-forced loss + backward (no autograd tape).
 
-        One batched scan over ``(batch, seq)``: a cached-activations
-        LSTM forward, dense heads on the flattened hidden sequence, the
-        closed-form NLL gradient, then fused BPTT
+        One batched scan over ``(batch, seq)``: the LSTM forward with
+        its activations cached, dense heads on the flattened hidden
+        sequence, the closed-form NLL gradient, then fused BPTT
         (:func:`repro.nn.fastgrad.lstm_backward`).  Gradients are
         accumulated straight into ``param.grad`` so the surrounding
         clip/Adam/early-stopping loop is unchanged.
@@ -160,9 +139,8 @@ class DeepARForecaster(NeuralForecaster):
         inputs = self._inputs(lagged, indices)
 
         hs = self.hidden_size
-        hidden, caches = fastgrad.lstm_forward_train(
-            inputs, net.lstm._layer_params(), hs
-        )
+        caches: list[fastpath.LSTMLayerCache] = []
+        hidden, _ = net.lstm.fast_forward(inputs, cache=caches)
         flat = hidden.reshape(-1, hs)
         mu = (flat @ net.mu_head.weight.data + net.mu_head.bias.data)[:, 0]
         scale_pre = flat @ net.scale_head.weight.data + net.scale_head.bias.data
@@ -251,10 +229,9 @@ class DeepARForecaster(NeuralForecaster):
         Each horizon step then advances all trajectories through the
         tape-free kernels of :mod:`repro.nn.fastpath` in one fused call
         per layer; calendar features are read from the cached
-        per-(start_index, horizon) matrix.  With the fast path disabled
-        (:class:`~repro.nn.fastpath.use_fast_path`) the same algorithm
-        runs through the Tensor tape path — the parity suite asserts
-        both give identical samples for the same seed.
+        per-(start_index, horizon) matrix.  The parity suite runs the
+        same algorithm through the Tensor tape (``tests/nn/oracles.py``)
+        and asserts identical samples for the same seed.
         """
         self._require_fitted()
         assert self.network is not None
@@ -263,12 +240,7 @@ class DeepARForecaster(NeuralForecaster):
             raise ValueError(
                 f"context must have length {self.context_length}, got {len(context)}"
             )
-        normalised = self.scaler.transform(context)
-        with no_grad():
-            if fastpath.fast_path_enabled():
-                samples = self._sample_fast(normalised, start_index)
-            else:
-                samples = self._sample_tape(normalised, start_index)
+        samples = self._sample_fast(self.scaler.transform(context), start_index)
         return Empirical(self.scaler.inverse_transform(samples))
 
     def _warmup_inputs(self, normalised: np.ndarray, start_index: int) -> np.ndarray:
@@ -295,7 +267,7 @@ class DeepARForecaster(NeuralForecaster):
         net = self.network
         n = self.num_samples
         hs = self.hidden_size
-        work = getattr(self, "inference_dtype", None) or np.dtype(np.float64)
+        work = self.inference_dtype
         cast = None if work == np.dtype(np.float64) else work
         # Warm up at batch 1 — the context is shared by every trajectory —
         # through the LSTM only (the head outputs are discarded anyway).
@@ -335,7 +307,7 @@ class DeepARForecaster(NeuralForecaster):
             top = step_inputs
             for layer, (w_ih, w_hh, bias) in enumerate(prepared):
                 h_prev, c_prev = state[layer]
-                h_new, c_new = cell(top, h_prev, c_prev, w_ih, w_hh, bias, hs)
+                h_new, c_new = cell(top, h_prev, c_prev, w_ih, w_hh, bias, hs)[:2]
                 state[layer] = (h_new, c_new)
                 top = h_new
             mu = (top @ w_mu + b_mu)[:, 0]
@@ -347,40 +319,4 @@ class DeepARForecaster(NeuralForecaster):
             # on exactly what it emitted; in float64 the stored column
             # equals ``draws`` bit for bit.
             last = samples[:, h]
-        return samples
-
-    def _sample_tape(self, normalised: np.ndarray, start_index: int) -> np.ndarray:
-        """The same algorithm through the Tensor tape path (parity reference).
-
-        Every matmul here has the same operand shapes as the fast path
-        (warm-up at batch 1, per-step heads on the squeezed (n, H)
-        hidden), so both paths execute identical BLAS calls and the
-        sampled trajectories match bit for bit given the same RNG seed.
-        """
-        assert self.network is not None
-        n = self.num_samples
-        net = self.network
-        _, state = net.lstm(Tensor(self._warmup_inputs(normalised, start_index)))
-        state = [
-            (Tensor(np.repeat(h.data, n, axis=0)), Tensor(np.repeat(c.data, n, axis=0)))
-            for h, c in state
-        ]
-
-        horizon_features = calendar_window(
-            start_index + self.context_length, self.horizon
-        )
-        step_inputs = np.empty((n, 1, 1 + NUM_CALENDAR_FEATURES))
-        samples = np.empty((n, self.horizon))
-        last = np.full(n, normalised[-1])
-        for h in range(self.horizon):
-            step_inputs[:, 0, 0] = last
-            step_inputs[:, 0, 1:] = horizon_features[h]
-            hidden, state = net.lstm(Tensor(step_inputs), state)
-            top = hidden[:, 0, :]
-            mu = net.mu_head(top)[..., 0]
-            scale = net.scale_head(top)[..., 0].softplus() + _MIN_SCALE
-            df = net.df_head(top)[..., 0].softplus() + _MIN_DF
-            draws = self._draw(mu.data, scale.data, df.data)
-            samples[:, h] = draws
-            last = draws
         return samples

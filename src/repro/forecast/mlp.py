@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..distributions import Gaussian
-from ..nn import Linear, Module, Tensor, fastgrad, no_grad
+from ..nn import Linear, Module, Tensor, fastgrad, fastpath
 from ..nn import functional as F
 from .base import QuantileForecast
 from .neural import NeuralForecaster, TrainingConfig
@@ -40,6 +40,24 @@ class _MLPNetwork(Module):
         mu = self.mu_head(hidden)
         sigma = self.sigma_head(hidden).softplus() + 1e-4
         return mu, sigma
+
+    def fast_forward(
+        self, context: np.ndarray, cache: dict | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The same composition on raw arrays (bitwise-identical values).
+
+        A ``cache`` dict receives the hidden layers and pre-activations
+        :meth:`MLPForecaster._fastgrad_loss_backward` differentiates through.
+        """
+        h1_pre = self.fc1.fast_forward(context)
+        h1 = fastpath.relu(h1_pre)
+        h2_pre = self.fc2.fast_forward(h1)
+        h2 = fastpath.relu(h2_pre)
+        mu = self.mu_head.fast_forward(h2)
+        sigma_pre = self.sigma_head.fast_forward(h2)
+        if cache is not None:
+            cache.update(h1_pre=h1_pre, h1=h1, h2_pre=h2_pre, h2=h2, sigma_pre=sigma_pre)
+        return mu, fastpath.softplus(sigma_pre) + 1e-4
 
 
 class MLPForecaster(NeuralForecaster):
@@ -70,9 +88,6 @@ class MLPForecaster(NeuralForecaster):
         mu, sigma = self.network(Tensor(context))
         return F.gaussian_nll(mu, sigma, horizon)
 
-    def _supports_fastgrad(self) -> bool:
-        return True
-
     def _fastgrad_loss_backward(
         self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
     ) -> float:
@@ -86,16 +101,12 @@ class MLPForecaster(NeuralForecaster):
         assert self.network is not None
         net = self.network
         x = np.ascontiguousarray(context)
-        h1_pre = x @ net.fc1.weight.data + net.fc1.bias.data
-        h1 = h1_pre * (h1_pre > 0)
-        h2_pre = h1 @ net.fc2.weight.data + net.fc2.bias.data
-        h2 = h2_pre * (h2_pre > 0)
-        mu = h2 @ net.mu_head.weight.data + net.mu_head.bias.data
-        sigma_pre = h2 @ net.sigma_head.weight.data + net.sigma_head.bias.data
-        sigma = np.logaddexp(0.0, sigma_pre) + 1e-4
+        cache: dict = {}
+        mu, sigma = net.fast_forward(x, cache)
+        h1_pre, h1, h2_pre, h2 = (cache[k] for k in ("h1_pre", "h1", "h2_pre", "h2"))
 
         loss, dmu, dsigma = fastgrad.gaussian_nll_grads(mu, sigma, horizon)
-        dsigma_pre = fastgrad.softplus_backward(sigma_pre, dsigma)
+        dsigma_pre = fastgrad.softplus_backward(cache["sigma_pre"], dsigma)
 
         dh2, dw_mu, db_mu = fastgrad.linear_backward(h2, net.mu_head.weight.data, dmu)
         _accumulate(net.mu_head.weight, dw_mu)
@@ -138,13 +149,11 @@ class MLPForecaster(NeuralForecaster):
             raise ValueError(
                 f"context must have length {self.context_length}, got {len(context)}"
             )
-        normalised = self.scaler.transform(context)[None, :]
-        with no_grad():
-            mu, sigma = self.network(Tensor(normalised))
+        mu, sigma = self.network.fast_forward(self.scaler.transform(context)[None, :])
         # Map the Gaussian back to workload units: affine transforms of a
         # Gaussian stay Gaussian.
-        mean = self.scaler.inverse_transform(mu.data[0])
-        std = sigma.data[0] * self.scaler.std_
+        mean = self.scaler.inverse_transform(mu[0])
+        std = sigma[0] * self.scaler.std_
         distribution = Gaussian(mean, std)
         levels = self._resolve_levels(levels)
         values = distribution.quantiles(levels)
@@ -155,8 +164,5 @@ class MLPForecaster(NeuralForecaster):
         self._require_fitted()
         assert self.network is not None
         normalised = self.scaler.transform(np.asarray(context, dtype=np.float64))[None, :]
-        with no_grad():
-            mu, sigma = self.network(Tensor(normalised))
-        return Gaussian(
-            self.scaler.inverse_transform(mu.data[0]), sigma.data[0] * self.scaler.std_
-        )
+        mu, sigma = self.network.fast_forward(normalised)
+        return Gaussian(self.scaler.inverse_transform(mu[0]), sigma[0] * self.scaler.std_)

@@ -41,10 +41,6 @@ class TrainingConfig:
     validation_fraction: float = 0.15
     patience: int = 5  # early-stopping patience in epochs; 0 disables
     seed: int = 0
-    # Train through the analytic fused kernels of repro.nn.fastgrad when
-    # the model supports them (DeepAR, MLP).  False pins the autograd
-    # tape — the parity oracle the fast path is verified against.
-    train_fast_path: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -63,6 +59,12 @@ class NeuralForecaster(Forecaster):
       scalar Tensor — one minibatch's training loss.  Inputs are already
       normalised.
     * ``predict`` — subclass-specific; use :attr:`scaler` to map in/out.
+    * ``_fastgrad_loss_backward(context, horizon, start_indices)`` ->
+      float — optional: one minibatch's loss with ``param.grad``
+      accumulated analytically (a tape-free equivalent of
+      ``_loss(...).backward()``, see :mod:`repro.nn.fastgrad`).  A class
+      that defines it (MLP, DeepAR, TFT) trains through it; the others
+      train on the autograd tape.
     """
 
     def __init__(self, context_length: int, horizon: int, config: TrainingConfig | None = None):
@@ -86,10 +88,10 @@ class NeuralForecaster(Forecaster):
     def set_inference_dtype(self, dtype: "np.dtype | type | str") -> "NeuralForecaster":
         """Select the inference precision (``float64`` or ``float32``).
 
-        float32 applies to the raw-kernel inference path (DeepAR's
-        ancestral sampling); weights stay float64 and are cast once per
-        predict, so training and checkpoints are unaffected.  Returns
-        ``self`` for chaining.
+        float32 applies to the raw-kernel inference paths (DeepAR's
+        ancestral sampling and the TFT forward); weights stay float64
+        and are cast once per predict, so training and checkpoints are
+        unaffected.  Returns ``self`` for chaining.
         """
         resolved = np.dtype(dtype)
         if resolved not in (np.dtype(np.float32), np.dtype(np.float64)):
@@ -106,23 +108,6 @@ class NeuralForecaster(Forecaster):
     def _loss(
         self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
     ) -> Tensor:
-        raise NotImplementedError
-
-    def _supports_fastgrad(self) -> bool:
-        """Whether this model has an analytic fast training path.
-
-        Subclasses that implement :meth:`_fastgrad_loss_backward` (a
-        tape-free equivalent of ``_loss(...).backward()``) return True;
-        the default keeps the autograd tape.  All built-in forecasters
-        (MLP, DeepAR, TFT) opt in; the tape remains the parity oracle.
-        """
-        return False
-
-    def _fastgrad_loss_backward(
-        self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
-    ) -> float:
-        """Compute one minibatch's loss and accumulate ``param.grad``
-        analytically (no tape).  Returns the loss value."""
         raise NotImplementedError
 
     # -- shared training loop -------------------------------------------
@@ -219,8 +204,8 @@ class NeuralForecaster(Forecaster):
         max_epochs = epochs if epochs is not None else self.config.epochs
         if max_epochs < 1:
             raise ValueError("epochs must be >= 1")
-        use_fastgrad = self.config.train_fast_path and self._supports_fastgrad()
-        path_label = "fastgrad" if use_fastgrad else "tape"
+        analytic = getattr(self, "_fastgrad_loss_backward", None)
+        path_label = "tape" if analytic is None else "fastgrad"
         batch_seconds = metrics.histogram(
             "forecast.batch_seconds", model=model, path=path_label
         )
@@ -236,10 +221,8 @@ class NeuralForecaster(Forecaster):
                 for contexts, horizons, starts in loader:
                     batch_start = time.perf_counter()
                     optimizer.zero_grad()
-                    if use_fastgrad:
-                        loss_value = self._fastgrad_loss_backward(
-                            contexts, horizons, starts
-                        )
+                    if analytic is not None:
+                        loss_value = analytic(contexts, horizons, starts)
                     else:
                         loss = self._loss(contexts, horizons, starts)
                         loss.backward()

@@ -37,7 +37,6 @@ from ..nn import (
     causal_mask,
     fastgrad,
     fastpath,
-    no_grad,
 )
 from ..nn import functional as F
 from .base import DEFAULT_QUANTILE_LEVELS, QuantileForecast
@@ -73,16 +72,6 @@ class _TFTNetwork(Module):
 
     def forward(self, past: Tensor, future: Tensor) -> Tensor:
         """past: (B, T, 1+F); future: (B, H, F) -> quantiles (B, H, Q)."""
-        # Whole-network raw-array dispatch under no_grad: one kernel
-        # composition instead of per-layer Tensor wrapping.  (The GRN's
-        # dropout is inactive in eval mode or at p == 0 — the TFT
-        # default — which is what the fused kernels assume.)
-        if fastpath.should_use_fast_path() and (
-            not self.training or self.feed_forward.dropout.p == 0.0
-        ):
-            past_data = past.data if isinstance(past, Tensor) else np.asarray(past)
-            future_data = future.data if isinstance(future, Tensor) else np.asarray(future)
-            return Tensor(self.fast_forward(past_data, future_data))
         encoded_in = self.past_proj(past)
         decoded_in = self.future_proj(future)
         encoded, state = self.encoder(encoded_in)
@@ -107,55 +96,58 @@ class _TFTNetwork(Module):
         past: np.ndarray,
         future: np.ndarray,
         dtype: "np.dtype | type | None" = None,
+        cache: dict | None = None,
     ) -> np.ndarray:
-        """Tape-free forward on raw arrays via the fused fastpath kernels.
+        """The same composition on raw arrays via the :mod:`fastpath` kernels.
 
         ``dtype=None`` computes in float64 — bitwise-identical to the
         tape forward, including the stored attention pattern;
         ``np.float32`` casts inputs and weights once and runs the whole
-        stack in single precision (the inference dtype mode).
+        stack in single precision (the inference dtype mode).  A
+        ``cache`` dict receives every layer's activations, keyed by
+        layer name, for :meth:`TFTForecaster._fastgrad_loss_backward`;
+        predictions are bitwise the same with and without it.
         """
-        work = np.float64 if dtype is None else np.dtype(dtype)
-        cast = None if work == np.dtype(np.float64) else work
+        def keep(name: str, result: tuple):
+            # Split a kernel's (*outputs, activations) and record the latter.
+            # No local outlives this call holding the activations, so an
+            # inference pass frees each layer's buffers before the next
+            # layer allocates (holding them costs ~2% of a predict).
+            *outputs, activations = result
+            if cache is not None:
+                cache[name] = activations
+            return outputs[0] if len(outputs) == 1 else outputs
 
-        def proj(linear: Linear, x: np.ndarray) -> np.ndarray:
-            weight = linear.weight.data
-            bias = linear.bias.data if linear.bias is not None else None
-            if cast is not None:
-                weight = weight.astype(cast, copy=False)
-                bias = None if bias is None else bias.astype(cast, copy=False)
-            return fastpath.linear_forward(x, weight, bias)
-
-        past = past.astype(work, copy=False)
-        future = future.astype(work, copy=False)
-        hidden_size = self.encoder.hidden_size
-        encoded_in = proj(self.past_proj, past)
-        decoded_in = proj(self.future_proj, future)
-        encoded, state = fastpath.lstm_forward(
-            encoded_in, self.encoder._layer_params(), hidden_size, dtype=cast
-        )
-        decoded, _ = fastpath.lstm_forward(
-            decoded_in, self.decoder._layer_params(), hidden_size, state=state, dtype=cast
+        enc_caches, dec_caches = (None, None) if cache is None else ([], [])
+        encoded_in = self.past_proj.fast_forward(past, dtype)
+        decoded_in = self.future_proj.fast_forward(future, dtype)
+        encoded, state = self.encoder.fast_forward(encoded_in, dtype=dtype, cache=enc_caches)
+        decoded, _ = self.decoder.fast_forward(
+            decoded_in, state, dtype=dtype, cache=dec_caches
         )
 
         sequence = np.concatenate([encoded, decoded], axis=1)
         skip = np.concatenate([encoded_in, decoded_in], axis=1)
-        sequence = self.lstm_norm.fast_forward(
-            skip + self.lstm_gate.fast_forward(sequence, dtype=cast), dtype=cast
-        )
+        gated = keep("lstm_gate", fastpath.glu_forward(self.lstm_gate, sequence, dtype))
+        sequence = keep("lstm_norm", fastpath.layer_norm(self.lstm_norm, skip + gated, dtype))
 
         horizon = decoded.shape[1]
         query = sequence[:, -horizon:, :]
         mask = causal_mask(query_len=horizon, key_len=sequence.shape[1])
-        attended, weights = self.attention.fast_forward(
-            query, sequence, sequence, mask=mask, dtype=cast
+        attended, weights = keep(
+            "attention",
+            fastpath.interpretable_attention(
+                self.attention, query, sequence, sequence, mask=mask, dtype=dtype
+            ),
         )
         self._last_attention = weights
-        attended = self.attn_norm.fast_forward(
-            query + self.attn_gate.fast_forward(attended, dtype=cast), dtype=cast
-        )
+        gated = keep("attn_gate", fastpath.glu_forward(self.attn_gate, attended, dtype))
+        attended = keep("attn_norm", fastpath.layer_norm(self.attn_norm, query + gated, dtype))
 
-        return proj(self.quantile_head, self.feed_forward.fast_forward(attended, dtype=cast))
+        grn_out = keep("feed_forward", fastpath.grn_forward(self.feed_forward, attended, dtype))
+        if cache is not None:
+            cache.update(encoder=enc_caches, decoder=dec_caches, grn_out=grn_out)
+        return self.quantile_head.fast_forward(grn_out, dtype)
 
 
 class TFTForecaster(NeuralForecaster):
@@ -232,15 +224,12 @@ class TFTForecaster(NeuralForecaster):
         predictions = self.network(Tensor(past), Tensor(future))  # (B, H, Q)
         return F.quantile_loss(predictions, horizon, list(self.quantile_levels))
 
-    def _supports_fastgrad(self) -> bool:
-        return True
-
     def _fastgrad_loss_backward(
         self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
     ) -> float:
         """Analytic loss + gradients: ``_loss(...).backward()`` without a tape.
 
-        One cached-activations forward through the fused kernels, then
+        The network's one raw forward with its activations cached, then
         closed-form backwards in reverse order (quantile head -> GRN ->
         attention block -> gated LSTM skip -> decoder -> encoder ->
         input projections).  Every composition mirrors the tape op for
@@ -257,46 +246,11 @@ class TFTForecaster(NeuralForecaster):
             horizon = (horizon - mean) / std
         past, future = self._network_inputs(context, start_indices)
 
-        # -- forward (cached activations) --------------------------------
+        cache: dict = {}
+        predictions = net.fast_forward(past, future, cache=cache)
         hs = net.encoder.hidden_size
-        encoded_in = fastpath.linear_forward(
-            past, net.past_proj.weight.data, net.past_proj.bias.data
-        )
-        decoded_in = fastpath.linear_forward(
-            future, net.future_proj.weight.data, net.future_proj.bias.data
-        )
-        encoded, enc_caches = fastgrad.lstm_forward_train(
-            encoded_in, net.encoder._layer_params(), hs
-        )
-        decoded, dec_caches = fastgrad.lstm_forward_train(
-            decoded_in,
-            net.decoder._layer_params(),
-            hs,
-            state=fastgrad.lstm_final_state(enc_caches),
-        )
-
-        seq_in = np.concatenate([encoded, decoded], axis=1)
-        skip = np.concatenate([encoded_in, decoded_in], axis=1)
-        gated_seq, lstm_glu_cache = fastgrad.glu_forward_train(net.lstm_gate, seq_in)
-        sequence, lstm_norm_cache = fastgrad.layer_norm_forward_train(
-            net.lstm_norm, skip + gated_seq
-        )
-
-        h = decoded.shape[1]
-        query = sequence[:, -h:, :]
-        mask = causal_mask(query_len=h, key_len=sequence.shape[1])
-        attended, weights, attn_cache = fastgrad.attention_forward_train(
-            net.attention, query, sequence, sequence, mask=mask
-        )
-        net._last_attention = weights
-        gated_attn, attn_glu_cache = fastgrad.glu_forward_train(net.attn_gate, attended)
-        attended_res, attn_norm_cache = fastgrad.layer_norm_forward_train(
-            net.attn_norm, query + gated_attn
-        )
-        grn_out, grn_cache = fastgrad.grn_forward_train(net.feed_forward, attended_res)
-        predictions = fastpath.linear_forward(
-            grn_out, net.quantile_head.weight.data, net.quantile_head.bias.data
-        )
+        h = self.horizon
+        steps = past.shape[1]
 
         loss, dpred = fastgrad.quantile_loss_grads(
             predictions, horizon, list(self.quantile_levels)
@@ -304,37 +258,36 @@ class TFTForecaster(NeuralForecaster):
 
         # -- backward ----------------------------------------------------
         dgrn, dw_head, db_head = fastgrad.linear_backward(
-            grn_out, net.quantile_head.weight.data, dpred
+            cache["grn_out"], net.quantile_head.weight.data, dpred
         )
         _accumulate(net.quantile_head.weight, dw_head)
         _accumulate(net.quantile_head.bias, db_head)
 
-        dattended_res = fastgrad.grn_backward(net.feed_forward, grn_cache, dgrn)
-        dsum = fastgrad.layer_norm_backward(net.attn_norm, attn_norm_cache, dattended_res)
+        dattended_res = fastgrad.grn_backward(net.feed_forward, cache["feed_forward"], dgrn)
+        dsum = fastgrad.layer_norm_backward(net.attn_norm, cache["attn_norm"], dattended_res)
         dquery = dsum.copy()  # residual branch
-        dattended = fastgrad.glu_backward(net.attn_gate, attn_glu_cache, dsum)
+        dattended = fastgrad.glu_backward(net.attn_gate, cache["attn_gate"], dsum)
         dq_attn, dkey, dvalue = fastgrad.attention_backward(
-            net.attention, attn_cache, dattended
+            net.attention, cache["attention"], dattended
         )
         dquery += dq_attn
         dsequence = dkey + dvalue
         dsequence[:, -h:, :] += dquery
 
-        dsum = fastgrad.layer_norm_backward(net.lstm_norm, lstm_norm_cache, dsequence)
-        dseq_in = fastgrad.glu_backward(net.lstm_gate, lstm_glu_cache, dsum)
-        steps = encoded.shape[1]
+        dsum = fastgrad.layer_norm_backward(net.lstm_norm, cache["lstm_norm"], dsequence)
+        dseq_in = fastgrad.glu_backward(net.lstm_gate, cache["lstm_gate"], dsum)
         dskip = dsum  # residual branch; split below
         denc_in = dskip[:, :steps, :].copy()
         ddec_in = dskip[:, steps:, :].copy()
 
         dec_grads, ddec_x, dec_dstate = fastgrad.lstm_backward(
-            dseq_in[:, steps:, :], dec_caches, hs, need_dx=True
+            dseq_in[:, steps:, :], cache["decoder"], hs, need_dx=True
         )
         ddec_in += ddec_x
         # The decoder's initial state is the encoder's final state, so
         # d(h0)/d(c0) of the decoder flows into the encoder backward.
         enc_grads, denc_x, _ = fastgrad.lstm_backward(
-            dseq_in[:, :steps, :], enc_caches, hs, need_dx=True, dstate=dec_dstate
+            dseq_in[:, :steps, :], cache["encoder"], hs, need_dx=True, dstate=dec_dstate
         )
         denc_in += denc_x
         for lstm, grads in ((net.encoder, enc_grads), (net.decoder, dec_grads)):
@@ -380,13 +333,8 @@ class TFTForecaster(NeuralForecaster):
             mean, std = self._window_stats(normalised)
             normalised = (normalised - mean) / std
         past, future = self._network_inputs(normalised, np.array([start_index]))
-        with no_grad():
-            if self.inference_dtype != np.dtype(np.float64):
-                raw = self.network.fast_forward(
-                    past, future, dtype=self.inference_dtype
-                )[0].astype(np.float64)  # (H, Q)
-            else:
-                raw = self.network(Tensor(past), Tensor(future)).data[0]  # (H, Q)
+        raw = self.network.fast_forward(past, future, dtype=self.inference_dtype)
+        raw = raw[0].astype(np.float64, copy=False)  # (H, Q)
         if self.window_normalization:
             raw = raw * std[0, 0] + mean[0, 0]
         grid_values = self.scaler.inverse_transform(raw.T)  # (Q, H)

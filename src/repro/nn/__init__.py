@@ -6,7 +6,6 @@ probabilistic forecasters in :mod:`repro.forecast`.
 """
 
 from . import fastgrad, fastpath, functional, init
-from .fastpath import fast_path_enabled, use_fast_path
 from .attention import InterpretableMultiHeadAttention, causal_mask, scaled_dot_product_attention
 from .data import DataLoader, WindowDataset, train_validation_split
 from .layers import (
@@ -28,8 +27,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "use_fast_path",
-    "fast_path_enabled",
     "fastpath",
     "fastgrad",
     "Module",

@@ -97,14 +97,6 @@ class InterpretableMultiHeadAttention(Module):
         mask: np.ndarray | None = None,
     ) -> tuple[Tensor, Tensor]:
         """Returns (output (B, Tq, d_model), mean attention (B, Tq, Tk))."""
-        if fastpath.should_use_fast_path():
-            out, weights = self.fast_forward(
-                query.data if isinstance(query, Tensor) else np.asarray(query),
-                key.data if isinstance(key, Tensor) else np.asarray(key),
-                value.data if isinstance(value, Tensor) else np.asarray(value),
-                mask=mask,
-            )
-            return Tensor(out), Tensor(weights)
         shared_value = self.v_proj(value)
         head_outputs = []
         head_weights = []
@@ -128,30 +120,10 @@ class InterpretableMultiHeadAttention(Module):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Tape-free forward on raw ndarrays.
 
-        Batches the per-head Q/K projections into single concatenated
-        gemms (:func:`repro.nn.fastpath.prepare_attention_params`);
-        float64 outputs and attention weights are bitwise-identical to
-        :meth:`forward`.
+        Float64 outputs and attention weights are bitwise-identical to
+        :meth:`forward` (:func:`repro.nn.fastpath.interpretable_attention`).
         """
-        w_q, b_q = fastpath.prepare_attention_params(
-            [(p.weight.data, p.bias.data) for p in self._q_projs], dtype=dtype
+        out, weights, _ = fastpath.interpretable_attention(
+            self, query, key, value, mask=mask, dtype=dtype
         )
-        w_k, b_k = fastpath.prepare_attention_params(
-            [(p.weight.data, p.bias.data) for p in self._k_projs], dtype=dtype
-        )
-        return fastpath.interpretable_attention(
-            query,
-            key,
-            value,
-            w_q,
-            b_q,
-            w_k,
-            b_k,
-            self.v_proj.weight.data,
-            self.v_proj.bias.data,
-            self.out_proj.weight.data,
-            self.out_proj.bias.data,
-            self.num_heads,
-            mask=mask,
-            dtype=dtype,
-        )
+        return out, weights

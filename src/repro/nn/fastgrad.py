@@ -1,29 +1,26 @@
-"""Analytic training kernels: fused forward+backward for the hot loop.
+"""Analytic training kernels: closed-form backwards and loss gradients.
 
-:mod:`repro.nn.fastpath` removed the Tensor tape from *inference*; this
-module removes it from *training*.  The per-op autograd tape stays as
-the parity oracle, but for every loss in the repo — the teacher-forced
-LSTM/MLP likelihoods *and* the TFT's attention/LayerNorm/GRN quantile
-loss — the gradients are known in closed form, so the whole backward
-pass collapses into a handful of fused numpy sweeps:
+:mod:`repro.nn.fastpath` holds the one raw-array forward of every hot
+layer and hands back the activations it computed; this module holds what
+differentiates through them.  For every loss the three headline
+forecasters train on — the teacher-forced LSTM/MLP likelihoods *and*
+the TFT's attention/LayerNorm/GRN quantile loss — the gradients are
+known in closed form, so the whole backward pass collapses into a
+handful of fused numpy sweeps:
 
-* **LSTM BPTT** — one cached-activations forward over the entire
-  teacher-forced sequence (the input gemm ``x @ W_ih`` is hoisted out of
-  the time loop and done for all timesteps at once), then a single
-  reverse sweep that accumulates per-step gate deltas into a
-  ``(batch, time, 4*hidden)`` buffer.  The weight gradients
-  ``dW_ih / dW_hh / db`` then fall out of *one* matmul each over the
-  flattened ``(batch*time)`` axis — instead of the thousands of taped
-  micro-ops (slice, sigmoid-backward, outer-product accumulate, ...)
-  the tape replays per timestep.
+* **LSTM BPTT** — a single reverse sweep over the scan's cached
+  activations (:func:`fastpath.lstm_forward` with ``cache=``) that
+  accumulates per-step gate deltas into a ``(batch, time, 4*hidden)``
+  buffer.  The weight gradients ``dW_ih / dW_hh / db`` then fall out of
+  *one* matmul each over the flattened ``(batch*time)`` axis — instead
+  of the thousands of taped micro-ops (slice, sigmoid-backward,
+  outer-product accumulate, ...) the tape replays per timestep.
 * **Head kernels** — linear/activation backwards and closed-form
   gradients of the Gaussian and Student-t negative log-likelihoods
   (the ``df`` gradient differentiates the same shifted-Stirling
-  ``log Gamma`` series the tape uses, so both paths optimise the same
+  ``log Gamma`` series the tape uses, so both optimise the same
   approximate objective).
-* **Attention / LayerNorm / GLU / GRN** — cached-activations forwards
-  through :mod:`fastpath`'s batched-head attention and fused layer
-  kernels, then closed-form backwards: the softmax Jacobian-vector
+* **Attention / LayerNorm / GLU / GRN** — the softmax Jacobian-vector
   product ``dx = s * (dout - sum(dout * s))``, LayerNorm's fused
   mean/variance backward, and the GLU/GRN chain with the residual and
   gate paths folded together.  Because the shared value projection and
@@ -33,23 +30,19 @@ pass collapses into a handful of fused numpy sweeps:
 * **Quantile (pinball) loss** — the subgradient is a sign test per
   quantile level, matching the tape's ``maximum`` tie rule exactly.
 
-The forward computes the same float64 operations in the same
-association order as the tape (it reuses :mod:`fastpath`'s
-``[i, f, o, g]`` permuted-weight layout, which is a bitwise-neutral
-column permutation), so loss values match the tape to machine rounding.
-Backward values are mathematically identical but summed in a different
-order, so individual gradients agree to ~1e-12 relative rather than bit
-for bit; the parity suite (``tests/nn/test_fastgrad.py``) checks every
+The forwards are bitwise-identical to the tape in float64, so loss
+values match it exactly.  Backward values are mathematically identical
+but summed in a different order, so individual gradients agree to
+~1e-12 relative rather than bit for bit; the parity suite
+(``tests/nn/test_fastgrad.py``, ``test_tft_fastgrad.py``) checks every
 kernel against both finite differences and the tape.
 
-Dispatch is opt-in per training run via
-``TrainingConfig(train_fast_path=True)`` (the default); the tape remains
-the parity oracle and is selected with ``train_fast_path=False``.
+``NeuralForecaster.fit`` trains through these kernels whenever the
+forecaster class defines ``_fastgrad_loss_backward`` (MLP, DeepAR, TFT);
+the other neural forecasters train on the autograd tape.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,21 +63,10 @@ __all__ = [
     "student_t_nll_grads",
     "quantile_loss_grads",
     "softmax_backward",
-    "LayerNormCache",
-    "layer_norm_forward_train",
     "layer_norm_backward",
-    "GLUCache",
-    "glu_forward_train",
     "glu_backward",
-    "GRNCache",
-    "grn_forward_train",
     "grn_backward",
-    "AttentionCache",
-    "attention_forward_train",
     "attention_backward",
-    "LSTMLayerCache",
-    "lstm_forward_train",
-    "lstm_final_state",
     "lstm_backward",
 ]
 
@@ -320,30 +302,7 @@ def quantile_loss_grads(
 # ``param.grad`` like the DeepAR composition does, returning only the input
 # gradient the caller must keep chaining.
 # ---------------------------------------------------------------------------
-@dataclass
-class LayerNormCache:
-    """Forward activations of one LayerNorm call."""
-
-    normed: np.ndarray  # (x - mu) / std — pre-affine output
-    std: np.ndarray  # sqrt(var + eps), keepdims along the last axis
-
-
-def layer_norm_forward_train(norm, x: np.ndarray) -> tuple[np.ndarray, LayerNormCache]:
-    """Cached-activations LayerNorm forward (mirrors ``LayerNorm.forward``).
-
-    Same ``sum * (1/n)`` mean composition as the tape, so float64
-    outputs are bitwise-identical.
-    """
-    n = x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) * (1.0 / n)
-    centered = x - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
-    std = np.sqrt(var + norm.eps)
-    normed = centered / std
-    return normed * norm.gamma.data + norm.beta.data, LayerNormCache(normed=normed, std=std)
-
-
-def layer_norm_backward(norm, cache: LayerNormCache, dout: np.ndarray) -> np.ndarray:
+def layer_norm_backward(norm, cache: fastpath.LayerNormCache, dout: np.ndarray) -> np.ndarray:
     """Closed-form LayerNorm backward; accumulates ``gamma``/``beta`` grads.
 
     With ``y = (x - mu)/std`` and ``std = sqrt(var + eps)`` (variance
@@ -365,26 +324,8 @@ def layer_norm_backward(norm, cache: LayerNormCache, dout: np.ndarray) -> np.nda
     return (dn - dn_mean - normed * proj) / cache.std
 
 
-@dataclass
-class GLUCache:
-    """Forward activations of one GatedLinearUnit call."""
-
-    x: np.ndarray  # layer input
-    gate: np.ndarray  # sigmoid(x W1 + b1)
-    value: np.ndarray  # x W2 + b2
-
-
-def glu_forward_train(glu, x: np.ndarray) -> tuple[np.ndarray, GLUCache]:
-    """Cached-activations GLU forward (mirrors ``GatedLinearUnit.forward``)."""
-    gate = fastpath.sigmoid(
-        fastpath.linear_forward(x, glu.gate.weight.data, glu.gate.bias.data)
-    )
-    value = fastpath.linear_forward(x, glu.value.weight.data, glu.value.bias.data)
-    return gate * value, GLUCache(x=x, gate=gate, value=value)
-
-
 def glu_backward(
-    glu, cache: GLUCache, dout: np.ndarray, need_dx: bool = True
+    glu, cache: fastpath.GLUCache, dout: np.ndarray, need_dx: bool = True
 ) -> np.ndarray | None:
     """GLU backward: sigmoid and value branches fused into two gemms each."""
     dgate_pre = (dout * cache.value) * cache.gate * (1.0 - cache.gate)
@@ -404,43 +345,7 @@ def glu_backward(
     return dx_gate + dx_value
 
 
-@dataclass
-class GRNCache:
-    """Forward activations of one GatedResidualNetwork call."""
-
-    x: np.ndarray  # layer input
-    tanh_out: np.ndarray  # tanh(fc1(x))
-    drop_mask: np.ndarray | None  # inverted-dropout mask, None when inactive
-    glu: GLUCache
-    norm: LayerNormCache
-
-
-def grn_forward_train(grn, x: np.ndarray) -> tuple[np.ndarray, GRNCache]:
-    """Cached-activations GRN forward (mirrors ``GatedResidualNetwork.forward``).
-
-    When dropout is active (training mode and ``p > 0``) the mask is
-    drawn from the layer's own rng exactly as the tape path would, so
-    both paths consume the same stream; the TFT's GRNs run with
-    ``p == 0`` and skip the draw entirely.
-    """
-    tanh_out = np.tanh(
-        fastpath.linear_forward(x, grn.fc1.weight.data, grn.fc1.bias.data)
-    )
-    hidden = fastpath.linear_forward(tanh_out, grn.fc2.weight.data, grn.fc2.bias.data)
-    drop_mask = None
-    if grn.dropout.training and grn.dropout.p > 0.0:
-        keep = 1.0 - grn.dropout.p
-        drop_mask = grn.dropout._rng.binomial(1, keep, size=hidden.shape) / keep
-        hidden = hidden * drop_mask
-    gated, glu_cache = glu_forward_train(grn.glu, hidden)
-    residual = x if grn.skip is None else x @ grn.skip.weight.data
-    out, norm_cache = layer_norm_forward_train(grn.norm, residual + gated)
-    return out, GRNCache(
-        x=x, tanh_out=tanh_out, drop_mask=drop_mask, glu=glu_cache, norm=norm_cache
-    )
-
-
-def grn_backward(grn, cache: GRNCache, dout: np.ndarray) -> np.ndarray:
+def grn_backward(grn, cache: fastpath.GRNCache, dout: np.ndarray) -> np.ndarray:
     """GRN backward: LayerNorm, GLU, dropout, tanh, and the residual
     branch chained on the cached activations; returns the input grad."""
     dsum = layer_norm_backward(grn.norm, cache.norm, dout)
@@ -465,72 +370,8 @@ def grn_backward(grn, cache: GRNCache, dout: np.ndarray) -> np.ndarray:
     return dx
 
 
-@dataclass
-class AttentionCache:
-    """Forward activations of one InterpretableMultiHeadAttention call."""
-
-    query: np.ndarray  # (B, Tq, d_model)
-    key: np.ndarray  # (B, Tk, d_model)
-    value: np.ndarray  # (B, Tk, d_model)
-    w_q: np.ndarray  # concatenated per-head query weights (d_model, H*dh)
-    w_k: np.ndarray
-    q_heads: np.ndarray  # (H, B, Tq, dh)
-    k_heads: np.ndarray  # (H, B, Tk, dh)
-    v: np.ndarray  # shared value projection (B, Tk, dh)
-    weights: np.ndarray  # per-head softmax (H, B, Tq, Tk)
-    mean_weights: np.ndarray  # head average (B, Tq, Tk)
-    mean_heads: np.ndarray  # head-averaged context (B, Tq, dh)
-
-
-def attention_forward_train(
-    attn, query: np.ndarray, key: np.ndarray, value: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, AttentionCache]:
-    """Cached-activations interpretable attention forward.
-
-    Identical arithmetic to :func:`fastpath.interpretable_attention`
-    (itself bitwise-identical to the tape's per-head loop in float64);
-    returns ``(output, mean attention weights, cache)``.
-    """
-    w_q, b_q = fastpath.prepare_attention_params(
-        [(p.weight.data, p.bias.data) for p in attn._q_projs]
-    )
-    w_k, b_k = fastpath.prepare_attention_params(
-        [(p.weight.data, p.bias.data) for p in attn._k_projs]
-    )
-    num_heads = attn.num_heads
-    d_head = attn.d_head
-    batch, t_query, _ = query.shape
-    t_key = key.shape[1]
-    q_all = fastpath.linear_forward(query, w_q, b_q)
-    k_all = fastpath.linear_forward(key, w_k, b_k)
-    v = fastpath.linear_forward(value, attn.v_proj.weight.data, attn.v_proj.bias.data)
-    q_heads = np.ascontiguousarray(
-        np.moveaxis(q_all.reshape(batch, t_query, num_heads, d_head), 2, 0)
-    )
-    k_heads = np.ascontiguousarray(
-        np.moveaxis(k_all.reshape(batch, t_key, num_heads, d_head), 2, 0)
-    )
-    scores = (q_heads @ np.swapaxes(k_heads, -1, -2)) * (1.0 / np.sqrt(d_head))
-    if mask is not None:
-        scores = scores + mask
-    weights = fastpath.softmax(scores, axis=-1)
-    heads = weights @ v
-    mean_heads = heads.sum(axis=0) * (1.0 / num_heads)
-    mean_weights = weights.sum(axis=0) * (1.0 / num_heads)
-    out = fastpath.linear_forward(
-        mean_heads, attn.out_proj.weight.data, attn.out_proj.bias.data
-    )
-    cache = AttentionCache(
-        query=query, key=key, value=value, w_q=w_q, w_k=w_k,
-        q_heads=q_heads, k_heads=k_heads, v=v, weights=weights,
-        mean_weights=mean_weights, mean_heads=mean_heads,
-    )
-    return out, mean_weights, cache
-
-
 def attention_backward(
-    attn, cache: AttentionCache, dout: np.ndarray
+    attn, cache: fastpath.AttentionCache, dout: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interpretable-attention backward on the cached forward.
 
@@ -584,118 +425,9 @@ def attention_backward(
 # ---------------------------------------------------------------------------
 # Fused LSTM BPTT
 # ---------------------------------------------------------------------------
-@dataclass
-class LSTMLayerCache:
-    """Activations of one LSTM layer's teacher-forced forward.
-
-    Everything the reverse sweep needs, laid out as whole-sequence
-    buffers: inputs and previous hidden states feed the final weight
-    gemms; gates (permuted ``[i, f, o, g]``, post-activation), cell
-    states, and their tanh feed the per-step delta computation.
-    """
-
-    inputs: np.ndarray  # (B, T, F_in) — this layer's input sequence
-    h_prev: np.ndarray  # (B, T, H) — hidden state *entering* each step
-    gates: np.ndarray  # (B, T, 4H) — [i, f, o, g] post-activation
-    c_prev: np.ndarray  # (B, T, H) — cell state entering each step
-    tanh_c: np.ndarray  # (B, T, H) — tanh of the new cell state
-    w_ih: np.ndarray  # permuted weights used in the forward
-    w_hh: np.ndarray
-    h_last: np.ndarray  # (B, H) — final hidden state (seeds a chained LSTM)
-    c_last: np.ndarray  # (B, H) — final cell state
-
-
-def lstm_forward_train(
-    x: np.ndarray,
-    layer_params: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    hidden_size: int,
-    state: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    dtype: np.dtype | type | None = None,
-) -> tuple[np.ndarray, list[LSTMLayerCache]]:
-    """Teacher-forced multi-layer LSTM forward with cached activations.
-
-    Parameters mirror :func:`fastpath.lstm_forward` (standard-layout
-    ``(w_ih, w_hh, bias)`` per layer; optional per-layer ``(h, c)``
-    initial ``state`` — the TFT decoder is seeded with the encoder's
-    final state).  Returns the top layer's hidden sequence
-    ``(batch, time, hidden)`` plus per-layer caches for
-    :func:`lstm_backward`; :func:`lstm_final_state` extracts the final
-    per-layer state for chaining into a second LSTM.
-
-    The input gemm is hoisted: ``x @ W_ih`` runs once over the flattened
-    ``(batch*time)`` axis per layer, so the time loop only pays the
-    recurrent ``h @ W_hh`` matmul plus elementwise gate math — the same
-    values, associated in the same order, as the tape's per-step
-    ``(x @ W_ih + h @ W_hh) + b``.
-
-    ``dtype=None`` (default) keeps the bitwise float64 behaviour;
-    ``np.float32`` runs the whole cached forward in single precision
-    (the backward then follows the caches' dtype).
-    """
-    work = np.float64 if dtype is None else np.dtype(dtype)
-    x = x.astype(work, copy=False)
-    batch, steps, _ = x.shape
-    hs = hidden_size
-    prepared = fastpath.prepare_lstm_params(layer_params, hs, dtype=dtype)
-    if state is not None:
-        state = [
-            (h.astype(work, copy=False), c.astype(work, copy=False)) for h, c in state
-        ]
-    caches: list[LSTMLayerCache] = []
-    layer_input = x
-    for layer, (w_ih, w_hh, bias) in enumerate(prepared):
-        in_features = layer_input.shape[-1]
-        # Hoisted input gemm: one (B*T, F) @ (F, 4H) for the whole sequence.
-        xg = (layer_input.reshape(-1, in_features) @ w_ih).reshape(batch, steps, 4 * hs)
-        gates = np.empty((batch, steps, 4 * hs), dtype=work)
-        h_prev = np.empty((batch, steps, hs), dtype=work)
-        c_prev = np.empty((batch, steps, hs), dtype=work)
-        tanh_c = np.empty((batch, steps, hs), dtype=work)
-        outputs = np.empty((batch, steps, hs), dtype=work)
-        if state is None:
-            h = np.zeros((batch, hs), dtype=work)
-            c = np.zeros((batch, hs), dtype=work)
-        else:
-            h, c = state[layer]
-        for t in range(steps):
-            h_prev[:, t] = h
-            c_prev[:, t] = c
-            z = xg[:, t] + h @ w_hh + bias
-            ifo = fastpath.sigmoid(z[:, : 3 * hs])
-            g = np.tanh(z[:, 3 * hs :])
-            gates[:, t, : 3 * hs] = ifo
-            gates[:, t, 3 * hs :] = g
-            c = ifo[:, hs : 2 * hs] * c + ifo[:, :hs] * g
-            tc = np.tanh(c)
-            tanh_c[:, t] = tc
-            h = ifo[:, 2 * hs :] * tc
-            outputs[:, t] = h
-        caches.append(
-            LSTMLayerCache(
-                inputs=layer_input,
-                h_prev=h_prev,
-                gates=gates,
-                c_prev=c_prev,
-                tanh_c=tanh_c,
-                w_ih=w_ih,
-                w_hh=w_hh,
-                h_last=h,
-                c_last=c,
-            )
-        )
-        layer_input = outputs
-    return layer_input, caches
-
-
-def lstm_final_state(caches: list[LSTMLayerCache]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer final ``(h, c)`` of a cached forward — ready to seed a
-    chained :func:`lstm_forward_train` (the TFT encoder -> decoder hand-off)."""
-    return [(cache.h_last, cache.c_last) for cache in caches]
-
-
 def lstm_backward(
     dout: np.ndarray,
-    caches: list[LSTMLayerCache],
+    caches: list[fastpath.LSTMLayerCache],
     hidden_size: int,
     need_dx: bool = False,
     dstate: list[tuple[np.ndarray, np.ndarray]] | None = None,
@@ -704,7 +436,7 @@ def lstm_backward(
     np.ndarray | None,
     list[tuple[np.ndarray, np.ndarray]],
 ]:
-    """Fused BPTT through every layer of :func:`lstm_forward_train`.
+    """Fused BPTT through every layer of a cached :func:`fastpath.lstm_forward`.
 
     ``dout`` is the loss gradient w.r.t. the top layer's hidden sequence
     ``(batch, time, hidden)``; ``dstate`` optionally adds the loss

@@ -1,96 +1,56 @@
-"""Tape-free inference kernels: raw-numpy forwards for the hot layers.
+"""Raw-array kernels: the one forward of every hot layer.
 
-Training needs the autograd tape; inference does not.  Even under
-:class:`~repro.nn.tensor.no_grad` the Tensor ops still pay per-op object
-construction, closure definition, and broadcasting bookkeeping — on the
-small models used for workload forecasting that overhead dominates the
-actual arithmetic.  This module provides raw ``ndarray -> ndarray``
-kernels that compute *exactly* the same float64 operations in the same
-order as the Tensor path, so outputs are numerically identical, without
-building any Tensor objects.
+The autograd tape pays per-op object construction, closure definition
+and broadcasting bookkeeping; on the small models used for workload
+forecasting that overhead dominates the arithmetic.  Each kernel here
+computes *exactly* the float64 operations of the layer's tape
+``forward``, in the same order, on plain ndarrays — so results are
+bitwise-identical — and is the only raw-array definition of that layer:
+inference calls it and drops the activations, training
+(:mod:`repro.nn.fastgrad`) keeps them for the closed-form backward.
 
-Dispatch is automatic: :class:`~repro.nn.layers.Linear`,
-:class:`~repro.nn.layers.LayerNorm`, :class:`~repro.nn.layers.GatedLinearUnit`,
-:class:`~repro.nn.layers.GatedResidualNetwork`,
-:class:`~repro.nn.attention.InterpretableMultiHeadAttention`,
-:class:`~repro.nn.rnn.LSTMCell`, and :class:`~repro.nn.rnn.LSTM` check
-:func:`should_use_fast_path` at the top of ``forward`` and route through
-these kernels whenever gradients are disabled.  The result is wrapped
-back into a constant Tensor so callers never see the difference.  Code
-that wants to stay on raw arrays end to end (DeepAR's ancestral
-sampling) calls the modules' ``fast_forward`` / ``fast_step`` methods
-directly and skips Tensor wrapping entirely.
+LayerNorm / GLU / GRN / attention kernels take the layer module
+(duck-typed attribute reads — no import of :mod:`repro.nn.layers`) and
+always return ``(output, cache)``: the cache fields are references to
+arrays the forward computes anyway.  The LSTM scan records its per-step
+activations only when handed a ``cache`` list, because recording costs
+buffer writes inside the time loop.
 
-``use_fast_path(False)`` forces the tape path even under ``no_grad`` —
-used by the parity tests and the perf benchmarks to compare both
-implementations.
+:class:`~repro.nn.module.Module` routes ``module(...)`` through the
+layer's ``fast_forward`` whenever gradients are disabled; code that stays
+on raw arrays end to end (DeepAR's ancestral sampling, the TFT forward)
+calls ``fast_forward`` / ``fast_step`` directly.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .tensor import is_grad_enabled
-
 __all__ = [
-    "use_fast_path",
-    "fast_path_enabled",
-    "should_use_fast_path",
     "sigmoid",
     "tanh",
     "relu",
     "softplus",
     "softmax",
     "linear_forward",
+    "linear",
+    "LayerNormCache",
     "layer_norm",
+    "GLUCache",
     "glu_forward",
+    "GRNCache",
     "grn_forward",
     "prepare_attention_params",
+    "AttentionCache",
     "interpretable_attention",
-    "lstm_cell_forward",
-    "lstm_cell_permuted",
     "prepare_lstm_params",
+    "lstm_cell_permuted",
+    "LSTMLayerCache",
     "lstm_forward",
     "lstm_step",
 ]
-
-_FAST_PATH_ENABLED = True
-
-
-class use_fast_path:
-    """Context manager to force the fast path on or off.
-
-    The default is on; disabling is only useful for parity testing and
-    for benchmarking the tape path.
-    """
-
-    def __init__(self, enabled: bool) -> None:
-        self._enabled = bool(enabled)
-
-    def __enter__(self) -> "use_fast_path":
-        global _FAST_PATH_ENABLED
-        self._prev = _FAST_PATH_ENABLED
-        _FAST_PATH_ENABLED = self._enabled
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        global _FAST_PATH_ENABLED
-        _FAST_PATH_ENABLED = self._prev
-
-
-def fast_path_enabled() -> bool:
-    """Whether the fast path is globally enabled (default True)."""
-    return _FAST_PATH_ENABLED
-
-
-def should_use_fast_path() -> bool:
-    """True when a layer forward should dispatch to the raw kernels.
-
-    The fast path is only valid when no gradient tape is being recorded;
-    the global switch exists so tests and benchmarks can pin the tape
-    path.
-    """
-    return _FAST_PATH_ENABLED and not is_grad_enabled()
 
 
 # ---------------------------------------------------------------------------
@@ -159,79 +119,100 @@ def linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -
     return out
 
 
+def linear(layer, x: np.ndarray, dtype: np.dtype | type | None = None) -> np.ndarray:
+    """A ``Linear`` module's affine map on raw arrays.
+
+    ``dtype=np.float32`` casts the input and the weights once for the
+    single-precision inference mode; ``None`` keeps float64.
+    """
+    bias = None if layer.bias is None else _cast(layer.bias.data, dtype)
+    return linear_forward(_cast(x, dtype), _cast(layer.weight.data, dtype), bias)
+
+
+@dataclass
+class LayerNormCache:
+    """Forward activations of one LayerNorm call."""
+
+    normed: np.ndarray  # (x - mu) / std — pre-affine output
+    std: np.ndarray  # sqrt(var + eps), keepdims along the last axis
+
+
 def layer_norm(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    eps: float,
-    dtype: np.dtype | type | None = None,
-) -> np.ndarray:
+    norm, x: np.ndarray, dtype: np.dtype | type | None = None
+) -> tuple[np.ndarray, LayerNormCache]:
     """LayerNorm over the last axis; mirrors ``LayerNorm.forward`` exactly.
 
     The mean is computed as ``sum * (1/n)`` — the tape's ``Tensor.mean``
     composition — not ``np.mean``, so float64 results are bitwise
-    identical.  ``dtype=np.float32`` casts the input and affine
-    parameters once for the single-precision inference mode.
+    identical.
     """
     x = _cast(x, dtype)
-    gamma = _cast(gamma, dtype)
-    beta = _cast(beta, dtype)
     n = x.shape[-1]
     mu = x.sum(axis=-1, keepdims=True) * (1.0 / n)
     centered = x - mu
     var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
-    normed = centered / np.sqrt(var + eps)
-    return normed * gamma + beta
+    std = np.sqrt(var + norm.eps)
+    normed = centered / std
+    out = normed * _cast(norm.gamma.data, dtype) + _cast(norm.beta.data, dtype)
+    return out, LayerNormCache(normed=normed, std=std)
+
+
+@dataclass
+class GLUCache:
+    """Forward activations of one GatedLinearUnit call."""
+
+    x: np.ndarray  # layer input
+    gate: np.ndarray  # sigmoid(x W1 + b1)
+    value: np.ndarray  # x W2 + b2
 
 
 def glu_forward(
-    x: np.ndarray,
-    w_gate: np.ndarray,
-    b_gate: np.ndarray,
-    w_value: np.ndarray,
-    b_value: np.ndarray,
-    dtype: np.dtype | type | None = None,
-) -> np.ndarray:
+    glu, x: np.ndarray, dtype: np.dtype | type | None = None
+) -> tuple[np.ndarray, GLUCache]:
     """GLU(x) = sigmoid(x W1 + b1) * (x W2 + b2) on raw arrays.
 
     Same gemm/sigmoid/multiply order as ``GatedLinearUnit.forward``.
     """
     x = _cast(x, dtype)
-    gate = sigmoid(linear_forward(x, _cast(w_gate, dtype), _cast(b_gate, dtype)))
-    return gate * linear_forward(x, _cast(w_value, dtype), _cast(b_value, dtype))
+    gate = sigmoid(linear(glu.gate, x, dtype))
+    value = linear(glu.value, x, dtype)
+    return gate * value, GLUCache(x=x, gate=gate, value=value)
+
+
+@dataclass
+class GRNCache:
+    """Forward activations of one GatedResidualNetwork call."""
+
+    x: np.ndarray  # layer input
+    tanh_out: np.ndarray  # tanh(fc1(x))
+    drop_mask: np.ndarray | None  # inverted-dropout mask, None when inactive
+    glu: GLUCache
+    norm: LayerNormCache
 
 
 def grn_forward(
-    x: np.ndarray,
-    w_fc1: np.ndarray,
-    b_fc1: np.ndarray,
-    w_fc2: np.ndarray,
-    b_fc2: np.ndarray,
-    w_gate: np.ndarray,
-    b_gate: np.ndarray,
-    w_value: np.ndarray,
-    b_value: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    eps: float,
-    w_skip: np.ndarray | None = None,
-    dtype: np.dtype | type | None = None,
-) -> np.ndarray:
-    """Gated Residual Network forward (eval mode — dropout is identity).
+    grn, x: np.ndarray, dtype: np.dtype | type | None = None
+) -> tuple[np.ndarray, GRNCache]:
+    """Gated Residual Network forward.
 
     Mirrors ``GatedResidualNetwork.forward``: fc1 -> tanh -> fc2 ->
-    GLU -> (projected) residual -> LayerNorm.  ``w_skip`` is the
-    bias-free residual projection when in/out widths differ.
+    dropout -> GLU -> (projected) residual -> LayerNorm.  When dropout is
+    active (training mode and ``p > 0``) the mask is drawn from the
+    layer's own rng exactly as the tape would, so both consume the same
+    stream; the TFT's GRNs run with ``p == 0`` and skip the draw.
     """
     x = _cast(x, dtype)
-    hidden = linear_forward(
-        np.tanh(linear_forward(x, _cast(w_fc1, dtype), _cast(b_fc1, dtype))),
-        _cast(w_fc2, dtype),
-        _cast(b_fc2, dtype),
+    tanh_out = np.tanh(linear(grn.fc1, x, dtype))
+    hidden = linear(grn.fc2, tanh_out, dtype)
+    drop_mask = _cast(grn.dropout.mask(hidden.shape), dtype)
+    if drop_mask is not None:
+        hidden = hidden * drop_mask
+    gated, glu_cache = glu_forward(grn.glu, hidden, dtype)
+    residual = x if grn.skip is None else linear(grn.skip, x, dtype)
+    out, norm_cache = layer_norm(grn.norm, residual + gated, dtype)
+    return out, GRNCache(
+        x=x, tanh_out=tanh_out, drop_mask=drop_mask, glu=glu_cache, norm=norm_cache
     )
-    gated = glu_forward(hidden, w_gate, b_gate, w_value, b_value, dtype=dtype)
-    residual = x if w_skip is None else x @ _cast(w_skip, dtype)
-    return layer_norm(residual + gated, gamma, beta, eps, dtype=dtype)
 
 
 def prepare_attention_params(
@@ -246,36 +227,42 @@ def prepare_attention_params(
     gemms — the same argument as the LSTM gate permutation.  Prepared
     per call, not cached: optimizers update the arrays in place.
     """
-    w_cat = np.concatenate([w for w, _ in head_params], axis=1)
-    b_cat = np.concatenate([b for _, b in head_params])
-    if dtype is not None:
-        w_cat = w_cat.astype(dtype, copy=False)
-        b_cat = b_cat.astype(dtype, copy=False)
+    w_cat = _cast(np.concatenate([w for w, _ in head_params], axis=1), dtype)
+    b_cat = _cast(np.concatenate([b for _, b in head_params]), dtype)
     return w_cat, b_cat
 
 
+@dataclass
+class AttentionCache:
+    """Forward activations of one InterpretableMultiHeadAttention call."""
+
+    query: np.ndarray  # (B, Tq, d_model)
+    key: np.ndarray  # (B, Tk, d_model)
+    value: np.ndarray  # (B, Tk, d_model)
+    w_q: np.ndarray  # concatenated per-head query weights (d_model, H*dh)
+    w_k: np.ndarray
+    q_heads: np.ndarray  # (H, B, Tq, dh)
+    k_heads: np.ndarray  # (H, B, Tk, dh)
+    v: np.ndarray  # shared value projection (B, Tk, dh)
+    weights: np.ndarray  # per-head softmax (H, B, Tq, Tk)
+    mean_weights: np.ndarray  # head average (B, Tq, Tk)
+    mean_heads: np.ndarray  # head-averaged context (B, Tq, dh)
+
+
 def interpretable_attention(
+    attn,
     query: np.ndarray,
     key: np.ndarray,
     value: np.ndarray,
-    w_q: np.ndarray,
-    b_q: np.ndarray,
-    w_k: np.ndarray,
-    b_k: np.ndarray,
-    w_v: np.ndarray,
-    b_v: np.ndarray,
-    w_out: np.ndarray,
-    b_out: np.ndarray,
-    num_heads: int,
     mask: np.ndarray | None = None,
     dtype: np.dtype | type | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, AttentionCache]:
     """Interpretable multi-head attention on raw arrays.
 
-    ``w_q``/``w_k`` are the concatenated per-head projections from
-    :func:`prepare_attention_params`; the value projection ``w_v`` is
-    shared across heads (TFT Sec. 4.4).  Returns
-    ``(output (B, Tq, d_model), mean attention (B, Tq, Tk))``.
+    Per-head query/key projections run as single concatenated gemms
+    (:func:`prepare_attention_params`); the value projection is shared
+    across heads (TFT Sec. 4.4).  Returns ``(output (B, Tq, d_model),
+    mean attention (B, Tq, Tk), cache)``.
 
     Heads are stacked on a leading axis so the score and context matmuls
     run as single H*B-batched gemms instead of a Python loop over heads;
@@ -287,12 +274,18 @@ def interpretable_attention(
     query = _cast(query, dtype)
     key = _cast(key, dtype)
     value = _cast(value, dtype)
+    w_q, b_q = prepare_attention_params(
+        [(p.weight.data, p.bias.data) for p in attn._q_projs], dtype
+    )
+    w_k, b_k = prepare_attention_params(
+        [(p.weight.data, p.bias.data) for p in attn._k_projs], dtype
+    )
+    num_heads, d_head = attn.num_heads, attn.d_head
     batch, t_query, _ = query.shape
     t_key = key.shape[1]
-    d_head = w_v.shape[1]
     q_all = linear_forward(query, w_q, b_q)  # (B, Tq, H*dh)
     k_all = linear_forward(key, w_k, b_k)  # (B, Tk, H*dh)
-    v = linear_forward(value, _cast(w_v, dtype), _cast(b_v, dtype))  # (B, Tk, dh)
+    v = linear(attn.v_proj, value, dtype)  # (B, Tk, dh)
     # Heads-first contiguous stacking: each (h, b) slice is then the
     # exact 2-D gemm the per-head tape loop performs.
     q_heads = np.ascontiguousarray(
@@ -310,39 +303,13 @@ def interpretable_attention(
     heads = weights @ v  # value broadcast across the head axis
     mean_heads = heads.sum(axis=0) * (1.0 / num_heads)
     mean_weights = weights.sum(axis=0) * (1.0 / num_heads)
-    out = linear_forward(mean_heads, _cast(w_out, dtype), _cast(b_out, dtype))
-    return out, mean_weights
-
-
-def lstm_cell_forward(
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    w_ih: np.ndarray,
-    w_hh: np.ndarray,
-    bias: np.ndarray,
-    hidden_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One fused LSTM step on raw arrays.
-
-    Computes the gates with the same association order as the Tensor
-    path (``(x @ w_ih + h @ w_hh) + bias``) so results match bit for
-    bit.  Gate layout along the output axis is [input, forget, cell,
-    output]; the two sigmoid blocks are evaluated on column slices,
-    which is elementwise and therefore order-independent.
-    """
-    gates = x @ w_ih + h_prev @ w_hh + bias
-    hs = hidden_size
-    # input and forget gates are adjacent columns -> one sigmoid call;
-    # elementwise, so the result per column is unchanged.
-    i_f = sigmoid(gates[:, : 2 * hs])
-    i_gate = i_f[:, :hs]
-    f_gate = i_f[:, hs:]
-    g_gate = tanh(gates[:, 2 * hs : 3 * hs])
-    o_gate = sigmoid(gates[:, 3 * hs :])
-    c_new = f_gate * c_prev + i_gate * g_gate
-    h_new = o_gate * tanh(c_new)
-    return h_new, c_new
+    out = linear(attn.out_proj, mean_heads, dtype)
+    cache = AttentionCache(
+        query=query, key=key, value=value, w_q=w_q, w_k=w_k,
+        q_heads=q_heads, k_heads=k_heads, v=v, weights=weights,
+        mean_weights=mean_weights, mean_heads=mean_heads,
+    )
+    return out, mean_weights, cache
 
 
 def prepare_lstm_params(
@@ -363,8 +330,8 @@ def prepare_lstm_params(
     mode); ``None`` keeps the parameters' own dtype — the bitwise-exact
     float64 default.
 
-    Prepared per inference call, not cached: optimizers update parameter
-    arrays in place, so a cache keyed on array identity would go stale.
+    Prepared per call, not cached: optimizers update parameter arrays in
+    place, so a cache keyed on array identity would go stale.
     """
     hs = hidden_size
     prepared = []
@@ -390,20 +357,43 @@ def lstm_cell_permuted(
     w_hh: np.ndarray,
     bias: np.ndarray,
     hidden_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """LSTM step with [i, f, o, g] gate layout (see :func:`prepare_lstm_params`).
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One LSTM step with [i, f, o, g] gate layout (see :func:`prepare_lstm_params`).
 
-    One sigmoid over the three adjacent sigmoid gates, one tanh over the
-    cell gate; all elementwise, so every output element is bitwise equal
-    to :func:`lstm_cell_forward` on the standard layout.
+    Gates are associated as ``(x @ w_ih + h @ w_hh) + bias`` like the
+    tape's ``LSTMCell.forward``; one sigmoid covers the three adjacent
+    sigmoid gates and one tanh the cell gate — all elementwise, so every
+    output element is bitwise equal to the tape on the standard layout.
+    Returns ``(h_new, c_new, (ifo, g, tanh_c))``; the activations are
+    what :func:`repro.nn.fastgrad.lstm_backward` differentiates through.
     """
     gates = x @ w_ih + h_prev @ w_hh + bias
     hs = hidden_size
     ifo = sigmoid(gates[:, : 3 * hs])
     g_gate = tanh(gates[:, 3 * hs :])
     c_new = ifo[:, hs : 2 * hs] * c_prev + ifo[:, :hs] * g_gate
-    h_new = ifo[:, 2 * hs :] * tanh(c_new)
-    return h_new, c_new
+    tanh_c = tanh(c_new)
+    h_new = ifo[:, 2 * hs :] * tanh_c
+    return h_new, c_new, (ifo, g_gate, tanh_c)
+
+
+@dataclass
+class LSTMLayerCache:
+    """Activations of one LSTM layer's scan.
+
+    Everything the reverse sweep needs, laid out as whole-sequence
+    buffers: inputs and previous hidden states feed the final weight
+    gemms; gates (permuted ``[i, f, o, g]``, post-activation), cell
+    states, and their tanh feed the per-step delta computation.
+    """
+
+    inputs: np.ndarray  # (B, T, F_in) — this layer's input sequence
+    h_prev: np.ndarray  # (B, T, H) — hidden state *entering* each step
+    gates: np.ndarray  # (B, T, 4H) — [i, f, o, g] post-activation
+    c_prev: np.ndarray  # (B, T, H) — cell state entering each step
+    tanh_c: np.ndarray  # (B, T, H) — tanh of the new cell state
+    w_ih: np.ndarray  # permuted weights used in the forward
+    w_hh: np.ndarray
 
 
 def lstm_forward(
@@ -412,8 +402,9 @@ def lstm_forward(
     hidden_size: int,
     state: list[tuple[np.ndarray, np.ndarray]] | None = None,
     dtype: np.dtype | type | None = None,
+    cache: list[LSTMLayerCache] | None = None,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Fused multi-layer LSTM over a full sequence on raw arrays.
+    """Multi-layer LSTM scan over a full sequence on raw arrays.
 
     Parameters
     ----------
@@ -424,33 +415,60 @@ def lstm_forward(
     state:
         Optional per-layer ``(h, c)`` arrays of shape (batch, hidden).
     dtype:
-        ``None`` (default) computes in float64 exactly as before;
-        ``np.float32`` casts inputs, weights, and state once and runs
-        the whole scan in single precision (see docs/nn.md for the
-        measured accuracy/speed trade).
+        ``None`` (default) computes in float64; ``np.float32`` casts
+        inputs, weights, and state once and runs the whole scan in
+        single precision (see docs/nn.md for the measured trade).
+    cache:
+        A list to receive one :class:`LSTMLayerCache` per layer for
+        :func:`repro.nn.fastgrad.lstm_backward`; ``None`` (inference)
+        skips the per-step buffer writes.  Outputs and final state are
+        bitwise the same either way.
 
-    Keeps ``(h, c)`` as plain ndarrays throughout and writes each step's
-    hidden state straight into a preallocated output buffer — no
-    per-timestep Python list construction.
+    Returns the top layer's hidden sequence and the final per-layer
+    ``(h, c)``.  Each step's hidden state is written straight into a
+    preallocated output buffer — no per-timestep Python lists.
     """
     work = np.float64 if dtype is None else np.dtype(dtype)
     x = x.astype(work, copy=False)
     batch, steps, _ = x.shape
+    hs = hidden_size
     if state is None:
-        zeros = np.zeros((batch, hidden_size), dtype=work)
+        zeros = np.zeros((batch, hs), dtype=work)
         state = [(zeros.copy(), zeros.copy()) for _ in layer_params]
     else:
         state = [(h.astype(work, copy=False), c.astype(work, copy=False)) for h, c in state]
 
     layer_input = x
-    prepared = prepare_lstm_params(layer_params, hidden_size, dtype=dtype)
+    prepared = prepare_lstm_params(layer_params, hs, dtype=dtype)
     for layer, (w_ih, w_hh, bias) in enumerate(prepared):
         h, c = state[layer]
-        outputs = np.empty((batch, steps, hidden_size), dtype=work)
+        outputs = np.empty((batch, steps, hs), dtype=work)
+        if cache is not None:
+            gates = np.empty((batch, steps, 4 * hs), dtype=work)
+            h_prev = np.empty((batch, steps, hs), dtype=work)
+            c_prev = np.empty((batch, steps, hs), dtype=work)
+            tanh_c = np.empty((batch, steps, hs), dtype=work)
         for t in range(steps):
-            h, c = lstm_cell_permuted(layer_input[:, t, :], h, c, w_ih, w_hh, bias, hidden_size)
+            x_t = layer_input[:, t, :]
+            # Neither branch binds the step's activations to a name: kept
+            # alive one step longer, they stop the allocator handing the
+            # same hot buffers to the next step (~4% of a sampling pass).
+            if cache is None:
+                h, c = lstm_cell_permuted(x_t, h, c, w_ih, w_hh, bias, hs)[:2]
+            else:
+                h_prev[:, t], c_prev[:, t] = h, c
+                h, c, (gates[:, t, : 3 * hs], gates[:, t, 3 * hs :], tanh_c[:, t]) = (
+                    lstm_cell_permuted(x_t, h, c, w_ih, w_hh, bias, hs)
+                )
             outputs[:, t, :] = h
         state[layer] = (h, c)
+        if cache is not None:
+            cache.append(
+                LSTMLayerCache(
+                    inputs=layer_input, h_prev=h_prev, gates=gates, c_prev=c_prev,
+                    tanh_c=tanh_c, w_ih=w_ih, w_hh=w_hh,
+                )
+            )
         layer_input = outputs
     return layer_input, state
 
@@ -478,7 +496,7 @@ def lstm_step(
     prepared = prepare_lstm_params(layer_params, hidden_size, dtype=dtype)
     for layer, (w_ih, w_hh, bias) in enumerate(prepared):
         h, c = state[layer]
-        h, c = lstm_cell_permuted(inp, h, c, w_ih, w_hh, bias, hidden_size)
+        h, c = lstm_cell_permuted(inp, h, c, w_ih, w_hh, bias, hidden_size)[:2]
         state[layer] = (h, c)
         inp = h
     return inp, state

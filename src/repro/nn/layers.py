@@ -27,9 +27,8 @@ __all__ = [
 class Linear(Module):
     """Affine map ``y = x @ W + b`` with weight shape (in, out).
 
-    When gradients are disabled the forward dispatches to the tape-free
-    kernel in :mod:`repro.nn.fastpath`, skipping Tensor-op overhead; the
-    result is numerically identical.
+    With gradients disabled ``layer(x)`` runs :meth:`fast_forward` (see
+    :meth:`Module.__call__`); the result is numerically identical.
     """
 
     def __init__(
@@ -46,19 +45,16 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if fastpath.should_use_fast_path():
-            data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-            return Tensor(self.fast_forward(data))
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias
         return out
 
-    def fast_forward(self, x: np.ndarray) -> np.ndarray:
+    def fast_forward(
+        self, x: np.ndarray, dtype: "np.dtype | type | None" = None
+    ) -> np.ndarray:
         """Tape-free forward on a raw ndarray."""
-        return fastpath.linear_forward(
-            x, self.weight.data, self.bias.data if self.bias is not None else None
-        )
+        return fastpath.linear(self, x, dtype)
 
 
 class Dropout(Module):
@@ -75,20 +71,23 @@ class Dropout(Module):
         self.p = p
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def mask(self, shape: tuple[int, ...]) -> np.ndarray | None:
+        """Draw one inverted-dropout mask; ``None`` when dropout is inactive."""
         if not self.training or self.p == 0.0:
-            return x
+            return None
         keep = 1.0 - self.p
-        mask = self._rng.binomial(1, keep, size=x.shape) / keep
-        return x * Tensor(mask)
+        return self._rng.binomial(1, keep, size=shape) / keep
+
+    def forward(self, x: Tensor) -> Tensor:
+        mask = self.mask(x.shape)
+        return x if mask is None else x * Tensor(mask)
 
 
 class LayerNorm(Module):
     """Layer normalization over the last axis.
 
-    Under ``no_grad`` the forward dispatches to the tape-free
-    :func:`repro.nn.fastpath.layer_norm` kernel; results are bitwise
-    identical in float64.
+    :meth:`fast_forward` is the :func:`repro.nn.fastpath.layer_norm`
+    kernel; results are bitwise identical in float64.
     """
 
     def __init__(self, normalized_shape: int, eps: float = 1e-5) -> None:
@@ -98,9 +97,6 @@ class LayerNorm(Module):
         self.beta = Parameter(init.zeros((normalized_shape,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        if fastpath.should_use_fast_path():
-            data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-            return Tensor(self.fast_forward(data))
         mu = x.mean(axis=-1, keepdims=True)
         var = ((x - mu) * (x - mu)).mean(axis=-1, keepdims=True)
         normed = (x - mu) / (var + self.eps).sqrt()
@@ -110,9 +106,7 @@ class LayerNorm(Module):
         self, x: np.ndarray, dtype: "np.dtype | type | None" = None
     ) -> np.ndarray:
         """Tape-free forward on a raw ndarray."""
-        return fastpath.layer_norm(
-            x, self.gamma.data, self.beta.data, self.eps, dtype=dtype
-        )
+        return fastpath.layer_norm(self, x, dtype)[0]
 
 
 class Embedding(Module):
@@ -159,9 +153,8 @@ class Sequential(Module):
 class GatedLinearUnit(Module):
     """GLU(x) = sigmoid(W1 x + b1) * (W2 x + b2) — TFT's gating primitive.
 
-    Under ``no_grad`` the forward dispatches to the fused tape-free
-    :func:`repro.nn.fastpath.glu_forward` kernel (bitwise-identical in
-    float64).
+    :meth:`fast_forward` is the fused :func:`repro.nn.fastpath.glu_forward`
+    kernel (bitwise-identical in float64).
     """
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator) -> None:
@@ -170,23 +163,13 @@ class GatedLinearUnit(Module):
         self.value = Linear(in_features, out_features, rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        if fastpath.should_use_fast_path():
-            data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-            return Tensor(self.fast_forward(data))
         return self.gate(x).sigmoid() * self.value(x)
 
     def fast_forward(
         self, x: np.ndarray, dtype: "np.dtype | type | None" = None
     ) -> np.ndarray:
         """Tape-free forward on a raw ndarray."""
-        return fastpath.glu_forward(
-            x,
-            self.gate.weight.data,
-            self.gate.bias.data,
-            self.value.weight.data,
-            self.value.bias.data,
-            dtype=dtype,
-        )
+        return fastpath.glu_forward(self, x, dtype)[0]
 
 
 class GatedResidualNetwork(Module):
@@ -219,13 +202,6 @@ class GatedResidualNetwork(Module):
             self.skip = None
 
     def forward(self, x: Tensor) -> Tensor:
-        # The fused kernel skips dropout, so it is only valid when
-        # dropout is inactive (eval mode, or p == 0 as the TFT uses).
-        if fastpath.should_use_fast_path() and (
-            not self.training or self.dropout.p == 0.0
-        ):
-            data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-            return Tensor(self.fast_forward(data))
         hidden = self.fc2(self.fc1(x).tanh())
         hidden = self.dropout(hidden)
         gated = self.glu(hidden)
@@ -235,20 +211,5 @@ class GatedResidualNetwork(Module):
     def fast_forward(
         self, x: np.ndarray, dtype: "np.dtype | type | None" = None
     ) -> np.ndarray:
-        """Tape-free forward on a raw ndarray (dropout inactive)."""
-        return fastpath.grn_forward(
-            x,
-            self.fc1.weight.data,
-            self.fc1.bias.data,
-            self.fc2.weight.data,
-            self.fc2.bias.data,
-            self.glu.gate.weight.data,
-            self.glu.gate.bias.data,
-            self.glu.value.weight.data,
-            self.glu.value.bias.data,
-            self.norm.gamma.data,
-            self.norm.beta.data,
-            self.norm.eps,
-            w_skip=self.skip.weight.data if self.skip is not None else None,
-            dtype=dtype,
-        )
+        """Tape-free forward on a raw ndarray."""
+        return fastpath.grn_forward(self, x, dtype)[0]

@@ -11,9 +11,27 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, is_grad_enabled
 
 __all__ = ["Parameter", "Module"]
+
+
+def _to_arrays(value: object) -> object:
+    """Unwrap Tensors (also inside per-layer state lists/tuples) to ndarrays."""
+    if isinstance(value, Tensor):
+        return value.data
+    if isinstance(value, (list, tuple)):
+        return type(value)([_to_arrays(item) for item in value])
+    return value
+
+
+def _to_tensors(value: object) -> object:
+    """Wrap ndarrays (also inside lists/tuples) as constant Tensors."""
+    if isinstance(value, np.ndarray):
+        return Tensor(value)
+    if isinstance(value, (list, tuple)):
+        return type(value)([_to_tensors(item) for item in value])
+    return value
 
 
 class Parameter(Tensor):
@@ -117,5 +135,20 @@ class Module:
     def forward(self, *args: object, **kwargs: object) -> object:
         raise NotImplementedError
 
+    #: Layers with a raw-array kernel define ``fast_forward`` with the
+    #: signature of ``forward`` on ndarrays (see :mod:`repro.nn.fastpath`).
+    fast_forward = None
+
     def __call__(self, *args: object, **kwargs: object) -> object:
-        return self.forward(*args, **kwargs)
+        """Run the layer: the tape ``forward`` while gradients are recorded.
+
+        With gradients disabled, a class that defines ``fast_forward``
+        (the same signature on raw ndarrays, see :mod:`repro.nn.fastpath`)
+        runs that instead — bitwise the same float64 values without the
+        per-op Tensor overhead — and the result is wrapped back into
+        constant Tensors so callers never see the difference.
+        """
+        if is_grad_enabled() or self.fast_forward is None:
+            return self.forward(*args, **kwargs)
+        kwargs = {name: _to_arrays(value) for name, value in kwargs.items()}
+        return _to_tensors(self.fast_forward(*_to_arrays(args), **kwargs))

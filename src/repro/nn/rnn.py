@@ -14,19 +14,6 @@ from . import fastpath, init
 from .module import Module, Parameter
 from .tensor import Tensor
 
-
-def _as_state_arrays(
-    state: "list[tuple[Tensor | np.ndarray, Tensor | np.ndarray]]",
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Unwrap a per-layer (h, c) state into raw ndarrays."""
-    return [
-        (
-            h.data if isinstance(h, Tensor) else np.asarray(h, dtype=np.float64),
-            c.data if isinstance(c, Tensor) else np.asarray(c, dtype=np.float64),
-        )
-        for h, c in state
-    ]
-
 __all__ = ["LSTMCell", "LSTM"]
 
 
@@ -62,11 +49,6 @@ class LSTMCell(Module):
         state:
             Tuple (h, c) each of shape (batch, hidden_size).
         """
-        if fastpath.should_use_fast_path():
-            data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-            (h_arr, c_arr), = _as_state_arrays([state])
-            h_new, c_new = self.fast_forward(data, h_arr, c_arr)
-            return Tensor(h_new), Tensor(c_new)
         h_prev, c_prev = state
         gates = x @ self.w_ih + h_prev @ self.w_hh + self.bias
         hs = self.hidden_size
@@ -79,13 +61,13 @@ class LSTMCell(Module):
         return h_new, c_new
 
     def fast_forward(
-        self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
+        self, x: np.ndarray, state: tuple[np.ndarray, np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Tape-free step on raw arrays; numerically identical to forward."""
-        return fastpath.lstm_cell_forward(
-            x, h_prev, c_prev, self.w_ih.data, self.w_hh.data, self.bias.data,
-            self.hidden_size,
+        _, (new_state,) = fastpath.lstm_step(
+            x, [(self.w_ih.data, self.w_hh.data, self.bias.data)], self.hidden_size, [state]
         )
+        return new_state
 
     def initial_state(self, batch_size: int) -> tuple[Tensor, Tensor]:
         """Zero hidden and cell states for a batch."""
@@ -125,11 +107,6 @@ class LSTM(Module):
         x: Tensor,
         state: list[tuple[Tensor, Tensor]] | None = None,
     ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
-        if fastpath.should_use_fast_path():
-            data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-            arrays = _as_state_arrays(state) if state is not None else None
-            sequence, new_state = self.fast_forward(data, arrays)
-            return Tensor(sequence), [(Tensor(h), Tensor(c)) for h, c in new_state]
         batch, steps, _ = x.shape
         if state is None:
             state = [cell.initial_state(batch) for cell in self._cells]
@@ -158,6 +135,7 @@ class LSTM(Module):
         x: np.ndarray,
         state: list[tuple[np.ndarray, np.ndarray]] | None = None,
         dtype: "np.dtype | type | None" = None,
+        cache: "list[fastpath.LSTMLayerCache] | None" = None,
     ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
         """Fused tape-free unroll on raw arrays.
 
@@ -165,10 +143,11 @@ class LSTM(Module):
         state into a preallocated buffer instead of building the
         per-timestep Tensor lists the tape path needs.  ``dtype=None``
         computes in float64; ``np.float32`` runs the whole scan in
-        single precision.
+        single precision.  A ``cache`` list receives the per-layer
+        activations :func:`repro.nn.fastgrad.lstm_backward` needs.
         """
         return fastpath.lstm_forward(
-            x, self._layer_params(), self.hidden_size, state, dtype=dtype
+            x, self._layer_params(), self.hidden_size, state, dtype=dtype, cache=cache
         )
 
     def fast_step(

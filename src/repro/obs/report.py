@@ -354,8 +354,9 @@ def _training_section(summary: TelemetrySummary) -> list[str]:
 
     Groups the fit-loop metrics (``forecast.fastgrad_batches`` counts
     batches per path, ``forecast.batch_seconds`` times them) by
-    (model, path) so a run that mixed tape and fast-path training shows
-    one row per combination.
+    (model, path).  ``path`` is ``fastgrad`` for forecasters whose class
+    has an analytic backward pass and ``tape`` for those that train on
+    autograd, so a run that fits both kinds shows one row per model.
     """
     rows: dict[tuple[str, str], dict] = {}
     for key, value in summary.counters.items():

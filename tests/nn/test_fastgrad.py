@@ -2,9 +2,10 @@
 
 Every kernel is checked two ways: against central finite differences of
 its own forward (the math is right) and against the autograd tape (the
-fast path optimises the identical objective).  The tape is the oracle —
-``TrainingConfig(train_fast_path=False)`` selects it — so these tests
-are what licenses the fast path as the default.
+analytic pass optimises the identical objective).  The tape is the
+oracle — ``tests/nn/oracles.py`` runs a loss or a whole ``fit`` on it —
+so these tests are what licenses the analytic pass as the only
+production path.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 
 from repro.forecast import DeepARForecaster, MLPForecaster, TrainingConfig
+from repro.forecast.qb5000 import _LSTMPointForecaster
 from repro.nn import LSTM, Tensor, fastgrad
 from repro.nn import functional as F
+from tests.nn.oracles import tape_fit, tape_loss_backward
 
 RNG = np.random.default_rng
 
@@ -146,7 +149,7 @@ class TestGatePermutation:
 class TestLSTMAgainstTape:
     @pytest.mark.parametrize(
         "batch,steps,input_size,hidden,layers",
-        [(1, 3, 2, 4, 1), (5, 7, 3, 6, 2), (2, 4, 1, 5, 3)],
+        [(1, 3, 2, 4, 1), (5, 7, 3, 6, 2), (2, 4, 1, 5, 3), (1, 1, 2, 3, 2)],
     )
     def test_forward_and_grads_match(self, batch, steps, input_size, hidden, layers):
         rng = RNG(5)
@@ -162,8 +165,9 @@ class TestLSTMAgainstTape:
         tape_dx = xt.grad.copy()
         lstm.zero_grad()
 
-        out, caches = fastgrad.lstm_forward_train(x, lstm._layer_params(), hidden)
-        np.testing.assert_allclose(out, seq.data, rtol=1e-12, atol=1e-12)
+        caches = []
+        out, _ = lstm.fast_forward(x, cache=caches)
+        assert np.array_equal(out, seq.data)  # bitwise, batch 1 included
         grads, dx, _ = fastgrad.lstm_backward(proj, caches, hidden, need_dx=True)
         np.testing.assert_allclose(dx, tape_dx, rtol=1e-9, atol=1e-11)
         for layer, (dw_ih, dw_hh, db) in enumerate(grads):
@@ -180,10 +184,11 @@ class TestLSTMAgainstTape:
         proj = rng.normal(size=(2, 4, hidden))
 
         def loss():
-            out, _ = fastgrad.lstm_forward_train(x, params, hidden)
+            out, _ = lstm.fast_forward(x)
             return float((out * proj).sum())
 
-        _, caches = fastgrad.lstm_forward_train(x, params, hidden)
+        caches = []
+        lstm.fast_forward(x, cache=caches)
         grads, _, _ = fastgrad.lstm_backward(proj, caches, hidden)
         dw_ih, dw_hh, db = grads[0]
         w_ih, w_hh, bias = params[0]
@@ -205,13 +210,12 @@ def _batch(forecaster, batch=6, seed=7):
 
 def _tape_loss_and_grads(forecaster, batch):
     forecaster.network.zero_grad()
-    loss = forecaster._loss(*batch)
-    loss.backward()
+    loss = tape_loss_backward(forecaster, batch)
     grads = {
         n: (None if p.grad is None else p.grad.copy())
         for n, p in forecaster.network.named_parameters()
     }
-    return loss.item(), grads
+    return loss, grads
 
 
 def _fast_loss_and_grads(forecaster, batch):
@@ -253,19 +257,24 @@ class TestModelLossParity:
         fc = MLPForecaster(10, 4, hidden_size=16, config=TrainingConfig(epochs=1))
         fc.network = fc._build(RNG(1))
         batch = _batch(fc)
+        # the one raw forward (predict and training both call it) is the tape's, bit for bit
+        for raw, tape in zip(fc.network.fast_forward(batch[0]), fc.network(Tensor(batch[0]))):
+            assert np.array_equal(raw, tape.data)
         tape_loss, tape_grads = _tape_loss_and_grads(fc, batch)
         fast_loss, fast_grads = _fast_loss_and_grads(fc, batch)
         assert fast_loss == pytest.approx(tape_loss, rel=1e-12)
         _assert_grads_match(fast_grads, tape_grads)
 
     def test_supports_flags(self):
-        assert DeepARForecaster(8, 4)._supports_fastgrad()
-        assert MLPForecaster(8, 4)._supports_fastgrad()
+        """fit's analytic-vs-tape choice is read off the class."""
+        assert hasattr(DeepARForecaster, "_fastgrad_loss_backward")
+        assert hasattr(MLPForecaster, "_fastgrad_loss_backward")
+        assert not hasattr(_LSTMPointForecaster, "_fastgrad_loss_backward")
 
 
 class TestFitTrajectoryParity:
-    """End-to-end: training with train_fast_path=True follows the same
-    loss trajectory (and produces the same weights) as the tape."""
+    """End-to-end: the analytic pass follows the same loss trajectory
+    (and produces the same weights) as a fit on the tape."""
 
     @pytest.mark.parametrize(
         "factory",
@@ -279,13 +288,8 @@ class TestFitTrajectoryParity:
         rng = RNG(8)
         series = 50 + 10 * np.sin(np.arange(220) * 2 * np.pi / 24) + rng.normal(0, 1, 220)
 
-        def fit(fast):
-            cfg = TrainingConfig(
-                epochs=3, batch_size=16, seed=0, patience=0, train_fast_path=fast
-            )
-            return factory(cfg).fit(series)
-
-        fast, tape = fit(True), fit(False)
+        cfg = TrainingConfig(epochs=3, batch_size=16, seed=0, patience=0)
+        fast, tape = factory(cfg).fit(series), tape_fit(factory(cfg), series)
         fast_losses = [r["train_loss"] for r in fast.history]
         tape_losses = [r["train_loss"] for r in tape.history]
         np.testing.assert_allclose(fast_losses, tape_losses, rtol=1e-10)

@@ -64,9 +64,8 @@ def test_sigmoid_preserves_dtype():
 
 
 def test_fastgrad_forward_and_backward_float32(lstm, sequence):
-    outputs, caches = fastgrad.lstm_forward_train(
-        sequence, lstm._layer_params(), HIDDEN, dtype=np.float32
-    )
+    caches = []
+    outputs, _ = lstm.fast_forward(sequence, dtype=np.float32, cache=caches)
     assert outputs.dtype == np.float32
     grads, _, _ = fastgrad.lstm_backward(np.ones_like(outputs), caches, HIDDEN)
     for dw_ih, dw_hh, db in grads:

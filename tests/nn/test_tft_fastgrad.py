@@ -25,6 +25,7 @@ from repro.nn import (
     fastpath,
 )
 from repro.nn import functional as F
+from tests.nn.oracles import tape_fit, tape_loss_backward
 
 RNG = np.random.default_rng
 
@@ -90,7 +91,7 @@ class TestKernelsAgainstFiniteDifferences:
             return float((norm.fast_forward(x) * proj).sum())
 
         norm.zero_grad()
-        _, cache = fastgrad.layer_norm_forward_train(norm, x)
+        _, cache = fastpath.layer_norm(norm, x)
         dx = fastgrad.layer_norm_backward(norm, cache, proj)
         np.testing.assert_allclose(dx, _fd_grad(loss, x), atol=1e-6)
         np.testing.assert_allclose(
@@ -110,7 +111,7 @@ class TestKernelsAgainstFiniteDifferences:
             return float((glu.fast_forward(x) * proj).sum())
 
         glu.zero_grad()
-        _, cache = fastgrad.glu_forward_train(glu, x)
+        _, cache = fastpath.glu_forward(glu, x)
         dx = fastgrad.glu_backward(glu, cache, proj)
         np.testing.assert_allclose(dx, _fd_grad(loss, x), atol=1e-6)
         for name, param in glu.named_parameters():
@@ -129,7 +130,7 @@ class TestKernelsAgainstFiniteDifferences:
             return float((grn.fast_forward(x) * proj).sum())
 
         grn.zero_grad()
-        _, cache = fastgrad.grn_forward_train(grn, x)
+        _, cache = fastpath.grn_forward(grn, x)
         dx = fastgrad.grn_backward(grn, cache, proj)
         np.testing.assert_allclose(dx, _fd_grad(loss, x), atol=1e-6)
         for name, param in grn.named_parameters():
@@ -151,7 +152,7 @@ class TestKernelsAgainstFiniteDifferences:
             return float((out * proj).sum())
 
         attn.zero_grad()
-        _, _, cache = fastgrad.attention_forward_train(
+        _, _, cache = fastpath.interpretable_attention(
             attn, query, key, value, mask=mask
         )
         dquery, dkey, dvalue = fastgrad.attention_backward(attn, cache, proj)
@@ -200,7 +201,7 @@ class TestKernelsAgainstTape:
         tape_out = out.data
 
         norm.zero_grad()
-        fast_out, cache = fastgrad.layer_norm_forward_train(norm, x)
+        fast_out, cache = fastpath.layer_norm(norm, x)
         assert np.array_equal(fast_out, tape_out)  # bitwise forward
         dx = fastgrad.layer_norm_backward(norm, cache, proj)
         np.testing.assert_allclose(dx, tape_dx, rtol=1e-9, atol=1e-11)
@@ -222,7 +223,7 @@ class TestKernelsAgainstTape:
         tape_out = out.data
 
         glu.zero_grad()
-        fast_out, cache = fastgrad.glu_forward_train(glu, x)
+        fast_out, cache = fastpath.glu_forward(glu, x)
         assert np.array_equal(fast_out, tape_out)
         dx = fastgrad.glu_backward(glu, cache, proj)
         np.testing.assert_allclose(dx, tape_dx, rtol=1e-9, atol=1e-11)
@@ -244,7 +245,7 @@ class TestKernelsAgainstTape:
         tape_out = out.data
 
         grn.zero_grad()
-        fast_out, cache = fastgrad.grn_forward_train(grn, x)
+        fast_out, cache = fastpath.grn_forward(grn, x)
         assert np.array_equal(fast_out, tape_out)
         dx = fastgrad.grn_backward(grn, cache, proj)
         np.testing.assert_allclose(dx, tape_dx, rtol=1e-9, atol=1e-11)
@@ -269,7 +270,7 @@ class TestKernelsAgainstTape:
 
         grn.zero_grad()
         grn.dropout._rng = np.random.default_rng(77)
-        fast_out, cache = fastgrad.grn_forward_train(grn, x)
+        fast_out, cache = fastpath.grn_forward(grn, x)
         assert np.array_equal(fast_out, tape_out)
         dx = fastgrad.grn_backward(grn, cache, proj)
         np.testing.assert_allclose(dx, tape_dx, rtol=1e-9, atol=1e-11)
@@ -300,7 +301,7 @@ class TestKernelsAgainstTape:
         tape_out, tape_weights = out.data, weights.data
 
         attn.zero_grad()
-        fast_out, fast_weights, cache = fastgrad.attention_forward_train(
+        fast_out, fast_weights, cache = fastpath.interpretable_attention(
             attn, query, key, value, mask=mask
         )
         assert np.array_equal(fast_out, tape_out)
@@ -337,10 +338,7 @@ class TestModelLossParity:
         starts = rng.integers(0, 500, size=batch)
 
         fc.network.zero_grad()
-        with fastpath.use_fast_path(False):
-            loss = fc._loss(context.copy(), horizon.copy(), starts)
-            loss.backward()
-        tape_loss = loss.item()
+        tape_loss = tape_loss_backward(fc, (context.copy(), horizon.copy(), starts))
         tape_grads = _param_grads(fc.network)
 
         fc.network.zero_grad()
@@ -349,7 +347,7 @@ class TestModelLossParity:
         _assert_grads_match(_param_grads(fc.network), tape_grads)
 
     def test_supports_flag(self):
-        assert TFTForecaster(8, 4)._supports_fastgrad()
+        assert hasattr(TFTForecaster, "_fastgrad_loss_backward")
 
     def test_attention_pattern_updated_by_fastgrad(self):
         fc = _tft()
@@ -367,13 +365,11 @@ class TestFitTrajectoryParity:
         rng = RNG(21)
         series = 50 + 10 * np.sin(np.arange(220) * 2 * np.pi / 24) + rng.normal(0, 1, 220)
 
-        def fit(fast):
-            cfg = TrainingConfig(
-                epochs=3, batch_size=16, seed=0, patience=0, train_fast_path=fast
-            )
-            return TFTForecaster(16, 8, d_model=8, num_heads=2, config=cfg).fit(series)
+        def build():
+            cfg = TrainingConfig(epochs=3, batch_size=16, seed=0, patience=0)
+            return TFTForecaster(16, 8, d_model=8, num_heads=2, config=cfg)
 
-        fast, tape = fit(True), fit(False)
+        fast, tape = build().fit(series), tape_fit(build(), series)
         fast_losses = [r["train_loss"] for r in fast.history]
         tape_losses = [r["train_loss"] for r in tape.history]
         np.testing.assert_allclose(fast_losses, tape_losses, rtol=1e-10)

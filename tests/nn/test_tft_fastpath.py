@@ -1,12 +1,13 @@
-"""Bitwise parity for the TFT's tape-free inference kernels.
+"""Bitwise parity for the TFT's raw-array kernels.
 
-The fast path promises *bitwise* float64 identity with the autograd
+The kernels promise *bitwise* float64 identity with the autograd
 tape — including the stored attention pattern, which downstream
 interpretability tooling reads — so every fused kernel (softmax,
 LayerNorm, GLU, GRN, interpretable attention) and the whole-network
 ``_TFTNetwork.fast_forward`` are checked with ``np.array_equal``, not
-``allclose``.  float32 is the explicit speed/accuracy trade and is
-gated statistically.
+``allclose``.  The tape side is the module called with gradients
+enabled.  float32 is the explicit speed/accuracy trade and is gated
+statistically.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.nn import (
     Tensor,
     causal_mask,
     fastpath,
+    is_grad_enabled,
     no_grad,
 )
 from repro.nn.attention import _MASK_CACHE
@@ -31,8 +33,8 @@ RNG = np.random.default_rng
 
 
 def _tape(module, *tensors, **kwargs):
-    with no_grad(), fastpath.use_fast_path(False):
-        return module(*tensors, **kwargs)
+    assert is_grad_enabled()  # under no_grad the call would dispatch to the raw kernel
+    return module(*tensors, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -112,18 +114,19 @@ class TestKernelParityBitwise:
         assert np.array_equal(fast, tape)
 
     def test_grn_with_active_dropout_pins_the_tape(self):
-        """p > 0 in training mode must NOT dispatch: the fused kernel
-        skips the rng draw, which would desynchronise the stream."""
+        """p > 0 in training mode: the kernel must draw the mask from the
+        layer's rng exactly as the tape does, or the stream desynchronises."""
         grn = GatedResidualNetwork(6, 8, 6, RNG(9), dropout=0.5)
         grn.train(True)
         x = RNG(10).normal(size=(3, 6))
         grn.dropout._rng = np.random.default_rng(99)
         with no_grad():
             dispatched = grn(Tensor(x)).data
+        after_kernel = grn.dropout._rng.random()
         grn.dropout._rng = np.random.default_rng(99)
-        with no_grad(), fastpath.use_fast_path(False):
-            tape = grn(Tensor(x)).data
+        tape = _tape(grn, Tensor(x)).data
         assert np.array_equal(dispatched, tape)
+        assert grn.dropout._rng.random() == after_kernel  # same draws consumed
 
     @pytest.mark.parametrize("batch,t_query,t_key,num_heads", [
         (1, 3, 3, 1), (2, 4, 9, 2), (3, 6, 6, 4),
@@ -179,9 +182,8 @@ class TestNetworkFastForward:
         past = rng.normal(size=(3, 36, net.past_proj.in_features))
         future = rng.normal(size=(3, 12, net.future_proj.in_features))
 
-        with no_grad(), fastpath.use_fast_path(False):
-            tape = net(Tensor(past), Tensor(future)).data
-            tape_attn = net._last_attention.copy()
+        tape = _tape(net, Tensor(past), Tensor(future)).data
+        tape_attn = net._last_attention.copy()
         fast = net.fast_forward(past, future)
         assert np.array_equal(fast, tape)
         assert np.array_equal(net._last_attention, tape_attn)
@@ -196,10 +198,15 @@ class TestNetworkFastForward:
             dispatched = net(Tensor(past), Tensor(future)).data
         assert np.array_equal(dispatched, net.fast_forward(past, future))
 
-    def test_predict_bitwise_vs_tape(self, fitted):
+    def test_predict_bitwise_vs_tape(self, fitted, monkeypatch):
         forecaster, series = fitted
         context = series[-36:]
-        with no_grad(), fastpath.use_fast_path(False):
+        net = forecaster.network
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                net, "fast_forward",
+                lambda past, future, dtype=None: _tape(net, Tensor(past), Tensor(future)).data,
+            )
             tape = forecaster.predict(context, start_index=364)
             tape_attn = forecaster.attention_weights().copy()
         fast = forecaster.predict(context, start_index=364)
