@@ -8,6 +8,12 @@ Two phases, both against real subprocesses:
    scrape and validate the Prometheus exposition, render the `top`
    dashboard once against the live daemon, force a replan and a
    checkpoint over HTTP, and fail on any non-200 (or non-JSON body).
+   The daemon runs with ``--telemetry``; once it has stopped, the file
+   must obey the write-once rule (exact counts, no timing): at most 3
+   lines for a tick that neither planned nor closed a monitor window,
+   no per-update ``counter`` / ``gauge`` / ``service`` lines, no
+   ``span`` line for a span its ``trace`` record already carries, and
+   counters that equal the last ``GET /metrics``.
 2. **Crash/restore divergence** — run an uninterrupted session to
    completion, repeat it with a mid-trace checkpoint + early stop (the
    simulated crash), restore from the checkpoint, and require the
@@ -103,12 +109,58 @@ def read_decisions(path: Path) -> list[dict]:
             if line.strip()]
 
 
+def check_telemetry_file(path: Path, final_counters: dict) -> None:
+    """The write-once rule, as counts over the live phase's telemetry."""
+    records = read_decisions(path)
+    kinds = {record["kind"] for record in records}
+    if kinds & {"counter", "gauge", "service"}:
+        fail(f"per-update or orphan kinds in the telemetry file: {sorted(kinds)}")
+    doubled = [r["name"] for r in records
+               if r["kind"] == "span" and r["name"].startswith("runtime.step")]
+    if doubled:
+        fail(f"{len(doubled)} runtime.step spans written outside their trace")
+
+    # The daemon flushes once per tick, so a `metrics` record ends each
+    # tick's lines.
+    ticks, quiet, lines = 0, 0, []
+    counters: dict = {}
+    for record in records:
+        lines.append(record)
+        if record["kind"] != "metrics":
+            continue
+        counters.update(record["counters"])
+        ticks += 1
+        busy = any(
+            r["kind"] == "provenance" or r["name"] == "monitor.window"
+            for r in lines
+        )
+        if not busy:
+            quiet += 1
+            if len(lines) > 3:
+                fail(f"{len(lines)} telemetry lines for one quiet tick: "
+                     f"{[r['kind'] for r in lines]}")
+        lines = []
+    if records[-1]["kind"] != "metrics":
+        fail(f"the file ends in a {records[-1]['kind']!r} record: "
+             f"counters of the last tick were never flushed")
+    # Last value wins, so this holds the last record to /metrics too.
+    if counters != final_counters:
+        fail(f"telemetry file and GET /metrics disagree: "
+             f"file {counters} vs /metrics {final_counters}")
+    print(f"telemetry file OK: {len(records)} lines over {ticks} flushes "
+          f"({quiet} quiet ticks at <= 3 lines), "
+          f"{len(counters)} counters equal to GET /metrics")
+
+
 def phase_live_control_plane(workdir: Path) -> None:
     print("== phase 1: live control plane ==")
     port_file = workdir / "port.txt"
+    telemetry = workdir / "live-telemetry.jsonl"
+    final_counters = None
     process = subprocess.Popen(
         SERVE + ["--tick-interval", "0.02", "--linger", "60",
                  "--port-file", str(port_file),
+                 "--telemetry", str(telemetry),
                  "--checkpoint-dir", str(workdir / "live-ckpt")],
         cwd=workdir, env=env(),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -196,12 +248,24 @@ def phase_live_control_plane(workdir: Path) -> None:
             fail(f"unknown path returned {status}, expected 404")
         print("live endpoints OK (health/metrics/forecast/decisions"
               "/plan/checkpoint/404)")
+
+        # Counters stop moving once the tick stream has ended; what
+        # /metrics says then is what the file must say after shutdown.
+        deadline = time.monotonic() + 60
+        while request(port, "GET", "/health")[1]["status"] != "draining":
+            if time.monotonic() > deadline:
+                fail("daemon never finished its tick stream")
+            time.sleep(0.2)
+        final_counters = request(port, "GET", "/metrics")[1]["counters"]
     finally:
         process.send_signal(signal.SIGINT)
         try:
             process.wait(timeout=15)
         except subprocess.TimeoutExpired:
             process.kill()
+    if process.returncode != 0:
+        fail(f"daemon exited {process.returncode} on SIGINT")
+    check_telemetry_file(telemetry, final_counters)
 
 
 def check_checkpoint_format(ckpt: Path) -> dict:

@@ -996,6 +996,7 @@ def main(argv: list[str] | None = None) -> int:
         with using_registry(registry):
             return args.func(args)
     finally:
+        registry.flush()
         sink.close()
         print(f"telemetry: {sink.records_written} events -> {telemetry}", file=sys.stderr)
 

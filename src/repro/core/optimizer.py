@@ -18,7 +18,6 @@ propagation of the ramp constraints — no solver needed.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .plan import ScalingPlan, required_nodes
 
@@ -51,6 +50,10 @@ def solve_lp(
     relaxed solution is ceiled.  Provided to mirror the paper's statement
     and as a cross-check of :func:`solve_closed_form`.
     """
+    # Imported here: only this reference solver needs ``scipy.optimize``,
+    # and at module level it is paid by every ``import repro``.
+    from scipy.optimize import linprog
+
     workload = np.asarray(workload, dtype=np.float64)
     threshold_arr = np.broadcast_to(
         np.asarray(threshold, dtype=np.float64), workload.shape

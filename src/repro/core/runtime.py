@@ -45,8 +45,10 @@ call itself under ``runtime.step/plan/planner``), decision and fallback
 counters, and a ``runtime.nodes_requested`` gauge all flow to the
 ambient metrics registry.  Attach a
 :class:`~repro.obs.trace.TraceCollector` to the registry and every step
-additionally becomes one trace record (trace_id = tick) with the same
-span tree.
+becomes one ``trace`` record (trace_id = tick) that carries the span
+tree; the step's spans are then written there and nowhere else.
+Counter and gauge updates reach a sink when whoever drives the loop
+calls ``registry.flush()`` (the daemon does, once per tick).
 
 Two opt-in observability extensions ride on the loop:
 

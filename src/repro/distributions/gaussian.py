@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .base import Distribution, level_column
 
 __all__ = ["Gaussian"]
+
+_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 class Gaussian(Distribution):
@@ -37,7 +39,10 @@ class Gaussian(Distribution):
         return rng.normal(self.mu, self.sigma, size=(size, *self.mu.shape))
 
     def log_prob(self, value: np.ndarray) -> np.ndarray:
-        return stats.norm.logpdf(value, loc=self.mu, scale=self.sigma)
+        # scipy's ``norm.logpdf`` in closed form: importing its ``stats``
+        # package would cost every process half a second for this line.
+        z = (np.asarray(value, dtype=np.float64) - self.mu) / self.sigma
+        return -0.5 * z * z - _HALF_LOG_2PI - np.log(self.sigma)
 
     def __repr__(self) -> str:
         return f"Gaussian(mu.shape={self.mu.shape})"

@@ -8,7 +8,7 @@ noise" (Section III-B2).
 from __future__ import annotations
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .base import Distribution, level_column
 
@@ -55,7 +55,16 @@ class StudentT(Distribution):
         return self.mu + self.scale * standard
 
     def log_prob(self, value: np.ndarray) -> np.ndarray:
-        return stats.t.logpdf(value, df=self.df, loc=self.mu, scale=self.scale)
+        # scipy's ``t.logpdf`` in closed form (see ``Gaussian.log_prob``).
+        df = self.df
+        z = (np.asarray(value, dtype=np.float64) - self.mu) / self.scale
+        return (
+            special.gammaln(0.5 * (df + 1.0))
+            - special.gammaln(0.5 * df)
+            - 0.5 * np.log(df * np.pi)
+            - 0.5 * (df + 1.0) * np.log1p(z * z / df)
+            - np.log(self.scale)
+        )
 
     def __repr__(self) -> str:
         return f"StudentT(mu.shape={self.mu.shape})"

@@ -25,12 +25,15 @@ Instrumented modules (``core.runtime``, ``simulator``, ``forecast``,
     from repro import obs
 
     registry = obs.MetricsRegistry()
-    registry.add_sink(obs.JsonlSink("run.jsonl"))
+    sink = obs.JsonlSink("run.jsonl")
+    registry.add_sink(sink)
     monitor = obs.ModelHealthMonitor(window=24, alerts=obs.AlertEngine(
         obs.default_rules(nominal_level=0.9)))
     runtime.monitor = monitor
     with obs.using_registry(registry):
         runtime.run(workload)
+    registry.remove_sink(sink)  # writes the counters and gauges
+    sink.close()
     print(obs.format_summary(obs.summarize_records(
         obs.read_jsonl("run.jsonl"))))
     print(obs.format_model_health(obs.summarize_model_health(

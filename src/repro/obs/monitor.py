@@ -330,6 +330,22 @@ def _level_key(tau: float) -> str:
     return format(float(tau), "g")
 
 
+def _sorted_grid(levels: np.ndarray) -> tuple:
+    """``(order, ascending levels, their keys, their float values)``.
+
+    np.interp requires ascending abscissae and the drift spread assumes
+    values[0]/values[-1] are the extreme quantiles; an unsorted grid
+    would silently corrupt both, so forecasts are sorted by level with
+    ``order`` (None when the grid is already ascending).
+    """
+    order = None
+    if len(levels) > 1 and np.any(np.diff(levels) < 0):
+        order = np.argsort(levels)
+    levels = levels.copy() if order is None else levels[order]
+    taus = levels.tolist()
+    return order, levels, [_level_key(tau) for tau in taus], taus
+
+
 class ModelHealthMonitor:
     """Online calibration, accuracy, and drift tracking.
 
@@ -385,6 +401,11 @@ class ModelHealthMonitor:
         self._reset_window()
         self._window_count = 0
         self._window_drift_events = 0
+        # What observe() derives from a levels grid (see _sorted_grid),
+        # kept for the grid it saw last and recognised by its raw bytes:
+        # a planner feeds the same grid every tick.
+        self._grid_bytes: bytes | None = None
+        self._grid: tuple = ()
 
     # -- per-window accumulator state ----------------------------------
     def _reset_window(self) -> None:
@@ -427,12 +448,11 @@ class ModelHealthMonitor:
         """
         levels = np.asarray(levels, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
-        # np.interp requires ascending abscissae and the spread below
-        # assumes values[0]/values[-1] are the extreme quantiles; an
-        # unsorted grid would silently corrupt both, so sort by level.
-        if len(levels) > 1 and np.any(np.diff(levels) < 0):
-            order = np.argsort(levels)
-            levels = levels[order]
+        raw = levels.tobytes()
+        if raw != self._grid_bytes:
+            self._grid_bytes, self._grid = raw, _sorted_grid(levels)
+        order, levels, keys, taus = self._grid
+        if order is not None:
             values = values[order]
         actual = float(actual)
         median = float(np.interp(0.5, levels, values))
@@ -441,9 +461,10 @@ class ModelHealthMonitor:
         self._buf_indices.append(int(time_index))
         self._buf_actuals.append(actual)
         self._buf_medians.append(median)
-        for tau, predicted in zip(levels, values):
-            key = _level_key(tau)
-            self._buf_taus.setdefault(key, float(tau))
+        # Python floats from here: the same IEEE arithmetic as the numpy
+        # scalars they stand for, without a numpy call per level.
+        for key, tau, predicted in zip(keys, taus, values.tolist()):
+            self._buf_taus.setdefault(key, tau)
             # Ties count as covered: the quantile definition is
             # P(X <= q) >= tau, so actual == predicted satisfies it.
             self._buf_covered.setdefault(key, []).append(bool(predicted >= actual))

@@ -12,9 +12,22 @@ kinds cover everything the autoscaling loop needs to expose:
   min / max and approximate quantiles.
 
 A :class:`MetricsRegistry` interns metrics by ``(name, labels)``,
-aggregates in memory, and optionally streams every update to attached
-sinks (see :mod:`repro.obs.sinks`) as plain-dict events — the format
-:mod:`repro.obs.report` summarizes.
+aggregates in memory, and optionally writes to attached sinks (see
+:mod:`repro.obs.sinks`) as plain-dict records — the format
+:mod:`repro.obs.report` summarizes.  What is written follows one rule,
+*a unit of work's telemetry is written once*:
+
+* counters and gauges are state, not events: an update while a sink is
+  attached only marks the metric dirty, and :meth:`MetricsRegistry.flush`
+  writes one ``metrics`` record with the current value of everything
+  that changed since the previous flush.  The owner of a loop flushes
+  (the daemon once per tick, the CLI before it closes its sink,
+  :meth:`~MetricsRegistry.remove_sink` on the way out);
+* a span closed inside an active trace is exported inside that trace's
+  ``trace`` record and nowhere else; a span outside any trace streams
+  its own ``span`` record;
+* histogram observations and free-form events stream one record each,
+  the moment they happen.
 
 Instrumented library code never requires a registry argument: it reads
 the process-wide *ambient* registry via :func:`get_registry`, which
@@ -80,11 +93,6 @@ class _Metric:
     def key(self) -> str:
         return format_metric_key(self.name, self.labels)
 
-    def _emit(self, **payload) -> None:
-        self._registry._emit(
-            {"kind": self.kind, "name": self.name, "labels": self.labels, **payload}
-        )
-
 
 class Counter(_Metric):
     """Monotonically increasing total."""
@@ -99,8 +107,9 @@ class Counter(_Metric):
         if amount < 0:
             raise ValueError("counters only go up; use a gauge for deltas")
         self.value += amount
-        if self._registry._sinks:
-            self._emit(delta=float(amount), value=self.value)
+        registry = self._registry
+        if registry._sinks:
+            registry._dirty[self] = None
 
 
 class Gauge(_Metric):
@@ -114,8 +123,9 @@ class Gauge(_Metric):
 
     def set(self, value: float) -> None:
         self.value = float(value)
-        if self._registry._sinks:
-            self._emit(value=self.value)
+        registry = self._registry
+        if registry._sinks:
+            registry._dirty[self] = None
 
     def add(self, amount: float) -> None:
         self.set((self.value or 0.0) + amount)
@@ -162,8 +172,16 @@ class Histogram(_Metric):
     def observe(self, value: float) -> None:
         value = float(value)
         self._record(value)
-        if self._registry._sinks:
-            self._emit(value=value)
+        registry = self._registry
+        if registry._sinks:
+            registry._emit(
+                {
+                    "kind": "histogram",
+                    "name": self.name,
+                    "labels": self.labels,
+                    "value": value,
+                }
+            )
 
     def _record(self, value: float) -> None:
         """Update moments and reservoir without emitting an event."""
@@ -274,8 +292,9 @@ class MetricsRegistry:
     Parameters
     ----------
     sinks:
-        Optional initial sinks; every metric update and completed span
-        is emitted to each as a plain dict.
+        Optional initial sinks; each receives every record the registry
+        writes (see the module docstring for which updates become
+        records) as a plain dict.
     time_source:
         Wall-clock for event timestamps (patchable in tests).
     """
@@ -283,6 +302,9 @@ class MetricsRegistry:
     def __init__(self, sinks: "list[Sink] | None" = None, time_source=time.time):
         self._metrics: dict[tuple, _Metric] = {}
         self._sinks: list[Sink] = list(sinks) if sinks else []
+        # Counters and gauges updated while a sink was attached and not
+        # yet written by flush(); a dict for its insertion order.
+        self._dirty: dict[_Metric, None] = {}
         self._time = time_source
         self._span_stack: list[str] = []
         self._tracer = None
@@ -313,8 +335,9 @@ class MetricsRegistry:
 
         Nested ``span()`` calls build slash-joined paths
         (``plan/forecast`` inside ``plan``); each completed span records
-        its duration into a histogram keyed by the full path and emits a
-        ``span`` event to the sinks.
+        its duration into a histogram keyed by the full path.  A span
+        closed inside an active trace is exported by that trace's record;
+        any other span emits its own ``span`` record to the sinks.
         """
         return _Span(self, name, labels)
 
@@ -327,9 +350,10 @@ class MetricsRegistry:
     def set_tracer(self, tracer):
         """Attach a :class:`~repro.obs.trace.TraceCollector` (or None).
 
-        While attached, every completed ``span()`` block is also
-        recorded as a trace span; returns the previously attached
-        tracer so callers can restore it.
+        While attached, a ``span()`` block that completes inside an
+        open trace (``tracer.begin()`` … ``end()``) is recorded as a
+        trace span and written with that trace; returns the previously
+        attached tracer so callers can restore it.
         """
         previous = self._tracer
         self._tracer = tracer
@@ -345,7 +369,36 @@ class MetricsRegistry:
         self._sinks.append(sink)
 
     def remove_sink(self, sink: "Sink") -> None:
+        """Detach ``sink`` after flushing what it has not yet been told."""
+        self.flush()
         self._sinks.remove(sink)
+
+    def flush(self) -> None:
+        """Write the counters and gauges that changed since the last flush.
+
+        One ``metrics`` record carries the current value of each, keyed
+        by flat metric key; nothing is written when nothing changed.
+        Whoever owns a loop calls this once per iteration — a crash
+        then loses at most the counter values of the iteration in
+        flight (events, spans and traces are written as they happen).
+        """
+        dirty = self._dirty
+        if not dirty:
+            return
+        counters: dict[str, float] = {}
+        gauges: dict[str, float] = {}
+        for metric in dirty:
+            (counters if metric.kind == "counter" else gauges)[metric.key] = metric.value
+        dirty.clear()
+        self._emit(
+            {
+                "kind": "metrics",
+                "name": "registry",
+                "labels": {},
+                "counters": counters,
+                "gauges": gauges,
+            }
+        )
 
     @property
     def active(self) -> bool:
@@ -413,8 +466,8 @@ class MetricsRegistry:
     def merge_state_dict(self, state: dict, span_prefix: str | None = None) -> None:
         """Fold a worker's :meth:`state_dict` into this registry.
 
-        Counters add (through :meth:`Counter.inc`, so attached sinks see
-        the merged delta), gauges take the incoming value, histograms
+        Counters add (through :meth:`Counter.inc`, so the next flush
+        carries the merged total), gauges take the incoming value, histograms
         merge moments exactly and reservoirs approximately (see
         :meth:`Histogram.merge_state`).  Span histograms ride along like
         any other histogram; pass ``span_prefix`` (typically the
@@ -494,12 +547,12 @@ class _Span:
         registry = self._registry
         registry._span_stack.pop()
         status = "ok" if exc_type is None else "error"
-        if self._token is not None:
-            self._tracer.close_span(self._token, duration, status)
-        # Record without the generic histogram event; spans carry their
-        # own richer record.
         registry._intern(Histogram, f"span/{self._path}", self._labels)._record(duration)
-        if registry._sinks:
+        if self._token is not None:
+            # Captured by the active trace: its ``trace`` record is the
+            # one place this span is written.
+            self._tracer.close_span(self._token, duration, status)
+        elif registry._sinks:
             registry._emit(
                 {
                     "kind": "span",

@@ -1,11 +1,12 @@
 """Summarize telemetry event streams (the ``report`` CLI's engine).
 
-Consumes the flat event records produced by
+Consumes the flat records produced by
 :class:`~repro.obs.registry.MetricsRegistry` — from a JSON-lines file,
 an :class:`~repro.obs.sinks.InMemorySink`, or any iterable of dicts —
 and reduces them to the aggregate view a human wants after a run:
-per-phase span timings, counter totals, last gauge values, and
-histogram statistics.
+per-phase span timings (``span`` records plus the spans inside ``trace``
+records), counter totals and last gauge values (``metrics`` records),
+and histogram statistics.
 """
 
 from __future__ import annotations
@@ -77,8 +78,7 @@ class DistributionSummary:
 #: Anything else is surfaced as a per-kind count, not dropped silently.
 KNOWN_KINDS = frozenset(
     {
-        "counter",
-        "gauge",
+        "metrics",
         "histogram",
         "span",
         "model_health",
@@ -87,6 +87,7 @@ KNOWN_KINDS = frozenset(
         "decision",
         "slo",
         "trace",
+        "adaptation",
     }
 )
 
@@ -119,19 +120,29 @@ def summarize_records(records: Iterable[dict]) -> TelemetrySummary:
         kind = record.get("kind")
         name = record.get("name", "")
         key = format_metric_key(name, record.get("labels") or {})
-        if kind == "counter":
-            # Events carry the running total; the last one wins.
-            summary.counters[key] = float(record.get("value", 0.0))
-        elif kind == "gauge":
-            summary.gauges[key] = float(record.get("value", 0.0))
+        if kind == "metrics":
+            # Each flush carries current values; the last one wins.  A
+            # non-finite gauge was written as null and is left out.
+            summary.counters.update(record.get("counters") or {})
+            summary.gauges.update(
+                (gauge, value)
+                for gauge, value in (record.get("gauges") or {}).items()
+                if value is not None
+            )
         elif kind == "histogram":
             summary.histograms.setdefault(key, DistributionSummary()).values.append(
                 float(record.get("value", 0.0))
             )
-        elif kind == "span":
-            summary.spans.setdefault(key, SpanSummary()).add(
-                float(record.get("duration_s", 0.0))
-            )
+        elif kind in ("span", "trace"):
+            # A span is written once: as its own record, or (same name,
+            # labels and duration_s fields) inside the trace it closed in.
+            for span in (record,) if kind == "span" else record.get("spans") or ():
+                span_key = format_metric_key(
+                    span.get("name", ""), span.get("labels") or {}
+                )
+                summary.spans.setdefault(span_key, SpanSummary()).add(
+                    float(span.get("duration_s", 0.0))
+                )
         elif kind not in KNOWN_KINDS:
             label = str(kind) if kind is not None else "<missing>"
             summary.unknown_kinds[label] = summary.unknown_kinds.get(label, 0) + 1
@@ -142,16 +153,19 @@ def summarize_records(records: Iterable[dict]) -> TelemetrySummary:
 class ModelHealthSummary:
     """The model-health slice of a telemetry stream.
 
-    Four record families, in stream order: per-window calibration
+    Five record families, in stream order: per-window calibration
     records and drift events from
     :class:`~repro.obs.monitor.ModelHealthMonitor`, fired alerts from
-    :class:`~repro.obs.alerts.AlertEngine`, and per-decision provenance
-    records from :class:`~repro.core.runtime.AutoscalingRuntime`.
+    :class:`~repro.obs.alerts.AlertEngine`, model-swap transitions from
+    :class:`~repro.adaptation.AdaptationManager` (and its pool's failed
+    candidates), and per-decision provenance records from
+    :class:`~repro.core.runtime.AutoscalingRuntime`.
     """
 
     windows: list[dict] = field(default_factory=list)
     drifts: list[dict] = field(default_factory=list)
     alerts: list[dict] = field(default_factory=list)
+    adaptation: list[dict] = field(default_factory=list)
     provenance: list[dict] = field(default_factory=list)
     slos: dict[str, dict] = field(default_factory=dict)  # latest per objective
 
@@ -160,13 +174,14 @@ class ModelHealthSummary:
             self.windows
             or self.drifts
             or self.alerts
+            or self.adaptation
             or self.provenance
             or self.slos
         )
 
 
 def summarize_model_health(records: Iterable[dict]) -> ModelHealthSummary:
-    """Collect window/drift/alert/provenance/slo records from a stream."""
+    """Collect window/drift/alert/adaptation/provenance/slo records."""
     health = ModelHealthSummary()
     for record in records:
         kind = record.get("kind")
@@ -177,6 +192,8 @@ def summarize_model_health(records: Iterable[dict]) -> ModelHealthSummary:
                 health.drifts.append(record)
         elif kind == "alert":
             health.alerts.append(record)
+        elif kind == "adaptation":
+            health.adaptation.append(record)
         elif kind == "provenance":
             health.provenance.append(record)
         elif kind == "slo":
@@ -262,6 +279,22 @@ def format_model_health(
             lines.append(
                 f"  [{alert.get('severity', 'warning'):<8}] "
                 f"{alert.get('message', alert.get('name', '?'))}"
+            )
+
+    if health.adaptation:
+        lines.append("")
+        lines.append("  adaptation timeline")
+        for event in health.adaptation:
+            # Manager transitions carry tick/action/model/reason; a failed
+            # pool candidate has no tick of its own and names its error.
+            action = event.get("action") or str(event.get("name", "?")).removeprefix(
+                "adaptation."
+            )
+            lines.append(
+                f"  t={event.get('tick', '-'):<6} "
+                f"{action:<22} "
+                f"{event.get('model') or event.get('candidate') or '-':<24} "
+                f"{event.get('reason') or event.get('error') or ''}".rstrip()
             )
 
     if health.slos:
@@ -403,7 +436,8 @@ def format_summary(summary: TelemetrySummary) -> str:
         )
         lines.append(
             f"  note: skipped records of unknown kind ({kinds}) — "
-            f"likely written by a newer version"
+            f"likely written by a newer version, or by one from before "
+            f"counters and gauges moved into `metrics` records"
         )
     lines.extend(_training_section(summary))
 

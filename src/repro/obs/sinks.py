@@ -1,8 +1,15 @@
-"""Telemetry sinks: where metric events go.
+"""Telemetry sinks: where the registry's records go.
 
-A sink receives every metric update and completed span from a
-:class:`~repro.obs.registry.MetricsRegistry` as a plain dict.  Three
-implementations:
+A sink receives every record a
+:class:`~repro.obs.registry.MetricsRegistry` writes as a plain dict:
+``histogram`` observations, ``span`` records of spans outside any trace,
+``trace`` records (which carry the spans closed inside them), free-form
+events, and one ``metrics`` record per
+:meth:`~repro.obs.registry.MetricsRegistry.flush` holding the counters
+and gauges that changed since the previous one.  Counter and gauge
+updates are not records of their own: call ``registry.flush()`` (or
+``remove_sink``) before closing a sink, or it never sees their values.
+Three implementations:
 
 * :class:`InMemorySink` — buffers records for programmatic inspection
   (tests, notebooks);
@@ -51,20 +58,14 @@ class InMemorySink:
 class JsonlSink:
     """Write one JSON object per line; also usable as a context manager.
 
-    Crash safety: by default every record is flushed to the OS as soon
-    as it is written, so a run killed mid-stream still leaves a readable
-    (at worst truncated-last-line) telemetry file.  Raise
-    ``flush_every`` to trade durability for fewer syscalls on hot
-    streams.
+    Crash safety: every record is flushed to the OS as soon as it is
+    written, so a run killed mid-stream still leaves a readable (at
+    worst truncated-last-line) telemetry file.
     """
 
-    def __init__(self, path: str | Path, flush_every: int = 1) -> None:
-        if flush_every < 1:
-            raise ValueError("flush_every must be >= 1")
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.flush_every = flush_every
         self._file: IO[str] | None = self.path.open("w", encoding="utf-8")
-        self._unflushed = 0
         self.records_written = 0
 
     def emit(self, record: dict) -> None:
@@ -82,10 +83,7 @@ class JsonlSink:
             line = json.dumps(_sanitize(normalized), allow_nan=False)
         self._file.write(line + "\n")
         self.records_written += 1
-        self._unflushed += 1
-        if self._unflushed >= self.flush_every:
-            self._file.flush()
-            self._unflushed = 0
+        self._file.flush()
 
     def close(self) -> None:
         if self._file is not None:

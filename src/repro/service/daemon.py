@@ -251,14 +251,9 @@ class ServiceRuntime:
                 self.adaptation.on_tick(
                     result.tick, result.observed, result.planned
                 )
-            metrics.emit_event(
-                "service",
-                "service.step",
-                tick=result.tick,
-                target_nodes=result.target_nodes,
-                source=result.source,
-                planned=result.planned,
-            )
+            # The tick's counters and gauges, once; before the checkpoint
+            # so a crash in a long write cannot lose them.
+            metrics.flush()
             if (
                 self.checkpoint_at is not None
                 and self.ticks_processed == self.checkpoint_at

@@ -167,6 +167,40 @@ class TestPromotionFlow:
         assert actions.count("commit") == 1
         assert actions.index("promote") < actions.index("commit")
 
+    def test_report_renders_the_recorded_transitions_as_a_timeline(self):
+        from repro.obs import (
+            InMemorySink,
+            MetricsRegistry,
+            format_model_health,
+            summarize_model_health,
+            summarize_records,
+            using_registry,
+        )
+
+        sink = InMemorySink()
+        registry = MetricsRegistry(sinks=[sink])
+        with using_registry(registry):
+            runtime, manager = self.promote_scenario()
+            drive(runtime, manager, np.full(40, SHIFTED))
+            registry.flush()
+        assert [e["action"] for e in manager.events] == [
+            "refit", "promote", "commit"
+        ]
+        # Every transition reaches the report: none is a "skipped" kind.
+        assert summarize_records(sink.records).unknown_kinds == {}
+        health = summarize_model_health(sink.records)
+        assert [
+            (e["tick"], e["action"]) for e in health.adaptation
+        ] == [(e["tick"], e["action"]) for e in manager.events]
+        text = format_model_health(health)
+        timeline = text[text.index("adaptation timeline"):].splitlines()[1:4]
+        refit, promote, commit = (line.split() for line in timeline)
+        tick = manager.events[0]["tick"]
+        assert refit[:4] == [f"t={tick}", "refit", "FakeForecaster", "test"]
+        assert promote[1:3] == ["promote", "FakeForecaster"]
+        assert commit[1:3] == ["commit", "-"]
+        assert "guard windows passed" in " ".join(commit)
+
     def test_promoted_model_drives_allocations(self):
         runtime, manager = self.promote_scenario()
         drive(runtime, manager, np.full(40, SHIFTED))

@@ -288,7 +288,12 @@ class TestMonitorFeed:
 
 class TestTelemetry:
     def test_runtime_emits_counters_spans_and_gauge(self):
-        from repro.obs import InMemorySink, MetricsRegistry, using_registry
+        from repro.obs import (
+            InMemorySink,
+            MetricsRegistry,
+            summarize_records,
+            using_registry,
+        )
 
         series = np.full(20, 300.0)
         sink = InMemorySink()
@@ -310,9 +315,17 @@ class TestTelemetry:
             assert snap["spans"][f"runtime.step/{phase}"]["count"] == len(series)
         assert snap["gauges"]["runtime.nodes_requested"] == allocations[-1]
 
-        # The same facts flow to the sink as a replayable event stream.
-        kinds = {r["kind"] for r in sink.records}
-        assert {"counter", "gauge", "span"} <= kinds
+        # The same facts flow to the sink as a replayable stream: spans
+        # as they close (no trace is open), counters and gauges on flush.
+        assert {r["kind"] for r in sink.records} == {"span", "provenance"}
+        registry.flush()
+        assert sink.records[-1]["kind"] == "metrics"
+        replayed = summarize_records(sink.records)
+        assert replayed.counters == snap["counters"]
+        assert replayed.gauges == snap["gauges"]
+        assert {key: span.count for key, span in replayed.spans.items()} == {
+            key: span["count"] for key, span in snap["spans"].items()
+        }
 
     def test_no_telemetry_leaks_outside_scoped_registry(self):
         from repro.obs import MetricsRegistry, using_registry

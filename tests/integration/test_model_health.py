@@ -18,6 +18,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs import summarize_records
 
 # 7 days of the alibaba-like trace -> 1008 steps, 756 train / 252 test.
 # The shift starts 200 steps into the test split (absolute index 956)
@@ -84,22 +85,16 @@ class TestProvenanceCompleteness:
         provenance = by_name(records, "runtime.decision")
         assert provenance
 
-        def counter_total(name, **labels):
-            values = [
-                r["value"] for r in records
-                if r["kind"] == "counter" and r["name"] == name
-                and (r.get("labels") or {}) == labels
-            ]
-            return max(values) if values else 0
+        # The counters as the file states them: `main` flushed them in
+        # one `metrics` record before it closed the sink.
+        counters = summarize_records(records).counters
 
         fallback = [p for p in provenance if p["source"] == "reactive-fallback"]
         predictive = [p for p in provenance if p["source"] == "predictive"]
         # Cross-check against the runtime's own counters: every fallback
         # activation and every predictive plan has exactly one record.
-        assert len(fallback) == counter_total("runtime.fallback_activations")
-        assert len(predictive) == counter_total(
-            "runtime.decisions", source="predictive"
-        )
+        assert len(fallback) == counters.get("runtime.fallback_activations", 0)
+        assert len(predictive) == counters["runtime.decisions{source=predictive}"]
         assert len(predictive) >= 1
 
     def test_predictive_records_carry_decision_inputs(self, telemetry):

@@ -297,6 +297,37 @@ class TestLevelOrderingAndTies:
         assert a.mean_residual == pytest.approx(b.mean_residual)
         assert a.calibration_error == pytest.approx(b.calibration_error)
 
+    def test_grid_changing_between_steps_is_recognised_each_time(self):
+        # observe() keeps what it derived from the last grid it saw; a
+        # different grid (other order, other levels, a caller reusing and
+        # overwriting one array) must replace it, not be served from it.
+        grids = [
+            np.array([0.1, 0.5, 0.9]),
+            np.array([0.9, 0.1, 0.5]),
+            np.array([0.25, 0.75]),
+            np.array([0.1, 0.5, 0.9]),
+        ]
+        alternating = ModelHealthMonitor(window=8)
+        reference = ModelHealthMonitor(window=8)
+        reused = np.empty(3)
+        rng = np.random.default_rng(3)
+        for t in range(8):
+            grid = grids[t % 4]
+            values = 100.0 + 40.0 * (grid - 0.5) + rng.normal(0.0, 1.0)
+            actual = 100.0 + rng.normal(0.0, 15.0)
+            if len(grid) == 3:
+                reused[:] = grid
+                alternating.observe(reused, values, actual, time_index=t)
+            else:
+                alternating.observe(grid, values, actual, time_index=t)
+            order = np.argsort(grid)
+            reference._grid_bytes = None  # derive from scratch every step
+            reference.observe(grid[order], values[order], actual, time_index=t)
+        assert alternating.state_dict() == reference.state_dict()
+        assert set(alternating.windows[0].coverage) == {
+            "0.1", "0.25", "0.5", "0.75", "0.9"
+        }
+
     def test_shuffled_levels_keep_spread_normalisation(self):
         # The drift scale is q_max - q_min; an unsorted grid must not
         # flip its sign (which would invert every drift direction).

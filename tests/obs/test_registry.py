@@ -42,11 +42,17 @@ class TestCounter:
         registry = MetricsRegistry(sinks=[sink])
         counter = registry.counter("hits")
         counter.inc()
+        assert sink.records == []  # an update is state until it is flushed
+        registry.flush()
         counter.inc(2.0)
-        values = [r["value"] for r in sink.records]
-        deltas = [r["delta"] for r in sink.records]
-        assert values == [1.0, 3.0]
-        assert deltas == [1.0, 2.0]
+        counter.inc(0.5)
+        registry.flush()
+        registry.flush()  # nothing changed: nothing written
+        assert [r["kind"] for r in sink.records] == ["metrics", "metrics"]
+        assert [r["counters"] for r in sink.records] == [
+            {"hits": 1.0},
+            {"hits": 3.5},
+        ]
 
 
 class TestGauge:
@@ -209,6 +215,29 @@ class TestSpans:
             ("close", "step", "error"),
         ]
 
+    def test_span_inside_a_trace_is_written_by_the_trace_only(self):
+        from repro.obs import TraceCollector
+
+        sink = InMemorySink()
+        registry = MetricsRegistry(sinks=[sink])
+        tracer = TraceCollector()
+        registry.set_tracer(tracer)
+        with registry.span("before"):  # tracer attached, no trace open
+            pass
+        tracer.begin(7)
+        with registry.span("step"):
+            with registry.span("plan"):
+                pass
+        trace = tracer.end()
+        with registry.span("after"):
+            pass
+        assert [r["name"] for r in sink.records] == ["before", "after"]
+        assert [s["name"] for s in trace["spans"]] == ["step", "step/plan"]
+        # Either way the duration histograms (and /metrics) see every span.
+        assert set(registry.snapshot()["spans"]) == {
+            "before", "step", "step/plan", "after"
+        }
+
     def test_span_closes_on_the_tracer_that_opened_it(self):
         class Tracer:
             closed = 0
@@ -250,14 +279,33 @@ class TestDetached:
         assert snap["histograms"]["latency"]["count"] == 1
         assert set(snap["spans"]) == {"plan", "plan/forecast{model=tft}"}
 
+    def test_detached_updates_mark_nothing_and_flush_builds_nothing(
+        self, monkeypatch
+    ):
+        registry = MetricsRegistry()
+        payloads = []
+        monkeypatch.setattr(registry, "_emit", payloads.append)
+        registry.counter("decisions").inc()
+        registry.gauge("nodes").set(4)
+        assert registry._dirty == {}
+        registry.flush()
+        assert payloads == []
+
     def test_attaching_a_sink_later_resumes_events(self):
         registry = MetricsRegistry()
         counter = registry.counter("decisions")
+        untouched = registry.counter("untouched")
         counter.inc()
+        untouched.inc()
         sink = InMemorySink()
         registry.add_sink(sink)
         counter.inc()
-        assert [(r["delta"], r["value"]) for r in sink.records] == [(1.0, 2.0)]
+        registry.flush()
+        # The running total includes the detached increment; a metric
+        # that did not move while attached is not written.
+        (record,) = sink.records
+        assert record["counters"] == {"decisions": 2.0}
+        assert record["gauges"] == {}
 
 
 class TestRegistry:
@@ -275,16 +323,38 @@ class TestRegistry:
         sink = InMemorySink()
         registry = MetricsRegistry(sinks=[sink], time_source=lambda: 123.0)
         registry.counter("c").inc()
-        assert sink.records[0]["ts"] == 123.0
+        registry.histogram("h").observe(1.0)
+        registry.flush()
+        assert [r["kind"] for r in sink.records] == ["histogram", "metrics"]
+        assert [r["ts"] for r in sink.records] == [123.0, 123.0]
+
+    def test_metrics_record_schema(self):
+        sink = InMemorySink()
+        registry = MetricsRegistry(sinks=[sink], time_source=lambda: 5.0)
+        registry.counter("decisions", source="predictive").inc()
+        registry.gauge("nodes").set(3)
+        registry.gauge("nodes").add(1)
+        registry.flush()
+        assert sink.records == [
+            {
+                "kind": "metrics",
+                "name": "registry",
+                "labels": {},
+                "counters": {"decisions{source=predictive}": 1.0},
+                "gauges": {"nodes": 4.0},
+                "ts": 5.0,
+            }
+        ]
 
     def test_sink_add_remove(self):
         registry = MetricsRegistry()
         sink = InMemorySink()
         registry.add_sink(sink)
         registry.counter("c").inc()
-        registry.remove_sink(sink)
+        registry.remove_sink(sink)  # flushes what the sink was owed
         registry.counter("c").inc()
-        assert len(sink) == 1
+        assert [r["counters"] for r in sink.records] == [{"c": 1.0}]
+        assert registry._dirty == {}
 
 
 class TestEmitEvent:

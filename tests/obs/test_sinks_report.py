@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.obs import (
     MetricsRegistry,
     Sink,
     TableSink,
+    TraceCollector,
     format_model_health,
     format_summary,
     read_jsonl,
@@ -45,14 +47,15 @@ class TestJsonlSink:
             registry.add_sink(sink)
             registry.counter("decisions", strategy="tft").inc()
             registry.gauge("nodes").set(4)
-            with registry.span("plan"):
+            with registry.span("plan", model="tft"):
                 pass
-        assert sink.records_written == 3
+            registry.flush()
+        assert sink.records_written == 2
         records = read_jsonl(path)
-        assert len(records) == 3
-        kinds = {r["kind"] for r in records}
-        assert kinds == {"counter", "gauge", "span"}
-        assert records[0]["labels"] == {"strategy": "tft"}
+        assert [r["kind"] for r in records] == ["span", "metrics"]
+        assert records[0]["labels"] == {"model": "tft"}
+        assert records[1]["counters"] == {"decisions{strategy=tft}": 1.0}
+        assert records[1]["gauges"] == {"nodes": 4.0}
 
     def test_numpy_values_serialised(self, tmp_path):
         path = tmp_path / "np.jsonl"
@@ -85,14 +88,10 @@ class TestJsonlSink:
         sink.close()
         sink.close()
 
-    def test_rejects_bad_flush_every(self, tmp_path):
-        with pytest.raises(ValueError):
-            JsonlSink(tmp_path / "x.jsonl", flush_every=0)
-
     def test_aborted_writer_leaves_every_record_readable(self, tmp_path):
         # A run killed mid-stream (OOM, SIGKILL, crash) must not lose
-        # telemetry: with the default flush_every=1 each record hits the
-        # OS before the next emit, so os._exit without close loses nothing.
+        # telemetry: each record hits the OS before the next emit, so
+        # os._exit without close loses nothing.
         path = tmp_path / "aborted.jsonl"
         import repro
 
@@ -114,13 +113,60 @@ class TestJsonlSink:
         assert len(records) == 25
         assert [r["value"] for r in records] == list(range(25))
 
-    def test_flush_every_batches_but_close_flushes_tail(self, tmp_path):
-        path = tmp_path / "batched.jsonl"
-        sink = JsonlSink(path, flush_every=10)
-        for i in range(25):
-            sink.emit({"kind": "counter", "value": i})
-        sink.close()
-        assert len(read_jsonl(path)) == 25
+    def test_killed_daemon_leaves_counters_at_most_one_tick_stale(self, tmp_path):
+        # What a crash can lose, stated as a test: counters and gauges
+        # are written once per tick, so SIGKILL at any moment leaves a
+        # last `metrics` record at most one tick behind the last `trace`
+        # (which, like events and provenance, is written as it happens).
+        path = tmp_path / "killed.jsonl"
+        import repro
+
+        src_dir = str(Path(repro.__file__).parents[1])
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {repr(src_dir)})\n"
+            "import numpy as np, repro\n"
+            "from repro.obs import JsonlSink, TraceCollector, get_registry\n"
+            "from repro.service import GeneratorSource, ServiceRuntime\n"
+            "values = repro.alibaba_like_trace(num_steps=2000, seed=0).values\n"
+            "forecaster = repro.SeasonalNaiveForecaster(12, season=144).fit(values[:288])\n"
+            "planner = repro.RobustPredictiveAutoscaler(\n"
+            "    forecaster, 60.0, repro.FixedQuantilePolicy(0.9))\n"
+            "runtime = repro.AutoscalingRuntime(\n"
+            "    planner=planner, context_length=144, horizon=12, threshold=60.0,\n"
+            "    replan_every=6, start_tick=288)\n"
+            f"get_registry().add_sink(JsonlSink({repr(str(path))}))\n"
+            "ServiceRuntime(\n"
+            "    runtime, GeneratorSource(values[288:], interval=0.002),\n"
+            "    tracer=TraceCollector(8)).serve_forever()\n"
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not path.exists() or path.read_text().count('"trace"') < 200:
+                assert process.poll() is None, process.stderr.read()
+                assert time.monotonic() < deadline, "daemon wrote no telemetry"
+                time.sleep(0.02)
+        finally:
+            process.kill()
+            process.wait(timeout=10)
+            process.stderr.close()
+
+        records = read_jsonl(path)  # drops a half-written last line
+        traces = [r for r in records if r["kind"] == "trace"]
+        flushed = [r for r in records if r["kind"] == "metrics"]
+        assert [t["trace_id"] for t in traces] == list(range(288, 288 + len(traces)))
+        assert len(traces) - flushed[-1]["counters"]["service.ticks"] in (0, 1)
+        assert len(traces) - len(flushed) in (0, 1)
+        # Fallback activations and plans are events: none is missing for
+        # a tick whose trace made it to the file.
+        planned = {r["time_index"] for r in records if r["kind"] == "provenance"}
+        cold = set(range(288, 288 + 144))
+        replans = set(range(288 + 144, 288 + len(traces) - 1, 6))
+        assert cold | replans <= planned
 
 
 class TestReadJsonl:
@@ -143,6 +189,7 @@ class TestTableSink:
         sink = TableSink(stream=stream)
         registry = MetricsRegistry(sinks=[sink])
         registry.counter("decisions").inc()
+        registry.remove_sink(sink)
         sink.close()
         out = stream.getvalue()
         assert "telemetry summary" in out
@@ -165,6 +212,8 @@ class TestSummarizeRecords:
         counter = registry.counter("hits")
         for _ in range(5):
             counter.inc()
+            registry.flush()
+        assert len(sink.records) == 5
         summary = summarize_records(sink.records)
         assert summary.counters["hits"] == 5.0
 
@@ -173,17 +222,20 @@ class TestSummarizeRecords:
         registry.counter("steps", strategy="a").inc(3)
         registry.counter("steps", strategy="b").inc(4)
         registry.counter("stepsize").inc(100)  # prefix, not the same counter
+        registry.flush()
         summary = summarize_records(sink.records)
         assert summary.counter_total("steps") == 7.0
 
     def test_gauge_and_histogram_and_span(self):
         registry, sink = self._capture()
         registry.gauge("nodes").set(3)
+        registry.flush()
         registry.gauge("nodes").set(5)
         registry.histogram("lat").observe(1.0)
         registry.histogram("lat").observe(3.0)
         with registry.span("plan"):
             pass
+        registry.flush()
         summary = summarize_records(sink.records)
         assert summary.gauges["nodes"] == 5.0
         assert summary.histograms["lat"].count == 2
@@ -198,7 +250,9 @@ class TestSummarizeRecords:
         registry.histogram("h").observe(2.0)
         with registry.span("s"):
             pass
+        registry.flush()
         text = format_summary(summarize_records(sink.records))
+        assert "skipped records" not in text
         assert "phase timings (spans)" in text
         assert "counters" in text
         assert "gauges (last value)" in text
@@ -207,9 +261,57 @@ class TestSummarizeRecords:
     def test_round_trips_json_encoding(self):
         registry, sink = self._capture()
         registry.counter("c", k="v").inc()
+        registry.flush()
         encoded = [json.loads(json.dumps(r)) for r in sink.records]
         summary = summarize_records(encoded)
         assert summary.counters["c{k=v}"] == 1.0
+
+    def test_spans_inside_trace_records_fill_the_same_span_table(self):
+        registry, sink = self._capture()
+        tracer = TraceCollector()
+        registry.set_tracer(tracer)
+        for tick in range(3):
+            tracer.begin(tick)
+            with registry.span("step"):
+                with registry.span("plan", model="mlp"):
+                    pass
+            registry.emit_event("trace", f"tick:{tick}", **tracer.end())
+        with registry.span("step"):  # outside any trace: its own line
+            pass
+        assert [r["kind"] for r in sink.records] == ["trace"] * 3 + ["span"]
+        summary = summarize_records(sink.records)
+        snapshot = registry.snapshot()["spans"]
+        assert {k: s.count for k, s in summary.spans.items()} == {
+            "step": 4, "step/plan{model=mlp}": 3
+        }
+        for key, span in summary.spans.items():
+            assert span.count == snapshot[key]["count"]
+            assert span.total_s == pytest.approx(snapshot[key]["sum"], rel=1e-12)
+            assert span.max_s == snapshot[key]["max"]
+
+    def test_per_update_lines_of_an_older_file_are_skipped_not_half_read(self):
+        summary = summarize_records(
+            [
+                {"kind": "counter", "name": "c", "labels": {}, "delta": 1.0, "value": 1.0},
+                {"kind": "gauge", "name": "g", "labels": {}, "value": 2.0},
+                {"kind": "service", "name": "service.step", "labels": {}, "tick": 3},
+            ]
+        )
+        assert summary.counters == {} and summary.gauges == {}
+        assert summary.unknown_kinds == {"counter": 1, "gauge": 1, "service": 1}
+        assert "skipped records of unknown kind" in format_summary(summary)
+
+    def test_non_finite_gauge_written_as_null_is_left_out(self, tmp_path):
+        path = tmp_path / "nan.jsonl"
+        registry = MetricsRegistry()
+        with JsonlSink(path) as sink:
+            registry.add_sink(sink)
+            registry.gauge("loss").set(float("nan"))
+            registry.gauge("nodes").set(2)
+            registry.remove_sink(sink)
+        summary = summarize_records(read_jsonl(path))
+        assert summary.gauges == {"nodes": 2.0}
+        assert "nodes" in format_summary(summary)
 
     def test_training_section_groups_by_model_and_path(self):
         registry, sink = self._capture()
@@ -222,6 +324,7 @@ class TestSummarizeRecords:
             )
             hist.observe(seconds)
             hist.observe(seconds)
+        registry.flush()
         text = format_summary(summarize_records(sink.records))
         assert "training (per grad path)" in text
         fast_line = next(l for l in text.splitlines() if "fastgrad" in l and "DeepAR" in l)
@@ -239,7 +342,13 @@ class TestSummarizeRecords:
 def health_stream():
     """A minimal but complete model-health event stream."""
     return [
-        {"kind": "counter", "name": "noise", "labels": {}, "value": 1.0},
+        {
+            "kind": "metrics",
+            "name": "registry",
+            "labels": {},
+            "counters": {"noise": 1.0},
+            "gauges": {},
+        },
         {
             "kind": "model_health",
             "name": "monitor.window",
@@ -296,9 +405,27 @@ class TestModelHealthSummary:
         assert len(health.alerts) == 1
         assert len(health.provenance) == 1
 
+    def test_failed_pool_candidate_joins_the_adaptation_timeline(self):
+        stream = health_stream() + [
+            {
+                "kind": "adaptation",
+                "name": "adaptation.pool_candidate_failed",
+                "labels": {},
+                "candidate": "naive",
+                "error": "series too short",
+            }
+        ]
+        assert summarize_records(stream).unknown_kinds == {}
+        text = format_model_health(summarize_model_health(stream))
+        (line,) = [l for l in text.splitlines() if "pool_candidate_failed" in l]
+        assert line.split() == [
+            "t=-", "pool_candidate_failed", "naive", "series", "too", "short"
+        ]
+        assert text.index("alerts") < text.index("adaptation timeline")
+
     def test_falsy_when_stream_has_no_health_records(self):
         assert not summarize_model_health(
-            [{"kind": "counter", "name": "c", "labels": {}}]
+            [{"kind": "histogram", "name": "h", "labels": {}, "value": 1.0}]
         )
         assert summarize_model_health(health_stream())
 

@@ -1,4 +1,4 @@
-"""Bitwise parity of the broadcast quantile kernels with their references.
+"""Parity of the distribution kernels with their ``scipy.stats`` references.
 
 ``Distribution.quantiles`` and the Gaussian-fan forecasters compute every
 level in one broadcast call.  The per-level ``scipy.stats`` /
@@ -69,6 +69,36 @@ class TestQuantilesMatchPerLevelReference:
 
 
 series = arrays(np.float64, st.just(80), elements=st.floats(10.0, 2000.0))
+
+
+class TestLogProbMatchesScipyStats:
+    """The closed forms that keep ``scipy.stats`` out of ``import repro``.
+
+    Tolerance set beforehand from the arithmetic: the Gaussian form is
+    scipy's own expression; the Student-t form takes the normaliser from
+    two ``gammaln`` calls where scipy uses one Pochhammer ratio, a
+    difference of a few ulp of values that reach ~500 at df = 200.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(locations, scales, locations)
+    def test_gaussian(self, mu, sigma, value):
+        np.testing.assert_allclose(
+            Gaussian(mu, sigma).log_prob(value),
+            stats.norm.logpdf(value, loc=mu, scale=sigma),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(locations, scales, dfs, locations)
+    def test_student_t(self, mu, scale, df, value):
+        np.testing.assert_allclose(
+            StudentT(mu, scale, df).log_prob(value),
+            stats.t.logpdf(value, df=df, loc=mu, scale=scale),
+            rtol=1e-12,
+            atol=1e-12,
+        )
 
 
 class TestGaussianFanForecastersMatchPerLevelReference:

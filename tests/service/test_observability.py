@@ -12,11 +12,13 @@ from repro.core import AutoscalingRuntime, ScalingPlan
 from repro.core.plan import required_nodes
 from repro.obs import (
     AlertEngine,
+    InMemorySink,
     MetricsRegistry,
     ModelHealthMonitor,
     SLOTracker,
     TraceCollector,
     parse_exposition,
+    summarize_records,
     using_registry,
 )
 from repro.service import GeneratorSource, ServiceRuntime, render_dashboard
@@ -164,6 +166,66 @@ class TestTraces:
         with using_registry(MetricsRegistry()):
             payload = service._handle_traces({}, None)
         assert payload == {"total": 0, "tracing": False, "traces": []}
+
+
+class TestTelemetryStream:
+    """A tick's telemetry is written once (see docs/observability.md)."""
+
+    def test_idle_tick_writes_one_trace_and_one_metrics_record(self, tmp_path):
+        sink = InMemorySink()
+        registry = MetricsRegistry(sinks=[sink])
+        runtime = AutoscalingRuntime(
+            planner=QuantilePlanner(4, 60.0), context_length=6, horizon=4,
+            threshold=60.0, replan_every=4,
+        )
+        runtime.monitor = ModelHealthMonitor(window=5, alerts=AlertEngine())
+        service = ServiceRuntime(
+            runtime, GeneratorSource(SERIES), tracer=TraceCollector(4),
+            checkpoint_dir=tmp_path / "ckpt", checkpoint_at=len(SERIES),
+        )
+        with using_registry(registry):
+            service.serve_forever()
+            snapshot = registry.snapshot()
+            registry.remove_sink(sink)
+
+        kinds = [r["kind"] for r in sink.records]
+        assert not {"counter", "gauge", "service", "span"} & set(kinds)
+        assert kinds.count("trace") == len(SERIES)
+        # One flush per tick, plus the final one owed for the counter of
+        # the checkpoint written after the last tick's flush.
+        assert kinds.count("metrics") == len(SERIES) + 1
+        assert sink.records[-1]["counters"] == {"service.checkpoints": 1.0}
+
+        # Split on the per-tick flush: a tick that neither planned nor
+        # closed a monitor window wrote exactly [trace, metrics], and its
+        # metrics record holds what moved on an idle tick, nothing else.
+        ticks, lines = [], []
+        for record in sink.records[:-1]:
+            lines.append(record)
+            if record["kind"] == "metrics":
+                ticks.append(lines)
+                lines = []
+        quiet = [
+            tick for tick in ticks
+            if not {"provenance", "model_health"} & {r["kind"] for r in tick}
+        ]
+        assert len(quiet) >= 5
+        for tick in quiet:
+            assert [r["kind"] for r in tick] == ["trace", "metrics"]
+            assert tick[1]["counters"].keys() == {
+                "runtime.observations", "service.ticks"
+            }
+            assert tick[1]["gauges"].keys() == {"runtime.nodes_requested"}
+
+        # The file and /metrics cannot disagree.
+        replayed = summarize_records(sink.records)
+        assert replayed.unknown_kinds == {}
+        assert replayed.counters == snapshot["counters"]
+        assert replayed.gauges == snapshot["gauges"]
+        assert {k: s.count for k, s in replayed.spans.items()} == {
+            k: s["count"] for k, s in snapshot["spans"].items()
+        }
+        assert replayed.spans["runtime.step"].count == len(SERIES)
 
 
 class TestSeries:

@@ -28,14 +28,17 @@ class TestEvaluateWithTelemetry:
 
         records = read_events(telemetry)
         assert records
-        kinds = {r["kind"] for r in records}
-        assert {"counter", "gauge", "span"} <= kinds
-        names = {r["name"] for r in records}
+        kinds = [r["kind"] for r in records]
+        assert {"metrics", "span"} <= set(kinds)
+        # Counters and gauges are flushed once, as the run's last record.
+        assert kinds.count("metrics") == 1 and kinds[-1] == "metrics"
+        counters, gauges = records[-1]["counters"], records[-1]["gauges"]
         # Closed loop: runtime decisions and fallback, simulator replay.
-        assert "runtime.decisions" in names
-        assert "runtime.fallback_activations" in names
-        assert "runtime.nodes_requested" in names
-        assert "simulator.intervals" in names
+        assert counters["runtime.decisions{source=predictive}"] >= 1
+        assert counters["runtime.fallback_activations"] >= 1
+        assert "simulator.intervals" in counters
+        assert "runtime.nodes_requested" in gauges
+        names = {r["name"] for r in records}
         assert "runtime.step/plan/planner" in names  # span path
         assert all("ts" in r for r in records)
 
@@ -81,10 +84,12 @@ class TestReport:
         path = tmp_path / "dirty.jsonl"
         path.write_text(
             "garbage\n"
-            '{"kind": "counter", "name": "c", "labels": {}, "value": 2}\n'
+            '{"kind": "metrics", "counters": {"kept": 2}, "gauges": {}}\n'
         )
         assert main(["report", str(path)]) == 0
-        assert "c" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "telemetry summary (1 records)" in out
+        assert "kept" in out
 
     def test_report_all_garbage_file_fails_with_hint(self, tmp_path, capsys):
         path = tmp_path / "garbage.jsonl"
@@ -108,7 +113,7 @@ class TestReport:
         """Records from a newer writer are counted, not silently dropped."""
         path = tmp_path / "future.jsonl"
         path.write_text(
-            '{"kind": "counter", "name": "c", "labels": {}, "value": 1}\n'
+            '{"kind": "metrics", "counters": {"c": 1}, "gauges": {}}\n'
             '{"kind": "flamegraph", "name": "f"}\n'
             '{"kind": "flamegraph", "name": "g"}\n'
         )
@@ -150,7 +155,7 @@ class TestReportTraces:
     def test_no_trace_records_prints_friendly_notice(self, tmp_path, capsys):
         path = tmp_path / "plain.jsonl"
         path.write_text(
-            '{"kind": "counter", "name": "c", "labels": {}, "value": 1}\n'
+            '{"kind": "metrics", "counters": {"c": 1}, "gauges": {}}\n'
         )
         assert main(["report", str(path), "--traces", "3"]) == 0
         out = capsys.readouterr().out
@@ -186,6 +191,11 @@ class TestCompareWithTelemetry:
         assert code == 0
         out = capsys.readouterr().out
         assert "strategy" in out
-        names = {r["name"] for r in read_events(telemetry)}
-        assert "evaluation.windows" in names
+        records = read_events(telemetry)
+        counters = records[-1]["counters"]
+        assert any(
+            key.startswith("evaluation.windows{") and value >= 1
+            for key, value in counters.items()
+        )
+        names = {r["name"] for r in records}
         assert any(name.startswith("evaluate") for name in names)  # spans
