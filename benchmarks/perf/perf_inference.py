@@ -4,9 +4,9 @@ Two sections, neither of which the end-to-end ledger (``benchmarks/e2e``,
 which owns per-layer timings such as ``nn.lstm_step_us``,
 ``forecast.sample_ms_p50`` and ``forecast.predict_ms_p50``) measures:
 
-* **backtest** — rolling-origin evaluation wall-clock, serial vs
-  ``n_jobs``, with a ``parallel_speedup`` field (serial median over
-  parallel median) and a bit-determinism check of the fanned-out run;
+* **backtest** — rolling-origin evaluation wall-clock, ``n_jobs=1`` vs
+  ``n_jobs=N``, with a ``parallel_speedup`` field (jobs1 median over
+  jobsN median) and a bit-determinism check of the fanned-out run;
 * **float32** — single-precision inference (``--dtype float32``) vs the
   float64 default: sampling wall-clock plus the accuracy gate (wQL and
   coverage deltas on a small backtest must stay within tolerance).
@@ -17,9 +17,10 @@ cache state hit every variant equally — on noisy shared machines the
 autograd-tape parity is not measured here: it is bitwise and a tier-1
 test (``tests/nn``, ``tests/property/test_kernel_properties.py``).
 
-The parallel gate is warn-only by default (a one-core machine cannot
-win); ``--strict-parallel`` turns a sub-1x ``parallel_speedup`` into a
-non-zero exit for environments that guarantee real cores.
+The parallel gate follows the machine, not a flag: when
+``os.cpu_count() < 2`` the parallel rows are not timed and the section
+records ``"skipped": "cpu_count < 2"`` (a one-core machine cannot win);
+otherwise ``parallel_speedup < 1.0`` is a non-zero exit.
 
 Usage::
 
@@ -68,6 +69,21 @@ def interleaved_times(variants: dict, repeats: int) -> dict[str, dict[str, float
     }
 
 
+def parallel_skip_reason() -> str | None:
+    """Why the parallel rows are skipped on this machine, or ``None``."""
+    return "cpu_count < 2" if (os.cpu_count() or 1) < 2 else None
+
+
+def parallel_gate_failure(section: dict) -> str | None:
+    """The gate message when a timed section's fan-out lost to ``n_jobs=1``."""
+    if "skipped" in section or section["parallel_speedup"] >= 1.0:
+        return None
+    return (
+        f"parallel_speedup {section['parallel_speedup']:.2f}x < 1.0 "
+        f"(cpu_count={os.cpu_count()})"
+    )
+
+
 def bench_backtest(
     forecaster: DeepARForecaster,
     test_values: np.ndarray,
@@ -76,12 +92,13 @@ def bench_backtest(
     jobs: int,
     stride: int,
 ) -> dict:
-    """Rolling-origin evaluation wall-clock, serial vs parallel.
+    """Rolling-origin evaluation wall-clock, ``n_jobs=1`` vs ``n_jobs=jobs``.
 
-    Beyond the raw timings this records ``parallel_speedup`` (serial
+    Beyond the raw timings this records ``parallel_speedup`` (jobs1
     median over jobsN median — the acceptance-gate ratio) and
-    ``deterministic`` (the chunked parallel run must be bit-identical to
-    n_jobs=1, which the ``(seed, window)`` reseeding scheme guarantees).
+    ``deterministic`` (the fanned-out run must be bit-identical to
+    n_jobs=1, which the ``(seed, window)`` reseeding scheme guarantees;
+    checked on one core too, where only the timings are skipped).
     """
     context_length = forecaster.context_length
     horizon = forecaster.horizon
@@ -98,33 +115,30 @@ def bench_backtest(
             n_jobs=n_jobs,
         )
 
-    def run(n_jobs):
-        def fn() -> None:
-            run_backtest(n_jobs)
-
-        return fn
-
-    run(jobs)()  # warm the persistent pool: time steady state, not spawn
-    times = interleaved_times(
-        {"serial": run(None), "jobs1": run(1), f"jobs{jobs}": run(jobs)}, repeats
-    )
-    jobs_key = f"jobs{jobs}"
     serial_result = run_backtest(1)
-    parallel_result = run_backtest(jobs)
+    parallel_result = run_backtest(jobs)  # also warms the pool: time steady state
     deterministic = len(serial_result.forecasts) == len(
         parallel_result.forecasts
     ) and all(
         np.array_equal(a.values, b.values)
         for a, b in zip(serial_result.forecasts, parallel_result.forecasts)
     )
-    return {
-        **times,
+    section = {
         "windows": serial_result.num_windows,
         "jobs": jobs,
         "stride": stride,
-        "parallel_speedup": times["serial"]["median_ms"] / times[jobs_key]["median_ms"],
         "deterministic": deterministic,
     }
+    skipped = parallel_skip_reason()
+    if skipped:
+        times = interleaved_times({"jobs1": lambda: run_backtest(1)}, repeats)
+        return {**times, **section, "skipped": skipped}
+    jobs_key = f"jobs{jobs}"
+    times = interleaved_times(
+        {"jobs1": lambda: run_backtest(1), jobs_key: lambda: run_backtest(jobs)}, repeats
+    )
+    speedup = times["jobs1"]["median_ms"] / times[jobs_key]["median_ms"]
+    return {**times, **section, "parallel_speedup": speedup}
 
 
 def bench_float32(
@@ -170,7 +184,6 @@ def bench_float32(
             LEVELS,
             series_start_index=train_length,
             stride=stride,
-            n_jobs=None,
         )
 
     f64 = run_backtest()
@@ -211,10 +224,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="timing repeats per variant (overrides --quick)")
     parser.add_argument("--jobs", type=int, default=2,
                         help="worker count for the backtest benchmark")
-    parser.add_argument("--strict-parallel", action="store_true",
-                        help="exit non-zero when parallel_speedup < 1 "
-                             "(default: warn only — a one-core runner "
-                             "cannot win)")
     args = parser.parse_args(argv)
 
     repeats = args.repeats if args.repeats is not None else (3 if args.quick else 7)
@@ -261,13 +270,17 @@ def main(argv: list[str] | None = None) -> int:
         handle.write("\n")
 
     bt = report["backtest"]
-    jobs_key = f"jobs{bt['jobs']}"
+    if "skipped" in bt:
+        parallel = f"parallel rows skipped: {bt['skipped']}"
+    else:
+        jobs_key = f"jobs{bt['jobs']}"
+        parallel = (
+            f"{jobs_key} {bt[jobs_key]['best_ms']:.0f}ms  "
+            f"{bt['parallel_speedup']:.2f}x parallel"
+        )
     print(
-        f"backtest    : serial {bt['serial']['best_ms']:.0f}ms  "
-        f"jobs1 {bt['jobs1']['best_ms']:.0f}ms  "
-        f"{jobs_key} {bt[jobs_key]['best_ms']:.0f}ms  "
-        f"({bt['windows']} windows, {bt['parallel_speedup']:.2f}x parallel, "
-        f"deterministic={bt['deterministic']})"
+        f"backtest    : jobs1 {bt['jobs1']['best_ms']:.0f}ms  {parallel}  "
+        f"({bt['windows']} windows, deterministic={bt['deterministic']})"
     )
     f32 = report["float32"]
     print(
@@ -290,17 +303,10 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         failed = True
-    if bt["parallel_speedup"] < 1.0:
-        message = (
-            f"parallel_speedup {bt['parallel_speedup']:.2f}x < 1.0 "
-            f"(cpu_count={os.cpu_count()})"
-        )
-        if args.strict_parallel:
-            print(f"PARALLEL GATE FAILURE: {message}", file=sys.stderr)
-            failed = True
-        else:
-            print(f"WARNING: {message} — warn-only without --strict-parallel",
-                  file=sys.stderr)
+    gate = parallel_gate_failure(bt)
+    if gate:
+        print(f"PARALLEL GATE FAILURE: {gate}", file=sys.stderr)
+        failed = True
     return 1 if failed else 0
 
 

@@ -4,11 +4,12 @@ Two sections, neither of which the end-to-end ledger (``benchmarks/e2e``,
 which owns fit wall-clock as ``forecast.fit_s`` /
 ``adaptation.refit_s_p50``) measures:
 
-* **pool_reuse** — repeated ``backtest(n_jobs=2)`` calls on the shared
-  persistent pool, against serial and against a fresh throwaway pool
-  per call (the historical regression: per-call pool spawn made small
-  parallel backtests ~14x slower than serial); records
-  ``parallel_speedup`` (serial over reused-pool median);
+* **pool_reuse** — repeated small ``backtest(n_jobs=2)`` calls on the
+  shared executor against ``n_jobs=1``; records ``pool_startup_ms``
+  (worker spawn + first call, paid once per process) and
+  ``parallel_speedup`` (serial over reused-pool median), gated like
+  ``perf_inference``'s: skipped when ``cpu_count < 2``, a failure below
+  1.0 otherwise;
 * **float32_kernels** — the LSTM scan with cached activations
   (:func:`repro.nn.fastpath.lstm_forward`) plus
   :func:`repro.nn.fastgrad.lstm_backward` run in float32 vs float64 at
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -42,7 +44,11 @@ from repro.forecast import DeepARForecaster, TrainingConfig
 from repro.parallel import shutdown_shared_pool
 from repro.traces import STEPS_PER_DAY, alibaba_like_trace
 
-from .perf_inference import interleaved_times
+from .perf_inference import (
+    interleaved_times,
+    parallel_gate_failure,
+    parallel_skip_reason,
+)
 
 LEVELS = (0.1, 0.5, 0.9)
 
@@ -50,12 +56,11 @@ LEVELS = (0.1, 0.5, 0.9)
 def bench_pool_reuse(
     forecaster, test_values: np.ndarray, train_length: int, repeats: int, jobs: int
 ) -> dict:
-    """Repeated parallel backtests: persistent pool vs spawn-per-call.
+    """Repeated small parallel backtests on the shared executor.
 
-    ``reused`` calls hit the shared pool (already warm after the first
-    call); ``fresh_pool`` forces a throwaway pool per call, which is the
-    pre-fix behaviour.  ``serial`` (n_jobs=1) is the floor a small
-    workload should stay near.
+    ``reused`` calls hit the pool already warm after the first call,
+    whose one-time cost is ``pool_startup_ms``; ``serial`` (n_jobs=1) is
+    the floor a three-window workload should stay near.
     """
     kwargs = dict(
         context_length=forecaster.context_length,
@@ -64,48 +69,35 @@ def bench_pool_reuse(
         series_start_index=train_length,
     )
 
-    def serial() -> None:
-        backtest(forecaster, test_values, n_jobs=1, **kwargs)
+    def serial():
+        return backtest(forecaster, test_values, n_jobs=1, **kwargs)
 
-    def reused() -> None:
-        backtest(forecaster, test_values, n_jobs=jobs, **kwargs)
+    def reused():
+        return backtest(forecaster, test_values, n_jobs=jobs, **kwargs)
 
-    # Warm the shared pool so `reused` times steady-state, and measure
-    # the one-time startup separately.
     shutdown_shared_pool()
     start = time.perf_counter()
     reused()
     startup_ms = (time.perf_counter() - start) * 1e3
 
-    times = interleaved_times({"serial": serial, "reused": reused}, repeats)
-
-    # Pre-fix behaviour: spawn (and tear down) a pool every call.
-    fresh: list[float] = []
-    for _ in range(max(2, repeats // 2)):
-        shutdown_shared_pool()
-        start = time.perf_counter()
-        reused()
-        fresh.append((time.perf_counter() - start) * 1e3)
-    shutdown_shared_pool()
-
     # Determinism across reuse: pooled calls must equal n_jobs=1.
-    base = backtest(forecaster, test_values, n_jobs=1, **kwargs)
-    pooled = [backtest(forecaster, test_values, n_jobs=jobs, **kwargs) for _ in range(2)]
+    base = serial()
     identical = all(
         np.array_equal(a.values, b.values)
-        for run in pooled
+        for run in (reused(), reused())
         for a, b in zip(base.forecasts, run.forecasts)
     )
-    shutdown_shared_pool()
-
+    section = {"jobs": jobs, "deterministic": bool(identical)}
+    skipped = parallel_skip_reason()
+    if skipped:
+        times = interleaved_times({"serial": serial}, repeats)
+        return {**times, **section, "skipped": skipped}
+    times = interleaved_times({"serial": serial, "reused": reused}, repeats)
     return {
         **times,
-        "fresh_pool": {"best_ms": float(np.min(fresh)), "median_ms": float(np.median(fresh))},
+        **section,
         "pool_startup_ms": startup_ms,
-        "reuse_speedup_vs_fresh": float(np.min(fresh)) / times["reused"]["best_ms"],
         "parallel_speedup": times["serial"]["median_ms"] / times["reused"]["median_ms"],
-        "jobs": jobs,
-        "deterministic": bool(identical),
     }
 
 
@@ -202,6 +194,7 @@ def main(argv: list[str] | None = None) -> int:
             "num_layers": 2,
             "batch_size": 64,
             "window_stride": 3,
+            "cpu_count": os.cpu_count(),
         },
     }
 
@@ -231,20 +224,29 @@ def main(argv: list[str] | None = None) -> int:
         f"max rel grad diff {fk['max_rel_grad_diff']:.2e}"
     )
     pr = report["pool_reuse"]
+    if "skipped" in pr:
+        parallel = f"parallel rows skipped: {pr['skipped']}"
+    else:
+        parallel = (
+            f"reused {pr['reused']['best_ms']:.0f}ms  "
+            f"startup {pr['pool_startup_ms']:.0f}ms  "
+            f"-> {pr['parallel_speedup']:.2f}x vs serial"
+        )
     print(
-        f"pool_reuse  : serial {pr['serial']['best_ms']:.0f}ms  "
-        f"reused {pr['reused']['best_ms']:.0f}ms  "
-        f"fresh {pr['fresh_pool']['best_ms']:.0f}ms  "
-        f"-> {pr['reuse_speedup_vs_fresh']:.1f}x "
-        f"({pr['parallel_speedup']:.2f}x vs serial), "
+        f"pool_reuse  : serial {pr['serial']['best_ms']:.0f}ms  {parallel}, "
         f"deterministic={pr['deterministic']}"
     )
     print(f"wrote {args.output}")
 
+    failed = False
     if not pr["deterministic"]:
         print("DETERMINISM FAILURE: pooled backtests disagree with serial", file=sys.stderr)
-        return 1
-    return 0
+        failed = True
+    gate = parallel_gate_failure(pr)
+    if gate:
+        print(f"PARALLEL GATE FAILURE: {gate}", file=sys.stderr)
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

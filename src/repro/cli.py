@@ -759,10 +759,10 @@ def _common_parent() -> argparse.ArgumentParser:
     p.add_argument("--telemetry", metavar="PATH", default=None,
                    help="stream telemetry events (spans, counters, gauges, "
                         "histograms) to PATH as JSON lines")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes for commands that fan out "
-                        "(backtest); results are bit-identical to a "
-                        "serial run and worker telemetry is merged")
+                        "(backtest); results are bit-identical to "
+                        "--jobs 1 and worker telemetry is merged")
     p.add_argument("--dtype", choices=("float64", "float32"), default="float64",
                    help="inference kernel precision: float64 (default) is "
                         "bitwise-reproducible; float32 is faster with a "

@@ -99,7 +99,6 @@ registry (and therefore to the ``report`` subcommand).
 from __future__ import annotations
 
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -114,10 +113,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..obs.monitor import ModelHealthMonitor
 
 __all__ = ["Decision", "StepResult", "AutoscalingRuntime"]
-
-#: Old constructor keyword -> new name; old names keep working through
-#: one release with a DeprecationWarning.
-_DEPRECATED_KWARGS = {"start_index": "start_tick"}
 
 
 @dataclass(frozen=True)
@@ -294,8 +289,7 @@ class AutoscalingRuntime:
         Per-node workload threshold for the fallback's allocations.
     start_tick:
         Absolute index of the first interval (e.g. ``len(train)`` when
-        driving a test split); formerly ``start_index``, which is still
-        accepted with a :class:`DeprecationWarning`.
+        driving a test split).
     monitor:
         Optional :class:`~repro.obs.monitor.ModelHealthMonitor`; when
         attached, every observed interval covered by a predictive plan
@@ -333,23 +327,7 @@ class AutoscalingRuntime:
         invalid_policy: str = "raise",
         on_planner_error: str = "degrade",
         max_plan_retries: int = 1,
-        **deprecated,
     ) -> None:
-        for old, new in _DEPRECATED_KWARGS.items():
-            if old in deprecated:
-                warnings.warn(
-                    f"AutoscalingRuntime({old}=...) is deprecated; "
-                    f"use {new}=...",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                start_tick = deprecated.pop(old)
-        if deprecated:
-            unknown = ", ".join(sorted(deprecated))
-            raise TypeError(
-                f"AutoscalingRuntime() got unexpected keyword argument(s): "
-                f"{unknown}"
-            )
         if context_length < 1 or horizon < 1:
             raise ValueError("context_length and horizon must be >= 1")
         if replan_every is None:
@@ -409,16 +387,6 @@ class AutoscalingRuntime:
     def tick(self) -> int:
         """Absolute index of the next interval to be provisioned."""
         return self._tick
-
-    @property
-    def time_index(self) -> int:
-        """Back-compat alias for :attr:`tick`."""
-        return self._tick
-
-    @property
-    def start_index(self) -> int:
-        """Back-compat alias for :attr:`start_tick`."""
-        return self.start_tick
 
     # -- phase 1: maybe-plan -------------------------------------------
     def maybe_plan(self, force: bool = False) -> Decision | None:

@@ -27,9 +27,9 @@ from .report import ForecastReport, evaluate_quantile_forecast
 
 __all__ = ["BacktestResult", "backtest"]
 
-# Base seed for per-window sampler reseeding on the deterministic
-# (n_jobs-enabled) path; combined with the window's absolute decision
-# point so draws depend only on (seed, window), never on worker layout.
+# Base seed for per-window sampler reseeding; combined with the window's
+# absolute decision point so draws depend only on (seed, window), never
+# on worker layout.
 _WINDOW_SEED = 0x5EED
 
 
@@ -53,17 +53,6 @@ def _predict_window(context: dict, point: int) -> QuantileForecast:
             levels=context["levels"],
             start_index=start,
         )
-
-
-def _predict_chunk(context: dict, chunk: list[int]) -> list[QuantileForecast]:
-    """A contiguous batch of decision windows — the parallel task unit.
-
-    One chunk per worker amortises payload unpickling, registry setup,
-    and the reply message over many windows instead of paying them per
-    window.  Each window still reseeds from its *absolute* point, so the
-    forecasts are independent of how the windows were chunked.
-    """
-    return [_predict_window(context, point) for point in chunk]
 
 
 @dataclass
@@ -151,7 +140,7 @@ def backtest(
     stride: int | None = None,
     series_start_index: int = 0,
     monitor=None,
-    n_jobs: int | None = None,
+    n_jobs: int = 1,
 ) -> BacktestResult:
     """Rolling-origin evaluation of a fitted forecaster.
 
@@ -171,19 +160,16 @@ def backtest(
         evaluated (forecast, actual) pair is streamed into it, so the
         backtest doubles as an offline calibration/drift analysis.
     n_jobs:
-        ``None`` (default) keeps the legacy serial behaviour: windows
-        share the forecaster's ongoing sampling rng stream.  Any integer
-        ``>= 1`` switches to the deterministic path — the sampler is
-        reseeded per decision window from ``(seed, window)`` — and
-        ``>= 2`` fans windows across spawn workers, one contiguous
-        chunk of windows per worker.  Because draws then
-        depend only on the window, ``n_jobs=1`` and ``n_jobs=4`` give
-        bit-identical results; the monitor is fed in window order either
-        way, and worker telemetry merges into the ambient registry.
+        A sampling forecaster is reseeded per decision window from
+        ``(seed, window)``, so draws depend only on the window;
+        ``n_jobs >= 2`` fans the windows across spawn workers (see
+        :func:`repro.parallel.parallel_map`) and is bit-identical to
+        ``n_jobs=1``.  The monitor is fed in window order either way,
+        and worker telemetry merges into the ambient registry.
     """
     from ..core.evaluation import decision_points
     from ..obs import get_registry
-    from ..parallel import chunk_evenly, parallel_map
+    from ..parallel import parallel_map
 
     values = np.asarray(values, dtype=np.float64)
     points = decision_points(len(values), context_length, horizon, stride)
@@ -191,38 +177,14 @@ def backtest(
     metrics = get_registry()
     model = type(forecaster).__name__
     with metrics.span("backtest", model=model):
-        if n_jobs is None:
-            forecasts = []
-            for point in points:
-                with metrics.span("predict"):
-                    forecasts.append(
-                        forecaster.predict(
-                            values[point - context_length : point],
-                            levels=result.levels,
-                            start_index=series_start_index + point - context_length,
-                        )
-                    )
-        else:
-            context = {
-                "forecaster": forecaster,
-                "values": values,
-                "levels": result.levels,
-                "context_length": context_length,
-                "series_start_index": series_start_index,
-            }
-            # Coarse grain: one contiguous chunk of windows per worker,
-            # not one task per window.  The chunk layout depends only on
-            # (len(points), n_jobs), and every window reseeds from its
-            # absolute point, so results stay bit-identical across
-            # n_jobs — only the task-message count changes.
-            chunks = chunk_evenly(points, n_jobs)
-            forecasts = [
-                forecast
-                for batch in parallel_map(
-                    _predict_chunk, chunks, context, n_jobs=n_jobs, serial_threshold=1
-                )
-                for forecast in batch
-            ]
+        context = {
+            "forecaster": forecaster,
+            "values": values,
+            "levels": result.levels,
+            "context_length": context_length,
+            "series_start_index": series_start_index,
+        }
+        forecasts = parallel_map(_predict_window, points, context, n_jobs=n_jobs)
         for point, forecast in zip(points, forecasts):
             metrics.counter("backtest.windows", model=model).inc()
             result.forecasts.append(forecast)

@@ -210,10 +210,10 @@ class DeepARForecaster(NeuralForecaster):
     def reseed_sampler(self, seed: object) -> None:
         """Reset the ancestral-sampling RNG to a deterministic seed.
 
-        The parallel backtest path calls this before every decision
-        window so that sample draws depend only on (seed, window), never
-        on how many windows some worker processed before — which is what
-        makes ``n_jobs=1`` and ``n_jobs=4`` bit-identical.
+        ``backtest`` calls this before every decision window so that
+        sample draws depend only on (seed, window), never on how many
+        windows some worker processed before — which is what makes
+        ``n_jobs=1`` and ``n_jobs=4`` bit-identical.
         """
         self._sample_rng = np.random.default_rng(seed)
 

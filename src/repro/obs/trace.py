@@ -10,9 +10,10 @@ live span stack into real trace records: every tick becomes one trace
 span with a ``span_id``, ``parent_id``, start offset, duration, and
 ``ok``/``error`` status.
 
-Traces survive the :class:`~repro.parallel.WorkerPool` boundary: the
-parent's ``(trace_id, parent span)`` context ships with each task, the
-worker collects its spans under deterministic ``w<item>.<n>`` span ids,
+Traces survive the :func:`~repro.parallel.parallel_map` process
+boundary: the parent's ``(trace_id, parent span)`` context ships with
+each chunk of items, the worker collects the chunk's spans under
+deterministic ``w<chunk>.<n>`` span ids,
 and :meth:`absorb` grafts them back into the parent's live trace during
 the registry merge — so a ``backtest(n_jobs=2)`` timeline shows the
 worker's ``predict`` spans under the same ``backtest`` root a serial
@@ -51,9 +52,9 @@ class TraceCollector:
     max_traces:
         Completed traces kept in the ring; older ones fall off.
     id_prefix:
-        Prefix for generated span ids — workers use ``"w<item>."`` so
-        merged ids stay unique and deterministic regardless of how the
-        pool chunked the work.
+        Prefix for generated span ids — workers use ``"w<chunk>."`` so
+        merged ids stay unique and depend only on the chunk layout,
+        never on which worker ran which chunk.
     """
 
     def __init__(self, max_traces: int = 64, id_prefix: str = "") -> None:

@@ -1,720 +1,178 @@
-"""Deterministic multiprocessing fan-out for evaluation workloads.
+"""Deterministic process fan-out for evaluation workloads.
 
-Backtests, grid searches, and the benchmark runner all reduce to the
-same shape: a list of independent work items, a shared read-only context
-(a fitted forecaster, an objective, a config), and the requirement that
-results come back **in item order** and **bit-identical** to a serial
-run.  :func:`parallel_map` provides exactly that:
+Backtests, grid searches and the benchmark runner share one shape: a list of
+independent items, a read-only context (a fitted forecaster, an objective)
+and the requirement that results come back **in item order** and
+**bit-identical** to a serial run.  :func:`parallel_map` provides that on one
+module-level ``concurrent.futures.ProcessPoolExecutor`` (``spawn`` context,
+so nothing is inherited from the parent), created on first use, kept between
+calls, replaced by a wider one when a call asks for more workers, and shut
+down at interpreter exit.
 
-* ``spawn`` start method — no inherited state, so results cannot depend
-  on what the parent process happened to have touched (and it works the
-  same on platforms where fork is unavailable or unsafe);
-* a **persistent worker pool** — workers are spawned lazily on first
-  use and reused across calls, so repeated small fan-outs (a backtest
-  per decision epoch, a tuning loop) pay interpreter start-up and
-  ``import numpy`` once per process, not once per call;
-* the shared context is pickled **once** per call and shipped to each
-  worker only when it *changed* (payloads are keyed by digest) — a
-  fitted neural forecaster is megabytes of weights, and a worker that
-  already holds the right payload receives only the task items;
-* large numpy arrays inside the context (trace windows, model weights)
-  never travel through the pickle stream at all: a
-  :class:`SharedArrayStore` publishes each one once into a
-  ``multiprocessing.shared_memory`` segment, the pickled payload
-  shrinks to segment metadata, and workers attach **zero-copy**
-  read-only views (see *Shared-memory payloads* below);
-* tasks are submitted in contiguous **chunks** (one message per worker,
-  not one per item) and results carry their item index, so they are
-  reassembled in item order regardless of which worker finished first;
-* an **auto-serial threshold**: workloads of ``serial_threshold`` or
-  fewer items run in-process — fanning two items across processes can
-  never win back the IPC cost, and the determinism contract makes the
-  two paths indistinguishable;
-* telemetry recorded inside workers (counters, spans, histograms — see
-  :mod:`repro.obs`) is captured in a per-task registry, shipped back
-  with the result, and merged into the parent registry in item order,
-  so ``n_jobs`` does not change what the registry reports.
+* ``items`` are split into at most ``n_jobs`` contiguous near-even chunks,
+  one task per worker.  ``(fn, context)`` is pickled once per call and
+  unpickled once per chunk, so task-side mutations never reach the next call.
+* Each chunk runs under its own ``MetricsRegistry`` and, when the caller
+  has a live trace, a ``TraceCollector`` issuing span ids ``w<chunk>.<n>``.
+  The parent merges them in item order and re-roots worker spans under its
+  open span: ``n_jobs`` does not change what the registry reports.
+* A chunk stops at its first failing item, and the lowest-index failure is
+  re-raised once every chunk has replied.  Replies are pickled inside the
+  worker, so a result or exception that cannot cross the process boundary
+  is an error naming its item, never a hang.
+* A worker that dies mid-chunk surfaces at once as ``BrokenProcessPool`` (a
+  ``RuntimeError``); the executor is dropped, the next call starts a new one.
 
-Determinism is a *joint* contract: ``parallel_map`` guarantees ordering
-and isolation, and the task function must derive any randomness from
-``(context, item)`` alone — e.g. ``backtest`` reseeds a forecaster's
-sampling rng per decision window, which is what makes ``n_jobs=1`` and
-``n_jobs=4`` bit-identical.
-
-The task function must be a module-level function (picklable by
-reference) taking ``(context, item)``.
-
-Shared-memory payloads
-----------------------
-Arrays of :data:`SHARED_MIN_BYTES` or more are content-addressed: the
-parent hashes the raw bytes, creates (or reuses) a named shared-memory
-segment per distinct content, and pickles only
-``(name, digest, dtype, shape)``.  Segments are **ref-counted** — every
-payload that references an array holds one reference, a replaced or
-closed payload releases it, and the segment is unlinked when the count
-reaches zero (and unconditionally at interpreter exit via ``atexit``).
-Workers attach each segment once, cache the mapping, and hand the task
-function a read-only ndarray view — mutating a shared context array
-raises instead of silently corrupting sibling tasks.  An attach against
-a segment that has already been unlinked raises
-:class:`SharedSegmentMissingError` immediately (shipped back like any
-task error) rather than hanging the parent's collection loop.
+Determinism is a *joint* contract: the task function - module-level, taking
+``(context, item)`` - must derive any randomness from its arguments alone
+(``backtest`` reseeds the sampler per decision window).
 """
 
 from __future__ import annotations
 
 import atexit
-import hashlib
-import io
 import multiprocessing
-import os
 import pickle
-import queue as queue_module
-from dataclasses import dataclass
-from multiprocessing import shared_memory
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Sequence
 
-import numpy as np
+__all__ = ["parallel_map", "shutdown_shared_pool"]
 
-__all__ = [
-    "parallel_map",
-    "WorkerPool",
-    "get_shared_pool",
-    "shutdown_shared_pool",
-    "SharedArrayStore",
-    "SharedArrayRef",
-    "SharedSegmentMissingError",
-    "get_array_store",
-    "dumps_shared",
-    "loads_shared",
-    "close_attachments",
-    "chunk_evenly",
-    "SHARED_MIN_BYTES",
-]
+# This many items or fewer run in-process: they never win back the IPC cost.
+_SERIAL_MAX_ITEMS = 2
 
-# Items-or-fewer run serially: shipping one or two tasks across process
-# boundaries costs more IPC than the parallelism can recover.
-DEFAULT_SERIAL_THRESHOLD = 2
-
-# Seconds between liveness checks while waiting on worker results.
-_POLL_INTERVAL_S = 1.0
-
-# Arrays at or above this many bytes are published to shared memory
-# instead of travelling through the pickled payload.  Below it the two
-# syscalls + mmap of a segment cost more than pickling the bytes.
-SHARED_MIN_BYTES = 2048
+_EXECUTOR: ProcessPoolExecutor | None = None
+_EXECUTOR_WORKERS = 0
 
 
-class SharedSegmentMissingError(RuntimeError):
-    """A shared-memory segment was gone when a worker tried to attach.
+def _chunk_evenly(items: Sequence[Any], parts: int) -> list[list[Any]]:
+    """At most ``parts`` contiguous chunks whose sizes differ by at most one.
 
-    Raised eagerly at attach time — and shipped back to the parent like
-    any task error — so a payload whose segments were unlinked (pool
-    shut down, store cleaned externally) fails with a diagnosis instead
-    of a liveness-timeout hang.
+    The layout depends only on ``(len(items), parts)``, never on scheduling.
     """
+    parts = max(1, min(parts, len(items)))
+    base, extra = divmod(len(items), parts)
+    bounds = [rank * base + min(rank, extra) for rank in range(parts + 1)]
+    return [list(items[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
-@dataclass(frozen=True)
-class SharedArrayRef:
-    """Metadata standing in for one shared array inside a payload."""
-
-    name: str  # shared-memory segment name
-    digest: str  # sha256 of the array's raw bytes (the refcount key)
-    dtype: str  # numpy dtype string, e.g. "<f8"
-    shape: tuple[int, ...]
-
-
-class SharedArrayStore:
-    """Parent-side registry of ref-counted shared-memory segments.
-
-    ``publish`` is content-addressed: the same bytes published twice
-    (the same weights across repeated calls, the same trace array in
-    two contexts) reuse one segment and bump its reference count;
-    ``release`` decrements and unlinks at zero.  ``unlink_all`` is the
-    big hammer for interpreter exit.  Creation happens here only — the
-    worker side never creates or unlinks, it just attaches.
-    """
-
-    def __init__(self) -> None:
-        # digest -> [SharedMemory, refcount]
-        self._segments: dict[str, list] = {}
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    def segment_names(self) -> list[str]:
-        """Names of the currently live segments (tests/introspection)."""
-        return [entry[0].name for entry in self._segments.values()]
-
-    def publish(self, array: np.ndarray) -> SharedArrayRef:
-        """Share one array's content; returns its payload metadata.
-
-        Each call holds one reference; pair it with :meth:`release`.
-        """
-        data = np.ascontiguousarray(array)
-        digest = hashlib.sha256(data.data).hexdigest()
-        entry = self._segments.get(digest)
-        if entry is None:
-            self._seq += 1
-            name = f"repro{os.getpid()}_{self._seq}"
-            segment = shared_memory.SharedMemory(
-                create=True, name=name, size=data.nbytes
-            )
-            view = np.ndarray(data.shape, dtype=data.dtype, buffer=segment.buf)
-            np.copyto(view, data)
-            entry = self._segments[digest] = [segment, 0]
-        entry[1] += 1
-        return SharedArrayRef(
-            name=entry[0].name,
-            digest=digest,
-            dtype=array.dtype.str,
-            shape=array.shape,
-        )
-
-    def release(self, digest: str) -> None:
-        """Drop one reference; unlink the segment when none remain."""
-        entry = self._segments.get(digest)
-        if entry is None:
-            return
-        entry[1] -= 1
-        if entry[1] <= 0:
-            del self._segments[digest]
-            self._destroy(entry[0])
-
-    def unlink_all(self) -> None:
-        """Unlink every live segment regardless of refcounts (atexit)."""
-        segments = [entry[0] for entry in self._segments.values()]
-        self._segments.clear()
-        for segment in segments:
-            self._destroy(segment)
-
-    @staticmethod
-    def _destroy(segment) -> None:
-        try:
-            segment.close()
-        except Exception:
-            pass
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass  # already gone (e.g. cleaned externally)
-        except Exception:
-            pass
+def _picklable(obj: Any) -> bool:
+    """Whether ``obj`` survives the round trip to the parent process."""
+    try:
+        pickle.loads(pickle.dumps(obj))
+    except Exception:
+        return False
+    return True
 
 
-_ARRAY_STORE: SharedArrayStore | None = None
+def _run_chunk(payload: bytes, rank: int, chunk: list[tuple[int, Any]], trace_ctx) -> bytes:
+    """Worker side: run ``[(item_index, item), ...]`` under a fresh context.
 
-
-def get_array_store() -> SharedArrayStore:
-    """The process-wide store :func:`dumps_shared` publishes into."""
-    global _ARRAY_STORE
-    if _ARRAY_STORE is None:
-        _ARRAY_STORE = SharedArrayStore()
-    return _ARRAY_STORE
-
-
-class _SharingPickler(pickle.Pickler):
-    """Pickler that diverts large ndarrays into the shared store.
-
-    ``persistent_id`` sees every object the pickle graph reaches, so
-    weight arrays buried inside Parameter/Tensor objects are caught
-    without the payload knowing anything about model structure.  Only
-    plain ``np.ndarray`` instances of numeric dtype are diverted;
-    everything else pickles normally.
-    """
-
-    def __init__(self, buffer, store: SharedArrayStore, min_bytes: int) -> None:
-        super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-        self._store = store
-        self._min_bytes = min_bytes
-        self.refs: list[SharedArrayRef] = []
-
-    def persistent_id(self, obj):  # noqa: D102 — pickle protocol hook
-        if (
-            type(obj) is np.ndarray
-            and obj.nbytes >= self._min_bytes
-            and not obj.dtype.hasobject
-        ):
-            ref = self._store.publish(obj)
-            self.refs.append(ref)
-            return ("repro-shm", ref.name, ref.digest, ref.dtype, ref.shape)
-        return None
-
-
-def dumps_shared(
-    obj: Any,
-    store: SharedArrayStore | None = None,
-    min_bytes: int = SHARED_MIN_BYTES,
-) -> tuple[bytes, list[SharedArrayRef]]:
-    """Pickle ``obj`` with large arrays diverted to shared memory.
-
-    Returns the payload bytes plus one :class:`SharedArrayRef` per
-    published array — the caller owns those references and must
-    eventually :meth:`~SharedArrayStore.release` each ``digest``.
-    """
-    buffer = io.BytesIO()
-    pickler = _SharingPickler(buffer, store or get_array_store(), min_bytes)
-    pickler.dump(obj)
-    return buffer.getvalue(), pickler.refs
-
-
-# Attach-side cache: segment name -> SharedMemory.  Lives in whichever
-# process unpickles (normally a worker); attaching is idempotent and the
-# mapping stays valid for the process lifetime.
-_ATTACHED: dict[str, shared_memory.SharedMemory] = {}
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    segment = _ATTACHED.get(name)
-    if segment is None:
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            raise SharedSegmentMissingError(
-                f"shared-memory segment {name!r} is missing at attach time — "
-                f"it was never published or has already been unlinked (pool "
-                f"shutdown, payload replaced, or /dev/shm cleaned externally)."
-                f" Re-submit on a live pool so the payload is re-published."
-            ) from None
-        # Attaching registers the name with the resource tracker again,
-        # but the tracker process (shared by the whole multiprocessing
-        # family, including spawn workers) keeps names in a set — the
-        # re-register is a no-op and the creator's single unregister at
-        # unlink time removes it.  Do NOT unregister here: that would
-        # strip the creator's registration out from under it.
-        _ATTACHED[name] = segment
-    return segment
-
-
-def close_attachments() -> None:
-    """Best-effort close of this process's attached segments.
-
-    Called on worker shutdown (and by tests).  A segment whose buffer is
-    still referenced by a live ndarray view cannot be closed; it stays
-    cached and is reclaimed when the process exits.
-    """
-    for name in list(_ATTACHED):
-        try:
-            _ATTACHED[name].close()
-        except Exception:
-            continue
-        del _ATTACHED[name]
-
-
-class _AttachingUnpickler(pickle.Unpickler):
-    def persistent_load(self, pid):  # noqa: D102 — pickle protocol hook
-        tag, name, _digest, dtype, shape = pid
-        if tag != "repro-shm":
-            raise pickle.UnpicklingError(f"unknown persistent id tag {tag!r}")
-        segment = _attach_segment(name)
-        array: np.ndarray = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
-        array.flags.writeable = False
-        return array
-
-
-def loads_shared(data: bytes) -> Any:
-    """Unpickle a :func:`dumps_shared` payload, attaching shared arrays.
-
-    Returned arrays are zero-copy read-only views over the segments; the
-    rest of the object graph is freshly built per call.
-    """
-    return _AttachingUnpickler(io.BytesIO(data)).load()
-
-
-def chunk_evenly(items: Sequence[Any], parts: int) -> list[list[Any]]:
-    """Split ``items`` into at most ``parts`` contiguous, near-even chunks.
-
-    Chunk sizes differ by at most one and depend only on
-    ``(len(items), parts)`` — never on scheduling — so work batched this
-    way keeps the determinism contract.  Used by ``backtest`` and
-    ``grid_search`` to coarsen task grain to one batch per worker.
-    """
-    sequence = list(items)
-    parts = max(1, min(parts, len(sequence)))
-    base, extra = divmod(len(sequence), parts)
-    chunks: list[list[Any]] = []
-    start = 0
-    for rank in range(parts):
-        size = base + (1 if rank < extra else 0)
-        chunks.append(sequence[start : start + size])
-        start += size
-    return chunks
-
-
-def _worker_main(inbox, outbox) -> None:
-    """Worker loop: cache the (fn, context) payload, run task chunks.
-
-    Messages (all pre-pickled by the parent where needed):
-
-    * ``("payload", digest, payload_bytes)`` — cache the pickled shared
-      ``{"fn", "context"}`` payload; replaces any previous one.
-    * ``("tasks", digest, [(index, item), ...][, trace_ctx])`` — run
-      each item under a fresh telemetry registry and ship back one
-      message per item.  ``trace_ctx`` (``{"trace_id", "parent_id"}``)
-      rides on the per-call message, *not* the digest-cached payload,
-      so tracing never invalidates the payload cache; when present,
-      each item's spans are collected under deterministic
-      ``w<index>.<n>`` span ids and shipped back inside the registry
-      state for the parent to graft into its live trace.
-    * ``("stop",)`` — exit the loop.
-
-    The payload is cached as *bytes* and unpickled once per task chunk
-    (one chunk per call), so every :func:`parallel_map` call sees a
-    pristine context even if the task function mutates it — the same
-    isolation a throwaway pool gave, without re-shipping the bytes.
-
-    Every result message is pickled *synchronously* here (bytes are
-    always safe to put on the queue) so an unpicklable result or
-    exception surfaces as an error message instead of hanging the
-    parent's collection loop.
+    Returns pickled ``("ok", results, registry_state)`` or ``("error", index, exc)``.
     """
     from .obs.registry import MetricsRegistry, using_registry
     from .obs.trace import TraceCollector
 
-    payload_bytes: bytes | None = None
-    payload_digest: str | None = None
-    while True:
-        message = inbox.get()
-        kind = message[0]
-        if kind == "stop":
-            close_attachments()
-            return
-        if kind == "payload":
-            if payload_digest is not None and payload_digest != message[1]:
-                # The old payload's shared views are garbage by now (the
-                # dict was per-chunk); drop whatever attachments can be
-                # closed so a long-lived worker doesn't hold mappings to
-                # segments the parent has unlinked.
-                close_attachments()
-            payload_digest = message[1]
-            payload_bytes = message[2]
-            continue
-        expected_digest, chunk = message[1], message[2]
-        trace_ctx = message[3] if len(message) > 3 else None
-        payload: dict | None = None
-        for index, item in chunk:
-            try:
-                if payload_bytes is None or payload_digest != expected_digest:
-                    raise RuntimeError("worker received tasks before their payload")
-                if payload is None:
-                    # Attach errors (SharedSegmentMissingError) surface
-                    # here, inside the per-item try, so they ship back
-                    # as error replies instead of hanging the parent.
-                    payload = loads_shared(payload_bytes)
-                fn: Callable[[Any, Any], Any] = payload["fn"]
-                context = payload["context"]
-                registry = MetricsRegistry()
-                if trace_ctx is not None:
-                    # Span ids are prefixed by *item* index, so the
-                    # merged trace is identical however the chunks
-                    # landed on workers.
-                    collector = TraceCollector(
-                        max_traces=4, id_prefix=f"w{index}."
-                    )
-                    collector.begin(
-                        trace_ctx["trace_id"],
-                        parent_id=trace_ctx.get("parent_id"),
-                    )
-                    registry.set_tracer(collector)
-                with using_registry(registry):
-                    result = fn(context, item)
-                if registry.tracer is not None:
-                    registry.tracer.end("ok")
-                reply = ("ok", index, result, registry.state_dict())
-            except BaseException as exc:  # ship the failure, keep serving
-                reply = ("error", index, exc)
-            try:
-                data = pickle.dumps(reply)
-            except Exception as exc:
-                data = pickle.dumps(
-                    ("error", index, RuntimeError(f"unpicklable worker reply: {exc!r}"))
-                )
-            outbox.put(data)
+    index, results = chunk[0][0], []
+    try:
+        fn, context = pickle.loads(payload)
+        registry = MetricsRegistry()
+        if trace_ctx is not None:
+            collector = TraceCollector(max_traces=4, id_prefix=f"w{rank}.")
+            collector.begin(trace_ctx[0], parent_id=trace_ctx[1])
+            registry.set_tracer(collector)
+        with using_registry(registry):
+            for index, item in chunk:
+                results.append(fn(context, item))
+        if trace_ctx is not None:
+            collector.end("ok")
+        reply = ("ok", results, registry.state_dict())
+    except BaseException as exc:  # like the executor itself: ship it, keep serving
+        if not _picklable(exc):
+            exc = RuntimeError(f"item {index} raised an unpicklable exception: {exc!r}")
+        reply = ("error", index, exc)
+    try:
+        return pickle.dumps(reply)
+    except Exception as exc:  # only an "ok" reply gets here: name the culprit
+        bad = (i for (i, _), r in zip(chunk, results) if not _picklable(r))
+        index = next(bad, index)
+        error = RuntimeError(f"result of item {index} cannot be pickled: {exc!r}")
+        return pickle.dumps(("error", index, error))
 
 
-@dataclass
-class _Worker:
-    process: Any
-    inbox: Any
-    payload_digest: str | None = None
-
-
-class WorkerPool:
-    """Persistent, lazily-spawned pool of ``spawn`` worker processes.
-
-    Context-managed (``with WorkerPool(4) as pool``) or long-lived via
-    :func:`get_shared_pool`.  Workers are started on first :meth:`run`
-    and kept alive between calls; the shared payload is re-shipped only
-    when its pickled bytes change.  Workers are daemonic, so they can
-    never outlive the parent even on an unclean exit.
-    """
-
-    def __init__(self, processes: int) -> None:
-        if processes < 1:
-            raise ValueError(f"processes must be >= 1, got {processes}")
-        self.processes = processes
-        self._ctx = multiprocessing.get_context("spawn")
-        self._workers: list[_Worker] = []
-        self._outbox = None
-        self._closed = False
-        # Shared-memory references held on behalf of the current payload
-        # (one per array dumps_shared diverted); released when the
-        # payload is replaced or the pool closes.
-        self._payload_digest: str | None = None
-        self._payload_refs: list[SharedArrayRef] = []
-
-    # -- lifecycle -------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def worker_pids(self) -> list[int]:
-        """PIDs of the currently live workers (for tests/introspection)."""
-        return [w.process.pid for w in self._workers]
-
-    def _ensure_workers(self, count: int) -> list[_Worker]:
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        if self._outbox is None:
-            self._outbox = self._ctx.Queue()
-        while len(self._workers) < count:
-            inbox = self._ctx.Queue()
-            process = self._ctx.Process(
-                target=_worker_main, args=(inbox, self._outbox), daemon=True
-            )
-            process.start()
-            self._workers.append(_Worker(process=process, inbox=inbox))
-        return self._workers[:count]
-
-    def _release_payload_refs(self) -> None:
-        store = get_array_store()
-        for ref in self._payload_refs:
-            store.release(ref.digest)
-        self._payload_refs = []
-        self._payload_digest = None
-
-    def close(self, force: bool = False) -> None:
-        """Shut the workers down (gracefully unless ``force``)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._release_payload_refs()
-        for worker in self._workers:
-            if not force:
-                try:
-                    worker.inbox.put(("stop",))
-                except Exception:
-                    pass
-        for worker in self._workers:
-            worker.process.join(timeout=None if not force else 0.1)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-        for worker in self._workers:
-            try:
-                worker.inbox.cancel_join_thread()
-                worker.inbox.close()
-            except Exception:
-                pass
-        if self._outbox is not None:
-            try:
-                self._outbox.cancel_join_thread()
-                self._outbox.close()
-            except Exception:
-                pass
-        self._workers = []
-        self._outbox = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- execution -------------------------------------------------------
-    def run(
-        self,
-        fn: Callable[[Any, Any], Any],
-        items: Sequence[Any],
-        context: Any,
-        trace_ctx: dict | None = None,
-    ) -> list[tuple[Any, dict]]:
-        """Map ``fn(context, item)`` over ``items`` on the pool.
-
-        Returns ``[(result, telemetry_state), ...]`` in item order.  The
-        first worker exception (by item index) is re-raised, after every
-        outstanding task has been drained so the pool stays reusable.
-        ``trace_ctx`` (``{"trace_id", "parent_id"}``) propagates the
-        caller's live trace into the workers; it travels on the task
-        message so the payload cache is untouched.
-        """
-        payload, refs = dumps_shared({"fn": fn, "context": context})
-        digest = hashlib.sha256(payload).hexdigest()
-        store = get_array_store()
-        if digest == self._payload_digest:
-            # Same payload as the one whose references we already hold —
-            # the publish() calls above were duplicates; rebalance.
-            for ref in refs:
-                store.release(ref.digest)
-        else:
-            # New payload: hold its references, drop the old ones.  The
-            # order matters for partial overlap — an array shared by
-            # both payloads stays above zero throughout.
-            old_refs, self._payload_refs = self._payload_refs, refs
-            self._payload_digest = digest
-            for ref in old_refs:
-                store.release(ref.digest)
-        count = min(self.processes, len(items))
-        workers = self._ensure_workers(count)
-        for worker in workers:
-            if worker.payload_digest != digest:
-                worker.inbox.put(("payload", digest, payload))
-                worker.payload_digest = digest
-
-        # Contiguous chunks, one submission message per worker.
-        indexed = list(enumerate(items))
-        base, extra = divmod(len(indexed), count)
-        start = 0
-        for rank, worker in enumerate(workers):
-            size = base + (1 if rank < extra else 0)
-            if size:
-                worker.inbox.put(
-                    ("tasks", digest, indexed[start : start + size], trace_ctx)
-                )
-            start += size
-
-        results: list[tuple[Any, dict] | None] = [None] * len(indexed)
-        errors: list[tuple[int, BaseException]] = []
-        received = 0
-        while received < len(indexed):
-            try:
-                data = self._outbox.get(timeout=_POLL_INTERVAL_S)
-            except queue_module.Empty:
-                dead = [w for w in workers if not w.process.is_alive()]
-                if dead:
-                    pids = [w.process.pid for w in dead]
-                    self.close(force=True)
-                    raise RuntimeError(
-                        f"worker process(es) {pids} died while running tasks"
-                    )
-                continue
-            reply = pickle.loads(data)
-            received += 1
-            if reply[0] == "ok":
-                results[reply[1]] = (reply[2], reply[3])
-            else:
-                errors.append((reply[1], reply[2]))
-        if errors:
-            errors.sort(key=lambda pair: pair[0])
-            raise errors[0][1]
-        return results  # type: ignore[return-value]
-
-
-_SHARED_POOL: WorkerPool | None = None
-
-
-def get_shared_pool(processes: int) -> WorkerPool:
-    """The long-lived pool :func:`parallel_map` reuses across calls.
-
-    Grows (never shrinks) to the largest ``processes`` requested;
-    workers beyond a call's needs simply stay idle.
-    """
-    global _SHARED_POOL
-    if _SHARED_POOL is None or _SHARED_POOL.closed:
-        _SHARED_POOL = WorkerPool(processes)
-    elif _SHARED_POOL.processes < processes:
-        _SHARED_POOL.processes = processes
-    return _SHARED_POOL
+def _executor(workers: int) -> ProcessPoolExecutor:
+    """The shared executor, replaced by a wider one when needed."""
+    global _EXECUTOR, _EXECUTOR_WORKERS
+    if _EXECUTOR_WORKERS < workers:  # also the first call: no executor, 0 workers
+        shutdown_shared_pool()
+        spawn = multiprocessing.get_context("spawn")
+        _EXECUTOR, _EXECUTOR_WORKERS = ProcessPoolExecutor(workers, mp_context=spawn), workers
+    return _EXECUTOR
 
 
 def shutdown_shared_pool() -> None:
-    """Stop the shared pool's workers (tests; registered atexit)."""
-    global _SHARED_POOL
-    if _SHARED_POOL is not None:
-        _SHARED_POOL.close()
-        _SHARED_POOL = None
+    """Stop the shared executor's workers; the next call starts new ones."""
+    global _EXECUTOR, _EXECUTOR_WORKERS
+    executor, _EXECUTOR, _EXECUTOR_WORKERS = _EXECUTOR, None, 0
+    if executor is not None:
+        executor.shutdown(wait=True, cancel_futures=True)
 
 
-def _atexit_cleanup() -> None:
-    # Order matters: stop the workers (they hold attachments) before
-    # unlinking whatever segments are still live in the store.
-    shutdown_shared_pool()
-    if _ARRAY_STORE is not None:
-        _ARRAY_STORE.unlink_all()
-
-
-atexit.register(_atexit_cleanup)
+atexit.register(shutdown_shared_pool)
 
 
 def parallel_map(
     fn: Callable[[Any, Any], Any],
     items: Iterable[Any],
     context: Any = None,
-    n_jobs: int | None = None,
+    n_jobs: int = 1,
     merge_into=None,
-    serial_threshold: int = DEFAULT_SERIAL_THRESHOLD,
-    reuse_pool: bool = True,
 ) -> list[Any]:
-    """Map ``fn(context, item)`` over ``items``, optionally in parallel.
+    """Map ``fn(context, item)`` over ``items``; results in item order.
 
-    Parameters
-    ----------
-    fn:
-        Module-level function of ``(context, item)``.  For parallel runs
-        it must be picklable by reference and must derive any randomness
-        from its arguments only.
-    context:
-        Shared read-only payload; pickled once per call and shipped to a
-        worker only when it differs from what that worker already holds.
-    n_jobs:
-        ``None`` or ``1`` runs serially in-process (no pool, ambient
-        registry used directly).  ``>= 2`` fans out over that many
-        persistent spawn-context workers.
-    merge_into:
-        Registry receiving worker telemetry (default: the ambient
-        registry at call time).
-    serial_threshold:
-        Workloads of this many items or fewer run serially even when
-        ``n_jobs >= 2`` — the determinism contract makes the result
-        identical, and tiny fan-outs never win back the IPC cost.
-        Set to 0 to force the pool for any multi-item workload.
-    reuse_pool:
-        ``True`` (default) runs on the shared persistent pool.
-        ``False`` spawns a throwaway pool for this call only (isolation
-        at the old spawn-per-call cost).
-
-    Returns results in item order.
+    ``n_jobs=1`` (and any workload of two items or fewer) runs in-process
+    against the ambient registry; ``n_jobs >= 2`` runs one chunk of items
+    per worker, and worker telemetry is merged into ``merge_into``
+    (default: the ambient registry at call time).
     """
-    work: Sequence[Any] = list(items)
-    if n_jobs is not None and n_jobs < 1:
+    work = list(items)
+    if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    if n_jobs is None or n_jobs == 1 or len(work) <= max(1, serial_threshold):
+    if n_jobs == 1 or len(work) <= _SERIAL_MAX_ITEMS:
         return [fn(context, item) for item in work]
 
     from .obs import get_registry
 
     registry = merge_into if merge_into is not None else get_registry()
     tracer = registry.tracer
-    trace_ctx = None
-    if tracer is not None and tracer.active:
-        trace_ctx = {
-            "trace_id": tracer.trace_id,
-            "parent_id": tracer.current_span_id,
-        }
-    processes = min(n_jobs, len(work))
-    if reuse_pool:
-        pairs = get_shared_pool(processes).run(fn, work, context, trace_ctx)
-    else:
-        with WorkerPool(processes) as pool:
-            pairs = pool.run(fn, work, context, trace_ctx)
-    # Merge in item order -> deterministic; re-root worker spans under
-    # whatever spans are open here (e.g. a worker's "predict" becomes
-    # "backtest/predict", matching what a serial run records).
+    live = tracer is not None and tracer.active
+    trace_ctx = (tracer.trace_id, tracer.current_span_id) if live else None
+    payload = pickle.dumps((fn, context), protocol=pickle.HIGHEST_PROTOCOL)
+    chunks = _chunk_evenly(list(enumerate(work)), n_jobs)
+    try:
+        executor = _executor(len(chunks))
+        futures = [
+            executor.submit(_run_chunk, payload, rank, chunk, trace_ctx)
+            for rank, chunk in enumerate(chunks)
+        ]
+        replies = [pickle.loads(future.result()) for future in futures]
+    except BrokenProcessPool as exc:
+        shutdown_shared_pool()
+        raise BrokenProcessPool(
+            f"a worker process died while parallel_map ran {len(work)} items in "
+            f"{len(chunks)} chunks; the pool was discarded, the next call starts a new one"
+        ) from exc
+    # Contiguous chunks that stop at their first failure: the first error
+    # reply in chunk order is the lowest-index failure overall.
+    for reply in replies:
+        if reply[0] == "error":
+            raise reply[2]
+    # Merge in item order; re-root worker spans under the open span (a worker's
+    # "predict" becomes "backtest/predict", as a serial run records it).
     prefix = registry.current_span_path
-    results = []
-    for result, state in pairs:
+    results: list[Any] = []
+    for _, chunk_results, state in replies:
         registry.merge_state_dict(state, span_prefix=prefix)
-        results.append(result)
+        results.extend(chunk_results)
     return results

@@ -27,16 +27,11 @@ def _evaluate_point(context: dict, combo: tuple) -> float:
     return float(context["objective"](params))
 
 
-def _evaluate_chunk(context: dict, chunk: list[tuple]) -> list[float]:
-    """A contiguous batch of grid points — the parallel task unit."""
-    return [_evaluate_point(context, combo) for combo in chunk]
-
-
 def grid_search(
     objective: Callable[[dict[str, object]], float],
     space: dict[str, list],
     direction: str = "minimize",
-    n_jobs: int | None = None,
+    n_jobs: int = 1,
 ) -> tuple[GridResult, list[GridResult]]:
     """Evaluate every combination in ``space``.
 
@@ -49,31 +44,17 @@ def grid_search(
     parallel runs ``objective`` must be picklable (a module-level
     function or functools.partial of one, not a lambda or closure).
     """
+    from ..parallel import parallel_map
+
     if direction not in ("minimize", "maximize"):
         raise ValueError(f"unknown direction {direction!r}")
     if not space:
         raise ValueError("space must not be empty")
     names = list(space)
     combos = list(itertools.product(*(space[name] for name in names)))
-    if n_jobs is not None and n_jobs > 1:
-        from ..parallel import chunk_evenly, parallel_map
-
-        # One contiguous chunk of combinations per worker; product order
-        # is restored by flattening, so results are unchanged.
-        chunks = chunk_evenly(combos, n_jobs)
-        values = [
-            value
-            for batch in parallel_map(
-                _evaluate_chunk,
-                chunks,
-                {"objective": objective, "names": names},
-                n_jobs=n_jobs,
-                serial_threshold=1,
-            )
-            for value in batch
-        ]
-    else:
-        values = [float(objective(dict(zip(names, combo)))) for combo in combos]
+    values = parallel_map(
+        _evaluate_point, combos, {"objective": objective, "names": names}, n_jobs=n_jobs
+    )
     results = [
         GridResult(params=dict(zip(names, combo)), value=value)
         for combo, value in zip(combos, values)

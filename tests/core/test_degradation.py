@@ -85,7 +85,7 @@ class TestInvalidObservations:
         runtime.observe(100.0)
         runtime.observe(float("inf"))
         assert list(runtime._history) == [100.0]
-        assert runtime.time_index == 2  # the interval still happened
+        assert runtime.tick == 2  # the interval still happened
         assert runtime.invalid_observations == 1
 
     def test_context_never_contains_nonfinite(self):

@@ -170,18 +170,6 @@ class TestStateDictRoundTrip:
 
 
 class TestConstructorCompat:
-    def test_start_index_kwarg_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="start_index"):
-            runtime = AutoscalingRuntime(
-                planner=QuantilePlanner(4, 60.0),
-                context_length=6,
-                horizon=4,
-                threshold=60.0,
-                start_index=123,
-            )
-        assert runtime.start_tick == 123
-        assert runtime.start_index == 123  # read-only alias still works
-
     def test_unknown_kwarg_raises_type_error(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             AutoscalingRuntime(
@@ -191,8 +179,3 @@ class TestConstructorCompat:
                 threshold=60.0,
                 bogus=1,
             )
-
-    def test_time_index_alias(self):
-        runtime = make_runtime(start_tick=9)
-        runtime.step(100.0)
-        assert runtime.time_index == runtime.tick == 10

@@ -7,12 +7,17 @@ derived from (seed, window), never from worker scheduling.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
 from repro.evaluation.backtest import backtest
 from repro.forecast import DeepARForecaster, TrainingConfig
-from repro.parallel import parallel_map
+from repro.parallel import parallel_map, shutdown_shared_pool
 from repro.tuning.grid import grid_search
 
 CONTEXT, HORIZON = 36, 12
@@ -90,8 +95,6 @@ def test_parallel_map_rejects_bad_n_jobs():
 
 
 def _pid_task(context, item):
-    import os
-
     return os.getpid()
 
 
@@ -106,58 +109,117 @@ def _fail_on_three(context, item):
     return item * 10
 
 
+def _fail_on_odd(context, item):
+    if item % 2:
+        raise ValueError(f"odd item {item}")
+    return item
+
+
 def test_parallel_map_reuses_worker_processes():
     """Repeated calls run on the same workers — no per-call pool spawn."""
-    from repro.parallel import get_shared_pool
-
-    first = set(parallel_map(_pid_task, range(6), None, n_jobs=2, serial_threshold=0))
-    pids = set(get_shared_pool(2).worker_pids())
-    second = set(parallel_map(_pid_task, range(6), None, n_jobs=2, serial_threshold=0))
-    assert first and first == second
-    assert first <= pids
+    shutdown_shared_pool()  # earlier tests may have left a wider pool behind
+    pids = set()
+    for _ in range(3):
+        seen = set(parallel_map(_pid_task, range(6), None, n_jobs=2))
+        assert seen and os.getpid() not in seen
+        pids |= seen
+    assert len(pids) <= 2  # three calls, still only the two pooled workers
 
 
 def test_parallel_map_pool_reuse_amortises_startup():
     """After the first call, a pooled call costs ~milliseconds, not the
     seconds a fresh spawn-pool costs: the 14x-slower-than-serial backtest
     regression.  The bound is deliberately loose for CI noise."""
-    import time
-
     items = list(range(8))
-    parallel_map(_square, items, {"scale": 2}, n_jobs=2, serial_threshold=0)  # warm
+    parallel_map(_square, items, {"scale": 2}, n_jobs=2)  # warm
     start = time.perf_counter()
     for _ in range(3):
-        parallel_map(_square, items, {"scale": 2}, n_jobs=2, serial_threshold=0)
+        parallel_map(_square, items, {"scale": 2}, n_jobs=2)
     per_call = (time.perf_counter() - start) / 3
     assert per_call < 1.0, f"pooled call took {per_call:.2f}s — pool not reused?"
 
 
 def test_parallel_map_auto_serial_threshold():
-    """At or below the threshold no workers are involved at all."""
-    from repro import parallel
-
-    pool_before = parallel._SHARED_POOL
-    pids = parallel_map(_pid_task, [1, 2], None, n_jobs=4, serial_threshold=2)
-    import os
-
+    """Two items or fewer never start a pool, whatever n_jobs says."""
+    shutdown_shared_pool()
+    pids = parallel_map(_pid_task, [1, 2], None, n_jobs=4)
     assert pids == [os.getpid()] * 2
-    assert parallel._SHARED_POOL is pool_before  # untouched by the call
+    assert multiprocessing.active_children() == []
 
 
 def test_parallel_map_context_isolated_between_calls():
     """Task-side context mutations never leak into the next call."""
     context = {"log": []}
-    first = parallel_map(_mutate_context, range(4), context, n_jobs=2, serial_threshold=0)
-    second = parallel_map(_mutate_context, range(4), context, n_jobs=2, serial_threshold=0)
-    assert first == second  # each call starts from the pristine payload
+    first = parallel_map(_mutate_context, range(4), context, n_jobs=2)
+    second = parallel_map(_mutate_context, range(4), context, n_jobs=2)
+    # Each chunk starts from the pristine payload: two chunks of two.
+    assert first == second == [1, 2, 1, 2]
     assert context["log"] == []  # parent copy untouched
 
 
 def test_parallel_map_worker_error_propagates_and_pool_survives():
     with pytest.raises(ValueError, match="cursed"):
-        parallel_map(_fail_on_three, range(6), None, n_jobs=2, serial_threshold=0)
+        parallel_map(_fail_on_three, range(6), None, n_jobs=2)
     # The failed call drained cleanly; the pool keeps working.
-    assert parallel_map(_square, [1, 2, 3], {"scale": 1}, n_jobs=2, serial_threshold=0) == [1, 4, 9]
+    assert parallel_map(_square, [1, 2, 3], {"scale": 1}, n_jobs=2) == [1, 4, 9]
+
+
+def test_parallel_map_raises_the_lowest_index_error():
+    """Items 1, 3 and 5 fail in two different chunks; item 1 wins."""
+    with pytest.raises(ValueError, match="odd item 1"):
+        parallel_map(_fail_on_odd, range(6), None, n_jobs=2)
+
+
+# -- hostile tasks: dead workers, replies that cannot cross the boundary --
+
+
+def _kill_self_on_four(context, item):
+    if item == 4:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return item
+
+
+def test_worker_killed_mid_chunk_is_a_prompt_error_and_the_next_call_works():
+    parallel_map(_square, range(6), {"scale": 1}, n_jobs=2)  # warm: time the failure, not spawn
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="worker process.*died"):
+        parallel_map(_kill_self_on_four, range(6), None, n_jobs=2)
+    elapsed = time.perf_counter() - start
+    # The executor watches its workers' sentinels (~10 ms measured); the
+    # hand-rolled pool it replaced polled liveness once a second.
+    assert elapsed < 1.0, f"dead worker took {elapsed:.2f}s to surface"
+    assert parallel_map(_square, range(6), {"scale": 2}, n_jobs=2) == [
+        2 * i * i for i in range(6)
+    ]
+
+
+class _RefusesToPickle(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception does not pickle")
+
+
+class _RefusesToUnpickle(Exception):
+    """Pickles fine, cannot be rebuilt: ``args`` no longer match ``__init__``."""
+
+    def __init__(self, left, right):
+        super().__init__(f"{left}-{right}")
+
+
+def _hostile_on_four(context, item):
+    if item != 4:
+        return item
+    if context == "result":
+        return lambda: None  # a result that cannot be pickled
+    if context == "dumps":
+        raise _RefusesToPickle("boom")
+    raise _RefusesToUnpickle("bo", "om")
+
+
+@pytest.mark.parametrize("kind", ["result", "dumps", "loads"])
+def test_unpicklable_reply_is_an_error_naming_the_item_not_a_hang(kind):
+    with pytest.raises(RuntimeError, match="item 4"):
+        parallel_map(_hostile_on_four, range(6), kind, n_jobs=2)
+    assert parallel_map(_square, [1, 2, 3], {"scale": 1}, n_jobs=2) == [1, 4, 9]
 
 
 def test_backtest_repeated_parallel_calls_stay_deterministic(fitted):
@@ -203,8 +265,6 @@ def test_backtest_results_identical_with_tracing_attached(fitted):
 
 
 def test_worker_spans_rerooted_into_parent_trace(fitted):
-    from repro.parallel import chunk_evenly
-
     forecaster, test_values = fitted
     result, trace = _traced_run(forecaster, test_values, n_jobs=2)
     assert trace["status"] == "ok"
@@ -222,9 +282,35 @@ def test_worker_spans_rerooted_into_parent_trace(fitted):
     # Deterministic ids keyed by (chunk, position-in-chunk): windows are
     # batched one contiguous chunk per worker, and each chunk's predict
     # spans count up from 1 — nothing depends on worker scheduling.
-    expected = {
-        f"w{chunk_index}.{n}"
-        for chunk_index, chunk in enumerate(chunk_evenly(result.points, 2))
-        for n in range(1, len(chunk) + 1)
+    # 9 windows on 2 workers = chunks of 5 and 4.
+    assert {s["span_id"] for s in worker_spans} == {
+        "w0.1", "w0.2", "w0.3", "w0.4", "w0.5", "w1.1", "w1.2", "w1.3", "w1.4",
     }
-    assert {s["span_id"] for s in worker_spans} == expected
+
+
+def _traced_objective(params):
+    from repro.obs import get_registry
+
+    with get_registry().span("objective"):
+        return _objective(params)
+
+
+def test_grid_search_worker_span_ids_are_chunk_scoped():
+    """8 grid points on 2 workers: span ids ``w<chunk>.<n>``, 4 per chunk."""
+    from repro.obs import MetricsRegistry, TraceCollector, using_registry
+
+    registry = MetricsRegistry()
+    collector = TraceCollector()
+    registry.set_tracer(collector)
+    collector.begin(0)
+    with using_registry(registry), registry.span("tune"):
+        grid_search(_traced_objective, {"a": [0.0, 1.0, 2.0, 3.0], "b": [0.5, 0.0]}, n_jobs=2)
+    spans = {s["span_id"]: s for s in collector.end()["spans"]}
+    tune = next(s for s in spans.values() if s["name"] == "tune")
+    workers = {sid: s for sid, s in spans.items() if sid.startswith("w")}
+    assert set(workers) == {
+        "w0.1", "w0.2", "w0.3", "w0.4", "w1.1", "w1.2", "w1.3", "w1.4",
+    }
+    for span in workers.values():
+        assert span["name"] == "tune/objective"
+        assert span["parent_id"] == tune["span_id"]

@@ -1,132 +1,27 @@
-"""Lifecycle of the shared-memory payload path (:mod:`repro.parallel`).
+"""What is left of the shared-memory suite now that the store is gone.
 
-Large arrays in a pool payload travel as :class:`SharedArrayRef`
-metadata while the bytes live once in ``multiprocessing.shared_memory``
-segments.  These tests pin the contract: content-addressed dedup,
-ref-counted unlink, read-only attached views, a loud error (not a hang)
-when a segment is missing, and — the part that bites in production —
-no segments left behind in ``/dev/shm`` after pools shut down.
+:mod:`repro.parallel` used to publish payload arrays into
+``multiprocessing.shared_memory`` segments; it now pickles them to a
+stdlib ``ProcessPoolExecutor``.  Two things the old suite pinned still
+hold and stay here under their old test ids: the chunk layout (now a
+private helper of ``parallel_map``) and "nothing of ours is left in
+``/dev/shm``, and no worker is left alive, once the pool is shut down".
 """
 
 from __future__ import annotations
 
 import glob
-import os
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from repro.evaluation.backtest import backtest
 from repro.forecast import DeepARForecaster, TrainingConfig
-from repro.parallel import (
-    SHARED_MIN_BYTES,
-    SharedArrayRef,
-    SharedArrayStore,
-    SharedSegmentMissingError,
-    chunk_evenly,
-    close_attachments,
-    dumps_shared,
-    get_array_store,
-    loads_shared,
-    shutdown_shared_pool,
-)
+from repro.parallel import _chunk_evenly as chunk_evenly
+from repro.parallel import shutdown_shared_pool
 
-
-def _own_segments() -> list[str]:
-    """This process's repro-prefixed segments currently in /dev/shm."""
-    return sorted(glob.glob(f"/dev/shm/repro{os.getpid()}_*"))
-
-
-# -- SharedArrayStore ------------------------------------------------------
-
-
-def test_store_publishes_and_unlinks_refcounted():
-    store = SharedArrayStore()
-    array = np.arange(1024, dtype=np.float64)
-    ref = store.publish(array)
-    again = store.publish(array.copy())  # same content -> same segment
-    assert again.name == ref.name and again.digest == ref.digest
-    assert len(store) == 1
-
-    store.release(ref.digest)
-    assert len(store) == 1  # second ref still holds it
-    store.release(ref.digest)
-    assert len(store) == 0
-    assert not any(ref.name in path for path in _own_segments())
-
-
-def test_store_distinct_content_gets_distinct_segments():
-    store = SharedArrayStore()
-    ref_a = store.publish(np.zeros(512))
-    ref_b = store.publish(np.ones(512))
-    assert ref_a.name != ref_b.name
-    assert len(store) == 2
-    store.unlink_all()
-    assert len(store) == 0
-
-
-def test_unlink_all_is_idempotent():
-    store = SharedArrayStore()
-    store.publish(np.zeros(512))
-    store.unlink_all()
-    store.unlink_all()  # second sweep must not raise
-    assert len(store) == 0
-
-
-# -- dumps_shared / loads_shared ------------------------------------------
-
-
-def test_roundtrip_moves_large_arrays_out_of_band():
-    big = np.random.default_rng(0).normal(size=4096)
-    small = np.arange(3, dtype=np.float64)  # under SHARED_MIN_BYTES: inline
-    payload = {"big": big, "small": small, "scalar": 7}
-
-    data, refs = dumps_shared(payload)
-    try:
-        assert len(refs) == 1  # only the big array crossed the threshold
-        assert big.nbytes >= SHARED_MIN_BYTES > small.nbytes
-        assert len(data) < big.nbytes  # pickle shrank to metadata
-
-        restored = loads_shared(data)
-        assert np.array_equal(restored["big"], big)
-        assert np.array_equal(restored["small"], small)
-        assert restored["scalar"] == 7
-    finally:
-        close_attachments()
-        for ref in refs:
-            get_array_store().release(ref.digest)
-
-
-def test_attached_views_are_read_only():
-    big = np.zeros(4096)
-    data, refs = dumps_shared({"w": big})
-    try:
-        restored = loads_shared(data)
-        assert not restored["w"].flags.writeable
-        with pytest.raises(ValueError):
-            restored["w"][0] = 1.0
-    finally:
-        close_attachments()
-        for ref in refs:
-            get_array_store().release(ref.digest)
-
-
-def test_missing_segment_raises_loud_error_not_hang():
-    """A stale ref (segment already unlinked) must fail immediately."""
-    store = get_array_store()
-    data, refs = dumps_shared({"w": np.ones(4096)})
-    for ref in refs:
-        store.release(ref.digest)  # unlink before anyone attaches
-    with pytest.raises(SharedSegmentMissingError, match=refs[0].name):
-        loads_shared(data)
-
-
-def test_shared_ref_is_plain_metadata():
-    ref = SharedArrayRef(name="repro0_0", digest="d" * 64, dtype="<f8", shape=(4,))
-    assert ref.shape == (4,)  # frozen dataclass: hashable, picklable metadata
-
-
-# -- chunk_evenly ----------------------------------------------------------
+# -- chunk layout ------------------------------------------------------------
 
 
 def test_chunk_evenly_partitions_in_order():
@@ -151,7 +46,7 @@ def test_chunk_evenly_layout_depends_only_on_length_and_parts():
     assert [len(c) for c in a] == [len(c) for c in b]
 
 
-# -- end-to-end: no leaked segments ---------------------------------------
+# -- end-to-end: nothing left behind ----------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -166,38 +61,15 @@ def fitted():
 
 
 def test_backtest_leaves_no_shared_memory_behind(fitted):
-    """backtest(n_jobs=2) publishes its payload once, and pool shutdown
-    releases every segment — nothing left in /dev/shm."""
+    """After ``shutdown_shared_pool()`` the process has no live children
+    and ``/dev/shm`` holds no ``repro*`` entry."""
     forecaster, test_values = fitted
     result = backtest(
         forecaster, test_values, 36, 12, (0.1, 0.5, 0.9),
         series_start_index=550, n_jobs=2,
     )
     assert result.num_windows > 1
-    # While the pool is alive its payload segments are legitimately held.
+    assert multiprocessing.active_children()  # the pool really ran
     shutdown_shared_pool()
-    assert len(get_array_store()) == 0
-    assert _own_segments() == []
-
-
-def test_pool_payload_refcount_stable_across_repeat_calls(fitted):
-    """Same payload every call -> the duplicate refs are released, the
-    store holds each distinct array exactly once, and a changed payload
-    swaps cleanly."""
-    forecaster, test_values = fitted
-    store = get_array_store()
-
-    def run():
-        return backtest(
-            forecaster, test_values, 36, 12, (0.1, 0.5, 0.9),
-            series_start_index=550, n_jobs=2,
-        )
-
-    run()
-    held = len(store)
-    assert held > 0  # the model weights crossed the threshold
-    run()
-    run()
-    assert len(store) == held  # no per-call growth
-    shutdown_shared_pool()
-    assert len(store) == 0
+    assert multiprocessing.active_children() == []
+    assert glob.glob("/dev/shm/repro*") == []

@@ -35,7 +35,7 @@ def runtime_and_series(series):
         context_length=SEASON,
         horizon=SEASON,
         threshold=THETA,
-        start_index=len(train),
+        start_tick=len(train),
     )
     return runtime, test
 
