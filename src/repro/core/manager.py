@@ -12,7 +12,7 @@ import numpy as np
 
 from ..forecast.base import QuantileForecast
 from .optimizer import solve_closed_form, solve_with_ramp_limits
-from .plan import ScalingPlan
+from .plan import ScalingPlan, required_nodes
 from .policies import FixedQuantilePolicy, QuantilePolicy
 from .uncertainty import quantile_uncertainty
 
@@ -65,9 +65,10 @@ class RobustAutoScalingManager:
             Currently running nodes; only used when ramp limits are set,
             to anchor the first step's transition.
         """
-        levels = self.policy.select_levels(forecast)
-        bound = self.policy.bound_workload(forecast)
-        if np.any(bound < 0):
+        uncertainty = quantile_uncertainty(forecast)
+        levels = self.policy.levels_for(uncertainty)
+        bound = self.policy.bound_workload(forecast, levels)
+        if (bound < 0).any():
             # Quantile forecasts can dip below zero on normalised models;
             # workload is physically non-negative.
             bound = np.maximum(bound, 0.0)
@@ -81,8 +82,8 @@ class RobustAutoScalingManager:
                 initial_nodes=current_nodes,
                 strategy=self.policy.name,
             )
-            unclipped = solve_closed_form(bound, self.threshold)
-            ramp_clipped_steps = int(np.count_nonzero(plan.nodes != unclipped.nodes))
+            unclipped = required_nodes(bound, self.threshold)
+            ramp_clipped_steps = int(np.count_nonzero(plan.nodes != unclipped))
         else:
             plan = solve_closed_form(bound, self.threshold, strategy=self.policy.name)
         plan.quantile_levels = levels
@@ -90,7 +91,7 @@ class RobustAutoScalingManager:
         # (and the model-health monitor to score) this plan.  Arrays are
         # stored by reference — no copies on the planning path.
         plan.metadata["bound_workload"] = bound
-        plan.metadata["uncertainty"] = quantile_uncertainty(forecast)
+        plan.metadata["uncertainty"] = uncertainty
         plan.metadata["forecast_levels"] = forecast.levels
         plan.metadata["forecast_values"] = forecast.values
         plan.metadata["ramp_clipped_steps"] = ramp_clipped_steps

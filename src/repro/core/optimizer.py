@@ -108,14 +108,15 @@ def solve_with_ramp_limits(
     for side, limit in (("max_scale_out", max_scale_out), ("max_scale_in", max_scale_in)):
         if limit is not None and limit < 1:
             raise ValueError(f"{side} must be >= 1 node per step (or None)")
-    demand = required_nodes(workload, threshold).astype(np.int64)
-    horizon = len(demand)
-    nodes = demand.copy()
+    nodes = required_nodes(workload, threshold)
+    steps = np.arange(len(nodes))
 
-    # Backward: ensure step t can ramp up to meet step t+1's floor.
+    # Each pass is ``n_t = max(n_t, n_{t-1} - k)`` in closed form,
+    # ``max_{s <= t}(n_s + k s) - k t``: exact on integers.
+    # Backward (time reversed): step t can ramp up to step t+1's floor.
     if max_scale_out is not None:
-        for t in range(horizon - 2, -1, -1):
-            nodes[t] = max(nodes[t], nodes[t + 1] - max_scale_out)
+        ramp = max_scale_out * steps
+        nodes = (np.maximum.accumulate(nodes[::-1] + ramp) - ramp)[::-1]
     # Forward: honour the scale-in limit (can't shed more than allowed).
     if initial_nodes is not None:
         if max_scale_out is not None and nodes[0] > initial_nodes + max_scale_out:
@@ -126,8 +127,8 @@ def solve_with_ramp_limits(
         if max_scale_in is not None:
             nodes[0] = max(nodes[0], initial_nodes - max_scale_in)
     if max_scale_in is not None:
-        for t in range(1, horizon):
-            nodes[t] = max(nodes[t], nodes[t - 1] - max_scale_in)
+        ramp = max_scale_in * steps
+        nodes = np.maximum.accumulate(nodes + ramp) - ramp
 
     plan = ScalingPlan(nodes=nodes, threshold=threshold, strategy=strategy)
     plan.metadata["max_scale_out"] = max_scale_out

@@ -38,9 +38,9 @@ def required_nodes(workload: np.ndarray, threshold: float | np.ndarray) -> np.nd
     """
     workload = np.asarray(workload, dtype=np.float64)
     threshold = np.asarray(threshold, dtype=np.float64)
-    if np.any(threshold <= 0):
+    if (threshold <= 0).any():
         raise ValueError("thresholds must be strictly positive")
-    if np.any(workload < 0):
+    if (workload < 0).any():
         raise ValueError("workloads must be non-negative")
     counts = np.ceil(workload / threshold - 1e-12).astype(np.int64)
     return np.maximum(counts, 1)
@@ -73,7 +73,7 @@ class ScalingPlan:
         self.nodes = np.asarray(self.nodes, dtype=np.int64)
         if self.nodes.ndim != 1:
             raise ValueError("nodes must be 1-D")
-        if np.any(self.nodes < 1):
+        if (self.nodes < 1).any():
             raise ValueError("every step must allocate at least one node")
 
     @property

@@ -34,13 +34,27 @@ class QuantilePolicy(ABC):
     """Maps a quantile forecast to a per-step quantile level tau_t."""
 
     @abstractmethod
+    def levels_for(self, uncertainty: np.ndarray) -> np.ndarray:
+        """tau_t from the per-step uncertainty U_t (Eq. 8), shape (H,)."""
+
     def select_levels(self, forecast: QuantileForecast) -> np.ndarray:
         """Return the quantile level to use at each step, shape (H,)."""
+        return self.levels_for(quantile_uncertainty(forecast))
 
-    def bound_workload(self, forecast: QuantileForecast) -> np.ndarray:
-        """The per-step workload upper bound w-hat_t^{tau_t} (Eq. 7 LHS)."""
-        levels = self.select_levels(forecast)
-        return np.array([forecast.at(tau)[t] for t, tau in enumerate(levels)])
+    def bound_workload(
+        self, forecast: QuantileForecast, levels: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The per-step workload upper bound w-hat_t^{tau_t} (Eq. 7 LHS).
+
+        ``levels`` is ``select_levels(forecast)`` when the caller holds it.
+        """
+        if levels is None:
+            levels = self.select_levels(forecast)
+        bound = np.empty(forecast.horizon)
+        for tau in np.unique(levels):  # one series lookup per distinct level
+            chosen = levels == tau
+            bound[chosen] = forecast.at(tau)[chosen]
+        return bound
 
     @property
     def name(self) -> str:
@@ -55,10 +69,12 @@ class FixedQuantilePolicy(QuantilePolicy):
             raise ValueError(f"tau must be in (0, 1), got {tau}")
         self.tau = tau
 
-    def select_levels(self, forecast: QuantileForecast) -> np.ndarray:
-        return np.full(forecast.horizon, self.tau)
+    def levels_for(self, uncertainty: np.ndarray) -> np.ndarray:
+        return np.full(len(uncertainty), self.tau)
 
-    def bound_workload(self, forecast: QuantileForecast) -> np.ndarray:
+    def bound_workload(
+        self, forecast: QuantileForecast, levels: np.ndarray | None = None
+    ) -> np.ndarray:
         return forecast.at(self.tau)
 
     @property
@@ -96,8 +112,7 @@ class UncertaintyAwarePolicy(QuantilePolicy):
         self.tau_conservative = tau_conservative
         self.uncertainty_threshold = uncertainty_threshold
 
-    def select_levels(self, forecast: QuantileForecast) -> np.ndarray:
-        uncertainty = quantile_uncertainty(forecast)
+    def levels_for(self, uncertainty: np.ndarray) -> np.ndarray:
         return np.where(
             uncertainty >= self.uncertainty_threshold,
             self.tau_conservative,
@@ -134,8 +149,7 @@ class StaircasePolicy(QuantilePolicy):
             raise ValueError("first rung cutoff must be 0 (the base level)")
         self.rungs = list(rungs)
 
-    def select_levels(self, forecast: QuantileForecast) -> np.ndarray:
-        uncertainty = quantile_uncertainty(forecast)
+    def levels_for(self, uncertainty: np.ndarray) -> np.ndarray:
         cutoffs = np.array([cutoff for cutoff, _ in self.rungs])
         taus = np.array([tau for _, tau in self.rungs])
         positions = np.searchsorted(cutoffs, uncertainty, side="right") - 1

@@ -277,9 +277,9 @@ class DeepARForecaster(NeuralForecaster):
         # Tile the (batch 1) warm-up state across all trajectories.
         state = [(np.repeat(h, n, axis=0), np.repeat(c, n, axis=0)) for h, c in state]
 
-        # The horizon loop runs hot: prepare the gate-permuted weights
-        # once (bitwise-neutral, see fastpath.prepare_lstm_params) and
-        # keep weights/head arrays in locals.
+        # The horizon loop runs hot: prepare the weights once (permuted
+        # and pre-halved as lstm_cell_permuted requires, see
+        # fastpath.prepare_lstm_params) and keep them and the heads in locals.
         prepared = fastpath.prepare_lstm_params(net.lstm._layer_params(), hs, dtype=cast)
         cell = fastpath.lstm_cell_permuted
         w_mu, b_mu = net.mu_head.weight.data, net.mu_head.bias.data

@@ -47,6 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fastpath
+from .fastpath import gate_permutation
 
 __all__ = [
     "accumulate_grad",
@@ -87,20 +88,6 @@ def accumulate_grad(param, grad: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # Gate layout
 # ---------------------------------------------------------------------------
-def gate_permutation(hidden_size: int) -> np.ndarray:
-    """Column permutation mapping [i, f, g, o] to [i, f, o, g].
-
-    This is the layout :func:`fastpath.prepare_lstm_params` uses so the
-    three sigmoid gates are adjacent.  The permutation swaps the g and o
-    blocks and is therefore its own inverse — applying it to a permuted
-    gradient returns it to the standard layout.
-    """
-    hs = hidden_size
-    return np.concatenate(
-        [np.arange(0, 2 * hs), np.arange(3 * hs, 4 * hs), np.arange(2 * hs, 3 * hs)]
-    )
-
-
 def permute_gate_columns(array: np.ndarray, hidden_size: int) -> np.ndarray:
     """Apply the (involutive) gate permutation along the last axis."""
     return np.ascontiguousarray(array[..., gate_permutation(hidden_size)])

@@ -45,6 +45,7 @@ __all__ = [
     "prepare_attention_params",
     "AttentionCache",
     "interpretable_attention",
+    "gate_permutation",
     "prepare_lstm_params",
     "lstm_cell_permuted",
     "LSTMLayerCache",
@@ -57,25 +58,19 @@ __all__ = [
 # Elementwise kernels — bitwise-identical to the Tensor implementations.
 # ---------------------------------------------------------------------------
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic; bitwise-identical to ``Tensor.sigmoid``.
+    """Logistic as ``0.5 * tanh(0.5 x) + 0.5``: the one definition in ``src/``.
 
-    The Tensor path evaluates both ``np.where`` branches in full (three
-    clips, three exps, and an expensive element select).  Here a single
-    ``t = exp(-|clip(x)|)`` feeds both branches: for ``x >= 0`` it
-    equals ``exp(-clip(x))`` so the positive branch is ``1 / (1 + t)``,
-    and for ``x < 0`` it equals ``exp(clip(x))`` so the negative branch
-    is ``t / (1 + t)``.  The branch select collapses into a single
-    ``maximum``: ``u = max(t, [x >= 0])`` is 1 on the positive branch
-    (``t <= 1`` always) and ``t`` on the negative branch (``t >= 0``
-    always), so ``u / (1 + t)`` reproduces ``np.where``'s result exactly
-    with one exp, one divide, and no select pass.
+    ``Tensor.sigmoid`` and the ``softplus`` backwards call this function,
+    and the LSTM cell evaluates the same three operations on pre-halved
+    weights, so tape and kernels agree bit for bit.  ``tanh`` saturates
+    instead of overflowing: absolute error is within 1 ulp of 1.0
+    everywhere and the result is exactly 0 / 1 beyond ``|x|`` ~ 37, so
+    *relative* accuracy in the lower tail is given up (docs/nn.md).
     """
-    t = np.exp(-np.abs(np.clip(x, -500, 500)))
-    # The branch mask is built in t's dtype: for float64 the values are
-    # identical to the old `(x >= 0) * 1.0`, and float32 inputs stay
-    # float32 instead of being promoted by the python-float multiply.
-    u = np.maximum(t, (x >= 0).astype(t.dtype))
-    return u / (1.0 + t)
+    out = np.tanh(x * 0.5)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def tanh(x: np.ndarray) -> np.ndarray:
@@ -312,19 +307,32 @@ def interpretable_attention(
     return out, mean_weights, cache
 
 
+def gate_permutation(hidden_size: int) -> np.ndarray:
+    """Column permutation mapping [i, f, g, o] to [i, f, o, g].
+
+    It swaps the g and o blocks and is therefore its own inverse —
+    applying it to a permuted gradient returns the standard layout.
+    """
+    hs = hidden_size
+    return np.concatenate(
+        [np.arange(0, 2 * hs), np.arange(3 * hs, 4 * hs), np.arange(2 * hs, 3 * hs)]
+    )
+
+
 def prepare_lstm_params(
     layer_params: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     hidden_size: int,
     dtype: np.dtype | type | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Reorder fused gate weights from [i, f, g, o] to [i, f, o, g].
+    """Cell-ready gate weights: [i, f, g, o] -> [i, f, o, g], sigmoid blocks halved.
 
-    With the three sigmoid gates adjacent, a cell step needs a single
-    sigmoid call over ``3 * hidden`` columns instead of two (the call
-    overhead is a large fraction of the cost at these sizes).  Each gemm
-    output column is an independent dot product, so permuting weight
-    *columns* permutes output columns without changing any value —
-    results stay bitwise-identical to the standard layout.
+    With the sigmoid gates adjacent and their columns scaled by 0.5, a
+    cell step needs one ``tanh`` over the whole ``4 * hidden`` block
+    (:func:`sigmoid` is ``0.5 * tanh(0.5 x) + 0.5``).  Both steps are
+    exact: each gemm output column is an independent dot product, so
+    permuting weight *columns* only permutes output columns, and 0.5 is
+    a power of two, so ``x @ (0.5 W) == 0.5 * (x @ W)`` bit for bit —
+    results stay bitwise-identical to the tape on the standard layout.
 
     ``dtype`` optionally casts the prepared weights (float32 inference
     mode); ``None`` keeps the parameters' own dtype — the bitwise-exact
@@ -334,18 +342,13 @@ def prepare_lstm_params(
     place, so a cache keyed on array identity would go stale.
     """
     hs = hidden_size
+    perm = gate_permutation(hs)
     prepared = []
-    for w_ih, w_hh, bias in layer_params:
-        perm = np.concatenate(
-            [np.arange(0, 2 * hs), np.arange(3 * hs, 4 * hs), np.arange(2 * hs, 3 * hs)]
-        )
-        prepared.append(
-            (
-                np.ascontiguousarray(w_ih[:, perm], dtype=dtype),
-                np.ascontiguousarray(w_hh[:, perm], dtype=dtype),
-                np.ascontiguousarray(bias[perm], dtype=dtype),
-            )
-        )
+    for params in layer_params:
+        cell_ready = tuple(np.ascontiguousarray(p[..., perm], dtype=dtype) for p in params)
+        for array in cell_ready:
+            array[..., : 3 * hs] *= 0.5
+        prepared.append(cell_ready)
     return prepared
 
 
@@ -358,21 +361,29 @@ def lstm_cell_permuted(
     bias: np.ndarray,
     hidden_size: int,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """One LSTM step with [i, f, o, g] gate layout (see :func:`prepare_lstm_params`).
+    """One LSTM step on :func:`prepare_lstm_params` weights ([i, f, o, g], i/f/o halved).
 
     Gates are associated as ``(x @ w_ih + h @ w_hh) + bias`` like the
-    tape's ``LSTMCell.forward``; one sigmoid covers the three adjacent
-    sigmoid gates and one tanh the cell gate — all elementwise, so every
-    output element is bitwise equal to the tape on the standard layout.
-    Returns ``(h_new, c_new, (ifo, g, tanh_c))``; the activations are
-    what :func:`repro.nn.fastgrad.lstm_backward` differentiates through.
+    tape's ``LSTMCell.forward``.  On halved weights the i/f/o columns are
+    ``0.5 *`` their pre-activation, so one in-place ``tanh`` over the
+    block, then ``* 0.5 + 0.5`` on those columns, is :func:`sigmoid` on
+    the sigmoid gates and ``tanh`` on the cell gate — bitwise equal to
+    the tape on the standard layout.  Returns ``(h_new, c_new, (ifo, g,
+    tanh_c))``: the post-activation gates (views of one buffer) that
+    :func:`repro.nn.fastgrad.lstm_backward` differentiates through.
     """
-    gates = x @ w_ih + h_prev @ w_hh + bias
     hs = hidden_size
-    ifo = sigmoid(gates[:, : 3 * hs])
-    g_gate = tanh(gates[:, 3 * hs :])
-    c_new = ifo[:, hs : 2 * hs] * c_prev + ifo[:, :hs] * g_gate
-    tanh_c = tanh(c_new)
+    act = x @ w_ih
+    act += h_prev @ w_hh
+    act += bias
+    np.tanh(act, out=act)
+    ifo = act[:, : 3 * hs]
+    ifo *= 0.5
+    ifo += 0.5
+    g_gate = act[:, 3 * hs :]
+    c_new = ifo[:, hs : 2 * hs] * c_prev
+    c_new += ifo[:, :hs] * g_gate
+    tanh_c = np.tanh(c_new)
     h_new = ifo[:, 2 * hs :] * tanh_c
     return h_new, c_new, (ifo, g_gate, tanh_c)
 
@@ -392,7 +403,7 @@ class LSTMLayerCache:
     gates: np.ndarray  # (B, T, 4H) — [i, f, o, g] post-activation
     c_prev: np.ndarray  # (B, T, H) — cell state entering each step
     tanh_c: np.ndarray  # (B, T, H) — tanh of the new cell state
-    w_ih: np.ndarray  # permuted weights used in the forward
+    w_ih: np.ndarray  # permuted weights, *un*-halved: d(pre-activation)/d(input)
     w_hh: np.ndarray
 
 
@@ -463,6 +474,11 @@ def lstm_forward(
             outputs[:, t, :] = h
         state[layer] = (h, c)
         if cache is not None:
+            # The backward's deltas are w.r.t. the full pre-activations:
+            # undo the halving of the i/f/o columns (exact, a power of two).
+            w_ih, w_hh = w_ih.copy(), w_hh.copy()
+            w_ih[:, : 3 * hs] *= 2.0
+            w_hh[:, : 3 * hs] *= 2.0
             cache.append(
                 LSTMLayerCache(
                     inputs=layer_input, h_prev=h_prev, gates=gates, c_prev=c_prev,
@@ -480,23 +496,12 @@ def lstm_step(
     state: list[tuple[np.ndarray, np.ndarray]],
     dtype: np.dtype | type | None = None,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Advance a multi-layer LSTM one timestep on raw arrays.
+    """Advance a multi-layer LSTM one timestep: :func:`lstm_forward` at length one.
 
     ``x`` has shape (batch, features); returns the top layer's hidden
-    state and the updated per-layer state.  ``layer_params`` is in the
-    standard gate layout; ``dtype`` behaves as in :func:`lstm_forward`.
-    Callers looping over many steps should instead run
+    state and the updated per-layer state.  Hot loops instead run
     :func:`prepare_lstm_params` once and call :func:`lstm_cell_permuted`
-    per layer (as DeepAR's ancestral sampling does) to amortise the
-    permutation.
+    per layer (as DeepAR's ancestral sampling does).
     """
-    work = np.float64 if dtype is None else np.dtype(dtype)
-    state = [(h.astype(work, copy=False), c.astype(work, copy=False)) for h, c in state]
-    inp = x.astype(work, copy=False)
-    prepared = prepare_lstm_params(layer_params, hidden_size, dtype=dtype)
-    for layer, (w_ih, w_hh, bias) in enumerate(prepared):
-        h, c = state[layer]
-        h, c = lstm_cell_permuted(inp, h, c, w_ih, w_hh, bias, hidden_size)[:2]
-        state[layer] = (h, c)
-        inp = h
-    return inp, state
+    outputs, state = lstm_forward(x[:, None, :], layer_params, hidden_size, state, dtype=dtype)
+    return outputs[:, 0], state

@@ -20,7 +20,8 @@ __all__ = ["LSTMCell", "LSTM"]
 class LSTMCell(Module):
     """Single LSTM step with fused gate weights.
 
-    Gate layout along the output axis is ``[input, forget, cell, output]``.
+    Gate layout along the output axis is ``[input, forget, cell, output]``
+    (the raw kernels run on :func:`fastpath.prepare_lstm_params` copies).
     The forget-gate bias is initialised to 1, the standard trick to keep
     long-range gradients alive early in training.
     """

@@ -18,6 +18,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import fastpath
+
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
 _GRAD_ENABLED = True
@@ -337,12 +339,7 @@ class Tensor:
         return self._make(out_data, (self,), backward, "tanh")
 
     def sigmoid(self) -> "Tensor":
-        # Numerically stable logistic.
-        out_data = np.where(
-            self.data >= 0,
-            1.0 / (1.0 + np.exp(-np.clip(self.data, -500, 500))),
-            np.exp(np.clip(self.data, -500, 500)) / (1.0 + np.exp(np.clip(self.data, -500, 500))),
-        )
+        out_data = fastpath.sigmoid(self.data)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -365,13 +362,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                sig = np.where(
-                    self.data >= 0,
-                    1.0 / (1.0 + np.exp(-np.clip(self.data, -500, 500))),
-                    np.exp(np.clip(self.data, -500, 500))
-                    / (1.0 + np.exp(np.clip(self.data, -500, 500))),
-                )
-                self._accumulate(grad * sig)
+                self._accumulate(grad * fastpath.sigmoid(self.data))
 
         return self._make(out_data, (self,), backward, "softplus")
 

@@ -5,15 +5,22 @@ Production code has one raw-array forward per layer
 analytic backwards of :mod:`repro.nn.fastgrad`.  The autograd tape is
 the oracle for both: calling a module with gradients enabled runs its
 tape ``forward``, and the helpers here run whole algorithms that way.
+
+Tape and kernels share one logistic (``fastpath.sigmoid``) and the cell
+runs on pre-halved weights, so their parity cannot catch a mistake in
+that trick.  :func:`reference_lstm_cell` is the oracle independent of
+it - textbook ``[i, f, g, o]`` layout, ``scipy.special.expit`` gates -
+and :func:`reference_kernels` runs whole forecasters on it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from repro.forecast.deepar import _MIN_DF, _MIN_SCALE
 from repro.forecast.features import NUM_CALENDAR_FEATURES, calendar_window
-from repro.nn import Tensor, is_grad_enabled
+from repro.nn import Tensor, fastpath, is_grad_enabled
 
 
 def sample_paths_tape(forecaster, normalised: np.ndarray, start_index: int) -> np.ndarray:
@@ -101,3 +108,34 @@ def tape_fit(forecaster, series, **fit_kwargs):
         return forecaster.fit(series, **fit_kwargs)
     finally:
         del forecaster._fastgrad_loss_backward
+
+
+def reference_lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias, hidden_size):
+    """Textbook LSTM step on *unprepared* ``[i, f, g, o]`` parameters.
+
+    Takes and returns what ``fastpath.lstm_cell_permuted`` does (without
+    the activations), but shares nothing with it: no permutation, no
+    halving, ``expit`` for the logistic.
+    """
+    hs = hidden_size
+    gates = x @ w_ih + h_prev @ w_hh + bias
+    i_gate = expit(gates[:, :hs])
+    f_gate = expit(gates[:, hs : 2 * hs])
+    g_gate = np.tanh(gates[:, 2 * hs : 3 * hs])
+    o_gate = expit(gates[:, 3 * hs :])
+    c_new = f_gate * c_prev + i_gate * g_gate
+    return o_gate * np.tanh(c_new), c_new, None
+
+
+def reference_kernels(monkeypatch) -> None:
+    """Swap the logistic and the LSTM step of ``fastpath`` for the references.
+
+    Inference then runs the production orchestration (scans, sampling
+    loop, TFT composition) on float64 ``expit`` gates and unprepared
+    weights; compare against an unpatched run to ``rtol=1e-12``.
+    """
+    monkeypatch.setattr(fastpath, "sigmoid", expit)
+    monkeypatch.setattr(
+        fastpath, "prepare_lstm_params", lambda layer_params, hidden_size, dtype=None: layer_params
+    )
+    monkeypatch.setattr(fastpath, "lstm_cell_permuted", reference_lstm_cell)
