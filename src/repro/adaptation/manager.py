@@ -62,7 +62,9 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["AdaptationError", "AdaptationManager"]
 
 #: Kept in sync with the state_dict layout; bump on breaking changes.
-_STATE_VERSION = 2
+#: The layout includes every class a pickled forecaster reaches: version 3
+#: is ``repro.nn.module.Parameter`` as a plain ``(data, grad)`` holder.
+_STATE_VERSION = 3
 
 
 class AdaptationError(RuntimeError):

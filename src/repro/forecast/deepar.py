@@ -21,8 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..distributions import Empirical
-from ..nn import LSTM, Linear, Module, Tensor, fastgrad, fastpath
-from ..nn import functional as F
+from ..nn import LSTM, Linear, Module, fastgrad, fastpath
 from .base import QuantileForecast
 from .features import NUM_CALENDAR_FEATURES, calendar_features, calendar_window
 from .neural import NeuralForecaster, TrainingConfig
@@ -31,8 +30,6 @@ __all__ = ["DeepARForecaster"]
 
 _MIN_DF = 2.0  # keep the Student-t variance finite
 _MIN_SCALE = 1e-4
-
-_accumulate = fastgrad.accumulate_grad
 
 
 class _DeepARNetwork(Module):
@@ -45,21 +42,56 @@ class _DeepARNetwork(Module):
         self.scale_head = Linear(hidden_size, 1, rng)
         self.df_head = Linear(hidden_size, 1, rng)
 
-    def forward(
-        self, inputs: Tensor, state: list[tuple[Tensor, Tensor]] | None = None
-    ) -> tuple[Tensor, Tensor, Tensor, list[tuple[Tensor, Tensor]]]:
-        hidden, state = self.lstm(inputs, state)
-        mu = self.mu_head(hidden)[..., 0]
-        scale = self.scale_head(hidden)[..., 0].softplus() + _MIN_SCALE
-        df = self.df_head(hidden)[..., 0].softplus() + _MIN_DF
-        return mu, scale, df, state
+    def fast_forward(
+        self, inputs: np.ndarray, cache: dict | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Teacher-forced pass: inputs (B, T, 1+F) -> ``(mu, scale, df)``, each (B*T,).
 
-    def _heads(self, hidden: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distribution parameters from a raw hidden state (..., H)."""
-        mu = self.mu_head.fast_forward(hidden)[..., 0]
-        scale = fastpath.softplus(self.scale_head.fast_forward(hidden)[..., 0]) + _MIN_SCALE
-        df = fastpath.softplus(self.df_head.fast_forward(hidden)[..., 0]) + _MIN_DF
-        return mu, scale, df
+        One batched scan, then dense heads on the flattened hidden
+        sequence.  A ``cache`` dict receives what :meth:`backward`
+        differentiates through.
+        """
+        caches = None if cache is None else []
+        hidden, _ = self.lstm.fast_forward(inputs, cache=caches)
+        flat = hidden.reshape(-1, self.lstm.hidden_size)
+        mu = self.mu_head.fast_forward(flat)[:, 0]
+        scale_pre = self.scale_head.fast_forward(flat)[:, 0]
+        df_pre = self.df_head.fast_forward(flat)[:, 0]
+        if cache is not None:
+            cache.update(
+                lstm=caches, hidden_shape=hidden.shape, flat=flat,
+                scale_pre=scale_pre, df_pre=df_pre,
+            )
+        return (
+            mu,
+            fastpath.softplus(scale_pre) + _MIN_SCALE,
+            fastpath.softplus(df_pre) + _MIN_DF,
+        )
+
+    def backward(
+        self,
+        cache: dict,
+        dmu: np.ndarray,
+        dscale: np.ndarray,
+        ddf: np.ndarray | None = None,
+    ) -> None:
+        """Closed-form backward of a cached :meth:`fast_forward`.
+
+        Heads first, then fused BPTT (:func:`repro.nn.fastgrad.lstm_backward`).
+        A likelihood that ignores ``df`` passes no ``ddf`` and leaves the
+        df head without a gradient.
+        """
+        flat = cache["flat"]
+        dscale_pre = fastgrad.softplus_backward(cache["scale_pre"], dscale)
+        dhidden = self.mu_head.backward(flat, dmu[:, None])
+        dhidden += self.scale_head.backward(flat, dscale_pre[:, None])
+        if ddf is not None:
+            ddf_pre = fastgrad.softplus_backward(cache["df_pre"], ddf)
+            dhidden += self.df_head.backward(flat, ddf_pre[:, None])
+        grads, _, _ = fastgrad.lstm_backward(
+            dhidden.reshape(cache["hidden_shape"]), cache["lstm"], self.lstm.hidden_size
+        )
+        self.lstm.accumulate_grads(grads)
 
 
 class DeepARForecaster(NeuralForecaster):
@@ -103,90 +135,23 @@ class DeepARForecaster(NeuralForecaster):
         features = calendar_features(indices)
         return np.concatenate([lagged[..., None], features], axis=-1)
 
-    def _loss(
-        self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
-    ) -> Tensor:
+    def _forward_loss(
+        self,
+        context: np.ndarray,
+        horizon: np.ndarray,
+        start_indices: np.ndarray,
+        cache: dict | None = None,
+    ) -> tuple:
+        """Teacher-forced per-step NLL over context + horizon."""
         assert self.network is not None
         full = np.concatenate([context, horizon], axis=1)  # (B, T+H)
         lagged = full[:, :-1]
-        targets = full[:, 1:]
-        batch, steps = lagged.shape
-        indices = start_indices[:, None] + 1 + np.arange(steps)[None, :]
-        mu, scale, df, _ = self.network(Tensor(self._inputs(lagged, indices)))
+        targets = full[:, 1:].reshape(-1)
+        indices = start_indices[:, None] + 1 + np.arange(lagged.shape[1])[None, :]
+        mu, scale, df = self.network.fast_forward(self._inputs(lagged, indices), cache)
         if self.likelihood == "student_t":
-            return F.student_t_nll(mu, scale, df, targets)
-        return F.gaussian_nll(mu, scale, targets)
-
-    def _fastgrad_loss_backward(
-        self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
-    ) -> float:
-        """Analytic teacher-forced loss + backward (no autograd tape).
-
-        One batched scan over ``(batch, seq)``: the LSTM forward with
-        its activations cached, dense heads on the flattened hidden
-        sequence, the closed-form NLL gradient, then fused BPTT
-        (:func:`repro.nn.fastgrad.lstm_backward`).  Gradients are
-        accumulated straight into ``param.grad`` so the surrounding
-        clip/Adam/early-stopping loop is unchanged.
-        """
-        assert self.network is not None
-        net = self.network
-        full = np.concatenate([context, horizon], axis=1)  # (B, T+H)
-        lagged = full[:, :-1]
-        targets = full[:, 1:]
-        batch, steps = lagged.shape
-        indices = start_indices[:, None] + 1 + np.arange(steps)[None, :]
-        inputs = self._inputs(lagged, indices)
-
-        hs = self.hidden_size
-        caches: list[fastpath.LSTMLayerCache] = []
-        hidden, _ = net.lstm.fast_forward(inputs, cache=caches)
-        flat = hidden.reshape(-1, hs)
-        mu = (flat @ net.mu_head.weight.data + net.mu_head.bias.data)[:, 0]
-        scale_pre = flat @ net.scale_head.weight.data + net.scale_head.bias.data
-        scale = fastpath.softplus(scale_pre[:, 0]) + _MIN_SCALE
-        target_flat = targets.reshape(-1)
-
-        if self.likelihood == "student_t":
-            df_pre = flat @ net.df_head.weight.data + net.df_head.bias.data
-            df = fastpath.softplus(df_pre[:, 0]) + _MIN_DF
-            loss, dmu, dscale, ddf = fastgrad.student_t_nll_grads(
-                mu, scale, df, target_flat
-            )
-            ddf_pre = fastgrad.softplus_backward(df_pre[:, 0], ddf)
-        else:
-            loss, dmu, dscale = fastgrad.gaussian_nll_grads(mu, scale, target_flat)
-            df_pre = None
-            ddf_pre = None
-        dscale_pre = fastgrad.softplus_backward(scale_pre[:, 0], dscale)
-
-        dhidden, dw_mu, db_mu = fastgrad.linear_backward(
-            flat, net.mu_head.weight.data, dmu[:, None]
-        )
-        _accumulate(net.mu_head.weight, dw_mu)
-        _accumulate(net.mu_head.bias, db_mu)
-        dh_scale, dw_scale, db_scale = fastgrad.linear_backward(
-            flat, net.scale_head.weight.data, dscale_pre[:, None]
-        )
-        dhidden += dh_scale
-        _accumulate(net.scale_head.weight, dw_scale)
-        _accumulate(net.scale_head.bias, db_scale)
-        if ddf_pre is not None:
-            dh_df, dw_df, db_df = fastgrad.linear_backward(
-                flat, net.df_head.weight.data, ddf_pre[:, None]
-            )
-            dhidden += dh_df
-            _accumulate(net.df_head.weight, dw_df)
-            _accumulate(net.df_head.bias, db_df)
-
-        lstm_grads, _, _ = fastgrad.lstm_backward(
-            dhidden.reshape(batch, steps, hs), caches, hs
-        )
-        for cell, (dw_ih, dw_hh, db) in zip(net.lstm._cells, lstm_grads):
-            _accumulate(cell.w_ih, dw_ih)
-            _accumulate(cell.w_hh, dw_hh)
-            _accumulate(cell.bias, db)
-        return loss
+            return fastgrad.student_t_nll_grads(mu, scale, df, targets)
+        return fastgrad.gaussian_nll_grads(mu, scale, targets)
 
     def predict(
         self,
@@ -227,10 +192,10 @@ class DeepARForecaster(NeuralForecaster):
         path conditions on the same observed context), and the resulting
         LSTM state is tiled across the ``num_samples`` trajectories.
         Each horizon step then advances all trajectories through the
-        tape-free kernels of :mod:`repro.nn.fastpath` in one fused call
+        raw-array kernels of :mod:`repro.nn.fastpath` in one fused call
         per layer; calendar features are read from the cached
         per-(start_index, horizon) matrix.  The parity suite runs the
-        same algorithm through the Tensor tape (``tests/nn/oracles.py``)
+        same algorithm through the autograd tape (``tests/nn/oracles.py``)
         and asserts identical samples for the same seed.
         """
         self._require_fitted()

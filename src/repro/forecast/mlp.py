@@ -13,51 +13,72 @@ from __future__ import annotations
 import numpy as np
 
 from ..distributions import Gaussian
-from ..nn import Linear, Module, Tensor, fastgrad, fastpath
-from ..nn import functional as F
+from ..nn import Linear, Module, fastgrad, fastpath
 from .base import QuantileForecast
 from .neural import NeuralForecaster, TrainingConfig
 
 __all__ = ["MLPForecaster"]
 
-_accumulate = fastgrad.accumulate_grad
+
+class MLPBody(Module):
+    """Two hidden ReLU layers over the context window.
+
+    The body shared by the parametric network below and the grid-head
+    twin in :mod:`repro.forecast.quantile_regression`; subclasses add
+    their heads.
+    """
+
+    def __init__(self, context_length: int, hidden_size: int, rng: np.random.Generator) -> None:
+        super().__init__()
+        self.fc1 = Linear(context_length, hidden_size, rng)
+        self.fc2 = Linear(hidden_size, hidden_size, rng)
+
+    def body_forward(self, context: np.ndarray, cache: dict | None = None) -> np.ndarray:
+        """fc1 -> relu -> fc2 -> relu; a ``cache`` dict receives the
+        activations :meth:`body_backward` differentiates through."""
+        h1_pre = self.fc1.fast_forward(context)
+        h1 = fastpath.relu(h1_pre)
+        h2_pre = self.fc2.fast_forward(h1)
+        h2 = fastpath.relu(h2_pre)
+        if cache is not None:
+            cache.update(x=context, h1_pre=h1_pre, h1=h1, h2_pre=h2_pre, h2=h2)
+        return h2
+
+    def body_backward(self, cache: dict, dh2: np.ndarray) -> None:
+        """Accumulate the fc1 / fc2 gradients given the loss gradient at ``h2``."""
+        dh2_pre = fastgrad.relu_backward(cache["h2_pre"], dh2)
+        dh1 = self.fc2.backward(cache["h1"], dh2_pre)
+        dh1_pre = fastgrad.relu_backward(cache["h1_pre"], dh1)
+        self.fc1.backward(cache["x"], dh1_pre, need_dx=False)
 
 
-class _MLPNetwork(Module):
+class _MLPNetwork(MLPBody):
     """Two hidden layers -> (mu, sigma) heads over the full horizon."""
 
     def __init__(
         self, context_length: int, horizon: int, hidden_size: int, rng: np.random.Generator
     ) -> None:
-        super().__init__()
-        self.fc1 = Linear(context_length, hidden_size, rng)
-        self.fc2 = Linear(hidden_size, hidden_size, rng)
+        super().__init__(context_length, hidden_size, rng)
         self.mu_head = Linear(hidden_size, horizon, rng)
         self.sigma_head = Linear(hidden_size, horizon, rng)
-
-    def forward(self, context: Tensor) -> tuple[Tensor, Tensor]:
-        hidden = self.fc2(self.fc1(context).relu()).relu()
-        mu = self.mu_head(hidden)
-        sigma = self.sigma_head(hidden).softplus() + 1e-4
-        return mu, sigma
 
     def fast_forward(
         self, context: np.ndarray, cache: dict | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The same composition on raw arrays (bitwise-identical values).
-
-        A ``cache`` dict receives the hidden layers and pre-activations
-        :meth:`MLPForecaster._fastgrad_loss_backward` differentiates through.
-        """
-        h1_pre = self.fc1.fast_forward(context)
-        h1 = fastpath.relu(h1_pre)
-        h2_pre = self.fc2.fast_forward(h1)
-        h2 = fastpath.relu(h2_pre)
+        """Context (B, T) -> Gaussian ``(mu, sigma)``, each (B, H)."""
+        h2 = self.body_forward(context, cache)
         mu = self.mu_head.fast_forward(h2)
         sigma_pre = self.sigma_head.fast_forward(h2)
         if cache is not None:
-            cache.update(h1_pre=h1_pre, h1=h1, h2_pre=h2_pre, h2=h2, sigma_pre=sigma_pre)
+            cache["sigma_pre"] = sigma_pre
         return mu, fastpath.softplus(sigma_pre) + 1e-4
+
+    def backward(self, cache: dict, dmu: np.ndarray, dsigma: np.ndarray) -> None:
+        """Closed-form backward of a cached :meth:`fast_forward`."""
+        dsigma_pre = fastgrad.softplus_backward(cache["sigma_pre"], dsigma)
+        dh2 = self.mu_head.backward(cache["h2"], dmu)
+        dh2 += self.sigma_head.backward(cache["h2"], dsigma_pre)
+        self.body_backward(cache, dh2)
 
 
 class MLPForecaster(NeuralForecaster):
@@ -81,54 +102,17 @@ class MLPForecaster(NeuralForecaster):
     def _build(self, rng: np.random.Generator) -> Module:
         return _MLPNetwork(self.context_length, self.horizon, self.hidden_size, rng)
 
-    def _loss(
-        self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
-    ) -> Tensor:
+    def _forward_loss(
+        self,
+        context: np.ndarray,
+        horizon: np.ndarray,
+        start_indices: np.ndarray,
+        cache: dict | None = None,
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """Gaussian NLL of the horizon under the network's ``(mu, sigma)``."""
         assert self.network is not None
-        mu, sigma = self.network(Tensor(context))
-        return F.gaussian_nll(mu, sigma, horizon)
-
-    def _fastgrad_loss_backward(
-        self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
-    ) -> float:
-        """Analytic forward + backward through the two-layer MLP.
-
-        The full chain (fc1 -> relu -> fc2 -> relu -> mu/sigma heads ->
-        Gaussian NLL) has closed-form gradients; everything runs as a
-        handful of dense matmuls on raw arrays and lands in
-        ``param.grad``, bypassing the per-op tape entirely.
-        """
-        assert self.network is not None
-        net = self.network
-        x = np.ascontiguousarray(context)
-        cache: dict = {}
-        mu, sigma = net.fast_forward(x, cache)
-        h1_pre, h1, h2_pre, h2 = (cache[k] for k in ("h1_pre", "h1", "h2_pre", "h2"))
-
-        loss, dmu, dsigma = fastgrad.gaussian_nll_grads(mu, sigma, horizon)
-        dsigma_pre = fastgrad.softplus_backward(cache["sigma_pre"], dsigma)
-
-        dh2, dw_mu, db_mu = fastgrad.linear_backward(h2, net.mu_head.weight.data, dmu)
-        _accumulate(net.mu_head.weight, dw_mu)
-        _accumulate(net.mu_head.bias, db_mu)
-        dh2_sigma, dw_sigma, db_sigma = fastgrad.linear_backward(
-            h2, net.sigma_head.weight.data, dsigma_pre
-        )
-        dh2 += dh2_sigma
-        _accumulate(net.sigma_head.weight, dw_sigma)
-        _accumulate(net.sigma_head.bias, db_sigma)
-
-        dh2_pre = fastgrad.relu_backward(h2_pre, dh2)
-        dh1, dw2, db2 = fastgrad.linear_backward(h1, net.fc2.weight.data, dh2_pre)
-        _accumulate(net.fc2.weight, dw2)
-        _accumulate(net.fc2.bias, db2)
-        dh1_pre = fastgrad.relu_backward(h1_pre, dh1)
-        _, dw1, db1 = fastgrad.linear_backward(
-            x, net.fc1.weight.data, dh1_pre, need_dx=False
-        )
-        _accumulate(net.fc1.weight, dw1)
-        _accumulate(net.fc1.bias, db1)
-        return loss
+        mu, sigma = self.network.fast_forward(np.ascontiguousarray(context), cache)
+        return fastgrad.gaussian_nll_grads(mu, sigma, horizon)
 
     def predict(
         self,

@@ -9,14 +9,13 @@ loss.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-import time
-
-from ..nn import Adam, DataLoader, Module, Tensor, WindowDataset, clip_grad_norm, no_grad
+from ..nn import Adam, DataLoader, Module, WindowDataset, clip_grad_norm
 from ..nn.serialization import load_state, save_state
 from ..obs import get_registry
 from ..traces.dataset import StandardScaler
@@ -50,21 +49,24 @@ class TrainingConfig:
 
 
 class NeuralForecaster(Forecaster):
-    """Base class: subclasses provide the network and a loss function.
+    """Base class: subclasses provide the network, its loss and its backward.
 
     Subclass contract
     -----------------
-    * ``_build(rng)`` -> :class:`Module` — construct the network.
-    * ``_loss(batch_context, batch_horizon, batch_start_indices)`` ->
-      scalar Tensor — one minibatch's training loss.  Inputs are already
-      normalised.
+    * ``_build(rng)`` -> :class:`Module` — construct the network: one
+      ``fast_forward(*inputs, cache=None)`` on raw arrays which, handed
+      a ``cache`` dict, records its activations, and a
+      ``backward(cache, *output_grads)`` that sweeps them in reverse,
+      accumulating into every ``param.grad``.
+    * ``_forward_loss(context, horizon, start_indices, cache=None)`` ->
+      ``(loss, *output_grads)`` — one minibatch's input preamble, the
+      network's ``fast_forward`` (passing ``cache`` through) and the
+      loss kernel of :mod:`repro.nn.fastgrad`: a float loss plus its
+      gradients w.r.t. the network outputs.  Inputs are already
+      normalised.  Validation calls it without a cache and keeps the
+      loss; a training step (:meth:`_loss_backward`) hands it a cache
+      and the network's ``backward`` the rest.
     * ``predict`` — subclass-specific; use :attr:`scaler` to map in/out.
-    * ``_fastgrad_loss_backward(context, horizon, start_indices)`` ->
-      float — optional: one minibatch's loss with ``param.grad``
-      accumulated analytically (a tape-free equivalent of
-      ``_loss(...).backward()``, see :mod:`repro.nn.fastgrad`).  A class
-      that defines it (MLP, DeepAR, TFT) trains through it; the others
-      train on the autograd tape.
     """
 
     def __init__(self, context_length: int, horizon: int, config: TrainingConfig | None = None):
@@ -80,9 +82,9 @@ class NeuralForecaster(Forecaster):
         #: their shuffling seed from it so successive refits are
         #: deterministic yet distinct from the original cold fit.
         self.fits_completed = 0
-        # Precision of the tape-free inference kernels.  float64 (the
-        # default) is bitwise-identical to the tape; float32 trades a
-        # documented, gate-checked accuracy delta for speed (docs/nn.md).
+        # Precision of the inference kernels.  float64 is the default;
+        # float32 trades a documented, gate-checked accuracy delta for
+        # speed (docs/nn.md).
         self.inference_dtype: np.dtype = np.dtype(np.float64)
 
     def set_inference_dtype(self, dtype: "np.dtype | type | str") -> "NeuralForecaster":
@@ -105,10 +107,23 @@ class NeuralForecaster(Forecaster):
     def _build(self, rng: np.random.Generator) -> Module:
         raise NotImplementedError
 
-    def _loss(
-        self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
-    ) -> Tensor:
+    def _forward_loss(
+        self,
+        context: np.ndarray,
+        horizon: np.ndarray,
+        start_indices: np.ndarray,
+        cache: dict | None = None,
+    ) -> tuple:
         raise NotImplementedError
+
+    def _loss_backward(
+        self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
+    ) -> float:
+        """One minibatch's loss, with its gradients left in ``param.grad``."""
+        cache: dict = {}
+        loss, *output_grads = self._forward_loss(context, horizon, start_indices, cache)
+        self.network.backward(cache, *output_grads)
+        return loss
 
     # -- shared training loop -------------------------------------------
     def fit(
@@ -204,14 +219,7 @@ class NeuralForecaster(Forecaster):
         max_epochs = epochs if epochs is not None else self.config.epochs
         if max_epochs < 1:
             raise ValueError("epochs must be >= 1")
-        analytic = getattr(self, "_fastgrad_loss_backward", None)
-        path_label = "tape" if analytic is None else "fastgrad"
-        batch_seconds = metrics.histogram(
-            "forecast.batch_seconds", model=model, path=path_label
-        )
-        batch_counter = metrics.counter(
-            "forecast.fastgrad_batches", model=model, path=path_label
-        )
+        batch_seconds = metrics.histogram("forecast.batch_seconds", model=model)
         with metrics.span("forecast/fit", model=model, mode=mode):
             for epoch in range(max_epochs):
                 epoch_start = time.perf_counter()
@@ -221,18 +229,11 @@ class NeuralForecaster(Forecaster):
                 for contexts, horizons, starts in loader:
                     batch_start = time.perf_counter()
                     optimizer.zero_grad()
-                    if analytic is not None:
-                        loss_value = analytic(contexts, horizons, starts)
-                    else:
-                        loss = self._loss(contexts, horizons, starts)
-                        loss.backward()
-                        loss_value = loss.item()
+                    total_loss += self._loss_backward(contexts, horizons, starts)
                     clip_grad_norm(self.network.parameters(), self.config.grad_clip)
                     optimizer.step()
-                    total_loss += loss_value
                     batches += 1
                     batch_seconds.observe(time.perf_counter() - batch_start)
-                    batch_counter.inc()
                 record = {
                     "epoch": epoch_offset + epoch,
                     "train_loss": total_loss / max(batches, 1),
@@ -329,10 +330,7 @@ class NeuralForecaster(Forecaster):
             dataset, self.config.batch_size, shuffle=False, yield_positions=True
         )
         total, batches = 0.0, 0
-        # Validation never backpropagates: no_grad() skips tape recording
-        # and routes module forwards through the tape-free kernels.
-        with no_grad():
-            for contexts, horizons, starts in loader:
-                total += self._loss(contexts, horizons, starts).item()
-                batches += 1
+        for contexts, horizons, starts in loader:
+            total += self._forward_loss(contexts, horizons, starts)[0]
+            batches += 1
         return total / max(batches, 1)

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import LSTM, Linear, Module, Tensor, no_grad
-from ..nn import functional as F
-from ..traces.dataset import StandardScaler
+from ..nn import LSTM, Linear, Module, fastgrad
 from .base import PointForecaster
 from .neural import NeuralForecaster, TrainingConfig
 
@@ -118,9 +116,21 @@ class _LSTMPointNetwork(Module):
         self.lstm = LSTM(1, hidden_size, rng)
         self.head = Linear(hidden_size, horizon, rng)
 
-    def forward(self, context: Tensor) -> Tensor:
-        hidden, _ = self.lstm(context.reshape(*context.shape, 1))
-        return self.head(hidden[:, -1, :])
+    def fast_forward(self, context: np.ndarray, cache: dict | None = None) -> np.ndarray:
+        """Context (B, T) -> point forecast (B, H) from the last hidden state."""
+        caches = None if cache is None else []
+        hidden, _ = self.lstm.fast_forward(context[..., None], cache=caches)
+        last = hidden[:, -1, :]
+        if cache is not None:
+            cache.update(lstm=caches, hidden_shape=hidden.shape, last=last)
+        return self.head.fast_forward(last)
+
+    def backward(self, cache: dict, dprediction: np.ndarray) -> None:
+        """Closed-form backward of a cached :meth:`fast_forward`."""
+        dhidden = np.zeros(cache["hidden_shape"])
+        dhidden[:, -1, :] = self.head.backward(cache["last"], dprediction)
+        grads, _, _ = fastgrad.lstm_backward(dhidden, cache["lstm"], self.lstm.hidden_size)
+        self.lstm.accumulate_grads(grads)
 
 
 class _LSTMPointForecaster(NeuralForecaster):
@@ -139,11 +149,18 @@ class _LSTMPointForecaster(NeuralForecaster):
     def _build(self, rng: np.random.Generator) -> Module:
         return _LSTMPointNetwork(self.hidden_size, self.horizon, rng)
 
-    def _loss(
-        self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
-    ) -> Tensor:
+    def _forward_loss(
+        self,
+        context: np.ndarray,
+        horizon: np.ndarray,
+        start_indices: np.ndarray,
+        cache: dict | None = None,
+    ) -> tuple[float, np.ndarray]:
+        """Mean squared error and its gradient w.r.t. the prediction."""
         assert self.network is not None
-        return F.mse_loss(self.network(Tensor(context)), horizon)
+        diff = self.network.fast_forward(context, cache) - horizon
+        scale = 1.0 / diff.size
+        return float((diff * diff).sum() * scale), diff * (2.0 * scale)
 
     def predict(self, context, levels=None, start_index: int = 0):
         raise NotImplementedError("internal point model; use predict_point")
@@ -152,9 +169,7 @@ class _LSTMPointForecaster(NeuralForecaster):
         self._require_fitted()
         assert self.network is not None
         normalised = self.scaler.transform(np.asarray(context, dtype=np.float64))[None, :]
-        with no_grad():
-            out = self.network(Tensor(normalised)).data[0]
-        return self.scaler.inverse_transform(out)
+        return self.scaler.inverse_transform(self.network.fast_forward(normalised)[0])
 
 
 class QB5000Forecaster(PointForecaster):

@@ -20,16 +20,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Linear, Module, Tensor, no_grad
-from ..nn import functional as F
+from ..nn import Linear, Module, fastgrad
 from .base import DEFAULT_QUANTILE_LEVELS, QuantileForecast
+from .mlp import MLPBody
 from .neural import NeuralForecaster, TrainingConfig
 
 __all__ = ["QuantileRegressionForecaster", "MLPQuantileForecaster"]
 
 
 class _GridHeadMixin:
-    """Shared prediction path for grid-output models on the nn substrate."""
+    """Shared loss and prediction path for grid-output models on the nn substrate."""
+
+    def _forward_loss(
+        self,
+        context: np.ndarray,
+        horizon: np.ndarray,
+        start_indices: np.ndarray,
+        cache: dict | None = None,
+    ) -> tuple[float, np.ndarray]:
+        """Pinball loss (Eq. 2) of the network's (B, H, Q) grid."""
+        assert self.network is not None
+        predictions = self.network.fast_forward(context, cache)
+        return fastgrad.quantile_loss_grads(predictions, horizon, list(self.quantile_levels))
 
     def _predict_grid(self, context: np.ndarray, start_index: int) -> np.ndarray:
         """Normalised context -> de-normalised (num_levels, horizon) grid."""
@@ -41,8 +53,7 @@ class _GridHeadMixin:
                 f"context must have length {self.context_length}, got {len(context)}"
             )
         normalised = self.scaler.transform(context)[None, :]
-        with no_grad():
-            raw = self.network(Tensor(normalised)).data[0]  # (H, Q)
+        raw = self.network.fast_forward(normalised)[0]  # (H, Q)
         return self.scaler.inverse_transform(raw.T)
 
     def _grid_forecast(
@@ -78,9 +89,15 @@ class _LinearGridNetwork(Module):
         self.num_levels = num_levels
         self.head = Linear(context_length, horizon * num_levels, rng)
 
-    def forward(self, context: Tensor) -> Tensor:
-        out = self.head(context)
-        return out.reshape(out.shape[0], self.horizon, self.num_levels)
+    def fast_forward(self, context: np.ndarray, cache: dict | None = None) -> np.ndarray:
+        """Context (B, T) -> quantile grid (B, H, Q)."""
+        if cache is not None:
+            cache["x"] = context
+        return self.head.fast_forward(context).reshape(-1, self.horizon, self.num_levels)
+
+    def backward(self, cache: dict, dgrid: np.ndarray) -> None:
+        """Closed-form backward of a cached :meth:`fast_forward`."""
+        self.head.backward(cache["x"], dgrid.reshape(len(dgrid), -1), need_dx=False)
 
 
 class QuantileRegressionForecaster(_GridHeadMixin, NeuralForecaster):
@@ -108,13 +125,6 @@ class QuantileRegressionForecaster(_GridHeadMixin, NeuralForecaster):
             self.context_length, self.horizon, len(self.quantile_levels), rng
         )
 
-    def _loss(
-        self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
-    ) -> Tensor:
-        assert self.network is not None
-        predictions = self.network(Tensor(context))
-        return F.quantile_loss(predictions, horizon, list(self.quantile_levels))
-
     def predict(
         self,
         context: np.ndarray,
@@ -124,7 +134,7 @@ class QuantileRegressionForecaster(_GridHeadMixin, NeuralForecaster):
         return self._grid_forecast(context, levels, start_index)
 
 
-class _MLPGridNetwork(Module):
+class _MLPGridNetwork(MLPBody):
     """The parametric MLP's body with a quantile-grid head."""
 
     def __init__(
@@ -135,17 +145,20 @@ class _MLPGridNetwork(Module):
         hidden_size: int,
         rng: np.random.Generator,
     ) -> None:
-        super().__init__()
+        super().__init__(context_length, hidden_size, rng)
         self.horizon = horizon
         self.num_levels = num_levels
-        self.fc1 = Linear(context_length, hidden_size, rng)
-        self.fc2 = Linear(hidden_size, hidden_size, rng)
         self.head = Linear(hidden_size, horizon * num_levels, rng)
 
-    def forward(self, context: Tensor) -> Tensor:
-        hidden = self.fc2(self.fc1(context).relu()).relu()
-        out = self.head(hidden)
-        return out.reshape(out.shape[0], self.horizon, self.num_levels)
+    def fast_forward(self, context: np.ndarray, cache: dict | None = None) -> np.ndarray:
+        """Context (B, T) -> quantile grid (B, H, Q)."""
+        hidden = self.body_forward(context, cache)
+        return self.head.fast_forward(hidden).reshape(-1, self.horizon, self.num_levels)
+
+    def backward(self, cache: dict, dgrid: np.ndarray) -> None:
+        """Closed-form backward of a cached :meth:`fast_forward`."""
+        dh2 = self.head.backward(cache["h2"], dgrid.reshape(len(dgrid), -1))
+        self.body_backward(cache, dh2)
 
 
 class MLPQuantileForecaster(_GridHeadMixin, NeuralForecaster):
@@ -177,13 +190,6 @@ class MLPQuantileForecaster(_GridHeadMixin, NeuralForecaster):
             self.hidden_size,
             rng,
         )
-
-    def _loss(
-        self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
-    ) -> Tensor:
-        assert self.network is not None
-        predictions = self.network(Tensor(context))
-        return F.quantile_loss(predictions, horizon, list(self.quantile_levels))
 
     def predict(
         self,

@@ -33,19 +33,15 @@ from ..nn import (
     LayerNorm,
     Linear,
     Module,
-    Tensor,
     causal_mask,
     fastgrad,
     fastpath,
 )
-from ..nn import functional as F
 from .base import DEFAULT_QUANTILE_LEVELS, QuantileForecast
 from .features import NUM_CALENDAR_FEATURES, calendar_features
 from .neural import NeuralForecaster, TrainingConfig
 
 __all__ = ["TFTForecaster"]
-
-_accumulate = fastgrad.accumulate_grad
 
 
 class _TFTNetwork(Module):
@@ -70,27 +66,6 @@ class _TFTNetwork(Module):
         self.quantile_head = Linear(d_model, num_quantiles, rng)
         self._last_attention: np.ndarray | None = None
 
-    def forward(self, past: Tensor, future: Tensor) -> Tensor:
-        """past: (B, T, 1+F); future: (B, H, F) -> quantiles (B, H, Q)."""
-        encoded_in = self.past_proj(past)
-        decoded_in = self.future_proj(future)
-        encoded, state = self.encoder(encoded_in)
-        decoded, _ = self.decoder(decoded_in, state)
-
-        # Gated skip around the seq2seq layer (TFT Eq. 17).
-        sequence = Tensor.concat([encoded, decoded], axis=1)
-        skip = Tensor.concat([encoded_in, decoded_in], axis=1)
-        sequence = self.lstm_norm(skip + self.lstm_gate(sequence))
-
-        horizon = decoded.shape[1]
-        query = sequence[:, -horizon:, :]
-        mask = causal_mask(query_len=horizon, key_len=sequence.shape[1])
-        attended, weights = self.attention(query, sequence, sequence, mask=mask)
-        self._last_attention = weights.data
-        attended = self.attn_norm(query + self.attn_gate(attended))
-
-        return self.quantile_head(self.feed_forward(attended))
-
     def fast_forward(
         self,
         past: np.ndarray,
@@ -98,14 +73,12 @@ class _TFTNetwork(Module):
         dtype: "np.dtype | type | None" = None,
         cache: dict | None = None,
     ) -> np.ndarray:
-        """The same composition on raw arrays via the :mod:`fastpath` kernels.
+        """past: (B, T, 1+F); future: (B, H, F) -> quantiles (B, H, Q).
 
-        ``dtype=None`` computes in float64 — bitwise-identical to the
-        tape forward, including the stored attention pattern;
-        ``np.float32`` casts inputs and weights once and runs the whole
-        stack in single precision (the inference dtype mode).  A
-        ``cache`` dict receives every layer's activations, keyed by
-        layer name, for :meth:`TFTForecaster._fastgrad_loss_backward`;
+        ``dtype=None`` computes in float64; ``np.float32`` casts inputs
+        and weights once and runs the whole stack in single precision
+        (the inference dtype mode).  A ``cache`` dict receives every
+        layer's activations, keyed by layer name, for :meth:`backward`;
         predictions are bitwise the same with and without it.
         """
         def keep(name: str, result: tuple):
@@ -126,6 +99,7 @@ class _TFTNetwork(Module):
             decoded_in, state, dtype=dtype, cache=dec_caches
         )
 
+        # Gated skip around the seq2seq layer (TFT Eq. 17).
         sequence = np.concatenate([encoded, decoded], axis=1)
         skip = np.concatenate([encoded_in, decoded_in], axis=1)
         gated = keep("lstm_gate", fastpath.glu_forward(self.lstm_gate, sequence, dtype))
@@ -146,8 +120,55 @@ class _TFTNetwork(Module):
 
         grn_out = keep("feed_forward", fastpath.grn_forward(self.feed_forward, attended, dtype))
         if cache is not None:
-            cache.update(encoder=enc_caches, decoder=dec_caches, grn_out=grn_out)
+            cache.update(
+                past=past, future=future, encoder=enc_caches, decoder=dec_caches,
+                grn_out=grn_out,
+            )
         return self.quantile_head.fast_forward(grn_out, dtype)
+
+    def backward(self, cache: dict, dpred: np.ndarray) -> None:
+        """Closed-form backward of a cached :meth:`fast_forward`.
+
+        Reverse order of the forward: quantile head -> GRN -> attention
+        block -> gated LSTM skip -> decoder -> encoder -> input
+        projections, every gradient accumulated into ``param.grad``.
+        """
+        hs = self.encoder.hidden_size
+        steps = cache["past"].shape[1]
+        dgrn = self.quantile_head.backward(cache["grn_out"], dpred)
+
+        dattended_res = fastgrad.grn_backward(self.feed_forward, cache["feed_forward"], dgrn)
+        dsum = fastgrad.layer_norm_backward(self.attn_norm, cache["attn_norm"], dattended_res)
+        dquery = dsum.copy()  # residual branch
+        dattended = fastgrad.glu_backward(self.attn_gate, cache["attn_gate"], dsum)
+        dq_attn, dkey, dvalue = fastgrad.attention_backward(
+            self.attention, cache["attention"], dattended
+        )
+        dquery += dq_attn
+        dsequence = dkey + dvalue
+        dsequence[:, steps:, :] += dquery
+
+        dsum = fastgrad.layer_norm_backward(self.lstm_norm, cache["lstm_norm"], dsequence)
+        dseq_in = fastgrad.glu_backward(self.lstm_gate, cache["lstm_gate"], dsum)
+        dskip = dsum  # residual branch; split below
+        denc_in = dskip[:, :steps, :].copy()
+        ddec_in = dskip[:, steps:, :].copy()
+
+        dec_grads, ddec_x, dec_dstate = fastgrad.lstm_backward(
+            dseq_in[:, steps:, :], cache["decoder"], hs, need_dx=True
+        )
+        ddec_in += ddec_x
+        # The decoder's initial state is the encoder's final state, so
+        # d(h0)/d(c0) of the decoder flows into the encoder backward.
+        enc_grads, denc_x, _ = fastgrad.lstm_backward(
+            dseq_in[:, :steps, :], cache["encoder"], hs, need_dx=True, dstate=dec_dstate
+        )
+        denc_in += denc_x
+        self.encoder.accumulate_grads(enc_grads)
+        self.decoder.accumulate_grads(dec_grads)
+
+        self.past_proj.backward(cache["past"], denc_in, need_dx=False)
+        self.future_proj.backward(cache["future"], ddec_in, need_dx=False)
 
 
 class TFTForecaster(NeuralForecaster):
@@ -212,101 +233,22 @@ class TFTForecaster(NeuralForecaster):
         mean = context.mean(axis=1, keepdims=True)
         return mean, np.ones_like(mean)
 
-    def _loss(
-        self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
-    ) -> Tensor:
+    def _forward_loss(
+        self,
+        context: np.ndarray,
+        horizon: np.ndarray,
+        start_indices: np.ndarray,
+        cache: dict | None = None,
+    ) -> tuple[float, np.ndarray]:
+        """Pinball loss (Eq. 2) of the network's (B, H, Q) grid."""
         assert self.network is not None
         if self.window_normalization:
             mean, std = self._window_stats(context)
             context = (context - mean) / std
             horizon = (horizon - mean) / std
         past, future = self._network_inputs(context, start_indices)
-        predictions = self.network(Tensor(past), Tensor(future))  # (B, H, Q)
-        return F.quantile_loss(predictions, horizon, list(self.quantile_levels))
-
-    def _fastgrad_loss_backward(
-        self, context: np.ndarray, horizon: np.ndarray, start_indices: np.ndarray
-    ) -> float:
-        """Analytic loss + gradients: ``_loss(...).backward()`` without a tape.
-
-        The network's one raw forward with its activations cached, then
-        closed-form backwards in reverse order (quantile head -> GRN ->
-        attention block -> gated LSTM skip -> decoder -> encoder ->
-        input projections).  Every composition mirrors the tape op for
-        op, so float64 losses and accumulated gradients are
-        bitwise-identical to ``_loss``.  Gradients go straight into
-        ``param.grad``; the surrounding clip/Adam/early-stopping loop is
-        unchanged.
-        """
-        assert self.network is not None
-        net = self.network
-        if self.window_normalization:
-            mean, std = self._window_stats(context)
-            context = (context - mean) / std
-            horizon = (horizon - mean) / std
-        past, future = self._network_inputs(context, start_indices)
-
-        cache: dict = {}
-        predictions = net.fast_forward(past, future, cache=cache)
-        hs = net.encoder.hidden_size
-        h = self.horizon
-        steps = past.shape[1]
-
-        loss, dpred = fastgrad.quantile_loss_grads(
-            predictions, horizon, list(self.quantile_levels)
-        )
-
-        # -- backward ----------------------------------------------------
-        dgrn, dw_head, db_head = fastgrad.linear_backward(
-            cache["grn_out"], net.quantile_head.weight.data, dpred
-        )
-        _accumulate(net.quantile_head.weight, dw_head)
-        _accumulate(net.quantile_head.bias, db_head)
-
-        dattended_res = fastgrad.grn_backward(net.feed_forward, cache["feed_forward"], dgrn)
-        dsum = fastgrad.layer_norm_backward(net.attn_norm, cache["attn_norm"], dattended_res)
-        dquery = dsum.copy()  # residual branch
-        dattended = fastgrad.glu_backward(net.attn_gate, cache["attn_gate"], dsum)
-        dq_attn, dkey, dvalue = fastgrad.attention_backward(
-            net.attention, cache["attention"], dattended
-        )
-        dquery += dq_attn
-        dsequence = dkey + dvalue
-        dsequence[:, -h:, :] += dquery
-
-        dsum = fastgrad.layer_norm_backward(net.lstm_norm, cache["lstm_norm"], dsequence)
-        dseq_in = fastgrad.glu_backward(net.lstm_gate, cache["lstm_gate"], dsum)
-        dskip = dsum  # residual branch; split below
-        denc_in = dskip[:, :steps, :].copy()
-        ddec_in = dskip[:, steps:, :].copy()
-
-        dec_grads, ddec_x, dec_dstate = fastgrad.lstm_backward(
-            dseq_in[:, steps:, :], cache["decoder"], hs, need_dx=True
-        )
-        ddec_in += ddec_x
-        # The decoder's initial state is the encoder's final state, so
-        # d(h0)/d(c0) of the decoder flows into the encoder backward.
-        enc_grads, denc_x, _ = fastgrad.lstm_backward(
-            dseq_in[:, :steps, :], cache["encoder"], hs, need_dx=True, dstate=dec_dstate
-        )
-        denc_in += denc_x
-        for lstm, grads in ((net.encoder, enc_grads), (net.decoder, dec_grads)):
-            for cell, (dw_ih, dw_hh, db) in zip(lstm._cells, grads):
-                _accumulate(cell.w_ih, dw_ih)
-                _accumulate(cell.w_hh, dw_hh)
-                _accumulate(cell.bias, db)
-
-        _, dw_past, db_past = fastgrad.linear_backward(
-            past, net.past_proj.weight.data, denc_in, need_dx=False
-        )
-        _accumulate(net.past_proj.weight, dw_past)
-        _accumulate(net.past_proj.bias, db_past)
-        _, dw_future, db_future = fastgrad.linear_backward(
-            future, net.future_proj.weight.data, ddec_in, need_dx=False
-        )
-        _accumulate(net.future_proj.weight, dw_future)
-        _accumulate(net.future_proj.bias, db_future)
-        return loss
+        predictions = self.network.fast_forward(past, future, cache=cache)
+        return fastgrad.quantile_loss_grads(predictions, horizon, list(self.quantile_levels))
 
     def predict(
         self,

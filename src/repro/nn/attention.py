@@ -1,9 +1,9 @@
 """Attention primitives used by the Temporal Fusion Transformer.
 
-Implements scaled dot-product attention and TFT's *interpretable*
-multi-head variant, in which the value projection (and the attention
-pattern's output head) is shared across heads so the averaged attention
-weights remain interpretable (Lim et al., 2019, Sec. 4.4).
+Implements TFT's *interpretable* multi-head attention, in which the
+value projection (and the attention pattern's output head) is shared
+across heads so the averaged attention weights remain interpretable
+(Lim et al., 2019, Sec. 4.4), and the causal mask it runs under.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ import numpy as np
 from . import fastpath
 from .layers import Linear
 from .module import Module
-from .tensor import Tensor
 
-__all__ = ["scaled_dot_product_attention", "causal_mask", "InterpretableMultiHeadAttention"]
+__all__ = ["causal_mask", "InterpretableMultiHeadAttention"]
 
 _MASK_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -31,7 +30,7 @@ def causal_mask(query_len: int, key_len: int) -> np.ndarray:
     ``(query_len, key_len)``: every TFT forward at a given geometry asks
     for the same mask, so repeated predict/train calls stop reallocating
     it.  The cached array is marked read-only; callers only ever add it
-    to score tensors.
+    to score arrays.
     """
     cached = _MASK_CACHE.get((query_len, key_len))
     if cached is None:
@@ -41,25 +40,6 @@ def causal_mask(query_len: int, key_len: int) -> np.ndarray:
         cached.setflags(write=False)
         _MASK_CACHE[(query_len, key_len)] = cached
     return cached
-
-
-def scaled_dot_product_attention(
-    query: Tensor,
-    key: Tensor,
-    value: Tensor,
-    mask: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Standard attention: softmax(QK^T / sqrt(d)) V.
-
-    Shapes: query (B, Tq, d), key (B, Tk, d), value (B, Tk, dv).
-    Returns (output, attention_weights).
-    """
-    d_k = query.shape[-1]
-    scores = (query @ key.swapaxes(-1, -2)) * (1.0 / np.sqrt(d_k))
-    if mask is not None:
-        scores = scores + Tensor(mask)
-    weights = scores.softmax(axis=-1)
-    return weights @ value, weights
 
 
 class InterpretableMultiHeadAttention(Module):
@@ -89,27 +69,6 @@ class InterpretableMultiHeadAttention(Module):
         self.v_proj = Linear(d_model, self.d_head, rng)
         self.out_proj = Linear(self.d_head, d_model, rng)
 
-    def forward(
-        self,
-        query: Tensor,
-        key: Tensor,
-        value: Tensor,
-        mask: np.ndarray | None = None,
-    ) -> tuple[Tensor, Tensor]:
-        """Returns (output (B, Tq, d_model), mean attention (B, Tq, Tk))."""
-        shared_value = self.v_proj(value)
-        head_outputs = []
-        head_weights = []
-        for q_proj, k_proj in zip(self._q_projs, self._k_projs):
-            out, weights = scaled_dot_product_attention(
-                q_proj(query), k_proj(key), shared_value, mask=mask
-            )
-            head_outputs.append(out)
-            head_weights.append(weights)
-        mean_output = Tensor.stack(head_outputs, axis=0).mean(axis=0)
-        mean_weights = Tensor.stack(head_weights, axis=0).mean(axis=0)
-        return self.out_proj(mean_output), mean_weights
-
     def fast_forward(
         self,
         query: np.ndarray,
@@ -118,10 +77,9 @@ class InterpretableMultiHeadAttention(Module):
         mask: np.ndarray | None = None,
         dtype: "np.dtype | type | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Tape-free forward on raw ndarrays.
+        """Forward on raw ndarrays (:func:`repro.nn.fastpath.interpretable_attention`).
 
-        Float64 outputs and attention weights are bitwise-identical to
-        :meth:`forward` (:func:`repro.nn.fastpath.interpretable_attention`).
+        Returns (output (B, Tq, d_model), mean attention (B, Tq, Tk)).
         """
         out, weights, _ = fastpath.interpretable_attention(
             self, query, key, value, mask=mask, dtype=dtype

@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["WindowDataset", "DataLoader", "train_validation_split"]
+__all__ = ["WindowDataset", "DataLoader"]
 
 
 @dataclass(frozen=True)
@@ -168,19 +168,3 @@ class DataLoader:
                 yield contexts, horizons, starts
             else:
                 yield contexts, horizons
-
-
-def train_validation_split(
-    series: np.ndarray, validation_fraction: float = 0.2
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chronological split — validation is the most recent fraction.
-
-    Time series must never be split randomly: that leaks future values
-    into training.
-    """
-    if not 0.0 < validation_fraction < 1.0:
-        raise ValueError("validation_fraction must be in (0, 1)")
-    cut = int(len(series) * (1.0 - validation_fraction))
-    if cut == 0 or cut == len(series):
-        raise ValueError("series too short for the requested split")
-    return series[:cut], series[cut:]

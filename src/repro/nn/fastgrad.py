@@ -2,24 +2,24 @@
 
 :mod:`repro.nn.fastpath` holds the one raw-array forward of every hot
 layer and hands back the activations it computed; this module holds what
-differentiates through them.  For every loss the three headline
-forecasters train on — the teacher-forced LSTM/MLP likelihoods *and*
-the TFT's attention/LayerNorm/GRN quantile loss — the gradients are
-known in closed form, so the whole backward pass collapses into a
-handful of fused numpy sweeps:
+differentiates through them.  For every loss the neural forecasters
+train on — the teacher-forced LSTM/MLP likelihoods, the TFT's
+attention/LayerNorm/GRN quantile loss, the grid heads' pinball loss and
+the QB5000 LSTM's MSE — the gradients are known in closed form, so the
+whole backward pass collapses into a handful of fused numpy sweeps:
 
 * **LSTM BPTT** — a single reverse sweep over the scan's cached
   activations (:func:`fastpath.lstm_forward` with ``cache=``) that
   accumulates per-step gate deltas into a ``(batch, time, 4*hidden)``
   buffer.  The weight gradients ``dW_ih / dW_hh / db`` then fall out of
   *one* matmul each over the flattened ``(batch*time)`` axis — instead
-  of the thousands of taped micro-ops (slice, sigmoid-backward,
-  outer-product accumulate, ...) the tape replays per timestep.
+  of the thousands of micro-ops (slice, sigmoid-backward, outer-product
+  accumulate, ...) an autograd tape replays per timestep.
 * **Head kernels** — linear/activation backwards and closed-form
   gradients of the Gaussian and Student-t negative log-likelihoods
   (the ``df`` gradient differentiates the same shifted-Stirling
-  ``log Gamma`` series the tape uses, so both optimise the same
-  approximate objective).
+  ``log Gamma`` series the forward evaluates, so the optimised
+  objective is exactly the reported one).
 * **Attention / LayerNorm / GLU / GRN** — the softmax Jacobian-vector
   product ``dx = s * (dout - sum(dout * s))``, LayerNorm's fused
   mean/variance backward, and the GLU/GRN chain with the residual and
@@ -28,18 +28,17 @@ handful of fused numpy sweeps:
   attention backward needs one score-gradient batch and a handful of
   whole-sequence gemms.
 * **Quantile (pinball) loss** — the subgradient is a sign test per
-  quantile level, matching the tape's ``maximum`` tie rule exactly.
+  quantile level, with both indicators firing at the kink.
 
-The forwards are bitwise-identical to the tape in float64, so loss
-values match it exactly.  Backward values are mathematically identical
-but summed in a different order, so individual gradients agree to
-~1e-12 relative rather than bit for bit; the parity suite
-(``tests/nn/test_fastgrad.py``, ``test_tft_fastgrad.py``) checks every
-kernel against both finite differences and the tape.
-
-``NeuralForecaster.fit`` trains through these kernels whenever the
-forecaster class defines ``_fastgrad_loss_backward`` (MLP, DeepAR, TFT);
-the other neural forecasters train on the autograd tape.
+This is the only way a gradient is computed in ``src/``:
+``NeuralForecaster.fit`` trains every forecaster through these kernels.
+The reference is the autograd tape kept in ``tests/nn/`` (``tensor.py``,
+``functional.py``, compositions in ``oracles.py``).  Backward values are
+mathematically identical to it but summed in a different order, so
+individual gradients agree to ~1e-12 relative rather than bit for bit;
+the parity suite (``tests/nn/test_fastgrad.py``,
+``test_tft_fastgrad.py``) checks every kernel against both finite
+differences and the tape.
 """
 
 from __future__ import annotations
@@ -75,9 +74,8 @@ __all__ = [
 def accumulate_grad(param, grad: np.ndarray) -> None:
     """Add ``grad`` into a Parameter's ``.grad`` buffer, creating it if unset.
 
-    Mirrors ``Tensor._accumulate`` for raw arrays (shapes already match,
-    so no unbroadcasting is needed); the optimizer and
-    ``clip_grad_norm`` then see exactly what the tape would have left.
+    Shapes already match, so no unbroadcasting is needed; the optimizer
+    and ``clip_grad_norm`` read the buffer from there.
     """
     if param.grad is None:
         param.grad = np.ascontiguousarray(grad)
@@ -116,7 +114,7 @@ def linear_backward(
 
 
 def sigmoid_backward(out: np.ndarray, dout: np.ndarray) -> np.ndarray:
-    """d/dx sigmoid from the forward *output* (matches the tape's rule)."""
+    """d/dx sigmoid from the forward *output*."""
     return dout * out * (1.0 - out)
 
 
@@ -141,9 +139,8 @@ def softmax_backward(out: np.ndarray, dout: np.ndarray) -> np.ndarray:
     For ``s = softmax(x)`` along the last axis,
     ``dx = s * (dout - sum(dout * s, axis=-1))`` — the full Jacobian
     ``diag(s) - s s^T`` contracted with ``dout`` without materialising
-    it.  (The tape's max-subtraction shift is constant w.r.t. the input
-    of each row's softmax — ``Tensor.softmax`` detaches the max — so no
-    extra term appears.)  ``dout`` may broadcast against ``out``.
+    it.  (The forward's max-subtraction shift cancels in the quotient,
+    so no extra term appears.)  ``dout`` may broadcast against ``out``.
     """
     return out * (dout - (dout * out).sum(axis=-1, keepdims=True))
 
@@ -152,7 +149,8 @@ def softmax_backward(out: np.ndarray, dout: np.ndarray) -> np.ndarray:
 # Likelihood kernels
 # ---------------------------------------------------------------------------
 def log_gamma(x: np.ndarray) -> np.ndarray:
-    """Raw-numpy replica of ``functional._log_gamma`` (shifted Stirling)."""
+    """log Gamma via a shifted Stirling series, accurate to ~1e-7 for
+    ``x >= 0.5`` — the ``df / 2`` values a softplus head produces."""
     shifted = x + 2.0
     correction = np.log(x) + np.log(x + 1.0)
     series = (
@@ -168,8 +166,8 @@ def log_gamma(x: np.ndarray) -> np.ndarray:
 def digamma(x: np.ndarray) -> np.ndarray:
     """Exact derivative of :func:`log_gamma` (not of the true digamma).
 
-    Differentiating the same approximation the tape composes means the
-    fast path optimises the identical objective: for
+    Differentiating the approximation itself means the gradient is
+    exactly that of the loss the forward reports: for
     ``s = x + 2``,
 
     ``d/dx log_gamma(x) = log s - 1/(2s) - 1/(12 s^2) + 1/(120 s^4)
@@ -192,8 +190,10 @@ def gaussian_nll_grads(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean Gaussian NLL and its gradients w.r.t. ``mean`` and ``std``.
 
-    Forward matches ``functional.gaussian_nll`` term for term:
-    ``mean(0.5 log var + (y - mu)^2 / (2 var)) + 0.5 log 2 pi``.
+    ``mean(0.5 log var + (y - mu)^2 / (2 var)) + 0.5 log 2 pi`` — the
+    terms of the tape reference ``tests/nn/functional.py::gaussian_nll``,
+    which averages as ``sum * (1/n)`` where this uses ``np.mean``, so
+    the two values agree to an ulp rather than bit for bit.
     """
     var = std * std
     diff = target - mean
@@ -211,8 +211,10 @@ def student_t_nll_grads(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Mean Student-t NLL and gradients w.r.t. ``mean``, ``scale``, ``df``.
 
-    Forward replicates ``functional.student_t_nll`` (with the same
-    Stirling ``log Gamma``); the gradients are the closed forms
+    Forward replicates the tape reference
+    ``tests/nn/functional.py::student_t_nll`` (with the same Stirling
+    ``log Gamma``; ``np.mean`` against its ``sum * (1/n)``, so equal to
+    an ulp); the gradients are the closed forms
 
     * ``dL/dmu    = -(nu+1) z / (s (nu + z^2)) / N``
     * ``dL/ds     = (1 - (nu+1) z^2 / (nu + z^2)) / s / N``
@@ -254,18 +256,19 @@ def quantile_loss_grads(
     """Total pinball loss (Eq. 2) and its gradient w.r.t. ``predictions``.
 
     ``predictions`` has a trailing quantile axis; ``target`` broadcasts
-    against one quantile slice.  The forward replicates
-    ``functional.quantile_loss`` term for term (per-level elementwise
-    pinball, ``mean`` as ``sum * (1/n)``, levels accumulated in grid
-    order) so float64 loss values are bitwise-identical to the tape.
+    against one quantile slice.  The forward replicates the tape
+    reference ``tests/nn/functional.py::quantile_loss`` term for term
+    (per-level elementwise pinball, ``mean`` as ``sum * (1/n)``, levels
+    accumulated in grid order) so float64 loss values are
+    bitwise-identical to it.
 
     The pinball subgradient per level ``tau`` with ``diff = y - yhat``:
 
     ``dL/dyhat = ((diff <= 0) * (1 - tau) - (diff >= 0) * tau) / n``
 
     At the kink (``diff == 0``) *both* indicators fire — exactly the
-    tape's ``maximum`` tie rule, where each ``maximum(·, 0)`` routes the
-    gradient to its first argument on ties.
+    reference's ``maximum`` tie rule, where each ``maximum(·, 0)`` routes
+    the gradient to its first argument on ties.
     """
     loss = 0.0
     dpred = np.empty_like(predictions)
@@ -430,7 +433,7 @@ def lstm_backward(
     gradient w.r.t. each layer's *final* ``(h, c)`` — this is how the
     TFT decoder's initial-state gradient flows back into the encoder.
     Returns per-layer standard-layout ``(dW_ih, dW_hh, db)`` gradients
-    (ready to drop into the tape's parameter buffers), the gradient
+    (ready for :meth:`repro.nn.rnn.LSTM.accumulate_grads`), the gradient
     w.r.t. the bottom layer's input when ``need_dx``, and the per-layer
     gradient w.r.t. the *initial* ``(h, c)`` state (the reverse sweep's
     carries after step 0 — free to return, and exactly what a chained

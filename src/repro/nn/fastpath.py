@@ -1,13 +1,12 @@
-"""Raw-array kernels: the one forward of every hot layer.
+"""Raw-array kernels: the one forward of every layer.
 
-The autograd tape pays per-op object construction, closure definition
-and broadcasting bookkeeping; on the small models used for workload
-forecasting that overhead dominates the arithmetic.  Each kernel here
-computes *exactly* the float64 operations of the layer's tape
-``forward``, in the same order, on plain ndarrays — so results are
-bitwise-identical — and is the only raw-array definition of that layer:
-inference calls it and drops the activations, training
-(:mod:`repro.nn.fastgrad`) keeps them for the closed-form backward.
+Each kernel is the only definition of its layer in ``src/``: inference
+calls it and drops the activations, training (:mod:`repro.nn.fastgrad`)
+keeps them for the closed-form backward.  The reference they are held
+to is the autograd tape in ``tests/nn/`` (``oracles.py`` composes every
+layer on it): each kernel computes *exactly* the float64 operations of
+that composition, in the same order, on plain ndarrays — so results are
+bitwise-identical, which the parity suite asserts.
 
 LayerNorm / GLU / GRN / attention kernels take the layer module
 (duck-typed attribute reads — no import of :mod:`repro.nn.layers`) and
@@ -16,10 +15,9 @@ arrays the forward computes anyway.  The LSTM scan records its per-step
 activations only when handed a ``cache`` list, because recording costs
 buffer writes inside the time loop.
 
-:class:`~repro.nn.module.Module` routes ``module(...)`` through the
-layer's ``fast_forward`` whenever gradients are disabled; code that stays
-on raw arrays end to end (DeepAR's ancestral sampling, the TFT forward)
-calls ``fast_forward`` / ``fast_step`` directly.
+Layers expose their kernel as ``fast_forward`` (the LSTM also as
+``fast_step``); hot loops such as DeepAR's ancestral sampling call the
+functions here directly.
 """
 
 from __future__ import annotations
@@ -55,14 +53,15 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Elementwise kernels — bitwise-identical to the Tensor implementations.
+# Elementwise kernels — bitwise-identical to the ops of tests/nn/tensor.py.
 # ---------------------------------------------------------------------------
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic as ``0.5 * tanh(0.5 x) + 0.5``: the one definition in ``src/``.
 
-    ``Tensor.sigmoid`` and the ``softplus`` backwards call this function,
-    and the LSTM cell evaluates the same three operations on pre-halved
-    weights, so tape and kernels agree bit for bit.  ``tanh`` saturates
+    The ``softplus`` backward and the test oracle's tape
+    (``tests/nn/tensor.py``) call this function, and the LSTM cell
+    evaluates the same three operations on pre-halved weights, so tape
+    and kernels agree bit for bit.  ``tanh`` saturates
     instead of overflowing: absolute error is within 1 ulp of 1.0
     everywhere and the result is exactly 0 / 1 beyond ``|x|`` ~ 37, so
     *relative* accuracy in the lower tail is given up (docs/nn.md).
@@ -82,12 +81,12 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + exp(x)), stable; mirrors ``Tensor.softplus`` exactly."""
+    """log(1 + exp(x)), stable; the oracle tape's ``softplus`` exactly."""
     return np.logaddexp(0.0, x)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax; bitwise-identical to ``Tensor.softmax``.
+    """Numerically stable softmax; bitwise-identical to the oracle tape's.
 
     Same max-subtraction composition as the tape op (``exp(x - max)``
     normalised by its sum), so every element matches bit for bit.
@@ -107,7 +106,7 @@ def _cast(array: np.ndarray | None, dtype: np.dtype | type | None) -> np.ndarray
 
 
 def linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
-    """``x @ W (+ b)`` on raw arrays; same op order as ``Linear.forward``."""
+    """``x @ W (+ b)`` on raw arrays; same op order as the tape composition."""
     out = x @ weight
     if bias is not None:
         out = out + bias
@@ -135,11 +134,11 @@ class LayerNormCache:
 def layer_norm(
     norm, x: np.ndarray, dtype: np.dtype | type | None = None
 ) -> tuple[np.ndarray, LayerNormCache]:
-    """LayerNorm over the last axis; mirrors ``LayerNorm.forward`` exactly.
+    """LayerNorm over the last axis.
 
-    The mean is computed as ``sum * (1/n)`` — the tape's ``Tensor.mean``
+    The mean is computed as ``sum * (1/n)`` — the oracle tape's ``mean``
     composition — not ``np.mean``, so float64 results are bitwise
-    identical.
+    identical to it.
     """
     x = _cast(x, dtype)
     n = x.shape[-1]
@@ -166,7 +165,7 @@ def glu_forward(
 ) -> tuple[np.ndarray, GLUCache]:
     """GLU(x) = sigmoid(x W1 + b1) * (x W2 + b2) on raw arrays.
 
-    Same gemm/sigmoid/multiply order as ``GatedLinearUnit.forward``.
+    Same gemm/sigmoid/multiply order as its tape composition.
     """
     x = _cast(x, dtype)
     gate = sigmoid(linear(glu.gate, x, dtype))
@@ -190,8 +189,8 @@ def grn_forward(
 ) -> tuple[np.ndarray, GRNCache]:
     """Gated Residual Network forward.
 
-    Mirrors ``GatedResidualNetwork.forward``: fc1 -> tanh -> fc2 ->
-    dropout -> GLU -> (projected) residual -> LayerNorm.  When dropout is
+    fc1 -> tanh -> fc2 -> dropout -> GLU -> (projected) residual ->
+    LayerNorm, op for op the tape composition.  When dropout is
     active (training mode and ``p > 0``) the mask is drawn from the
     layer's own rng exactly as the tape would, so both consume the same
     stream; the TFT's GRNs run with ``p == 0`` and skip the draw.
@@ -262,9 +261,9 @@ def interpretable_attention(
     Heads are stacked on a leading axis so the score and context matmuls
     run as single H*B-batched gemms instead of a Python loop over heads;
     each 2-D slice is the same gemm the tape's per-head loop issues, and
-    the head average is ``sum * (1/H)`` exactly like ``Tensor.stack(...)
-    .mean(axis=0)`` — so float64 outputs (and the attention pattern) are
-    bitwise-identical to ``InterpretableMultiHeadAttention.forward``.
+    the head average is ``sum * (1/H)`` exactly like the tape's
+    ``stack(...).mean(axis=0)`` — so float64 outputs (and the attention
+    pattern) are bitwise-identical to the tape composition.
     """
     query = _cast(query, dtype)
     key = _cast(key, dtype)
@@ -364,7 +363,7 @@ def lstm_cell_permuted(
     """One LSTM step on :func:`prepare_lstm_params` weights ([i, f, o, g], i/f/o halved).
 
     Gates are associated as ``(x @ w_ih + h @ w_hh) + bias`` like the
-    tape's ``LSTMCell.forward``.  On halved weights the i/f/o columns are
+    tape composition of the cell.  On halved weights the i/f/o columns are
     ``0.5 *`` their pre-activation, so one in-place ``tanh`` over the
     block, then ``* 0.5 + 0.5`` on those columns, is :func:`sigmoid` on
     the sigmoid gates and ``tanh`` on the cell gate — bitwise equal to

@@ -9,27 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "kaiming_uniform", "orthogonal", "zeros", "ones"]
+__all__ = ["xavier_uniform", "orthogonal", "zeros", "ones"]
 
 
 def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
     """Glorot uniform init: U(-a, a) with a = gain * sqrt(6/(fan_in+fan_out))."""
     fan_in, fan_out = _fans(shape)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot normal init: N(0, gain^2 * 2/(fan_in+fan_out))."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He uniform init, appropriate before ReLU nonlinearities."""
-    fan_in, _ = _fans(shape)
-    bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -1,35 +1,29 @@
-"""Feed-forward building blocks: Linear, Dropout, LayerNorm, Embedding,
-Sequential, and the Gated Residual Network used by the Temporal Fusion
+"""Feed-forward building blocks: Linear, Dropout, LayerNorm, and the
+Gated Linear Unit / Gated Residual Network used by the Temporal Fusion
 Transformer.
+
+Each layer holds its weights and exposes one forward, ``fast_forward``,
+on raw ndarrays (the :mod:`repro.nn.fastpath` kernel of that layer).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
-from . import fastpath, init
+from . import fastgrad, fastpath, init
 from .module import Module, Parameter
-from .tensor import Tensor
 
 __all__ = [
     "Linear",
     "Dropout",
     "LayerNorm",
-    "Embedding",
-    "Sequential",
     "GatedLinearUnit",
     "GatedResidualNetwork",
 ]
 
 
 class Linear(Module):
-    """Affine map ``y = x @ W + b`` with weight shape (in, out).
-
-    With gradients disabled ``layer(x)`` runs :meth:`fast_forward` (see
-    :meth:`Module.__call__`); the result is numerically identical.
-    """
+    """Affine map ``y = x @ W + b`` with weight shape (in, out)."""
 
     def __init__(
         self,
@@ -44,17 +38,22 @@ class Linear(Module):
         self.weight = Parameter(init.xavier_uniform((in_features, out_features), rng))
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
     def fast_forward(
         self, x: np.ndarray, dtype: "np.dtype | type | None" = None
     ) -> np.ndarray:
-        """Tape-free forward on a raw ndarray."""
+        """Forward on a raw ndarray."""
         return fastpath.linear(self, x, dtype)
+
+    def backward(
+        self, x: np.ndarray, dout: np.ndarray, need_dx: bool = True
+    ) -> np.ndarray | None:
+        """Backward of :meth:`fast_forward` at input ``x``: adds the weight
+        and bias gradients into ``.grad``, returns ``dx`` if ``need_dx``."""
+        dx, dw, db = fastgrad.linear_backward(x, self.weight.data, dout, need_dx)
+        fastgrad.accumulate_grad(self.weight, dw)
+        if self.bias is not None:
+            fastgrad.accumulate_grad(self.bias, db)
+        return dx
 
 
 class Dropout(Module):
@@ -78,16 +77,12 @@ class Dropout(Module):
         keep = 1.0 - self.p
         return self._rng.binomial(1, keep, size=shape) / keep
 
-    def forward(self, x: Tensor) -> Tensor:
-        mask = self.mask(x.shape)
-        return x if mask is None else x * Tensor(mask)
-
 
 class LayerNorm(Module):
     """Layer normalization over the last axis.
 
     :meth:`fast_forward` is the :func:`repro.nn.fastpath.layer_norm`
-    kernel; results are bitwise identical in float64.
+    kernel.
     """
 
     def __init__(self, normalized_shape: int, eps: float = 1e-5) -> None:
@@ -96,65 +91,18 @@ class LayerNorm(Module):
         self.gamma = Parameter(init.ones((normalized_shape,)))
         self.beta = Parameter(init.zeros((normalized_shape,)))
 
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        var = ((x - mu) * (x - mu)).mean(axis=-1, keepdims=True)
-        normed = (x - mu) / (var + self.eps).sqrt()
-        return normed * self.gamma + self.beta
-
     def fast_forward(
         self, x: np.ndarray, dtype: "np.dtype | type | None" = None
     ) -> np.ndarray:
-        """Tape-free forward on a raw ndarray."""
+        """Forward on a raw ndarray."""
         return fastpath.layer_norm(self, x, dtype)[0]
-
-
-class Embedding(Module):
-    """Lookup table mapping integer ids to dense vectors."""
-
-    def __init__(self, num_embeddings: int, embedding_dim: int, rng: np.random.Generator) -> None:
-        super().__init__()
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.weight = Parameter(rng.normal(0.0, 0.1, size=(num_embeddings, embedding_dim)))
-
-    def forward(self, ids: np.ndarray) -> Tensor:
-        ids = np.asarray(ids)
-        if ids.min() < 0 or ids.max() >= self.num_embeddings:
-            raise IndexError(
-                f"embedding ids out of range [0, {self.num_embeddings}): "
-                f"min={ids.min()} max={ids.max()}"
-            )
-        return self.weight[ids]
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self._layers: list[Module] = []
-        for index, layer in enumerate(layers):
-            setattr(self, f"layer{index}", layer)
-            self._layers.append(layer)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self._layers:
-            x = layer(x)
-        return x
-
-    def __iter__(self):
-        return iter(self._layers)
-
-    def __len__(self) -> int:
-        return len(self._layers)
 
 
 class GatedLinearUnit(Module):
     """GLU(x) = sigmoid(W1 x + b1) * (W2 x + b2) — TFT's gating primitive.
 
     :meth:`fast_forward` is the fused :func:`repro.nn.fastpath.glu_forward`
-    kernel (bitwise-identical in float64).
+    kernel.
     """
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator) -> None:
@@ -162,13 +110,10 @@ class GatedLinearUnit(Module):
         self.gate = Linear(in_features, out_features, rng)
         self.value = Linear(in_features, out_features, rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.gate(x).sigmoid() * self.value(x)
-
     def fast_forward(
         self, x: np.ndarray, dtype: "np.dtype | type | None" = None
     ) -> np.ndarray:
-        """Tape-free forward on a raw ndarray."""
+        """Forward on a raw ndarray."""
         return fastpath.glu_forward(self, x, dtype)[0]
 
 
@@ -178,8 +123,7 @@ class GatedResidualNetwork(Module):
     GRN(a) = LayerNorm(a' + GLU(eta1)) where
     eta2 = ELU-ish(W2 a), eta1 = W1 eta2, and a' is a (possibly projected)
     residual of the input.  We use tanh in place of ELU; at the scale of
-    workload forecasting models the difference is immaterial and tanh is
-    cheap under autograd.
+    workload forecasting models the difference is immaterial.
     """
 
     def __init__(
@@ -201,15 +145,8 @@ class GatedResidualNetwork(Module):
         else:
             self.skip = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        hidden = self.fc2(self.fc1(x).tanh())
-        hidden = self.dropout(hidden)
-        gated = self.glu(hidden)
-        residual = self.skip(x) if self.skip is not None else x
-        return self.norm(residual + gated)
-
     def fast_forward(
         self, x: np.ndarray, dtype: "np.dtype | type | None" = None
     ) -> np.ndarray:
-        """Tape-free forward on a raw ndarray."""
+        """Forward on a raw ndarray."""
         return fastpath.grn_forward(self, x, dtype)[0]

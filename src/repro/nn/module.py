@@ -2,7 +2,10 @@
 
 Mirrors the familiar torch-style API surface (``parameters()``,
 ``state_dict()``, ``train()``/``eval()``) so the forecasting models read
-naturally, while staying a few hundred lines of plain Python.
+naturally.  A :class:`Module` only *holds* weights: each layer's one
+forward is its ``fast_forward`` on raw ndarrays (:mod:`repro.nn.fastpath`)
+and gradients come from the closed-form backwards of
+:mod:`repro.nn.fastgrad`.
 """
 
 from __future__ import annotations
@@ -11,34 +14,25 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensor import Tensor, is_grad_enabled
-
 __all__ = ["Parameter", "Module"]
 
 
-def _to_arrays(value: object) -> object:
-    """Unwrap Tensors (also inside per-layer state lists/tuples) to ndarrays."""
-    if isinstance(value, Tensor):
-        return value.data
-    if isinstance(value, (list, tuple)):
-        return type(value)([_to_arrays(item) for item in value])
-    return value
+class Parameter:
+    """A trainable weight of a :class:`Module`: a float64 array and its gradient."""
 
-
-def _to_tensors(value: object) -> object:
-    """Wrap ndarrays (also inside lists/tuples) as constant Tensors."""
-    if isinstance(value, np.ndarray):
-        return Tensor(value)
-    if isinstance(value, (list, tuple)):
-        return type(value)([_to_tensors(item) for item in value])
-    return value
-
-
-class Parameter(Tensor):
-    """A tensor registered as a trainable weight of a :class:`Module`."""
+    __slots__ = ("data", "grad")
 
     def __init__(self, data: object) -> None:
-        super().__init__(data, requires_grad=True)
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad: np.ndarray | None = None
+
+    @property
+    def size(self) -> int:
+        return self.data.size
+
+    def zero_grad(self) -> None:
+        """Reset the accumulated gradient."""
+        self.grad = None
 
 
 class Module:
@@ -128,27 +122,3 @@ class Module:
                     f"shape mismatch for {name}: expected {param.data.shape}, got {value.shape}"
                 )
             param.data[...] = value
-
-    # ------------------------------------------------------------------
-    # Call protocol
-    # ------------------------------------------------------------------
-    def forward(self, *args: object, **kwargs: object) -> object:
-        raise NotImplementedError
-
-    #: Layers with a raw-array kernel define ``fast_forward`` with the
-    #: signature of ``forward`` on ndarrays (see :mod:`repro.nn.fastpath`).
-    fast_forward = None
-
-    def __call__(self, *args: object, **kwargs: object) -> object:
-        """Run the layer: the tape ``forward`` while gradients are recorded.
-
-        With gradients disabled, a class that defines ``fast_forward``
-        (the same signature on raw ndarrays, see :mod:`repro.nn.fastpath`)
-        runs that instead — bitwise the same float64 values without the
-        per-op Tensor overhead — and the result is wrapped back into
-        constant Tensors so callers never see the difference.
-        """
-        if is_grad_enabled() or self.fast_forward is None:
-            return self.forward(*args, **kwargs)
-        kwargs = {name: _to_arrays(value) for name, value in kwargs.items()}
-        return _to_tensors(self.fast_forward(*_to_arrays(args), **kwargs))

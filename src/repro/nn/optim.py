@@ -1,4 +1,4 @@
-"""First-order optimizers and learning-rate schedules.
+"""The first-order optimizer and gradient clipping of the shared training loop.
 
 The paper trains every neural forecaster with a learning rate of 1e-3
 (Section IV-A); Adam with that default is the workhorse here.
@@ -12,7 +12,7 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm", "StepLR", "CosineLR"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
 
 class Optimizer:
@@ -32,28 +32,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float, momentum: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum > 0:
-                velocity *= self.momentum
-                velocity += param.grad
-                param.data -= self.lr * velocity
-            else:
-                param.data -= self.lr * param.grad
 
 
 class Adam(Optimizer):
@@ -104,34 +82,3 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
         for param in params:
             param.grad *= scale
     return total
-
-
-class StepLR:
-    """Multiply the optimizer's lr by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5) -> None:
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-        self._base_lr = optimizer.lr
-
-    def step(self) -> None:
-        self._epoch += 1
-        self.optimizer.lr = self._base_lr * self.gamma ** (self._epoch // self.step_size)
-
-
-class CosineLR:
-    """Cosine annealing from the base lr down to ``min_lr`` over ``total`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, total: int, min_lr: float = 1e-5) -> None:
-        self.optimizer = optimizer
-        self.total = max(total, 1)
-        self.min_lr = min_lr
-        self._epoch = 0
-        self._base_lr = optimizer.lr
-
-    def step(self) -> None:
-        self._epoch = min(self._epoch + 1, self.total)
-        cos = 0.5 * (1.0 + np.cos(np.pi * self._epoch / self.total))
-        self.optimizer.lr = self.min_lr + (self._base_lr - self.min_lr) * cos

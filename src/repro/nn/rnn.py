@@ -1,4 +1,4 @@
-"""Recurrent layers: LSTM cell and multi-step LSTM.
+"""Recurrent layers: LSTM cell parameters and the multi-step LSTM.
 
 DeepAR, QB5000's neural component, and the TFT encoder/decoder all run on
 this LSTM.  The implementation fuses the four gates into a single matmul
@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import fastpath, init
+from . import fastgrad, fastpath, init
 from .module import Module, Parameter
-from .tensor import Tensor
 
 __all__ = ["LSTMCell", "LSTM"]
 
 
 class LSTMCell(Module):
-    """Single LSTM step with fused gate weights.
+    """One LSTM layer's fused gate weights.
 
     Gate layout along the output axis is ``[input, forget, cell, output]``
     (the raw kernels run on :func:`fastpath.prepare_lstm_params` copies).
@@ -39,41 +38,6 @@ class LSTMCell(Module):
         bias = np.zeros(4 * hidden_size)
         bias[hidden_size : 2 * hidden_size] = 1.0  # forget gate
         self.bias = Parameter(bias)
-
-    def forward(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-        """Advance one step.
-
-        Parameters
-        ----------
-        x:
-            Input of shape (batch, input_size).
-        state:
-            Tuple (h, c) each of shape (batch, hidden_size).
-        """
-        h_prev, c_prev = state
-        gates = x @ self.w_ih + h_prev @ self.w_hh + self.bias
-        hs = self.hidden_size
-        i_gate = gates[:, :hs].sigmoid()
-        f_gate = gates[:, hs : 2 * hs].sigmoid()
-        g_gate = gates[:, 2 * hs : 3 * hs].tanh()
-        o_gate = gates[:, 3 * hs :].sigmoid()
-        c_new = f_gate * c_prev + i_gate * g_gate
-        h_new = o_gate * c_new.tanh()
-        return h_new, c_new
-
-    def fast_forward(
-        self, x: np.ndarray, state: tuple[np.ndarray, np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Tape-free step on raw arrays; numerically identical to forward."""
-        _, (new_state,) = fastpath.lstm_step(
-            x, [(self.w_ih.data, self.w_hh.data, self.bias.data)], self.hidden_size, [state]
-        )
-        return new_state
-
-    def initial_state(self, batch_size: int) -> tuple[Tensor, Tensor]:
-        """Zero hidden and cell states for a batch."""
-        zeros = np.zeros((batch_size, self.hidden_size))
-        return Tensor(zeros), Tensor(zeros.copy())
 
 
 class LSTM(Module):
@@ -103,30 +67,6 @@ class LSTM(Module):
             setattr(self, f"cell{layer}", cell)
             self._cells.append(cell)
 
-    def forward(
-        self,
-        x: Tensor,
-        state: list[tuple[Tensor, Tensor]] | None = None,
-    ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
-        batch, steps, _ = x.shape
-        if state is None:
-            state = [cell.initial_state(batch) for cell in self._cells]
-        else:
-            state = list(state)
-
-        layer_input = [x[:, t, :] for t in range(steps)]
-        for layer, cell in enumerate(self._cells):
-            h, c = state[layer]
-            outputs = []
-            for step_input in layer_input:
-                h, c = cell(step_input, (h, c))
-                outputs.append(h)
-            state[layer] = (h, c)
-            layer_input = outputs
-
-        sequence = Tensor.stack(layer_input, axis=1)
-        return sequence, state
-
     def _layer_params(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per-layer (w_ih, w_hh, bias) raw arrays for the fused kernels."""
         return [(c.w_ih.data, c.w_hh.data, c.bias.data) for c in self._cells]
@@ -138,14 +78,13 @@ class LSTM(Module):
         dtype: "np.dtype | type | None" = None,
         cache: "list[fastpath.LSTMLayerCache] | None" = None,
     ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-        """Fused tape-free unroll on raw arrays.
+        """Fused unroll on raw arrays.
 
         Keeps (h, c) as plain ndarrays and writes each step's hidden
-        state into a preallocated buffer instead of building the
-        per-timestep Tensor lists the tape path needs.  ``dtype=None``
-        computes in float64; ``np.float32`` runs the whole scan in
-        single precision.  A ``cache`` list receives the per-layer
-        activations :func:`repro.nn.fastgrad.lstm_backward` needs.
+        state into a preallocated buffer.  ``dtype=None`` computes in
+        float64; ``np.float32`` runs the whole scan in single precision.
+        A ``cache`` list receives the per-layer activations
+        :func:`repro.nn.fastgrad.lstm_backward` needs.
         """
         return fastpath.lstm_forward(
             x, self._layer_params(), self.hidden_size, state, dtype=dtype, cache=cache
@@ -162,6 +101,12 @@ class LSTM(Module):
             x, self._layer_params(), self.hidden_size, state, dtype=dtype
         )
 
-    def initial_state(self, batch_size: int) -> list[tuple[Tensor, Tensor]]:
-        """Zero states for every layer."""
-        return [cell.initial_state(batch_size) for cell in self._cells]
+    def accumulate_grads(
+        self, grads: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    ) -> None:
+        """Add :func:`fastgrad.lstm_backward`'s per-layer ``(dW_ih, dW_hh, db)``
+        into the cells' ``.grad`` buffers."""
+        for cell, (dw_ih, dw_hh, db) in zip(self._cells, grads):
+            fastgrad.accumulate_grad(cell.w_ih, dw_ih)
+            fastgrad.accumulate_grad(cell.w_hh, dw_hh)
+            fastgrad.accumulate_grad(cell.bias, db)

@@ -11,9 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .module import Module
-
-__all__ = ["save_state", "load_state", "save_module", "load_module"]
+__all__ = ["save_state", "load_state"]
 
 
 def save_state(state: dict[str, np.ndarray], path: str | Path) -> None:
@@ -27,14 +25,3 @@ def load_state(path: str | Path) -> dict[str, np.ndarray]:
     """Read a state dict previously written by :func:`save_state`."""
     with np.load(Path(path)) as archive:
         return {key: archive[key] for key in archive.files}
-
-
-def save_module(module: Module, path: str | Path) -> None:
-    """Persist a module's weights."""
-    save_state(module.state_dict(), path)
-
-
-def load_module(module: Module, path: str | Path) -> Module:
-    """Restore weights in place and return the module."""
-    module.load_state_dict(load_state(path))
-    return module

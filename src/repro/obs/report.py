@@ -383,46 +383,28 @@ def _parse_metric_key(key: str) -> tuple[str, dict[str, str]]:
 
 
 def _training_section(summary: TelemetrySummary) -> list[str]:
-    """Per-model training table: which grad path ran, and how fast.
+    """Per-model training table: minibatches run, and how fast.
 
-    Groups the fit-loop metrics (``forecast.fastgrad_batches`` counts
-    batches per path, ``forecast.batch_seconds`` times them) by
-    (model, path).  ``path`` is ``fastgrad`` for forecasters whose class
-    has an analytic backward pass and ``tape`` for those that train on
-    autograd, so a run that fits both kinds shows one row per model.
+    One row per ``forecast.batch_seconds`` histogram — ``fit`` observes
+    it once per minibatch, labelled with the forecaster class.
     """
-    rows: dict[tuple[str, str], dict] = {}
-    for key, value in summary.counters.items():
-        name, labels = _parse_metric_key(key)
-        if name == "forecast.fastgrad_batches":
-            rows.setdefault(
-                (labels.get("model", "?"), labels.get("path", "?")), {}
-            )["batches"] = value
+    rows = {}
     for key, hist in summary.histograms.items():
         name, labels = _parse_metric_key(key)
         if name == "forecast.batch_seconds":
-            rows.setdefault(
-                (labels.get("model", "?"), labels.get("path", "?")), {}
-            )["hist"] = hist
+            rows[labels.get("model", "?")] = hist
     if not rows:
         return []
 
-    lines = ["", "training (per grad path)"]
+    lines = ["", "training (per model)"]
     lines.append(
-        f"  {'model':<24} {'path':<10} {'batches':>8} "
-        f"{'mean ms':>9} {'p50 ms':>9} {'max ms':>9}"
+        f"  {'model':<24} {'batches':>8} {'mean ms':>9} {'p50 ms':>9} {'max ms':>9}"
     )
-    for (model, path), row in sorted(rows.items()):
-        hist = row.get("hist")
-        batches = int(row.get("batches", hist.count if hist else 0))
-        if hist is not None:
-            stats = (
-                f"{hist.mean * 1e3:>9.2f} {hist.quantile(0.5) * 1e3:>9.2f} "
-                f"{hist.max * 1e3:>9.2f}"
-            )
-        else:
-            stats = f"{'-':>9} {'-':>9} {'-':>9}"
-        lines.append(f"  {model:<24} {path:<10} {batches:>8} {stats}")
+    for model, hist in sorted(rows.items()):
+        lines.append(
+            f"  {model:<24} {hist.count:>8} {hist.mean * 1e3:>9.2f} "
+            f"{hist.quantile(0.5) * 1e3:>9.2f} {hist.max * 1e3:>9.2f}"
+        )
     return lines
 
 

@@ -61,7 +61,9 @@ class TestNeuralForecasterScaffolding:
         with pytest.raises(NotImplementedError):
             forecaster._build(np.random.default_rng(0))
         with pytest.raises(NotImplementedError):
-            forecaster._loss(np.zeros((1, 4)), np.zeros((1, 2)), np.zeros(1))
+            forecaster._forward_loss(np.zeros((1, 4)), np.zeros((1, 2)), np.zeros(1))
+        with pytest.raises(NotImplementedError):  # the training step is built on it
+            forecaster._loss_backward(np.zeros((1, 4)), np.zeros((1, 2)), np.zeros(1))
 
     def test_rejects_degenerate_lengths(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.nn import Tensor
+from tests.nn.tensor import Tensor
 
 
 def numerical_gradient(

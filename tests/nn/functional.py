@@ -1,11 +1,13 @@
-"""Loss functions for training the forecasters.
+"""The forecasters' training losses composed on the autograd tape.
 
-Two losses carry the paper's two methodologies (Section III-B):
+Reference implementations of the closed-form loss kernels in
+:mod:`repro.nn.fastgrad` (which replicate these term for term):
 
 * negative log-likelihood under a parametric distribution (MLP's Gaussian
-  head, DeepAR's Student-t head), and
+  head, DeepAR's Student-t head),
 * the quantile ("pinball") loss of Eq. 1-2 for models that emit a
-  pre-specified grid of quantiles (TFT).
+  pre-specified grid of quantiles (TFT, the grid-head models), and
+* the QB5000 LSTM's mean squared error.
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = [
-    "mse_loss",
-    "mae_loss",
-    "gaussian_nll",
-    "student_t_nll",
-    "quantile_loss",
-    "pinball",
-]
+__all__ = ["mse_loss", "gaussian_nll", "student_t_nll", "quantile_loss"]
 
 
 def mse_loss(prediction: Tensor, target: np.ndarray | Tensor) -> Tensor:
@@ -29,12 +24,6 @@ def mse_loss(prediction: Tensor, target: np.ndarray | Tensor) -> Tensor:
     target = target if isinstance(target, Tensor) else Tensor(target)
     diff = prediction - target
     return (diff * diff).mean()
-
-
-def mae_loss(prediction: Tensor, target: np.ndarray | Tensor) -> Tensor:
-    """Mean absolute error (equals pinball loss at tau = 0.5, times 2)."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    return (prediction - target).abs().mean()
 
 
 def gaussian_nll(mean: Tensor, std: Tensor, target: np.ndarray | Tensor) -> Tensor:
@@ -90,33 +79,23 @@ def _log_gamma(x: Tensor) -> Tensor:
     return series - correction
 
 
-def pinball(prediction: Tensor, target: np.ndarray | Tensor, tau: float) -> Tensor:
-    """Quantile loss of Eq. 1: rho_tau(y, yhat) = (tau - I[y < yhat])(yhat - y).
-
-    Returns the elementwise loss (callers reduce as appropriate).
-    ``prediction`` plays the role of the quantile estimate ``yhat``.
-    """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {tau}")
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = target - prediction  # y - yhat
-    return diff.maximum(Tensor(np.zeros(1))) * tau + (-diff).maximum(Tensor(np.zeros(1))) * (
-        1.0 - tau
-    )
-
-
 def quantile_loss(
     predictions: Tensor, target: np.ndarray | Tensor, quantiles: list[float]
 ) -> Tensor:
     """Total pinball loss of Eq. 2, summed over a grid of quantile levels.
 
-    ``predictions`` has a trailing axis of size ``len(quantiles)``; the
-    target is broadcast against it.
+    Per level, Eq. 1: rho_tau(y, yhat) = (tau - I[y < yhat])(yhat - y),
+    averaged over the elements.  ``predictions`` has a trailing axis of
+    size ``len(quantiles)``; the target is broadcast against it.
     """
     target = target if isinstance(target, Tensor) else Tensor(target)
+    zero = Tensor(np.zeros(1))
     total: Tensor | None = None
     for index, tau in enumerate(quantiles):
-        loss = pinball(predictions[..., index], target, tau).mean()
+        if not 0.0 < tau < 1.0:
+            raise ValueError(f"quantile level must be in (0, 1), got {tau}")
+        diff = target - predictions[..., index]  # y - yhat
+        loss = (diff.maximum(zero) * tau + (-diff).maximum(zero) * (1.0 - tau)).mean()
         total = loss if total is None else total + loss
     assert total is not None, "quantiles must be non-empty"
     return total

@@ -1,15 +1,17 @@
-"""Reverse-mode automatic differentiation over numpy arrays.
+"""Reverse-mode automatic differentiation over numpy arrays: the test oracle.
 
-This module is the foundation of the neural-network substrate used by the
-probabilistic forecasters (MLP, DeepAR, TFT).  It implements a small,
-explicit tape-based autograd: every :class:`Tensor` records the operation
-that produced it and closures that propagate gradients to its parents.
-Calling :meth:`Tensor.backward` performs a topological sweep over that tape.
+Production (``src/repro``) computes every gradient analytically
+(:mod:`repro.nn.fastgrad`); this module is what those passes are checked
+against (``tests/nn/oracles.py`` composes the layers and losses on it).
+It implements a small, explicit tape-based autograd: every
+:class:`Tensor` records the operation that produced it and closures that
+propagate gradients to its parents.  Calling :meth:`Tensor.backward`
+performs a topological sweep over that tape.
 
-The design goals, in order, are correctness, debuggability, and enough
-speed to train small forecasting models on workload traces.  All data is
-kept in ``float64`` — the models here are tiny, and double precision makes
-gradient checks in the test suite tight.
+The design goals, in order, are correctness and debuggability.  All data
+is kept in ``float64`` — double precision makes gradient checks in the
+test suite tight.  The logistic is production's one definition
+(``fastpath.sigmoid``), so bitwise forward parity keeps its meaning.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import fastpath
+from repro.nn import fastpath
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
@@ -28,8 +30,7 @@ _GRAD_ENABLED = True
 class no_grad:
     """Context manager that disables gradient recording.
 
-    Used during inference (forecast generation, sampling) where building
-    the autograd tape would waste memory and time.
+    Forward values are unchanged; no tape is built.
     """
 
     def __enter__(self) -> "no_grad":

@@ -13,11 +13,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.forecast import DeepARForecaster, MLPForecaster, TrainingConfig
+from repro.forecast import (
+    DeepARForecaster,
+    MLPForecaster,
+    MLPQuantileForecaster,
+    NeuralForecaster,
+    QuantileRegressionForecaster,
+    TFTForecaster,
+    TrainingConfig,
+)
 from repro.forecast.qb5000 import _LSTMPointForecaster
-from repro.nn import LSTM, Tensor, fastgrad
-from repro.nn import functional as F
-from tests.nn.oracles import tape_fit, tape_loss_backward
+from repro.nn import LSTM, fastgrad
+from tests.nn import functional as F
+from tests.nn.oracles import forward, tape_fit, tape_loss_backward
+from tests.nn.tensor import Tensor
 
 RNG = np.random.default_rng
 
@@ -159,7 +168,7 @@ class TestLSTMAgainstTape:
 
         # Tape reference: projection loss over the full hidden sequence.
         xt = Tensor(x, requires_grad=True)
-        seq, _ = lstm(xt)
+        seq, _ = forward(lstm, xt)
         (seq * Tensor(proj)).sum().backward()
         tape_grads = {n: p.grad.copy() for n, p in lstm.named_parameters()}
         tape_dx = xt.grad.copy()
@@ -220,7 +229,7 @@ def _tape_loss_and_grads(forecaster, batch):
 
 def _fast_loss_and_grads(forecaster, batch):
     forecaster.network.zero_grad()
-    loss = forecaster._fastgrad_loss_backward(*batch)
+    loss = forecaster._loss_backward(*batch)
     grads = {
         n: (None if p.grad is None else p.grad.copy())
         for n, p in forecaster.network.named_parameters()
@@ -258,18 +267,85 @@ class TestModelLossParity:
         fc.network = fc._build(RNG(1))
         batch = _batch(fc)
         # the one raw forward (predict and training both call it) is the tape's, bit for bit
-        for raw, tape in zip(fc.network.fast_forward(batch[0]), fc.network(Tensor(batch[0]))):
+        for raw, tape in zip(fc.network.fast_forward(batch[0]), forward(fc.network, Tensor(batch[0]))):
             assert np.array_equal(raw, tape.data)
         tape_loss, tape_grads = _tape_loss_and_grads(fc, batch)
         fast_loss, fast_grads = _fast_loss_and_grads(fc, batch)
         assert fast_loss == pytest.approx(tape_loss, rel=1e-12)
         _assert_grads_match(fast_grads, tape_grads)
 
-    def test_supports_flags(self):
-        """fit's analytic-vs-tape choice is read off the class."""
-        assert hasattr(DeepARForecaster, "_fastgrad_loss_backward")
-        assert hasattr(MLPForecaster, "_fastgrad_loss_backward")
-        assert not hasattr(_LSTMPointForecaster, "_fastgrad_loss_backward")
+    @pytest.mark.parametrize("name", ["quantile_regression", "mlp_quantile", "qb5000_lstm"])
+    def test_converted(self, name):
+        fc = _TINY[name]()
+        fc.network = fc._build(RNG(2))
+        batch = _batch(fc)
+        tape_loss, tape_grads = _tape_loss_and_grads(fc, batch)
+        fast_loss, fast_grads = _fast_loss_and_grads(fc, batch)
+        assert fast_loss == pytest.approx(tape_loss, rel=1e-12)
+        _assert_grads_match(fast_grads, tape_grads)
+
+    @pytest.mark.parametrize("name", ["quantile_regression", "mlp_quantile", "qb5000_lstm"])
+    def test_converted_against_finite_differences(self, name):
+        """Independent of the tape: a mistake shared by the analytic pass
+        and its tape composition cannot hide from the forward-only loss."""
+        fc = _TINY[name]()
+        fc.network = fc._build(RNG(3))
+        batch = _batch(fc, batch=3)
+        _, grads = _fast_loss_and_grads(fc, batch)
+        for pname, param in fc.network.named_parameters():
+            fd = _fd_grad(lambda: fc._forward_loss(*batch)[0], param.data)
+            np.testing.assert_allclose(grads[pname], fd, atol=1e-6, err_msg=pname)
+
+
+# ---------------------------------------------------------------------------
+# The training contract every NeuralForecaster implements
+# ---------------------------------------------------------------------------
+_CFG = TrainingConfig(epochs=1, seed=0)
+_LEVELS = (0.1, 0.5, 0.9)
+_TINY = {
+    "mlp": lambda: MLPForecaster(6, 3, hidden_size=5, config=_CFG),
+    "deepar-student_t": lambda: DeepARForecaster(6, 3, hidden_size=4, num_layers=2, config=_CFG),
+    "deepar-gaussian": lambda: DeepARForecaster(
+        6, 3, hidden_size=4, num_layers=1, likelihood="gaussian", config=_CFG
+    ),
+    "tft": lambda: TFTForecaster(6, 3, quantile_levels=_LEVELS, d_model=4, num_heads=2, config=_CFG),
+    "quantile_regression": lambda: QuantileRegressionForecaster(6, 3, _LEVELS, config=_CFG),
+    "mlp_quantile": lambda: MLPQuantileForecaster(6, 3, _LEVELS, hidden_size=5, config=_CFG),
+    "qb5000_lstm": lambda: _LSTMPointForecaster(6, 3, hidden_size=4, config=_CFG),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+class TestTrainingContract:
+    def test_every_neural_forecaster_implements_the_hook(self):
+        shipped = {
+            cls for cls in _subclasses(NeuralForecaster)
+            if cls.__module__.startswith("repro.forecast.")
+        }
+        assert shipped == {type(make()) for make in _TINY.values()}  # no case missing below
+        for cls in shipped:
+            assert cls._build is not NeuralForecaster._build, cls
+            assert cls._forward_loss is not NeuralForecaster._forward_loss, cls
+            assert cls._loss_backward is NeuralForecaster._loss_backward, cls  # one training step
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("name", list(_TINY))
+    def test_forward_only_loss_is_the_training_loss(self, name, batch):
+        """Validation runs ``_forward_loss`` alone: same value, bit for
+        bit, as the training step returns, and no gradient left behind."""
+        fc = _TINY[name]()
+        fc.network = fc._build(RNG(4))
+        data = _batch(fc, batch=batch)
+        loss = fc._forward_loss(*data)[0]
+        assert isinstance(loss, float)
+        assert all(p.grad is None for p in fc.network.parameters())
+        assert fc._loss_backward(*data) == loss
+        assert any(p.grad is not None for p in fc.network.parameters())
 
 
 class TestFitTrajectoryParity:
@@ -281,8 +357,11 @@ class TestFitTrajectoryParity:
         [
             lambda cfg: DeepARForecaster(16, 8, hidden_size=8, num_layers=1, config=cfg),
             lambda cfg: MLPForecaster(16, 8, hidden_size=8, config=cfg),
+            lambda cfg: QuantileRegressionForecaster(16, 8, config=cfg),
+            lambda cfg: MLPQuantileForecaster(16, 8, hidden_size=8, config=cfg),
+            lambda cfg: _LSTMPointForecaster(16, 8, hidden_size=8, config=cfg),
         ],
-        ids=["deepar", "mlp"],
+        ids=["deepar", "mlp", "quantile_regression", "mlp_quantile", "qb5000_lstm"],
     )
     def test_trajectories_match(self, factory):
         rng = RNG(8)

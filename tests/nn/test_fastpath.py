@@ -1,11 +1,10 @@
-"""Parity and dispatch tests for the raw-array inference kernels.
+"""Parity tests for the raw-array kernels.
 
 Every kernel must be *bitwise* identical to the Tensor tape path —
 not merely close — because the DeepAR sampler feeds its own outputs
 back in autoregressively, so any ULP difference compounds across the
-horizon and changes the drawn trajectories.  The tape side is obtained
-by calling the module with gradients enabled (``Module.__call__`` only
-dispatches to the raw kernel under ``no_grad``).
+horizon and changes the drawn trajectories.  The tape side is the
+composition of the same production module in ``tests/nn/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,9 +13,11 @@ import numpy as np
 import pytest
 
 from repro.forecast import DeepARForecaster, TrainingConfig
-from repro.nn import LSTM, Embedding, Linear, Tensor, fastpath, no_grad
+from repro.forecast.features import NUM_CALENDAR_FEATURES
+from repro.nn import LSTM, Linear, fastpath
 from repro.nn.rnn import LSTMCell
-from tests.nn.oracles import legacy_sample_paths, sample_paths_tape
+from tests.nn.oracles import forward, legacy_sample_paths, sample_paths_tape
+from tests.nn.tensor import Tensor
 
 RNG = np.random.default_rng(42)
 
@@ -26,51 +27,25 @@ def _random(shape):
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Layer entry points
 # ---------------------------------------------------------------------------
-def test_module_call_dispatches_on_grad_mode_and_fast_forward(monkeypatch):
-    layer = Linear(4, 3, np.random.default_rng(0))
-    x = Tensor(_random((5, 4)))
-    calls = []
-    monkeypatch.setattr(
-        Linear, "fast_forward", lambda self, x: calls.append("raw") or x @ self.weight.data
-    )
-    monkeypatch.setattr(
-        Linear, "forward", lambda self, x: calls.append("tape") or x @ self.weight
-    )
-    layer(x)  # grad enabled by default -> tape
-    with no_grad():
-        out = layer(x)  # -> raw kernel, result wrapped back into a Tensor
-    assert calls == ["tape", "raw"]
-    assert isinstance(out, Tensor) and not out.requires_grad
-
-    # A class without fast_forward keeps its tape forward under no_grad.
-    table = Embedding(6, 2, np.random.default_rng(1))
-    assert table.fast_forward is None
-    with no_grad():
-        assert table(np.array([0, 5])).data.shape == (2, 2)
-
-
-def test_module_call_unwraps_nested_state_and_keywords():
+def test_lstm_forward_with_initial_state_matches_tape_bitwise():
     lstm = LSTM(3, 4, np.random.default_rng(5), num_layers=2)
     x = _random((2, 6, 3))
-    state = [(Tensor(_random((2, 4))), Tensor(_random((2, 4)))) for _ in range(2)]
-    with no_grad():
-        seq, new_state = lstm(Tensor(x), state=state)
-    raw_seq, raw_state = lstm.fast_forward(x, [(h.data, c.data) for h, c in state])
-    assert isinstance(seq, Tensor) and np.array_equal(seq.data, raw_seq)
-    assert isinstance(new_state, list) and isinstance(new_state[0], tuple)
+    state = [(_random((2, 4)), _random((2, 4))) for _ in range(2)]
+    raw_seq, raw_state = lstm.fast_forward(x, state=state)
+    seq, new_state = forward(lstm, Tensor(x), [(Tensor(h), Tensor(c)) for h, c in state])
+    assert np.array_equal(seq.data, raw_seq)
     for (h, c), (rh, rc) in zip(new_state, raw_state):
         assert np.array_equal(h.data, rh) and np.array_equal(c.data, rc)
 
 
-def test_linear_dispatches_to_fast_path_under_no_grad():
+def test_linear_forward_matches_tape_bitwise():
     layer = Linear(4, 3, np.random.default_rng(0))
     x = _random((5, 4))
-    with no_grad():
-        out = layer(Tensor(x))
-    assert out.data.shape == (5, 3)
-    assert np.array_equal(out.data, layer.fast_forward(x))
+    out = layer.fast_forward(x)
+    assert out.shape == (5, 3)
+    assert np.array_equal(out, forward(layer, Tensor(x)).data)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +64,8 @@ def test_activation_parity_bitwise(name):
 
 
 def test_sigmoid_extreme_values_match_tape():
-    # The fast sigmoid uses a branch-free max trick; the clip boundary
-    # (±500) and saturation region must agree with the tape op exactly.
+    # tanh saturates instead of overflowing (no clip): far into both
+    # tails the kernel and the tape op must return the same exact 0 / 1.
     x = np.array([-1000.0, -500.0, -499.999, 499.999, 500.0, 1000.0])
     assert np.array_equal(fastpath.sigmoid(x), Tensor(x).sigmoid().data)
 
@@ -99,16 +74,17 @@ def test_sigmoid_extreme_values_match_tape():
 # LSTM kernels
 # ---------------------------------------------------------------------------
 def _tape_cell_step(cell, x, h, c):
-    h_new, c_new = cell(Tensor(x), (Tensor(h), Tensor(c)))
+    h_new, c_new = forward(cell, Tensor(x), (Tensor(h), Tensor(c)))
     return h_new.data, c_new.data
 
 
 def test_lstm_cell_forward_matches_tape_bitwise():
     cell = LSTMCell(5, 16, np.random.default_rng(1))
     x, h, c = _random((7, 5)), _random((7, 16)), _random((7, 16))
-    fast_h, fast_c = cell.fast_forward(x, (h, c))
+    params = [(cell.w_ih.data, cell.w_hh.data, cell.bias.data)]
+    fast_h, [(state_h, fast_c)] = fastpath.lstm_step(x, params, 16, [(h, c)])
     tape_h, tape_c = _tape_cell_step(cell, x, h, c)
-    assert np.array_equal(fast_h, tape_h)
+    assert np.array_equal(fast_h, tape_h) and np.array_equal(state_h, tape_h)
     assert np.array_equal(fast_c, tape_c)
 
 
@@ -128,7 +104,7 @@ def test_multilayer_lstm_forward_matches_tape_bitwise():
     lstm = LSTM(5, 12, np.random.default_rng(3), num_layers=2)
     x = _random((4, 20, 5))
     fast_seq, fast_state = lstm.fast_forward(x)
-    tape_seq, tape_state = lstm(Tensor(x))
+    tape_seq, tape_state = forward(lstm, Tensor(x))
     assert np.array_equal(fast_seq, tape_seq.data)
     for (fh, fc), (th, tc) in zip(fast_state, tape_state):
         assert np.array_equal(fh, th.data)
@@ -161,14 +137,16 @@ def deepar():
 
 
 def test_deepar_heads_match_tape(deepar):
+    """The heads of the teacher-forced pass, on its flattened hidden sequence."""
     forecaster, _ = deepar
     net = forecaster.network
-    hidden = _random((6, forecaster.hidden_size))
-    mu, scale, df = net._heads(hidden)
-    top = Tensor(hidden)
-    tape_mu = net.mu_head(top)[..., 0].data
-    tape_scale = (net.scale_head(top)[..., 0].softplus() + 1e-4).data
-    tape_df = (net.df_head(top)[..., 0].softplus() + 2.0).data
+    inputs = _random((2, 3, 1 + NUM_CALENDAR_FEATURES))
+    mu, scale, df = net.fast_forward(inputs)
+    hidden, _ = net.lstm.fast_forward(inputs)
+    top = Tensor(hidden.reshape(6, forecaster.hidden_size))
+    tape_mu = forward(net.mu_head, top)[..., 0].data
+    tape_scale = (forward(net.scale_head, top)[..., 0].softplus() + 1e-4).data
+    tape_df = (forward(net.df_head, top)[..., 0].softplus() + 2.0).data
     assert np.array_equal(mu, tape_mu)
     assert np.array_equal(scale, tape_scale)
     assert np.array_equal(df, tape_df)

@@ -1,16 +1,14 @@
-"""Tests for the LSTM and attention layers."""
+"""Tests for the LSTM and attention layers, run on their tape compositions
+(``tests/nn/oracles.py``; kernel parity is ``test_fastpath.py`` /
+``test_tft_fastpath.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    LSTM,
-    InterpretableMultiHeadAttention,
-    LSTMCell,
-    Tensor,
-    causal_mask,
-    scaled_dot_product_attention,
-)
+from repro.nn import LSTM, InterpretableMultiHeadAttention, causal_mask
+from repro.nn.rnn import LSTMCell
+from tests.nn.oracles import forward, initial_state, scaled_dot_product_attention
+from tests.nn.tensor import Tensor
 
 
 def rng():
@@ -20,16 +18,16 @@ def rng():
 class TestLSTMCell:
     def test_step_shapes(self):
         cell = LSTMCell(3, 5, rng())
-        h, c = cell.initial_state(batch_size=2)
-        h2, c2 = cell(Tensor(np.ones((2, 3))), (h, c))
+        h, c = initial_state(cell, batch_size=2)
+        h2, c2 = forward(cell, Tensor(np.ones((2, 3))), (h, c))
         assert h2.shape == (2, 5)
         assert c2.shape == (2, 5)
 
     def test_hidden_bounded_by_tanh(self):
         cell = LSTMCell(2, 4, rng())
-        h, c = cell.initial_state(1)
+        h, c = initial_state(cell, 1)
         for _ in range(50):
-            h, c = cell(Tensor(np.full((1, 2), 10.0)), (h, c))
+            h, c = forward(cell, Tensor(np.full((1, 2), 10.0)), (h, c))
         assert np.all(np.abs(h.data) <= 1.0)
 
     def test_forget_bias_initialised_to_one(self):
@@ -39,26 +37,26 @@ class TestLSTMCell:
 
     def test_gradients_through_time(self):
         cell = LSTMCell(1, 3, rng())
-        h, c = cell.initial_state(1)
+        h, c = initial_state(cell, 1)
         x = Tensor(np.ones((1, 1)), requires_grad=True)
         for _ in range(5):
-            h, c = cell(x, (h, c))
+            h, c = forward(cell, x, (h, c))
         h.sum().backward()
         assert x.grad is not None
         assert np.all(np.isfinite(x.grad))
 
     def test_state_changes_with_input(self):
         cell = LSTMCell(1, 3, rng())
-        state = cell.initial_state(1)
-        h_a, _ = cell(Tensor(np.array([[1.0]])), state)
-        h_b, _ = cell(Tensor(np.array([[-1.0]])), state)
+        state = initial_state(cell, 1)
+        h_a, _ = forward(cell, Tensor(np.array([[1.0]])), state)
+        h_b, _ = forward(cell, Tensor(np.array([[-1.0]])), state)
         assert not np.allclose(h_a.data, h_b.data)
 
 
 class TestLSTM:
     def test_sequence_shapes(self):
         lstm = LSTM(input_size=2, hidden_size=4, rng=rng(), num_layers=2)
-        out, state = lstm(Tensor(np.ones((3, 7, 2))))
+        out, state = forward(lstm, Tensor(np.ones((3, 7, 2))))
         assert out.shape == (3, 7, 4)
         assert len(state) == 2
         assert state[0][0].shape == (3, 4)
@@ -66,9 +64,9 @@ class TestLSTM:
     def test_state_carryover_matches_full_run(self):
         lstm = LSTM(1, 3, rng())
         series = np.random.default_rng(4).normal(size=(1, 6, 1))
-        full, _ = lstm(Tensor(series))
-        first, state = lstm(Tensor(series[:, :3]))
-        second, _ = lstm(Tensor(series[:, 3:]), state)
+        full, _ = forward(lstm, Tensor(series))
+        first, state = forward(lstm, Tensor(series[:, :3]))
+        second, _ = forward(lstm, Tensor(series[:, 3:]), state)
         np.testing.assert_allclose(second.data, full.data[:, 3:], rtol=1e-10)
 
     def test_invalid_layer_count(self):
@@ -77,7 +75,7 @@ class TestLSTM:
 
     def test_all_parameters_receive_grads(self):
         lstm = LSTM(2, 3, rng(), num_layers=2)
-        out, _ = lstm(Tensor(np.random.default_rng(8).normal(size=(2, 4, 2))))
+        out, _ = forward(lstm, Tensor(np.random.default_rng(8).normal(size=(2, 4, 2))))
         out.sum().backward()
         for name, param in lstm.named_parameters():
             assert param.grad is not None, f"no grad for {name}"
@@ -116,7 +114,7 @@ class TestAttention:
     def test_multihead_shapes(self):
         attn = InterpretableMultiHeadAttention(d_model=8, num_heads=2, rng=rng())
         x = Tensor(np.random.default_rng(6).normal(size=(2, 5, 8)))
-        out, weights = attn(x, x, x)
+        out, weights = forward(attn, x, x, x)
         assert out.shape == (2, 5, 8)
         assert weights.shape == (2, 5, 5)
         np.testing.assert_allclose(weights.data.sum(axis=-1), np.ones((2, 5)), rtol=1e-8)
@@ -128,7 +126,7 @@ class TestAttention:
     def test_multihead_gradients(self):
         attn = InterpretableMultiHeadAttention(d_model=4, num_heads=2, rng=rng())
         x = Tensor(np.random.default_rng(9).normal(size=(1, 3, 4)))
-        out, _ = attn(x, x, x)
+        out, _ = forward(attn, x, x, x)
         out.sum().backward()
         for name, param in attn.named_parameters():
             assert param.grad is not None, f"no grad for {name}"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, is_grad_enabled, no_grad
+from tests.nn.tensor import Tensor, is_grad_enabled, no_grad
 
 from tests.helpers import assert_grad_matches
 

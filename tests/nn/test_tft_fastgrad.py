@@ -4,8 +4,8 @@ Mirrors ``test_fastgrad.py``'s contract for the attention stack: each
 closed-form backward (softmax JVP, LayerNorm, GLU, GRN, interpretable
 attention, quantile loss) is checked against central finite differences
 of its own forward *and* against the autograd tape, then the full
-``TFTForecaster._fastgrad_loss_backward`` and an end-to-end fit
-trajectory are pinned to the tape.
+``TFTForecaster._loss_backward`` and an end-to-end fit trajectory are
+pinned to the tape (``tests/nn/oracles.py``).
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from repro.nn import (
     GatedResidualNetwork,
     InterpretableMultiHeadAttention,
     LayerNorm,
-    Tensor,
     causal_mask,
     fastgrad,
     fastpath,
 )
-from repro.nn import functional as F
-from tests.nn.oracles import tape_fit, tape_loss_backward
+from tests.nn import functional as F
+from tests.nn.oracles import forward, tape_fit, tape_loss_backward
+from tests.nn.tensor import Tensor
 
 RNG = np.random.default_rng
 
@@ -194,7 +194,7 @@ class TestKernelsAgainstTape:
 
         norm.zero_grad()
         xt = Tensor(x, requires_grad=True)
-        out = norm(xt)
+        out = forward(norm, xt)
         (out * Tensor(proj)).sum().backward()
         tape_grads = _param_grads(norm)
         tape_dx = xt.grad.copy()
@@ -216,7 +216,7 @@ class TestKernelsAgainstTape:
 
         glu.zero_grad()
         xt = Tensor(x, requires_grad=True)
-        out = glu(xt)
+        out = forward(glu, xt)
         (out * Tensor(proj)).sum().backward()
         tape_grads = _param_grads(glu)
         tape_dx = xt.grad.copy()
@@ -238,7 +238,7 @@ class TestKernelsAgainstTape:
 
         grn.zero_grad()
         xt = Tensor(x, requires_grad=True)
-        out = grn(xt)
+        out = forward(grn, xt)
         (out * Tensor(proj)).sum().backward()
         tape_grads = _param_grads(grn)
         tape_dx = xt.grad.copy()
@@ -262,7 +262,7 @@ class TestKernelsAgainstTape:
         grn.zero_grad()
         grn.dropout._rng = np.random.default_rng(77)
         xt = Tensor(x, requires_grad=True)
-        out = grn(xt)
+        out = forward(grn, xt)
         (out * Tensor(proj)).sum().backward()
         tape_grads = _param_grads(grn)
         tape_dx = xt.grad.copy()
@@ -294,7 +294,7 @@ class TestKernelsAgainstTape:
         qt = Tensor(query, requires_grad=True)
         kt = Tensor(key, requires_grad=True)
         vt = Tensor(value, requires_grad=True)
-        out, weights = attn(qt, kt, vt, mask=mask)
+        out, weights = forward(attn, qt, kt, vt, mask=mask)
         (out * Tensor(proj)).sum().backward()
         tape_grads = _param_grads(attn)
         tape_dq, tape_dk, tape_dv = qt.grad.copy(), kt.grad.copy(), vt.grad.copy()
@@ -342,12 +342,12 @@ class TestModelLossParity:
         tape_grads = _param_grads(fc.network)
 
         fc.network.zero_grad()
-        fast_loss = fc._fastgrad_loss_backward(context.copy(), horizon.copy(), starts)
+        fast_loss = fc._loss_backward(context.copy(), horizon.copy(), starts)
         assert fast_loss == tape_loss  # bitwise: same compositions, same order
         _assert_grads_match(_param_grads(fc.network), tape_grads)
 
     def test_supports_flag(self):
-        assert hasattr(TFTForecaster, "_fastgrad_loss_backward")
+        assert "_forward_loss" in vars(TFTForecaster)
 
     def test_attention_pattern_updated_by_fastgrad(self):
         fc = _tft()
@@ -355,7 +355,7 @@ class TestModelLossParity:
         context = rng.normal(size=(2, fc.context_length))
         horizon = rng.normal(size=(2, fc.horizon))
         starts = np.array([0, 5])
-        fc._fastgrad_loss_backward(context, horizon, starts)
+        fc._loss_backward(context, horizon, starts)
         weights = fc.attention_weights()
         assert weights is not None and weights.shape == (2, fc.horizon, 24)
 

@@ -5,9 +5,9 @@ tape — including the stored attention pattern, which downstream
 interpretability tooling reads — so every fused kernel (softmax,
 LayerNorm, GLU, GRN, interpretable attention) and the whole-network
 ``_TFTNetwork.fast_forward`` are checked with ``np.array_equal``, not
-``allclose``.  The tape side is the module called with gradients
-enabled.  float32 is the explicit speed/accuracy trade and is gated
-statistically.
+``allclose``.  The tape side is the composition of the same production
+module in ``tests/nn/oracles.py``.  float32 is the explicit
+speed/accuracy trade and is gated statistically.
 """
 
 from __future__ import annotations
@@ -21,20 +21,14 @@ from repro.nn import (
     GatedResidualNetwork,
     InterpretableMultiHeadAttention,
     LayerNorm,
-    Tensor,
     causal_mask,
     fastpath,
-    is_grad_enabled,
-    no_grad,
 )
 from repro.nn.attention import _MASK_CACHE
+from tests.nn.oracles import forward as _tape
+from tests.nn.tensor import Tensor
 
 RNG = np.random.default_rng
-
-
-def _tape(module, *tensors, **kwargs):
-    assert is_grad_enabled()  # under no_grad the call would dispatch to the raw kernel
-    return module(*tensors, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +83,6 @@ class TestKernelParityBitwise:
         norm.beta.data[:] = RNG(3).normal(size=shape[-1])
         x = RNG(4).normal(size=shape)
         tape = _tape(norm, Tensor(x)).data
-        with no_grad():
-            fast = norm(Tensor(x)).data
-        assert np.array_equal(fast, tape)
         assert np.array_equal(norm.fast_forward(x), tape)
 
     @pytest.mark.parametrize("shape", [(6, 5), (3, 4, 5)])
@@ -99,9 +90,7 @@ class TestKernelParityBitwise:
         glu = GatedLinearUnit(shape[-1], 7, RNG(5))
         x = RNG(6).normal(size=shape)
         tape = _tape(glu, Tensor(x)).data
-        with no_grad():
-            fast = glu(Tensor(x)).data
-        assert np.array_equal(fast, tape)
+        assert np.array_equal(glu.fast_forward(x), tape)
 
     @pytest.mark.parametrize("in_features,out_features", [(6, 6), (6, 4)])
     def test_grn_with_and_without_skip(self, in_features, out_features):
@@ -109,9 +98,7 @@ class TestKernelParityBitwise:
         assert (grn.skip is None) == (in_features == out_features)
         x = RNG(8).normal(size=(2, 5, in_features))
         tape = _tape(grn, Tensor(x)).data
-        with no_grad():
-            fast = grn(Tensor(x)).data
-        assert np.array_equal(fast, tape)
+        assert np.array_equal(grn.fast_forward(x), tape)
 
     def test_grn_with_active_dropout_pins_the_tape(self):
         """p > 0 in training mode: the kernel must draw the mask from the
@@ -120,12 +107,11 @@ class TestKernelParityBitwise:
         grn.train(True)
         x = RNG(10).normal(size=(3, 6))
         grn.dropout._rng = np.random.default_rng(99)
-        with no_grad():
-            dispatched = grn(Tensor(x)).data
+        fast = grn.fast_forward(x)
         after_kernel = grn.dropout._rng.random()
         grn.dropout._rng = np.random.default_rng(99)
         tape = _tape(grn, Tensor(x)).data
-        assert np.array_equal(dispatched, tape)
+        assert np.array_equal(fast, tape)
         assert grn.dropout._rng.random() == after_kernel  # same draws consumed
 
     @pytest.mark.parametrize("batch,t_query,t_key,num_heads", [
@@ -144,12 +130,9 @@ class TestKernelParityBitwise:
         tape_out, tape_weights = _tape(
             attn, Tensor(query), Tensor(key), Tensor(value), mask=mask
         )
-        with no_grad():
-            fast_out, fast_weights = attn(
-                Tensor(query), Tensor(key), Tensor(value), mask=mask
-            )
-        assert np.array_equal(fast_out.data, tape_out.data)
-        assert np.array_equal(fast_weights.data, tape_weights.data)
+        fast_out, fast_weights = attn.fast_forward(query, key, value, mask=mask)
+        assert np.array_equal(fast_out, tape_out.data)
+        assert np.array_equal(fast_weights, tape_weights.data)
 
     def test_prepare_attention_params_concatenates_heads(self):
         attn = InterpretableMultiHeadAttention(8, 2, RNG(13))
@@ -187,16 +170,6 @@ class TestNetworkFastForward:
         fast = net.fast_forward(past, future)
         assert np.array_equal(fast, tape)
         assert np.array_equal(net._last_attention, tape_attn)
-
-    def test_forward_dispatches_under_no_grad(self, fitted):
-        forecaster, _ = fitted
-        net = forecaster.network
-        rng = RNG(15)
-        past = rng.normal(size=(2, 36, net.past_proj.in_features))
-        future = rng.normal(size=(2, 12, net.future_proj.in_features))
-        with no_grad():
-            dispatched = net(Tensor(past), Tensor(future)).data
-        assert np.array_equal(dispatched, net.fast_forward(past, future))
 
     def test_predict_bitwise_vs_tape(self, fitted, monkeypatch):
         forecaster, series = fitted

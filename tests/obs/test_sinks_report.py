@@ -313,30 +313,25 @@ class TestSummarizeRecords:
         assert summary.gauges == {"nodes": 2.0}
         assert "nodes" in format_summary(summary)
 
-    def test_training_section_groups_by_model_and_path(self):
+    def test_training_section_groups_by_model(self):
         registry, sink = self._capture()
-        for path, seconds in (("fastgrad", 0.010), ("tape", 0.030)):
-            registry.counter(
-                "forecast.fastgrad_batches", model="DeepARForecaster", path=path
-            ).inc(2)
-            hist = registry.histogram(
-                "forecast.batch_seconds", model="DeepARForecaster", path=path
-            )
+        for model, seconds in (("DeepARForecaster", 0.010), ("TFTForecaster", 0.030)):
+            hist = registry.histogram("forecast.batch_seconds", model=model)
             hist.observe(seconds)
             hist.observe(seconds)
         registry.flush()
         text = format_summary(summarize_records(sink.records))
-        assert "training (per grad path)" in text
-        fast_line = next(l for l in text.splitlines() if "fastgrad" in l and "DeepAR" in l)
-        tape_line = next(l for l in text.splitlines() if "tape" in l and "DeepAR" in l)
-        assert "2" in fast_line and "10.00" in fast_line
-        assert "30.00" in tape_line
+        assert "training (per model)" in text
+        deepar_line = next(l for l in text.splitlines() if "DeepARForecaster" in l)
+        tft_line = next(l for l in text.splitlines() if "TFTForecaster" in l)
+        assert deepar_line.split()[1] == "2" and "10.00" in deepar_line
+        assert "30.00" in tft_line
 
     def test_training_section_absent_without_fit_metrics(self):
         registry, sink = self._capture()
         registry.counter("c").inc()
         text = format_summary(summarize_records(sink.records))
-        assert "training (per grad path)" not in text
+        assert "training (per model)" not in text
 
 
 def health_stream():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.nn import Tensor
+from tests.nn.tensor import Tensor
 
 finite_arrays = arrays(
     dtype=np.float64,

@@ -6,6 +6,10 @@ second and 45 MB that every CLI call, daemon restart and pool worker
 would pay.  Nothing on the serving path needs them (the distributions use
 ``scipy.special`` only; ``solve_lp`` imports ``linprog`` when called), so
 a fresh interpreter that imports the package must not have loaded them.
+
+``tests`` is forbidden for a different reason: the autograd tape lives
+in ``tests/nn/`` as the oracle the analytic gradients are checked
+against, and nothing in production may pull it back in.
 """
 
 import json
@@ -18,7 +22,7 @@ import repro
 #: Entry points a process starts from; the tier-1 CI job prints both
 #: lists in its summary.
 ENTRY_MODULES = ("repro", "repro.service", "repro.cli")
-FORBIDDEN_MODULES = ("scipy.stats", "scipy.optimize")
+FORBIDDEN_MODULES = ("scipy.stats", "scipy.optimize", "tests")
 
 
 def loaded_forbidden_modules() -> dict:
