@@ -9,8 +9,11 @@ in each checkout, ``N`` being ``run_seconds`` of ``BENCHMARK.json``, as
 ``--pairs`` parent / change pairs: one seed per pair, the side that goes
 first alternating, one process at a time.  For every end-to-end metric
 it prints every run, each side's median and quartiles, wins / ties and
-the verdict of the choosing-metrics rule (:func:`verdict`).  It reads
-``BENCHMARK.json`` and calls ``run.py``; it changes neither.
+the verdict of the choosing-metrics rule (:func:`verdict`), and - both
+sides of a pair run the same seed - in how many pairs the two allocation
+digests ``run.py`` prints are identical (:func:`digest_line`; a differing
+digest is reported, not an error).  It reads ``BENCHMARK.json`` and calls
+``run.py``; it changes neither.
 
 Stdlib only.  Exits 1 when a run failed its checks or a metric regressed.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -83,8 +87,30 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "unchanged"
 
 
+def parse_digest(stdout: str) -> "str | None":
+    """The allocation digest of ``run.py``'s report header (``... digest <16 hex>``)."""
+    found = re.search(r"^workload .*\bdigest ([0-9a-f]{16})\b", stdout, re.MULTILINE)
+    return found.group(1) if found else None
+
+
+def digest_line(parent: "list[str | None]", change: "list[str | None]", seed_base: int) -> str:
+    """``allocations identical in N/N pairs``, naming the pairs that differ.
+
+    A pair counts as identical only when both digests were printed and
+    are equal.
+    """
+    differing = [
+        f"pair {index + 1} seed {seed_base + index} ({p or 'none'} != {c or 'none'})"
+        for index, (p, c) in enumerate(zip(parent, change, strict=True))
+        if p is None or p != c
+    ]
+    line = f"allocations identical in {len(parent) - len(differing)}/{len(parent)} pairs"
+    return line + (f"; differing: {', '.join(differing)}" if differing else "")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark process in ``checkout``; the JSON object of its last line."""
+    """One benchmark process in ``checkout``: the JSON object of its last line,
+    plus the allocation digest of its report header as ``"digest"``."""
     command = [
         sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -92,7 +118,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        return {**json.loads(lines[-1]), "digest": parse_digest(done.stdout)}
     except (IndexError, json.JSONDecodeError):
         raise SystemExit(
             f"{' '.join(command)} in {checkout} exited {done.returncode} without a "
@@ -132,7 +158,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 for metric in declared["end_to_end"]
             )
             print(f"pair {pair + 1}/{args.pairs} seed {seed} {side:<6} {shown}  "
-                  f"failed {result['failed']}/{result['attempted']}"
+                  f"digest {result['digest']}  failed {result['failed']}/{result['attempted']}"
                   f"{'' if result['correct'] else '  CHECKS FAILED'}", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} alternating pairs, seeds {args.seed_base}-"
@@ -150,6 +176,9 @@ def main(argv: "list[str] | None" = None) -> int:
             print(f"  {side:<6} median {med:.6g} [q1 {q1:.6g}, q3 {q3:.6g}]  runs "
                   + " ".join(f"{value:.6g}" for value in values[side]))
         print(f"  change wins {wins}/{args.pairs}, ties {ties}  ->  {verdicts[name]}")
+    digests = {side: [run["digest"] for run in runs[side]] for side in SIDES}
+    allocations = digest_line(digests["parent"], digests["change"], args.seed_base)
+    print(allocations)
     failed = {side: sum(run["failed"] for run in runs[side]) for side in SIDES}
     attempted = {side: sum(run["attempted"] for run in runs[side]) for side in SIDES}
     incorrect = {side: sum(not run["correct"] for run in runs[side]) for side in SIDES}
@@ -159,7 +188,8 @@ def main(argv: "list[str] | None" = None) -> int:
 
     if args.output is not None:
         record = {"workload": args.workload, "seconds": seconds, "seed_base": args.seed_base,
-                  "pairs": args.pairs, "runs": runs, "verdicts": verdicts}
+                  "pairs": args.pairs, "runs": runs, "verdicts": verdicts,
+                  "allocations": allocations}
         args.output.write_text(json.dumps(record, indent=1), encoding="utf-8")
     more_failures = failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]
     bad = incorrect["change"] or more_failures or "regressed" in verdicts.values()

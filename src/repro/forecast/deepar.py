@@ -192,7 +192,7 @@ class DeepARForecaster(NeuralForecaster):
         path conditions on the same observed context), and the resulting
         LSTM state is tiled across the ``num_samples`` trajectories.
         Each horizon step then advances all trajectories through the
-        raw-array kernels of :mod:`repro.nn.fastpath` in one fused call
+        raw-array kernels of :mod:`repro.nn.fastpath` in one cell call
         per layer; calendar features are read from the cached
         per-(start_index, horizon) matrix.  The parity suite runs the
         same algorithm through the autograd tape (``tests/nn/oracles.py``)
@@ -242,10 +242,17 @@ class DeepARForecaster(NeuralForecaster):
         # Tile the (batch 1) warm-up state across all trajectories.
         state = [(np.repeat(h, n, axis=0), np.repeat(c, n, axis=0)) for h, c in state]
 
-        # The horizon loop runs hot: prepare the weights once (permuted
+        # The horizon loop runs hot: prepare the weights once (gates first
         # and pre-halved as lstm_cell_permuted requires, see
-        # fastpath.prepare_lstm_params) and keep them and the heads in locals.
-        prepared = fastpath.prepare_lstm_params(net.lstm._layer_params(), hs, dtype=cast)
+        # fastpath.prepare_lstm_params), tile each bias across the
+        # trajectories so its add is one contiguous pass per step, and keep
+        # them and the heads in locals.
+        prepared = [
+            (w_ih, w_hh, np.repeat(bias, n, axis=1))
+            for w_ih, w_hh, bias in fastpath.prepare_lstm_params(
+                net.lstm._layer_params(), hs, dtype=cast
+            )
+        ]
         cell = fastpath.lstm_cell_permuted
         w_mu, b_mu = net.mu_head.weight.data, net.mu_head.bias.data
         w_scale, b_scale = net.scale_head.weight.data, net.scale_head.bias.data
@@ -272,7 +279,7 @@ class DeepARForecaster(NeuralForecaster):
             top = step_inputs
             for layer, (w_ih, w_hh, bias) in enumerate(prepared):
                 h_prev, c_prev = state[layer]
-                h_new, c_new = cell(top, h_prev, c_prev, w_ih, w_hh, bias, hs)[:2]
+                h_new, c_new = cell(top, h_prev, c_prev, w_ih, w_hh, bias)[:2]
                 state[layer] = (h_new, c_new)
                 top = h_new
             mu = (top @ w_mu + b_mu)[:, 0]

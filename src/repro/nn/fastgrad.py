@@ -9,9 +9,10 @@ the QB5000 LSTM's MSE — the gradients are known in closed form, so the
 whole backward pass collapses into a handful of fused numpy sweeps:
 
 * **LSTM BPTT** — a single reverse sweep over the scan's cached
-  activations (:func:`fastpath.lstm_forward` with ``cache=``) that
-  accumulates per-step gate deltas into a ``(batch, time, 4*hidden)``
-  buffer.  The weight gradients ``dW_ih / dW_hh / db`` then fall out of
+  activations (:func:`fastpath.lstm_forward` with ``cache=``; time-major,
+  one contiguous block per gate and step) that accumulates per-step gate
+  deltas into a ``(batch, time, 4*hidden)`` buffer.  The weight
+  gradients ``dW_ih / dW_hh / db`` then fall out of
   *one* matmul each over the flattened ``(batch*time)`` axis — instead
   of the thousands of micro-ops (slice, sigmoid-backward, outer-product
   accumulate, ...) an autograd tape replays per timestep.
@@ -140,9 +141,15 @@ def softmax_backward(out: np.ndarray, dout: np.ndarray) -> np.ndarray:
     ``dx = s * (dout - sum(dout * s, axis=-1))`` — the full Jacobian
     ``diag(s) - s s^T`` contracted with ``dout`` without materialising
     it.  (The forward's max-subtraction shift cancels in the quotient,
-    so no extra term appears.)  ``dout`` may broadcast against ``out``.
+    so no extra term appears.)  ``dout`` may broadcast against ``out``;
+    one full-size temporary carries the product, the difference and the
+    result in turn.
     """
-    return out * (dout - (dout * out).sum(axis=-1, keepdims=True))
+    tmp = dout * out
+    total = tmp.sum(axis=-1, keepdims=True)
+    np.subtract(dout, total, out=tmp)
+    tmp *= out
+    return tmp
 
 
 # ---------------------------------------------------------------------------
@@ -465,18 +472,16 @@ def lstm_backward(
             dc_carry = np.asarray(dstate[layer][1], dtype=work)
         w_hh_t = cache.w_hh.T
         for t in range(steps - 1, -1, -1):
-            gates_t = cache.gates[:, t]
-            i = gates_t[:, :hs]
-            f = gates_t[:, hs : 2 * hs]
-            o = gates_t[:, 2 * hs : 3 * hs]
-            g = gates_t[:, 3 * hs :]
-            tc = cache.tanh_c[:, t]
+            i, f, o, g = cache.gates[t]  # contiguous (B, H) blocks
+            tc = cache.tanh_c[t]
             dh = dh_seq[:, t] + dh_carry
             do = dh * tc
             dc = dc_carry + dh * o * (1.0 - tc * tc)
+            # dz stays batch-major so the whole-sequence gemms below sum
+            # their (b, t) rows in the order they always have.
             dz_t = dz[:, t]
             dz_t[:, :hs] = (dc * g) * i * (1.0 - i)
-            dz_t[:, hs : 2 * hs] = (dc * cache.c_prev[:, t]) * f * (1.0 - f)
+            dz_t[:, hs : 2 * hs] = (dc * cache.c_seq[t]) * f * (1.0 - f)
             dz_t[:, 2 * hs : 3 * hs] = do * o * (1.0 - o)
             dz_t[:, 3 * hs :] = (dc * i) * (1.0 - g * g)
             dh_carry = dz_t @ w_hh_t
@@ -485,8 +490,10 @@ def lstm_backward(
         dstate0[layer] = (dh_carry, dc_carry)
         dz2 = dz.reshape(-1, 4 * hs)
         in_features = cache.inputs.shape[-1]
+        # reshape copies a time-major sequence into (b, t) row order.
+        h_prev = np.swapaxes(cache.h_seq[:-1], 0, 1).reshape(-1, hs)
         dw_ih = cache.inputs.reshape(-1, in_features).T @ dz2
-        dw_hh = cache.h_prev.reshape(-1, hs).T @ dz2
+        dw_hh = h_prev.T @ dz2
         db = dz2.sum(axis=0)
         # Forward used permuted columns; the involution maps back to the
         # standard [i, f, g, o] parameter layout.

@@ -11,9 +11,11 @@ bitwise-identical, which the parity suite asserts.
 LayerNorm / GLU / GRN / attention kernels take the layer module
 (duck-typed attribute reads — no import of :mod:`repro.nn.layers`) and
 always return ``(output, cache)``: the cache fields are references to
-arrays the forward computes anyway.  The LSTM scan records its per-step
-activations only when handed a ``cache`` list, because recording costs
-buffer writes inside the time loop.
+arrays the forward computes anyway.  The LSTM keeps its four gates on a
+leading axis everywhere — weights ``(4, F, H)``, activations
+``(4, B, H)``, time-major scan buffers — so every per-gate pass runs over
+a contiguous block; the scan keeps the per-step gates only when handed a
+``cache`` list, and the cell then writes them straight into it.
 
 Layers expose their kernel as ``fast_forward`` (the LSTM also as
 ``fast_step``); hot loops such as DeepAR's ancestral sampling call the
@@ -89,10 +91,14 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax; bitwise-identical to the oracle tape's.
 
     Same max-subtraction composition as the tape op (``exp(x - max)``
-    normalised by its sum), so every element matches bit for bit.
+    normalised by its sum), so every element matches bit for bit; the
+    ``exp`` and the division run in place on the one temporary the
+    subtraction allocates (``x`` itself is never written).
     """
-    exp = np.exp(x - x.max(axis=axis, keepdims=True))
-    return exp / exp.sum(axis=axis, keepdims=True)
+    out = x - x.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +294,13 @@ def interpretable_attention(
     k_heads = np.ascontiguousarray(
         np.moveaxis(k_all.reshape(batch, t_key, num_heads, d_head), 2, 0)
     )
-    # float(): a strong-typed np.float64 scalar would promote float32
-    # scores back to float64 under NEP 50.
-    scores = (q_heads @ np.swapaxes(k_heads, -1, -2)) * (1.0 / float(np.sqrt(d_head)))
+    # Scale and mask in place on the gemm result: at the training shape each
+    # fresh (H, B, Tq, Tk) temporary is 10 MB.  float(): a strong-typed
+    # np.float64 scalar would run the float32 scaling in float64 under NEP 50.
+    scores = q_heads @ np.swapaxes(k_heads, -1, -2)
+    scores *= 1.0 / float(np.sqrt(d_head))
     if mask is not None:
-        scores = scores + _cast(mask, dtype)
+        scores += _cast(mask, dtype)
     weights = softmax(scores, axis=-1)  # (H, B, Tq, Tk)
     heads = weights @ v  # value broadcast across the head axis
     mean_heads = heads.sum(axis=0) * (1.0 / num_heads)
@@ -306,16 +314,16 @@ def interpretable_attention(
     return out, mean_weights, cache
 
 
+_CELL_GATE_ORDER = np.array([0, 1, 3, 2])  # standard [i, f, g, o] blocks in cell order [i, f, o, g]
+
+
 def gate_permutation(hidden_size: int) -> np.ndarray:
     """Column permutation mapping [i, f, g, o] to [i, f, o, g].
 
     It swaps the g and o blocks and is therefore its own inverse —
     applying it to a permuted gradient returns the standard layout.
     """
-    hs = hidden_size
-    return np.concatenate(
-        [np.arange(0, 2 * hs), np.arange(3 * hs, 4 * hs), np.arange(2 * hs, 3 * hs)]
-    )
+    return np.arange(4 * hidden_size).reshape(4, hidden_size)[_CELL_GATE_ORDER].ravel()
 
 
 def prepare_lstm_params(
@@ -323,15 +331,21 @@ def prepare_lstm_params(
     hidden_size: int,
     dtype: np.dtype | type | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Cell-ready gate weights: [i, f, g, o] -> [i, f, o, g], sigmoid blocks halved.
+    """Cell-ready gate weights: gates first, [i, f, o, g], sigmoid blocks halved.
 
-    With the sigmoid gates adjacent and their columns scaled by 0.5, a
-    cell step needs one ``tanh`` over the whole ``4 * hidden`` block
-    (:func:`sigmoid` is ``0.5 * tanh(0.5 x) + 0.5``).  Both steps are
-    exact: each gemm output column is an independent dot product, so
-    permuting weight *columns* only permutes output columns, and 0.5 is
-    a power of two, so ``x @ (0.5 W) == 0.5 * (x @ W)`` bit for bit —
-    results stay bitwise-identical to the tape on the standard layout.
+    Each standard ``(..., 4 * hidden)`` parameter, ``[i, f, g, o]``
+    column blocks, becomes one contiguous block per gate on a *leading*
+    axis — ``w_ih (4, F, H)``, ``w_hh (4, H, H)``, ``bias (4, 1, H)`` —
+    so every per-gate pass of the cell runs over a whole array, never a
+    column slice of a ``(B, 4H)`` buffer.  ``np.matmul`` on the stacked
+    weights issues the four per-gate 2-D gemms: each output element is
+    the same dot product as in the fused ``(B, F) @ (F, 4H)`` gemm
+    (bit-identical to it whenever ``hidden % 8 == 0``, docs/nn.md).
+
+    With the sigmoid blocks scaled by 0.5, a cell step needs one
+    ``tanh`` over the ``(4, B, H)`` block (:func:`sigmoid` is
+    ``0.5 * tanh(0.5 x) + 0.5``); 0.5 is a power of two, so
+    ``x @ (0.5 W) == 0.5 * (x @ W)`` bit for bit.
 
     ``dtype`` optionally casts the prepared weights (float32 inference
     mode); ``None`` keeps the parameters' own dtype — the bitwise-exact
@@ -340,14 +354,17 @@ def prepare_lstm_params(
     Prepared per call, not cached: optimizers update parameter arrays in
     place, so a cache keyed on array identity would go stale.
     """
-    hs = hidden_size
-    perm = gate_permutation(hs)
     prepared = []
     for params in layer_params:
-        cell_ready = tuple(np.ascontiguousarray(p[..., perm], dtype=dtype) for p in params)
-        for array in cell_ready:
-            array[..., : 3 * hs] *= 0.5
-        prepared.append(cell_ready)
+        cell_ready = []
+        for param in params:
+            # (rows, 4H) -> (4, rows, H), one copy: blocks [i, f, g, o] picked
+            # in cell order off a gates-first view; a bias has one row.
+            blocks = param.reshape(-1, 4, hidden_size).transpose(1, 0, 2)
+            stacked = np.ascontiguousarray(blocks[_CELL_GATE_ORDER], dtype=dtype)
+            stacked[:3] *= 0.5
+            cell_ready.append(stacked)
+        prepared.append(tuple(cell_ready))
     return prepared
 
 
@@ -358,52 +375,63 @@ def lstm_cell_permuted(
     w_ih: np.ndarray,
     w_hh: np.ndarray,
     bias: np.ndarray,
-    hidden_size: int,
+    out: tuple[np.ndarray | None, ...] = (None, None, None, None),
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """One LSTM step on :func:`prepare_lstm_params` weights ([i, f, o, g], i/f/o halved).
+    """One LSTM step on :func:`prepare_lstm_params` weights (gates first, i/f/o halved).
 
-    Gates are associated as ``(x @ w_ih + h @ w_hh) + bias`` like the
-    tape composition of the cell.  On halved weights the i/f/o columns are
-    ``0.5 *`` their pre-activation, so one in-place ``tanh`` over the
-    block, then ``* 0.5 + 0.5`` on those columns, is :func:`sigmoid` on
-    the sigmoid gates and ``tanh`` on the cell gate — bitwise equal to
-    the tape on the standard layout.  Returns ``(h_new, c_new, (ifo, g,
-    tanh_c))``: the post-activation gates (views of one buffer) that
-    :func:`repro.nn.fastgrad.lstm_backward` differentiates through.
+    Pre-activations are associated as ``(x @ w_ih + h @ w_hh) + bias``
+    like the tape composition of the cell, in one ``(4, B, H)`` buffer.
+    On halved weights the i/f/o blocks are ``0.5 *`` their
+    pre-activation, so one in-place ``tanh`` over the buffer, then
+    ``* 0.5 + 0.5`` on its first three blocks, is :func:`sigmoid` on the
+    sigmoid gates and ``tanh`` on the cell gate — bitwise equal to the
+    tape on the standard layout.  ``bias`` is ``(4, 1, H)`` as prepared
+    or already tiled to ``(4, B, H)`` (a scan tiles it once: the add is
+    then one contiguous pass).
+
+    ``out`` optionally names where ``(h_new, c_new, gates, tanh_c)`` are
+    written — rows of a scan's time-major buffers — with ``None`` for a
+    fresh array; the arithmetic is the same either way.  Returns
+    ``(h_new, c_new, (ifo, g, tanh_c))``: ``ifo (3, B, H)`` and
+    ``g (B, H)`` are the post-activation gates (contiguous blocks of the
+    one gate buffer) that :func:`repro.nn.fastgrad.lstm_backward`
+    differentiates through.
     """
-    hs = hidden_size
-    act = x @ w_ih
-    act += h_prev @ w_hh
+    h_new, c_new, act, tanh_c = out
+    act = np.matmul(x, w_ih, out=act)
+    act += np.matmul(h_prev, w_hh)
     act += bias
     np.tanh(act, out=act)
-    ifo = act[:, : 3 * hs]
+    ifo = act[:3]
     ifo *= 0.5
     ifo += 0.5
-    g_gate = act[:, 3 * hs :]
-    c_new = ifo[:, hs : 2 * hs] * c_prev
-    c_new += ifo[:, :hs] * g_gate
-    tanh_c = np.tanh(c_new)
-    h_new = ifo[:, 2 * hs :] * tanh_c
+    g_gate = act[3]
+    c_new = np.multiply(ifo[1], c_prev, out=c_new)
+    c_new += ifo[0] * g_gate
+    tanh_c = np.tanh(c_new, out=tanh_c)
+    h_new = np.multiply(ifo[2], tanh_c, out=h_new)
     return h_new, c_new, (ifo, g_gate, tanh_c)
 
 
 @dataclass
 class LSTMLayerCache:
-    """Activations of one LSTM layer's scan.
+    """Activations of one LSTM layer's scan, time-major.
 
-    Everything the reverse sweep needs, laid out as whole-sequence
-    buffers: inputs and previous hidden states feed the final weight
-    gemms; gates (permuted ``[i, f, o, g]``, post-activation), cell
-    states, and their tanh feed the per-step delta computation.
+    Everything the reverse sweep needs, as whole-sequence buffers the
+    cell wrote directly; every per-step slice (``h_seq[t]``,
+    ``gates[t]`` and each of its four gate blocks, ...) is contiguous.
+    Inputs and the hidden states entering each step feed the final
+    weight gemms; gates (``[i, f, o, g]``, post-activation), cell states
+    and their tanh feed the per-step delta computation.
     """
 
     inputs: np.ndarray  # (B, T, F_in) — this layer's input sequence
-    h_prev: np.ndarray  # (B, T, H) — hidden state *entering* each step
-    gates: np.ndarray  # (B, T, 4H) — [i, f, o, g] post-activation
-    c_prev: np.ndarray  # (B, T, H) — cell state entering each step
-    tanh_c: np.ndarray  # (B, T, H) — tanh of the new cell state
-    w_ih: np.ndarray  # permuted weights, *un*-halved: d(pre-activation)/d(input)
-    w_hh: np.ndarray
+    h_seq: np.ndarray  # (T + 1, B, H) — row t enters step t, row t + 1 leaves it
+    c_seq: np.ndarray  # (T + 1, B, H) — cell states, same indexing
+    gates: np.ndarray  # (T, 4, B, H) — [i, f, o, g] post-activation
+    tanh_c: np.ndarray  # (T, B, H) — tanh of the new cell state
+    w_ih: np.ndarray  # (F_in, 4H) permuted [i, f, o, g], *un*-halved:
+    w_hh: np.ndarray  # (H, 4H)    d(pre-activation)/d(input) for the backward gemms
 
 
 def lstm_forward(
@@ -431,61 +459,56 @@ def lstm_forward(
     cache:
         A list to receive one :class:`LSTMLayerCache` per layer for
         :func:`repro.nn.fastgrad.lstm_backward`; ``None`` (inference)
-        skips the per-step buffer writes.  Outputs and final state are
-        bitwise the same either way.
+        records no gates.  Outputs and final state are bitwise the same
+        either way.
 
-    Returns the top layer's hidden sequence and the final per-layer
-    ``(h, c)``.  Each step's hidden state is written straight into a
-    preallocated output buffer — no per-timestep Python lists.
+    Returns the top layer's hidden sequence ``(batch, time, hidden)`` —
+    a transposed view of the time-major buffer the cell writes each
+    step's state into, never copied per step — and the final per-layer
+    ``(h, c)``, which are copies: they alias neither those buffers nor
+    the caller's ``state``.
     """
     work = np.float64 if dtype is None else np.dtype(dtype)
     x = x.astype(work, copy=False)
     batch, steps, _ = x.shape
     hs = hidden_size
     if state is None:
-        zeros = np.zeros((batch, hs), dtype=work)
-        state = [(zeros.copy(), zeros.copy()) for _ in layer_params]
-    else:
-        state = [(h.astype(work, copy=False), c.astype(work, copy=False)) for h, c in state]
+        state = [(0.0, 0.0)] * len(layer_params)
 
     layer_input = x
-    prepared = prepare_lstm_params(layer_params, hs, dtype=dtype)
-    for layer, (w_ih, w_hh, bias) in enumerate(prepared):
-        h, c = state[layer]
-        outputs = np.empty((batch, steps, hs), dtype=work)
-        if cache is not None:
-            gates = np.empty((batch, steps, 4 * hs), dtype=work)
-            h_prev = np.empty((batch, steps, hs), dtype=work)
-            c_prev = np.empty((batch, steps, hs), dtype=work)
-            tanh_c = np.empty((batch, steps, hs), dtype=work)
+    final_state = []
+    for (raw_w_ih, raw_w_hh, _), (w_ih, w_hh, bias), (h0, c0) in zip(
+        layer_params, prepare_lstm_params(layer_params, hs, dtype=dtype), state, strict=True
+    ):
+        bias = np.repeat(bias, batch, axis=1)  # (4, B, H): one contiguous add per step
+        steps_in = np.swapaxes(layer_input, 0, 1)  # (T, B, F_in) view
+        h_seq = np.empty((steps + 1, batch, hs), dtype=work)
+        c_seq = np.empty((steps + 1, batch, hs), dtype=work)
+        h_seq[0], c_seq[0] = h0, c0
+        if cache is None:
+            gates = tanh_c = [None] * steps  # the cell keeps neither
+        else:
+            gates = np.empty((steps, 4, batch, hs), dtype=work)
+            tanh_c = np.empty((steps, batch, hs), dtype=work)
         for t in range(steps):
-            x_t = layer_input[:, t, :]
-            # Neither branch binds the step's activations to a name: kept
-            # alive one step longer, they stop the allocator handing the
-            # same hot buffers to the next step (~4% of a sampling pass).
-            if cache is None:
-                h, c = lstm_cell_permuted(x_t, h, c, w_ih, w_hh, bias, hs)[:2]
-            else:
-                h_prev[:, t], c_prev[:, t] = h, c
-                h, c, (gates[:, t, : 3 * hs], gates[:, t, 3 * hs :], tanh_c[:, t]) = (
-                    lstm_cell_permuted(x_t, h, c, w_ih, w_hh, bias, hs)
-                )
-            outputs[:, t, :] = h
-        state[layer] = (h, c)
+            lstm_cell_permuted(
+                steps_in[t], h_seq[t], c_seq[t], w_ih, w_hh, bias,
+                (h_seq[t + 1], c_seq[t + 1], gates[t], tanh_c[t]),
+            )
         if cache is not None:
             # The backward's deltas are w.r.t. the full pre-activations:
-            # undo the halving of the i/f/o columns (exact, a power of two).
-            w_ih, w_hh = w_ih.copy(), w_hh.copy()
-            w_ih[:, : 3 * hs] *= 2.0
-            w_hh[:, : 3 * hs] *= 2.0
+            # weights permuted like the gates, not halved.
+            perm = gate_permutation(hs)
             cache.append(
                 LSTMLayerCache(
-                    inputs=layer_input, h_prev=h_prev, gates=gates, c_prev=c_prev,
-                    tanh_c=tanh_c, w_ih=w_ih, w_hh=w_hh,
+                    inputs=layer_input, h_seq=h_seq, c_seq=c_seq, gates=gates, tanh_c=tanh_c,
+                    w_ih=np.ascontiguousarray(raw_w_ih[:, perm], dtype=work),
+                    w_hh=np.ascontiguousarray(raw_w_hh[:, perm], dtype=work),
                 )
             )
-        layer_input = outputs
-    return layer_input, state
+        final_state.append((h_seq[steps].copy(), c_seq[steps].copy()))
+        layer_input = np.swapaxes(h_seq[1:], 0, 1)
+    return layer_input, final_state
 
 
 def lstm_step(

@@ -1,9 +1,10 @@
 """Recurrent layers: LSTM cell parameters and the multi-step LSTM.
 
 DeepAR, QB5000's neural component, and the TFT encoder/decoder all run on
-this LSTM.  The implementation fuses the four gates into a single matmul
-per step, which is the dominant cost; on the small hidden sizes used for
-workload forecasting this trains in seconds.
+this LSTM.  Parameters hold the four gates side by side (``(F, 4H)``);
+the kernels in :mod:`repro.nn.fastpath` run on per-call copies with one
+contiguous block per gate.  On the small hidden sizes used for workload
+forecasting this trains in seconds.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ __all__ = ["LSTMCell", "LSTM"]
 
 
 class LSTMCell(Module):
-    """One LSTM layer's fused gate weights.
+    """One LSTM layer's gate weights, the four gates side by side.
 
-    Gate layout along the output axis is ``[input, forget, cell, output]``
-    (the raw kernels run on :func:`fastpath.prepare_lstm_params` copies).
+    Gate layout along the output axis is ``[input, forget, cell, output]``;
+    the raw kernels run on :func:`fastpath.prepare_lstm_params` copies
+    (gates first, ``[i, f, o, g]``, sigmoid blocks halved).
     The forget-gate bias is initialised to 1, the standard trick to keep
     long-range gradients alive early in training.
     """
@@ -68,7 +70,7 @@ class LSTM(Module):
             self._cells.append(cell)
 
     def _layer_params(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-layer (w_ih, w_hh, bias) raw arrays for the fused kernels."""
+        """Per-layer (w_ih, w_hh, bias) raw arrays, standard layout, for the kernels."""
         return [(c.w_ih.data, c.w_hh.data, c.bias.data) for c in self._cells]
 
     def fast_forward(
@@ -78,13 +80,11 @@ class LSTM(Module):
         dtype: "np.dtype | type | None" = None,
         cache: "list[fastpath.LSTMLayerCache] | None" = None,
     ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-        """Fused unroll on raw arrays.
+        """Unroll over a full sequence on raw arrays (:func:`fastpath.lstm_forward`).
 
-        Keeps (h, c) as plain ndarrays and writes each step's hidden
-        state into a preallocated buffer.  ``dtype=None`` computes in
-        float64; ``np.float32`` runs the whole scan in single precision.
-        A ``cache`` list receives the per-layer activations
-        :func:`repro.nn.fastgrad.lstm_backward` needs.
+        ``dtype=None`` computes in float64; ``np.float32`` runs the whole
+        scan in single precision.  A ``cache`` list receives the per-layer
+        activations :func:`repro.nn.fastgrad.lstm_backward` needs.
         """
         return fastpath.lstm_forward(
             x, self._layer_params(), self.hidden_size, state, dtype=dtype, cache=cache

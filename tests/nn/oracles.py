@@ -14,8 +14,11 @@ helpers below run whole algorithms that way.
 Tape and kernels share one logistic (``fastpath.sigmoid``) and the cell
 runs on pre-halved weights, so their parity cannot catch a mistake in
 that trick.  :func:`reference_lstm_cell` is the oracle independent of
-it - textbook ``[i, f, g, o]`` layout, ``scipy.special.expit`` gates -
-and :func:`reference_kernels` runs whole forecasters on it.
+it - textbook ``[i, f, g, o]`` order, ``scipy.special.expit`` gates -
+and :func:`reference_kernels` runs whole forecasters on it.  The kernel
+as it was before the gates moved to a leading axis - one ``(B, 4H)``
+buffer, column-block slices, batch-major cache - is kept at the bottom
+(``fused_*``) as the oracle of that move.
 """
 
 from __future__ import annotations
@@ -135,14 +138,27 @@ def _(grn: GatedResidualNetwork, x: Tensor) -> Tensor:
 
 @forward.register
 def _(cell: LSTMCell, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-    """One step: x (batch, input_size), state (h, c) each (batch, hidden_size)."""
+    """One step: x (batch, input_size), state (h, c) each (batch, hidden_size).
+
+    Stated the way production computes it: each gate's pre-activation is
+    its own product on a contiguous copy of that gate's columns of the
+    *standard* ``[i, f, g, o]`` parameters - the four 2-D gemms
+    ``np.matmul`` issues on the kernel's gates-first weights - so parity
+    with ``fastpath`` is bitwise at every hidden size, not only where a
+    per-gate gemm happens to round like the fused ``(B, F) @ (F, 4H)``.
+    """
     h_prev, c_prev = state
-    gates = x @ leaf(cell.w_ih) + h_prev @ leaf(cell.w_hh) + leaf(cell.bias)
     hs = cell.hidden_size
-    i_gate = gates[:, :hs].sigmoid()
-    f_gate = gates[:, hs : 2 * hs].sigmoid()
-    g_gate = gates[:, 2 * hs : 3 * hs].tanh()
-    o_gate = gates[:, 3 * hs :].sigmoid()
+    w_ih, w_hh, bias = leaf(cell.w_ih), leaf(cell.w_hh), leaf(cell.bias)
+
+    def pre_activation(gate: int) -> Tensor:
+        cols = slice(gate * hs, (gate + 1) * hs)
+        return x @ w_ih[:, cols].contiguous() + h_prev @ w_hh[:, cols].contiguous() + bias[cols]
+
+    i_gate = pre_activation(0).sigmoid()
+    f_gate = pre_activation(1).sigmoid()
+    g_gate = pre_activation(2).tanh()
+    o_gate = pre_activation(3).sigmoid()
     c_new = f_gate * c_prev + i_gate * g_gate
     h_new = o_gate * c_new.tanh()
     return h_new, c_new
@@ -417,32 +433,163 @@ def legacy_sample_paths(forecaster, context: np.ndarray, start_index: int = 0) -
 # ---------------------------------------------------------------------------
 # The oracle that shares nothing with the kernels
 # ---------------------------------------------------------------------------
-def reference_lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias, hidden_size):
-    """Textbook LSTM step on *unprepared* ``[i, f, g, o]`` parameters.
+def reference_prepare_lstm_params(layer_params, hidden_size, dtype=None):
+    """What the reference cell runs on: shaped like ``fastpath.prepare_lstm_params``
+    output - ``(4, F, H)``, ``(4, H, H)``, ``(4, 1, H)`` - but textbook
+    inside: gate order ``[i, f, g, o]``, nothing halved."""
+    return [
+        tuple(
+            np.ascontiguousarray(np.moveaxis(p.reshape(-1, 4, hidden_size), 1, 0), dtype=dtype)
+            for p in params
+        )
+        for params in layer_params
+    ]
 
-    Takes and returns what ``fastpath.lstm_cell_permuted`` does (without
-    the activations), but shares nothing with it: no permutation, no
+
+def reference_lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias, out=(None, None, None, None)):
+    """Textbook LSTM step on :func:`reference_prepare_lstm_params` weights.
+
+    Takes and returns what ``fastpath.lstm_cell_permuted`` does - ``out``
+    destinations included, the recorded gates in its ``[i, f, o, g]``
+    order - but shares none of its arithmetic: one product per gate, no
     halving, ``expit`` for the logistic.
     """
-    hs = hidden_size
-    gates = x @ w_ih + h_prev @ w_hh + bias
-    i_gate = expit(gates[:, :hs])
-    f_gate = expit(gates[:, hs : 2 * hs])
-    g_gate = np.tanh(gates[:, 2 * hs : 3 * hs])
-    o_gate = expit(gates[:, 3 * hs :])
-    c_new = f_gate * c_prev + i_gate * g_gate
-    return o_gate * np.tanh(c_new), c_new, None
+    i_pre, f_pre, g_pre, o_pre = (x @ w_ih[k] + h_prev @ w_hh[k] + bias[k] for k in range(4))
+    gates = np.stack([expit(i_pre), expit(f_pre), expit(o_pre), np.tanh(g_pre)])
+    c_new = gates[1] * c_prev + gates[0] * gates[3]
+    tanh_c = np.tanh(c_new)
+    h_new = gates[2] * tanh_c
+    for dest, value in zip(out, (h_new, c_new, gates, tanh_c), strict=True):
+        if dest is not None:
+            dest[...] = value
+    return h_new, c_new, (gates[:3], gates[3], tanh_c)
 
 
 def reference_kernels(monkeypatch) -> None:
     """Swap the logistic and the LSTM step of ``fastpath`` for the references.
 
     Inference then runs the production orchestration (scans, sampling
-    loop, TFT composition) on float64 ``expit`` gates and unprepared
-    weights; compare against an unpatched run to ``rtol=1e-12``.
+    loop, TFT composition) on float64 ``expit`` gates and unhalved
+    textbook-order weights; compare against an unpatched run to
+    ``rtol=1e-12``.
     """
     monkeypatch.setattr(fastpath, "sigmoid", expit)
-    monkeypatch.setattr(
-        fastpath, "prepare_lstm_params", lambda layer_params, hidden_size, dtype=None: layer_params
-    )
+    monkeypatch.setattr(fastpath, "prepare_lstm_params", reference_prepare_lstm_params)
     monkeypatch.setattr(fastpath, "lstm_cell_permuted", reference_lstm_cell)
+
+
+# ---------------------------------------------------------------------------
+# The previous kernel: gates as column blocks of one (B, 4H) buffer
+#
+# The cell, cached scan and BPTT loop ``src/`` ran before the gates moved to
+# a leading axis, kept verbatim as the second oracle: the gates-first
+# kernels must reproduce them bit for bit whenever ``hidden % 8 == 0``
+# (every configured size), and to the last bit of the pre-activation
+# otherwise.
+# ---------------------------------------------------------------------------
+def fused_prepare_lstm_params(layer_params, hidden_size, dtype=None):
+    """``(F, 4H)`` weights with columns ``[i, f, o, g]``, the i / f / o columns halved."""
+    hs = hidden_size
+    perm = fastpath.gate_permutation(hs)
+    prepared = []
+    for params in layer_params:
+        cell_ready = tuple(np.ascontiguousarray(p[..., perm], dtype=dtype) for p in params)
+        for array in cell_ready:
+            array[..., : 3 * hs] *= 0.5
+        prepared.append(cell_ready)
+    return prepared
+
+
+def fused_lstm_cell(x, h_prev, c_prev, w_ih, w_hh, bias, hidden_size):
+    """One step on :func:`fused_prepare_lstm_params` weights: one gemm for all four
+    gates, every later pass on a column slice.  Returns ``(h_new, c_new,
+    (ifo (B, 3H), g (B, H), tanh_c))``."""
+    hs = hidden_size
+    act = x @ w_ih
+    act += h_prev @ w_hh
+    act += bias
+    np.tanh(act, out=act)
+    ifo = act[:, : 3 * hs]
+    ifo *= 0.5
+    ifo += 0.5
+    g_gate = act[:, 3 * hs :]
+    c_new = ifo[:, hs : 2 * hs] * c_prev
+    c_new += ifo[:, :hs] * g_gate
+    tanh_c = np.tanh(c_new)
+    h_new = ifo[:, 2 * hs :] * tanh_c
+    return h_new, c_new, (ifo, g_gate, tanh_c)
+
+
+def fused_lstm_forward(x, layer_params, hidden_size):
+    """The previous cached scan (float64, zero initial state): batch-major
+    ``(B, T, .)`` buffers filled by per-step copies.  Returns ``(outputs,
+    state, caches)``, a cache being the dict :func:`fused_lstm_backward` reads."""
+    batch, steps, _ = x.shape
+    hs = hidden_size
+    layer_input, state, caches = x, [], []
+    for w_ih, w_hh, bias in fused_prepare_lstm_params(layer_params, hs):
+        h, c = np.zeros((batch, hs)), np.zeros((batch, hs))
+        outputs = np.empty((batch, steps, hs))
+        gates = np.empty((batch, steps, 4 * hs))
+        h_prev, c_prev, tanh_c = (np.empty((batch, steps, hs)) for _ in range(3))
+        for t in range(steps):
+            h_prev[:, t], c_prev[:, t] = h, c
+            h, c, (gates[:, t, : 3 * hs], gates[:, t, 3 * hs :], tanh_c[:, t]) = fused_lstm_cell(
+                layer_input[:, t, :], h, c, w_ih, w_hh, bias, hs
+            )
+            outputs[:, t, :] = h
+        state.append((h, c))
+        w_ih, w_hh = w_ih.copy(), w_hh.copy()
+        w_ih[:, : 3 * hs] *= 2.0
+        w_hh[:, : 3 * hs] *= 2.0
+        caches.append(
+            dict(inputs=layer_input, h_prev=h_prev, gates=gates, c_prev=c_prev, tanh_c=tanh_c,
+                 w_ih=w_ih, w_hh=w_hh)
+        )
+        layer_input = outputs
+    return layer_input, state, caches
+
+
+def fused_lstm_backward(dout, caches, hidden_size, need_dx=False):
+    """The previous BPTT: the same deltas read through strided
+    ``gates[:, t][:, :hs]``-style views of the batch-major cache.  Returns
+    what ``fastgrad.lstm_backward`` does."""
+    hs = hidden_size
+    perm = fastpath.gate_permutation(hs)
+    grads, dstate0 = [None] * len(caches), [None] * len(caches)
+    dh_seq, dx = dout, None
+    for layer in range(len(caches) - 1, -1, -1):
+        cache = caches[layer]
+        batch, steps, in_features = cache["inputs"].shape
+        dz = np.empty((batch, steps, 4 * hs))
+        dh_carry, dc_carry = np.zeros((batch, hs)), np.zeros((batch, hs))
+        w_hh_t = cache["w_hh"].T
+        for t in range(steps - 1, -1, -1):
+            gates_t = cache["gates"][:, t]
+            i = gates_t[:, :hs]
+            f = gates_t[:, hs : 2 * hs]
+            o = gates_t[:, 2 * hs : 3 * hs]
+            g = gates_t[:, 3 * hs :]
+            tc = cache["tanh_c"][:, t]
+            dh = dh_seq[:, t] + dh_carry
+            do = dh * tc
+            dc = dc_carry + dh * o * (1.0 - tc * tc)
+            dz_t = dz[:, t]
+            dz_t[:, :hs] = (dc * g) * i * (1.0 - i)
+            dz_t[:, hs : 2 * hs] = (dc * cache["c_prev"][:, t]) * f * (1.0 - f)
+            dz_t[:, 2 * hs : 3 * hs] = do * o * (1.0 - o)
+            dz_t[:, 3 * hs :] = (dc * i) * (1.0 - g * g)
+            dh_carry = dz_t @ w_hh_t
+            dc_carry = dc * f
+        dstate0[layer] = (dh_carry, dc_carry)
+        dz2 = dz.reshape(-1, 4 * hs)
+        dw_ih = cache["inputs"].reshape(-1, in_features).T @ dz2
+        dw_hh = cache["h_prev"].reshape(-1, hs).T @ dz2
+        db = dz2.sum(axis=0)
+        grads[layer] = (dw_ih[:, perm], dw_hh[:, perm], db[perm])
+        if layer > 0 or need_dx:
+            dx = (dz2 @ cache["w_ih"].T).reshape(batch, steps, in_features)
+            dh_seq = dx
+        else:
+            dx = None
+    return grads, dx, dstate0

@@ -484,6 +484,15 @@ class Tensor:
         order[a], order[b] = order[b], order[a]
         return self.transpose(*order)
 
+    def contiguous(self) -> "Tensor":
+        """A fresh C-contiguous copy - the operand a kernel that copies hands its gemm."""
+
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(grad)
+
+        return self._make(np.array(self.data, order="C"), (self,), backward, "contiguous")
+
     def __getitem__(self, index: object) -> "Tensor":
         out_data = self.data[index]
 

@@ -94,7 +94,7 @@ def test_lstm_cell_permuted_matches_tape_bitwise():
     params = [(cell.w_ih.data, cell.w_hh.data, cell.bias.data)]
     (w_ih, w_hh, bias), = fastpath.prepare_lstm_params(params, hs)
     x, h, c = _random((9, 5)), _random((9, hs)), _random((9, hs))
-    fast_h, fast_c, _ = fastpath.lstm_cell_permuted(x, h, c, w_ih, w_hh, bias, hs)
+    fast_h, fast_c, _ = fastpath.lstm_cell_permuted(x, h, c, w_ih, w_hh, bias)
     tape_h, tape_c = _tape_cell_step(cell, x, h, c)
     assert np.array_equal(fast_h, tape_h)
     assert np.array_equal(fast_c, tape_c)
@@ -118,6 +118,51 @@ def test_lstm_step_continues_a_forward_state():
     _, state = lstm.fast_forward(x[:, :20, :])
     top, _ = lstm.fast_step(x[:, 20, :], state)
     assert np.array_equal(top, full_seq[:, 20, :])
+
+
+def _shares_memory_with_any(array, others):
+    return any(np.shares_memory(array, other) for other in others)
+
+
+def test_returned_state_aliases_neither_the_sequence_nor_the_given_state():
+    """The scan writes states into time-major buffers and returns a view of
+    one as the hidden sequence; the final state must be the caller's own."""
+    lstm = LSTM(5, 12, np.random.default_rng(6), num_layers=2)
+    x = _random((3, 4, 5))
+    given = [(_random((3, 12)), _random((3, 12))) for _ in range(2)]
+    kept = [(h.copy(), c.copy()) for h, c in given]
+    caches = []
+    seq, state = lstm.fast_forward(x, state=given, cache=caches)
+    buffers = [seq] + [a for cache in caches for a in (cache.h_seq, cache.c_seq)]
+    for (h, c), (given_h, given_c) in zip(state, given):
+        assert not _shares_memory_with_any(h, buffers + [given_h, given_c])
+        assert not _shares_memory_with_any(c, buffers + [given_h, given_c])
+    # a second scan from that state overwrites none of it, nor the first result
+    first_seq = seq.copy()
+    first_state = [(h.copy(), c.copy()) for h, c in state]
+    lstm.fast_forward(x[:, :2], state=state)
+    seq[...] = 0.0  # a caller may reuse the sequence it was handed
+    assert np.array_equal(first_seq[:, -1], first_state[-1][0])
+    for (h, c), (first_h, first_c) in zip(state, first_state):
+        assert np.array_equal(h, first_h) and np.array_equal(c, first_c)
+    for (h, c), (kept_h, kept_c) in zip(given, kept):
+        assert np.array_equal(h, kept_h) and np.array_equal(c, kept_c)
+
+
+@pytest.mark.parametrize("with_cache", [False, True])
+def test_zero_step_scan_returns_a_copy_of_the_state(with_cache):
+    lstm = LSTM(5, 12, np.random.default_rng(7), num_layers=2)
+    given = [(_random((3, 12)), _random((3, 12))) for _ in range(2)]
+    caches = [] if with_cache else None
+    seq, state = lstm.fast_forward(np.empty((3, 0, 5)), state=given, cache=caches)
+    assert seq.shape == (3, 0, 12)
+    for (h, c), (given_h, given_c) in zip(state, given, strict=True):
+        assert np.array_equal(h, given_h) and np.array_equal(c, given_c)
+        assert not np.shares_memory(h, given_h) and not np.shares_memory(c, given_c)
+    # ... and of zeros when no state is given
+    _, zero_state = lstm.fast_forward(np.empty((3, 0, 5)), cache=caches)
+    assert all(h.shape == c.shape == (3, 12) and not h.any() and not c.any() for h, c in zero_state)
+    assert not np.shares_memory(zero_state[0][0], zero_state[1][0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ weights.  Kernel-vs-tape parity therefore no longer says anything about
 that trick; these tests do: an oracle that shares none of it
 (``tests/nn/oracles.py::reference_lstm_cell``, ``scipy.special.expit``),
 the properties the logistic must keep on its whole domain, and the exact
-layout of the prepared weights.
+layout of the prepared weights (gates on a leading axis, i / f / o halved;
+``tests/nn/test_gates_first.py`` pins that layout against the previous
+kernel).
 """
 
 import numpy as np
@@ -17,7 +19,11 @@ from scipy.special import expit
 
 from repro.forecast import DeepARForecaster, TFTForecaster, TrainingConfig
 from repro.nn import LSTM, fastpath
-from tests.nn.oracles import reference_kernels, reference_lstm_cell
+from tests.nn.oracles import (
+    reference_kernels,
+    reference_lstm_cell,
+    reference_prepare_lstm_params,
+)
 
 EPS = np.finfo(np.float64).eps  # 1 ulp of 1.0
 # Agreement with the oracle: 1e-12 relative, and - because a gate is within
@@ -43,17 +49,20 @@ class TestAgainstIndependentOracle:
         lstm = LSTM(features, hs, rng)
         (raw,) = lstm._layer_params()
         (prepared,) = fastpath.prepare_lstm_params([raw], hs)
+        (textbook,) = reference_prepare_lstm_params([raw], hs)
         x = rng.normal(size=(batch, features)) * 3  # pre-activations out to +-15
         h, c = rng.normal(size=(batch, hs)), rng.normal(size=(batch, hs))
-        got_h, got_c, (ifo, g_gate, tanh_c) = fastpath.lstm_cell_permuted(x, h, c, *prepared, hs)
-        want_h, want_c, _ = reference_lstm_cell(x, h, c, *raw, hs)
+        got_h, got_c, (ifo, g_gate, tanh_c) = fastpath.lstm_cell_permuted(x, h, c, *prepared)
+        want_h, want_c, _ = reference_lstm_cell(x, h, c, *textbook)
         np.testing.assert_allclose(got_h, want_h, rtol=RTOL, atol=ATOL)
         np.testing.assert_allclose(got_c, want_c, rtol=RTOL, atol=ATOL)
-        # the returned activations are the post-activation gates, [i, f, o | g]
+        # the returned activations are the post-activation gates, [i, f, o] and g,
+        # one (B, H) block each
+        assert ifo.shape == (3, batch, hs) and g_gate.shape == (batch, hs)
         pre = x @ raw[0] + h @ raw[1] + raw[2]
-        np.testing.assert_allclose(ifo[:, :hs], expit(pre[:, :hs]), rtol=0, atol=ATOL)
-        np.testing.assert_allclose(ifo[:, hs : 2 * hs], expit(pre[:, hs : 2 * hs]), rtol=0, atol=ATOL)
-        np.testing.assert_allclose(ifo[:, 2 * hs :], expit(pre[:, 3 * hs :]), rtol=0, atol=ATOL)
+        np.testing.assert_allclose(ifo[0], expit(pre[:, :hs]), rtol=0, atol=ATOL)
+        np.testing.assert_allclose(ifo[1], expit(pre[:, hs : 2 * hs]), rtol=0, atol=ATOL)
+        np.testing.assert_allclose(ifo[2], expit(pre[:, 3 * hs :]), rtol=0, atol=ATOL)
         np.testing.assert_allclose(g_gate, np.tanh(pre[:, 2 * hs : 3 * hs]), rtol=0, atol=ATOL)
         np.testing.assert_allclose(tanh_c, np.tanh(want_c), rtol=0, atol=ATOL)
 
@@ -65,11 +74,11 @@ class TestAgainstIndependentOracle:
         got_seq, got_state = lstm.fast_forward(x)
 
         layer_input = x
-        for layer, raw in enumerate(lstm._layer_params()):
+        for layer, textbook in enumerate(reference_prepare_lstm_params(lstm._layer_params(), hs)):
             h, c = np.zeros((3, hs)), np.zeros((3, hs))
             outputs = []
             for t in range(x.shape[1]):
-                h, c, _ = reference_lstm_cell(layer_input[:, t], h, c, *raw, hs)
+                h, c, _ = reference_lstm_cell(layer_input[:, t], h, c, *textbook)
                 outputs.append(h)
             layer_input = np.stack(outputs, axis=1)
             np.testing.assert_allclose(got_state[layer][0], h, rtol=RTOL, atol=ATOL)
@@ -164,16 +173,18 @@ class TestPreparedWeights:
     @pytest.mark.parametrize("dtype", [None, np.float32])
     def test_sigmoid_blocks_are_exactly_halved(self, lstm, dtype):
         hs = self.HS
-        perm = np.r_[0 : 2 * hs, 3 * hs : 4 * hs, 2 * hs : 3 * hs]  # [i, f, o, g]
         raw_layers = lstm._layer_params()
         before = [[p.copy() for p in layer] for layer in raw_layers]
         prepared = fastpath.prepare_lstm_params(raw_layers, hs, dtype=dtype)
-        for layer, raw, kept in zip(prepared, raw_layers, before):
-            for got, param, original in zip(layer, raw, kept):
-                permuted = param[..., perm].astype(dtype or np.float64)
-                assert got.dtype == permuted.dtype and got.flags.c_contiguous
-                assert np.array_equal(got[..., : 3 * hs], 0.5 * permuted[..., : 3 * hs])
-                assert np.array_equal(got[..., 3 * hs :], permuted[..., 3 * hs :])
+        for layer, raw, kept in zip(prepared, raw_layers, before, strict=True):
+            for got, param, original in zip(layer, raw, kept, strict=True):
+                rows = 1 if param.ndim == 1 else param.shape[0]  # a bias is one row
+                assert got.shape == (4, rows, hs)
+                assert got.dtype == (dtype or np.float64) and got.flags.c_contiguous
+                cast = param.reshape(rows, 4 * hs).astype(dtype or np.float64)
+                i, f, g, o = (cast[:, k * hs : (k + 1) * hs] for k in range(4))
+                for block, want in zip(got, (0.5 * i, 0.5 * f, 0.5 * o, g), strict=True):
+                    assert block.flags.c_contiguous and np.array_equal(block, want)
                 assert np.array_equal(param, original)  # the parameters are not touched
 
     def test_cache_holds_unhalved_permuted_weights(self, lstm):
@@ -182,5 +193,6 @@ class TestPreparedWeights:
         caches = []
         lstm.fast_forward(np.random.default_rng(0).normal(size=(2, 5, 3)), cache=caches)
         for cache, (w_ih, w_hh, _) in zip(caches, lstm._layer_params(), strict=True):
-            assert np.array_equal(cache.w_ih, w_ih[:, perm])
-            assert np.array_equal(cache.w_hh, w_hh[:, perm])
+            # 2-D for the backward's whole-sequence gemms
+            assert np.array_equal(cache.w_ih, w_ih[:, perm]) and cache.w_ih.flags.c_contiguous
+            assert np.array_equal(cache.w_hh, w_hh[:, perm]) and cache.w_hh.flags.c_contiguous

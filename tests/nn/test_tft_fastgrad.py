@@ -79,6 +79,18 @@ class TestKernelsAgainstFiniteDifferences:
         grad = fastgrad.softmax_backward(fastpath.softmax(x, axis=-1), proj)
         np.testing.assert_allclose(grad, _fd_grad(loss, x), atol=1e-6)
 
+    def test_softmax_backward_reuses_one_temporary_bitwise(self):
+        """In-place form == ``out * (dout - sum(dout * out))``, also when ``dout``
+        broadcasts over a leading head axis (the attention backward's call)."""
+        rng = RNG(20)
+        out = fastpath.softmax(rng.normal(size=(4, 2, 3, 5)), axis=-1)
+        for dout in (rng.normal(size=(4, 2, 3, 5)), rng.normal(size=(2, 3, 5))):
+            kept_out, kept_dout = out.copy(), dout.copy()
+            grad = fastgrad.softmax_backward(out, dout)
+            assert np.array_equal(grad, out * (dout - (dout * out).sum(axis=-1, keepdims=True)))
+            assert np.array_equal(out, kept_out) and np.array_equal(dout, kept_dout)
+            assert not np.shares_memory(grad, out) and not np.shares_memory(grad, dout)
+
     def test_layer_norm_backward(self):
         norm = LayerNorm(6)
         rng = RNG(1)

@@ -76,6 +76,14 @@ class TestKernelParityBitwise:
         tape = (Tensor(x) + Tensor(np.array(mask))).softmax(axis=-1).data
         assert np.array_equal(fast, tape)
 
+    def test_softmax_works_in_place_on_its_own_temporary_only(self):
+        x = RNG(13).normal(size=(2, 3, 4, 6)) * 5
+        kept = x.copy()
+        out = fastpath.softmax(x, axis=-1)
+        assert np.array_equal(x, kept) and not np.shares_memory(out, x)
+        exp = np.exp(x - x.max(axis=-1, keepdims=True))  # the out-of-place composition
+        assert np.array_equal(out, exp / exp.sum(axis=-1, keepdims=True))
+
     @pytest.mark.parametrize("shape", [(5, 8), (2, 7, 8), (1, 1, 8)])
     def test_layer_norm(self, shape):
         norm = LayerNorm(shape[-1])

@@ -54,9 +54,13 @@ class TestLSTMScan:
         assert np.array_equal(cached_out, plain_out)
         _assert_states_equal(cached_state, plain_state)
         assert len(caches) == case["layers"]
-        # the top layer's recorded tanh(c) and output gate reproduce its output
-        top, hs = caches[-1], case["hidden"]
-        assert np.array_equal(top.gates[..., 2 * hs : 3 * hs] * top.tanh_c, plain_out)
+        # the top layer's recorded tanh(c) and output gate reproduce its output,
+        # and its recorded states are the sequence and the final state
+        top = caches[-1]
+        assert np.array_equal(np.swapaxes(top.gates[:, 2] * top.tanh_c, 0, 1), plain_out)
+        assert np.array_equal(np.swapaxes(top.h_seq[1:], 0, 1), plain_out)
+        assert np.array_equal(top.h_seq[-1], plain_state[-1][0])
+        assert np.array_equal(top.c_seq[-1], plain_state[-1][1])
 
     @settings(max_examples=40, deadline=None)
     @given(lstm_cases)

@@ -1,6 +1,9 @@
-"""The verdict rule of ``scripts/ab_e2e.py`` (choosing-metrics, sections 6 and 8)."""
+"""The verdict rule of ``scripts/ab_e2e.py`` (choosing-metrics, sections 6 and 8)
+and its allocation-identity line."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,78 @@ def test_rejects_unpaired_or_unknown_input():
         verdict([], [], "lower", 0.25)
     with pytest.raises(ValueError):
         verdict([1.0], [1.0], "smaller", 0.25)
+
+
+# ---------------------------------------------------------------------------
+# Allocation identity: the digest of run.py's report header, pair by pair
+# ---------------------------------------------------------------------------
+def _fake_run_py_stdout(workload: str, seed: int, digest: str) -> str:
+    """What ``benchmarks/e2e/run.py --workload W --seed S --trace 0`` prints."""
+    metrics = {
+        name: {"value": value, "unit": unit}
+        for name, value, unit in (
+            ("setup_s", 2.5, "s"), ("ticks_per_s", 45.0, "1/s"),
+            ("decision_ms_p50", 22.0, "ms"), ("peak_rss_mb", 94.0, "MB"),
+        )
+    }
+    report = [f"workload {workload}  seed {seed}  trace 0  digest {digest}"]
+    report += [f"  {name:<42} {m['value']:>16.6g} {m['unit']}" for name, m in metrics.items()]
+    report += ["  operations attempted 48, failed 0"]
+    last = json.dumps({"correct": True, "attempted": 48, "failed": 0, "metrics": metrics})
+    return "\n".join(report + [last]) + "\n"
+
+
+def test_parse_digest_reads_the_report_header():
+    stdout = _fake_run_py_stdout("cycle-deepar", 3, "0123456789abcdef")
+    assert ab_e2e.parse_digest(stdout) == "0123456789abcdef"
+    assert ab_e2e.parse_digest("no report\n{}\n") is None
+    # only the header line counts, and only 16 hex digits
+    assert ab_e2e.parse_digest("  digest 0123456789abcdef\n") is None
+    assert ab_e2e.parse_digest("workload w  seed 0  trace 0  digest xyz\n") is None
+
+
+def test_digest_line_counts_identical_pairs_and_names_the_others():
+    same = ["aaaaaaaaaaaaaaaa", "bbbbbbbbbbbbbbbb", "cccccccccccccccc"]
+    assert ab_e2e.digest_line(same, list(same), 101) == "allocations identical in 3/3 pairs"
+    moved = [same[0], "dddddddddddddddd", None]
+    assert ab_e2e.digest_line(same, moved, 101) == (
+        "allocations identical in 1/3 pairs; differing: "
+        "pair 2 seed 102 (bbbbbbbbbbbbbbbb != dddddddddddddddd), "
+        "pair 3 seed 103 (cccccccccccccccc != none)"
+    )
+    # a digest neither side printed proves nothing
+    assert ab_e2e.digest_line([None], [None], 0).startswith("allocations identical in 0/1 pairs")
+    with pytest.raises(ValueError):
+        ab_e2e.digest_line(same, same[:2], 101)
+
+
+@pytest.mark.parametrize("change_moves", [False, True], ids=["identical", "differing"])
+def test_main_reports_allocation_identity_and_never_fails_on_it(
+    change_moves, monkeypatch, capsys, tmp_path
+):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+
+    def fake_run(command, cwd, **_):
+        seed = int(command[command.index("--seed") + 1])
+        moved = change_moves and Path(cwd) == change and seed == 8
+        digest = f"{seed:016x}" if not moved else "f" * 16
+        return subprocess.CompletedProcess(
+            command, 0, stdout=_fake_run_py_stdout("cycle-deepar", seed, digest), stderr=""
+        )
+
+    monkeypatch.setattr(ab_e2e.subprocess, "run", fake_run)
+    output = tmp_path / "ab.json"
+    code = ab_e2e.main([
+        "--parent", str(parent), "--change", str(change), "--workload", "cycle-deepar",
+        "--pairs", "2", "--seed-base", "7", "--output", str(output),
+    ])
+    assert code == 0  # reported, not an error
+    want = (
+        "allocations identical in 1/2 pairs; differing: "
+        "pair 2 seed 8 (0000000000000008 != ffffffffffffffff)"
+        if change_moves else "allocations identical in 2/2 pairs"
+    )
+    assert want in capsys.readouterr().out.splitlines()
+    record = json.loads(output.read_text(encoding="utf-8"))
+    assert record["allocations"] == want
+    assert [run["digest"] for run in record["runs"]["parent"]] == [f"{7:016x}", f"{8:016x}"]
