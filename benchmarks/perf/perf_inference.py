@@ -7,9 +7,12 @@ which owns per-layer timings such as ``nn.lstm_step_us``,
 * **backtest** — rolling-origin evaluation wall-clock, ``n_jobs=1`` vs
   ``n_jobs=N``, with a ``parallel_speedup`` field (jobs1 median over
   jobsN median) and a bit-determinism check of the fanned-out run;
-* **float32** — single-precision inference (``--dtype float32``) vs the
-  float64 default: sampling wall-clock plus the accuracy gate (wQL and
-  coverage deltas on a small backtest must stay within tolerance).
+* **serving_precision** — forecasts are served in float32 from a once-cast
+  copy of the weights (docs/nn.md); this times that path against the
+  float64 reference (the production sampler pointed at the float64
+  training weights, ``tests/nn/oracles.py::float64_serving`` — a test
+  route, not an option) and gates its accuracy: wQL and coverage deltas on
+  a same-seed backtest must stay within tolerance.
 
 Timings interleave the variants (a, b, a, b, ...) so clock drift and
 cache state hit every variant equally — on noisy shared machines the
@@ -41,15 +44,17 @@ import numpy as np
 from repro.evaluation.backtest import backtest
 from repro.forecast import DeepARForecaster, TrainingConfig
 from repro.traces import STEPS_PER_DAY, alibaba_like_trace
+from tests.nn.oracles import float64_serving
 
 LEVELS = (0.1, 0.5, 0.9)
 
-# float32 accuracy gate (docs/benchmarks.md): measured quick-config
-# deltas are ~1e-3 relative wQL and < 0.01 absolute coverage; the gate
-# sits an order of magnitude above the noise floor, far below anything
-# that would change an auto-scaling decision.
-WQL_REL_TOLERANCE = 0.05
-COVERAGE_TOLERANCE = 0.05
+# Serving-precision gate (docs/benchmarks.md), set from measurement: at most
+# ten times the worst delta of training seeds 0-2 at this file's two configs
+# (wQL 1.9e-9 .. 1.2e-7 relative; coverage 0 in all six - it is a count, and
+# it moves only when a realised value falls between the float32 and the
+# float64 quantile, ~3e-4 workload units apart at most).
+WQL_REL_TOLERANCE = 1e-6
+COVERAGE_TOLERANCE = 0.0
 
 
 def interleaved_times(variants: dict, repeats: int) -> dict[str, dict[str, float]]:
@@ -141,7 +146,7 @@ def bench_backtest(
     return {**times, **section, "parallel_speedup": speedup}
 
 
-def bench_float32(
+def bench_serving_precision(
     forecaster: DeepARForecaster,
     sample_context: np.ndarray,
     test_values: np.ndarray,
@@ -150,29 +155,30 @@ def bench_float32(
     repeats: int,
     stride: int,
 ) -> dict:
-    """float32 inference vs the float64 default: speed and accuracy gate.
+    """float32 serving vs the float64 reference: speed and accuracy gate.
 
-    The gate is statistical, not bitwise: ``standard_t`` rejection
-    sampling can consume different rng draws once intermediate values
-    differ in the last ulp, so float32 is held to distribution-level
-    tolerances — relative wQL delta and absolute coverage delta on a
-    same-seed backtest — rather than sample equality.
+    ``float32`` is what ``sample_paths`` / ``predict`` do; ``float64`` is
+    the same sampler on the float64 training weights.  The gate is
+    statistical, not bitwise: ``standard_t`` rejection sampling can
+    consume different rng draws once intermediate values differ in the
+    last ulp, so serving is held to distribution-level tolerances —
+    relative wQL delta and absolute coverage delta on a same-seed
+    backtest — rather than sample equality.
     """
     context_length = forecaster.context_length
     horizon = forecaster.horizon
 
-    def timed(dtype):
-        def fn() -> None:
-            forecaster.set_inference_dtype(dtype)
-            try:
-                forecaster.sample_paths(sample_context, start_index)
-            finally:
-                forecaster.set_inference_dtype(np.float64)
+    def reference() -> None:
+        with float64_serving(forecaster):
+            forecaster.sample_paths(sample_context, start_index)
 
-        return fn
-
+    forecaster.sample_paths(sample_context, start_index)  # builds the serving copy
     times = interleaved_times(
-        {"float64": timed(np.float64), "float32": timed(np.float32)}, repeats
+        {
+            "float64": reference,
+            "float32": lambda: forecaster.sample_paths(sample_context, start_index),
+        },
+        repeats,
     )
 
     def run_backtest():
@@ -186,12 +192,9 @@ def bench_float32(
             stride=stride,
         )
 
-    f64 = run_backtest()
-    forecaster.set_inference_dtype(np.float32)
-    try:
-        f32 = run_backtest()
-    finally:
-        forecaster.set_inference_dtype(np.float64)
+    with float64_serving(forecaster):
+        f64 = run_backtest()
+    f32 = run_backtest()
 
     wql_64 = f64.mean_wql()
     wql_32 = f32.mean_wql()
@@ -259,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
             forecaster, test.values, len(train.values), max(1, repeats // 2),
             args.jobs, stride,
         ),
-        "float32": bench_float32(
+        "serving_precision": bench_serving_precision(
             forecaster, sample_context, test.values, len(train.values),
             len(train.values), max(1, repeats // 2), stride,
         ),
@@ -282,11 +285,11 @@ def main(argv: list[str] | None = None) -> int:
         f"backtest    : jobs1 {bt['jobs1']['best_ms']:.0f}ms  {parallel}  "
         f"({bt['windows']} windows, deterministic={bt['deterministic']})"
     )
-    f32 = report["float32"]
+    f32 = report["serving_precision"]
     print(
-        f"float32     : {f32['speedup']:.2f}x vs float64  "
+        f"serving f32 : {f32['speedup']:.2f}x vs the float64 reference  "
         f"wQL rel delta {f32['wql_rel_delta']:.2e}  "
-        f"coverage delta {f32['coverage_max_delta']:.3f}  "
+        f"coverage delta {f32['coverage_max_delta']:.2e}  "
         f"accuracy_ok={f32['accuracy_ok']}"
     )
     print(f"wrote {args.output}")
@@ -299,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         failed = True
     if not f32["accuracy_ok"]:
         print(
-            "FLOAT32 ACCURACY FAILURE: deltas exceed the documented tolerance",
+            "SERVING PRECISION FAILURE: float32 deltas exceed the documented tolerance",
             file=sys.stderr,
         )
         failed = True

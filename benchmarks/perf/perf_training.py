@@ -1,20 +1,15 @@
 """Training-side micro-benchmarks -> BENCH_training.json.
 
-Two sections, neither of which the end-to-end ledger (``benchmarks/e2e``,
-which owns fit wall-clock as ``forecast.fit_s`` /
-``adaptation.refit_s_p50``) measures:
+One section, which the end-to-end ledger (``benchmarks/e2e``, which owns
+fit wall-clock as ``forecast.fit_s`` / ``adaptation.refit_s_p50``) does
+not measure:
 
 * **pool_reuse** — repeated small ``backtest(n_jobs=2)`` calls on the
   shared executor against ``n_jobs=1``; records ``pool_startup_ms``
   (worker spawn + first call, paid once per process) and
   ``parallel_speedup`` (serial over reused-pool median), gated like
   ``perf_inference``'s: skipped when ``cpu_count < 2``, a failure below
-  1.0 otherwise;
-* **float32_kernels** — the LSTM scan with cached activations
-  (:func:`repro.nn.fastpath.lstm_forward`) plus
-  :func:`repro.nn.fastgrad.lstm_backward` run in float32 vs float64 at
-  benchmark shapes.  Training itself stays float64; this measures the
-  kernel headroom the inference float32 mode taps into.
+  1.0 otherwise.
 
 Analytic-vs-tape gradient and fit-trajectory parity is not measured
 here: it is a tier-1 test (``tests/nn/test_fastgrad.py``,
@@ -101,69 +96,6 @@ def bench_pool_reuse(
     }
 
 
-def bench_float32_kernels(
-    hidden_size: int, num_layers: int, repeats: int,
-    batch: int = 64, steps: int = 72, features: int = 6,
-) -> dict:
-    """Fused LSTM forward+backward, float32 vs float64, same shapes.
-
-    Gradients are compared against the float64 run (max relative
-    difference) as a sanity record — float32 training is not wired up,
-    so this is informational, not gated.
-    """
-    from repro.nn import fastgrad, fastpath
-
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(batch, steps, features))
-    layer_params = []
-    for layer in range(num_layers):
-        in_size = features if layer == 0 else hidden_size
-        layer_params.append((
-            rng.normal(size=(in_size, 4 * hidden_size), scale=0.1),
-            rng.normal(size=(hidden_size, 4 * hidden_size), scale=0.1),
-            rng.normal(size=4 * hidden_size, scale=0.1),
-        ))
-
-    def forward(dtype):
-        caches: list = []
-        outputs, _ = fastpath.lstm_forward(
-            x, layer_params, hidden_size, dtype=dtype, cache=caches
-        )
-        return outputs, caches
-
-    def run(dtype):
-        def fn() -> None:
-            outputs, caches = forward(dtype)
-            fastgrad.lstm_backward(np.ones_like(outputs), caches, hidden_size)
-
-        return fn
-
-    times = interleaved_times(
-        {"float64": run(np.float64), "float32": run(np.float32)}, repeats
-    )
-
-    grads = {}
-    for dtype in (np.float64, np.float32):
-        outputs, caches = forward(dtype)
-        grads[dtype], _, _ = fastgrad.lstm_backward(
-            np.ones_like(outputs), caches, hidden_size
-        )
-    rel_diffs = []
-    for g64, g32 in zip(grads[np.float64], grads[np.float32]):
-        for a, b in zip(g64, g32):
-            denom = np.maximum(np.abs(a), 1e-8)
-            rel_diffs.append(float(np.max(np.abs(a - b.astype(np.float64)) / denom)))
-    return {
-        **times,
-        "speedup": times["float64"]["median_ms"] / times["float32"]["median_ms"],
-        "max_rel_grad_diff": max(rel_diffs),
-        "batch": batch,
-        "steps": steps,
-        "hidden_size": hidden_size,
-        "num_layers": num_layers,
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="perf_training")
     parser.add_argument("--quick", action="store_true",
@@ -198,9 +130,6 @@ def main(argv: list[str] | None = None) -> int:
         },
     }
 
-    print("timing float32 kernels...", file=sys.stderr)
-    report["float32_kernels"] = bench_float32_kernels(32, 2, repeats)
-
     print("timing pool reuse...", file=sys.stderr)
     eval_forecaster = DeepARForecaster(
         context_length, horizon, hidden_size=32, num_layers=2, num_samples=100,
@@ -217,12 +146,6 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(report, handle, indent=2)
         handle.write("\n")
 
-    fk = report["float32_kernels"]
-    print(
-        f"float32_kern: f64 {fk['float64']['best_ms']:.0f}ms  "
-        f"f32 {fk['float32']['best_ms']:.0f}ms  -> {fk['speedup']:.2f}x, "
-        f"max rel grad diff {fk['max_rel_grad_diff']:.2e}"
-    )
     pr = report["pool_reuse"]
     if "skipped" in pr:
         parallel = f"parallel rows skipped: {pr['skipped']}"

@@ -64,6 +64,10 @@ __all__ = ["AdaptationError", "AdaptationManager"]
 #: Kept in sync with the state_dict layout; bump on breaking changes.
 #: The layout includes every class a pickled forecaster reaches: version 3
 #: is ``repro.nn.module.Parameter`` as a plain ``(data, grad)`` holder.
+#: float32 serving did not bump it: ``NeuralForecaster.__getstate__`` keeps
+#: the serving copy out of every blob, and a version-3 blob written before
+#: the copy existed restores as it is (the precision attribute it still
+#: carries is inert; the copy is built on the first predict).
 _STATE_VERSION = 3
 
 

@@ -56,10 +56,7 @@ from .traces import STEPS_PER_DAY, alibaba_like_trace, google_like_trace
 TRACES = {"alibaba": alibaba_like_trace, "google": google_like_trace}
 
 
-def _build_forecaster(
-    name: str, context: int, horizon: int, epochs: int, seed: int,
-    dtype: str | None = None,
-):
+def _build_forecaster(name: str, context: int, horizon: int, epochs: int, seed: int):
     config = TrainingConfig(epochs=epochs, window_stride=2, seed=seed)
     grid = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
     if name == "tft":
@@ -74,10 +71,6 @@ def _build_forecaster(
         forecaster = SeasonalNaiveForecaster(horizon, season=STEPS_PER_DAY)
     else:
         raise SystemExit(f"unknown model {name!r}")
-    # --dtype float32 selects single-precision inference kernels on the
-    # models that have them; statistical baselines ignore it.
-    if dtype and dtype != "float64" and hasattr(forecaster, "set_inference_dtype"):
-        forecaster.set_inference_dtype(dtype)
     return forecaster
 
 
@@ -183,8 +176,7 @@ def _print_model_health(monitor, provenance: list[dict]) -> None:
 
 def cmd_forecast(args: argparse.Namespace) -> int:
     train, test = _load_trace(args)
-    forecaster = _build_forecaster(args.model, args.context, args.horizon, args.epochs, args.seed,
-                                   dtype=getattr(args, "dtype", None))
+    forecaster = _build_forecaster(args.model, args.context, args.horizon, args.epochs, args.seed)
     forecaster.fit(train.values)
     context = test.values[: args.context]
     fc = forecaster.predict(context, start_index=len(train.values))
@@ -211,8 +203,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from .simulator import replay_plan
 
     train, test = _load_trace(args)
-    forecaster = _build_forecaster(args.model, args.context, args.horizon, args.epochs, args.seed,
-                                   dtype=getattr(args, "dtype", None))
+    forecaster = _build_forecaster(args.model, args.context, args.horizon, args.epochs, args.seed)
     forecaster.fit(train.values)
     if args.inject_shift:
         from .traces.anomalies import inject_level_shift
@@ -302,8 +293,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     from .evaluation.report import format_table
 
     train, test = _load_trace(args)
-    forecaster = _build_forecaster(args.model, args.context, args.horizon, args.epochs, args.seed,
-                                   dtype=getattr(args, "dtype", None))
+    forecaster = _build_forecaster(args.model, args.context, args.horizon, args.epochs, args.seed)
     forecaster.fit(train.values)
     levels = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     monitor = _build_monitor(args) if _monitoring_enabled(args) else None
@@ -457,10 +447,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .simulator import DisaggregatedCluster, SharedStorage, Simulation
 
     train, test = _load_trace(args)
-    forecaster = _build_forecaster(
-        args.model, args.context, args.horizon, args.epochs, args.seed,
-        dtype=getattr(args, "dtype", None),
-    )
+    forecaster = _build_forecaster(args.model, args.context, args.horizon, args.epochs, args.seed)
     forecaster.fit(train.values)
     planner = RobustPredictiveAutoscaler(
         forecaster, args.threshold, FixedQuantilePolicy(args.quantile)
@@ -520,10 +507,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from .faults import FaultSchedule
 
     train, test = _load_trace(args)
-    forecaster = _build_forecaster(
-        args.model, args.context, args.horizon, args.epochs, args.seed,
-        dtype=getattr(args, "dtype", None),
-    )
+    forecaster = _build_forecaster(args.model, args.context, args.horizon, args.epochs, args.seed)
     forecaster.fit(train.values)
     scaler = RobustPredictiveAutoscaler(
         forecaster, args.threshold, FixedQuantilePolicy(args.quantile)
@@ -570,7 +554,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 _SERVE_CONFIG_KEYS = (
     "trace", "days", "seed", "context", "horizon", "epochs", "threshold",
     "model", "quantile", "replan_every", "monitor", "monitor_window",
-    "alert", "slo", "faults", "source", "follow", "dtype",
+    "alert", "slo", "faults", "source", "follow",
     "adapt", "shadow_window", "promote_policy", "refit_epochs",
     "adapt_cooldown",
 )
@@ -610,17 +594,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return 2
         # The checkpoint's config is authoritative for everything that
         # shapes the planner/monitor/source — mixing a restored loop
-        # with different flags would silently break bit-identity.
+        # with different flags would silently break bit-identity.  A key
+        # this build no longer reads (``dtype``, in checkpoints written
+        # before float32 became the serving precision) is inert.
         for key, value in state.get("config", {}).items():
             setattr(args, key, value)
 
     config = {key: getattr(args, key, None) for key in _SERVE_CONFIG_KEYS}
 
     train, test = _load_trace(args)
-    forecaster = _build_forecaster(
-        args.model, args.context, args.horizon, args.epochs, args.seed,
-        dtype=getattr(args, "dtype", None),
-    )
+    forecaster = _build_forecaster(args.model, args.context, args.horizon, args.epochs, args.seed)
     # With checkpointed weights the (expensive) fit is skipped; models
     # without weight persistence refit deterministically from the seed.
     has_weights = (
@@ -763,10 +746,6 @@ def _common_parent() -> argparse.ArgumentParser:
                    help="worker processes for commands that fan out "
                         "(backtest); results are bit-identical to "
                         "--jobs 1 and worker telemetry is merged")
-    p.add_argument("--dtype", choices=("float64", "float32"), default="float64",
-                   help="inference kernel precision: float64 (default) is "
-                        "bitwise-reproducible; float32 is faster with a "
-                        "small, gate-checked accuracy delta (docs/nn.md)")
     return p
 
 

@@ -194,9 +194,11 @@ class DeepARForecaster(NeuralForecaster):
         Each horizon step then advances all trajectories through the
         raw-array kernels of :mod:`repro.nn.fastpath` in one cell call
         per layer; calendar features are read from the cached
-        per-(start_index, horizon) matrix.  The parity suite runs the
-        same algorithm through the autograd tape (``tests/nn/oracles.py``)
-        and asserts identical samples for the same seed.
+        per-(start_index, horizon) matrix.  The sampler serves in
+        float32 (:meth:`_sample_fast`); run on the float64 weights it is,
+        for the same seed, bit-identical to the same algorithm on the
+        autograd tape (``tests/nn/oracles.py``), which the parity suite
+        asserts.
         """
         self._require_fitted()
         assert self.network is not None
@@ -206,6 +208,8 @@ class DeepARForecaster(NeuralForecaster):
                 f"context must have length {self.context_length}, got {len(context)}"
             )
         samples = self._sample_fast(self.scaler.transform(context), start_index)
+        # float32 normalised samples; the scaler widens them before it maps to
+        # workload units, where one float32 ulp would be ~1e-4.
         return Empirical(self.scaler.inverse_transform(samples))
 
     def _warmup_inputs(self, normalised: np.ndarray, start_index: int) -> np.ndarray:
@@ -222,23 +226,21 @@ class DeepARForecaster(NeuralForecaster):
     def _sample_fast(self, normalised: np.ndarray, start_index: int) -> np.ndarray:
         """Vectorized sampling on raw-numpy kernels (the production path).
 
-        Runs at :attr:`inference_dtype`: float64 (default) is
-        bitwise-identical to the tape mirror; float32 casts the weights
-        once and runs the LSTM scan and heads in single precision, with
-        the RNG draws (always float64 from numpy's Generator) rounded
-        into the float32 sample buffer.
+        Runs on the float32 serving copy of the network, in the dtype of
+        its weights: the LSTM scan, the heads and the sample buffer are
+        single precision, the RNG draws (always float64 from numpy's
+        Generator) are rounded into the buffer, and the scaler widens
+        the normalised samples before it maps them to workload units.
         """
-        assert self.network is not None
-        net = self.network
+        net = self._serving_network()
         n = self.num_samples
-        hs = self.hidden_size
-        work = self.inference_dtype
-        cast = None if work == np.dtype(np.float64) else work
+        w_mu, b_mu = net.mu_head.weight.data, net.mu_head.bias.data
+        w_scale, b_scale = net.scale_head.weight.data, net.scale_head.bias.data
+        w_df, b_df = net.df_head.weight.data, net.df_head.bias.data
+        work = w_mu.dtype
         # Warm up at batch 1 — the context is shared by every trajectory —
         # through the LSTM only (the head outputs are discarded anyway).
-        _, state = net.lstm.fast_forward(
-            self._warmup_inputs(normalised, start_index), dtype=cast
-        )
+        _, state = net.lstm.fast_forward(self._warmup_inputs(normalised, start_index))
         # Tile the (batch 1) warm-up state across all trajectories.
         state = [(np.repeat(h, n, axis=0), np.repeat(c, n, axis=0)) for h, c in state]
 
@@ -250,25 +252,15 @@ class DeepARForecaster(NeuralForecaster):
         prepared = [
             (w_ih, w_hh, np.repeat(bias, n, axis=1))
             for w_ih, w_hh, bias in fastpath.prepare_lstm_params(
-                net.lstm._layer_params(), hs, dtype=cast
+                net.lstm._layer_params(), self.hidden_size
             )
         ]
         cell = fastpath.lstm_cell_permuted
-        w_mu, b_mu = net.mu_head.weight.data, net.mu_head.bias.data
-        w_scale, b_scale = net.scale_head.weight.data, net.scale_head.bias.data
-        w_df, b_df = net.df_head.weight.data, net.df_head.bias.data
-        if cast is not None:
-            w_mu, b_mu = w_mu.astype(work), b_mu.astype(work)
-            w_scale, b_scale = w_scale.astype(work), b_scale.astype(work)
-            w_df, b_df = w_df.astype(work), b_df.astype(work)
         softplus = fastpath.softplus
 
         horizon_features = calendar_window(
             start_index + self.context_length, self.horizon
-        )
-        if cast is not None:
-            # .astype copies — the per-(start, horizon) cache stays float64.
-            horizon_features = horizon_features.astype(work)
+        ).astype(work)
         step_inputs = np.empty((n, 1 + NUM_CALENDAR_FEATURES), dtype=work)
         samples = np.empty((n, self.horizon), dtype=work)
         # First horizon step is conditioned on the last context value.
@@ -285,10 +277,8 @@ class DeepARForecaster(NeuralForecaster):
             mu = (top @ w_mu + b_mu)[:, 0]
             scale = softplus((top @ w_scale + b_scale)[:, 0]) + _MIN_SCALE
             df = softplus((top @ w_df + b_df)[:, 0]) + _MIN_DF
-            draws = self._draw(mu, scale, df)
-            samples[:, h] = draws
-            # Feed back the *stored* value so the float32 path conditions
-            # on exactly what it emitted; in float64 the stored column
-            # equals ``draws`` bit for bit.
+            samples[:, h] = self._draw(mu, scale, df)
+            # Feed back the *stored* value: the next step conditions on
+            # exactly what this one emitted, rounded to the buffer's dtype.
             last = samples[:, h]
         return samples

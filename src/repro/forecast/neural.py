@@ -9,6 +9,7 @@ loss.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +49,15 @@ class TrainingConfig:
             raise ValueError("validation_fraction must be in [0, 0.5)")
 
 
+def _float32_copy(network: Module) -> Module:
+    """``network`` in single precision: same modules, every weight cast once, no grads."""
+    twin = copy.deepcopy(network)
+    for param in twin.parameters():
+        param.data = param.data.astype(np.float32)
+        param.grad = None
+    return twin
+
+
 class NeuralForecaster(Forecaster):
     """Base class: subclasses provide the network, its loss and its backward.
 
@@ -67,7 +77,17 @@ class NeuralForecaster(Forecaster):
       loss; a training step (:meth:`_loss_backward`) hands it a cache
       and the network's ``backward`` the rest.
     * ``predict`` — subclass-specific; use :attr:`scaler` to map in/out.
+      A forecaster whose predict is an LSTM scan serves in float32: it
+      runs :meth:`_serving_network` on float32 inputs and widens the
+      output to float64 before the scaler.  Training stays float64.
     """
+
+    #: float32 twin of :attr:`network` that LSTM-scanning forecasters predict
+    #: from (docs/nn.md, Serving precision): built on the first predict after
+    #: the weights changed, dropped by :meth:`fit` and :meth:`load`, never
+    #: pickled.  A class-level default, so forecasters pickled before the
+    #: slot existed restore without it.
+    _serving: Module | None = None
 
     def __init__(self, context_length: int, horizon: int, config: TrainingConfig | None = None):
         if context_length < 1 or horizon < 1:
@@ -82,26 +102,17 @@ class NeuralForecaster(Forecaster):
         #: their shuffling seed from it so successive refits are
         #: deterministic yet distinct from the original cold fit.
         self.fits_completed = 0
-        # Precision of the inference kernels.  float64 is the default;
-        # float32 trades a documented, gate-checked accuracy delta for
-        # speed (docs/nn.md).
-        self.inference_dtype: np.dtype = np.dtype(np.float64)
 
-    def set_inference_dtype(self, dtype: "np.dtype | type | str") -> "NeuralForecaster":
-        """Select the inference precision (``float64`` or ``float32``).
+    def _serving_network(self) -> Module:
+        """The network predictions run on: :attr:`_serving`, built if absent."""
+        if self._serving is None:
+            self._serving = _float32_copy(self.network)
+        return self._serving
 
-        float32 applies to the raw-kernel inference paths (DeepAR's
-        ancestral sampling and the TFT forward); weights stay float64
-        and are cast once per predict, so training and checkpoints are
-        unaffected.  Returns ``self`` for chaining.
-        """
-        resolved = np.dtype(dtype)
-        if resolved not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError(
-                f"inference dtype must be float32 or float64, got {resolved}"
-            )
-        self.inference_dtype = resolved
-        return self
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_serving", None)
+        return state
 
     # -- subclass hooks -------------------------------------------------
     def _build(self, rng: np.random.Generator) -> Module:
@@ -154,6 +165,7 @@ class NeuralForecaster(Forecaster):
             models with calendar features use it to phase-align a refit
             on a mid-trace history window.
         """
+        self._serving = None  # first: a fit that raises cannot leave a stale copy
         if isinstance(series, (list, tuple)):
             series_list = [np.asarray(s, dtype=np.float64) for s in series]
         else:
@@ -298,6 +310,7 @@ class NeuralForecaster(Forecaster):
         """Restore weights saved by :meth:`save` into this (same-config)
         forecaster; returns self, ready to predict without retraining."""
         state = load_state(path)
+        self._serving = None
         if self.network is None:
             self.network = self._build(np.random.default_rng(self.config.seed))
         self.network.load_state_dict(

@@ -167,9 +167,10 @@ class _LSTMPointForecaster(NeuralForecaster):
 
     def predict_point(self, context: np.ndarray, start_index: int = 0) -> np.ndarray:
         self._require_fitted()
-        assert self.network is not None
         normalised = self.scaler.transform(np.asarray(context, dtype=np.float64))[None, :]
-        return self.scaler.inverse_transform(self.network.fast_forward(normalised)[0])
+        # An LSTM scan, so served in float32: the scan casts its input to the
+        # serving weights' dtype, the scaler widens the output.
+        return self.scaler.inverse_transform(self._serving_network().fast_forward(normalised)[0])
 
 
 class QB5000Forecaster(PointForecaster):

@@ -70,15 +70,13 @@ class _TFTNetwork(Module):
         self,
         past: np.ndarray,
         future: np.ndarray,
-        dtype: "np.dtype | type | None" = None,
         cache: dict | None = None,
     ) -> np.ndarray:
         """past: (B, T, 1+F); future: (B, H, F) -> quantiles (B, H, Q).
 
-        ``dtype=None`` computes in float64; ``np.float32`` casts inputs
-        and weights once and runs the whole stack in single precision
-        (the inference dtype mode).  A ``cache`` dict receives every
-        layer's activations, keyed by layer name, for :meth:`backward`;
+        Computes in the dtype of the weights; the caller hands in inputs
+        of that dtype.  A ``cache`` dict receives every layer's
+        activations, keyed by layer name, for :meth:`backward`;
         predictions are bitwise the same with and without it.
         """
         def keep(name: str, result: tuple):
@@ -92,39 +90,35 @@ class _TFTNetwork(Module):
             return outputs[0] if len(outputs) == 1 else outputs
 
         enc_caches, dec_caches = (None, None) if cache is None else ([], [])
-        encoded_in = self.past_proj.fast_forward(past, dtype)
-        decoded_in = self.future_proj.fast_forward(future, dtype)
-        encoded, state = self.encoder.fast_forward(encoded_in, dtype=dtype, cache=enc_caches)
-        decoded, _ = self.decoder.fast_forward(
-            decoded_in, state, dtype=dtype, cache=dec_caches
-        )
+        encoded_in = self.past_proj.fast_forward(past)
+        decoded_in = self.future_proj.fast_forward(future)
+        encoded, state = self.encoder.fast_forward(encoded_in, cache=enc_caches)
+        decoded, _ = self.decoder.fast_forward(decoded_in, state, cache=dec_caches)
 
         # Gated skip around the seq2seq layer (TFT Eq. 17).
         sequence = np.concatenate([encoded, decoded], axis=1)
         skip = np.concatenate([encoded_in, decoded_in], axis=1)
-        gated = keep("lstm_gate", fastpath.glu_forward(self.lstm_gate, sequence, dtype))
-        sequence = keep("lstm_norm", fastpath.layer_norm(self.lstm_norm, skip + gated, dtype))
+        gated = keep("lstm_gate", fastpath.glu_forward(self.lstm_gate, sequence))
+        sequence = keep("lstm_norm", fastpath.layer_norm(self.lstm_norm, skip + gated))
 
         horizon = decoded.shape[1]
         query = sequence[:, -horizon:, :]
         mask = causal_mask(query_len=horizon, key_len=sequence.shape[1])
         attended, weights = keep(
             "attention",
-            fastpath.interpretable_attention(
-                self.attention, query, sequence, sequence, mask=mask, dtype=dtype
-            ),
+            fastpath.interpretable_attention(self.attention, query, sequence, sequence, mask=mask),
         )
         self._last_attention = weights
-        gated = keep("attn_gate", fastpath.glu_forward(self.attn_gate, attended, dtype))
-        attended = keep("attn_norm", fastpath.layer_norm(self.attn_norm, query + gated, dtype))
+        gated = keep("attn_gate", fastpath.glu_forward(self.attn_gate, attended))
+        attended = keep("attn_norm", fastpath.layer_norm(self.attn_norm, query + gated))
 
-        grn_out = keep("feed_forward", fastpath.grn_forward(self.feed_forward, attended, dtype))
+        grn_out = keep("feed_forward", fastpath.grn_forward(self.feed_forward, attended))
         if cache is not None:
             cache.update(
                 past=past, future=future, encoder=enc_caches, decoder=dec_caches,
                 grn_out=grn_out,
             )
-        return self.quantile_head.fast_forward(grn_out, dtype)
+        return self.quantile_head.fast_forward(grn_out)
 
     def backward(self, cache: dict, dpred: np.ndarray) -> None:
         """Closed-form backward of a cached :meth:`fast_forward`.
@@ -264,7 +258,6 @@ class TFTForecaster(NeuralForecaster):
         wider grid is the honest fix (paper Section III-B2).
         """
         self._require_fitted()
-        assert self.network is not None
         context = np.asarray(context, dtype=np.float64)
         if len(context) != self.context_length:
             raise ValueError(
@@ -275,7 +268,11 @@ class TFTForecaster(NeuralForecaster):
             mean, std = self._window_stats(normalised)
             normalised = (normalised - mean) / std
         past, future = self._network_inputs(normalised, np.array([start_index]))
-        raw = self.network.fast_forward(past, future, dtype=self.inference_dtype)
+        # Served in float32: inputs cast once at the network's entry, its
+        # normalised output widened before it is mapped back to workload units.
+        network = self._serving_network()
+        work = network.quantile_head.weight.data.dtype
+        raw = network.fast_forward(past.astype(work, copy=False), future.astype(work, copy=False))
         raw = raw[0].astype(np.float64, copy=False)  # (H, Q)
         if self.window_normalization:
             raw = raw * std[0, 0] + mean[0, 0]
@@ -290,6 +287,10 @@ class TFTForecaster(NeuralForecaster):
         return QuantileForecast(levels=np.array(levels), values=values, mean=full.point)
 
     def attention_weights(self) -> np.ndarray | None:
-        """Mean attention pattern of the last forward pass (interpretability)."""
-        network = self.network
+        """Mean attention pattern of the last forward pass (interpretability).
+
+        After a :meth:`predict` that is the serving copy's; right after a
+        fit, before any predict, the training network's last batch.
+        """
+        network = self.network if self._serving is None else self._serving
         return None if network is None else network._last_attention

@@ -75,13 +75,10 @@ class InterpretableMultiHeadAttention(Module):
         key: np.ndarray,
         value: np.ndarray,
         mask: np.ndarray | None = None,
-        dtype: "np.dtype | type | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Forward on raw ndarrays (:func:`repro.nn.fastpath.interpretable_attention`).
 
         Returns (output (B, Tq, d_model), mean attention (B, Tq, Tk)).
         """
-        out, weights, _ = fastpath.interpretable_attention(
-            self, query, key, value, mask=mask, dtype=dtype
-        )
+        out, weights, _ = fastpath.interpretable_attention(self, query, key, value, mask=mask)
         return out, weights

@@ -8,6 +8,12 @@ layer on it): each kernel computes *exactly* the float64 operations of
 that composition, in the same order, on plain ndarrays — so results are
 bitwise-identical, which the parity suite asserts.
 
+A kernel computes in the dtype of the weights it is handed and never
+promotes: float64 parameters (training) give that float64 arithmetic,
+the float32 serving copy of a network (``forecast/neural.py``) runs the
+same code in single precision.  The caller casts a network's inputs at
+its entry; scalars are Python floats, so NEP 50 keeps the arrays' dtype.
+
 LayerNorm / GLU / GRN / attention kernels take the layer module
 (duck-typed attribute reads — no import of :mod:`repro.nn.layers`) and
 always return ``(output, cache)``: the cache fields are references to
@@ -104,13 +110,6 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Layer kernels
 # ---------------------------------------------------------------------------
-def _cast(array: np.ndarray | None, dtype: np.dtype | type | None) -> np.ndarray | None:
-    """Cast an array for the float32 inference mode; ``None`` is a no-op."""
-    if array is None or dtype is None:
-        return array
-    return array.astype(dtype, copy=False)
-
-
 def linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
     """``x @ W (+ b)`` on raw arrays; same op order as the tape composition."""
     out = x @ weight
@@ -119,14 +118,10 @@ def linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -
     return out
 
 
-def linear(layer, x: np.ndarray, dtype: np.dtype | type | None = None) -> np.ndarray:
-    """A ``Linear`` module's affine map on raw arrays.
-
-    ``dtype=np.float32`` casts the input and the weights once for the
-    single-precision inference mode; ``None`` keeps float64.
-    """
-    bias = None if layer.bias is None else _cast(layer.bias.data, dtype)
-    return linear_forward(_cast(x, dtype), _cast(layer.weight.data, dtype), bias)
+def linear(layer, x: np.ndarray) -> np.ndarray:
+    """A ``Linear`` module's affine map on raw arrays."""
+    bias = None if layer.bias is None else layer.bias.data
+    return linear_forward(x, layer.weight.data, bias)
 
 
 @dataclass
@@ -137,23 +132,20 @@ class LayerNormCache:
     std: np.ndarray  # sqrt(var + eps), keepdims along the last axis
 
 
-def layer_norm(
-    norm, x: np.ndarray, dtype: np.dtype | type | None = None
-) -> tuple[np.ndarray, LayerNormCache]:
+def layer_norm(norm, x: np.ndarray) -> tuple[np.ndarray, LayerNormCache]:
     """LayerNorm over the last axis.
 
     The mean is computed as ``sum * (1/n)`` — the oracle tape's ``mean``
     composition — not ``np.mean``, so float64 results are bitwise
     identical to it.
     """
-    x = _cast(x, dtype)
     n = x.shape[-1]
     mu = x.sum(axis=-1, keepdims=True) * (1.0 / n)
     centered = x - mu
     var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
     std = np.sqrt(var + norm.eps)
     normed = centered / std
-    out = normed * _cast(norm.gamma.data, dtype) + _cast(norm.beta.data, dtype)
+    out = normed * norm.gamma.data + norm.beta.data
     return out, LayerNormCache(normed=normed, std=std)
 
 
@@ -166,16 +158,13 @@ class GLUCache:
     value: np.ndarray  # x W2 + b2
 
 
-def glu_forward(
-    glu, x: np.ndarray, dtype: np.dtype | type | None = None
-) -> tuple[np.ndarray, GLUCache]:
+def glu_forward(glu, x: np.ndarray) -> tuple[np.ndarray, GLUCache]:
     """GLU(x) = sigmoid(x W1 + b1) * (x W2 + b2) on raw arrays.
 
     Same gemm/sigmoid/multiply order as its tape composition.
     """
-    x = _cast(x, dtype)
-    gate = sigmoid(linear(glu.gate, x, dtype))
-    value = linear(glu.value, x, dtype)
+    gate = sigmoid(linear(glu.gate, x))
+    value = linear(glu.value, x)
     return gate * value, GLUCache(x=x, gate=gate, value=value)
 
 
@@ -190,9 +179,7 @@ class GRNCache:
     norm: LayerNormCache
 
 
-def grn_forward(
-    grn, x: np.ndarray, dtype: np.dtype | type | None = None
-) -> tuple[np.ndarray, GRNCache]:
+def grn_forward(grn, x: np.ndarray) -> tuple[np.ndarray, GRNCache]:
     """Gated Residual Network forward.
 
     fc1 -> tanh -> fc2 -> dropout -> GLU -> (projected) residual ->
@@ -201,15 +188,14 @@ def grn_forward(
     layer's own rng exactly as the tape would, so both consume the same
     stream; the TFT's GRNs run with ``p == 0`` and skip the draw.
     """
-    x = _cast(x, dtype)
-    tanh_out = np.tanh(linear(grn.fc1, x, dtype))
-    hidden = linear(grn.fc2, tanh_out, dtype)
-    drop_mask = _cast(grn.dropout.mask(hidden.shape), dtype)
+    tanh_out = np.tanh(linear(grn.fc1, x))
+    hidden = linear(grn.fc2, tanh_out)
+    drop_mask = grn.dropout.mask(hidden.shape)
     if drop_mask is not None:
         hidden = hidden * drop_mask
-    gated, glu_cache = glu_forward(grn.glu, hidden, dtype)
-    residual = x if grn.skip is None else linear(grn.skip, x, dtype)
-    out, norm_cache = layer_norm(grn.norm, residual + gated, dtype)
+    gated, glu_cache = glu_forward(grn.glu, hidden)
+    residual = x if grn.skip is None else linear(grn.skip, x)
+    out, norm_cache = layer_norm(grn.norm, residual + gated)
     return out, GRNCache(
         x=x, tanh_out=tanh_out, drop_mask=drop_mask, glu=glu_cache, norm=norm_cache
     )
@@ -217,7 +203,6 @@ def grn_forward(
 
 def prepare_attention_params(
     head_params: list[tuple[np.ndarray, np.ndarray]],
-    dtype: np.dtype | type | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Concatenate per-head ``(weight, bias)`` pairs along the output axis.
 
@@ -227,8 +212,8 @@ def prepare_attention_params(
     gemms — the same argument as the LSTM gate permutation.  Prepared
     per call, not cached: optimizers update the arrays in place.
     """
-    w_cat = _cast(np.concatenate([w for w, _ in head_params], axis=1), dtype)
-    b_cat = _cast(np.concatenate([b for _, b in head_params]), dtype)
+    w_cat = np.concatenate([w for w, _ in head_params], axis=1)
+    b_cat = np.concatenate([b for _, b in head_params])
     return w_cat, b_cat
 
 
@@ -255,7 +240,6 @@ def interpretable_attention(
     key: np.ndarray,
     value: np.ndarray,
     mask: np.ndarray | None = None,
-    dtype: np.dtype | type | None = None,
 ) -> tuple[np.ndarray, np.ndarray, AttentionCache]:
     """Interpretable multi-head attention on raw arrays.
 
@@ -271,21 +255,14 @@ def interpretable_attention(
     ``stack(...).mean(axis=0)`` — so float64 outputs (and the attention
     pattern) are bitwise-identical to the tape composition.
     """
-    query = _cast(query, dtype)
-    key = _cast(key, dtype)
-    value = _cast(value, dtype)
-    w_q, b_q = prepare_attention_params(
-        [(p.weight.data, p.bias.data) for p in attn._q_projs], dtype
-    )
-    w_k, b_k = prepare_attention_params(
-        [(p.weight.data, p.bias.data) for p in attn._k_projs], dtype
-    )
+    w_q, b_q = prepare_attention_params([(p.weight.data, p.bias.data) for p in attn._q_projs])
+    w_k, b_k = prepare_attention_params([(p.weight.data, p.bias.data) for p in attn._k_projs])
     num_heads, d_head = attn.num_heads, attn.d_head
     batch, t_query, _ = query.shape
     t_key = key.shape[1]
     q_all = linear_forward(query, w_q, b_q)  # (B, Tq, H*dh)
     k_all = linear_forward(key, w_k, b_k)  # (B, Tk, H*dh)
-    v = linear(attn.v_proj, value, dtype)  # (B, Tk, dh)
+    v = linear(attn.v_proj, value)  # (B, Tk, dh)
     # Heads-first contiguous stacking: each (h, b) slice is then the
     # exact 2-D gemm the per-head tape loop performs.
     q_heads = np.ascontiguousarray(
@@ -300,12 +277,12 @@ def interpretable_attention(
     scores = q_heads @ np.swapaxes(k_heads, -1, -2)
     scores *= 1.0 / float(np.sqrt(d_head))
     if mask is not None:
-        scores += _cast(mask, dtype)
+        scores += mask.astype(scores.dtype, copy=False)  # the shared mask is float64
     weights = softmax(scores, axis=-1)  # (H, B, Tq, Tk)
     heads = weights @ v  # value broadcast across the head axis
     mean_heads = heads.sum(axis=0) * (1.0 / num_heads)
     mean_weights = weights.sum(axis=0) * (1.0 / num_heads)
-    out = linear(attn.out_proj, mean_heads, dtype)
+    out = linear(attn.out_proj, mean_heads)
     cache = AttentionCache(
         query=query, key=key, value=value, w_q=w_q, w_k=w_k,
         q_heads=q_heads, k_heads=k_heads, v=v, weights=weights,
@@ -329,7 +306,6 @@ def gate_permutation(hidden_size: int) -> np.ndarray:
 def prepare_lstm_params(
     layer_params: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     hidden_size: int,
-    dtype: np.dtype | type | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Cell-ready gate weights: gates first, [i, f, o, g], sigmoid blocks halved.
 
@@ -347,10 +323,6 @@ def prepare_lstm_params(
     ``0.5 * tanh(0.5 x) + 0.5``); 0.5 is a power of two, so
     ``x @ (0.5 W) == 0.5 * (x @ W)`` bit for bit.
 
-    ``dtype`` optionally casts the prepared weights (float32 inference
-    mode); ``None`` keeps the parameters' own dtype — the bitwise-exact
-    float64 default.
-
     Prepared per call, not cached: optimizers update parameter arrays in
     place, so a cache keyed on array identity would go stale.
     """
@@ -361,7 +333,7 @@ def prepare_lstm_params(
             # (rows, 4H) -> (4, rows, H), one copy: blocks [i, f, g, o] picked
             # in cell order off a gates-first view; a bias has one row.
             blocks = param.reshape(-1, 4, hidden_size).transpose(1, 0, 2)
-            stacked = np.ascontiguousarray(blocks[_CELL_GATE_ORDER], dtype=dtype)
+            stacked = np.ascontiguousarray(blocks[_CELL_GATE_ORDER])
             stacked[:3] *= 0.5
             cell_ready.append(stacked)
         prepared.append(tuple(cell_ready))
@@ -439,7 +411,6 @@ def lstm_forward(
     layer_params: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     hidden_size: int,
     state: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    dtype: np.dtype | type | None = None,
     cache: list[LSTMLayerCache] | None = None,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Multi-layer LSTM scan over a full sequence on raw arrays.
@@ -447,15 +418,13 @@ def lstm_forward(
     Parameters
     ----------
     x:
-        Input of shape (batch, time, features).
+        Input of shape (batch, time, features); cast once to the
+        weights' dtype, which the whole scan — buffers, states, outputs
+        — runs in.
     layer_params:
         Per-layer ``(w_ih, w_hh, bias)`` arrays in standard gate layout.
     state:
         Optional per-layer ``(h, c)`` arrays of shape (batch, hidden).
-    dtype:
-        ``None`` (default) computes in float64; ``np.float32`` casts
-        inputs, weights, and state once and runs the whole scan in
-        single precision (see docs/nn.md for the measured trade).
     cache:
         A list to receive one :class:`LSTMLayerCache` per layer for
         :func:`repro.nn.fastgrad.lstm_backward`; ``None`` (inference)
@@ -468,7 +437,7 @@ def lstm_forward(
     ``(h, c)``, which are copies: they alias neither those buffers nor
     the caller's ``state``.
     """
-    work = np.float64 if dtype is None else np.dtype(dtype)
+    work = layer_params[0][0].dtype
     x = x.astype(work, copy=False)
     batch, steps, _ = x.shape
     hs = hidden_size
@@ -478,7 +447,7 @@ def lstm_forward(
     layer_input = x
     final_state = []
     for (raw_w_ih, raw_w_hh, _), (w_ih, w_hh, bias), (h0, c0) in zip(
-        layer_params, prepare_lstm_params(layer_params, hs, dtype=dtype), state, strict=True
+        layer_params, prepare_lstm_params(layer_params, hs), state, strict=True
     ):
         bias = np.repeat(bias, batch, axis=1)  # (4, B, H): one contiguous add per step
         steps_in = np.swapaxes(layer_input, 0, 1)  # (T, B, F_in) view
@@ -502,8 +471,8 @@ def lstm_forward(
             cache.append(
                 LSTMLayerCache(
                     inputs=layer_input, h_seq=h_seq, c_seq=c_seq, gates=gates, tanh_c=tanh_c,
-                    w_ih=np.ascontiguousarray(raw_w_ih[:, perm], dtype=work),
-                    w_hh=np.ascontiguousarray(raw_w_hh[:, perm], dtype=work),
+                    w_ih=np.ascontiguousarray(raw_w_ih[:, perm]),
+                    w_hh=np.ascontiguousarray(raw_w_hh[:, perm]),
                 )
             )
         final_state.append((h_seq[steps].copy(), c_seq[steps].copy()))
@@ -516,7 +485,6 @@ def lstm_step(
     layer_params: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     hidden_size: int,
     state: list[tuple[np.ndarray, np.ndarray]],
-    dtype: np.dtype | type | None = None,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Advance a multi-layer LSTM one timestep: :func:`lstm_forward` at length one.
 
@@ -525,5 +493,5 @@ def lstm_step(
     :func:`prepare_lstm_params` once and call :func:`lstm_cell_permuted`
     per layer (as DeepAR's ancestral sampling does).
     """
-    outputs, state = lstm_forward(x[:, None, :], layer_params, hidden_size, state, dtype=dtype)
+    outputs, state = lstm_forward(x[:, None, :], layer_params, hidden_size, state)
     return outputs[:, 0], state

@@ -38,11 +38,9 @@ class Linear(Module):
         self.weight = Parameter(init.xavier_uniform((in_features, out_features), rng))
         self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
-    def fast_forward(
-        self, x: np.ndarray, dtype: "np.dtype | type | None" = None
-    ) -> np.ndarray:
+    def fast_forward(self, x: np.ndarray) -> np.ndarray:
         """Forward on a raw ndarray."""
-        return fastpath.linear(self, x, dtype)
+        return fastpath.linear(self, x)
 
     def backward(
         self, x: np.ndarray, dout: np.ndarray, need_dx: bool = True
@@ -91,11 +89,9 @@ class LayerNorm(Module):
         self.gamma = Parameter(init.ones((normalized_shape,)))
         self.beta = Parameter(init.zeros((normalized_shape,)))
 
-    def fast_forward(
-        self, x: np.ndarray, dtype: "np.dtype | type | None" = None
-    ) -> np.ndarray:
+    def fast_forward(self, x: np.ndarray) -> np.ndarray:
         """Forward on a raw ndarray."""
-        return fastpath.layer_norm(self, x, dtype)[0]
+        return fastpath.layer_norm(self, x)[0]
 
 
 class GatedLinearUnit(Module):
@@ -110,11 +106,9 @@ class GatedLinearUnit(Module):
         self.gate = Linear(in_features, out_features, rng)
         self.value = Linear(in_features, out_features, rng)
 
-    def fast_forward(
-        self, x: np.ndarray, dtype: "np.dtype | type | None" = None
-    ) -> np.ndarray:
+    def fast_forward(self, x: np.ndarray) -> np.ndarray:
         """Forward on a raw ndarray."""
-        return fastpath.glu_forward(self, x, dtype)[0]
+        return fastpath.glu_forward(self, x)[0]
 
 
 class GatedResidualNetwork(Module):
@@ -145,8 +139,6 @@ class GatedResidualNetwork(Module):
         else:
             self.skip = None
 
-    def fast_forward(
-        self, x: np.ndarray, dtype: "np.dtype | type | None" = None
-    ) -> np.ndarray:
+    def fast_forward(self, x: np.ndarray) -> np.ndarray:
         """Forward on a raw ndarray."""
-        return fastpath.grn_forward(self, x, dtype)[0]
+        return fastpath.grn_forward(self, x)[0]

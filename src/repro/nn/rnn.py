@@ -77,29 +77,24 @@ class LSTM(Module):
         self,
         x: np.ndarray,
         state: list[tuple[np.ndarray, np.ndarray]] | None = None,
-        dtype: "np.dtype | type | None" = None,
         cache: "list[fastpath.LSTMLayerCache] | None" = None,
     ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
         """Unroll over a full sequence on raw arrays (:func:`fastpath.lstm_forward`).
 
-        ``dtype=None`` computes in float64; ``np.float32`` runs the whole
-        scan in single precision.  A ``cache`` list receives the per-layer
-        activations :func:`repro.nn.fastgrad.lstm_backward` needs.
+        Runs in the dtype of the weights.  A ``cache`` list receives the
+        per-layer activations :func:`repro.nn.fastgrad.lstm_backward` needs.
         """
         return fastpath.lstm_forward(
-            x, self._layer_params(), self.hidden_size, state, dtype=dtype, cache=cache
+            x, self._layer_params(), self.hidden_size, state, cache=cache
         )
 
     def fast_step(
         self,
         x: np.ndarray,
         state: list[tuple[np.ndarray, np.ndarray]],
-        dtype: "np.dtype | type | None" = None,
     ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
         """Advance one timestep on raw arrays; returns (top hidden, state)."""
-        return fastpath.lstm_step(
-            x, self._layer_params(), self.hidden_size, state, dtype=dtype
-        )
+        return fastpath.lstm_step(x, self._layer_params(), self.hidden_size, state)
 
     def accumulate_grads(
         self, grads: list[tuple[np.ndarray, np.ndarray, np.ndarray]]

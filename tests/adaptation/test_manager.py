@@ -14,6 +14,7 @@ from repro.adaptation import (
     ModelPool,
     PromotionPolicy,
 )
+from repro.adaptation.manager import _dump_model, _load_model
 from repro.core import AutoscalingRuntime
 
 from tests.adaptation.doubles import (
@@ -24,6 +25,7 @@ from tests.adaptation.doubles import (
     drive,
     make_runtime,
 )
+from tests.forecast.test_serving_copy import build, forecast, fresh_from_saved
 
 STABLE = 100.0
 SHIFTED = 300.0
@@ -479,3 +481,69 @@ class TestStatusAndCheckpoint:
         state["version"] = 99
         with pytest.raises(ValueError, match="version"):
             manager.load_state_dict(state)
+
+
+class TestServingCopyAcrossSwaps:
+    """DeepAR and TFT serve from a float32 copy of their weights
+    (docs/nn.md, Serving precision).  Through refit -> promote -> rollback
+    the live model must always predict from *its own current* weights - the
+    oracle is a fresh forecaster ``load``-ed from the ``save``-d file - and
+    the pickled state must never carry a copy."""
+
+    @pytest.mark.parametrize("kind", ["deepar", "tft"])
+    def test_refit_promote_rollback_never_serve_stale_weights(self, kind, tmp_path):
+        rng = np.random.default_rng(0)
+
+        def wave(t, level):
+            return level + 30.0 * np.sin(t / 3.0) + rng.normal(0, 2, len(t))
+
+        incumbent = build(kind, context=8, horizon=4).fit(wave(np.arange(60), STABLE))
+        runtime = make_runtime(incumbent)
+        manager = make_manager(runtime, auto_refit=False)
+        drive(runtime, manager, wave(np.arange(60, 90), STABLE))
+        drive(runtime, manager, wave(np.arange(90, 120), SHIFTED))
+        assert incumbent._serving is not None  # it has served the loop
+        context = wave(np.arange(40, 48), SHIFTED)
+        incumbent_forecast = forecast(incumbent, context)
+
+        manager.refit(reason="test")  # deepcopy(incumbent), then a warm fit
+        candidate = manager.candidate
+        assert candidate is not incumbent and candidate.fits_completed == 2
+        assert np.array_equal(forecast(incumbent, context), incumbent_forecast)
+        candidate_forecast = forecast(candidate, context)
+        assert not np.array_equal(candidate_forecast, incumbent_forecast)
+        assert np.array_equal(
+            candidate_forecast, forecast(fresh_from_saved(candidate, tmp_path), context)
+        )
+
+        drive(runtime, manager, wave(np.arange(120, 124), SHIFTED))  # shadow predicts
+        if manager.state == SHADOWING:
+            manager.promote(reason="test")
+        assert manager.state == GUARDING
+        assert runtime.planner.forecaster is candidate
+        assert np.array_equal(forecast(runtime.planner.forecaster, context), candidate_forecast)
+
+        # mid-guard every pickled model is copy-free, and restores to serve its weights
+        state = json.loads(json.dumps(manager.state_dict()))
+        for key, original in (("live_model", candidate), ("previous", incumbent)):
+            assert original._serving is not None
+            restored = _load_model(state[key])
+            assert "_serving" not in vars(restored)
+            assert np.array_equal(forecast(restored, context), forecast(original, context))
+
+        manager.rollback(reason="test")
+        assert runtime.planner.forecaster is incumbent
+        assert np.array_equal(forecast(incumbent, context), incumbent_forecast)
+        assert np.array_equal(
+            incumbent_forecast, forecast(fresh_from_saved(incumbent, tmp_path), context)
+        )
+
+    def test_state_blob_does_not_grow_with_serving(self):
+        """``adaptation.state_blob_bytes``: same bytes before and after the live
+        model's first predict (TFT: no sampler rng moves between the two)."""
+        series = STABLE + 30.0 * np.sin(np.arange(60) / 3.0)
+        live = build("tft", context=8, horizon=4).fit(series)
+        before = _dump_model(live)
+        live.predict(series[-8:])
+        assert live._serving is not None
+        assert _dump_model(live) == before

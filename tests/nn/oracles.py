@@ -9,7 +9,9 @@ tape - its parameters enter as leaf tensors sharing ``param.data`` and
 ``param.grad`` (:func:`leaf`), so ``forward(layer, x).sum().backward()``
 leaves gradients exactly where the analytic pass leaves them -
 :func:`tape_loss` does the same for a forecaster's training loss, and the
-helpers below run whole algorithms that way.
+helpers below run whole algorithms that way.  Forecasters serve in float32;
+:func:`float64_serving` is the one route by which a test runs the production
+``predict`` / ``sample_paths`` on the float64 weights the tape sees.
 
 Tape and kernels share one logistic (``fastpath.sigmoid``) and the cell
 runs on pre-halved weights, so their parity cannot catch a mistake in
@@ -23,6 +25,7 @@ buffer, column-block slices, batch-major cache - is kept at the bottom
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import singledispatch
 
 import numpy as np
@@ -365,6 +368,26 @@ def tape_fit(forecaster, series, **fit_kwargs):
 # ---------------------------------------------------------------------------
 # Whole algorithms on the tape
 # ---------------------------------------------------------------------------
+@contextmanager
+def float64_serving(forecaster):
+    """Serve ``forecaster`` from its float64 training network inside the block.
+
+    Production predicts from a once-cast float32 copy of the weights
+    (``NeuralForecaster._serving_network``).  Pointing that slot at
+    ``forecaster.network`` runs the production ``predict`` / ``sample_paths``
+    in float64 - the arithmetic the tape reproduces bit for bit, and the
+    reference float32 serving is held to its error budget against.  A test
+    reference, not a production option: nothing in ``src/`` selects it.  On
+    exit the slot holds what it held before - the float32 copy, or nothing.
+    """
+    previous = forecaster._serving
+    forecaster._serving = forecaster.network
+    try:
+        yield forecaster
+    finally:
+        forecaster._serving = previous
+
+
 def sample_paths_tape(forecaster, normalised: np.ndarray, start_index: int) -> np.ndarray:
     """``DeepARForecaster._sample_fast`` through the Tensor tape.
 
@@ -433,13 +456,13 @@ def legacy_sample_paths(forecaster, context: np.ndarray, start_index: int = 0) -
 # ---------------------------------------------------------------------------
 # The oracle that shares nothing with the kernels
 # ---------------------------------------------------------------------------
-def reference_prepare_lstm_params(layer_params, hidden_size, dtype=None):
+def reference_prepare_lstm_params(layer_params, hidden_size):
     """What the reference cell runs on: shaped like ``fastpath.prepare_lstm_params``
     output - ``(4, F, H)``, ``(4, H, H)``, ``(4, 1, H)`` - but textbook
     inside: gate order ``[i, f, g, o]``, nothing halved."""
     return [
         tuple(
-            np.ascontiguousarray(np.moveaxis(p.reshape(-1, 4, hidden_size), 1, 0), dtype=dtype)
+            np.ascontiguousarray(np.moveaxis(p.reshape(-1, 4, hidden_size), 1, 0))
             for p in params
         )
         for params in layer_params
@@ -487,13 +510,13 @@ def reference_kernels(monkeypatch) -> None:
 # (every configured size), and to the last bit of the pre-activation
 # otherwise.
 # ---------------------------------------------------------------------------
-def fused_prepare_lstm_params(layer_params, hidden_size, dtype=None):
+def fused_prepare_lstm_params(layer_params, hidden_size):
     """``(F, 4H)`` weights with columns ``[i, f, o, g]``, the i / f / o columns halved."""
     hs = hidden_size
     perm = fastpath.gate_permutation(hs)
     prepared = []
     for params in layer_params:
-        cell_ready = tuple(np.ascontiguousarray(p[..., perm], dtype=dtype) for p in params)
+        cell_ready = tuple(np.ascontiguousarray(p[..., perm]) for p in params)
         for array in cell_ready:
             array[..., : 3 * hs] *= 0.5
         prepared.append(cell_ready)

@@ -16,7 +16,7 @@ from repro.forecast import DeepARForecaster, TrainingConfig
 from repro.forecast.features import NUM_CALENDAR_FEATURES
 from repro.nn import LSTM, Linear, fastpath
 from repro.nn.rnn import LSTMCell
-from tests.nn.oracles import forward, legacy_sample_paths, sample_paths_tape
+from tests.nn.oracles import float64_serving, forward, legacy_sample_paths, sample_paths_tape
 from tests.nn.tensor import Tensor
 
 RNG = np.random.default_rng(42)
@@ -201,7 +201,8 @@ def test_sample_paths_fast_vs_tape_identical(deepar):
     forecaster, series = deepar
     context = series[-36:]
     forecaster.reseed_sampler(99)
-    fast = forecaster.sample_paths(context, start_index=464).samples
+    with float64_serving(forecaster):  # the production sampler on the weights the tape sees
+        fast = forecaster.sample_paths(context, start_index=464).samples
     forecaster.reseed_sampler(99)
     tape = forecaster.scaler.inverse_transform(
         sample_paths_tape(forecaster, forecaster.scaler.transform(context), 464)
@@ -214,7 +215,8 @@ def test_predict_quantiles_fast_vs_tape_identical(deepar, monkeypatch):
     forecaster, series = deepar
     context = series[-36:]
     forecaster.reseed_sampler(7)
-    fast = forecaster.predict(context, levels=(0.1, 0.5, 0.9), start_index=464)
+    with float64_serving(forecaster):
+        fast = forecaster.predict(context, levels=(0.1, 0.5, 0.9), start_index=464)
     forecaster.reseed_sampler(7)
     monkeypatch.setattr(
         forecaster, "_sample_fast",

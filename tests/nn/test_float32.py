@@ -1,23 +1,52 @@
-"""float32 mode of the tape-free kernel stack.
+"""The serving-precision contract: training is float64, forecasts are served in float32.
 
-float64 (the default) stays bitwise-identical to the autograd tape;
-float32 is a speed/accuracy trade behind an explicit opt-in
-(``set_inference_dtype`` / ``--dtype float32``).  These tests pin three
-things: the dtype actually threads through every kernel (no silent
-float64 promotion), the float64 path is untouched by the threading, and
-float32 results stay statistically close to float64.
+There is no precision switch.  A kernel computes in the dtype of the
+weights it is handed; a forecaster whose predict is an LSTM scan (DeepAR,
+TFT, QB5000's LSTM) runs the kernels on a once-cast float32 copy of its
+network and hands float64 back.  Pinned here:
+
+(a) *no silent promotion* - float32 weights and float32 input give float32
+    output, and float32 activations, out of every kernel and every layer;
+(b) *float64 in is the training arithmetic* - the tape-parity suites
+    (``test_fastpath.py``, ``test_tft_fastpath.py``, ``test_fastgrad.py`` ...)
+    run the same kernels on float64 weights and stay bitwise; the
+    forecaster-level ones reach the production ``predict`` through
+    ``oracles.float64_serving``, the float64 reference used below as well;
+(c) *the error budget* - at the benchmark's shape float32 serving stays
+    within 1e-5 of that float64 reference, and repeats bit for bit;
+(d) float32 ``tanh`` / ``logaddexp`` raise no floating-point warning on
+    finite input (CI runs this directory under ``-W error::RuntimeWarning``).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.forecast import DeepARForecaster, TrainingConfig
-from repro.nn import fastgrad, fastpath
+from repro.forecast import DeepARForecaster, TFTForecaster, TrainingConfig
+from repro.forecast.deepar import _DeepARNetwork
+from repro.forecast.features import NUM_CALENDAR_FEATURES
+from repro.forecast.neural import _float32_copy
+from repro.forecast.qb5000 import QB5000Forecaster, _LSTMPointNetwork
+from repro.forecast.tft import _TFTNetwork
+from repro.nn import (
+    GatedLinearUnit,
+    GatedResidualNetwork,
+    InterpretableMultiHeadAttention,
+    LayerNorm,
+    Linear,
+    causal_mask,
+    fastgrad,
+    fastpath,
+)
 from repro.nn.rnn import LSTM
+from tests.nn.oracles import float64_serving
 
 HIDDEN = 8
+F32 = np.float32
 
 
 @pytest.fixture(scope="module")
@@ -30,86 +59,301 @@ def sequence():
     return np.random.default_rng(1).normal(size=(4, 10, 3))
 
 
-# -- dtype threading -------------------------------------------------------
+# -- (a) no silent promotion: the LSTM kernels ------------------------------
 
 
 def test_prepare_lstm_params_casts_weights(lstm):
-    prepared = fastpath.prepare_lstm_params(lstm._layer_params(), HIDDEN, dtype=np.float32)
+    """Prepared weights carry the dtype of the parameters they were cut from."""
+    prepared = fastpath.prepare_lstm_params(_float32_copy(lstm)._layer_params(), HIDDEN)
     for w_ih, w_hh, bias in prepared:
-        assert w_ih.dtype == w_hh.dtype == bias.dtype == np.float32
+        assert w_ih.dtype == w_hh.dtype == bias.dtype == F32
 
 
 def test_lstm_forward_float32_stays_float32(lstm, sequence):
-    outputs, state = lstm.fast_forward(sequence, dtype=np.float32)
-    assert outputs.dtype == np.float32
+    outputs, state = _float32_copy(lstm).fast_forward(sequence.astype(F32))
+    assert outputs.dtype == F32
     for h, c in state:
-        assert h.dtype == c.dtype == np.float32
+        assert h.dtype == c.dtype == F32
 
 
 def test_lstm_step_float32_stays_float32(lstm):
+    """The scan casts what it is handed once: a float64 input and a float64
+    carried state still leave a float32 module in float32."""
     x = np.random.default_rng(2).normal(size=(4, 3))
     state = [(np.zeros((4, HIDDEN)), np.zeros((4, HIDDEN))) for _ in range(2)]
-    top, new_state = lstm.fast_step(x, state, dtype=np.float32)
-    assert top.dtype == np.float32
+    top, new_state = _float32_copy(lstm).fast_step(x, state)
+    assert top.dtype == F32
     for h, c in new_state:
-        assert h.dtype == c.dtype == np.float32
+        assert h.dtype == c.dtype == F32
 
 
 def test_sigmoid_preserves_dtype():
-    x32 = np.linspace(-20, 20, 101, dtype=np.float32)
+    x32 = np.linspace(-20, 20, 101, dtype=F32)
     out32 = fastpath.sigmoid(x32)
-    assert out32.dtype == np.float32
+    assert out32.dtype == F32
     out64 = fastpath.sigmoid(x32.astype(np.float64))
     np.testing.assert_allclose(out32, out64, atol=1e-6)
 
 
 def test_fastgrad_forward_and_backward_float32(lstm, sequence):
+    """float32 in, float32 grads out (nothing in ``src/`` trains this way)."""
     caches = []
-    outputs, _ = lstm.fast_forward(sequence, dtype=np.float32, cache=caches)
-    assert outputs.dtype == np.float32
+    outputs, _ = _float32_copy(lstm).fast_forward(sequence.astype(F32), cache=caches)
+    assert outputs.dtype == F32
     grads, _, _ = fastgrad.lstm_backward(np.ones_like(outputs), caches, HIDDEN)
     for dw_ih, dw_hh, db in grads:
-        assert dw_ih.dtype == dw_hh.dtype == db.dtype == np.float32
+        assert dw_ih.dtype == dw_hh.dtype == db.dtype == F32
 
 
-# -- float64 default untouched ---------------------------------------------
+# -- (a) no silent promotion: every kernel, every layer ---------------------
+
+
+def _arrays(value):
+    """Every ndarray reachable from a kernel's result or its activation cache."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        yield from _arrays([getattr(value, f.name) for f in dataclasses.fields(value)])
+    elif isinstance(value, dict):
+        yield from _arrays(list(value.values()))
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def _rand(*shape):
+    return np.random.default_rng(sum(shape)).normal(size=shape).astype(F32)
+
+
+def _module(cls, *args, **kwargs):
+    return _float32_copy(cls(*args, rng=np.random.default_rng(3), **kwargs))
+
+
+def _mask():
+    return causal_mask(query_len=3, key_len=5)  # float64, shared and read-only
+
+
+def _cell(x, h, c):
+    (prepared,) = fastpath.prepare_lstm_params(_module(LSTM, 3, HIDDEN)._layer_params(), HIDDEN)
+    return fastpath.lstm_cell_permuted(x, h, c, *prepared)
+
+
+def _tft_with_cache():
+    net, cache = _float32_copy(_TFTNetwork(8, 2, 3, np.random.default_rng(3))), {}
+    out = net.fast_forward(
+        _rand(2, 6, 1 + NUM_CALENDAR_FEATURES), _rand(2, 4, NUM_CALENDAR_FEATURES), cache=cache
+    )
+    return out, net._last_attention, cache
+
+
+def _deepar_with_cache():
+    net, cache = _float32_copy(_DeepARNetwork(HIDDEN, 2, np.random.default_rng(3))), {}
+    return net.fast_forward(_rand(2, 5, 1 + NUM_CALENDAR_FEATURES), cache), cache
+
+
+def _lstm_with_cache():
+    caches = []
+    return _module(LSTM, 3, HIDDEN, num_layers=2).fast_forward(_rand(2, 5, 3), cache=caches), caches
+
+
+FLOAT32_CALLS = {
+    # elementwise kernels
+    "sigmoid": lambda: fastpath.sigmoid(_rand(4, 5)),
+    "tanh": lambda: fastpath.tanh(_rand(4, 5)),
+    "relu": lambda: fastpath.relu(_rand(4, 5)),
+    "softplus": lambda: fastpath.softplus(_rand(4, 5)),
+    "softmax": lambda: fastpath.softmax(_rand(4, 5)),
+    # layer kernels, activation caches included
+    "linear": lambda: fastpath.linear(_module(Linear, 5, 4), _rand(2, 5)),
+    "linear.no_bias": lambda: fastpath.linear(_module(Linear, 5, 4, bias=False), _rand(2, 5)),
+    "layer_norm": lambda: fastpath.layer_norm(_float32_copy(LayerNorm(5)), _rand(2, 3, 5)),
+    "glu_forward": lambda: fastpath.glu_forward(_module(GatedLinearUnit, 5, 4), _rand(2, 5)),
+    "grn_forward": lambda: fastpath.grn_forward(
+        _module(GatedResidualNetwork, 5, 5, 5), _rand(2, 5)
+    ),
+    "grn_forward.skip": lambda: fastpath.grn_forward(
+        _module(GatedResidualNetwork, 5, 6, 4), _rand(2, 5)
+    ),
+    "prepare_attention_params": lambda: fastpath.prepare_attention_params(
+        [(_rand(8, 4), _rand(4)), (_rand(8, 4), _rand(4))]
+    ),
+    "interpretable_attention": lambda: fastpath.interpretable_attention(
+        _module(InterpretableMultiHeadAttention, 8, 2),
+        _rand(2, 3, 8), _rand(2, 5, 8), _rand(2, 5, 8), mask=_mask(),
+    ),
+    "prepare_lstm_params": lambda: fastpath.prepare_lstm_params(
+        _module(LSTM, 3, HIDDEN, num_layers=2)._layer_params(), HIDDEN
+    ),
+    "lstm_cell_permuted": lambda: _cell(_rand(4, 3), _rand(4, HIDDEN), _rand(4, HIDDEN)),
+    "lstm_forward+cache": _lstm_with_cache,
+    "lstm_step": lambda: fastpath.lstm_step(
+        _rand(4, 3),
+        _module(LSTM, 3, HIDDEN)._layer_params(),
+        HIDDEN,
+        [(_rand(4, HIDDEN), _rand(4, HIDDEN))],
+    ),
+    # every layer's fast_forward
+    "Linear": lambda: _module(Linear, 5, 4).fast_forward(_rand(2, 5)),
+    "LayerNorm": lambda: _float32_copy(LayerNorm(5)).fast_forward(_rand(2, 5)),
+    "GatedLinearUnit": lambda: _module(GatedLinearUnit, 5, 4).fast_forward(_rand(2, 5)),
+    "GatedResidualNetwork": lambda: _module(GatedResidualNetwork, 5, 6, 4).fast_forward(
+        _rand(2, 5)
+    ),
+    "InterpretableMultiHeadAttention": lambda: _module(
+        InterpretableMultiHeadAttention, 8, 2
+    ).fast_forward(_rand(2, 3, 8), _rand(2, 5, 8), _rand(2, 5, 8), mask=_mask()),
+    "LSTM.fast_forward": lambda: _module(LSTM, 3, HIDDEN).fast_forward(_rand(2, 5, 3)),
+    "LSTM.fast_step": lambda: _module(LSTM, 3, HIDDEN).fast_step(
+        _rand(4, 3), [(_rand(4, HIDDEN), _rand(4, HIDDEN))]
+    ),
+    # the networks the float32-serving forecasters run
+    "_TFTNetwork+cache": _tft_with_cache,
+    "_DeepARNetwork+cache": _deepar_with_cache,
+    "_LSTMPointNetwork": lambda: _float32_copy(
+        _LSTMPointNetwork(HIDDEN, 4, np.random.default_rng(3))
+    ).fast_forward(_rand(2, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT32_CALLS))
+def test_float32_weights_and_input_give_float32_everywhere(name):
+    """No kernel promotes: every output *and* every cached activation is float32,
+    and nothing the call does raises a floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        arrays = list(_arrays(FLOAT32_CALLS[name]()))
+    assert arrays, name
+    assert {a.dtype for a in arrays} == {np.dtype(F32)}, name
+
+
+def test_float32_transcendentals_raise_nothing_on_finite_input():
+    """``tanh`` saturates and ``logaddexp`` is stable in float32 as in float64:
+    overflow, invalid and divide stay clear out to the largest finite float32."""
+    big = np.finfo(F32).max
+    x = np.concatenate([np.linspace(-200, 200, 4001), [-big, -1e30, 1e30, big]]).astype(F32)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for kernel in (fastpath.tanh, fastpath.sigmoid, fastpath.softplus):
+            out = kernel(x)
+            assert out.dtype == F32 and np.all(np.isfinite(out))
+        # softmax over scores carrying the causal mask's -1e9
+        masked = np.concatenate([x[:4001], np.full(4, -1e9, dtype=F32)]).reshape(5, -1)
+        assert np.all(np.isfinite(fastpath.softmax(masked)))
+
+
+# -- (b) float64 weights keep the training arithmetic -----------------------
 
 
 def test_default_dtype_is_float64_and_matches_explicit(lstm, sequence):
+    """The dtype is the weights', not the input's: a float64 module computes in
+    float64 on whatever it is handed, exactly as on the explicit widening."""
     default_out, default_state = lstm.fast_forward(sequence)
-    explicit_out, explicit_state = lstm.fast_forward(sequence, dtype=np.float64)
     assert default_out.dtype == np.float64
-    assert np.array_equal(default_out, explicit_out)
-    for (h_a, c_a), (h_b, c_b) in zip(default_state, explicit_state):
+    narrow = sequence.astype(F32)
+    narrow_out, narrow_state = lstm.fast_forward(narrow)
+    explicit_out, explicit_state = lstm.fast_forward(narrow.astype(np.float64))
+    assert narrow_out.dtype == np.float64
+    assert np.array_equal(narrow_out, explicit_out)
+    for (h_a, c_a), (h_b, c_b) in zip(narrow_state, explicit_state):
+        assert h_a.dtype == c_a.dtype == np.float64
         assert np.array_equal(h_a, h_b) and np.array_equal(c_a, c_b)
 
 
 def test_float32_close_to_float64_forward(lstm, sequence):
     out64, _ = lstm.fast_forward(sequence)
-    out32, _ = lstm.fast_forward(sequence, dtype=np.float32)
+    out32, _ = _float32_copy(lstm).fast_forward(sequence)
     np.testing.assert_allclose(out32, out64, atol=1e-5)
 
 
-# -- forecaster integration ------------------------------------------------
+def test_float32_copy_is_a_detached_cast_of_every_weight(lstm):
+    caches = []
+    lstm.fast_forward(np.zeros((1, 2, 3)), cache=caches)
+    grads, _, _ = fastgrad.lstm_backward(np.ones((1, 2, HIDDEN)), caches, HIDDEN)
+    lstm.accumulate_grads(grads)
+    try:
+        twin = _float32_copy(lstm)
+    finally:
+        lstm.zero_grad()
+    for (name, param), (twin_name, twin_param) in zip(
+        lstm.named_parameters(), twin.named_parameters(), strict=True
+    ):
+        assert name == twin_name and param.data.dtype == np.float64
+        assert twin_param.data.dtype == F32 and twin_param.grad is None
+        assert np.array_equal(twin_param.data, param.data.astype(F32))
+        assert not np.shares_memory(twin_param.data, param.data)
+
+
+# -- forecaster level --------------------------------------------------------
+
+
+def _series(length):
+    rng = np.random.default_rng(0)
+    return 100 + 20 * np.sin(np.arange(length) * 2 * np.pi / 144) + rng.normal(0, 3, length)
 
 
 @pytest.fixture(scope="module")
 def fitted():
-    rng = np.random.default_rng(0)
-    series = 100 + 20 * np.sin(np.arange(400) * 2 * np.pi / 144) + rng.normal(0, 3, 400)
+    series = _series(400)
     return DeepARForecaster(
         36, 12, hidden_size=8, num_layers=1, num_samples=50,
         config=TrainingConfig(epochs=1, seed=0),
     ).fit(series), series
 
 
-def test_set_inference_dtype_validates():
-    forecaster = DeepARForecaster(36, 12)
-    assert forecaster.inference_dtype == np.dtype(np.float64)
-    assert forecaster.set_inference_dtype("float32") is forecaster
-    assert forecaster.inference_dtype == np.dtype(np.float32)
-    with pytest.raises(ValueError, match="float32 or float64"):
-        forecaster.set_inference_dtype(np.int32)
+def _spy_on_fast_forward(network, monkeypatch):
+    """Record the dtype of everything ``network.fast_forward`` returns."""
+    seen = []
+    real = network.fast_forward
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.extend(a.dtype for a in _arrays(out))
+        return out
+
+    monkeypatch.setattr(network, "fast_forward", spy)
+    return seen
+
+
+def test_deepar_serves_float32_and_returns_float64(fitted):
+    forecaster, series = fitted
+    context = series[-36:]
+    raw = forecaster._sample_fast(forecaster.scaler.transform(context), 364)
+    assert raw.dtype == F32
+    assert all(p.data.dtype == F32 for p in forecaster._serving.parameters())
+    assert all(p.data.dtype == np.float64 for p in forecaster.network.parameters())
+    assert forecaster.sample_paths(context, start_index=364).samples.dtype == np.float64
+    forecast = forecaster.predict(context, start_index=364)
+    assert forecast.values.dtype == forecast.mean.dtype == np.float64
+
+
+def test_tft_serves_float32_and_returns_float64(monkeypatch):
+    series = _series(400)
+    forecaster = TFTForecaster(
+        36, 12, d_model=16, num_heads=2, config=TrainingConfig(epochs=1, seed=0)
+    ).fit(series)
+    seen = _spy_on_fast_forward(forecaster._serving_network(), monkeypatch)
+    forecast = forecaster.predict(series[-36:], start_index=364)
+    assert seen == [np.dtype(F32)]
+    assert forecast.values.dtype == np.float64
+    # the interpretability read-out is the pattern of the forward that served
+    assert forecaster.attention_weights() is forecaster._serving._last_attention
+    assert forecaster.attention_weights().dtype == F32
+    assert forecaster.attention_weights().shape == (1, 12, 48)
+    assert all(p.data.dtype == np.float64 for p in forecaster.network.parameters())
+
+
+def test_qb5000_lstm_serves_float32_and_returns_float64(monkeypatch):
+    series = _series(300)
+    forecaster = QB5000Forecaster(
+        36, 12, hidden_size=8, config=TrainingConfig(epochs=1, seed=0)
+    ).fit(series)
+    seen = _spy_on_fast_forward(forecaster.lstm._serving_network(), monkeypatch)
+    point = forecaster.lstm.predict_point(series[-36:])
+    assert seen == [np.dtype(F32)]
+    assert point.dtype == np.float64
+    assert forecaster.predict_point(series[-36:]).dtype == np.float64
+    with float64_serving(forecaster.lstm):
+        reference = forecaster.lstm.predict_point(series[-36:])
+    np.testing.assert_allclose(point, reference, rtol=1e-5)
 
 
 def test_float32_sampling_deterministic_and_close_to_float64(fitted):
@@ -117,23 +361,20 @@ def test_float32_sampling_deterministic_and_close_to_float64(fitted):
     context = series[-36:]
 
     forecaster.reseed_sampler(7)
-    paths64 = forecaster.sample_paths(context, start_index=364).samples
+    with float64_serving(forecaster):
+        paths64 = forecaster.sample_paths(context, start_index=364).samples
 
-    forecaster.set_inference_dtype(np.float32)
-    try:
-        forecaster.reseed_sampler(7)
-        paths32_a = forecaster.sample_paths(context, start_index=364).samples
-        forecaster.reseed_sampler(7)
-        paths32_b = forecaster.sample_paths(context, start_index=364).samples
-    finally:
-        forecaster.set_inference_dtype(np.float64)
+    forecaster.reseed_sampler(7)
+    paths32_a = forecaster.sample_paths(context, start_index=364).samples
+    forecaster.reseed_sampler(7)
+    paths32_b = forecaster.sample_paths(context, start_index=364).samples
 
-    # Same seed, same dtype -> bit-identical.
+    # Same seed, same weights -> bit-identical.
     assert np.array_equal(paths32_a, paths32_b)
-    # Across dtypes the gate is statistical (standard_t rejection
-    # sampling may consume different draws once an intermediate differs
-    # in the last ulp): per-step quantiles must agree closely relative
-    # to the sampling spread.
+    # Against the float64 reference the gate is on quantiles (standard_t
+    # rejection sampling may consume different draws once an intermediate
+    # differs in the last ulp): per-step quantiles must agree closely
+    # relative to the sampling spread.
     q64 = np.quantile(paths64, [0.1, 0.5, 0.9], axis=0)
     q32 = np.quantile(paths32_a, [0.1, 0.5, 0.9], axis=0)
     spread = np.maximum(q64[2] - q64[0], 1e-6)
@@ -141,14 +382,84 @@ def test_float32_sampling_deterministic_and_close_to_float64(fitted):
 
 
 def test_float64_mode_unaffected_by_prior_float32_use(fitted):
-    """Switching to float32 and back must leave float64 bitwise intact."""
+    """The float64 reference is bitwise the same before and after float32
+    serving, and leaving it leaves no float64 network in the serving slot."""
     forecaster, series = fitted
     context = series[-36:]
     forecaster.reseed_sampler(3)
-    before = forecaster.sample_paths(context, start_index=364).samples
-    forecaster.set_inference_dtype(np.float32)
-    forecaster.sample_paths(context, start_index=364)
-    forecaster.set_inference_dtype(np.float64)
+    with float64_serving(forecaster):
+        before = forecaster.sample_paths(context, start_index=364).samples
+    assert forecaster._serving is not forecaster.network
+    assert forecaster.sample_paths(context, start_index=364).samples.dtype == np.float64
+    assert all(p.data.dtype == F32 for p in forecaster._serving.parameters())
     forecaster.reseed_sampler(3)
-    after = forecaster.sample_paths(context, start_index=364).samples
+    with float64_serving(forecaster):
+        after = forecaster.sample_paths(context, start_index=364).samples
     assert np.array_equal(before, after)
+
+
+# -- (c) the error budget at the benchmark's shape --------------------------
+
+#: ``benchmarks/e2e`` serves context = horizon = 72, H = d_model = 32, 100 paths.
+BENCH = dict(context_length=72, horizon=72)
+# Measured here 1.1e-7 (DeepAR, of the 0.1-0.9 spread) and 1.7e-7 (TFT, relative);
+# on the e2e workloads' models 7.0e-7 and 2.8e-6 (docs/nn.md, Serving precision).
+BUDGET = 1e-5
+
+
+def _bench_series():
+    rng = np.random.default_rng(5)
+    t = np.arange(720)
+    return 1900 + 400 * np.sin(t * 2 * np.pi / 144) + rng.normal(0, 60, t.size)
+
+
+def test_deepar_error_budget_at_benchmark_shape():
+    series = _bench_series()
+    forecaster = DeepARForecaster(
+        **BENCH, hidden_size=32, num_layers=2, num_samples=100,
+        config=TrainingConfig(epochs=1, batch_size=64, window_stride=4, seed=0),
+    ).fit(series[:600])
+    levels = (0.1, 0.5, 0.7, 0.9)
+    worst = 0.0
+    for start in (600, 624, 648):
+        context = series[start - 72 : start]
+        forecaster.reseed_sampler(start)
+        served = forecaster.predict(context, levels=levels, start_index=start - 72)
+        forecaster.reseed_sampler(start)
+        again = forecaster.predict(context, levels=levels, start_index=start - 72)
+        assert np.array_equal(served.values, again.values)
+        forecaster.reseed_sampler(start)
+        with float64_serving(forecaster):
+            reference = forecaster.predict(context, levels=levels, start_index=start - 72)
+        spread = reference.at(0.9) - reference.at(0.1)
+        worst = max(worst, float(np.max(np.abs(served.values - reference.values) / spread)))
+    assert 0.0 < worst < BUDGET, worst  # float32 really served, inside the budget
+
+
+def test_tft_error_budget_at_benchmark_shape():
+    series = _bench_series()
+    grid = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
+    forecaster = TFTForecaster(
+        **BENCH, quantile_levels=grid, d_model=32, num_heads=4,
+        config=TrainingConfig(epochs=1, batch_size=64, window_stride=4, seed=0),
+    ).fit(series[:600])
+    worst = 0.0
+    with float64_serving(forecaster):  # before any float32 serving
+        first_reference = forecaster.predict(series[528:600], start_index=528)
+    for start in (600, 624, 648):
+        context = series[start - 72 : start]
+        served = forecaster.predict(context, start_index=start - 72)
+        again = forecaster.predict(context, start_index=start - 72)
+        assert np.array_equal(served.values, again.values)
+        with float64_serving(forecaster):
+            reference = forecaster.predict(context, start_index=start - 72)
+            attention = forecaster.attention_weights()
+        if start == 600:  # the float64 reference is untouched by float32 serving
+            assert np.array_equal(reference.values, first_reference.values)
+        worst = max(
+            worst, float(np.max(np.abs(served.values - reference.values) / np.abs(reference.values)))
+        )
+        # the served attention pattern is the reference's, to float32 resolution
+        forecaster.predict(context, start_index=start - 72)
+        np.testing.assert_allclose(forecaster.attention_weights(), attention, atol=1e-6)
+    assert 0.0 < worst < BUDGET, worst

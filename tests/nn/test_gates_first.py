@@ -149,8 +149,8 @@ class TestContiguity:
     @pytest.mark.parametrize("dtype", [None, np.float32])
     def test_cell_returns_contiguous_gate_blocks(self, dtype):
         raw, x, h, c = _cell_inputs(9, 5, 32, seed=1)
-        (prepared,) = fastpath.prepare_lstm_params([raw], 32, dtype=dtype)
         work = dtype or np.float64
+        (prepared,) = fastpath.prepare_lstm_params([tuple(p.astype(work) for p in raw)], 32)
         h_new, c_new, (ifo, g_gate, tanh_c) = fastpath.lstm_cell_permuted(
             x.astype(work), h.astype(work), c.astype(work), *prepared
         )

@@ -20,6 +20,7 @@ from scipy.special import expit
 from repro.forecast import DeepARForecaster, TFTForecaster, TrainingConfig
 from repro.nn import LSTM, fastpath
 from tests.nn.oracles import (
+    float64_serving,
     reference_kernels,
     reference_lstm_cell,
     reference_prepare_lstm_params,
@@ -91,11 +92,12 @@ class TestAgainstIndependentOracle:
             36, 24, hidden_size=8, num_layers=2, num_samples=30,
             config=TrainingConfig(epochs=1, seed=0),
         ).fit(series)
-        forecaster.reseed_sampler(7)
-        got = forecaster.sample_paths(series[-36:], start_index=464).samples
-        reference_kernels(monkeypatch)
-        forecaster.reseed_sampler(7)
-        want = forecaster.sample_paths(series[-36:], start_index=464).samples
+        with float64_serving(forecaster):  # float64 against the float64 expit oracle
+            forecaster.reseed_sampler(7)
+            got = forecaster.sample_paths(series[-36:], start_index=464).samples
+            reference_kernels(monkeypatch)
+            forecaster.reseed_sampler(7)
+            want = forecaster.sample_paths(series[-36:], start_index=464).samples
         assert not np.array_equal(got, want)  # the reference really ran
         np.testing.assert_allclose(got, want, rtol=RTOL)
 
@@ -104,9 +106,10 @@ class TestAgainstIndependentOracle:
         forecaster = TFTForecaster(
             36, 12, d_model=16, num_heads=2, config=TrainingConfig(epochs=1, seed=0)
         ).fit(series)
-        got = forecaster.predict(series[-36:], start_index=364).values
-        reference_kernels(monkeypatch)
-        want = forecaster.predict(series[-36:], start_index=364).values
+        with float64_serving(forecaster):
+            got = forecaster.predict(series[-36:], start_index=364).values
+            reference_kernels(monkeypatch)
+            want = forecaster.predict(series[-36:], start_index=364).values
         assert not np.array_equal(got, want)
         np.testing.assert_allclose(got, want, rtol=RTOL)
 
@@ -174,8 +177,10 @@ class TestPreparedWeights:
     def test_sigmoid_blocks_are_exactly_halved(self, lstm, dtype):
         hs = self.HS
         raw_layers = lstm._layer_params()
+        if dtype is not None:  # a kernel computes in the dtype of the weights it is handed
+            raw_layers = [tuple(p.astype(dtype) for p in layer) for layer in raw_layers]
         before = [[p.copy() for p in layer] for layer in raw_layers]
-        prepared = fastpath.prepare_lstm_params(raw_layers, hs, dtype=dtype)
+        prepared = fastpath.prepare_lstm_params(raw_layers, hs)
         for layer, raw, kept in zip(prepared, raw_layers, before, strict=True):
             for got, param, original in zip(layer, raw, kept, strict=True):
                 rows = 1 if param.ndim == 1 else param.shape[0]  # a bias is one row

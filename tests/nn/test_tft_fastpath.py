@@ -6,8 +6,9 @@ interpretability tooling reads — so every fused kernel (softmax,
 LayerNorm, GLU, GRN, interpretable attention) and the whole-network
 ``_TFTNetwork.fast_forward`` are checked with ``np.array_equal``, not
 ``allclose``.  The tape side is the composition of the same production
-module in ``tests/nn/oracles.py``.  float32 is the explicit
-speed/accuracy trade and is gated statistically.
+module in ``tests/nn/oracles.py``.  Forecasts are *served* in float32
+(``tests/nn/test_float32.py`` holds that contract); here the production
+``predict`` runs on the float64 weights through ``float64_serving``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.forecast import TFTForecaster, TrainingConfig
+from repro.forecast.neural import _float32_copy
 from repro.nn import (
     GatedLinearUnit,
     GatedResidualNetwork,
@@ -25,6 +27,7 @@ from repro.nn import (
     fastpath,
 )
 from repro.nn.attention import _MASK_CACHE
+from tests.nn.oracles import float64_serving
 from tests.nn.oracles import forward as _tape
 from tests.nn.tensor import Tensor
 
@@ -183,26 +186,27 @@ class TestNetworkFastForward:
         forecaster, series = fitted
         context = series[-36:]
         net = forecaster.network
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                net, "fast_forward",
-                lambda past, future, dtype=None: _tape(net, Tensor(past), Tensor(future)).data,
-            )
-            tape = forecaster.predict(context, start_index=364)
-            tape_attn = forecaster.attention_weights().copy()
-        fast = forecaster.predict(context, start_index=364)
-        assert np.array_equal(fast.values, tape.values)
-        assert np.array_equal(forecaster.attention_weights(), tape_attn)
+        with float64_serving(forecaster):  # production predict on the weights the tape sees
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    net, "fast_forward",
+                    lambda past, future: _tape(net, Tensor(past), Tensor(future)).data,
+                )
+                tape = forecaster.predict(context, start_index=364)
+                tape_attn = forecaster.attention_weights().copy()
+            fast = forecaster.predict(context, start_index=364)
+            assert np.array_equal(fast.values, tape.values)
+            assert np.array_equal(forecaster.attention_weights(), tape_attn)
 
 
 class TestFloat32:
     def test_dtype_threads_through_every_kernel(self, fitted):
         forecaster, _ = fitted
-        net = forecaster.network
+        net = _float32_copy(forecaster.network)
         rng = RNG(16)
-        past = rng.normal(size=(2, 36, net.past_proj.in_features))
-        future = rng.normal(size=(2, 12, net.future_proj.in_features))
-        out = net.fast_forward(past, future, dtype=np.float32)
+        past = rng.normal(size=(2, 36, net.past_proj.in_features)).astype(np.float32)
+        future = rng.normal(size=(2, 12, net.future_proj.in_features)).astype(np.float32)
+        out = net.fast_forward(past, future)
         assert out.dtype == np.float32
         assert net._last_attention.dtype == np.float32
 
@@ -213,20 +217,7 @@ class TestFloat32:
         past = rng.normal(size=(2, 36, net.past_proj.in_features))
         future = rng.normal(size=(2, 12, net.future_proj.in_features))
         out64 = net.fast_forward(past, future)
-        out32 = net.fast_forward(past, future, dtype=np.float32)
+        out32 = _float32_copy(net).fast_forward(
+            past.astype(np.float32), future.astype(np.float32)
+        )
         np.testing.assert_allclose(out32, out64, atol=1e-4)
-
-    def test_predict_with_inference_dtype(self, fitted):
-        forecaster, series = fitted
-        context = series[-36:]
-        base = forecaster.predict(context, start_index=364)
-        forecaster.set_inference_dtype(np.float32)
-        try:
-            fast32 = forecaster.predict(context, start_index=364)
-        finally:
-            forecaster.set_inference_dtype(np.float64)
-        scale = np.maximum(np.abs(base.values), 1.0)
-        assert np.max(np.abs(fast32.values - base.values) / scale) < 1e-4
-        # float64 mode bitwise intact after the round trip
-        after = forecaster.predict(context, start_index=364)
-        assert np.array_equal(after.values, base.values)

@@ -430,3 +430,42 @@ class TestModelWeights:
         np.testing.assert_array_equal(
             fresh.predict(train[-12:]).values, expected
         )
+
+
+class TestCheckpointsFromBeforeFloat32Serving:
+    """Precision used to be a flag, so every checkpoint written then embeds
+    ``config["dtype"] = "float64"``; ``serve --restore`` copies each config
+    key onto its args.  The key is inert: the loop restores, serves in
+    float32 from the checkpointed weights, and continues as a checkpoint
+    written today does."""
+
+    SERVE = ["serve", "--model", "deepar", "--days", "4", "--context", "24",
+             "--horizon", "12", "--epochs", "1", "--replan-every", "6"]
+
+    @staticmethod
+    def _nodes(path):
+        return [
+            (record["tick"], record["source"], record["nodes"])
+            for record in map(json.loads, path.read_text().splitlines())
+        ]
+
+    def test_serve_restores_and_continues(self, tmp_path):
+        from repro.cli import main
+
+        ckpt = tmp_path / "ckpt"
+        assert main([*self.SERVE, "--max-ticks", "40", "--checkpoint-dir", str(ckpt),
+                     "--checkpoint-at", "28",
+                     "--decisions-out", str(tmp_path / "full.jsonl")]) == 0
+        assert "dtype" not in json.loads((ckpt / "state.json").read_text())["config"]
+
+        assert main(["serve", "--restore", str(ckpt), "--max-ticks", "12",
+                     "--decisions-out", str(tmp_path / "today.jsonl")]) == 0
+        _edit_state(ckpt, lambda state: state["config"].update(dtype="float64"))
+        assert main(["serve", "--restore", str(ckpt), "--max-ticks", "12",
+                     "--decisions-out", str(tmp_path / "old.jsonl")]) == 0
+
+        full = self._nodes(tmp_path / "full.jsonl")
+        old = self._nodes(tmp_path / "old.jsonl")
+        assert [source for _, source, _ in old] == ["predictive", "predictive"]
+        assert old == self._nodes(tmp_path / "today.jsonl")
+        assert old == [entry for entry in full if entry[0] >= old[0][0]]
