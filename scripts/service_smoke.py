@@ -19,7 +19,8 @@ Two phases, both against real subprocesses:
    simulated crash), restore from the checkpoint, and require the
    restored session's decision stream to be bit-identical to the
    uninterrupted run's tail.  The checkpoint it restores from must be
-   format version 2 with every array a raw-byte record; ``--keep DIR``
+   format version 3 — every array a raw-byte record, no decision
+   history in the ``runtime`` block (its size is printed); ``--keep DIR``
    copies that checkpoint out (CI uploads it as an artifact).
 
 Stdlib only; exits non-zero on the first failure.
@@ -271,19 +272,24 @@ def phase_live_control_plane(workdir: Path) -> None:
 def check_checkpoint_format(ckpt: Path) -> dict:
     text = (ckpt / "state.json").read_text()
     state = json.loads(text)
-    if state.get("version") != 2:
+    if state.get("version") != 3:
         fail(f"checkpoint format version is {state.get('version')!r}, "
-             f"expected 2")
+             f"expected 3")
     if '"__ndarray__"' not in text:
         fail("checkpoint holds no array record at all")
     # A quote inside a JSON string is escaped, so this only matches keys.
     listed = re.findall(r'"__ndarray__"\s*:\s*\[', text)
     if listed:
         fail(f"{len(listed)} array records carry a list payload, not base64")
+    # The checkpoint carries no history: the audit trail is the decision log.
+    history = {"decisions", "provenance"} & state["runtime"].keys()
+    if history:
+        fail(f"checkpoint runtime block carries history: {sorted(history)}")
     sizes = {path.name: path.stat().st_size for path in sorted(ckpt.iterdir())}
-    print(f"checkpoint format OK: version 2, "
-          f"{len(state['runtime']['decisions'])} retained decisions, "
-          f"sizes {sizes}")
+    print(f"checkpoint format OK: version 3, runtime block "
+          f"{len(json.dumps(state['runtime']))} bytes after "
+          f"{state['runtime']['decisions_committed']} decisions "
+          f"(fields: {', '.join(state['runtime'])}), sizes {sizes}")
     return state
 
 

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..core.plan import _decode_value, _encode_value
+from ..core.plan import _decode_value, _encode_value, _forecaster_owner
 from ..obs import get_registry
 from ..obs.monitor import ModelHealthMonitor
 from .promotion import GUARDING, IDLE, SHADOWING, PromotionPolicy, parse_promotion_policy
@@ -210,23 +210,14 @@ class AdaptationManager:
         return self._state
 
     def _forecaster_owner(self) -> Any:
-        """The object whose ``.forecaster`` attribute is the live model.
-
-        Walks the planner through ``.inner`` delegation (fault wrappers)
-        exactly like the checkpoint layer's ``_find_forecaster``, but
-        returns the *owner* so promotion can swap the attribute.
-        """
-        seen = set()
-        node = self.runtime.planner
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
-            if getattr(node, "forecaster", None) is not None:
-                return node
-            node = getattr(node, "inner", None)
-        raise AdaptationError(
-            "planner exposes no .forecaster to manage — adaptation needs "
-            "a forecaster-backed planner (e.g. RobustPredictiveAutoscaler)"
-        )
+        """The object whose ``.forecaster`` attribute is the live model."""
+        owner = _forecaster_owner(self.runtime.planner)
+        if owner is None:
+            raise AdaptationError(
+                "planner exposes no .forecaster to manage — adaptation needs "
+                "a forecaster-backed planner (e.g. RobustPredictiveAutoscaler)"
+            )
+        return owner
 
     def _alert_engine(self):
         return self.runtime.monitor.alerts

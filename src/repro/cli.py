@@ -709,7 +709,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     print(f"processed {service.ticks_processed} ticks "
-          f"({len(runtime.decisions)} decisions, "
+          f"({runtime.state.decisions_committed} decisions, "
           f"{service.checkpoints_written} checkpoints, "
           f"{service.alert_replans} alert replans)", file=sys.stderr)
     if adaptation is not None:

@@ -16,7 +16,6 @@ from .autoscaler import RobustPredictiveAutoscaler
 from .evaluation import RollingEvaluation, decision_points, evaluate_strategy
 from .manager import RobustAutoScalingManager
 from .optimizer import solve_closed_form, solve_lp, solve_with_ramp_limits
-from .evaluation import PlanningStrategy
 from .plan import Planner, ProvisioningReport, ScalingPlan, evaluate_plan, required_nodes
 from .policies import (
     FixedQuantilePolicy,
@@ -26,7 +25,7 @@ from .policies import (
 )
 from .predictive import PointForecastScaler
 from .reactive import ReactiveAvgScaler, ReactiveMaxScaler, ReactiveScaler
-from .runtime import AutoscalingRuntime, Decision, StepResult
+from .runtime import AutoscalingRuntime, Decision, RuntimeState, StepResult
 from .uncertainty import (
     distribution_uncertainty,
     forecast_uncertainty,
@@ -35,7 +34,6 @@ from .uncertainty import (
 
 __all__ = [
     "Planner",
-    "PlanningStrategy",
     "ScalingPlan",
     "ProvisioningReport",
     "required_nodes",
@@ -61,5 +59,6 @@ __all__ = [
     "decision_points",
     "AutoscalingRuntime",
     "Decision",
+    "RuntimeState",
     "StepResult",
 ]

@@ -20,11 +20,7 @@ from ..obs import get_registry
 from .plan import Planner, ProvisioningReport, ScalingPlan, evaluate_plan
 from .reactive import ReactiveScaler
 
-__all__ = ["PlanningStrategy", "RollingEvaluation", "evaluate_strategy", "decision_points"]
-
-#: Backwards-compatible alias — the protocol now lives in
-#: :mod:`repro.core.plan` as :class:`~repro.core.plan.Planner`.
-PlanningStrategy = Planner
+__all__ = ["RollingEvaluation", "evaluate_strategy", "decision_points"]
 
 
 @dataclass

@@ -15,6 +15,7 @@ metrics (Section IV-C):
 from __future__ import annotations
 
 import base64
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -122,12 +123,14 @@ class ScalingPlan:
 
 
 def _encode_value(value):
-    """JSON-safe encoding of checkpointed values: the one ndarray codec.
+    """JSON-safe encoding of checkpointed values: the one codec.
 
     An ndarray becomes ``{"__ndarray__": base64 of its C-order bytes,
     "dtype": arr.dtype.str, "shape": [...]}`` — exact for every bit
     pattern (NaN, infinities, ``-0.0``) and far cheaper to write than a
-    ``repr`` per number.  Numpy scalars unwrap; the rest passes through.
+    ``repr`` per number.  Numpy scalars unwrap, a :class:`ScalingPlan`
+    becomes its :meth:`~ScalingPlan.to_state`, a deque a list; the rest
+    passes through.
     """
     if isinstance(value, np.ndarray):
         return {
@@ -137,13 +140,20 @@ def _encode_value(value):
         }
     if isinstance(value, np.generic):
         return value.item()
+    if isinstance(value, ScalingPlan):
+        return value.to_state()
+    if isinstance(value, deque):
+        return list(value)
     return value
 
 
 def _decode_value(value):
-    """Inverse of :func:`_encode_value`; arrays come back writable.
+    """Inverse of :func:`_encode_value` for arrays, which come back writable.
 
     A record whose bytes do not fill ``shape`` x ``dtype`` is a ValueError.
+    JSON carries no type tag for the containers: a plan comes back as its
+    ``to_state`` dict and a deque as a list, for the reader that knows the
+    field (:meth:`ScalingPlan.from_state`, ``deque(..., maxlen=)``).
     """
     if not (isinstance(value, dict) and "__ndarray__" in value):
         return value
@@ -180,6 +190,22 @@ class Planner(Protocol):
     def plan(self, context: np.ndarray, start_index: int = 0) -> ScalingPlan:
         """Commit node allocations for the horizon following ``context``."""
         ...
+
+
+def _forecaster_owner(planner):
+    """The object whose ``.forecaster`` is the live model, or None.
+
+    Walks ``.inner`` delegation (fault wrappers).  The checkpoint layer
+    reads the forecaster off the owner; adaptation swaps the attribute.
+    """
+    seen = set()
+    node = planner
+    while node is not None and id(node) not in seen:
+        seen.add(id(node))
+        if getattr(node, "forecaster", None) is not None:
+            return node
+        node = getattr(node, "inner", None)
+    return None
 
 
 @dataclass(frozen=True)

@@ -1,118 +1,79 @@
 """Continuous auto-scaling runtime — Figure 2's workflow as a live loop.
 
-The evaluation harness in :mod:`repro.core.evaluation` scores committed
-plans offline.  :class:`AutoscalingRuntime` is the production-shaped
-counterpart: it ingests workload observations one interval at a time,
-re-plans every ``replan_every`` intervals from the trailing context, and
-exposes the node target for the *next* interval — the object one would
-wire to a real cluster's scaling API.
-
-The loop is decomposed into an event-driven **step API**: one interval
-is exactly one :meth:`~AutoscalingRuntime.step` call, which runs the
-four phases in order —
+:class:`AutoscalingRuntime` ingests workload observations one interval
+at a time, re-plans every ``replan_every`` intervals from the trailing
+context, and exposes the node target for the *next* interval — the
+object one would wire to a real cluster's scaling API.  One interval is
+exactly one :meth:`~AutoscalingRuntime.step`, which runs four phases —
 
 1. **maybe-plan** (:meth:`~AutoscalingRuntime.maybe_plan`) — commit a
-   new plan when the cadence or an explicit
-   :meth:`~AutoscalingRuntime.request_replan` demands one;
+   new plan when the cadence or :meth:`~AutoscalingRuntime.request_replan`
+   demands one;
 2. **actuate** (:meth:`~AutoscalingRuntime.actuate`) — read the node
-   target for the current interval off the committed plan (or the
-   reactive fallback during cold start);
+   target off the committed plan (or the reactive fallback during cold
+   start);
 3. **observe** (:meth:`~AutoscalingRuntime.observe`) — validate and
    ingest the workload that materialised;
 4. **monitor** — feed the interval's ``(forecast quantiles, realized
-   value)`` pair to the attached health monitor.
+   value)`` pair to the attached health monitor —
 
-and returns a :class:`StepResult` carrying the interval's **tick** (the
-single authoritative interval counter — provenance records, monitor
-feeds, and decisions all stamp this same value, so they can never skew
-by one step).  :meth:`~AutoscalingRuntime.run` is a thin loop over
-:meth:`step`, so batch callers are unchanged; the phases are also
-separately callable for drivers that interleave their own work (the
-``simulate`` CLI command, :class:`repro.service.ServiceRuntime`).
+and returns a :class:`StepResult` stamped with the interval's **tick**,
+the one counter decisions, provenance records and monitor feeds share.
+:meth:`~AutoscalingRuntime.run` is a loop over :meth:`step`; the phases
+are separately callable for drivers that interleave their own work
+(the ``simulate`` command, :class:`repro.service.ServiceRuntime`).
 
-The full loop state — clock, context window, committed plan, audit log,
-degradation counters — round-trips through
-:meth:`~AutoscalingRuntime.state_dict` /
-:meth:`~AutoscalingRuntime.load_state_dict`, the foundation of the
-service layer's lossless checkpoint/restore.
+**State.**  Everything the loop reads back on the next tick is one
+:class:`RuntimeState` value, ``runtime.state``, mutated in place by the
+phases; :meth:`~AutoscalingRuntime.state_dict` serialises exactly its
+fields, so a checkpoint is O(1) in uptime.  What the loop *did* is not
+state: ``runtime.decisions`` and ``runtime.provenance`` are this
+process's audit lists, never serialised — the durable trail is whatever
+the emitted records were written to (``--telemetry``, the daemon's
+``--decisions-out``), and ``state.decisions_committed`` counts commits
+across restarts.
 
-It also supports an optional reactive fallback for the cold-start phase
-(before enough history exists to form a context window) and records
-every decision for audit.  The loop is instrumented through
-:mod:`repro.obs`: per-phase latency (spans ``runtime.step/plan``,
-``runtime.step/actuate``, ``runtime.step/observe``, with the planner
-call itself under ``runtime.step/plan/planner``), decision and fallback
-counters, and a ``runtime.nodes_requested`` gauge all flow to the
-ambient metrics registry.  Attach a
-:class:`~repro.obs.trace.TraceCollector` to the registry and every step
-becomes one ``trace`` record (trace_id = tick) that carries the span
-tree; the step's spans are then written there and nowhere else.
-Counter and gauge updates reach a sink when whoever drives the loop
-calls ``registry.flush()`` (the daemon does, once per tick).
+**One commit path, one record.**  Every decision — predictive,
+``degraded`` (the planner kept raising; see ``on_planner_error``) or
+``reactive-fallback`` (no full context yet) — goes through
+:meth:`~AutoscalingRuntime._commit`, which appends the
+:class:`Decision`, counts it (``runtime.decisions{source}``) and, only
+when a sink or ``record_provenance`` listens, emits
+:meth:`Decision.record` as a ``provenance`` event.  Per-phase spans
+(``runtime.step/plan`` ``/actuate`` ``/observe``, the planner call under
+``/plan/planner``), the ``runtime.nodes_requested`` gauge and the
+degradation counters (``runtime.invalid_observations``,
+``runtime.planner_errors``, ``runtime.planner_retries``,
+``runtime.degraded_intervals``) flow to the ambient
+:mod:`repro.obs` registry; with a
+:class:`~repro.obs.trace.TraceCollector` attached every step is one
+``trace`` record (trace_id = tick).
 
-Two opt-in observability extensions ride on the loop:
-
-* **decision provenance** — every planning step (predictive plan or
-  fallback activation) emits one structured ``provenance`` record
-  capturing the quantile bound used, the uncertainty estimate, ramp
-  clipping, and the final allocation.  Records flow through the ambient
-  registry to any attached sink; set :attr:`record_provenance` to also
-  keep them on the runtime (:attr:`provenance`).
-* **model health** — attach a
-  :class:`~repro.obs.monitor.ModelHealthMonitor` and every observed
-  interval feeds the monitor its ``(forecast quantiles, realized
-  value)`` pair, driving windowed calibration tracking and drift
-  detection online.
-
-Both are cheap when unused, not free: with no monitor attached and no
-sinks on the ambient registry the hot path builds no records and no
-event payloads, but it still times its four spans and updates its
-counters.  The e2e benchmark's ``serve-bare`` workload puts that
-detached floor at 23 us per idle daemon tick (``idle_tick_us_p50``;
-38 us before ``span()`` and the histogram reservoir were slimmed — see
-``docs/benchmarks.md``).
-
-The loop also survives the failure modes a production control loop
-must (see :mod:`repro.faults` for the matching injectors):
-
-* **bad telemetry** — :meth:`~AutoscalingRuntime.observe` validates
-  every observation with ``np.isfinite``; the ``invalid_policy``
-  setting decides whether a NaN/inf/negative value raises (``"raise"``,
-  the default), is imputed from the last valid observation
-  (``"impute"``), or is rejected while the clock still advances
-  (``"reject"``).  Invalid values never reach the context deque or the
-  planner.
-* **crashing planners** — ``planner.plan()`` runs inside a bounded
-  retry loop; when every attempt raises, the runtime *degrades* instead
-  of crashing: it commits a reactive-fallback plan for the next
-  ``replan_every`` intervals, records a :class:`Decision` with
-  ``source="degraded"`` (plus a provenance record naming the error),
-  and re-attempts predictive planning at the next boundary.  Set
-  ``on_planner_error="raise"`` to restore fail-fast behaviour.
-
-Degradation is visible in telemetry: ``runtime.invalid_observations``,
-``runtime.planner_errors``, ``runtime.planner_retries``, and
-``runtime.degraded_intervals`` counters all flow to the ambient
-registry (and therefore to the ``report`` subcommand).
+**Failure modes** (injectors in :mod:`repro.faults`): an invalid
+observation (NaN, inf, negative) never reaches the context —
+``invalid_policy`` raises, imputes the last valid value, or rejects the
+sample while the clock still advances; a planner that raises on every
+retry yields a reactive plan for the next ``replan_every`` intervals
+and predictive planning is re-attempted at the next boundary.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..obs import get_registry
-from .plan import Planner, ScalingPlan, required_nodes
-from .reactive import ReactiveScaler
+from .plan import Planner, ScalingPlan, _decode_value, _encode_value, required_nodes
+from .reactive import ReactiveMaxScaler, ReactiveScaler
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.monitor import ModelHealthMonitor
 
-__all__ = ["Decision", "StepResult", "AutoscalingRuntime"]
+__all__ = ["Decision", "RuntimeState", "StepResult", "AutoscalingRuntime"]
 
 
 @dataclass(frozen=True)
@@ -128,20 +89,67 @@ class Decision:
         """Alias for :attr:`time_index` in the step API's vocabulary."""
         return self.time_index
 
-    def to_state(self) -> dict:
-        return {
+    def record(self, **extra) -> dict:
+        """The decision as one flat JSON-safe record — its only emitted form.
+
+        Always present: ``time_index``, ``source``, ``strategy``,
+        ``horizon``, ``nodes``, ``nodes_first``, ``ramp_clipped_steps``.
+        ``extra`` carries what the plan does not (``window_statistic``
+        of a reactive estimate, the ``error`` that degraded a plan);
+        ``tau_*`` / ``bound_*`` / ``uncertainty_*`` / ``model`` /
+        ``policy`` appear when the planner stamped their inputs.
+        """
+        plan = self.plan
+        meta = plan.metadata
+        record: dict = {
             "time_index": int(self.time_index),
             "source": self.source,
-            "plan": self.plan.to_state(),
+            "strategy": plan.strategy,
+            "horizon": int(plan.horizon),
+            "nodes": plan.nodes.tolist(),
+            "nodes_first": int(plan.nodes[0]),
+            **extra,
+            "ramp_clipped_steps": int(meta.get("ramp_clipped_steps", 0)),
         }
+        if plan.quantile_levels is not None:
+            levels = np.asarray(plan.quantile_levels, dtype=np.float64)
+            record["tau_min"] = float(levels.min())
+            record["tau_max"] = float(levels.max())
+        bound = meta.get("bound_workload")
+        if bound is not None:
+            bound = np.asarray(bound, dtype=np.float64)
+            record["bound_max"] = float(bound.max())
+            record["bound_total"] = float(bound.sum())
+        uncertainty = meta.get("uncertainty")
+        if uncertainty is not None:
+            uncertainty = np.asarray(uncertainty, dtype=np.float64)
+            record["uncertainty_mean"] = float(uncertainty.mean())
+            record["uncertainty_max"] = float(uncertainty.max())
+        if "model" in meta:
+            record["model"] = meta["model"]
+        if "policy" in meta:
+            record["policy"] = meta["policy"]
+        return record
 
-    @classmethod
-    def from_state(cls, state: dict) -> "Decision":
-        return cls(
-            time_index=int(state["time_index"]),
-            plan=ScalingPlan.from_state(state["plan"]),
-            source=state["source"],
-        )
+
+@dataclass(slots=True)
+class RuntimeState:
+    """Every mutable field of the loop — what a checkpoint holds, no more.
+
+    ``decisions_committed`` is the lifetime commit count: the offset of
+    the next record in whatever log the emitted decisions are kept in.
+    """
+
+    tick: int = 0
+    plan_position: int = 0
+    history: deque = field(default_factory=deque)
+    current_plan: ScalingPlan | None = None
+    last_target: int | None = None
+    replan_requested: bool = False
+    planner_errors: int = 0
+    degraded_intervals: int = 0
+    invalid_observations: int = 0
+    decisions_committed: int = 0
 
 
 @dataclass(frozen=True)
@@ -188,79 +196,6 @@ class StepResult:
     observed: float | None = None
     degraded: bool = False
     phase_seconds: dict[str, float] | None = None
-
-
-def _decision_record(
-    tick: int, plan: ScalingPlan, source: str
-) -> dict:
-    """Build the provenance record for one predictive planning step.
-
-    Only called when someone is listening (a sink or
-    ``record_provenance``) — this is the allocation a detached run
-    avoids.
-    """
-    meta = plan.metadata
-    record: dict = {
-        "time_index": int(tick),
-        "source": source,
-        "strategy": plan.strategy,
-        "horizon": int(plan.horizon),
-        "nodes": plan.nodes.tolist(),
-        "nodes_first": int(plan.nodes[0]),
-        "ramp_clipped_steps": int(meta.get("ramp_clipped_steps", 0)),
-    }
-    if plan.quantile_levels is not None:
-        levels = np.asarray(plan.quantile_levels, dtype=np.float64)
-        record["tau_min"] = float(levels.min())
-        record["tau_max"] = float(levels.max())
-    bound = meta.get("bound_workload")
-    if bound is not None:
-        bound = np.asarray(bound, dtype=np.float64)
-        record["bound_max"] = float(bound.max())
-        record["bound_total"] = float(bound.sum())
-    uncertainty = meta.get("uncertainty")
-    if uncertainty is not None:
-        uncertainty = np.asarray(uncertainty, dtype=np.float64)
-        record["uncertainty_mean"] = float(uncertainty.mean())
-        record["uncertainty_max"] = float(uncertainty.max())
-    if "model" in meta:
-        record["model"] = meta["model"]
-    if "policy" in meta:
-        record["policy"] = meta["policy"]
-    return record
-
-
-def _fallback_record(
-    tick: int, target: int, window_statistic: float, fallback_name: str
-) -> dict:
-    """Provenance record for one reactive-fallback activation."""
-    return {
-        "time_index": int(tick),
-        "source": "reactive-fallback",
-        "strategy": fallback_name,
-        "horizon": 1,
-        "nodes": [int(target)],
-        "nodes_first": int(target),
-        "window_statistic": float(window_statistic),
-        "ramp_clipped_steps": 0,
-    }
-
-
-def _degraded_record(
-    tick: int, plan: ScalingPlan, window_statistic: float, error: BaseException
-) -> dict:
-    """Provenance record for one degraded (planner-failure) decision."""
-    return {
-        "time_index": int(tick),
-        "source": "degraded",
-        "strategy": plan.strategy,
-        "horizon": int(plan.horizon),
-        "nodes": plan.nodes.tolist(),
-        "nodes_first": int(plan.nodes[0]),
-        "window_statistic": float(window_statistic),
-        "error": type(error).__name__,
-        "ramp_clipped_steps": 0,
-    }
 
 
 class AutoscalingRuntime:
@@ -348,7 +283,9 @@ class AutoscalingRuntime:
         self.horizon = horizon
         self.threshold = threshold
         self.replan_every = replan_every
-        self.fallback = fallback if fallback is not None else _default_fallback()
+        if fallback is None:
+            fallback = ReactiveMaxScaler(window=6)
+        self.fallback = fallback
         self.start_tick = start_tick
         self.monitor = monitor
         self.record_provenance = record_provenance
@@ -356,37 +293,32 @@ class AutoscalingRuntime:
         self.on_planner_error = on_planner_error
         self.max_plan_retries = max_plan_retries
 
-        self.planner_errors = 0
-        self.degraded_intervals = 0
-        self.invalid_observations = 0
+        self.state = RuntimeState(
+            tick=start_tick, history=deque(maxlen=context_length)
+        )
+        # This process's audit lists: appended by _commit, never serialised.
         self.decisions: list[Decision] = []
         self.provenance: list[dict] = []
-        self._history: deque = deque(maxlen=context_length)
-        self._current_plan: ScalingPlan | None = None
-        self._plan_position = 0
-        self._tick = start_tick
-        self._last_target: int | None = None
-        self._replan_requested = False
 
-    def __repr__(self) -> str:  # keep the old dataclass-style repr surface
-        return (
-            f"AutoscalingRuntime(planner={self.planner!r}, "
-            f"context_length={self.context_length!r}, "
-            f"horizon={self.horizon!r}, threshold={self.threshold!r}, "
-            f"replan_every={self.replan_every!r}, "
-            f"fallback={self.fallback!r}, start_tick={self.start_tick!r}, "
-            f"monitor={self.monitor!r}, "
-            f"record_provenance={self.record_provenance!r}, "
-            f"invalid_policy={self.invalid_policy!r}, "
-            f"on_planner_error={self.on_planner_error!r}, "
-            f"max_plan_retries={self.max_plan_retries!r})"
-        )
-
-    # ------------------------------------------------------------------
     @property
     def tick(self) -> int:
         """Absolute index of the next interval to be provisioned."""
-        return self._tick
+        return self.state.tick
+
+    @property
+    def planner_errors(self) -> int:
+        """``planner.plan()`` calls that raised, retries included."""
+        return self.state.planner_errors
+
+    @property
+    def degraded_intervals(self) -> int:
+        """Intervals served off a degraded (planner-failure) plan."""
+        return self.state.degraded_intervals
+
+    @property
+    def invalid_observations(self) -> int:
+        """Observations that failed validation in :meth:`observe`."""
+        return self.state.invalid_observations
 
     # -- phase 1: maybe-plan -------------------------------------------
     def maybe_plan(self, force: bool = False) -> Decision | None:
@@ -399,14 +331,13 @@ class AutoscalingRuntime:
         ``on_planner_error`` policy, so the returned decision may carry
         ``source="degraded"``.  Returns None when no planning happened.
         """
-        if len(self._history) < self.context_length:
+        if len(self.state.history) < self.context_length:
             return None
         if not (force or self._needs_replan()):
             return None
-        before = len(self.decisions)
-        self._replan()
-        self._replan_requested = False
-        return self.decisions[-1] if len(self.decisions) > before else None
+        decision = self._replan()
+        self.state.replan_requested = False
+        return decision
 
     def request_replan(self) -> None:
         """Ask for a fresh plan at the next planning opportunity.
@@ -415,16 +346,15 @@ class AutoscalingRuntime:
         the health monitor's alert engine fires) and the control plane's
         ``POST /plan``.  No-op effect until a full context exists.
         """
-        self._replan_requested = True
+        self.state.replan_requested = True
 
     def _needs_replan(self) -> bool:
-        if self._replan_requested:
-            return True
-        if self._current_plan is None:
+        state = self.state
+        if state.replan_requested or state.current_plan is None:
             return True
         return (
-            self._plan_position >= self.replan_every
-            or self._plan_position >= self._current_plan.horizon
+            state.plan_position >= self.replan_every
+            or state.plan_position >= state.current_plan.horizon
         )
 
     # -- phase 2: actuate ----------------------------------------------
@@ -436,18 +366,19 @@ class AutoscalingRuntime:
         Falls back to the reactive scaler when no plan exists (cold
         start).
         """
-        if self._current_plan is not None:
-            position = min(self._plan_position, self._current_plan.horizon - 1)
-            target = int(self._current_plan.nodes[position])
-            if self._current_plan.metadata.get("degraded"):
-                self.degraded_intervals += 1
-                get_registry().counter("runtime.degraded_intervals").inc()
+        state = self.state
+        plan = state.current_plan
+        metrics = get_registry()
+        if plan is not None:
+            target = int(plan.nodes[min(state.plan_position, plan.horizon - 1)])
+            if plan.metadata.get("degraded"):
+                state.degraded_intervals += 1
+                metrics.counter("runtime.degraded_intervals").inc()
         else:
-            metrics = get_registry()
             metrics.counter("runtime.fallback_activations").inc()
             target = self._fallback_target()
-        get_registry().gauge("runtime.nodes_requested").set(target)
-        self._last_target = target
+        metrics.gauge("runtime.nodes_requested").set(target)
+        state.last_target = target
         return target
 
     def target_nodes(self) -> int:
@@ -470,16 +401,16 @@ class AutoscalingRuntime:
         fed with the *same tick* the interval was actuated under, so
         monitor windows and provenance records can never skew.
         """
-        tick = self._tick
+        state = self.state
         value = float(workload)
         if not (np.isfinite(value) and value >= 0):
             value = self._handle_invalid(value)
         if value is not None:
             if self.monitor is not None:
-                self._feed_monitor(tick, value)
-            self._history.append(value)
-        self._tick += 1
-        self._plan_position += 1
+                self._feed_monitor(state.tick, value)
+            state.history.append(value)
+        state.tick += 1
+        state.plan_position += 1
         get_registry().counter("runtime.observations").inc()
         return value
 
@@ -491,14 +422,15 @@ class AutoscalingRuntime:
             reason = "inf"
         else:
             reason = "negative"
-        self.invalid_observations += 1
+        self.state.invalid_observations += 1
         get_registry().counter("runtime.invalid_observations", reason=reason).inc()
         if self.invalid_policy == "raise":
             raise ValueError(
                 f"workload must be a finite non-negative number, got {value!r}"
             )
         if self.invalid_policy == "impute":
-            return self._history[-1] if self._history else 0.0
+            history = self.state.history
+            return history[-1] if history else 0.0
         return None  # reject: interval elapses, sample is discarded
 
     def _feed_monitor(self, tick: int, workload: float) -> None:
@@ -509,7 +441,8 @@ class AutoscalingRuntime:
         therefore never disagree about which interval a residual
         belongs to.
         """
-        plan = self._current_plan
+        state = self.state
+        plan = state.current_plan
         if plan is None:
             return
         if plan.metadata.get("degraded"):
@@ -519,13 +452,13 @@ class AutoscalingRuntime:
         values = plan.metadata.get("forecast_values")
         if levels is None or values is None:
             return
-        position = min(self._plan_position, plan.horizon - 1)
+        position = min(state.plan_position, plan.horizon - 1)
         self.monitor.observe(
             levels,
             values[:, position],
             workload,
             time_index=tick,
-            nodes=self._last_target,
+            nodes=state.last_target,
             threshold=self.threshold,
         )
 
@@ -538,7 +471,8 @@ class AutoscalingRuntime:
         with the interval's tick.  :meth:`run` is a thin loop over this
         method.
         """
-        tick = self._tick
+        state = self.state
+        tick = state.tick
         metrics = get_registry()
         tracer = metrics.tracer
         if tracer is not None:
@@ -552,11 +486,9 @@ class AutoscalingRuntime:
                 t1 = time.perf_counter()
                 with metrics.span("actuate"):
                     target = self.actuate()
-                degraded = bool(
-                    self._current_plan is not None
-                    and self._current_plan.metadata.get("degraded")
-                )
-                if self._current_plan is not None:
+                plan = state.current_plan
+                degraded = bool(plan is not None and plan.metadata.get("degraded"))
+                if plan is not None:
                     source = "degraded" if degraded else "predictive"
                 else:
                     source = "reactive-fallback"
@@ -601,8 +533,9 @@ class AutoscalingRuntime:
         return allocations
 
     # -- planning internals ---------------------------------------------
-    def _replan(self) -> None:
-        context = np.asarray(self._history, dtype=np.float64)
+    def _replan(self) -> Decision:
+        state = self.state
+        context = np.asarray(state.history, dtype=np.float64)
         metrics = get_registry()
         plan: ScalingPlan | None = None
         error: Exception | None = None
@@ -611,152 +544,106 @@ class AutoscalingRuntime:
             try:
                 with metrics.span("planner"):
                     plan = self.planner.plan(
-                        context, start_index=self._tick - self.context_length
+                        context, start_index=state.tick - self.context_length
                     )
                 break
             except Exception as exc:
                 error = exc
-                self.planner_errors += 1
+                state.planner_errors += 1
                 metrics.counter(
                     "runtime.planner_errors", error=type(exc).__name__
                 ).inc()
                 if attempt + 1 < attempts:
                     metrics.counter("runtime.planner_retries").inc()
+        source, extra = "predictive", {}
         if plan is None:
             if self.on_planner_error == "raise":
                 raise error
-            self._degrade(error)
-            return
-        self._current_plan = plan
-        self._plan_position = 0
-        self.decisions.append(
-            Decision(time_index=self._tick, plan=plan, source="predictive")
-        )
-        metrics.counter("runtime.decisions", source="predictive").inc()
-        if self.record_provenance or metrics.active:
-            record = _decision_record(self._tick, plan, "predictive")
-            metrics.emit_event("provenance", "runtime.decision", **record)
-            if self.record_provenance:
-                self.provenance.append(record)
-
-    def _degrade(self, error: Exception) -> None:
-        """Commit a reactive plan after planning failed — never crash.
-
-        The degraded plan covers exactly ``replan_every`` intervals, so
-        predictive planning is re-attempted at the normal cadence; its
-        metadata carries a ``degraded`` flag that the per-interval
-        counter and the monitor feed key off.
-        """
-        estimate, target = self._fallback_estimate()
-        plan = ScalingPlan(
-            nodes=np.full(self.replan_every, target, dtype=np.int64),
-            threshold=self.threshold,
-            strategy=self.fallback.name,
-            metadata={"degraded": True, "error": type(error).__name__},
-        )
-        self._current_plan = plan
-        self._plan_position = 0
-        self.decisions.append(
-            Decision(time_index=self._tick, plan=plan, source="degraded")
-        )
-        metrics = get_registry()
-        metrics.counter("runtime.decisions", source="degraded").inc()
-        if self.record_provenance or metrics.active:
-            record = _degraded_record(self._tick, plan, estimate, error)
-            metrics.emit_event("provenance", "runtime.decision", **record)
-            if self.record_provenance:
-                self.provenance.append(record)
+            # Degrade, never crash: a reactive plan for exactly
+            # ``replan_every`` intervals, so predictive planning is
+            # re-attempted at the normal cadence; the ``degraded`` flag is
+            # what the per-interval counter and the monitor feed key off.
+            estimate, target = self._fallback_estimate()
+            name = type(error).__name__
+            source, extra = "degraded", {"window_statistic": estimate, "error": name}
+            plan = ScalingPlan(
+                nodes=np.full(self.replan_every, target, dtype=np.int64),
+                threshold=self.threshold,
+                strategy=self.fallback.name,
+                metadata={"degraded": True, "error": name},
+            )
+        state.current_plan = plan
+        state.plan_position = 0
+        return self._commit(plan, source, **extra)
 
     def _fallback_estimate(self) -> tuple[float, int]:
         """Window statistic and node target from the reactive fallback."""
-        if not self._history:
+        history = self.state.history
+        if not history:
             return 0.0, 1
-        recent = np.asarray(self._history, dtype=np.float64)
+        recent = np.asarray(history, dtype=np.float64)
         window = recent[-self.fallback.window :]
-        estimate = max(self.fallback.window_statistic(window), 0.0)
+        estimate = float(max(self.fallback.window_statistic(window), 0.0))
         return estimate, int(required_nodes(np.array([estimate]), self.threshold)[0])
 
     def _fallback_target(self) -> int:
         estimate, target = self._fallback_estimate()
-        metrics = get_registry()
-        self.decisions.append(
-            Decision(
-                time_index=self._tick,
-                plan=ScalingPlan(
-                    nodes=np.array([target], dtype=np.int64),
-                    threshold=self.threshold,
-                    strategy=self.fallback.name,
-                ),
-                source="reactive-fallback",
-            )
+        plan = ScalingPlan(
+            nodes=np.array([target], dtype=np.int64),
+            threshold=self.threshold,
+            strategy=self.fallback.name,
         )
-        metrics.counter("runtime.decisions", source="reactive-fallback").inc()
+        self._commit(plan, "reactive-fallback", window_statistic=estimate)
+        return target
+
+    def _commit(self, plan: ScalingPlan, source: str, **extra) -> Decision:
+        """Commit one decision — the only writer of :attr:`decisions`.
+
+        The record is only built when a sink or ``record_provenance``
+        listens — the allocation a detached run avoids.
+        """
+        state = self.state
+        decision = Decision(time_index=state.tick, plan=plan, source=source)
+        self.decisions.append(decision)
+        state.decisions_committed += 1
+        metrics = get_registry()
+        metrics.counter("runtime.decisions", source=source).inc()
         if self.record_provenance or metrics.active:
-            record = _fallback_record(
-                self._tick, target, estimate, self.fallback.name
-            )
+            record = decision.record(**extra)
             metrics.emit_event("provenance", "runtime.decision", **record)
             if self.record_provenance:
                 self.provenance.append(record)
-        return target
+        return decision
 
     # -- checkpoint/restore ---------------------------------------------
     def state_dict(self) -> dict:
-        """The complete loop state as JSON-safe plain containers.
+        """:attr:`state`, field by field, as JSON-safe plain containers.
 
-        Captures everything :meth:`load_state_dict` needs to resume the
-        loop mid-trace with bit-identical subsequent decisions: the
-        tick clock, the context window, the committed plan (including
-        its forecast metadata, so monitor feeds continue seamlessly),
-        the audit log, and every degradation counter.  Planner/model
-        weights are *not* included — the service layer persists those
-        through :mod:`repro.nn.serialization`.
+        Everything :meth:`load_state_dict` needs to resume the loop
+        mid-trace with bit-identical subsequent decisions — the committed
+        plan carries its forecast metadata, so monitor feeds continue
+        seamlessly — and nothing that grows with uptime.  Model weights
+        and the monitor are the service layer's to persist
+        (:mod:`repro.service.checkpoint`).
         """
         return {
-            "tick": int(self._tick),
-            "start_tick": int(self.start_tick),
-            "plan_position": int(self._plan_position),
-            "history": [float(v) for v in self._history],
-            "last_target": (
-                int(self._last_target) if self._last_target is not None else None
-            ),
-            "replan_requested": bool(self._replan_requested),
-            "planner_errors": int(self.planner_errors),
-            "degraded_intervals": int(self.degraded_intervals),
-            "invalid_observations": int(self.invalid_observations),
-            "current_plan": (
-                self._current_plan.to_state()
-                if self._current_plan is not None
-                else None
-            ),
-            "decisions": [d.to_state() for d in self.decisions],
-            "provenance": list(self.provenance),
+            f.name: _encode_value(getattr(self.state, f.name))
+            for f in fields(RuntimeState)
         }
 
     def load_state_dict(self, state: dict) -> "AutoscalingRuntime":
-        """Restore loop state captured by :meth:`state_dict` in place."""
-        self._tick = int(state["tick"])
-        self.start_tick = int(state["start_tick"])
-        self._plan_position = int(state["plan_position"])
-        self._history = deque(
-            (float(v) for v in state["history"]), maxlen=self.context_length
+        """Replace :attr:`state` with one captured by :meth:`state_dict`.
+
+        The audit lists start empty: they describe what *this* process
+        committed, and ``state.decisions_committed`` carries the count.
+        """
+        loaded = RuntimeState(
+            **{f.name: _decode_value(state[f.name]) for f in fields(RuntimeState)}
         )
-        last_target = state["last_target"]
-        self._last_target = int(last_target) if last_target is not None else None
-        self._replan_requested = bool(state["replan_requested"])
-        self.planner_errors = int(state["planner_errors"])
-        self.degraded_intervals = int(state["degraded_intervals"])
-        self.invalid_observations = int(state["invalid_observations"])
-        plan_state = state["current_plan"]
-        self._current_plan = (
-            ScalingPlan.from_state(plan_state) if plan_state is not None else None
-        )
-        self.decisions = [Decision.from_state(d) for d in state["decisions"]]
-        self.provenance = list(state["provenance"])
+        loaded.history = deque(loaded.history, maxlen=self.context_length)
+        if loaded.current_plan is not None:
+            loaded.current_plan = ScalingPlan.from_state(loaded.current_plan)
+        self.state = loaded
+        self.decisions = []
+        self.provenance = []
         return self
-
-
-def _default_fallback() -> ReactiveScaler:
-    from .reactive import ReactiveMaxScaler
-
-    return ReactiveMaxScaler(window=6)

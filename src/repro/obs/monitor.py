@@ -690,8 +690,7 @@ class ModelHealthMonitor:
         self._window_degraded = int(buffer["window_degraded"])
         if state["alerts"] is not None and self.alerts is not None:
             self.alerts.load_state_dict(state["alerts"])
-        # Older checkpoints predate SLO tracking; absence means empty.
-        if state.get("slos") is not None and self.slos is not None:
+        if state["slos"] is not None and self.slos is not None:
             self.slos.load_state_dict(state["slos"])
         return self
 

@@ -449,17 +449,16 @@ class SLOTracker:
         }
 
     def load_state_dict(self, state: dict) -> "SLOTracker":
-        saved = state.get("samples", {})
-        unknown = set(saved) - set(self._samples)
-        if unknown:
+        saved = state["samples"]
+        if set(saved) != set(self._samples):
             raise ValueError(
-                f"checkpointed SLO ledgers {sorted(unknown)} do not match "
+                f"checkpointed SLO ledgers {sorted(saved)} do not match "
                 f"configured objectives {sorted(self._samples)}"
             )
         for spec, ledger in self._samples.items():
             ledger.clear()
-            for end_tick, steps, bad in saved.get(spec, []):
+            for end_tick, steps, bad in saved[spec]:
                 ledger.append((int(end_tick), int(steps), float(bad)))
-        self.windows_observed = int(state.get("windows_observed", 0))
-        self._last_status = [dict(e) for e in state.get("last_status", [])]
+        self.windows_observed = int(state["windows_observed"])
+        self._last_status = [dict(e) for e in state["last_status"]]
         return self

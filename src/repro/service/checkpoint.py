@@ -2,9 +2,11 @@
 
 A checkpoint is a directory:
 
-* ``state.json`` — the loop state: runtime
-  (:meth:`~repro.core.runtime.AutoscalingRuntime.state_dict`), health
-  monitor + drift detectors + alert engine
+* ``state.json`` — the loop state: ``runtime`` is the fields of
+  :class:`~repro.core.runtime.RuntimeState` (what the loop reads back
+  on its next tick — clock, context window, plan in force, counters —
+  and no decision history, so its size does not grow with uptime),
+  health monitor + drift detectors + alert engine
   (:meth:`~repro.obs.monitor.ModelHealthMonitor.state_dict`), the
   source position, the forecaster's sampler rng state, and the config
   the daemon was launched with (so ``repro-autoscale serve --restore``
@@ -19,10 +21,12 @@ A checkpoint is a directory:
 
 Each file is published atomically (temp file in the same directory +
 ``os.replace``), weights first, so a crash mid-checkpoint leaves every
-file either old or new, never truncated; the JSONL event log written by
-``--telemetry`` / ``--decisions-out`` (crash-safe
-:class:`~repro.obs.sinks.JsonlSink`) covers the tail between the last
-checkpoint and the crash.
+file either old or new, never truncated.  The audit trail is not in the
+checkpoint: it is the JSONL event log written by ``--telemetry`` /
+``--decisions-out`` (crash-safe :class:`~repro.obs.sinks.JsonlSink`,
+flushed per record), which also covers the tail between the last
+checkpoint and the crash.  A restored process starts ``/decisions``
+empty and its ``total`` continuous (``RuntimeState.decisions_committed``).
 
 The restore guarantee: given the same remaining tick stream (a
 replayable source resumed at the recorded position), a restored loop
@@ -38,7 +42,7 @@ import os
 from pathlib import Path
 from typing import Any
 
-from ..core.plan import _decode_value
+from ..core.plan import _decode_value, _forecaster_owner
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -47,7 +51,7 @@ __all__ = [
     "restore_from_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _STATE_FILE = "state.json"
 _MODEL_FILE = "model.npz"
@@ -61,15 +65,7 @@ _REQUIRED_FIELDS = {
 
 def _find_forecaster(planner: Any):
     """The forecaster behind a planner, unwrapping fault wrappers."""
-    seen = set()
-    node = planner
-    while node is not None and id(node) not in seen:
-        seen.add(id(node))
-        forecaster = getattr(node, "forecaster", None)
-        if forecaster is not None:
-            return forecaster
-        node = getattr(node, "inner", None)
-    return None
+    return getattr(_forecaster_owner(planner), "forecaster", None)
 
 
 def _planner_state(planner: Any) -> dict | None:
@@ -134,8 +130,9 @@ def save_checkpoint(
     path:
         Checkpoint directory (created if needed; overwritten in place).
     runtime:
-        The :class:`~repro.core.runtime.AutoscalingRuntime` to snapshot
-        (its attached monitor rides along).
+        The :class:`~repro.core.runtime.AutoscalingRuntime` whose
+        ``state`` is snapshotted (its attached monitor rides along; its
+        ``decisions`` / ``provenance`` audit lists do not).
     planner:
         The live planner; used to capture sampler rng state and, when
         the underlying forecaster supports ``save()``, model weights.

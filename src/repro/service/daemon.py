@@ -61,17 +61,15 @@ def _parse_limit(query: dict, default: int) -> int:
     return limit
 
 
-def _decision_payload(decision: Decision) -> dict:
-    """The control plane / decision-log form of one audit-log entry."""
-    plan = decision.plan
-    return {
-        "tick": int(decision.time_index),
-        "source": decision.source,
-        "strategy": plan.strategy,
-        "horizon": int(plan.horizon),
-        "nodes": plan.nodes.tolist(),
-        "nodes_first": int(plan.nodes[0]),
-    }
+#: What ``/decisions`` and the decision log show of ``Decision.record()``
+#: (``time_index`` goes out as ``tick``).
+_WIRE_KEYS = ("source", "strategy", "horizon", "nodes", "nodes_first")
+
+
+def _wire_form(decision: Decision) -> dict:
+    """The control plane / decision-log projection of a decision's record."""
+    record = decision.record()
+    return {"tick": record["time_index"], **{key: record[key] for key in _WIRE_KEYS}}
 
 
 class ServiceRuntime:
@@ -170,8 +168,9 @@ class ServiceRuntime:
         self.checkpoints_written = 0
         self.status = "starting"
         self.last_step: StepResult | None = None
-        # Decision-log high-water mark: restored decisions are history,
-        # only decisions committed by *this* session are logged.
+        # Decision-log high-water mark into the runtime's in-process
+        # audit list (empty after a restore): only decisions committed
+        # under this daemon are logged.
         self._logged_decisions = len(runtime.decisions)
         self._decision_sink: JsonlSink | None = None
         self._stop = asyncio.Event()
@@ -302,14 +301,9 @@ class ServiceRuntime:
         than trusting any single phase's return value.
         """
         decisions = self.runtime.decisions
-        for decision in decisions[self._logged_decisions :]:
-            if self._decision_sink is not None:
-                self._decision_sink.emit(
-                    {"kind": "decision", **_decision_payload(decision)}
-                )
-            get_registry().counter(
-                "service.decisions", source=decision.source
-            ).inc()
+        if self._decision_sink is not None:
+            for decision in decisions[self._logged_decisions :]:
+                self._decision_sink.emit({"kind": "decision", **_wire_form(decision)})
         self._logged_decisions = len(decisions)
 
     # -- checkpointing ----------------------------------------------------
@@ -355,7 +349,7 @@ class ServiceRuntime:
             "tick": runtime.tick,
             "ticks_processed": self.ticks_processed,
             "source_position": self.source.position,
-            "decisions": len(runtime.decisions),
+            "decisions": runtime.state.decisions_committed,
             "planner_errors": runtime.planner_errors,
             "degraded_intervals": runtime.degraded_intervals,
             "invalid_observations": runtime.invalid_observations,
@@ -395,7 +389,7 @@ class ServiceRuntime:
         return get_registry().snapshot()
 
     def _handle_forecast(self, query: dict, body: Any) -> dict:
-        plan = self.runtime._current_plan
+        plan = self.runtime.state.current_plan
         if plan is None:
             raise HttpError(409, "no committed plan yet (cold start)")
         payload = {
@@ -418,8 +412,8 @@ class ServiceRuntime:
         limit = _parse_limit(query, default=50)
         decisions = self.runtime.decisions[-limit:]
         return {
-            "total": len(self.runtime.decisions),
-            "decisions": [_decision_payload(d) for d in decisions],
+            "total": self.runtime.state.decisions_committed,
+            "decisions": [_wire_form(d) for d in decisions],
         }
 
     def _handle_traces(self, query: dict, body: Any) -> dict:
@@ -449,10 +443,10 @@ class ServiceRuntime:
             raise HttpError(
                 409,
                 "cannot plan yet: context window not full "
-                f"({len(self.runtime._history)}/{self.runtime.context_length})",
+                f"({len(self.runtime.state.history)}/{self.runtime.context_length})",
             )
         self._drain_decisions()
-        return _decision_payload(decision)
+        return _wire_form(decision)
 
     def _require_adaptation(self) -> AdaptationManager:
         if self.adaptation is None:

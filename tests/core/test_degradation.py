@@ -72,19 +72,19 @@ class TestInvalidObservations:
         runtime = make_runtime(SteadyPlanner(4), invalid_policy="impute")
         runtime.observe(100.0)
         runtime.observe(float("nan"))
-        assert list(runtime._history) == [100.0, 100.0]
+        assert list(runtime.state.history) == [100.0, 100.0]
         assert runtime.invalid_observations == 1
 
     def test_impute_before_any_history_uses_zero(self):
         runtime = make_runtime(SteadyPlanner(4), invalid_policy="impute")
         runtime.observe(float("nan"))
-        assert list(runtime._history) == [0.0]
+        assert list(runtime.state.history) == [0.0]
 
     def test_reject_advances_clock_without_feeding_context(self):
         runtime = make_runtime(SteadyPlanner(4), invalid_policy="reject")
         runtime.observe(100.0)
         runtime.observe(float("inf"))
-        assert list(runtime._history) == [100.0]
+        assert list(runtime.state.history) == [100.0]
         assert runtime.tick == 2  # the interval still happened
         assert runtime.invalid_observations == 1
 
@@ -92,7 +92,7 @@ class TestInvalidObservations:
         runtime = make_runtime(SteadyPlanner(4), invalid_policy="impute")
         for value in [100.0, float("nan"), float("inf"), -5.0, 200.0]:
             runtime.observe(value)
-        history = np.asarray(runtime._history)
+        history = np.asarray(runtime.state.history)
         assert np.isfinite(history).all()
         assert (history >= 0).all()
 

@@ -244,8 +244,8 @@ class TestProvenance:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("provenance record built with nobody listening")
 
-        monkeypatch.setattr(runtime_module, "_decision_record", boom)
-        monkeypatch.setattr(runtime_module, "_fallback_record", boom)
+        # One builder serves every source (fallback and predictive alike).
+        monkeypatch.setattr(runtime_module.Decision, "record", boom)
         series = np.full(20, 300.0)
         with using_registry(MetricsRegistry()):
             runtime, _ = make_runtime(series, context=6, horizon=4)

@@ -6,6 +6,7 @@ import pytest
 from repro.core import AutoscalingRuntime, ScalingPlan, StepResult
 from repro.core.plan import required_nodes
 from repro.obs import AlertEngine, ModelHealthMonitor, default_rules
+from tests.helpers import decision_states
 
 
 class QuantilePlanner:
@@ -57,9 +58,7 @@ class TestStepEquivalence:
             expected = classic.target_nodes()
             classic.observe(value)
             assert stepped.step(value).target_nodes == expected
-        assert len(classic.decisions) == len(stepped.decisions)
-        for a, b in zip(classic.decisions, stepped.decisions):
-            assert a.to_state() == b.to_state()
+        assert decision_states(classic.decisions) == decision_states(stepped.decisions)
 
     def test_run_is_a_thin_loop_over_step(self):
         loop = make_runtime()
@@ -151,9 +150,16 @@ class TestStateDictRoundTrip:
         tail_full = [full.step(v).target_nodes for v in SERIES[17:]]
         tail_restored = [restored.step(v).target_nodes for v in SERIES[17:]]
         assert tail_full == tail_restored
-        assert [d.to_state() for d in full.decisions] == [
-            d.to_state() for d in restored.decisions
-        ]
+        # The audit lists are per process: the restored loop holds the
+        # decisions it committed itself, and they are the uninterrupted
+        # loop's newest ones; the lifetime count carries over.
+        assert restored.decisions
+        assert decision_states(restored.decisions) == decision_states(
+            full.decisions[-len(restored.decisions):]
+        )
+        assert restored.state.decisions_committed == full.state.decisions_committed
+        assert full.state.decisions_committed == len(full.decisions)
+        assert restored.state_dict() == full.state_dict()
 
     def test_state_dict_is_json_safe(self):
         import json
@@ -164,7 +170,7 @@ class TestStateDictRoundTrip:
         encoded = json.dumps(runtime.state_dict())
         restored = make_runtime()
         restored.load_state_dict(json.loads(encoded))
-        plan = restored._current_plan
+        plan = restored.state.current_plan
         assert isinstance(plan.metadata["forecast_values"], np.ndarray)
         assert plan.metadata["forecast_values"].shape == (3, 4)
 

@@ -1,4 +1,4 @@
-"""Shared test utilities: numerical gradient checking."""
+"""Shared test utilities: numerical gradient checking, decision comparison."""
 
 from __future__ import annotations
 
@@ -42,3 +42,13 @@ def assert_grad_matches(
     out.backward()
     expected = numerical_gradient(fn, value)
     np.testing.assert_allclose(x.grad, expected, rtol=rtol, atol=atol)
+
+
+def decision_states(decisions) -> list:
+    """Decisions in a form ``==`` compares bit for bit.
+
+    Plan arrays (forecast metadata included) go through
+    ``ScalingPlan.to_state()``'s raw-byte records, tick / source and the
+    derived statistics through ``Decision.record()``.
+    """
+    return [(d.record(), d.plan.to_state()) for d in decisions]

@@ -88,7 +88,7 @@ def build_loop(forecaster, train):
         cooldown=24,
     )
     for value in train[-CTX:]:
-        runtime._history.append(float(value))
+        runtime.state.history.append(float(value))
         manager.history.append(float(value))
     return runtime, manager, planner
 

@@ -305,8 +305,11 @@ class TestMonitorIntegration:
 
     def test_monitor_without_tracker_state_is_none(self):
         monitor = ModelHealthMonitor(window=4)
-        assert monitor.state_dict()["slos"] is None
-        # And loading an old-format state (no "slos" key) must not crash.
         state = monitor.state_dict()
-        del state["slos"]
+        assert state["slos"] is None
         ModelHealthMonitor(window=4).load_state_dict(state)
+        # The key is part of the format: only checkpoints older than this
+        # build's version lack it, and those are rejected at the door.
+        del state["slos"]
+        with pytest.raises(KeyError, match="slos"):
+            ModelHealthMonitor(window=4).load_state_dict(state)

@@ -1,10 +1,10 @@
 """The checkpoint array codec is bit-exact through JSON text.
 
-``ScalingPlan.to_state`` / ``Decision.to_state`` write every ndarray as
-a raw-byte record.  Whatever array goes in — any of the dtypes a plan
-carries, any shape, any memory layout, any bit pattern — must come back
-with the same bytes, dtype and shape after a trip through ``json.dumps``
-and ``json.loads``, as a fresh writable array.
+``ScalingPlan.to_state`` writes every ndarray as a raw-byte record.
+Whatever array goes in — any of the dtypes a plan carries, any shape,
+any memory layout, any bit pattern — must come back with the same bytes,
+dtype and shape after a trip through ``json.dumps`` and ``json.loads``,
+as a fresh writable array.
 """
 
 import json
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.core import Decision, ScalingPlan
+from repro.core import ScalingPlan
 from repro.core.plan import _decode_value, _encode_value
 
 DTYPES = (np.int64, np.float64, np.float32, np.bool_)
@@ -151,12 +151,3 @@ class TestPlanAndDecisionState:
         assert_same_plan(restored, plan)
         # Serialising the restored plan reproduces the same document.
         assert restored.to_state() == state
-
-    @settings(max_examples=50, deadline=None)
-    @given(plans(), st.integers(0, 10**9), st.sampled_from(
-        ("predictive", "reactive-fallback", "degraded")))
-    def test_decision_round_trip(self, plan, tick, source):
-        decision = Decision(time_index=tick, plan=plan, source=source)
-        restored = Decision.from_state(through_json(decision.to_state()))
-        assert restored.time_index == tick and restored.source == source
-        assert_same_plan(restored.plan, plan)

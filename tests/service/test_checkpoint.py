@@ -11,6 +11,7 @@ from repro.faults import FaultSchedule, FlakyPlanner, corrupt_series
 from repro.obs import AlertEngine, ModelHealthMonitor, default_rules
 from repro.service import load_checkpoint, restore_from_checkpoint, save_checkpoint
 from repro.service.checkpoint import CHECKPOINT_VERSION
+from tests.helpers import decision_states
 
 SERIES = np.abs(np.random.default_rng(11).normal(400, 120, size=60))
 START_TICK = 200
@@ -91,9 +92,9 @@ class TestSaveLoad:
         assert state["sampler"] is not None
         # The checkpoint is plain JSON on disk, not pickles.
         raw = json.loads((path / "state.json").read_text())
-        assert raw["version"] == CHECKPOINT_VERSION == 2
+        assert raw["version"] == CHECKPOINT_VERSION == 3
         # ...and every array in it is a raw-byte record, not a number list.
-        plan = raw["runtime"]["decisions"][-1]["plan"]
+        plan = raw["runtime"]["current_plan"]
         for record in (plan["nodes"], plan["metadata"]["forecast_values"]):
             assert isinstance(record["__ndarray__"], str)
         assert plan["metadata"]["forecast_values"]["shape"] == [3, 6]
@@ -120,12 +121,21 @@ class TestSaveLoad:
     def test_version_1_file_is_rejected_naming_both_versions(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()
-        # What the previous build wrote: list payloads under version 1.
+        # What an older build wrote: list payloads under version 1.
         (ckpt / "state.json").write_text(json.dumps({
             "version": 1, "source_position": 0, "monitor": None,
             "runtime": {"current_plan": {"nodes": [1, 2]}},
         }))
-        with pytest.raises(ValueError, match=r"version 1 .*version 2"):
+        with pytest.raises(ValueError, match=r"version 1 .*version 3"):
+            load_checkpoint(ckpt)
+
+    def test_version_2_file_is_rejected_at_the_door(self, tmp_path):
+        """The previous build's file (decision history inside) is not read."""
+        runtime, _ = make_loop()
+        runtime.run(SERIES[:20])
+        ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime)
+        _edit_state(ckpt, lambda state: state.update(version=2))
+        with pytest.raises(ValueError, match=r"version 2 .*version 3"):
             load_checkpoint(ckpt)
 
 
@@ -142,7 +152,7 @@ def _truncate_array(state):
 
 
 def _list_payload(state):
-    state["runtime"]["decisions"][1]["plan"]["nodes"]["__ndarray__"] = [3, 3, 3]
+    state["runtime"]["current_plan"]["nodes"]["__ndarray__"] = [3, 3, 3]
 
 
 def _wrong_shape(state):
@@ -197,7 +207,7 @@ class TestDamagedCheckpoints:
         "damage, field",
         [
             (_truncate_array, r"runtime\.current_plan\.metadata\.forecast_values"),
-            (_list_payload, r"runtime\.decisions\[1\]\.plan\.nodes"),
+            (_list_payload, r"runtime\.current_plan\.nodes"),
             (_wrong_shape, r"monitor\.smuggled"),
         ],
     )
@@ -285,9 +295,15 @@ class TestKillRestoreBitIdentity:
         tail_alloc = restored.run(observed[position:])
 
         np.testing.assert_array_equal(tail_alloc, full_alloc[position:])
-        assert [d.to_state() for d in restored.decisions] == [
-            d.to_state() for d in full.decisions
-        ]
+        # The restored process holds the decisions it committed itself:
+        # bit for bit the uninterrupted run's newest ones, under a
+        # lifetime count that did not restart.
+        assert restored.decisions
+        assert decision_states(restored.decisions) == decision_states(
+            full.decisions[-len(restored.decisions):]
+        )
+        assert restored.state.decisions_committed == full.state.decisions_committed
+        assert restored.state_dict() == full.state_dict()
         assert restored.monitor.state_dict() == full.monitor.state_dict()
         # Counters survived the crash too.
         assert restored.invalid_observations == full.invalid_observations
