@@ -222,10 +222,13 @@ def phase_checkpoint_mid_shadow(workdir: Path, source: Path,
          "--checkpoint-dir", str(ckpt),
          "--decisions-out", str(workdir / "crashed.jsonl")], workdir)
 
+    files = sorted(path.name for path in ckpt.iterdir())
+    if files != ["state.json"]:
+        fail(f"checkpoint directory should hold exactly state.json, has {files}")
     state = json.loads((ckpt / "state.json").read_text())
-    if state["adaptation"]["state"] != "shadowing":
+    if state["adaptation"]["phase"] != "shadowing":
         fail(f"checkpoint was not taken mid-shadow: "
-             f"adaptation state {state['adaptation']['state']!r}")
+             f"adaptation phase {state['adaptation']['phase']!r}")
 
     result = subprocess.run(
         [sys.executable, "-m", "repro.cli", "serve",

@@ -272,9 +272,9 @@ def phase_live_control_plane(workdir: Path) -> None:
 def check_checkpoint_format(ckpt: Path) -> dict:
     text = (ckpt / "state.json").read_text()
     state = json.loads(text)
-    if state.get("version") != 3:
+    if state.get("version") != 4:
         fail(f"checkpoint format version is {state.get('version')!r}, "
-             f"expected 3")
+             f"expected 4")
     if '"__ndarray__"' not in text:
         fail("checkpoint holds no array record at all")
     # A quote inside a JSON string is escaped, so this only matches keys.
@@ -286,7 +286,9 @@ def check_checkpoint_format(ckpt: Path) -> dict:
     if history:
         fail(f"checkpoint runtime block carries history: {sorted(history)}")
     sizes = {path.name: path.stat().st_size for path in sorted(ckpt.iterdir())}
-    print(f"checkpoint format OK: version 3, runtime block "
+    if list(sizes) != ["state.json"]:
+        fail(f"checkpoint directory should hold exactly state.json, has {sorted(sizes)}")
+    print(f"checkpoint format OK: version 4, runtime block "
           f"{len(json.dumps(state['runtime']))} bytes after "
           f"{state['runtime']['decisions_committed']} decisions "
           f"(fields: {', '.join(state['runtime'])}), sizes {sizes}")

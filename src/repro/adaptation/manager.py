@@ -25,11 +25,11 @@ alerts, coverage sag); this manager *acts* on it:
    span rolls the swap back; surviving the guard commits it.
 
 The manager is driven by one :meth:`on_tick` call per served interval
-(the service layer does this) and is fully checkpointable: its
-:meth:`state_dict` — candidate and rollback models included, pickled
-and base64-embedded so ``state.json`` stays a single self-contained
-JSON document — restores the whole state machine bit-identically
-mid-shadow.
+(the service layer does this) and is fully checkpointable: every mutable
+field is one :class:`AdaptationState` value, and :meth:`state_dict`
+serialises exactly its fields — the candidate and rollback models as
+their own ``state_dict()`` arrays, never as serialised objects — so a
+restored daemon resumes mid-shadow bit-identically.
 
 Everything is observable: ``adaptation.refits`` / ``.promotions`` /
 ``.rollbacks`` / ``.rejections`` counters, an ``adaptation/refit``
@@ -40,16 +40,16 @@ the runtime's audit stream.
 
 from __future__ import annotations
 
-import base64
 import copy
 import inspect
-import pickle
 from collections import deque
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..core.plan import _decode_value, _encode_value, _forecaster_owner
+from ..forecast.base import _load_state
 from ..obs import get_registry
 from ..obs.monitor import ModelHealthMonitor
 from .promotion import GUARDING, IDLE, SHADOWING, PromotionPolicy, parse_promotion_policy
@@ -61,40 +61,64 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["AdaptationError", "AdaptationManager"]
 
-#: Kept in sync with the state_dict layout; bump on breaking changes.
-#: The layout includes every class a pickled forecaster reaches: version 3
-#: is ``repro.nn.module.Parameter`` as a plain ``(data, grad)`` holder.
-#: float32 serving did not bump it: ``NeuralForecaster.__getstate__`` keeps
-#: the serving copy out of every blob, and a version-3 blob written before
-#: the copy existed restores as it is (the precision attribute it still
-#: carries is inert; the copy is built on the first predict).
-_STATE_VERSION = 3
+#: Bump when a field of :class:`AdaptationState` changes meaning.  Version 4
+#: holds models as their ``state_dict()`` entries: no class layout is part
+#: of it any more, so renaming or reshaping a forecaster class no longer
+#: bumps it - only a change of the entries a family writes would.
+_STATE_VERSION = 4
 
 
 class AdaptationError(RuntimeError):
     """An adaptation action is invalid in the current state."""
 
 
-def _dump_model(model: Any) -> "str | None":
-    """Pickle a forecaster to a base64 string (JSON-embeddable).
+@dataclass(slots=True)
+class AdaptationState:
+    """Every mutable field of the state machine — what a checkpoint holds of it.
 
-    Forecasters are plain Python + numpy object graphs (networks,
-    scalers, ``np.random.Generator`` samplers), all of which pickle
-    exactly — a loaded model is bit-identical to the saved one,
-    including its sampler rng, which is what the checkpoint restore
-    guarantee requires.
+    ``candidate`` / ``previous`` are forecaster objects, serialised as
+    their ``state_dict()``.  An ``*_origin`` says what the model is a
+    fitted copy of, which is what a restore builds its skeleton from:
+    None for the forecaster the loop was configured with, ``"pool:<name>"``
+    for a :class:`~repro.adaptation.pool.ModelPool` factory (a warm or
+    cold refit clones the live model, so it keeps the live origin).
     """
-    if model is None:
-        return None
-    return base64.b64encode(
-        pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
+
+    phase: str = IDLE
+    tick: int = 0  # last tick fed via on_tick
+    history: deque = field(default_factory=deque)
+    live_origin: "str | None" = None
+    candidate: Any = None
+    candidate_origin: "str | None" = None
+    candidate_mode: "str | None" = None
+    previous: Any = None
+    previous_origin: "str | None" = None
+    shadow_monitor: "ModelHealthMonitor | None" = None
+    shadow_ticks: int = 0
+    shadow_levels: "np.ndarray | None" = None
+    shadow_values: "np.ndarray | None" = None
+    shadow_position: int = 0
+    incumbent_window_mark: int = 0
+    promote_tick: "int | None" = None
+    guard_window_mark: int = 0
+    alert_mark: int = 0
+    seen_alerts: int = 0
+    cooldown_until: int = 0
+    last_decision: "str | None" = None
+    events: list = field(default_factory=list)
+    refits: int = 0
+    promotions: int = 0
+    rollbacks: int = 0
+    rejections: int = 0
 
 
-def _load_model(blob: "str | None") -> Any:
-    if blob is None:
-        return None
-    return pickle.loads(base64.b64decode(blob.encode("ascii")))
+def _require_state_protocol(forecaster: Any, role: str) -> None:
+    if not (hasattr(forecaster, "state_dict") and hasattr(forecaster, "load_state_dict")):
+        raise ValueError(
+            f"{role} {type(forecaster).__name__} does not implement state_dict() / "
+            "load_state_dict(), which is how adaptation checkpoints the models "
+            "it holds (docs/forecasting.md lists the families that do)"
+        )
 
 
 def _supports_warm_start(model: Any) -> bool:
@@ -173,41 +197,35 @@ class AdaptationManager:
         self.cooldown = cooldown
         self.auto_refit = auto_refit
         self.pool = pool
+        _require_state_protocol(self._forecaster_owner().forecaster, "forecaster")
+        for name in pool.names() if pool is not None else ():
+            _require_state_protocol(pool.create(name), f"pool candidate {name!r}:")
         if history_size is None:
             history_size = max(
                 1024, 8 * (runtime.context_length + runtime.horizon)
             )
-        self.history: deque = deque(maxlen=history_size)
-
-        self.candidate: Any = None
-        self.previous: Any = None
-        self.shadow_monitor: "ModelHealthMonitor | None" = None
-        self.events: list[dict] = []
-        self.refits = 0
-        self.promotions = 0
-        self.rollbacks = 0
-        self.rejections = 0
-
-        self._state = IDLE
-        self._tick = runtime.tick - 1  # last tick fed via on_tick
-        self._shadow_ticks = 0
-        self._shadow_levels: "np.ndarray | None" = None
-        self._shadow_values: "np.ndarray | None" = None
-        self._shadow_position = 0
-        self._candidate_mode: "str | None" = None
-        self._incumbent_window_mark = 0
-        self._promote_tick: "int | None" = None
-        self._guard_window_mark = 0
-        self._alert_mark = 0
-        self._seen_alerts = self._alert_count()
-        self._cooldown_until = runtime.tick  # no cooldown at start
-        self._last_decision: "str | None" = None
+        #: Every mutable field; the phases below mutate it in place.
+        self.machine = AdaptationState(
+            tick=runtime.tick - 1,
+            history=deque(maxlen=history_size),
+            seen_alerts=self._alert_count(),
+            cooldown_until=runtime.tick,  # no cooldown at start
+        )
 
     # -- small accessors -------------------------------------------------
     @property
     def state(self) -> str:
         """Current state machine position: idle/shadowing/guarding."""
-        return self._state
+        return self.machine.phase
+
+    def __getattr__(self, name: str) -> Any:
+        """Read a field of :attr:`machine` under its own name
+        (``manager.candidate``, ``.history``, ``.events``, ``.refits`` ...)."""
+        if name in AdaptationState.__slots__:
+            return getattr(self.machine, name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     def _forecaster_owner(self) -> Any:
         """The object whose ``.forecaster`` attribute is the live model."""
@@ -228,7 +246,7 @@ class AdaptationManager:
 
     def _event(self, tick: int, action: str, **detail) -> dict:
         entry = {"tick": int(tick), "action": action, **detail}
-        self.events.append(entry)
+        self.machine.events.append(entry)
         get_registry().emit_event("adaptation", f"adaptation.{action}", **entry)
         return entry
 
@@ -252,77 +270,81 @@ class AdaptationManager:
         replans on the same cadence so both models always forecast from
         the same context.
         """
+        s = self.machine
         tick = int(tick)
         if value is not None:
             # Shadow BEFORE appending: the candidate must forecast from
             # the same trailing context the incumbent planned from
             # (observations strictly before this tick).
-            if self._state == SHADOWING and self.candidate is not None:
+            if s.phase == SHADOWING and s.candidate is not None:
                 self._shadow_step(tick, float(value), planned)
-            self.history.append(float(value))
-        self._tick = tick
-        if self._state == SHADOWING:
+            s.history.append(float(value))
+        s.tick = tick
+        if s.phase == SHADOWING:
             self._maybe_promote(tick)
-        elif self._state == GUARDING:
+        elif s.phase == GUARDING:
             self._guard(tick)
         self._watch_alerts(tick)
 
     def _shadow_step(self, tick: int, value: float, planned: bool) -> None:
+        s = self.machine
         context_length = self.runtime.context_length
-        if len(self.history) < context_length:
+        if len(s.history) < context_length:
             return
         if (
             planned
-            or self._shadow_values is None
-            or self._shadow_position >= self._shadow_values.shape[1]
+            or s.shadow_values is None
+            or s.shadow_position >= s.shadow_values.shape[1]
         ):
-            context = np.asarray(self.history, dtype=np.float64)[
+            context = np.asarray(s.history, dtype=np.float64)[
                 -context_length:
             ]
             levels = getattr(self.runtime.planner, "quantile_levels", None)
-            forecast = self.candidate.predict(
+            forecast = s.candidate.predict(
                 context, levels=levels, start_index=tick - context_length
             )
-            self._shadow_levels = np.asarray(forecast.levels, dtype=np.float64)
-            self._shadow_values = np.asarray(forecast.values, dtype=np.float64)
-            self._shadow_position = 0
+            s.shadow_levels = np.asarray(forecast.levels, dtype=np.float64)
+            s.shadow_values = np.asarray(forecast.values, dtype=np.float64)
+            s.shadow_position = 0
         position = min(
-            self._shadow_position, self._shadow_values.shape[1] - 1
+            s.shadow_position, s.shadow_values.shape[1] - 1
         )
-        self.shadow_monitor.observe(
-            self._shadow_levels,
-            self._shadow_values[:, position],
+        s.shadow_monitor.observe(
+            s.shadow_levels,
+            s.shadow_values[:, position],
             value,
             time_index=tick,
         )
-        self._shadow_position += 1
-        self._shadow_ticks += 1
+        s.shadow_position += 1
+        s.shadow_ticks += 1
 
     def _maybe_promote(self, tick: int) -> None:
+        s = self.machine
         incumbent_windows = self.runtime.monitor.windows[
-            self._incumbent_window_mark :
+            s.incumbent_window_mark :
         ]
         promote, reason = self.policy.decide(
-            self.shadow_monitor.windows, incumbent_windows
+            s.shadow_monitor.windows, incumbent_windows
         )
-        self._last_decision = reason
+        s.last_decision = reason
         if promote:
             self.promote(reason=reason)
-        elif self._shadow_ticks >= self.shadow_window:
+        elif s.shadow_ticks >= self.shadow_window:
             self.reject(reason=f"shadow budget exhausted: {reason}")
 
     def _guard(self, tick: int) -> None:
+        s = self.machine
         engine = self._alert_engine()
         if engine is not None:
-            for alert in engine.alerts[self._alert_mark :]:
+            for alert in engine.alerts[s.alert_mark :]:
                 if self._alert_is_post_promotion(alert):
                     self.rollback(reason=f"alert: {alert.rule.name}")
                     return
-            self._alert_mark = len(engine.alerts)
+            s.alert_mark = len(engine.alerts)
         survived = [
             w
-            for w in self.runtime.monitor.windows[self._guard_window_mark :]
-            if w.start_index >= self._promote_tick
+            for w in self.runtime.monitor.windows[s.guard_window_mark :]
+            if w.start_index >= s.promote_tick
         ]
         if len(survived) >= self.policy.guard_windows:
             self._commit(tick)
@@ -335,18 +357,20 @@ class AdaptationManager:
         for the incumbent's sins.  Only windows that started at or
         after the promotion tick count.
         """
+        s = self.machine
         windows = self.runtime.monitor.windows
         if 0 <= alert.window < len(windows):
-            return windows[alert.window].start_index >= self._promote_tick
-        return alert.end_index >= self._promote_tick
+            return windows[alert.window].start_index >= s.promote_tick
+        return alert.end_index >= s.promote_tick
 
     def _watch_alerts(self, tick: int) -> None:
+        s = self.machine
         count = self._alert_count()
         if (
-            count > self._seen_alerts
-            and self._state == IDLE
+            count > s.seen_alerts
+            and s.phase == IDLE
             and self.auto_refit
-            and tick >= self._cooldown_until
+            and tick >= s.cooldown_until
         ):
             engine = self._alert_engine()
             trigger = engine.alerts[-1]
@@ -354,7 +378,7 @@ class AdaptationManager:
                 self.refit(reason=f"alert: {trigger.rule.name}")
             except (AdaptationError, ValueError) as error:
                 self._event(tick, "refit_failed", reason=str(error))
-        self._seen_alerts = count
+        s.seen_alerts = count
 
     # -- transitions -------------------------------------------------------
     def refit(
@@ -373,13 +397,14 @@ class AdaptationManager:
         :class:`AdaptationError` while guarding, or while shadowing
         unless ``force`` (which rejects the current candidate first).
         """
-        tick = self._tick
-        if self._state == GUARDING:
+        s = self.machine
+        tick = s.tick
+        if s.phase == GUARDING:
             raise AdaptationError(
                 "cannot refit while guarding a promotion — rollback or "
                 "wait for the guard to commit"
             )
-        if self._state == SHADOWING:
+        if s.phase == SHADOWING:
             if not force:
                 raise AdaptationError(
                     "already shadowing a candidate — pass force to replace it"
@@ -392,7 +417,7 @@ class AdaptationManager:
         if strategy == "pool" and self.pool is None:
             raise AdaptationError("no model pool registered")
 
-        series = np.asarray(self.history, dtype=np.float64)
+        series = np.asarray(s.history, dtype=np.float64)
         context_length = self.runtime.context_length
         horizon = self.runtime.horizon
         if len(series) < context_length + horizon + 1:
@@ -400,7 +425,7 @@ class AdaptationManager:
                 f"not enough history to refit: have {len(series)} "
                 f"observations, need {context_length + horizon + 1}"
             )
-        # self.history holds the observations for ticks
+        # the history holds the observations for ticks
         # (tick - len + 1) .. tick — phase-aligns calendar features.
         start_index = tick + 1 - len(series)
         owner = self._forecaster_owner()
@@ -439,18 +464,19 @@ class AdaptationManager:
             mode = "warm" if warm else "cold"
             detail = {}
 
-        self.candidate = candidate
-        self._candidate_mode = mode
-        self.shadow_monitor = ModelHealthMonitor(
+        s.candidate = candidate
+        s.candidate_origin = mode if strategy == "pool" else s.live_origin
+        s.candidate_mode = mode
+        s.shadow_monitor = ModelHealthMonitor(
             window=self.runtime.monitor.window
         )
-        self._state = SHADOWING
-        self._shadow_ticks = 0
-        self._shadow_levels = None
-        self._shadow_values = None
-        self._shadow_position = 0
-        self._incumbent_window_mark = len(self.runtime.monitor.windows)
-        self.refits += 1
+        s.phase = SHADOWING
+        s.shadow_ticks = 0
+        s.shadow_levels = None
+        s.shadow_values = None
+        s.shadow_position = 0
+        s.incumbent_window_mark = len(self.runtime.monitor.windows)
+        s.refits += 1
         registry.counter("adaptation.refits", strategy=strategy).inc()
         return self._event(
             tick,
@@ -469,30 +495,31 @@ class AdaptationManager:
         Keeps the displaced incumbent for rollback and enters the guard
         state (unless ``guard_windows == 0``, which commits at once).
         """
-        if self._state != SHADOWING or self.candidate is None:
+        s = self.machine
+        if s.phase != SHADOWING or s.candidate is None:
             raise AdaptationError("no shadow candidate to promote")
-        tick = self._tick
+        tick = s.tick
         owner = self._forecaster_owner()
-        self.previous = owner.forecaster
-        owner.forecaster = self.candidate
-        model = type(self.candidate).__name__
-        self.candidate = None
-        self.shadow_monitor = None
-        self._shadow_levels = None
-        self._shadow_values = None
-        self._shadow_position = 0
+        s.previous, s.previous_origin = owner.forecaster, s.live_origin
+        owner.forecaster, s.live_origin = s.candidate, s.candidate_origin
+        model = type(s.candidate).__name__
+        s.candidate = None
+        s.shadow_monitor = None
+        s.shadow_levels = None
+        s.shadow_values = None
+        s.shadow_position = 0
         self.runtime.request_replan()
-        self._promote_tick = tick
-        self._guard_window_mark = len(self.runtime.monitor.windows)
-        self._alert_mark = self._alert_count()
-        self._state = GUARDING
-        self.promotions += 1
+        s.promote_tick = tick
+        s.guard_window_mark = len(self.runtime.monitor.windows)
+        s.alert_mark = self._alert_count()
+        s.phase = GUARDING
+        s.promotions += 1
         get_registry().counter("adaptation.promotions").inc()
         self._provenance(
             tick,
             "promoted",
             strategy=model,
-            mode=self._candidate_mode,
+            mode=s.candidate_mode,
             reason=reason,
         )
         entry = self._event(
@@ -500,8 +527,8 @@ class AdaptationManager:
             "promote",
             reason=reason,
             model=model,
-            mode=self._candidate_mode,
-            shadow_ticks=self._shadow_ticks,
+            mode=s.candidate_mode,
+            shadow_ticks=s.shadow_ticks,
         )
         if self.policy.guard_windows == 0:
             self._commit(tick)
@@ -509,138 +536,113 @@ class AdaptationManager:
 
     def rollback(self, *, reason: str = "manual") -> dict:
         """Reinstate the pre-promotion model (guard state only)."""
-        if self._state != GUARDING or self.previous is None:
+        s = self.machine
+        if s.phase != GUARDING or s.previous is None:
             raise AdaptationError("no guarded promotion to roll back")
-        tick = self._tick
+        tick = s.tick
         owner = self._forecaster_owner()
         demoted = type(owner.forecaster).__name__
-        owner.forecaster = self.previous
-        self.previous = None
+        owner.forecaster, s.live_origin = s.previous, s.previous_origin
+        s.previous = None
         self.runtime.request_replan()
-        self._state = IDLE
-        self._promote_tick = None
-        self._cooldown_until = tick + self.cooldown
-        self.rollbacks += 1
+        s.phase = IDLE
+        s.promote_tick = None
+        s.cooldown_until = tick + self.cooldown
+        s.rollbacks += 1
         get_registry().counter("adaptation.rollbacks").inc()
         self._provenance(tick, "rolled_back", strategy=demoted, reason=reason)
         return self._event(tick, "rollback", reason=reason, model=demoted)
 
     def reject(self, *, reason: str = "manual") -> dict:
         """Discard the shadow candidate without promoting it."""
-        if self._state != SHADOWING or self.candidate is None:
+        s = self.machine
+        if s.phase != SHADOWING or s.candidate is None:
             raise AdaptationError("no shadow candidate to reject")
-        tick = self._tick
-        model = type(self.candidate).__name__
-        self.candidate = None
-        self.shadow_monitor = None
-        self._shadow_levels = None
-        self._shadow_values = None
-        self._shadow_position = 0
-        self._state = IDLE
-        self._cooldown_until = tick + self.cooldown
-        self.rejections += 1
+        tick = s.tick
+        model = type(s.candidate).__name__
+        s.candidate = None
+        s.shadow_monitor = None
+        s.shadow_levels = None
+        s.shadow_values = None
+        s.shadow_position = 0
+        s.phase = IDLE
+        s.cooldown_until = tick + self.cooldown
+        s.rejections += 1
         get_registry().counter("adaptation.rejections").inc()
         return self._event(tick, "reject", reason=reason, model=model)
 
     def _commit(self, tick: int) -> None:
         """Guard survived: the promotion becomes permanent."""
-        self.previous = None
-        self._state = IDLE
-        self._promote_tick = None
-        self._cooldown_until = tick + self.cooldown
+        s = self.machine
+        s.previous = None
+        s.phase = IDLE
+        s.promote_tick = None
+        s.cooldown_until = tick + self.cooldown
         get_registry().counter("adaptation.commits").inc()
         self._event(tick, "commit", reason="guard windows passed")
 
     # -- inspection --------------------------------------------------------
     def status(self) -> dict:
         """JSON-safe snapshot for ``GET /adaptation`` and ``/health``."""
-        owner = None
-        try:
-            owner = self._forecaster_owner()
-        except AdaptationError:
-            pass
+        s = self.machine
         return {
-            "state": self._state,
+            "state": s.phase,
             "policy": self.policy.spec,
-            "live_model": (
-                type(owner.forecaster).__name__ if owner is not None else None
-            ),
+            "live_model": type(self._forecaster_owner().forecaster).__name__,
             "candidate": (
-                type(self.candidate).__name__
-                if self.candidate is not None
+                type(s.candidate).__name__
+                if s.candidate is not None
                 else None
             ),
-            "candidate_mode": self._candidate_mode,
-            "shadow_ticks": self._shadow_ticks,
+            "candidate_mode": s.candidate_mode,
+            "shadow_ticks": s.shadow_ticks,
             "shadow_window": self.shadow_window,
             "auto_refit": self.auto_refit,
-            "cooldown_until": self._cooldown_until,
-            "refits": self.refits,
-            "promotions": self.promotions,
-            "rollbacks": self.rollbacks,
-            "rejections": self.rejections,
-            "last_decision": self._last_decision,
-            "events": self.events[-20:],
+            "cooldown_until": s.cooldown_until,
+            "refits": s.refits,
+            "promotions": s.promotions,
+            "rollbacks": s.rollbacks,
+            "rejections": s.rejections,
+            "last_decision": s.last_decision,
+            "events": s.events[-20:],
         }
 
     # -- checkpoint/restore ------------------------------------------------
     def state_dict(self) -> dict:
-        """The complete adaptation state as a JSON-safe dict.
+        """:attr:`machine`, field by field, as a JSON-safe dict.
 
-        Includes the live forecaster (not just the candidate): after a
-        promotion the planner may hold a model that the config-driven
-        rebuild path cannot reproduce, so the checkpoint must carry the
-        object itself for the restore to be bit-identical.
+        The live forecaster is not in it: the checkpoint writes that
+        once, as its ``"model"`` (:mod:`repro.service.checkpoint`), and
+        hands it back to :meth:`load_state_dict`.
         """
-        owner = None
-        try:
-            owner = self._forecaster_owner()
-        except AdaptationError:
-            pass
-        return {
-            "version": _STATE_VERSION,
-            "state": self._state,
-            "tick": int(self._tick),
-            "history": [float(v) for v in self.history],
-            "live_model": _dump_model(
-                owner.forecaster if owner is not None else None
-            ),
-            "candidate": _dump_model(self.candidate),
-            "previous": _dump_model(self.previous),
-            "candidate_mode": self._candidate_mode,
-            "shadow_monitor": (
-                self.shadow_monitor.state_dict()
-                if self.shadow_monitor is not None
-                else None
-            ),
-            "shadow_ticks": int(self._shadow_ticks),
-            "shadow_levels": _encode_value(self._shadow_levels),
-            "shadow_values": _encode_value(self._shadow_values),
-            "shadow_position": int(self._shadow_position),
-            "incumbent_window_mark": int(self._incumbent_window_mark),
-            "promote_tick": (
-                int(self._promote_tick)
-                if self._promote_tick is not None
-                else None
-            ),
-            "guard_window_mark": int(self._guard_window_mark),
-            "alert_mark": int(self._alert_mark),
-            "seen_alerts": int(self._seen_alerts),
-            "cooldown_until": int(self._cooldown_until),
-            "last_decision": self._last_decision,
-            "events": [dict(e) for e in self.events],
-            "refits": int(self.refits),
-            "promotions": int(self.promotions),
-            "rollbacks": int(self.rollbacks),
-            "rejections": int(self.rejections),
-        }
+        state = {"version": _STATE_VERSION}
+        for f in fields(AdaptationState):
+            state[f.name] = _encode_value(getattr(self.machine, f.name))
+        return state
 
-    def load_state_dict(self, state: dict) -> "AdaptationManager":
-        """Restore state captured by :meth:`state_dict` in place.
+    def _skeleton(self, origin: "str | None", field_name: str) -> Any:
+        """An unloaded forecaster of the family and hyperparameters ``origin`` names."""
+        if origin is None:
+            return copy.deepcopy(self._forecaster_owner().forecaster)
+        name = origin.removeprefix("pool:")
+        if self.pool is None or name == origin or name not in self.pool.names():
+            raise ValueError(
+                f"adaptation.{field_name}: {origin!r} names no candidate of this "
+                "manager's model pool"
+            )
+        return self.pool.create(name)
 
-        Replaces the planner's live forecaster with the checkpointed
-        object — call *after* the generic checkpoint restore so the
-        promoted/rolled-back model wins over the config-rebuilt one.
+    def load_state_dict(self, state: dict, model: "dict | None" = None) -> "AdaptationManager":
+        """Replace :attr:`machine` with one captured by :meth:`state_dict`.
+
+        ``model`` is the live forecaster's ``state_dict()`` as the
+        checkpoint carries it.  Call on a freshly built loop: a model of
+        origin None loads into (live) or a clone of (candidate, previous)
+        the forecaster the planner holds now, the configured one.  Every
+        model is built and loaded before anything is assigned, the live
+        one - the only load in place - last: a state that does not fit
+        its skeleton is a ValueError naming the field, with manager,
+        planner and forecaster as they were.
         """
         version = state.get("version")
         if version != _STATE_VERSION:
@@ -648,41 +650,25 @@ class AdaptationManager:
                 f"unsupported adaptation state version {version!r} "
                 f"(this build reads version {_STATE_VERSION})"
             )
-        self._state = state["state"]
-        self._tick = int(state["tick"])
-        self.history = deque(
-            (float(v) for v in state["history"]), maxlen=self.history.maxlen
+        loaded = AdaptationState(
+            **{f.name: _decode_value(state[f.name]) for f in fields(AdaptationState)}
         )
-        live = _load_model(state.get("live_model"))
-        if live is not None:
-            self._forecaster_owner().forecaster = live
-        self.candidate = _load_model(state.get("candidate"))
-        self.previous = _load_model(state.get("previous"))
-        self._candidate_mode = state.get("candidate_mode")
-        if state["shadow_monitor"] is not None:
-            self.shadow_monitor = ModelHealthMonitor(
+        loaded.history = deque(loaded.history, maxlen=self.machine.history.maxlen)
+        if loaded.shadow_monitor is not None:
+            loaded.shadow_monitor = ModelHealthMonitor(
                 window=self.runtime.monitor.window
-            )
-            self.shadow_monitor.load_state_dict(state["shadow_monitor"])
-        else:
-            self.shadow_monitor = None
-        self._shadow_ticks = int(state["shadow_ticks"])
-        self._shadow_levels = _decode_value(state["shadow_levels"])
-        self._shadow_values = _decode_value(state["shadow_values"])
-        self._shadow_position = int(state["shadow_position"])
-        self._incumbent_window_mark = int(state["incumbent_window_mark"])
-        promote_tick = state["promote_tick"]
-        self._promote_tick = (
-            int(promote_tick) if promote_tick is not None else None
-        )
-        self._guard_window_mark = int(state["guard_window_mark"])
-        self._alert_mark = int(state["alert_mark"])
-        self._seen_alerts = int(state["seen_alerts"])
-        self._cooldown_until = int(state["cooldown_until"])
-        self._last_decision = state["last_decision"]
-        self.events = [dict(e) for e in state["events"]]
-        self.refits = int(state["refits"])
-        self.promotions = int(state["promotions"])
-        self.rollbacks = int(state["rollbacks"])
-        self.rejections = int(state["rejections"])
+            ).load_state_dict(loaded.shadow_monitor)
+        owner = self._forecaster_owner()
+        live = owner.forecaster
+        if loaded.live_origin is not None:
+            live = self._skeleton(loaded.live_origin, "live_origin")
+        for role in ("candidate", "previous"):
+            record, origin = getattr(loaded, role), f"{role}_origin"
+            if record is not None:
+                skeleton = self._skeleton(getattr(loaded, origin), origin)
+                setattr(loaded, role, _load_state(skeleton, record, f"adaptation.{role}"))
+        if model is not None:
+            _load_state(live, model, "model")
+        owner.forecaster = live
+        self.machine = loaded
         return self

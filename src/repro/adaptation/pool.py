@@ -47,6 +47,10 @@ class ModelPool:
     def names(self) -> list[str]:
         return list(self._factories)
 
+    def create(self, name: str) -> Any:
+        """A new unfitted forecaster from the factory registered as ``name``."""
+        return self._factories[name]()
+
     def __len__(self) -> int:
         return len(self._factories)
 
@@ -122,6 +126,6 @@ class ModelPool:
             raise ValueError(
                 f"every pool candidate failed to fit/score: {scores}"
             )
-        winner = self._factories[best_name]()
+        winner = self.create(best_name)
         winner.fit(series)
         return best_name, winner, scores

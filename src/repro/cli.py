@@ -595,8 +595,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # The checkpoint's config is authoritative for everything that
         # shapes the planner/monitor/source — mixing a restored loop
         # with different flags would silently break bit-identity.  A key
-        # this build no longer reads (``dtype``, in checkpoints written
-        # before float32 became the serving precision) is inert.
+        # this build does not read (``dtype``, once the serving precision)
+        # is inert.
         for key, value in state.get("config", {}).items():
             setattr(args, key, value)
 
@@ -604,14 +604,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     train, test = _load_trace(args)
     forecaster = _build_forecaster(args.model, args.context, args.horizon, args.epochs, args.seed)
-    # With checkpointed weights the (expensive) fit is skipped; models
-    # without weight persistence refit deterministically from the seed.
-    has_weights = (
-        state is not None
-        and state.get("model_file")
-        and hasattr(forecaster, "load")
-    )
-    if not has_weights:
+    if state is None:  # a restore loads the fitted state instead
         forecaster.fit(train.values)
     scaler = RobustPredictiveAutoscaler(
         forecaster, args.threshold, FixedQuantilePolicy(args.quantile)
@@ -666,7 +659,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if state is not None:
         try:
             position = restore_from_checkpoint(
-                args.restore,
+                state,
                 runtime=runtime,
                 planner=planner,
                 adaptation=adaptation,

@@ -14,12 +14,13 @@ metrics (Section IV-C):
 
 from __future__ import annotations
 
-import base64
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 import numpy as np
+
+from ..nn.serialization import _decode_value, _encode_value
 
 __all__ = [
     "Planner",
@@ -91,7 +92,8 @@ class ScalingPlan:
 
         Numpy arrays (including arrays inside :attr:`metadata`, such as
         the ``forecast_values`` grid the health monitor feeds from) are
-        written as raw-byte records (see :func:`_encode_value`), so
+        written as raw-byte records (see
+        :func:`~repro.nn.serialization._encode_value`), so
         :meth:`from_state` restores them bit for bit with their dtype
         and shape — the checkpoint/restore path depends on the round
         trip being exact.
@@ -120,49 +122,6 @@ class ScalingPlan:
                 k: _decode_value(v) for k, v in state["metadata"].items()
             },
         )
-
-
-def _encode_value(value):
-    """JSON-safe encoding of checkpointed values: the one codec.
-
-    An ndarray becomes ``{"__ndarray__": base64 of its C-order bytes,
-    "dtype": arr.dtype.str, "shape": [...]}`` — exact for every bit
-    pattern (NaN, infinities, ``-0.0``) and far cheaper to write than a
-    ``repr`` per number.  Numpy scalars unwrap, a :class:`ScalingPlan`
-    becomes its :meth:`~ScalingPlan.to_state`, a deque a list; the rest
-    passes through.
-    """
-    if isinstance(value, np.ndarray):
-        return {
-            "__ndarray__": base64.b64encode(value.tobytes()).decode("ascii"),
-            "dtype": value.dtype.str,
-            "shape": list(value.shape),
-        }
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, ScalingPlan):
-        return value.to_state()
-    if isinstance(value, deque):
-        return list(value)
-    return value
-
-
-def _decode_value(value):
-    """Inverse of :func:`_encode_value` for arrays, which come back writable.
-
-    A record whose bytes do not fill ``shape`` x ``dtype`` is a ValueError.
-    JSON carries no type tag for the containers: a plan comes back as its
-    ``to_state`` dict and a deque as a list, for the reader that knows the
-    field (:meth:`ScalingPlan.from_state`, ``deque(..., maxlen=)``).
-    """
-    if not (isinstance(value, dict) and "__ndarray__" in value):
-        return value
-    try:
-        raw = base64.b64decode(value["__ndarray__"], validate=True)
-        array = np.frombuffer(raw, dtype=np.dtype(value["dtype"]))
-        return array.reshape(value["shape"]).copy()
-    except (KeyError, TypeError, ValueError) as error:
-        raise ValueError(f"malformed __ndarray__ record: {error!r}") from error
 
 
 @runtime_checkable

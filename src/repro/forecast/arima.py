@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-from .base import Forecaster, QuantileForecast
+from ..nn.serialization import _encode_value
+from .base import Forecaster, QuantileForecast, _read_state
 
 __all__ = ["ARIMAForecaster"]
 
@@ -63,6 +64,19 @@ class ARIMAForecaster(Forecaster):
         innovations = self._stage1_innovations(worked)
         self._stage2_regression(worked, innovations)
         self._estimate_sigma(worked)
+        self._fitted = True
+        return self
+
+    def state_dict(self) -> dict:
+        """The fitted coefficients (see :class:`Forecaster`, persistence)."""
+        self._require_fitted()
+        names = ("ar_coef", "ma_coef", "intercept", "sigma")
+        return {name: _encode_value(getattr(self, name)) for name in names}
+
+    def load_state_dict(self, state: dict) -> "ARIMAForecaster":
+        spec = {"ar_coef": [self.p], "ma_coef": [self.q], "intercept": float, "sigma": float}
+        for name, value in _read_state(state, spec).items():
+            setattr(self, name, value)
         self._fitted = True
         return self
 

@@ -9,11 +9,15 @@ Probabilistic Workload Forecaster and the Robust Auto-Scaling Manager.
 
 from __future__ import annotations
 
+import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+
+from ..nn.serialization import _decode_value, load_state, save_state
 
 __all__ = ["QuantileForecast", "Forecaster", "PointForecaster", "DEFAULT_QUANTILE_LEVELS"]
 
@@ -176,6 +180,76 @@ class Forecaster(ABC):
     def _require_fitted(self) -> None:
         if not self._fitted:
             raise RuntimeError(f"{type(self).__name__} used before fit()")
+
+    # -- persistence -----------------------------------------------------
+    # A family crosses a restart through the state protocol:
+    # ``state_dict()``, everything ``fit`` produced as one JSON-safe dict
+    # (arrays as ``_encode_value`` records), and ``load_state_dict(state)``,
+    # which puts it into a forecaster built with the same arguments -
+    # whole, or not at all with a ValueError that starts with the entry's
+    # name.  A family without the pair is rebuilt as constructed.
+    def save(self, path: "str | Path") -> None:
+        """Write :meth:`state_dict` to ``path`` (.npz): arrays under their
+        names, everything else as one JSON text entry, ``"json"``.
+
+        Hyperparameters are not stored; reconstruct the forecaster with
+        the same constructor arguments, then :meth:`load`.
+        """
+        state = {key: _decode_value(value) for key, value in self.state_dict().items()}
+        arrays = {key: value for key, value in state.items() if isinstance(value, np.ndarray)}
+        rest = {key: value for key, value in state.items() if key not in arrays}
+        save_state({**arrays, "json": np.array(json.dumps(rest))}, path)
+
+    def load(self, path: "str | Path") -> "Forecaster":
+        """Restore a file written by :meth:`save` into this (same-config)
+        forecaster; returns self, ready to predict without retraining."""
+        state = load_state(path)
+        if "json" not in state:
+            raise ValueError(f"{path}: not a forecaster state file (no 'json' entry)")
+        state.update(json.loads(state.pop("json").item()))
+        return self.load_state_dict(state)
+
+
+def _read_state(state: dict, spec: dict) -> dict:
+    """``state`` checked against ``spec`` before a forecaster assigns any of it.
+
+    ``spec`` names exactly the entries a family writes: a list is the
+    shape of a float array (``-1`` for any length; a record or an
+    ndarray, returned as float64), a type that of a JSON value.
+    """
+    if not isinstance(state, dict):
+        raise ValueError(f"state: expected a dict, got {type(state).__name__}")
+    odd = min(state.keys() ^ spec.keys(), default=None)
+    if odd is not None:
+        problem = "missing from" if odd in spec else "not an entry of"
+        raise ValueError(f"{odd}: {problem} this family's state")
+    values = {}
+    for key, want in spec.items():
+        try:
+            value = _decode_value(state[key])
+        except ValueError as error:
+            raise ValueError(f"{key}: {error}") from error
+        if isinstance(want, type):
+            if not isinstance(value, want):
+                raise ValueError(f"{key}: expected {want.__name__}, got {type(value).__name__}")
+        else:
+            if not isinstance(value, np.ndarray) or value.dtype.kind != "f":
+                raise ValueError(f"{key}: expected a float array")
+            if len(want) != value.ndim or any(w not in (-1, n) for w, n in zip(want, value.shape)):
+                raise ValueError(f"{key}: expected shape {want}, got {list(value.shape)}")
+            value = np.asarray(value, dtype=np.float64)
+        values[key] = value
+    return values
+
+
+def _load_state(forecaster, state: dict, field_name: str):
+    """``forecaster.load_state_dict(state)``, a refusal prefixed with ``field_name``."""
+    if not hasattr(forecaster, "load_state_dict"):
+        raise ValueError(f"{field_name}: {type(forecaster).__name__} cannot load a state")
+    try:
+        return forecaster.load_state_dict(state)
+    except ValueError as error:
+        raise ValueError(f"{field_name}.{error}") from error
 
 
 class PointForecaster(ABC):

@@ -10,8 +10,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
+from ..nn.serialization import _encode_value
 from ..traces.synthetic import STEPS_PER_DAY
-from .base import Forecaster, QuantileForecast
+from .base import Forecaster, QuantileForecast, _read_state
 
 __all__ = ["SeasonalNaiveForecaster", "PersistenceForecaster"]
 
@@ -40,6 +41,16 @@ class SeasonalNaiveForecaster(Forecaster):
                 f"series of length {len(series)} shorter than season {self.season}"
             )
         self._residuals = series[self.season :] - series[: -self.season]
+        self._fitted = True
+        return self
+
+    def state_dict(self) -> dict:
+        """The fitted seasonal residuals (see :class:`Forecaster`, persistence)."""
+        self._require_fitted()
+        return {"residuals": _encode_value(self._residuals)}
+
+    def load_state_dict(self, state: dict) -> "SeasonalNaiveForecaster":
+        self._residuals = _read_state(state, {"residuals": [-1]})["residuals"]
         self._fitted = True
         return self
 

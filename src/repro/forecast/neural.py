@@ -12,15 +12,14 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ..nn import Adam, DataLoader, Module, WindowDataset, clip_grad_norm
-from ..nn.serialization import load_state, save_state
+from ..nn.serialization import _encode_value
 from ..obs import get_registry
 from ..traces.dataset import StandardScaler
-from .base import Forecaster
+from .base import Forecaster, _read_state
 
 __all__ = ["TrainingConfig", "NeuralForecaster"]
 
@@ -84,9 +83,8 @@ class NeuralForecaster(Forecaster):
 
     #: float32 twin of :attr:`network` that LSTM-scanning forecasters predict
     #: from (docs/nn.md, Serving precision): built on the first predict after
-    #: the weights changed, dropped by :meth:`fit` and :meth:`load`, never
-    #: pickled.  A class-level default, so forecasters pickled before the
-    #: slot existed restore without it.
+    #: the weights changed, dropped by :meth:`fit` and
+    #: :meth:`load_state_dict`, never pickled or persisted.
     _serving: Module | None = None
 
     def __init__(self, context_length: int, horizon: int, config: TrainingConfig | None = None):
@@ -293,37 +291,56 @@ class NeuralForecaster(Forecaster):
         return self
 
     # -- persistence -----------------------------------------------------
-    def save(self, path: "str | Path") -> None:
-        """Persist trained weights and normalization state to ``path`` (.npz).
+    def state_dict(self) -> dict:
+        """Everything :meth:`fit` produced (see :class:`Forecaster`, persistence).
 
-        Hyperparameters are not stored; reconstruct the forecaster with
-        the same constructor arguments, then :meth:`load`.
+        Weights, scaler, ``fits_completed`` and the loss ``history`` -
+        the next warm refit derives its shuffle seed and its epoch
+        numbers from the last two - and, where the forecaster samples,
+        the sampler's bit-generator state.  Never the serving copy.
         """
         self._require_fitted()
-        assert self.network is not None
-        state = {f"network.{k}": v for k, v in self.network.state_dict().items()}
-        state["scaler.mean"] = np.array([self.scaler.mean_])
-        state["scaler.std"] = np.array([self.scaler.std_])
-        save_state(state, path)
+        state = {
+            f"network.{name}": _encode_value(param.data)
+            for name, param in self.network.named_parameters()
+        }
+        state["scaler.mean"] = self.scaler.mean_
+        state["scaler.std"] = self.scaler.std_
+        state["fits_completed"] = self.fits_completed
+        state["history"] = [dict(record) for record in self.history]
+        if hasattr(self, "_sample_rng"):
+            state["sampler"] = self._sample_rng.bit_generator.state
+        return state
 
-    def load(self, path: "str | Path") -> "NeuralForecaster":
-        """Restore weights saved by :meth:`save` into this (same-config)
-        forecaster; returns self, ready to predict without retraining."""
-        state = load_state(path)
-        self._serving = None
-        if self.network is None:
-            self.network = self._build(np.random.default_rng(self.config.seed))
-        self.network.load_state_dict(
-            {
-                k[len("network.") :]: v
-                for k, v in state.items()
-                if k.startswith("network.")
-            }
+    def load_state_dict(self, state: dict) -> "NeuralForecaster":
+        network = self.network
+        if network is None:
+            network = self._build(np.random.default_rng(self.config.seed))
+        spec = {
+            f"network.{name}": list(param.data.shape)
+            for name, param in network.named_parameters()
+        }
+        spec.update(
+            {"scaler.mean": float, "scaler.std": float, "fits_completed": int, "history": list}
         )
-        self.network.eval()
-        self.scaler.mean_ = float(state["scaler.mean"][0])
-        self.scaler.std_ = float(state["scaler.std"][0])
+        if hasattr(self, "_sample_rng"):
+            spec["sampler"] = dict
+        fitted = _read_state(state, spec)
+        if "sampler" in fitted:
+            try:  # first: the one assignment that can still refuse
+                self._sample_rng.bit_generator.state = fitted["sampler"]
+            except (KeyError, TypeError, ValueError) as error:
+                raise ValueError(f"sampler: {error!r}") from error
+        self._serving = None
+        for name, param in network.named_parameters():
+            param.data[...] = fitted[f"network.{name}"]
+        network.eval()
+        self.network = network
+        self.scaler.mean_ = fitted["scaler.mean"]
+        self.scaler.std_ = fitted["scaler.std"]
         self.scaler.fitted = True
+        self.fits_completed = fitted["fits_completed"]
+        self.history = fitted["history"]
         self._fitted = True
         return self
 

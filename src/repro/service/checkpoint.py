@@ -1,27 +1,25 @@
 """Lossless checkpoint/restore for the service runtime.
 
-A checkpoint is a directory:
+A checkpoint is a directory holding one file, ``state.json``: ``runtime``
+is the fields of :class:`~repro.core.runtime.RuntimeState` (what the
+loop reads back on its next tick — clock, context window, plan in force,
+counters — and no decision history, so its size does not grow with
+uptime), ``monitor`` the health monitor + drift detectors + alert engine
+(:meth:`~repro.obs.monitor.ModelHealthMonitor.state_dict`), ``model``
+the live forecaster's ``state_dict()`` (weights, scaler, fit counters
+and — for a sampling forecaster — the sampler's bit-generator state; None
+for a family without the state protocol, which is rebuilt as
+constructed), ``adaptation`` the adaptation state machine with its
+candidate / rollback models in the same form, plus the source position
+and the config the daemon was launched with (so ``repro-autoscale serve
+--restore`` can rebuild the planner identically).  Every ndarray in it
+is a raw-byte record (``{"__ndarray__": base64, "dtype", "shape"}``, see
+:mod:`repro.core.plan`), never a list of numbers, and nothing in it is
+executed on load.
 
-* ``state.json`` — the loop state: ``runtime`` is the fields of
-  :class:`~repro.core.runtime.RuntimeState` (what the loop reads back
-  on its next tick — clock, context window, plan in force, counters —
-  and no decision history, so its size does not grow with uptime),
-  health monitor + drift detectors + alert engine
-  (:meth:`~repro.obs.monitor.ModelHealthMonitor.state_dict`), the
-  source position, the forecaster's sampler rng state, and the config
-  the daemon was launched with (so ``repro-autoscale serve --restore``
-  can rebuild the planner identically).  Every ndarray in it is a
-  raw-byte record (``{"__ndarray__": base64, "dtype", "shape"}``, see
-  :mod:`repro.core.plan`), never a list of numbers;
-* ``model.npz`` — the forecaster's weights, written through the
-  forecaster's own ``save()`` (which persists via
-  :mod:`repro.nn.serialization`), when the model supports it.
-  Deterministically-fitted models without a ``save()`` (seasonal
-  naive, ARIMA) are rebuilt from config by refitting instead.
-
-Each file is published atomically (temp file in the same directory +
-``os.replace``), weights first, so a crash mid-checkpoint leaves every
-file either old or new, never truncated.  The audit trail is not in the
+The file is published atomically (temp file in the same directory +
+``os.replace``), so a crash mid-checkpoint leaves the previous
+checkpoint whole.  The audit trail is not in the
 checkpoint: it is the JSONL event log written by ``--telemetry`` /
 ``--decisions-out`` (crash-safe :class:`~repro.obs.sinks.JsonlSink`,
 flushed per record), which also covers the tail between the last
@@ -43,6 +41,7 @@ from pathlib import Path
 from typing import Any
 
 from ..core.plan import _decode_value, _forecaster_owner
+from ..forecast.base import _load_state
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -51,10 +50,9 @@ __all__ = [
     "restore_from_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 _STATE_FILE = "state.json"
-_MODEL_FILE = "model.npz"
 #: Fields :func:`restore_from_checkpoint` reads unconditionally.
 _REQUIRED_FIELDS = {
     "source_position": int,
@@ -92,28 +90,6 @@ def _restore_planner(planner: Any, state: dict | None) -> None:
     planner.load_state_dict(state)
 
 
-def _sampler_state(planner: Any) -> dict | None:
-    """Bit-exact rng state of a stochastic forecaster's sampler."""
-    forecaster = _find_forecaster(planner)
-    rng = getattr(forecaster, "_sample_rng", None)
-    if rng is None:
-        return None
-    return rng.bit_generator.state
-
-
-def _restore_sampler(planner: Any, state: dict | None) -> None:
-    if state is None:
-        return
-    forecaster = _find_forecaster(planner)
-    rng = getattr(forecaster, "_sample_rng", None)
-    if rng is None:
-        raise ValueError(
-            "checkpoint carries sampler rng state but the restored planner "
-            "has no stochastic sampler — model/config mismatch"
-        )
-    rng.bit_generator.state = state
-
-
 def save_checkpoint(
     path: str | Path,
     *,
@@ -134,9 +110,9 @@ def save_checkpoint(
         ``state`` is snapshotted (its attached monitor rides along; its
         ``decisions`` / ``provenance`` audit lists do not).
     planner:
-        The live planner; used to capture sampler rng state and, when
-        the underlying forecaster supports ``save()``, model weights.
-        Defaults to ``runtime.planner``.
+        The live planner; its forecaster's ``state_dict()``, when the
+        family has one, is the checkpoint's ``"model"``.  Defaults to
+        ``runtime.planner``.
     config:
         Launch configuration to embed — ``serve --restore`` rebuilds
         the planner/source from it before loading state.
@@ -145,23 +121,14 @@ def save_checkpoint(
         resumed from here.
     adaptation:
         Optional :class:`~repro.adaptation.AdaptationManager`; its full
-        state machine (candidate and rollback models included, embedded
-        as base64 pickle blobs) is checkpointed under ``"adaptation"``
-        so a restored daemon resumes mid-shadow bit-identically.
+        state machine (candidate and rollback models included) is
+        checkpointed under ``"adaptation"`` so a restored daemon resumes
+        mid-shadow bit-identically.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     planner = planner if planner is not None else runtime.planner
-
-    model_file = None
     forecaster = _find_forecaster(planner)
-    if forecaster is not None and hasattr(forecaster, "save"):
-        # np.savez appends ".npz" to any other suffix: keep it on the temp.
-        tmp = path / ("tmp." + _MODEL_FILE)
-        forecaster.save(tmp)
-        os.replace(tmp, path / _MODEL_FILE)
-        model_file = _MODEL_FILE
-
     monitor = getattr(runtime, "monitor", None)
     state = {
         "version": CHECKPOINT_VERSION,
@@ -169,12 +136,13 @@ def save_checkpoint(
         "source_position": int(source_position),
         "runtime": runtime.state_dict(),
         "monitor": monitor.state_dict() if monitor is not None else None,
-        "sampler": _sampler_state(planner),
+        "model": (
+            forecaster.state_dict() if hasattr(forecaster, "state_dict") else None
+        ),
         # Fault wrappers (FlakyPlanner) consume scheduled events as they
         # fire; that progress must survive the crash or restored runs
         # would re-fire already-consumed faults.
         "planner": _planner_state(planner),
-        "model_file": model_file,
         "adaptation": (
             adaptation.state_dict() if adaptation is not None else None
         ),
@@ -250,38 +218,38 @@ def restore_from_checkpoint(
 
     The caller rebuilds the runtime, monitor, and planner from the
     checkpoint's ``config`` (architecture and rules are configuration,
-    not state), then this function restores the dynamic state: loop
-    clock and plan, monitor windows and detectors, model weights,
-    sampler rng, and — when the checkpoint carries it — the adaptation
-    state machine (restored last, so a promoted model overrides the
-    config-rebuilt forecaster).  Returns the source position to resume
-    from.
+    not state), then this function restores the dynamic state.  The
+    models go first — the live forecaster's ``state_dict`` into the
+    planner's forecaster, or, with an adaptation state, all three
+    through :meth:`AdaptationManager.load_state_dict
+    <repro.adaptation.AdaptationManager.load_state_dict>` — and each
+    loads whole or not at all, so a state that does not fit the
+    configured family raises before runtime, monitor or manager are
+    touched.  Then the loop clock and plan, monitor windows and
+    detectors, and planner-wrapper state.  Returns the source position
+    to resume from.
     """
     state = (
         checkpoint if isinstance(checkpoint, dict) else load_checkpoint(checkpoint)
     )
     planner = planner if planner is not None else runtime.planner
-    runtime.load_state_dict(state["runtime"])
     monitor = getattr(runtime, "monitor", None)
-    if state["monitor"] is not None:
-        if monitor is None:
-            raise ValueError(
-                "checkpoint carries monitor state but the restored runtime "
-                "has no monitor attached — pass the same --monitor flags"
-            )
-        monitor.load_state_dict(state["monitor"])
-    model_file = state.get("model_file")
-    if model_file is not None and not isinstance(checkpoint, dict):
-        forecaster = _find_forecaster(planner)
-        if forecaster is not None and hasattr(forecaster, "load"):
-            forecaster.load(Path(checkpoint) / model_file)
-    _restore_sampler(planner, state.get("sampler"))
-    _restore_planner(planner, state.get("planner"))
+    if state["monitor"] is not None and monitor is None:
+        raise ValueError(
+            "checkpoint carries monitor state but the restored runtime "
+            "has no monitor attached — pass the same --monitor flags"
+        )
     if state.get("adaptation") is not None:
         if adaptation is None:
             raise ValueError(
                 "checkpoint carries adaptation state but no "
                 "AdaptationManager was passed — restore with --adapt"
             )
-        adaptation.load_state_dict(state["adaptation"])
+        adaptation.load_state_dict(state["adaptation"], model=state.get("model"))
+    elif state.get("model") is not None:
+        _load_state(_find_forecaster(planner), state["model"], "model")
+    runtime.load_state_dict(state["runtime"])
+    if state["monitor"] is not None:
+        monitor.load_state_dict(state["monitor"])
+    _restore_planner(planner, state.get("planner"))
     return int(state["source_position"])

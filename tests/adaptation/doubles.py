@@ -37,6 +37,15 @@ class FakeForecaster:
         self.fit_lengths.append(len(series))
         return self
 
+    def state_dict(self):
+        return {"center": self.center, "fit_lengths": list(self.fit_lengths)}
+
+    def load_state_dict(self, state):
+        if set(state) != {"center", "fit_lengths"}:
+            raise ValueError(f"center: not a FakeForecaster state ({sorted(state)})")
+        self.center, self.fit_lengths = state["center"], list(state["fit_lengths"])
+        return self
+
     def predict(self, context, levels=None, start_index=0):
         levels = np.asarray(
             LEVELS if levels is None else levels, dtype=np.float64

@@ -14,7 +14,6 @@ from repro.adaptation import (
     ModelPool,
     PromotionPolicy,
 )
-from repro.adaptation.manager import _dump_model, _load_model
 from repro.core import AutoscalingRuntime
 
 from tests.adaptation.doubles import (
@@ -69,6 +68,16 @@ class TestConstruction:
         manager = AdaptationManager(runtime, policy="soak=1 guard=0")
         assert manager.policy.soak_windows == 1
         assert manager.policy.guard_windows == 0
+
+    def test_refuses_a_forecaster_it_could_not_checkpoint(self):
+        class Stateless:
+            """A forecaster without the state protocol (never fitted here)."""
+
+        with pytest.raises(ValueError, match=r"Stateless does not implement state_dict\(\)"):
+            AdaptationManager(make_runtime(Stateless()))
+        pool = ModelPool({"fake": FakeForecaster, "stateless": Stateless})
+        with pytest.raises(ValueError, match="pool candidate 'stateless'"):
+            AdaptationManager(make_runtime(fitted_fake()), pool=pool)
 
     def test_starts_idle(self):
         manager = make_manager(make_runtime(fitted_fake()))
@@ -293,7 +302,7 @@ class TestGuardAndRollback:
         )
         drive(runtime, manager, np.full(33, STABLE))  # mid-window (10s)
         manager.refit(reason="test")
-        manager.candidate = BadForecaster()
+        manager.machine.candidate = BadForecaster()
         manager.promote(reason="test")
         drive(runtime, manager, np.full(6, STABLE))
         straddling = [a for a in runtime.monitor.alerts.alerts]
@@ -315,7 +324,7 @@ class TestGuardAndRollback:
         drive(runtime, manager, np.full(38, STABLE))  # windows 8-17..28-37
         incumbent = runtime.planner.forecaster
         manager.refit(reason="test")
-        manager.candidate = BadForecaster()
+        manager.machine.candidate = BadForecaster()
         manager.promote(reason="inject bad candidate")
         drive(runtime, manager, np.full(15, STABLE))
         assert manager.rollbacks == 1
@@ -451,8 +460,8 @@ class TestStatusAndCheckpoint:
 
         assert fresh.state_dict() == state
         for mine, theirs in (
-            (fresh._shadow_levels, manager._shadow_levels),
-            (fresh._shadow_values, manager._shadow_values),
+            (fresh.shadow_levels, manager.shadow_levels),
+            (fresh.shadow_values, manager.shadow_values),
         ):
             assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
             assert mine.tobytes() == theirs.tobytes()
@@ -475,6 +484,120 @@ class TestStatusAndCheckpoint:
         assert not fresh_runtime.decisions
         assert fresh.state == IDLE and fresh.candidate is None
 
+    def neural_loop(self, phase, tmp_path):
+        """A TFT loop checkpointed while shadowing / guarding, and a fresh one."""
+        rng = np.random.default_rng(0)
+        wave = lambda t, level: level + 30.0 * np.sin(t / 3.0) + rng.normal(0, 2, len(t))
+        incumbent = build("tft", context=8, horizon=4).fit(wave(np.arange(60), STABLE))
+        runtime = make_runtime(incumbent)
+        manager = make_manager(runtime, auto_refit=False, policy=PromotionPolicy(guard_windows=9))
+        drive(runtime, manager, wave(np.arange(60, 120), STABLE))
+        manager.refit(reason="test")
+        if phase == GUARDING:
+            manager.promote(reason="test")
+        assert manager.state == phase
+        from repro.service import save_checkpoint
+
+        ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime, adaptation=manager)
+        fresh_runtime = make_runtime(build("tft", context=8, horizon=4))
+        fresh = make_manager(
+            fresh_runtime, auto_refit=False, policy=PromotionPolicy(guard_windows=9)
+        )
+        return runtime, manager, ckpt, fresh_runtime, fresh
+
+    @pytest.mark.parametrize("phase, role", [(SHADOWING, "candidate"), (GUARDING, "previous")])
+    def test_model_records_restore_into_unfitted_skeletons(self, phase, role, tmp_path):
+        from repro.service import restore_from_checkpoint
+
+        runtime, manager, ckpt, fresh_runtime, fresh = self.neural_loop(phase, tmp_path)
+        assert [entry.name for entry in ckpt.iterdir()] == ["state.json"]
+        restore_from_checkpoint(ckpt, runtime=fresh_runtime, adaptation=fresh)
+        assert fresh.state == phase and fresh.state_dict() == manager.state_dict()
+        assert getattr(fresh, role).state_dict() == getattr(manager, role).state_dict()
+        assert (
+            fresh_runtime.planner.forecaster.state_dict()
+            == runtime.planner.forecaster.state_dict()
+        )
+
+    @pytest.mark.parametrize("phase, role", [(SHADOWING, "candidate"), (GUARDING, "previous")])
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (lambda record, w: w.update(__ndarray__=w["__ndarray__"][:-12]),
+             r"state\.json: field 'adaptation\.{role}\.network\.\S+'.*__ndarray__"),
+            (lambda record, w: w.update(shape=[w["shape"][0], 1, w["shape"][1]]),
+             r"adaptation\.{role}\.network\.\S+: expected shape"),
+            (lambda record, w: record.pop("fits_completed"),
+             r"adaptation\.{role}\.fits_completed: missing"),
+            (lambda record, w: (record.clear(), record.update(fitted_fake().state_dict())),
+             r"adaptation\.{role}\.center: not an entry"),
+        ],
+        ids=["truncated-base64", "wrong-shape", "missing-entry", "another-family"],
+    )
+    def test_damaged_model_record_is_rejected_before_restore(
+        self, phase, role, damage, match, tmp_path
+    ):
+        from repro.service import restore_from_checkpoint
+
+        _, _, ckpt, fresh_runtime, fresh = self.neural_loop(phase, tmp_path)
+        state = json.loads((ckpt / "state.json").read_text())
+        record = state["adaptation"][role]
+        damage(record, next(v for k, v in record.items() if k.endswith(".weight")))
+        (ckpt / "state.json").write_text(json.dumps(state))
+
+        monitor_before = json.dumps(fresh_runtime.monitor.state_dict())
+        with pytest.raises(ValueError, match=match.format(role=role)):
+            restore_from_checkpoint(ckpt, runtime=fresh_runtime, adaptation=fresh)
+        assert fresh_runtime.tick == fresh_runtime.start_tick
+        assert json.dumps(fresh_runtime.monitor.state_dict()) == monitor_before
+        assert fresh.state == IDLE and fresh.candidate is None and fresh.previous is None
+        assert not fresh.history and not fresh.events
+        assert fresh_runtime.planner.forecaster.network is None  # the live load is last
+
+    def pool_loop(self, pool):
+        runtime = make_runtime(fitted_fake(), rules=("mean_wql > 0.5",))
+        return runtime, make_manager(
+            runtime, pool=pool, auto_refit=False, policy=PromotionPolicy(guard_windows=3)
+        )
+
+    def test_a_promoted_pool_family_restores_from_its_factory(self, tmp_path):
+        """The live model's family is state once a pool candidate was promoted:
+        the configured forecaster is the skeleton of ``previous``, not of it."""
+        from repro.service import restore_from_checkpoint, save_checkpoint
+
+        factories = {"wide": lambda: FakeForecaster(spread=60.0, tail=3)}
+        runtime, manager = self.pool_loop(ModelPool(factories))
+        drive(runtime, manager, np.full(30, STABLE))
+        drive(runtime, manager, np.full(8, SHIFTED))
+        assert manager.refit(reason="test")["mode"] == "pool:wide"
+        manager.promote(reason="test")
+        drive(runtime, manager, np.full(3, SHIFTED))
+        ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime, adaptation=manager)
+
+        fresh_runtime, fresh = self.pool_loop(ModelPool(factories))
+        configured = fresh_runtime.planner.forecaster
+        restore_from_checkpoint(ckpt, runtime=fresh_runtime, adaptation=fresh)
+        live = fresh_runtime.planner.forecaster
+        assert live is not configured and (live.spread, live.tail) == (60.0, 3)
+        assert (fresh.previous.spread, fresh.previous.center) == (20.0, STABLE)
+        assert fresh.state_dict() == manager.state_dict()
+        # the guard commits on both sides; a refit that clones the promoted
+        # family keeps its origin
+        for loop in ((runtime, manager), (fresh_runtime, fresh)):
+            drive(*loop, np.full(45, SHIFTED))
+            assert loop[1].state == IDLE and loop[1].previous is None
+            loop[1].refit(reason="test", strategy="warm")
+        assert fresh.events == manager.events
+        assert fresh.state_dict() == manager.state_dict()
+        assert fresh.candidate_origin == "pool:wide" and fresh.candidate.spread == 60.0
+
+        # ... and without that factory the checkpoint is refused, naming the field
+        for pool in (None, ModelPool({"narrow": FakeForecaster})):
+            bare_runtime, bare = self.pool_loop(pool)
+            with pytest.raises(ValueError, match=r"adaptation\.live_origin: 'pool:wide'"):
+                restore_from_checkpoint(ckpt, runtime=bare_runtime, adaptation=bare)
+            assert bare_runtime.tick == bare_runtime.start_tick and bare.state == IDLE
+
     def test_version_mismatch_rejected(self):
         _, manager = self.shadowing_manager()
         state = manager.state_dict()
@@ -488,7 +611,7 @@ class TestServingCopyAcrossSwaps:
     (docs/nn.md, Serving precision).  Through refit -> promote -> rollback
     the live model must always predict from *its own current* weights - the
     oracle is a fresh forecaster ``load``-ed from the ``save``-d file - and
-    the pickled state must never carry a copy."""
+    the checkpointed state must never carry a copy."""
 
     @pytest.mark.parametrize("kind", ["deepar", "tft"])
     def test_refit_promote_rollback_never_serve_stale_weights(self, kind, tmp_path):
@@ -523,12 +646,15 @@ class TestServingCopyAcrossSwaps:
         assert runtime.planner.forecaster is candidate
         assert np.array_equal(forecast(runtime.planner.forecaster, context), candidate_forecast)
 
-        # mid-guard every pickled model is copy-free, and restores to serve its weights
+        # mid-guard every checkpointed model is copy-free, and restores to serve its weights
         state = json.loads(json.dumps(manager.state_dict()))
-        for key, original in (("live_model", candidate), ("previous", incumbent)):
+        live_state = json.loads(json.dumps(candidate.state_dict()))
+        assert "live_model" not in state  # the checkpoint writes the live model, once
+        for saved, original in ((live_state, candidate), (state["previous"], incumbent)):
             assert original._serving is not None
-            restored = _load_model(state[key])
-            assert "_serving" not in vars(restored)
+            assert not any("_serving" in key for key in saved)
+            restored = build(kind, context=8, horizon=4).load_state_dict(saved)
+            assert restored._serving is None
             assert np.array_equal(forecast(restored, context), forecast(original, context))
 
         manager.rollback(reason="test")
@@ -543,7 +669,7 @@ class TestServingCopyAcrossSwaps:
         model's first predict (TFT: no sampler rng moves between the two)."""
         series = STABLE + 30.0 * np.sin(np.arange(60) / 3.0)
         live = build("tft", context=8, horizon=4).fit(series)
-        before = _dump_model(live)
+        before = json.dumps(live.state_dict())
         live.predict(series[-8:])
         assert live._serving is not None
-        assert _dump_model(live) == before
+        assert json.dumps(live.state_dict()) == before

@@ -215,18 +215,13 @@ class TestCheckpointMidShadow:
         assert [r.source for r in restored] == [
             r.source for r in original_tail
         ]
-        # The whole adaptation state machine converged identically.
-        # Model blobs are compared behaviorally below: a pickle of the
-        # in-process model and a pickle of its unpickled twin can differ
-        # in byte layout (array-sharing memoization) while encoding the
-        # same weights.
+        # The whole adaptation state machine converged identically -
+        # models included: they are records of arrays, equal entry by entry.
         original_state = adapted["manager"].state_dict()
-        restored_state = manager.state_dict()
-        blob_keys = ("live_model", "candidate", "previous")
-        strip = lambda s: {k: v for k, v in s.items() if k not in blob_keys}
-        assert strip(restored_state) == strip(original_state)
+        assert manager.state_dict() == original_state
         original_live = adapted["runtime"].planner.forecaster
         restored_live = runtime.planner.forecaster
+        assert restored_live.state_dict() == original_live.state_dict()
         for key, value in original_live.network.state_dict().items():
             np.testing.assert_array_equal(
                 value, restored_live.network.state_dict()[key]
@@ -238,6 +233,78 @@ class TestCheckpointMidShadow:
         )
         # And the checkpoint itself is valid JSON end to end.
         json.dumps(original_state)
+
+
+class TestKilledMidShadowAndMidGuard:
+    """The restored side starts from an *unfitted* forecaster: everything a
+    model knows comes out of the checkpoint.  ``naive`` has no warm start,
+    so its candidate is a cold refit of a clone - the path that, before
+    the state protocol, only the pickled blob carried across a restart."""
+
+    REFIT_AT, KILL_SHADOW, PROMOTE_AT, KILL_GUARD = 60, 70, 80, 90
+
+    @staticmethod
+    def skeleton(model):
+        from repro.forecast import DeepARForecaster, SeasonalNaiveForecaster
+
+        config = TrainingConfig(epochs=2, seed=0, patience=0, window_stride=4)
+        if model == "mlp":
+            return MLPForecaster(CTX, HOR, hidden_size=16, config=config)
+        if model == "deepar":
+            return DeepARForecaster(CTX, HOR, hidden_size=8, num_samples=20, config=config)
+        return SeasonalNaiveForecaster(HOR, season=SEASON)
+
+    def loop(self, forecaster, train):
+        runtime, manager, planner = build_loop(forecaster, train)
+        manager.auto_refit = False  # the test drives the transitions itself
+        manager.policy = PromotionPolicy(soak_windows=99, guard_windows=2)
+        return runtime, manager
+
+    def serve(self, runtime, manager, stream, start, kill_at=None, ckpt=None):
+        for position in range(start, len(stream)):
+            if position == self.REFIT_AT:
+                manager.refit(reason="test")
+            if position == self.PROMOTE_AT:
+                manager.promote(reason="test")
+            if position == kill_at:
+                save_checkpoint(ckpt, runtime=runtime, adaptation=manager,
+                                source_position=position)
+                return
+            result = runtime.step(float(stream[position]))
+            manager.on_tick(result.tick, result.observed, result.planned)
+
+    @pytest.mark.parametrize("model", ["mlp", "deepar", "naive"])
+    def test_restored_loop_continues_bit_identically(self, model, tmp_path):
+        train, stream = make_traces()
+        fitted = self.skeleton(model).fit(train)
+        full_runtime, full = self.loop(copy.deepcopy(fitted), train)
+        self.serve(full_runtime, full, stream, 0)
+        assert [e["action"] for e in full.events] == ["refit", "promote", "commit"]
+        assert full.events[0]["mode"] == ("cold" if model == "naive" else "warm")
+
+        for kill_at, phase in ((self.KILL_SHADOW, SHADOWING), (self.KILL_GUARD, "guarding")):
+            ckpt = tmp_path / phase
+            victim_runtime, victim = self.loop(copy.deepcopy(fitted), train)
+            self.serve(victim_runtime, victim, stream, 0, kill_at=kill_at, ckpt=ckpt)
+            assert victim.state == phase
+            assert [entry.name for entry in ckpt.iterdir()] == ["state.json"]
+
+            runtime, manager = self.loop(self.skeleton(model), train)
+            position = restore_from_checkpoint(ckpt, runtime=runtime, adaptation=manager)
+            assert position == kill_at and manager.state == phase
+            self.serve(runtime, manager, stream, position)
+
+            assert manager.events == full.events
+            assert [d.record() for d in runtime.decisions] == [
+                d.record() for d in full_runtime.decisions[-len(runtime.decisions):]
+            ]
+            assert runtime.monitor.windows == full_runtime.monitor.windows
+            assert runtime.state_dict() == full_runtime.state_dict()
+            assert manager.state_dict() == full.state_dict()
+            assert (
+                runtime.planner.forecaster.state_dict()
+                == full_runtime.planner.forecaster.state_dict()
+            )
 
 
 class TestRollback:
@@ -260,7 +327,7 @@ class TestRollback:
         drive(runtime, manager, np.full(38, 100.0))
         incumbent = runtime.planner.forecaster
         manager.refit(reason="test")
-        manager.candidate = BadForecaster()
+        manager.machine.candidate = BadForecaster()
         manager.promote(reason="inject bad candidate")
         drive(runtime, manager, np.full(15, 100.0))
         assert manager.rollbacks == 1

@@ -18,10 +18,17 @@ START_TICK = 200
 
 
 class NoisyForecaster:
-    """Stand-in stochastic forecaster: only the sampler rng matters."""
+    """Stand-in stochastic forecaster: its whole state is the sampler rng."""
 
     def __init__(self, seed=0):
         self._sample_rng = np.random.default_rng(seed)
+
+    def state_dict(self):
+        return {"sampler": self._sample_rng.bit_generator.state}
+
+    def load_state_dict(self, state):
+        self._sample_rng.bit_generator.state = state["sampler"]
+        return self
 
 
 class StochasticPlanner:
@@ -76,6 +83,27 @@ def make_loop(*, faults=None, monitor=True, seed=0, context=8, horizon=6):
     return runtime, planner
 
 
+MLP_TRAIN = np.abs(np.random.default_rng(3).normal(300, 60, size=120))
+
+
+def mlp_loop(fit, monitor=False):
+    """A real forecaster behind the loop: (forecaster, planner, runtime)."""
+    from repro.core import FixedQuantilePolicy, RobustPredictiveAutoscaler
+    from repro.forecast import MLPForecaster, TrainingConfig
+
+    forecaster = MLPForecaster(
+        12, 4, config=TrainingConfig(epochs=1, window_stride=4, seed=0)
+    )
+    if fit:
+        forecaster.fit(MLP_TRAIN)
+    planner = RobustPredictiveAutoscaler(forecaster, 60.0, FixedQuantilePolicy(0.9))
+    runtime = AutoscalingRuntime(
+        planner=planner, context_length=12, horizon=4, threshold=60.0,
+        monitor=ModelHealthMonitor(window=10) if monitor else None,
+    )
+    return forecaster, planner, runtime
+
+
 class TestSaveLoad:
     def test_round_trips_the_state_file(self, tmp_path):
         runtime, planner = make_loop()
@@ -89,10 +117,11 @@ class TestSaveLoad:
         assert state["source_position"] == 20
         assert state["runtime"]["tick"] == START_TICK + 20
         assert state["monitor"] is not None
-        assert state["sampler"] is not None
-        # The checkpoint is plain JSON on disk, not pickles.
+        assert state["model"]["sampler"] is not None
+        # The checkpoint is plain JSON on disk, not pickles: one file.
+        assert [entry.name for entry in path.iterdir()] == ["state.json"]
         raw = json.loads((path / "state.json").read_text())
-        assert raw["version"] == CHECKPOINT_VERSION == 3
+        assert raw["version"] == CHECKPOINT_VERSION == 4
         # ...and every array in it is a raw-byte record, not a number list.
         plan = raw["runtime"]["current_plan"]
         for record in (plan["nodes"], plan["metadata"]["forecast_values"]):
@@ -126,7 +155,7 @@ class TestSaveLoad:
             "version": 1, "source_position": 0, "monitor": None,
             "runtime": {"current_plan": {"nodes": [1, 2]}},
         }))
-        with pytest.raises(ValueError, match=r"version 1 .*version 3"):
+        with pytest.raises(ValueError, match=r"version 1 .*version 4"):
             load_checkpoint(ckpt)
 
     def test_version_2_file_is_rejected_at_the_door(self, tmp_path):
@@ -135,7 +164,20 @@ class TestSaveLoad:
         runtime.run(SERIES[:20])
         ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime)
         _edit_state(ckpt, lambda state: state.update(version=2))
-        with pytest.raises(ValueError, match=r"version 2 .*version 3"):
+        with pytest.raises(ValueError, match=r"version 2 .*version 4"):
+            load_checkpoint(ckpt)
+
+    def test_version_3_directory_is_rejected_at_the_door(self, tmp_path):
+        """The previous build's directory (weights beside it in ``model.npz``,
+        pickled models inside) is refused before anything in it is read."""
+        runtime, _ = make_loop()
+        runtime.run(SERIES[:20])
+        ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime)
+        (ckpt / "model.npz").write_bytes(b"PK weights the old build wrote")
+        _edit_state(ckpt, lambda state: state.update(
+            version=3, model_file="model.npz", sampler=state.pop("model")["sampler"],
+        ))
+        with pytest.raises(ValueError, match=r"version 3 .*version 4"):
             load_checkpoint(ckpt)
 
 
@@ -227,6 +269,44 @@ class TestDamagedCheckpoints:
     def test_undamaged_checkpoint_still_restores(self, ckpt):
         restored, planner = make_loop()
         assert restore_from_checkpoint(ckpt, runtime=restored, planner=planner) == 25
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (lambda model, w: w.update(__ndarray__=w["__ndarray__"][:-12]),
+             r"state\.json: field 'model\.network\.\S+'.*__ndarray__"),
+            (lambda model, w: w.update(shape=[w["shape"][0] + 1, *w["shape"][1:]]),
+             r"state\.json: field 'model\.network\.\S+'.*__ndarray__"),
+            (lambda model, w: w.update(shape=w["shape"][::-1]),
+             r"model\.network\.\S+: expected shape"),
+            (lambda model, w: model.pop("scaler.mean"), r"model\.scaler\.mean: missing"),
+            (lambda model, w: model.pop(next(k for k in model if k.startswith("network."))),
+             r"model\.network\.\S+: missing"),
+            (lambda model, w: (model.clear(), model.update(residuals=w)),
+             r"model\.\S+: (missing from|not an entry of) this family's state"),
+        ],
+        ids=["truncated-base64", "short-bytes", "wrong-shape", "missing-entry",
+             "missing-weight", "another-family"],
+    )
+    def test_damaged_model_record_is_rejected_before_restore(self, tmp_path, damage, match):
+        _, planner, runtime = mlp_loop(fit=True, monitor=True)
+        runtime.run(MLP_TRAIN[:30])
+        ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime, source_position=30)
+
+        def edit(state):
+            model = state["model"]
+            weight = next(v for k, v in model.items() if k.endswith(".weight"))
+            damage(model, weight)
+
+        _edit_state(ckpt, edit)
+        forecaster, planner, restored = mlp_loop(fit=False, monitor=True)
+        before = json.dumps(restored.state_dict())
+        monitor_before = json.dumps(restored.monitor.state_dict())
+        with pytest.raises(ValueError, match=match):
+            restore_from_checkpoint(ckpt, runtime=restored, planner=planner)
+        assert json.dumps(restored.state_dict()) == before
+        assert json.dumps(restored.monitor.state_dict()) == monitor_before
+        assert forecaster.network is None and not forecaster._fitted
 
 
 class TestStateDictFixedPoint:
@@ -320,7 +400,7 @@ class TestKillRestoreBitIdentity:
 
         restored, planner = make_loop()
         state = load_checkpoint(tmp_path / "ckpt")
-        state["sampler"] = None  # simulate a lossy checkpoint
+        state["model"] = None  # simulate a lossy checkpoint
         restore_from_checkpoint(state, runtime=restored, planner=planner)
         tail_alloc = restored.run(SERIES[self.KILL_AT :])
         assert not np.array_equal(tail_alloc, full_alloc[self.KILL_AT :])
@@ -350,58 +430,41 @@ class TestRestoreMismatches:
             planner=DeterministicPlanner(6, 60.0), context_length=8,
             horizon=6, threshold=60.0, start_tick=START_TICK,
         )
-        with pytest.raises(ValueError, match="sampler"):
+        with pytest.raises(ValueError, match="model: .*cannot load"):
             restore_from_checkpoint(tmp_path / "ckpt", runtime=bare)
+        assert bare.tick == START_TICK  # refused before the loop was touched
 
 
 class TestModelWeights:
     def test_crash_while_writing_weights_keeps_the_previous_checkpoint(
         self, tmp_path, monkeypatch
     ):
-        """model.npz is published by rename, so it is never half-written."""
-        from repro.core import FixedQuantilePolicy, RobustPredictiveAutoscaler
-        from repro.forecast import MLPForecaster, TrainingConfig
-
-        train = np.abs(np.random.default_rng(3).normal(300, 60, size=120))
-        config = TrainingConfig(epochs=1, window_stride=4, seed=0)
-
-        def loop(fit):
-            forecaster = MLPForecaster(12, 4, config=config)
-            if fit:
-                forecaster.fit(train)
-            planner = RobustPredictiveAutoscaler(
-                forecaster, 60.0, FixedQuantilePolicy(0.9)
-            )
-            runtime = AutoscalingRuntime(
-                planner=planner, context_length=12, horizon=4, threshold=60.0,
-            )
-            return forecaster, planner, runtime
-
+        """The weights ride in state.json, which is published by rename, so
+        they are never half-written - and never out of step with the loop."""
+        train, loop = MLP_TRAIN, mlp_loop
         forecaster, planner, runtime = loop(fit=True)
         runtime.run(train[:30])
         path = save_checkpoint(tmp_path / "ckpt", runtime=runtime,
                                source_position=30)
-        good_weights = (path / "model.npz").read_bytes()
         good_state = (path / "state.json").read_bytes()
         expected = forecaster.predict(train[-12:]).values
 
-        # The next checkpoint dies half-way through np.savez: part of the
-        # archive is on disk when the "process" goes away.
-        real_savez = np.savez
+        # The next checkpoint dies half-way through its write: part of the
+        # file is on disk when the "process" goes away.
+        from pathlib import Path
 
-        def dying_savez(file, **arrays):
-            real_savez(file, **arrays)
-            whole = open(file, "rb").read()
-            open(file, "wb").write(whole[: len(whole) // 2])
+        real_write = Path.write_bytes
+
+        def dying_write(file, data):
+            real_write(file, data[: len(data) // 2])
             raise OSError("killed mid-write")
 
-        monkeypatch.setattr(np, "savez", dying_savez)
+        monkeypatch.setattr(Path, "write_bytes", dying_write)
         runtime.run(train[30:40])
         with pytest.raises(OSError, match="killed"):
             save_checkpoint(path, runtime=runtime, source_position=40)
         monkeypatch.undo()
 
-        assert (path / "model.npz").read_bytes() == good_weights
         assert (path / "state.json").read_bytes() == good_state
         fresh, fresh_planner, fresh_runtime = loop(fit=False)
         position = restore_from_checkpoint(
@@ -413,39 +476,33 @@ class TestModelWeights:
         )
 
     def test_neural_weights_round_trip_through_the_checkpoint(self, tmp_path):
-        from repro.core import FixedQuantilePolicy, RobustPredictiveAutoscaler
-        from repro.forecast import MLPForecaster, TrainingConfig
-
-        rng = np.random.default_rng(3)
-        train = np.abs(rng.normal(300, 60, size=120))
-        config = TrainingConfig(epochs=2, window_stride=4, seed=0)
-        forecaster = MLPForecaster(12, 4, config=config)
-        forecaster.fit(train)
-        planner = RobustPredictiveAutoscaler(
-            forecaster, 60.0, FixedQuantilePolicy(0.9)
-        )
-        runtime = AutoscalingRuntime(
-            planner=planner, context_length=12, horizon=4, threshold=60.0,
-        )
-        runtime.run(train[:30])
+        forecaster, _, runtime = mlp_loop(fit=True)
+        runtime.run(MLP_TRAIN[:30])
         path = save_checkpoint(tmp_path / "ckpt", runtime=runtime,
                                source_position=30)
-        assert (path / "model.npz").exists()
-        expected = forecaster.predict(train[-12:]).values
+        assert [entry.name for entry in path.iterdir()] == ["state.json"]
+        assert any(key.startswith("network.") for key in load_checkpoint(path)["model"])
+        expected = forecaster.predict(MLP_TRAIN[-12:]).values
 
-        fresh = MLPForecaster(12, 4, config=config)
-        fresh_planner = RobustPredictiveAutoscaler(
-            fresh, 60.0, FixedQuantilePolicy(0.9)
-        )
-        fresh_runtime = AutoscalingRuntime(
-            planner=fresh_planner, context_length=12, horizon=4,
-            threshold=60.0,
-        )
+        fresh, fresh_planner, fresh_runtime = mlp_loop(fit=False)
         restore_from_checkpoint(path, runtime=fresh_runtime,
                                 planner=fresh_planner)
         np.testing.assert_array_equal(
-            fresh.predict(train[-12:]).values, expected
+            fresh.predict(MLP_TRAIN[-12:]).values, expected
         )
+
+    def test_restoring_from_the_loaded_dict_is_restoring_from_the_path(self, tmp_path):
+        """The weights are in the state, so a dict restores them too."""
+        forecaster, _, runtime = mlp_loop(fit=True)
+        runtime.run(MLP_TRAIN[:30])
+        path = save_checkpoint(tmp_path / "ckpt", runtime=runtime, source_position=30)
+        restored = []
+        for checkpoint in (path, load_checkpoint(path)):
+            fresh, planner, fresh_runtime = mlp_loop(fit=False)
+            assert restore_from_checkpoint(checkpoint, runtime=fresh_runtime) == 30
+            assert fresh_runtime.state_dict() == runtime.state_dict()
+            restored.append(fresh.state_dict())
+        assert restored[0] == restored[1] == forecaster.state_dict()
 
 
 class TestCheckpointsFromBeforeFloat32Serving:
@@ -485,3 +542,33 @@ class TestCheckpointsFromBeforeFloat32Serving:
         assert [source for _, source, _ in old] == ["predictive", "predictive"]
         assert old == self._nodes(tmp_path / "today.jsonl")
         assert old == [entry for entry in full if entry[0] >= old[0][0]]
+
+
+class TestServeRestoreNeverRefits:
+    """Every family ``serve`` can run restores from its checkpointed state:
+    killed mid-trace and restored, the daemon continues the uninterrupted
+    run's decisions without a single ``fit`` call."""
+
+    @pytest.mark.parametrize("model", ["tft", "deepar", "mlp", "arima", "naive"])
+    def test_restore_continues_without_fitting(self, model, tmp_path, monkeypatch):
+        from repro import cli
+        from repro.forecast import ARIMAForecaster, NeuralForecaster, SeasonalNaiveForecaster
+
+        assert set(cli._MODELS) == {"tft", "deepar", "mlp", "arima", "naive"}
+        serve = ["serve", "--model", model, "--days", "5", "--context", "150",
+                 "--horizon", "12", "--epochs", "1", "--replan-every", "6"]
+        ckpt = tmp_path / "ckpt"
+        assert cli.main([*serve, "--max-ticks", "170", "--checkpoint-dir", str(ckpt),
+                         "--checkpoint-at", "158",
+                         "--decisions-out", str(tmp_path / "full.jsonl")]) == 0
+        assert [entry.name for entry in ckpt.iterdir()] == ["state.json"]
+
+        for family in (NeuralForecaster, ARIMAForecaster, SeasonalNaiveForecaster):
+            monkeypatch.setattr(family, "fit", lambda *a, **k: pytest.fail("restore refitted"))
+        assert cli.main(["serve", "--restore", str(ckpt), "--max-ticks", "12",
+                         "--decisions-out", str(tmp_path / "restored.jsonl")]) == 0
+        nodes = TestCheckpointsFromBeforeFloat32Serving._nodes
+        restored = nodes(tmp_path / "restored.jsonl")
+        assert restored and restored == [
+            entry for entry in nodes(tmp_path / "full.jsonl") if entry[0] >= restored[0][0]
+        ]
