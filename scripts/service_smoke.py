@@ -19,7 +19,7 @@ Two phases, both against real subprocesses:
    simulated crash), restore from the checkpoint, and require the
    restored session's decision stream to be bit-identical to the
    uninterrupted run's tail.  The checkpoint it restores from must be
-   format version 3 — every array a raw-byte record, no decision
+   format version 5 — every array a raw-byte record, no decision
    history in the ``runtime`` block (its size is printed); ``--keep DIR``
    copies that checkpoint out (CI uploads it as an artifact).
 
@@ -272,9 +272,9 @@ def phase_live_control_plane(workdir: Path) -> None:
 def check_checkpoint_format(ckpt: Path) -> dict:
     text = (ckpt / "state.json").read_text()
     state = json.loads(text)
-    if state.get("version") != 4:
+    if state.get("version") != 5:
         fail(f"checkpoint format version is {state.get('version')!r}, "
-             f"expected 4")
+             f"expected 5")
     if '"__ndarray__"' not in text:
         fail("checkpoint holds no array record at all")
     # A quote inside a JSON string is escaped, so this only matches keys.
@@ -288,7 +288,7 @@ def check_checkpoint_format(ckpt: Path) -> dict:
     sizes = {path.name: path.stat().st_size for path in sorted(ckpt.iterdir())}
     if list(sizes) != ["state.json"]:
         fail(f"checkpoint directory should hold exactly state.json, has {sorted(sizes)}")
-    print(f"checkpoint format OK: version 4, runtime block "
+    print(f"checkpoint format OK: version 5, runtime block "
           f"{len(json.dumps(state['runtime']))} bytes after "
           f"{state['runtime']['decisions_committed']} decisions "
           f"(fields: {', '.join(state['runtime'])}), sizes {sizes}")

@@ -214,8 +214,10 @@ def _read_state(state: dict, spec: dict) -> dict:
     """``state`` checked against ``spec`` before a forecaster assigns any of it.
 
     ``spec`` names exactly the entries a family writes: a list is the
-    shape of a float array (``-1`` for any length; a record or an
-    ndarray, returned as float64), a type that of a JSON value.
+    shape of a float64 array (``-1`` for any length; a record or an
+    ndarray), an ndarray the shape and dtype an entry must have (a
+    network's parameter), a type that of a JSON value.  Arrays keep
+    their dtype: none is widened or narrowed on the way in.
     """
     if not isinstance(state, dict):
         raise ValueError(f"state: expected a dict, got {type(state).__name__}")
@@ -233,11 +235,13 @@ def _read_state(state: dict, spec: dict) -> dict:
             if not isinstance(value, want):
                 raise ValueError(f"{key}: expected {want.__name__}, got {type(value).__name__}")
         else:
-            if not isinstance(value, np.ndarray) or value.dtype.kind != "f":
-                raise ValueError(f"{key}: expected a float array")
+            dtype = want.dtype if isinstance(want, np.ndarray) else np.dtype(np.float64)
+            want = list(want.shape) if isinstance(want, np.ndarray) else want
+            if not isinstance(value, np.ndarray) or value.dtype != dtype:
+                got = value.dtype if isinstance(value, np.ndarray) else type(value).__name__
+                raise ValueError(f"{key}: expected a {dtype} array, got {got}")
             if len(want) != value.ndim or any(w not in (-1, n) for w, n in zip(want, value.shape)):
                 raise ValueError(f"{key}: expected shape {want}, got {list(value.shape)}")
-            value = np.asarray(value, dtype=np.float64)
         values[key] = value
     return values
 

@@ -106,6 +106,8 @@ class DeepARForecaster(NeuralForecaster):
         ``"student_t"`` (paper default) or ``"gaussian"`` (ablation).
     """
 
+    _network_dtype = np.dtype(np.float32)  # predict is an LSTM scan (docs/nn.md, Precision)
+
     def __init__(
         self,
         context_length: int,
@@ -146,9 +148,9 @@ class DeepARForecaster(NeuralForecaster):
         assert self.network is not None
         full = np.concatenate([context, horizon], axis=1)  # (B, T+H)
         lagged = full[:, :-1]
-        targets = full[:, 1:].reshape(-1)
         indices = start_indices[:, None] + 1 + np.arange(lagged.shape[1])[None, :]
-        mu, scale, df = self.network.fast_forward(self._inputs(lagged, indices), cache)
+        inputs, targets = self._at_entry(self._inputs(lagged, indices), full[:, 1:].reshape(-1))
+        mu, scale, df = self.network.fast_forward(inputs, cache)
         if self.likelihood == "student_t":
             return fastgrad.student_t_nll_grads(mu, scale, df, targets)
         return fastgrad.gaussian_nll_grads(mu, scale, targets)
@@ -194,9 +196,9 @@ class DeepARForecaster(NeuralForecaster):
         Each horizon step then advances all trajectories through the
         raw-array kernels of :mod:`repro.nn.fastpath` in one cell call
         per layer; calendar features are read from the cached
-        per-(start_index, horizon) matrix.  The sampler serves in
-        float32 (:meth:`_sample_fast`); run on the float64 weights it is,
-        for the same seed, bit-identical to the same algorithm on the
+        per-(start_index, horizon) matrix.  The sampler runs in the
+        network's float32 (:meth:`_sample_fast`); on a float64 network it
+        is, for the same seed, bit-identical to the same algorithm on the
         autograd tape (``tests/nn/oracles.py``), which the parity suite
         asserts.
         """
@@ -226,13 +228,13 @@ class DeepARForecaster(NeuralForecaster):
     def _sample_fast(self, normalised: np.ndarray, start_index: int) -> np.ndarray:
         """Vectorized sampling on raw-numpy kernels (the production path).
 
-        Runs on the float32 serving copy of the network, in the dtype of
-        its weights: the LSTM scan, the heads and the sample buffer are
-        single precision, the RNG draws (always float64 from numpy's
-        Generator) are rounded into the buffer, and the scaler widens
-        the normalised samples before it maps them to workload units.
+        Runs in the dtype of the network's weights, float32: the LSTM
+        scan, the heads and the sample buffer are single precision, the
+        RNG draws (always float64 from numpy's Generator) are rounded
+        into the buffer, and the scaler widens the normalised samples
+        before it maps them to workload units.
         """
-        net = self._serving_network()
+        net = self.network
         n = self.num_samples
         w_mu, b_mu = net.mu_head.weight.data, net.mu_head.bias.data
         w_scale, b_scale = net.scale_head.weight.data, net.scale_head.bias.data

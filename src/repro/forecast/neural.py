@@ -9,7 +9,6 @@ loss.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass
 
@@ -48,15 +47,6 @@ class TrainingConfig:
             raise ValueError("validation_fraction must be in [0, 0.5)")
 
 
-def _float32_copy(network: Module) -> Module:
-    """``network`` in single precision: same modules, every weight cast once, no grads."""
-    twin = copy.deepcopy(network)
-    for param in twin.parameters():
-        param.data = param.data.astype(np.float32)
-        param.grad = None
-    return twin
-
-
 class NeuralForecaster(Forecaster):
     """Base class: subclasses provide the network, its loss and its backward.
 
@@ -76,16 +66,17 @@ class NeuralForecaster(Forecaster):
       loss; a training step (:meth:`_loss_backward`) hands it a cache
       and the network's ``backward`` the rest.
     * ``predict`` — subclass-specific; use :attr:`scaler` to map in/out.
-      A forecaster whose predict is an LSTM scan serves in float32: it
-      runs :meth:`_serving_network` on float32 inputs and widens the
-      output to float64 before the scaler.  Training stays float64.
+
+    The family decides the network's precision (docs/nn.md, Precision):
+    one network, trained and served in :attr:`_network_dtype`.  Windows,
+    scaler and calendar features stay float64; :meth:`_at_entry` casts
+    what enters the network, and a prediction is widened to float64
+    before the scaler maps it back.
     """
 
-    #: float32 twin of :attr:`network` that LSTM-scanning forecasters predict
-    #: from (docs/nn.md, Serving precision): built on the first predict after
-    #: the weights changed, dropped by :meth:`fit` and
-    #: :meth:`load_state_dict`, never pickled or persisted.
-    _serving: Module | None = None
+    #: float32 for the families whose predict is an LSTM scan (DeepAR, TFT,
+    #: QB5000's LSTM); the feed-forward ones keep float64.  Not an option.
+    _network_dtype = np.dtype(np.float64)
 
     def __init__(self, context_length: int, horizon: int, config: TrainingConfig | None = None):
         if context_length < 1 or horizon < 1:
@@ -101,16 +92,18 @@ class NeuralForecaster(Forecaster):
         #: deterministic yet distinct from the original cold fit.
         self.fits_completed = 0
 
-    def _serving_network(self) -> Module:
-        """The network predictions run on: :attr:`_serving`, built if absent."""
-        if self._serving is None:
-            self._serving = _float32_copy(self.network)
-        return self._serving
+    def _in_precision(self, network: Module) -> Module:
+        """``network``'s weights cast in place to :attr:`_network_dtype` (a no-op
+        for float64): the one cast, of a network the cold fit or
+        :meth:`load_state_dict` just built."""
+        for param in network.parameters():
+            param.data = param.data.astype(self._network_dtype, copy=False)
+        return network
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_serving", None)
-        return state
+    def _at_entry(self, *arrays: np.ndarray) -> list[np.ndarray]:
+        """``arrays`` cast once to the network's dtype: the float64 boundary."""
+        work = next(self.network.parameters()).data.dtype
+        return [array.astype(work, copy=False) for array in arrays]
 
     # -- subclass hooks -------------------------------------------------
     def _build(self, rng: np.random.Generator) -> Module:
@@ -163,7 +156,6 @@ class NeuralForecaster(Forecaster):
             models with calendar features use it to phase-align a refit
             on a mid-trace history window.
         """
-        self._serving = None  # first: a fit that raises cannot leave a stale copy
         if isinstance(series, (list, tuple)):
             series_list = [np.asarray(s, dtype=np.float64) for s in series]
         else:
@@ -182,7 +174,7 @@ class NeuralForecaster(Forecaster):
         seed = self.config.seed + (self.fits_completed if warm else 0)
         rng = np.random.default_rng(seed)
         if not warm:
-            self.network = self._build(rng)
+            self.network = self._in_precision(self._build(rng))
             self.scaler.fit(np.concatenate(series_list))
         normalised = [self.scaler.transform(s) for s in series_list]
 
@@ -285,6 +277,7 @@ class NeuralForecaster(Forecaster):
         # holds those weights and the copy-back would be a no-op.
         if best_state is not None and bad_epochs > 0:
             self.network.load_state_dict(best_state)
+        self.network.zero_grad()  # the last batch's gradients are no fitted state
         self.network.eval()
         self._fitted = True
         self.fits_completed += 1
@@ -297,7 +290,7 @@ class NeuralForecaster(Forecaster):
         Weights, scaler, ``fits_completed`` and the loss ``history`` -
         the next warm refit derives its shuffle seed and its epoch
         numbers from the last two - and, where the forecaster samples,
-        the sampler's bit-generator state.  Never the serving copy.
+        the sampler's bit-generator state.  Arrays keep the network's dtype.
         """
         self._require_fitted()
         state = {
@@ -315,11 +308,8 @@ class NeuralForecaster(Forecaster):
     def load_state_dict(self, state: dict) -> "NeuralForecaster":
         network = self.network
         if network is None:
-            network = self._build(np.random.default_rng(self.config.seed))
-        spec = {
-            f"network.{name}": list(param.data.shape)
-            for name, param in network.named_parameters()
-        }
+            network = self._in_precision(self._build(np.random.default_rng(self.config.seed)))
+        spec = {f"network.{name}": param.data for name, param in network.named_parameters()}
         spec.update(
             {"scaler.mean": float, "scaler.std": float, "fits_completed": int, "history": list}
         )
@@ -331,7 +321,6 @@ class NeuralForecaster(Forecaster):
                 self._sample_rng.bit_generator.state = fitted["sampler"]
             except (KeyError, TypeError, ValueError) as error:
                 raise ValueError(f"sampler: {error!r}") from error
-        self._serving = None
         for name, param in network.named_parameters():
             param.data[...] = fitted[f"network.{name}"]
         network.eval()

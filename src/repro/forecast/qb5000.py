@@ -127,7 +127,7 @@ class _LSTMPointNetwork(Module):
 
     def backward(self, cache: dict, dprediction: np.ndarray) -> None:
         """Closed-form backward of a cached :meth:`fast_forward`."""
-        dhidden = np.zeros(cache["hidden_shape"])
+        dhidden = np.zeros(cache["hidden_shape"], dtype=cache["last"].dtype)
         dhidden[:, -1, :] = self.head.backward(cache["last"], dprediction)
         grads, _, _ = fastgrad.lstm_backward(dhidden, cache["lstm"], self.lstm.hidden_size)
         self.lstm.accumulate_grads(grads)
@@ -135,6 +135,8 @@ class _LSTMPointNetwork(Module):
 
 class _LSTMPointForecaster(NeuralForecaster):
     """MSE-trained LSTM component of QB5000."""
+
+    _network_dtype = np.dtype(np.float32)  # predict is an LSTM scan (docs/nn.md, Precision)
 
     def __init__(
         self,
@@ -158,6 +160,7 @@ class _LSTMPointForecaster(NeuralForecaster):
     ) -> tuple[float, np.ndarray]:
         """Mean squared error and its gradient w.r.t. the prediction."""
         assert self.network is not None
+        context, horizon = self._at_entry(context, horizon)
         diff = self.network.fast_forward(context, cache) - horizon
         scale = 1.0 / diff.size
         return float((diff * diff).sum() * scale), diff * (2.0 * scale)
@@ -168,9 +171,8 @@ class _LSTMPointForecaster(NeuralForecaster):
     def predict_point(self, context: np.ndarray, start_index: int = 0) -> np.ndarray:
         self._require_fitted()
         normalised = self.scaler.transform(np.asarray(context, dtype=np.float64))[None, :]
-        # An LSTM scan, so served in float32: the scan casts its input to the
-        # serving weights' dtype, the scaler widens the output.
-        return self.scaler.inverse_transform(self._serving_network().fast_forward(normalised)[0])
+        # The scan casts its input to the weights' float32; the scaler widens the output.
+        return self.scaler.inverse_transform(self.network.fast_forward(normalised)[0])
 
 
 class QB5000Forecaster(PointForecaster):

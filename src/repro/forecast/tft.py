@@ -176,6 +176,8 @@ class TFTForecaster(NeuralForecaster):
         family.
     """
 
+    _network_dtype = np.dtype(np.float32)  # predict is an LSTM scan (docs/nn.md, Precision)
+
     def __init__(
         self,
         context_length: int,
@@ -240,7 +242,7 @@ class TFTForecaster(NeuralForecaster):
             mean, std = self._window_stats(context)
             context = (context - mean) / std
             horizon = (horizon - mean) / std
-        past, future = self._network_inputs(context, start_indices)
+        past, future, horizon = self._at_entry(*self._network_inputs(context, start_indices), horizon)
         predictions = self.network.fast_forward(past, future, cache=cache)
         return fastgrad.quantile_loss_grads(predictions, horizon, list(self.quantile_levels))
 
@@ -267,13 +269,10 @@ class TFTForecaster(NeuralForecaster):
         if self.window_normalization:
             mean, std = self._window_stats(normalised)
             normalised = (normalised - mean) / std
-        past, future = self._network_inputs(normalised, np.array([start_index]))
-        # Served in float32: inputs cast once at the network's entry, its
-        # normalised output widened before it is mapped back to workload units.
-        network = self._serving_network()
-        work = network.quantile_head.weight.data.dtype
-        raw = network.fast_forward(past.astype(work, copy=False), future.astype(work, copy=False))
-        raw = raw[0].astype(np.float64, copy=False)  # (H, Q)
+        past, future = self._at_entry(*self._network_inputs(normalised, np.array([start_index])))
+        # The float32 network's normalised output is widened before it is
+        # mapped back to workload units.
+        raw = self.network.fast_forward(past, future)[0].astype(np.float64, copy=False)  # (H, Q)
         if self.window_normalization:
             raw = raw * std[0, 0] + mean[0, 0]
         grid_values = self.scaler.inverse_transform(raw.T)  # (Q, H)
@@ -287,10 +286,6 @@ class TFTForecaster(NeuralForecaster):
         return QuantileForecast(levels=np.array(levels), values=values, mean=full.point)
 
     def attention_weights(self) -> np.ndarray | None:
-        """Mean attention pattern of the last forward pass (interpretability).
-
-        After a :meth:`predict` that is the serving copy's; right after a
-        fit, before any predict, the training network's last batch.
-        """
-        network = self.network if self._serving is None else self._serving
-        return None if network is None else network._last_attention
+        """Mean attention pattern of the last forward pass (interpretability):
+        the last :meth:`predict`'s, or right after a fit the last batch's."""
+        return None if self.network is None else self.network._last_attention

@@ -155,6 +155,11 @@ def softmax_backward(out: np.ndarray, dout: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Likelihood kernels
 # ---------------------------------------------------------------------------
+# A Python float, so it stays weak under NEP 50: a strong np.float64 here
+# would run a float32 loss in float64.
+_HALF_LOG_2PI = float(0.5 * np.log(2.0 * np.pi))
+
+
 def log_gamma(x: np.ndarray) -> np.ndarray:
     """log Gamma via a shifted Stirling series, accurate to ~1e-7 for
     ``x >= 0.5`` — the ``df / 2`` values a softplus head produces."""
@@ -163,7 +168,7 @@ def log_gamma(x: np.ndarray) -> np.ndarray:
     series = (
         (shifted - 0.5) * np.log(shifted)
         - shifted
-        + 0.5 * np.log(2.0 * np.pi)
+        + _HALF_LOG_2PI
         + 1.0 / (shifted * 12.0)
         - 1.0 / (shifted * shifted * shifted * 360.0)
     )
@@ -204,9 +209,7 @@ def gaussian_nll_grads(
     """
     var = std * std
     diff = target - mean
-    loss = float(np.mean(0.5 * np.log(var) + diff * diff / (var * 2.0))) + 0.5 * np.log(
-        2.0 * np.pi
-    )
+    loss = float(np.mean(0.5 * np.log(var) + diff * diff / (var * 2.0))) + _HALF_LOG_2PI
     n = mean.size
     dmean = -diff / var / n
     dstd = (1.0 / std - diff * diff / (var * std)) / n
@@ -285,9 +288,9 @@ def quantile_loss_grads(
         neg = np.where(-diff >= 0, -diff, 0.0)
         term = float((pos * tau + neg * (1.0 - tau)).sum() * (1.0 / diff.size))
         loss = term if index == 0 else loss + term
-        dpred[..., index] = (
-            (diff <= 0) * (1.0 - tau) - (diff >= 0) * tau
-        ) / diff.size
+        # the indicators enter in the predictions' dtype, not as float64 temporaries
+        below = np.multiply(diff <= 0, 1.0 - tau, dtype=diff.dtype)
+        dpred[..., index] = (below - np.multiply(diff >= 0, tau, dtype=diff.dtype)) / diff.size
     return loss, dpred
 
 
@@ -400,7 +403,7 @@ def attention_backward(
     dv = np.swapaxes(cache.mean_weights, -1, -2) @ dmean
     dweights = dheads @ np.swapaxes(cache.v, -1, -2)  # shared across heads
     dscores = softmax_backward(cache.weights, dweights)
-    dscores *= 1.0 / np.sqrt(d_head)
+    dscores *= 1.0 / float(np.sqrt(d_head))  # weak, as in the forward
     dq_heads = dscores @ cache.k_heads  # (H, B, Tq, dh)
     dk_heads = np.swapaxes(dscores, -1, -2) @ cache.q_heads  # (H, B, Tk, dh)
     dq_all = np.moveaxis(dq_heads, 0, 2).reshape(batch, t_query, num_heads * d_head)

@@ -9,10 +9,10 @@ that composition, in the same order, on plain ndarrays — so results are
 bitwise-identical, which the parity suite asserts.
 
 A kernel computes in the dtype of the weights it is handed and never
-promotes: float64 parameters (training) give that float64 arithmetic,
-the float32 serving copy of a network (``forecast/neural.py``) runs the
-same code in single precision.  The caller casts a network's inputs at
-its entry; scalars are Python floats, so NEP 50 keeps the arrays' dtype.
+promotes: float64 parameters give float64 arithmetic, the float32 networks
+of the LSTM-scanning forecasters (``forecast/neural.py``) train and serve
+on the same code in single precision.  The caller casts a network's inputs
+at its entry; scalars are Python floats, so NEP 50 keeps the arrays' dtype.
 
 LayerNorm / GLU / GRN / attention kernels take the layer module
 (duck-typed attribute reads — no import of :mod:`repro.nn.layers`) and

@@ -18,7 +18,7 @@ __all__ = ["Parameter", "Module"]
 
 
 class Parameter:
-    """A trainable weight of a :class:`Module`: a float64 array and its gradient."""
+    """A trainable weight of a :class:`Module`: a float array (built float64) and its gradient."""
 
     __slots__ = ("data", "grad")
 
@@ -109,14 +109,14 @@ class Module:
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load parameters in place; shapes must match exactly."""
+        """Load parameters in place, each keeping its dtype; shapes must match exactly."""
         own = dict(self.named_parameters())
         missing = sorted(set(own) - set(state))
         unexpected = sorted(set(state) - set(own))
         if missing or unexpected:
             raise KeyError(f"state dict mismatch: missing={missing} unexpected={unexpected}")
         for name, param in own.items():
-            value = np.asarray(state[name], dtype=np.float64)
+            value = np.asarray(state[name])
             if value.shape != param.data.shape:
                 raise ValueError(
                     f"shape mismatch for {name}: expected {param.data.shape}, got {value.shape}"

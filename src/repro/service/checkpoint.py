@@ -15,7 +15,8 @@ and the config the daemon was launched with (so ``repro-autoscale serve
 --restore`` can rebuild the planner identically).  Every ndarray in it
 is a raw-byte record (``{"__ndarray__": base64, "dtype", "shape"}``, see
 :mod:`repro.core.plan`), never a list of numbers, and nothing in it is
-executed on load.
+executed on load.  A weight keeps its dtype (float32 for the LSTM families
+since version 5): one unlike its skeleton parameter's is refused.
 
 The file is published atomically (temp file in the same directory +
 ``os.replace``), so a crash mid-checkpoint leaves the previous
@@ -50,7 +51,7 @@ __all__ = [
     "restore_from_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 _STATE_FILE = "state.json"
 #: Fields :func:`restore_from_checkpoint` reads unconditionally.

@@ -607,11 +607,11 @@ class TestStatusAndCheckpoint:
 
 
 class TestServingCopyAcrossSwaps:
-    """DeepAR and TFT serve from a float32 copy of their weights
-    (docs/nn.md, Serving precision).  Through refit -> promote -> rollback
-    the live model must always predict from *its own current* weights - the
-    oracle is a fresh forecaster ``load``-ed from the ``save``-d file - and
-    the checkpointed state must never carry a copy."""
+    """DeepAR and TFT train and serve one float32 network (docs/nn.md,
+    Precision).  Through refit -> promote -> rollback the live model must
+    always predict from *its own current* weights - the oracle is a fresh
+    forecaster ``load``-ed from the ``save``-d file - and every checkpointed
+    model is that one network's arrays, nothing beside them."""
 
     @pytest.mark.parametrize("kind", ["deepar", "tft"])
     def test_refit_promote_rollback_never_serve_stale_weights(self, kind, tmp_path):
@@ -625,7 +625,7 @@ class TestServingCopyAcrossSwaps:
         manager = make_manager(runtime, auto_refit=False)
         drive(runtime, manager, wave(np.arange(60, 90), STABLE))
         drive(runtime, manager, wave(np.arange(90, 120), SHIFTED))
-        assert incumbent._serving is not None  # it has served the loop
+        assert not hasattr(incumbent, "_serving")  # it has served the loop from its one network
         context = wave(np.arange(40, 48), SHIFTED)
         incumbent_forecast = forecast(incumbent, context)
 
@@ -646,15 +646,16 @@ class TestServingCopyAcrossSwaps:
         assert runtime.planner.forecaster is candidate
         assert np.array_equal(forecast(runtime.planner.forecaster, context), candidate_forecast)
 
-        # mid-guard every checkpointed model is copy-free, and restores to serve its weights
+        # mid-guard every checkpointed model is its network's float32 arrays, and
+        # restores to serve its weights
         state = json.loads(json.dumps(manager.state_dict()))
         live_state = json.loads(json.dumps(candidate.state_dict()))
         assert "live_model" not in state  # the checkpoint writes the live model, once
         for saved, original in ((live_state, candidate), (state["previous"], incumbent)):
-            assert original._serving is not None
-            assert not any("_serving" in key for key in saved)
+            weights = [key for key in saved if key.startswith("network.")]
+            assert len(weights) == len(list(original.network.parameters()))
+            assert {saved[key]["dtype"] for key in weights} == {"<f4"}
             restored = build(kind, context=8, horizon=4).load_state_dict(saved)
-            assert restored._serving is None
             assert np.array_equal(forecast(restored, context), forecast(original, context))
 
         manager.rollback(reason="test")
@@ -671,5 +672,4 @@ class TestServingCopyAcrossSwaps:
         live = build("tft", context=8, horizon=4).fit(series)
         before = json.dumps(live.state_dict())
         live.predict(series[-8:])
-        assert live._serving is not None
         assert json.dumps(live.state_dict()) == before

@@ -154,12 +154,17 @@ class TestStateProtocol:
 
     @pytest.mark.parametrize("name", ["tft", "deepar"])
     def test_the_serving_copy_is_never_in_the_state(self, name, series):
+        """There is one network, and the state is its float32 arrays: one record
+        per parameter, unmoved by predicting."""
         fitted = self.skeleton(name).fit(series)
         if name == "deepar":
             fitted.reseed_sampler(11)
-        before = json.dumps(fitted.state_dict())
+        state = fitted.state_dict()
+        weights = [key for key in state if key.startswith("network.")]
+        assert len(weights) == len(list(fitted.network.parameters()))
+        assert {state[key]["dtype"] for key in weights} == {"<f4"}
+        before = json.dumps(state)
         fitted.predict(series[-self.CONTEXT :])
-        assert fitted._serving is not None
         if name == "deepar":
             fitted.reseed_sampler(11)  # predict advanced the sampler, which is state
         assert json.dumps(fitted.state_dict()) == before

@@ -145,3 +145,26 @@ class TestWarmRefitDeterminism:
             return forecast.values
 
         np.testing.assert_allclose(lineage(), lineage())
+
+
+class TestFittedNetworkHoldsNoGradients:
+    """The last minibatch's gradients are not fitted state: ``fit`` releases
+    them, so ``copy.deepcopy`` (an adaptation refit) and pickling (a
+    ``parallel_map`` context) carry the weights and nothing else."""
+
+    @pytest.mark.parametrize("family", ["mlp", "deepar", "tft", "qb5000_lstm"])
+    def test_every_grad_is_none_after_a_cold_and_a_warm_fit(self, family):
+        from repro.forecast import DeepARForecaster, TFTForecaster
+        from repro.forecast.qb5000 import _LSTMPointForecaster
+
+        config = TrainingConfig(epochs=2, patience=1, validation_fraction=0.3, seed=0)
+        model = {
+            "mlp": lambda: MLPForecaster(CTX, HOR, hidden_size=8, config=config),
+            "deepar": lambda: DeepARForecaster(CTX, HOR, hidden_size=8, config=config),
+            "tft": lambda: TFTForecaster(CTX, HOR, d_model=8, num_heads=2, config=config),
+            "qb5000_lstm": lambda: _LSTMPointForecaster(CTX, HOR, hidden_size=8, config=config),
+        }[family]()
+        model.fit(make_series())
+        assert all(param.grad is None for param in model.network.parameters())
+        model.fit(make_series(seed=1), warm_start=True, epochs=1)
+        assert all(param.grad is None for param in model.network.parameters())

@@ -9,9 +9,10 @@ tape - its parameters enter as leaf tensors sharing ``param.data`` and
 ``param.grad`` (:func:`leaf`), so ``forward(layer, x).sum().backward()``
 leaves gradients exactly where the analytic pass leaves them -
 :func:`tape_loss` does the same for a forecaster's training loss, and the
-helpers below run whole algorithms that way.  Forecasters serve in float32;
-:func:`float64_serving` is the one route by which a test runs the production
-``predict`` / ``sample_paths`` on the float64 weights the tape sees.
+helpers below run whole algorithms that way.  DeepAR, TFT and QB5000's LSTM
+train and serve in float32; :func:`float64_serving` is the one route by which
+a test fits or predicts with a float64 network of such a family - the
+arithmetic the tape sees.
 
 Tape and kernels share one logistic (``fastpath.sigmoid``) and the cell
 runs on pre-halved weights, so their parity cannot catch a mistake in
@@ -25,6 +26,7 @@ buffer, column-block slices, batch-major cache - is kept at the bottom
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 from functools import singledispatch
 
@@ -370,22 +372,37 @@ def tape_fit(forecaster, series, **fit_kwargs):
 # ---------------------------------------------------------------------------
 @contextmanager
 def float64_serving(forecaster):
-    """Serve ``forecaster`` from its float64 training network inside the block.
+    """``forecaster`` in float64 inside the block, for ``fit`` and ``predict``.
 
-    Production predicts from a once-cast float32 copy of the weights
-    (``NeuralForecaster._serving_network``).  Pointing that slot at
-    ``forecaster.network`` runs the production ``predict`` / ``sample_paths``
-    in float64 - the arithmetic the tape reproduces bit for bit, and the
-    reference float32 serving is held to its error budget against.  A test
-    reference, not a production option: nothing in ``src/`` selects it.  On
-    exit the slot holds what it held before - the float32 copy, or nothing.
+    A family's precision is its ``_network_dtype`` (float32 for the LSTM
+    scanners, docs/nn.md, Precision); the block shadows it with float64 on
+    this one instance.  A network it already has is widened in place
+    (exact), and a cold ``fit`` or a ``load_state_dict`` into an unfitted
+    forecaster builds a float64 one through the production cast - the
+    arithmetic the tape reproduces bit for bit, and the reference the
+    float32 families are held to their error budgets against.  A test
+    route, not an option: nothing in ``src/`` selects it.  On exit the
+    network is cast back to the family's precision, which gives back the
+    very weights a float32 network entered with.
     """
-    previous = forecaster._serving
-    forecaster._serving = forecaster.network
+    forecaster._network_dtype = np.dtype(np.float64)
     try:
+        if forecaster.network is not None:
+            forecaster._in_precision(forecaster.network)
         yield forecaster
     finally:
-        forecaster._serving = previous
+        del forecaster._network_dtype
+        if forecaster.network is not None:
+            forecaster._in_precision(forecaster.network)
+
+
+def as_float32(module):
+    """A deep copy of ``module`` with every weight cast to float32 - the kernel
+    tests' stand-in for a float32 family's network."""
+    module = copy.deepcopy(module)
+    for param in module.parameters():
+        param.data = param.data.astype(np.float32)
+    return module
 
 
 def sample_paths_tape(forecaster, normalised: np.ndarray, start_index: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from repro.forecast import (
 from repro.forecast.qb5000 import _LSTMPointForecaster
 from repro.nn import LSTM, fastgrad
 from tests.nn import functional as F
-from tests.nn.oracles import forward, tape_fit, tape_loss_backward
+from tests.nn.oracles import float64_serving, forward, tape_fit, tape_loss_backward
 from tests.nn.tensor import Tensor
 
 RNG = np.random.default_rng
@@ -257,8 +257,9 @@ class TestModelLossParity:
         )
         fc.network = fc._build(RNG(0))
         batch = _batch(fc)
-        tape_loss, tape_grads = _tape_loss_and_grads(fc, batch)
-        fast_loss, fast_grads = _fast_loss_and_grads(fc, batch)
+        with float64_serving(fc):  # DeepAR trains in float32; the tape in float64
+            tape_loss, tape_grads = _tape_loss_and_grads(fc, batch)
+            fast_loss, fast_grads = _fast_loss_and_grads(fc, batch)
         assert fast_loss == pytest.approx(tape_loss, rel=1e-12)
         _assert_grads_match(fast_grads, tape_grads)
 
@@ -279,8 +280,9 @@ class TestModelLossParity:
         fc = _TINY[name]()
         fc.network = fc._build(RNG(2))
         batch = _batch(fc)
-        tape_loss, tape_grads = _tape_loss_and_grads(fc, batch)
-        fast_loss, fast_grads = _fast_loss_and_grads(fc, batch)
+        with float64_serving(fc):  # QB5000's LSTM trains in float32; the tape in float64
+            tape_loss, tape_grads = _tape_loss_and_grads(fc, batch)
+            fast_loss, fast_grads = _fast_loss_and_grads(fc, batch)
         assert fast_loss == pytest.approx(tape_loss, rel=1e-12)
         _assert_grads_match(fast_grads, tape_grads)
 
@@ -291,10 +293,11 @@ class TestModelLossParity:
         fc = _TINY[name]()
         fc.network = fc._build(RNG(3))
         batch = _batch(fc, batch=3)
-        _, grads = _fast_loss_and_grads(fc, batch)
-        for pname, param in fc.network.named_parameters():
-            fd = _fd_grad(lambda: fc._forward_loss(*batch)[0], param.data)
-            np.testing.assert_allclose(grads[pname], fd, atol=1e-6, err_msg=pname)
+        with float64_serving(fc):  # finite differences need float64
+            _, grads = _fast_loss_and_grads(fc, batch)
+            for pname, param in fc.network.named_parameters():
+                fd = _fd_grad(lambda: fc._forward_loss(*batch)[0], param.data)
+                np.testing.assert_allclose(grads[pname], fd, atol=1e-6, err_msg=pname)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +353,8 @@ class TestTrainingContract:
 
 class TestFitTrajectoryParity:
     """End-to-end: the analytic pass follows the same loss trajectory
-    (and produces the same weights) as a fit on the tape."""
+    (and produces the same weights) as a fit on the tape - both in float64,
+    the LSTM families through ``float64_serving``."""
 
     @pytest.mark.parametrize(
         "factory",
@@ -368,13 +372,16 @@ class TestFitTrajectoryParity:
         series = 50 + 10 * np.sin(np.arange(220) * 2 * np.pi / 24) + rng.normal(0, 1, 220)
 
         cfg = TrainingConfig(epochs=3, batch_size=16, seed=0, patience=0)
-        fast, tape = factory(cfg).fit(series), tape_fit(factory(cfg), series)
-        fast_losses = [r["train_loss"] for r in fast.history]
-        tape_losses = [r["train_loss"] for r in tape.history]
-        np.testing.assert_allclose(fast_losses, tape_losses, rtol=1e-10)
-        for (name, pf), (_, pt) in zip(
-            fast.network.named_parameters(), tape.network.named_parameters()
-        ):
-            np.testing.assert_allclose(
-                pf.data, pt.data, rtol=1e-8, atol=1e-10, err_msg=name
-            )
+        with float64_serving(factory(cfg)) as fast, float64_serving(factory(cfg)) as tape:
+            fast.fit(series)
+            tape_fit(tape, series)
+            fast_losses = [r["train_loss"] for r in fast.history]
+            tape_losses = [r["train_loss"] for r in tape.history]
+            np.testing.assert_allclose(fast_losses, tape_losses, rtol=1e-10)
+            for (name, pf), (_, pt) in zip(
+                fast.network.named_parameters(), tape.network.named_parameters()
+            ):
+                assert pf.data.dtype == pt.data.dtype == np.float64
+                np.testing.assert_allclose(
+                    pf.data, pt.data, rtol=1e-8, atol=1e-10, err_msg=name
+                )

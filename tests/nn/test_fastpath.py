@@ -186,12 +186,14 @@ def test_deepar_heads_match_tape(deepar):
     forecaster, _ = deepar
     net = forecaster.network
     inputs = _random((2, 3, 1 + NUM_CALENDAR_FEATURES))
-    mu, scale, df = net.fast_forward(inputs)
-    hidden, _ = net.lstm.fast_forward(inputs)
-    top = Tensor(hidden.reshape(6, forecaster.hidden_size))
-    tape_mu = forward(net.mu_head, top)[..., 0].data
-    tape_scale = (forward(net.scale_head, top)[..., 0].softplus() + 1e-4).data
-    tape_df = (forward(net.df_head, top)[..., 0].softplus() + 2.0).data
+    with float64_serving(forecaster):  # the tape computes in float64
+        mu, scale, df = net.fast_forward(inputs)
+        hidden, _ = net.lstm.fast_forward(inputs)
+        top = Tensor(hidden.reshape(6, forecaster.hidden_size))
+        tape_mu = forward(net.mu_head, top)[..., 0].data
+        tape_scale = (forward(net.scale_head, top)[..., 0].softplus() + 1e-4).data
+        tape_df = (forward(net.df_head, top)[..., 0].softplus() + 2.0).data
+    assert mu.dtype == np.float64
     assert np.array_equal(mu, tape_mu)
     assert np.array_equal(scale, tape_scale)
     assert np.array_equal(df, tape_df)
@@ -200,13 +202,13 @@ def test_deepar_heads_match_tape(deepar):
 def test_sample_paths_fast_vs_tape_identical(deepar):
     forecaster, series = deepar
     context = series[-36:]
-    forecaster.reseed_sampler(99)
     with float64_serving(forecaster):  # the production sampler on the weights the tape sees
+        forecaster.reseed_sampler(99)
         fast = forecaster.sample_paths(context, start_index=464).samples
-    forecaster.reseed_sampler(99)
-    tape = forecaster.scaler.inverse_transform(
-        sample_paths_tape(forecaster, forecaster.scaler.transform(context), 464)
-    )
+        forecaster.reseed_sampler(99)
+        tape = forecaster.scaler.inverse_transform(
+            sample_paths_tape(forecaster, forecaster.scaler.transform(context), 464)
+        )
     assert fast.shape == (30, 24)
     assert np.array_equal(fast, tape)
 

@@ -24,7 +24,7 @@ from repro.nn import (
     fastpath,
 )
 from tests.nn import functional as F
-from tests.nn.oracles import forward, tape_fit, tape_loss_backward
+from tests.nn.oracles import float64_serving, forward, tape_fit, tape_loss_backward
 from tests.nn.tensor import Tensor
 
 RNG = np.random.default_rng
@@ -349,14 +349,16 @@ class TestModelLossParity:
         horizon = rng.normal(size=(batch, fc.horizon))
         starts = rng.integers(0, 500, size=batch)
 
-        fc.network.zero_grad()
-        tape_loss = tape_loss_backward(fc, (context.copy(), horizon.copy(), starts))
-        tape_grads = _param_grads(fc.network)
+        with float64_serving(fc):  # the TFT trains in float32; the tape in float64
+            fc.network.zero_grad()
+            tape_loss = tape_loss_backward(fc, (context.copy(), horizon.copy(), starts))
+            tape_grads = _param_grads(fc.network)
 
-        fc.network.zero_grad()
-        fast_loss = fc._loss_backward(context.copy(), horizon.copy(), starts)
+            fc.network.zero_grad()
+            fast_loss = fc._loss_backward(context.copy(), horizon.copy(), starts)
+            fast_grads = _param_grads(fc.network)
         assert fast_loss == tape_loss  # bitwise: same compositions, same order
-        _assert_grads_match(_param_grads(fc.network), tape_grads)
+        _assert_grads_match(fast_grads, tape_grads)
 
     def test_supports_flag(self):
         assert "_forward_loss" in vars(TFTForecaster)
@@ -381,13 +383,16 @@ class TestFitTrajectoryParity:
             cfg = TrainingConfig(epochs=3, batch_size=16, seed=0, patience=0)
             return TFTForecaster(16, 8, d_model=8, num_heads=2, config=cfg)
 
-        fast, tape = build().fit(series), tape_fit(build(), series)
-        fast_losses = [r["train_loss"] for r in fast.history]
-        tape_losses = [r["train_loss"] for r in tape.history]
-        np.testing.assert_allclose(fast_losses, tape_losses, rtol=1e-10)
-        for (name, pf), (_, pt) in zip(
-            fast.network.named_parameters(), tape.network.named_parameters()
-        ):
-            np.testing.assert_allclose(
-                pf.data, pt.data, rtol=1e-8, atol=1e-10, err_msg=name
-            )
+        with float64_serving(build()) as fast, float64_serving(build()) as tape:
+            fast.fit(series)
+            tape_fit(tape, series)
+            fast_losses = [r["train_loss"] for r in fast.history]
+            tape_losses = [r["train_loss"] for r in tape.history]
+            np.testing.assert_allclose(fast_losses, tape_losses, rtol=1e-10)
+            for (name, pf), (_, pt) in zip(
+                fast.network.named_parameters(), tape.network.named_parameters()
+            ):
+                assert pf.data.dtype == pt.data.dtype == np.float64
+                np.testing.assert_allclose(
+                    pf.data, pt.data, rtol=1e-8, atol=1e-10, err_msg=name
+                )

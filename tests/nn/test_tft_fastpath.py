@@ -6,9 +6,9 @@ interpretability tooling reads — so every fused kernel (softmax,
 LayerNorm, GLU, GRN, interpretable attention) and the whole-network
 ``_TFTNetwork.fast_forward`` are checked with ``np.array_equal``, not
 ``allclose``.  The tape side is the composition of the same production
-module in ``tests/nn/oracles.py``.  Forecasts are *served* in float32
-(``tests/nn/test_float32.py`` holds that contract); here the production
-``predict`` runs on the float64 weights through ``float64_serving``.
+module in ``tests/nn/oracles.py``.  The TFT trains and serves in float32
+(``tests/nn/test_float32.py`` holds that contract); here its network and
+the production ``predict`` run in float64 through ``float64_serving``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.forecast import TFTForecaster, TrainingConfig
-from repro.forecast.neural import _float32_copy
 from repro.nn import (
     GatedLinearUnit,
     GatedResidualNetwork,
@@ -176,11 +175,12 @@ class TestNetworkFastForward:
         past = rng.normal(size=(3, 36, net.past_proj.in_features))
         future = rng.normal(size=(3, 12, net.future_proj.in_features))
 
-        tape = _tape(net, Tensor(past), Tensor(future)).data
-        tape_attn = net._last_attention.copy()
-        fast = net.fast_forward(past, future)
-        assert np.array_equal(fast, tape)
-        assert np.array_equal(net._last_attention, tape_attn)
+        with float64_serving(forecaster):  # the tape computes in float64
+            tape = _tape(net, Tensor(past), Tensor(future)).data
+            tape_attn = net._last_attention.copy()
+            fast = net.fast_forward(past, future)
+            assert np.array_equal(fast, tape)
+            assert np.array_equal(net._last_attention, tape_attn)
 
     def test_predict_bitwise_vs_tape(self, fitted, monkeypatch):
         forecaster, series = fitted
@@ -202,7 +202,7 @@ class TestNetworkFastForward:
 class TestFloat32:
     def test_dtype_threads_through_every_kernel(self, fitted):
         forecaster, _ = fitted
-        net = _float32_copy(forecaster.network)
+        net = forecaster.network  # the TFT's one network is float32
         rng = RNG(16)
         past = rng.normal(size=(2, 36, net.past_proj.in_features)).astype(np.float32)
         future = rng.normal(size=(2, 12, net.future_proj.in_features)).astype(np.float32)
@@ -216,8 +216,8 @@ class TestFloat32:
         rng = RNG(17)
         past = rng.normal(size=(2, 36, net.past_proj.in_features))
         future = rng.normal(size=(2, 12, net.future_proj.in_features))
-        out64 = net.fast_forward(past, future)
-        out32 = _float32_copy(net).fast_forward(
-            past.astype(np.float32), future.astype(np.float32)
-        )
+        out32 = net.fast_forward(past.astype(np.float32), future.astype(np.float32))
+        with float64_serving(forecaster):
+            out64 = net.fast_forward(past, future)
+        assert out32.dtype == np.float32 and out64.dtype == np.float64
         np.testing.assert_allclose(out32, out64, atol=1e-4)

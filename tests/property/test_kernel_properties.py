@@ -14,10 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.forecast.features import NUM_CALENDAR_FEATURES
-from repro.forecast.neural import _float32_copy
 from repro.forecast.tft import _TFTNetwork
 from repro.nn import LSTM
-from tests.nn.oracles import forward
+from tests.nn.oracles import as_float32, forward
 from tests.nn.tensor import Tensor
 
 lstm_cases = st.fixed_dictionaries(
@@ -98,7 +97,7 @@ class TestLSTMScan:
         """Same bound as tests/nn/test_float32.py::test_float32_close_to_float64_forward."""
         lstm, x = _lstm_and_input(case)
         out64, _ = lstm.fast_forward(x)
-        out32, state32 = _float32_copy(lstm).fast_forward(x)  # the scan casts its input once
+        out32, state32 = as_float32(lstm).fast_forward(x)  # the scan casts its input once
         assert out32.dtype == np.float32
         assert all(h.dtype == c.dtype == np.float32 for h, c in state32)
         np.testing.assert_allclose(out32, out64, atol=1e-5)
@@ -143,7 +142,7 @@ class TestTFTForward:
         """Same bound as tests/nn/test_tft_fastpath.py::TestFloat32."""
         net, past, future = _tft_and_inputs(case)
         out64 = net.fast_forward(past, future)
-        net32 = _float32_copy(net)
+        net32 = as_float32(net)
         out32 = net32.fast_forward(past.astype(np.float32), future.astype(np.float32))
         assert out32.dtype == np.float32 and net32._last_attention.dtype == np.float32
         np.testing.assert_allclose(out32, out64, atol=1e-4)

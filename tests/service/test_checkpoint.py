@@ -121,7 +121,7 @@ class TestSaveLoad:
         # The checkpoint is plain JSON on disk, not pickles: one file.
         assert [entry.name for entry in path.iterdir()] == ["state.json"]
         raw = json.loads((path / "state.json").read_text())
-        assert raw["version"] == CHECKPOINT_VERSION == 4
+        assert raw["version"] == CHECKPOINT_VERSION == 5
         # ...and every array in it is a raw-byte record, not a number list.
         plan = raw["runtime"]["current_plan"]
         for record in (plan["nodes"], plan["metadata"]["forecast_values"]):
@@ -155,7 +155,7 @@ class TestSaveLoad:
             "version": 1, "source_position": 0, "monitor": None,
             "runtime": {"current_plan": {"nodes": [1, 2]}},
         }))
-        with pytest.raises(ValueError, match=r"version 1 .*version 4"):
+        with pytest.raises(ValueError, match=r"version 1 .*version 5"):
             load_checkpoint(ckpt)
 
     def test_version_2_file_is_rejected_at_the_door(self, tmp_path):
@@ -164,7 +164,7 @@ class TestSaveLoad:
         runtime.run(SERIES[:20])
         ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime)
         _edit_state(ckpt, lambda state: state.update(version=2))
-        with pytest.raises(ValueError, match=r"version 2 .*version 4"):
+        with pytest.raises(ValueError, match=r"version 2 .*version 5"):
             load_checkpoint(ckpt)
 
     def test_version_3_directory_is_rejected_at_the_door(self, tmp_path):
@@ -177,7 +177,18 @@ class TestSaveLoad:
         _edit_state(ckpt, lambda state: state.update(
             version=3, model_file="model.npz", sampler=state.pop("model")["sampler"],
         ))
-        with pytest.raises(ValueError, match=r"version 3 .*version 4"):
+        with pytest.raises(ValueError, match=r"version 3 .*version 5"):
+            load_checkpoint(ckpt)
+
+
+    def test_version_4_file_is_rejected_at_the_door(self, tmp_path):
+        """The previous build's file - float64 DeepAR / TFT / QB5000-LSTM weights
+        - is refused before anything in it is read, never narrowed silently."""
+        runtime, _ = make_loop()
+        runtime.run(SERIES[:20])
+        ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime)
+        _edit_state(ckpt, lambda state: state.update(version=4))
+        with pytest.raises(ValueError, match=r"version 4 .*version 5"):
             load_checkpoint(ckpt)
 
 
@@ -307,6 +318,48 @@ class TestDamagedCheckpoints:
         assert json.dumps(restored.state_dict()) == before
         assert json.dumps(restored.monitor.state_dict()) == monitor_before
         assert forecaster.network is None and not forecaster._fitted
+
+    @pytest.mark.parametrize("record", ["model", "adaptation.candidate"])
+    def test_a_float64_weight_in_a_tft_record_is_refused(self, tmp_path, record):
+        """Weights keep their dtype: a float64 array where the TFT skeleton has a
+        float32 parameter is named and refused - never narrowed - before the
+        runtime, the monitor or the adaptation manager is touched."""
+        from repro.adaptation import AdaptationManager, PromotionPolicy
+        from repro.nn.serialization import _decode_value, _encode_value
+        from tests.adaptation.doubles import drive, make_runtime
+        from tests.forecast.test_serving_copy import build
+
+        def loop():
+            runtime = make_runtime(build("tft", context=8, horizon=4))
+            policy = PromotionPolicy(guard_windows=9)
+            return runtime, AdaptationManager(runtime, auto_refit=False, policy=policy)
+
+        wave = 100.0 + 30.0 * np.sin(np.arange(120) / 3.0)
+        runtime, manager = loop()
+        runtime.planner.forecaster.fit(wave[:60])
+        drive(runtime, manager, wave[60:])
+        manager.refit(reason="test")
+        ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime, adaptation=manager)
+
+        def widen(state):
+            model = state["model"] if record == "model" else state["adaptation"]["candidate"]
+            key = next(key for key in model if key.endswith(".weight"))
+            assert model[key]["dtype"] == "<f4"
+            model[key] = _encode_value(_decode_value(model[key]).astype(np.float64))
+
+        _edit_state(ckpt, widen)
+        fresh_runtime, fresh = loop()
+
+        def states():
+            loop_objects = (fresh_runtime, fresh_runtime.monitor, fresh)
+            return [json.dumps(owner.state_dict()) for owner in loop_objects]
+
+        before = states()
+        match = rf"^{record}\.network\.\S+: expected a float32 array, got float64"
+        with pytest.raises(ValueError, match=match):
+            restore_from_checkpoint(ckpt, runtime=fresh_runtime, adaptation=fresh)
+        assert states() == before
+        assert fresh_runtime.planner.forecaster.network is None and fresh.candidate is None
 
 
 class TestStateDictFixedPoint:
