@@ -18,10 +18,12 @@ Two phases, both against real subprocesses:
    completion, repeat it with a mid-trace checkpoint + early stop (the
    simulated crash), restore from the checkpoint, and require the
    restored session's decision stream to be bit-identical to the
-   uninterrupted run's tail.  The checkpoint it restores from must be
-   format version 5 — every array a raw-byte record, no decision
-   history in the ``runtime`` block (its size is printed); ``--keep DIR``
-   copies that checkpoint out (CI uploads it as an artifact).
+   uninterrupted run's tail.  The checkpoint it restores from must be in
+   this build's format (``repro.service.CHECKPOINT_VERSION``) — every
+   array a raw-byte record, no decision history in the ``runtime`` block
+   (its size is printed), and a ``config`` that is the loop spec's record
+   plus the tick feed; ``--keep DIR`` copies that checkpoint out (CI
+   uploads it as an artifact).
 
 Stdlib only; exits non-zero on the first failure.
 """
@@ -270,11 +272,19 @@ def phase_live_control_plane(workdir: Path) -> None:
 
 
 def check_checkpoint_format(ckpt: Path) -> dict:
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.service import CHECKPOINT_VERSION
+
     text = (ckpt / "state.json").read_text()
     state = json.loads(text)
-    if state.get("version") != 5:
+    if state.get("version") != CHECKPOINT_VERSION:
         fail(f"checkpoint format version is {state.get('version')!r}, "
-             f"expected 5")
+             f"expected {CHECKPOINT_VERSION}")
+    feed = {"trace", "days", "source", "follow"}
+    if set(state["config"]) != {"spec", *feed}:
+        fail(f"checkpoint config is not the loop spec plus the feed: {sorted(state['config'])}")
+    if state["config"]["spec"]["monitoring"]["slos"] != [SERVE[SERVE.index("--slo") + 1]]:
+        fail(f"checkpoint spec lost the SLO: {state['config']['spec']['monitoring']}")
     if '"__ndarray__"' not in text:
         fail("checkpoint holds no array record at all")
     # A quote inside a JSON string is escaped, so this only matches keys.
@@ -288,7 +298,7 @@ def check_checkpoint_format(ckpt: Path) -> dict:
     sizes = {path.name: path.stat().st_size for path in sorted(ckpt.iterdir())}
     if list(sizes) != ["state.json"]:
         fail(f"checkpoint directory should hold exactly state.json, has {sorted(sizes)}")
-    print(f"checkpoint format OK: version 5, runtime block "
+    print(f"checkpoint format OK: version {CHECKPOINT_VERSION}, runtime block "
           f"{len(json.dumps(state['runtime']))} bytes after "
           f"{state['runtime']['decisions_committed']} decisions "
           f"(fields: {', '.join(state['runtime'])}), sizes {sizes}")

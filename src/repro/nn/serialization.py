@@ -39,7 +39,7 @@ def _encode_value(value):
     ``repr`` per number.  Numpy scalars unwrap, a
     :class:`~repro.core.plan.ScalingPlan` becomes its ``to_state()``, an
     object with a ``state_dict()`` (a forecaster, a health monitor) that
-    dict, a deque or a list a new list; the rest passes through.
+    dict, a deque, a list or a tuple a new list; the rest passes through.
     """
     if isinstance(value, np.ndarray):
         return {
@@ -53,7 +53,7 @@ def _encode_value(value):
         return value.to_state()
     if hasattr(value, "state_dict"):
         return value.state_dict()
-    if isinstance(value, (deque, list)):
+    if isinstance(value, (deque, list, tuple)):
         return list(value)
     return value
 

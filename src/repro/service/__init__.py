@@ -29,7 +29,9 @@ Run it from the CLI (``repro-autoscale serve``) or embed it::
     service.serve_forever()          # ^C to stop; HTTP on service.port
 """
 
-from .checkpoint import load_checkpoint, restore_from_checkpoint, save_checkpoint
+from .checkpoint import (
+    CHECKPOINT_VERSION, load_checkpoint, restore_from_checkpoint, save_checkpoint,
+)
 from .daemon import ServiceRuntime
 from .dashboard import render_dashboard, run_dashboard
 from .http import ControlPlane, HttpError, RawResponse
@@ -53,6 +55,7 @@ __all__ = [
     "FileTailSource",
     "StdinJsonlSource",
     "parse_tick_line",
+    "CHECKPOINT_VERSION",
     "save_checkpoint",
     "load_checkpoint",
     "restore_from_checkpoint",

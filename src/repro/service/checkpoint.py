@@ -11,8 +11,10 @@ and — for a sampling forecaster — the sampler's bit-generator state; None
 for a family without the state protocol, which is rebuilt as
 constructed), ``adaptation`` the adaptation state machine with its
 candidate / rollback models in the same form, plus the source position
-and the config the daemon was launched with (so ``repro-autoscale serve
---restore`` can rebuild the planner identically).  Every ndarray in it
+and the config the daemon was launched with, an object this module does
+not interpret (``repro-autoscale serve`` writes its
+:class:`~repro.loop.LoopSpec` record and tick feed there since version 6,
+and ``--restore`` rebuilds the loop from them).  Every ndarray in it
 is a raw-byte record (``{"__ndarray__": base64, "dtype", "shape"}``, see
 :mod:`repro.core.plan`), never a list of numbers, and nothing in it is
 executed on load.  A weight keeps its dtype (float32 for the LSTM families
@@ -51,11 +53,12 @@ __all__ = [
     "restore_from_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 _STATE_FILE = "state.json"
-#: Fields :func:`restore_from_checkpoint` reads unconditionally.
+#: Fields :func:`restore_from_checkpoint` and its caller read unconditionally.
 _REQUIRED_FIELDS = {
+    "config": dict,
     "source_position": int,
     "runtime": dict,
     "monitor": (dict, type(None)),

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import _MODELS, _build_forecaster
 from repro.forecast import DeepARForecaster, MLPForecaster, TFTForecaster, TrainingConfig
+from repro.loop import MODELS, LoopSpec
 
 from .conftest import SEASON
 from .test_serving_copy import build
@@ -122,9 +122,9 @@ class TestStateProtocol:
         return 100.0 + 30.0 * np.sin(2 * np.pi * t / 144) + rng.normal(0.0, 3.0, size=len(t))
 
     def skeleton(self, name):
-        return _build_forecaster(name, self.CONTEXT, self.HORIZON, epochs=1, seed=2)
+        return LoopSpec(name, self.CONTEXT, self.HORIZON, epochs=1, seed=2).forecaster()
 
-    @pytest.mark.parametrize("name", _MODELS)
+    @pytest.mark.parametrize("name", MODELS)
     def test_round_trip_is_a_fixed_point(self, name, series, tmp_path, monkeypatch):
         fitted = self.skeleton(name).fit(series)
         state = fitted.state_dict()

@@ -121,7 +121,7 @@ class TestSaveLoad:
         # The checkpoint is plain JSON on disk, not pickles: one file.
         assert [entry.name for entry in path.iterdir()] == ["state.json"]
         raw = json.loads((path / "state.json").read_text())
-        assert raw["version"] == CHECKPOINT_VERSION == 5
+        assert raw["version"] == CHECKPOINT_VERSION == 6
         # ...and every array in it is a raw-byte record, not a number list.
         plan = raw["runtime"]["current_plan"]
         for record in (plan["nodes"], plan["metadata"]["forecast_values"]):
@@ -155,7 +155,7 @@ class TestSaveLoad:
             "version": 1, "source_position": 0, "monitor": None,
             "runtime": {"current_plan": {"nodes": [1, 2]}},
         }))
-        with pytest.raises(ValueError, match=r"version 1 .*version 5"):
+        with pytest.raises(ValueError, match=r"version 1 .*version 6"):
             load_checkpoint(ckpt)
 
     def test_version_2_file_is_rejected_at_the_door(self, tmp_path):
@@ -164,7 +164,7 @@ class TestSaveLoad:
         runtime.run(SERIES[:20])
         ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime)
         _edit_state(ckpt, lambda state: state.update(version=2))
-        with pytest.raises(ValueError, match=r"version 2 .*version 5"):
+        with pytest.raises(ValueError, match=r"version 2 .*version 6"):
             load_checkpoint(ckpt)
 
     def test_version_3_directory_is_rejected_at_the_door(self, tmp_path):
@@ -177,7 +177,7 @@ class TestSaveLoad:
         _edit_state(ckpt, lambda state: state.update(
             version=3, model_file="model.npz", sampler=state.pop("model")["sampler"],
         ))
-        with pytest.raises(ValueError, match=r"version 3 .*version 5"):
+        with pytest.raises(ValueError, match=r"version 3 .*version 6"):
             load_checkpoint(ckpt)
 
 
@@ -188,7 +188,20 @@ class TestSaveLoad:
         runtime.run(SERIES[:20])
         ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime)
         _edit_state(ckpt, lambda state: state.update(version=4))
-        with pytest.raises(ValueError, match=r"version 4 .*version 5"):
+        with pytest.raises(ValueError, match=r"version 4 .*version 6"):
+            load_checkpoint(ckpt)
+
+    def test_version_5_file_is_rejected_at_the_door(self, tmp_path):
+        """The previous build's file - its ``config`` the daemon's argparse
+        keys, copied back onto the arguments on restore - is refused before
+        anything in it is read."""
+        runtime, _ = make_loop()
+        runtime.run(SERIES[:20])
+        ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime)
+        _edit_state(ckpt, lambda state: state.update(
+            version=5, config={"model": "naive", "context": 144, "decisions_out": "x"},
+        ))
+        with pytest.raises(ValueError, match=r"version 5 .*version 6"):
             load_checkpoint(ckpt)
 
 
@@ -276,6 +289,49 @@ class TestDamagedCheckpoints:
         error = capsys.readouterr().err
         assert "state.json" in error
         assert "runtime.current_plan.metadata.forecast_values" in error
+
+    SERVE = ["serve", "--model", "naive", "--days", "5", "--context", "144", "--horizon", "36"]
+
+    def _served(self, tmp_path):
+        """A checkpoint ``serve`` wrote, with its spec record in ``config``."""
+        from repro.cli import main
+
+        ckpt = tmp_path / "served"
+        assert main([*self.SERVE, "--max-ticks", "12", "--checkpoint-dir", str(ckpt),
+                     "--checkpoint-at", "10"]) == 0
+        assert load_checkpoint(ckpt)["config"]["spec"]["context"] == 144
+        return ckpt
+
+    def test_serve_refuses_an_unknown_spec_key_and_writes_nothing(self, tmp_path, capsys):
+        """The config used to be copied onto ``serve``'s arguments key by key,
+        so a checkpoint could redirect the restored daemon's decision log and
+        checkpoints to paths the operator never passed."""
+        from repro.cli import main
+
+        ckpt = self._served(tmp_path)
+        smuggled = {
+            "decisions_out": str(tmp_path / "elsewhere.jsonl"),
+            "checkpoint_dir": str(tmp_path / "elsewhere"),
+            "checkpoint_every": 1,
+        }
+        _edit_state(ckpt, lambda state: state["config"]["spec"].update(smuggled))
+        before = (ckpt / "state.json").read_bytes()
+        capsys.readouterr()
+        assert main(["serve", "--restore", str(ckpt), "--max-ticks", "5"]) == 2
+        error = capsys.readouterr().err
+        assert "config.spec" in error
+        assert all(repr(key) in error for key in smuggled), error
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["served"]
+        assert (ckpt / "state.json").read_bytes() == before
+
+    def test_serve_refuses_a_mistyped_context(self, tmp_path, capsys):
+        from repro.cli import main
+
+        ckpt = self._served(tmp_path)
+        _edit_state(ckpt, lambda state: state["config"]["spec"].update(context="abc"))
+        capsys.readouterr()
+        assert main(["serve", "--restore", str(ckpt), "--max-ticks", "5"]) == 2
+        assert "config.spec.context: expected int, got 'abc'" in capsys.readouterr().err
 
     def test_undamaged_checkpoint_still_restores(self, ckpt):
         restored, planner = make_loop()
@@ -560,10 +616,11 @@ class TestModelWeights:
 
 class TestCheckpointsFromBeforeFloat32Serving:
     """Precision used to be a flag, so every checkpoint written then embeds
-    ``config["dtype"] = "float64"``; ``serve --restore`` copies each config
-    key onto its args.  The key is inert: the loop restores, serves in
-    float32 from the checkpointed weights, and continues as a checkpoint
-    written today does."""
+    ``config["dtype"] = "float64"``.  ``serve --restore`` used to copy each
+    config key onto its args, which left that key inert.  Since version 6 the
+    config is the loop spec's record plus the tick feed, each field read by
+    name and type, so the key is refused and named; a checkpoint written
+    today restores, serves in float32 from its weights, and continues."""
 
     SERVE = ["serve", "--model", "deepar", "--days", "4", "--context", "24",
              "--horizon", "12", "--epochs", "1", "--replan-every", "6"]
@@ -575,7 +632,7 @@ class TestCheckpointsFromBeforeFloat32Serving:
             for record in map(json.loads, path.read_text().splitlines())
         ]
 
-    def test_serve_restores_and_continues(self, tmp_path):
+    def test_serve_restores_and_continues(self, tmp_path, capsys):
         from repro.cli import main
 
         ckpt = tmp_path / "ckpt"
@@ -587,14 +644,16 @@ class TestCheckpointsFromBeforeFloat32Serving:
         assert main(["serve", "--restore", str(ckpt), "--max-ticks", "12",
                      "--decisions-out", str(tmp_path / "today.jsonl")]) == 0
         _edit_state(ckpt, lambda state: state["config"].update(dtype="float64"))
+        capsys.readouterr()
         assert main(["serve", "--restore", str(ckpt), "--max-ticks", "12",
-                     "--decisions-out", str(tmp_path / "old.jsonl")]) == 0
+                     "--decisions-out", str(tmp_path / "old.jsonl")]) == 2
+        assert "checkpoint config: unknown field 'dtype'" in capsys.readouterr().err
+        assert not (tmp_path / "old.jsonl").exists()
 
         full = self._nodes(tmp_path / "full.jsonl")
-        old = self._nodes(tmp_path / "old.jsonl")
-        assert [source for _, source, _ in old] == ["predictive", "predictive"]
-        assert old == self._nodes(tmp_path / "today.jsonl")
-        assert old == [entry for entry in full if entry[0] >= old[0][0]]
+        today = self._nodes(tmp_path / "today.jsonl")
+        assert [source for _, source, _ in today] == ["predictive", "predictive"]
+        assert today == [entry for entry in full if entry[0] >= today[0][0]]
 
 
 class TestServeRestoreNeverRefits:
@@ -606,8 +665,9 @@ class TestServeRestoreNeverRefits:
     def test_restore_continues_without_fitting(self, model, tmp_path, monkeypatch):
         from repro import cli
         from repro.forecast import ARIMAForecaster, NeuralForecaster, SeasonalNaiveForecaster
+        from repro.loop import MODELS
 
-        assert set(cli._MODELS) == {"tft", "deepar", "mlp", "arima", "naive"}
+        assert set(MODELS) == {"tft", "deepar", "mlp", "arima", "naive"}
         serve = ["serve", "--model", model, "--days", "5", "--context", "150",
                  "--horizon", "12", "--epochs", "1", "--replan-every", "6"]
         ckpt = tmp_path / "ckpt"
@@ -625,3 +685,40 @@ class TestServeRestoreNeverRefits:
         assert restored and restored == [
             entry for entry in nodes(tmp_path / "full.jsonl") if entry[0] >= restored[0][0]
         ]
+
+
+class TestServeRunsTheAdaptivePolicy:
+    """``serve --adaptive`` runs the uncertainty-aware policy (Section III-C2,
+    Algorithm 1) and checkpoints it as part of the loop spec: killed mid-trace
+    and restored, the daemon continues the uninterrupted run's decisions bit
+    for bit, without a single ``fit`` call."""
+
+    SERVE = ["serve", "--model", "deepar", "--adaptive", "--days", "4", "--context", "24",
+             "--horizon", "12", "--epochs", "1", "--replan-every", "6"]
+
+    @staticmethod
+    def _records(path):
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    def test_kill_and_restore_is_bit_identical(self, tmp_path, monkeypatch):
+        from repro.cli import main
+        from repro.forecast import NeuralForecaster
+
+        ckpt = tmp_path / "ckpt"
+        assert main([*self.SERVE, "--decisions-out", str(tmp_path / "full.jsonl")]) == 0
+        assert main([*self.SERVE, "--max-ticks", "34", "--checkpoint-dir", str(ckpt),
+                     "--checkpoint-at", "28"]) == 0
+        spec = load_checkpoint(ckpt)["config"]["spec"]
+        assert (spec["quantile_low"], spec["quantile"], spec["uncertainty_threshold"]) == (
+            0.7, 0.9, 100.0
+        )
+
+        monkeypatch.setattr(NeuralForecaster, "fit", lambda *a, **k: pytest.fail("refitted"))
+        assert main(["serve", "--restore", str(ckpt),
+                     "--decisions-out", str(tmp_path / "restored.jsonl")]) == 0
+        full = self._records(tmp_path / "full.jsonl")
+        restored = self._records(tmp_path / "restored.jsonl")
+        assert len(restored) > 10
+        assert restored == [record for record in full if record["tick"] >= restored[0]["tick"]]
+        strategies = {r["strategy"] for r in restored if r["source"] == "predictive"}
+        assert strategies == {"adaptive-0.7/0.9"}

@@ -177,6 +177,23 @@ class TestMonitorFlags:
         with pytest.raises(SystemExit, match="cannot parse alert rule"):
             main(EVALUATE_ARGS + ["--monitor", "--alert", "coverage ~ 0.5"])
 
+    def test_an_alert_rule_attaches_the_monitor(self, capsys):
+        """``--alert`` without ``--monitor`` used to build no monitor, so the
+        rule was silently dropped."""
+        assert main(EVALUATE_ARGS + ["--alert", "drift_score > 25"]) == 0
+        assert "model health" in capsys.readouterr().out
+
+    def test_compare_slo_attaches_the_monitor(self, capsys):
+        """``--slo`` implies ``--monitor`` on ``compare`` too."""
+        assert main([
+            "compare", "--trace", "google", "--days", "6", "--epochs", "1",
+            "--context", "96", "--horizon", "24",
+            "--slo", "qos_violation_rate < 0.2 over 48",
+        ]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert "cal.err" in header
+        assert rows[-1].startswith("TFT-0.95") and "-" not in rows[-1].split()[-2:]
+
 
 class TestCompareWithTelemetry:
     def test_compare_streams_evaluation_counters(self, tmp_path, capsys):

@@ -1,0 +1,193 @@
+"""The loop spec: one value builds every loop, and crosses a checkpoint checked."""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cli import _spec, build_parser
+from repro.loop import MODELS, AdaptationSpec, LoopSpec, MonitorSpec
+from tests.helpers import decision_states
+
+texts = st.lists(st.text(max_size=12), max_size=3).map(tuple)
+levels = st.floats(0.01, 0.99)
+counts = st.none() | st.integers(0, 1000)
+
+
+@st.composite
+def specs(draw):
+    monitoring = draw(st.none() | st.builds(
+        MonitorSpec, window=st.integers(1, 500), alerts=texts, slos=texts,
+    ))
+    adaptation = None
+    if monitoring is not None:
+        adaptation = draw(st.none() | st.builds(
+            AdaptationSpec, shadow_window=st.integers(1, 500),
+            promote_policy=st.none() | st.text(max_size=30), refit_epochs=counts,
+            cooldown=st.integers(0, 500),
+        ))
+    return LoopSpec(
+        draw(st.sampled_from(MODELS)),
+        context=draw(st.integers(1, 10_000)),
+        horizon=draw(st.integers(1, 10_000)),
+        epochs=draw(st.integers(0, 100)),
+        seed=draw(st.integers(0, 2**63)),
+        threshold=draw(st.floats(1e-3, 1e9)),
+        quantile=draw(levels),
+        quantile_low=draw(st.none() | levels),
+        uncertainty_threshold=draw(st.floats(0.0, 1e9)),
+        max_scale_in=draw(counts),
+        max_scale_out=draw(counts),
+        replan_every=draw(st.none() | st.integers(1, 10_000)),
+        faults=draw(st.none() | st.text(max_size=40)),
+        monitoring=monitoring,
+        adaptation=adaptation,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs())
+def test_a_spec_round_trips_through_json(spec):
+    assert LoopSpec.from_state(json.loads(json.dumps(spec.to_state()))) == spec
+
+
+class TestFromState:
+    """A missing, unknown or mistyped field is a ValueError naming it."""
+
+    RECORD = LoopSpec(
+        "deepar", quantile_low=0.7, monitoring=MonitorSpec(slos=("x",)),
+        adaptation=AdaptationSpec(),
+    ).to_state()
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda r: r.pop("horizon"), r"^spec\.horizon: missing$"),
+            (lambda r: r.update(bogus=1, zeta=2),
+             r"^spec: unknown field 'bogus', 'zeta' \(not a field of LoopSpec\)$"),
+            (lambda r: r.update(context="abc"), r"^spec\.context: expected int, got 'abc'$"),
+            (lambda r: r.update(context=True), r"^spec\.context: expected int, got True$"),
+            (lambda r: r.update(quantile_low="0.7"),
+             r"^spec\.quantile_low: expected float or null, got '0\.7'$"),
+            (lambda r: r["monitoring"].update(slos="x"),
+             r"^spec\.monitoring\.slos: expected a list of strings, got 'x'$"),
+            (lambda r: r["adaptation"].pop("cooldown"), r"^spec\.adaptation\.cooldown: missing$"),
+            (lambda r: r.update(monitoring=[]), r"^spec\.monitoring: expected an object, got \[\]$"),
+            (lambda r: r.update(model="prophet"), r"^spec\.model: unknown model 'prophet'"),
+            (lambda r: r.update(monitoring=None), r"^spec\.adaptation: needs monitoring"),
+        ],
+        ids=["missing", "unknown", "mistyped", "bool-for-int", "str-for-float",
+             "str-for-list", "nested-missing", "list-for-object", "unknown-model",
+             "adaptation-without-monitor"],
+    )
+    def test_a_bad_record_names_its_field(self, edit, match):
+        record = json.loads(json.dumps(self.RECORD))
+        edit(record)
+        with pytest.raises(ValueError, match=match):
+            LoopSpec.from_state(record, "spec")
+
+    def test_an_integral_threshold_reads_as_a_float(self):
+        record = {**json.loads(json.dumps(self.RECORD)), "threshold": 60}
+        assert LoopSpec.from_state(record).threshold == 60.0
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--monitor"], ["--alert", "drift_score > 25"],
+         ["--slo", "qos_violation_rate < 0.2 over 48"], ["--adapt"]],
+    )
+    def test_any_monitoring_flag_attaches_the_monitor(self, flags):
+        spec = _spec(build_parser().parse_args(["serve", *flags]))
+        assert spec.monitoring is not None
+        assert (spec.adaptation is not None) == (flags == ["--adapt"])
+
+    def test_no_flag_no_monitor(self):
+        spec = _spec(build_parser().parse_args(["serve"]))
+        assert spec.monitoring is None and spec.adaptation is None
+
+    @pytest.mark.parametrize("command", ["evaluate", "simulate", "chaos", "serve"])
+    def test_every_loop_command_takes_the_adaptive_policy(self, command):
+        argv = [command, "--adaptive", "--quantile-low", "0.6", "--uncertainty-threshold", "50",
+                "--replan-every", "6"]
+        spec = _spec(build_parser().parse_args(argv))
+        assert (spec.quantile_low, spec.quantile, spec.uncertainty_threshold) == (0.6, 0.9, 50.0)
+        assert spec.replan_every == 6
+
+
+class TestBuild:
+    def test_the_adaptive_policy_with_ramp_limits(self):
+        from repro.core import UncertaintyAwarePolicy
+
+        spec = LoopSpec("naive", quantile_low=0.7, max_scale_in=4, max_scale_out=2)
+        runtime, monitor, adaptation = spec.build(spec.forecaster(), start_tick=10)
+        manager = runtime.planner.manager
+        assert isinstance(manager.policy, UncertaintyAwarePolicy)
+        assert (manager.max_scale_in, manager.max_scale_out) == (4, 2)
+        assert (runtime.tick, runtime.replan_every) == (10, spec.horizon)
+        assert monitor is None and adaptation is None and runtime.invalid_policy == "raise"
+
+    def test_faults_wrap_the_planner_at_the_start_tick(self):
+        from repro.faults import FlakyPlanner
+
+        spec = LoopSpec("naive", faults="planner_error@5")
+        runtime, _, _ = spec.build(spec.forecaster(), start_tick=300)
+        assert isinstance(runtime.planner, FlakyPlanner) and runtime.planner.time_offset == 300
+        assert runtime.invalid_policy == "impute"
+
+    def test_adaptation_keeps_the_newest_history(self):
+        spec = LoopSpec("mlp", context=12, horizon=4, monitoring=MonitorSpec(),
+                        adaptation=AdaptationSpec())
+        runtime, monitor, adaptation = spec.build(
+            spec.forecaster(), start_tick=0, history=np.arange(5000.0)
+        )
+        assert runtime.monitor is monitor and runtime.record_provenance
+        kept = list(adaptation.history)
+        assert kept == [float(v) for v in range(5000 - len(kept), 5000)]
+
+    def test_a_bad_rule_is_a_value_error(self):
+        spec = LoopSpec("naive", monitoring=MonitorSpec(alerts=("coverage ~ 0.5",)))
+        with pytest.raises(ValueError, match="cannot parse alert rule"):
+            spec.build(spec.forecaster(), start_tick=0)
+
+
+class TestTheHarnessLoopIsASpec:
+    """``cycle-deepar`` - DeepAR, adaptive 0.7/0.9, rho = 100, max_scale_in = 4,
+    replan_every = 1, 2 epochs - is one spec value: built over the harness's
+    own trace and stream, it allocates exactly what the harness's lap does."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cycle_deepar_allocation_digest(self, seed, tmp_path):
+        from benchmarks.e2e import workloads as harness
+
+        scenario = harness.Scenario(harness.SPECS["cycle-deepar"], seed, tmp_path)
+        scenario.set_up()
+        lap = scenario.lap(False)
+        expected = hashlib.sha256(lap.log.nodes.astype("<i8").tobytes()).hexdigest()
+
+        spec = LoopSpec(
+            "deepar", context=harness.CONTEXT, horizon=harness.HORIZON, epochs=2, seed=seed,
+            threshold=harness.THETA, quantile=harness.NOMINAL_LEVEL, quantile_low=0.7,
+            uncertainty_threshold=harness.UNCERTAINTY_THRESHOLD,
+            max_scale_in=harness.MAX_SCALE_IN, replan_every=1,
+        )
+        forecaster = spec.forecaster().fit(scenario.trace[: harness.FIT_TICKS])
+        forecaster.reseed_sampler(seed + 777)  # where every harness lap starts
+        warm, values, start = scenario.stream()
+        runtime, _, _ = spec.build(forecaster, start_tick=start - harness.CONTEXT)
+        for value in warm:
+            runtime.step(value)
+        nodes = np.array([runtime.step(value).target_nodes for value in values], dtype="<i8")
+        assert hashlib.sha256(nodes.tobytes()).hexdigest() == expected
+        # On seeds 0-2 this digest does not tell the loop apart from one under
+        # the fixed 0.9 policy or without the ramp limit, so compare every
+        # decision (forecast, levels, policy name) and the manager too.
+        theirs = lap.live["runtime"]
+        assert decision_states(runtime.decisions) == decision_states(theirs.decisions)
+        ours, manager = runtime.planner.manager, theirs.planner.manager
+        assert (ours.policy.name, ours.max_scale_in, ours.max_scale_out) == (
+            manager.policy.name, manager.max_scale_in, manager.max_scale_out
+        )
