@@ -12,8 +12,9 @@ production autoscalers rely on, scaled down to a library:
 * streaming **model-health monitors** (:mod:`repro.obs.monitor`):
   windowed quantile calibration, rolling wQL/MAPE, and residual drift
   detection via Page-Hinkley and CUSUM;
-* a declarative **alert engine** (:mod:`repro.obs.alerts`) firing
-  structured alert events into the same stream;
+* one declarative **rule language** (:mod:`repro.obs.alerts`): alert
+  rules and service-level objectives, which compile to rules of the
+  same engine, firing structured alert events into the same stream;
 * stream summarization for ``repro-autoscale report`` — including the
   model-health timeline and per-decision provenance records.
 
@@ -44,9 +45,11 @@ from .alerts import (
     Alert,
     AlertEngine,
     AlertRule,
+    SLOTracker,
     default_rules,
     degradation_rules,
     parse_rule,
+    parse_slo,
 )
 from .monitor import (
     CUSUM,
@@ -82,13 +85,6 @@ from .report import (
     summarize_records,
 )
 from .sinks import InMemorySink, JsonlSink, Sink, TableSink
-from .slo import (
-    SLO,
-    BurnRateRule,
-    SLOTracker,
-    default_burn_rates,
-    parse_slo,
-)
 from .trace import TraceCollector, render_trace_timeline
 
 __all__ = [
@@ -124,11 +120,8 @@ __all__ = [
     "read_jsonl",
     "format_summary",
     "format_model_health",
-    "SLO",
-    "BurnRateRule",
     "SLOTracker",
     "parse_slo",
-    "default_burn_rates",
     "TraceCollector",
     "render_trace_timeline",
     "render_prometheus",

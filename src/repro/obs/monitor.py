@@ -37,8 +37,7 @@ from .registry import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..forecast.base import QuantileForecast
-    from .alerts import AlertEngine
-    from .slo import SLOTracker
+    from .alerts import AlertEngine, SLOTracker
 
 __all__ = [
     "DriftDetector",
@@ -369,10 +368,10 @@ class ModelHealthMonitor:
         Optional :class:`~repro.obs.alerts.AlertEngine`; when present,
         every finalised window record is evaluated against its rules.
     slos:
-        Optional :class:`~repro.obs.slo.SLOTracker`; when present,
-        every finalised window record feeds its error-budget ledgers
-        and burn-rate alerting (which fires through ``alerts`` when the
-        tracker shares that engine).
+        Optional :class:`~repro.obs.alerts.SLOTracker` over the
+        ``alerts`` engine (another engine is a ``ValueError``); after
+        the engine has evaluated a finalised window, the tracker
+        publishes each objective's error-budget status.
     eps:
         Denominator guard for MAPE.
     """
@@ -387,6 +386,8 @@ class ModelHealthMonitor:
     ) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
+        if slos is not None and slos.engine is not alerts:
+            raise ValueError("slos must be a tracker over the monitor's alerts engine")
         self.window = window
         self.detectors: list[DriftDetector] = (
             list(detectors) if detectors is not None else [PageHinkley(), CUSUM()]
@@ -617,7 +618,8 @@ class ModelHealthMonitor:
 
         Covers finalised windows, the open window's accumulators, drift
         detector internals, and (when an alert engine is attached) its
-        streak/firing state — everything needed for a restored monitor
+        streaks, firing flags and ledgers, which SLO objectives read too
+        — everything needed for a restored monitor
         to produce bit-identical windows, drift events, and alerts from
         the same subsequent observation stream.  Configuration (window
         size, detector thresholds, rules) is not serialized; a restored
@@ -649,7 +651,6 @@ class ModelHealthMonitor:
                 "window_degraded": self._window_degraded,
             },
             "alerts": self.alerts.state_dict() if self.alerts is not None else None,
-            "slos": self.slos.state_dict() if self.slos is not None else None,
         }
 
     def load_state_dict(self, state: dict) -> "ModelHealthMonitor":
@@ -690,8 +691,6 @@ class ModelHealthMonitor:
         self._window_degraded = int(buffer["window_degraded"])
         if state["alerts"] is not None and self.alerts is not None:
             self.alerts.load_state_dict(state["alerts"])
-        if state["slos"] is not None and self.slos is not None:
-            self.slos.load_state_dict(state["slos"])
         return self
 
     # -- inspection ----------------------------------------------------

@@ -329,6 +329,14 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._intern(Histogram, name, labels, reservoir_size=reservoir_size)
 
+    def histograms(self, name: str) -> list[Histogram]:
+        """The histogram of ``name`` under every label set; creates none."""
+        return [
+            metric
+            for (kind, metric_name, _), metric in self._metrics.items()
+            if kind == "histogram" and metric_name == name
+        ]
+
     # -- spans -----------------------------------------------------------
     def span(self, name: str, **labels: str) -> "_Span":
         """Time a block of work as a nested wall-clock span.

@@ -5,7 +5,8 @@ is the fields of :class:`~repro.core.runtime.RuntimeState` (what the
 loop reads back on its next tick — clock, context window, plan in force,
 counters — and no decision history, so its size does not grow with
 uptime), ``monitor`` the health monitor + drift detectors + alert engine
-(:meth:`~repro.obs.monitor.ModelHealthMonitor.state_dict`), ``model``
+(:meth:`~repro.obs.monitor.ModelHealthMonitor.state_dict`; since version
+7 the engine's ledgers carry the SLOs' error budgets too), ``model``
 the live forecaster's ``state_dict()`` (weights, scaler, fit counters
 and — for a sampling forecaster — the sampler's bit-generator state; None
 for a family without the state protocol, which is rebuilt as
@@ -53,7 +54,7 @@ __all__ = [
     "restore_from_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 _STATE_FILE = "state.json"
 #: Fields :func:`restore_from_checkpoint` and its caller read unconditionally.

@@ -1,6 +1,8 @@
 """Tests for the declarative alert-rule engine."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs import (
     Alert,
@@ -61,9 +63,42 @@ class TestParseRule:
             assert parse_rule(spec).spec == spec
 
     def test_rejects_garbage(self):
-        for bad in ("", "coverage", "coverage < ", "coverage ~ 0.5", "< 0.8"):
+        for bad in ("", "coverage", "coverage < ", "coverage ~ 0.5", "< 0.8", "mape > 1.2.3",
+                    "mape > 1 over 0", "mape > inf"):
             with pytest.raises(ValueError, match="cannot parse alert rule"):
                 parse_rule(bad)
+
+    def test_signed_numbers_and_windows(self):
+        rule = parse_rule("mean_residual < -1.5e+2 for 3 over 48", severity="critical")
+        assert (rule.threshold, rule.for_windows, rule.over) == (-150.0, 3, 48)
+        assert rule.spec == "mean_residual < -150 for 3 over 48"
+
+    def test_latency_rules_share_the_grammar(self):
+        rule = parse_rule("plan_latency_p99 > 250ms for 2")
+        assert (rule.metric, rule.level, rule.threshold) == ("span/runtime.step/plan", 0.99, 0.25)
+        assert parse_rule(rule.spec) == rule
+
+
+METRICS = st.sampled_from(
+    ["coverage", "wql", "mape", "drift_score", "violation_rate", "span/runtime.step/plan",
+     "span/forecast/fit"]
+)
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@given(
+    metric=METRICS,
+    op=st.sampled_from(["<", "<=", ">", ">="]),
+    threshold=NUMBERS,
+    level=st.none() | st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    for_windows=st.integers(1, 500),
+    severity=st.sampled_from(["warning", "critical"]),
+    over=st.integers(0, 10_000),
+)
+def test_parse_rule_reads_back_every_rule_spec(metric, op, threshold, level, for_windows,
+                                               severity, over):
+    rule = AlertRule(metric, op, threshold, level, for_windows, severity, over=over)
+    assert parse_rule(rule.spec, severity=severity) == rule
 
 
 class TestAlertRule:
@@ -143,6 +178,23 @@ class TestAlertEngine:
         assert "mape" in event["message"]
         counters = registry.snapshot()["counters"]
         assert counters['alerts.fired{rule=mape > 0.5}'] == 1
+
+    def test_windowed_rule_reads_the_step_weighted_mean(self):
+        engine = AlertEngine([parse_rule("violation_rate > 0.25 over 48")])
+        for end_index, rate in ((11, 0.0), (23, 0.0), (35, 0.0), (47, 0.5)):
+            engine.evaluate(window_record(end_index=end_index, steps=12, violation_rate=rate))
+        assert engine.alerts == []  # 0.5 over the last 12 ticks, 0.125 over 48
+        fired = engine.evaluate(window_record(end_index=59, steps=12, violation_rate=1.0))
+        assert [alert.value for alert in fired] == [pytest.approx(0.375)]
+
+    def test_windowed_rule_needs_its_confirmation_window(self):
+        engine = AlertEngine([parse_rule("violation_rate > 0.25 over 48")])
+        engine.evaluate(window_record(end_index=35, steps=36, violation_rate=1.0))
+        assert len(engine.alerts) == 1
+        # Mean over 48 ticks still 0.75, but the last 12 ticks are clean.
+        engine.evaluate(window_record(end_index=47, steps=12, violation_rate=0.0))
+        engine.evaluate(window_record(end_index=59, steps=12, violation_rate=1.0))
+        assert len(engine.alerts) == 2  # re-armed, then fired again
 
     def test_alert_records_roundtrip(self):
         engine = AlertEngine([parse_rule("mape > 0.5")])

@@ -121,7 +121,7 @@ class TestSaveLoad:
         # The checkpoint is plain JSON on disk, not pickles: one file.
         assert [entry.name for entry in path.iterdir()] == ["state.json"]
         raw = json.loads((path / "state.json").read_text())
-        assert raw["version"] == CHECKPOINT_VERSION == 6
+        assert raw["version"] == CHECKPOINT_VERSION == 7
         # ...and every array in it is a raw-byte record, not a number list.
         plan = raw["runtime"]["current_plan"]
         for record in (plan["nodes"], plan["metadata"]["forecast_values"]):
@@ -155,7 +155,7 @@ class TestSaveLoad:
             "version": 1, "source_position": 0, "monitor": None,
             "runtime": {"current_plan": {"nodes": [1, 2]}},
         }))
-        with pytest.raises(ValueError, match=r"version 1 .*version 6"):
+        with pytest.raises(ValueError, match=r"version 1 .*version 7"):
             load_checkpoint(ckpt)
 
     def test_version_2_file_is_rejected_at_the_door(self, tmp_path):
@@ -164,7 +164,7 @@ class TestSaveLoad:
         runtime.run(SERIES[:20])
         ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime)
         _edit_state(ckpt, lambda state: state.update(version=2))
-        with pytest.raises(ValueError, match=r"version 2 .*version 6"):
+        with pytest.raises(ValueError, match=r"version 2 .*version 7"):
             load_checkpoint(ckpt)
 
     def test_version_3_directory_is_rejected_at_the_door(self, tmp_path):
@@ -177,7 +177,7 @@ class TestSaveLoad:
         _edit_state(ckpt, lambda state: state.update(
             version=3, model_file="model.npz", sampler=state.pop("model")["sampler"],
         ))
-        with pytest.raises(ValueError, match=r"version 3 .*version 6"):
+        with pytest.raises(ValueError, match=r"version 3 .*version 7"):
             load_checkpoint(ckpt)
 
 
@@ -188,7 +188,7 @@ class TestSaveLoad:
         runtime.run(SERIES[:20])
         ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime)
         _edit_state(ckpt, lambda state: state.update(version=4))
-        with pytest.raises(ValueError, match=r"version 4 .*version 6"):
+        with pytest.raises(ValueError, match=r"version 4 .*version 7"):
             load_checkpoint(ckpt)
 
     def test_version_5_file_is_rejected_at_the_door(self, tmp_path):
@@ -201,7 +201,18 @@ class TestSaveLoad:
         _edit_state(ckpt, lambda state: state.update(
             version=5, config={"model": "naive", "context": 144, "decisions_out": "x"},
         ))
-        with pytest.raises(ValueError, match=r"version 5 .*version 6"):
+        with pytest.raises(ValueError, match=r"version 5 .*version 7"):
+            load_checkpoint(ckpt)
+
+    def test_version_6_file_is_rejected_at_the_door(self, tmp_path):
+        """The previous build's file - SLO ledgers under the monitor's
+        ``"slos"`` key, beside the alert engine - is refused before anything
+        in it is read."""
+        runtime, _ = make_loop()
+        runtime.run(SERIES[:20])
+        ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime)
+        _edit_state(ckpt, lambda state: state.update(version=6))
+        with pytest.raises(ValueError, match=r"unsupported checkpoint version 6 .*version 7"):
             load_checkpoint(ckpt)
 
 
@@ -722,3 +733,54 @@ class TestServeRunsTheAdaptivePolicy:
         assert restored == [record for record in full if record["tick"] >= restored[0]["tick"]]
         strategies = {r["strategy"] for r in restored if r["source"] == "predictive"}
         assert strategies == {"adaptive-0.7/0.9"}
+
+
+class TestServeRestoresItsObjectives:
+    """``serve --monitor --slo`` killed mid-window and restored continues the
+    uninterrupted run's decisions and alert records exactly: the objectives'
+    windows live in the alert engine's ledgers, which the checkpoint carries."""
+
+    SERVE = ["serve", "--model", "naive", "--days", "10", "--context", "144",
+             "--horizon", "36", "--replan-every", "12", "--seed", "3",
+             "--monitor", "--monitor-window", "12",
+             "--slo", "qos_violation_rate < 0.01 over 48",
+             "--slo", "coverage@0.9 >= 0.95 over 48",
+             "--alert", "coverage@0.9 < 0.9 over 24"]
+
+    @staticmethod
+    def _records(path, *kinds):
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        return [{k: v for k, v in r.items() if k != "ts"} for r in records
+                if not kinds or r["kind"] in kinds]
+
+    def test_kill_mid_window_and_restore(self, tmp_path):
+        from repro.cli import main
+
+        ckpt = tmp_path / "ckpt"
+        full, restored = ({"decisions": tmp_path / f"{run}.jsonl",
+                           "telemetry": tmp_path / f"{run}-telemetry.jsonl"}
+                          for run in ("full", "restored"))
+        assert main([*self.SERVE, "--decisions-out", str(full["decisions"]),
+                     "--telemetry", str(full["telemetry"])]) == 0
+        assert main([*self.SERVE, "--max-ticks", "206", "--checkpoint-at", "200",
+                     "--checkpoint-dir", str(ckpt)]) == 0
+        state = load_checkpoint(ckpt)
+        monitor = state["monitor"]
+        assert "slos" not in monitor and monitor["buffer"]["window_steps"] > 0
+        assert set(monitor["alerts"]["ledgers"]) == {"violation_rate", "coverage@0.9"}
+        assert main(["serve", "--restore", str(ckpt),
+                     "--decisions-out", str(restored["decisions"]),
+                     "--telemetry", str(restored["telemetry"])]) == 0
+
+        decisions = self._records(restored["decisions"])
+        assert len(decisions) > 10
+        assert decisions == [d for d in self._records(full["decisions"])
+                             if d["tick"] >= decisions[0]["tick"]]
+
+        tick = state["runtime"]["tick"]
+        alerts = self._records(restored["telemetry"], "alert")
+        assert any(a["name"].startswith("slo-burn:") for a in alerts)
+        assert alerts == [a for a in self._records(full["telemetry"], "alert")
+                          if a["end_index"] >= tick]
+        status = self._records(restored["telemetry"], "slo")
+        assert status and status == self._records(full["telemetry"], "slo")[-len(status):]
