@@ -8,7 +8,6 @@ noise" (Section III-B2).
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .base import Distribution, level_column
 
@@ -41,8 +40,9 @@ class StudentT(Distribution):
         return scale * np.sqrt(variance_factor)
 
     def quantile(self, tau: float | np.ndarray) -> np.ndarray:
-        # scipy's ``t.ppf`` minus its per-call argument checks: same
-        # ``_ppf(q, df) * scale + loc`` order, so the bits match.
+        # scipy's ``t.ppf`` minus its argument checks, so the bits match;
+        # imported here because no served loop builds a Student-t.
+        from scipy import special
         return special.stdtrit(self.df, tau) * self.scale + self.mu
 
     def quantiles(self, levels: "list[float] | np.ndarray") -> np.ndarray:
@@ -56,6 +56,7 @@ class StudentT(Distribution):
 
     def log_prob(self, value: np.ndarray) -> np.ndarray:
         # scipy's ``t.logpdf`` in closed form (see ``Gaussian.log_prob``).
+        from scipy import special
         df = self.df
         z = (np.asarray(value, dtype=np.float64) - self.mu) / self.scale
         return (

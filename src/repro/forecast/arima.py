@@ -13,8 +13,8 @@ point forecast.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
+from ..distributions.gaussian import ndtri
 from ..nn.serialization import _encode_value
 from .base import Forecaster, QuantileForecast, _read_state
 
@@ -179,7 +179,7 @@ class ARIMAForecaster(Forecaster):
 
         point, spread = self._undifference(context, forecasts)
         levels = self._resolve_levels(levels)
-        quantiles = point + special.ndtri(np.asarray(levels))[:, None] * spread
+        quantiles = point + ndtri(levels)[:, None] * spread
         return QuantileForecast(levels=np.array(levels), values=quantiles, mean=point)
 
     def _recent_innovations(self, worked: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ broken, and the test suite uses exactly that check.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
+from ..distributions.gaussian import ndtri
 from ..nn.serialization import _encode_value
 from ..traces.synthetic import STEPS_PER_DAY
 from .base import Forecaster, QuantileForecast, _read_state
@@ -118,7 +118,7 @@ class PersistenceForecaster(Forecaster):
         levels = self._resolve_levels(levels)
         steps = np.arange(1, self.horizon + 1)
         spread = self._diff_std * np.sqrt(steps)
-        values = last + special.ndtri(np.asarray(levels))[:, None] * spread
+        values = last + ndtri(levels)[:, None] * spread
         return QuantileForecast(
             levels=np.array(levels), values=values, mean=np.full(self.horizon, last)
         )
