@@ -23,17 +23,12 @@ Quick start::
 from . import faults, obs
 from .core import (
     AutoscalingRuntime,
-    Decision,
     FixedQuantilePolicy,
-    Planner,
     PointForecastScaler,
-    ProvisioningReport,
-    QuantilePolicy,
     ReactiveAvgScaler,
     ReactiveMaxScaler,
     RobustAutoScalingManager,
     RobustPredictiveAutoscaler,
-    RollingEvaluation,
     ScalingPlan,
     StaircasePolicy,
     StepResult,
@@ -47,24 +42,20 @@ from .core import (
     solve_with_ramp_limits,
 )
 from .forecast import (
-    DEFAULT_QUANTILE_LEVELS,
     ARIMAForecaster,
     DeepARForecaster,
-    EnsembleForecaster,
     Forecaster,
     MLPForecaster,
     MLPQuantileForecaster,
     PaddedPointForecaster,
-    PointForecaster,
     QB5000Forecaster,
     QuantileForecast,
-    QuantileRegressionForecaster,
     SeasonalNaiveForecaster,
     TFTForecaster,
     TFTPointForecaster,
     TrainingConfig,
 )
-from .evaluation import ChaosReport, backtest, chaos_run
+from .evaluation import backtest, chaos_run
 from .faults import FaultSchedule
 from .service import ServiceRuntime
 from .traces import Trace, alibaba_like_trace, google_like_trace
@@ -80,17 +71,13 @@ __all__ = [
     # forecasting
     "QuantileForecast",
     "Forecaster",
-    "PointForecaster",
     "TrainingConfig",
-    "DEFAULT_QUANTILE_LEVELS",
     "ARIMAForecaster",
     "MLPForecaster",
     "DeepARForecaster",
     "TFTForecaster",
     "QB5000Forecaster",
-    "QuantileRegressionForecaster",
     "MLPQuantileForecaster",
-    "EnsembleForecaster",
     "TFTPointForecaster",
     "PaddedPointForecaster",
     "SeasonalNaiveForecaster",
@@ -102,18 +89,14 @@ __all__ = [
     # evaluation harnesses
     "backtest",
     "chaos_run",
-    "ChaosReport",
     # core
-    "Planner",
     "ScalingPlan",
-    "ProvisioningReport",
     "required_nodes",
     "evaluate_plan",
     "solve_closed_form",
     "solve_lp",
     "solve_with_ramp_limits",
     "quantile_uncertainty",
-    "QuantilePolicy",
     "FixedQuantilePolicy",
     "UncertaintyAwarePolicy",
     "StaircasePolicy",
@@ -123,9 +106,7 @@ __all__ = [
     "ReactiveMaxScaler",
     "ReactiveAvgScaler",
     "evaluate_strategy",
-    "RollingEvaluation",
     "AutoscalingRuntime",
-    "Decision",
     "StepResult",
     # service daemon
     "ServiceRuntime",

@@ -26,11 +26,7 @@ from .policies import (
 from .predictive import PointForecastScaler
 from .reactive import ReactiveAvgScaler, ReactiveMaxScaler, ReactiveScaler
 from .runtime import AutoscalingRuntime, Decision, RuntimeState, StepResult
-from .uncertainty import (
-    distribution_uncertainty,
-    forecast_uncertainty,
-    quantile_uncertainty,
-)
+from .uncertainty import quantile_uncertainty
 
 __all__ = [
     "Planner",
@@ -42,8 +38,6 @@ __all__ = [
     "solve_lp",
     "solve_with_ramp_limits",
     "quantile_uncertainty",
-    "distribution_uncertainty",
-    "forecast_uncertainty",
     "QuantilePolicy",
     "FixedQuantilePolicy",
     "UncertaintyAwarePolicy",

@@ -6,9 +6,9 @@ For quantile-grid forecasters the paper defines a per-step uncertainty
 
 — pinball-shaped, but measured against the *median forecast* rather than
 the realised target, so it is computable before the future arrives.
-Wide, asymmetric quantile fans score high; tight fans score low.  For
-parametric models the predicted distribution's standard deviation is the
-natural equivalent (Section III-C2), also provided here.
+Wide, asymmetric quantile fans score high; tight fans score low.  Every
+forecaster, parametric ones included, is scored this way, on the quantile
+fan its ``predict`` returns.
 
 Note on signs: as printed, the paper's Eq. 1 and Eq. 8 use
 ``(yhat - y)`` where the standard (non-negative) pinball loss uses
@@ -23,15 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..distributions import Distribution
 from ..forecast.base import QuantileForecast
 
-__all__ = [
-    "quantile_uncertainty",
-    "distribution_uncertainty",
-    "forecast_uncertainty",
-    "interquantile_range",
-]
+__all__ = ["quantile_uncertainty"]
 
 
 def quantile_uncertainty(forecast: QuantileForecast) -> np.ndarray:
@@ -48,41 +42,3 @@ def quantile_uncertainty(forecast: QuantileForecast) -> np.ndarray:
         indicator = (values < median).astype(np.float64)
         total += (tau - indicator) * (values - median)
     return total
-
-
-def interquantile_range(
-    forecast: QuantileForecast, low: float = 0.1, high: float = 0.9
-) -> np.ndarray:
-    """Per-step width of the forecast fan between two quantile levels.
-
-    A robust scale estimate for normalising residuals (the model-health
-    monitors divide ``actual - median`` by this so drift statistics are
-    comparable across workload magnitudes).  Levels outside the
-    forecast's grid are clamped to the outermost available levels.
-    """
-    if not low < high:
-        raise ValueError(f"low ({low}) must be below high ({high})")
-    lo = max(low, float(forecast.levels[0]))
-    hi = min(high, float(forecast.levels[-1]))
-    return forecast.at(hi) - forecast.at(lo)
-
-
-def distribution_uncertainty(distribution: Distribution) -> np.ndarray:
-    """Per-step predictive standard deviation (the parametric-model route)."""
-    return distribution.std()
-
-
-def forecast_uncertainty(
-    forecast: QuantileForecast, normalise: bool = False
-) -> np.ndarray:
-    """Eq. 8 uncertainty, optionally scale-normalised by the median.
-
-    Normalisation (divide by max(|median|, 1)) makes thresholds
-    comparable across workloads of different magnitude; the paper's
-    experiments use the raw metric, which is the default.
-    """
-    uncertainty = quantile_uncertainty(forecast)
-    if normalise:
-        scale = np.maximum(np.abs(forecast.at(0.5)), 1.0)
-        uncertainty = uncertainty / scale
-    return uncertainty

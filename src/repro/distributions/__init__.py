@@ -3,6 +3,5 @@
 from .base import Distribution
 from .empirical import Empirical
 from .gaussian import Gaussian
-from .studentt import StudentT
 
-__all__ = ["Distribution", "Gaussian", "StudentT", "Empirical"]
+__all__ = ["Distribution", "Gaussian", "Empirical"]

@@ -15,14 +15,13 @@ Plus the evaluation baselines: :class:`ARIMAForecaster`,
 from .arima import ARIMAForecaster
 from .base import DEFAULT_QUANTILE_LEVELS, Forecaster, PointForecaster, QuantileForecast
 from .deepar import DeepARForecaster
-from .ensemble import EnsembleForecaster, combine_quantile_forecasts
 from .features import NUM_CALENDAR_FEATURES, calendar_features
 from .mlp import MLPForecaster
 from .naive import PersistenceForecaster, SeasonalNaiveForecaster
 from .neural import NeuralForecaster, TrainingConfig
 from .point import MedianPointAdapter, PaddedPointForecaster, TFTPointForecaster
 from .qb5000 import KernelRegressionForecaster, LinearRegressionForecaster, QB5000Forecaster
-from .quantile_regression import MLPQuantileForecaster, QuantileRegressionForecaster
+from .quantile_regression import MLPQuantileForecaster
 from .tft import TFTForecaster
 
 __all__ = [
@@ -39,10 +38,7 @@ __all__ = [
     "QB5000Forecaster",
     "LinearRegressionForecaster",
     "KernelRegressionForecaster",
-    "QuantileRegressionForecaster",
     "MLPQuantileForecaster",
-    "EnsembleForecaster",
-    "combine_quantile_forecasts",
     "TFTPointForecaster",
     "MedianPointAdapter",
     "PaddedPointForecaster",

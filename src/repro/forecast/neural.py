@@ -225,7 +225,6 @@ class NeuralForecaster(Forecaster):
         with metrics.span("forecast/fit", model=model, mode=mode):
             for epoch in range(max_epochs):
                 epoch_start = time.perf_counter()
-                self.network.train()
                 total_loss = 0.0
                 batches = 0
                 for contexts, horizons, starts in loader:
@@ -278,7 +277,6 @@ class NeuralForecaster(Forecaster):
         if best_state is not None and bad_epochs > 0:
             self.network.load_state_dict(best_state)
         self.network.zero_grad()  # the last batch's gradients are no fitted state
-        self.network.eval()
         self._fitted = True
         self.fits_completed += 1
         return self
@@ -323,7 +321,6 @@ class NeuralForecaster(Forecaster):
                 raise ValueError(f"sampler: {error!r}") from error
         for name, param in network.named_parameters():
             param.data[...] = fitted[f"network.{name}"]
-        network.eval()
         self.network = network
         self.scaler.mean_ = fitted["scaler.mean"]
         self.scaler.std_ = fitted["scaler.std"]
@@ -337,7 +334,6 @@ class NeuralForecaster(Forecaster):
         self, val_parts: list[np.ndarray], val_offsets: list[int]
     ) -> float:
         assert self.network is not None
-        self.network.eval()
         dataset = WindowDataset(
             val_parts,
             self.context_length,

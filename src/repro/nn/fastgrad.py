@@ -52,10 +52,7 @@ from .fastpath import gate_permutation
 __all__ = [
     "accumulate_grad",
     "gate_permutation",
-    "permute_gate_columns",
     "linear_backward",
-    "sigmoid_backward",
-    "tanh_backward",
     "relu_backward",
     "softplus_backward",
     "log_gamma",
@@ -85,14 +82,6 @@ def accumulate_grad(param, grad: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Gate layout
-# ---------------------------------------------------------------------------
-def permute_gate_columns(array: np.ndarray, hidden_size: int) -> np.ndarray:
-    """Apply the (involutive) gate permutation along the last axis."""
-    return np.ascontiguousarray(array[..., gate_permutation(hidden_size)])
-
-
-# ---------------------------------------------------------------------------
 # Elementwise / dense backward kernels
 # ---------------------------------------------------------------------------
 def linear_backward(
@@ -112,16 +101,6 @@ def linear_backward(
     db = d2.sum(axis=0)
     dx = (d2 @ weight.T).reshape(x.shape) if need_dx else None
     return dx, dw, db
-
-
-def sigmoid_backward(out: np.ndarray, dout: np.ndarray) -> np.ndarray:
-    """d/dx sigmoid from the forward *output*."""
-    return dout * out * (1.0 - out)
-
-
-def tanh_backward(out: np.ndarray, dout: np.ndarray) -> np.ndarray:
-    """d/dx tanh from the forward *output*."""
-    return dout * (1.0 - out * out)
 
 
 def relu_backward(x: np.ndarray, dout: np.ndarray) -> np.ndarray:
@@ -346,12 +325,10 @@ def glu_backward(
 
 
 def grn_backward(grn, cache: fastpath.GRNCache, dout: np.ndarray) -> np.ndarray:
-    """GRN backward: LayerNorm, GLU, dropout, tanh, and the residual
-    branch chained on the cached activations; returns the input grad."""
+    """GRN backward: LayerNorm, GLU, tanh, and the residual branch
+    chained on the cached activations; returns the input grad."""
     dsum = layer_norm_backward(grn.norm, cache.norm, dout)
     dhidden = glu_backward(grn.glu, cache.glu, dsum)
-    if cache.drop_mask is not None:
-        dhidden = dhidden * cache.drop_mask
     dtanh, dw_fc2, db_fc2 = linear_backward(
         cache.tanh_out, grn.fc2.weight.data, dhidden
     )

@@ -174,7 +174,6 @@ class GRNCache:
 
     x: np.ndarray  # layer input
     tanh_out: np.ndarray  # tanh(fc1(x))
-    drop_mask: np.ndarray | None  # inverted-dropout mask, None when inactive
     glu: GLUCache
     norm: LayerNormCache
 
@@ -182,23 +181,14 @@ class GRNCache:
 def grn_forward(grn, x: np.ndarray) -> tuple[np.ndarray, GRNCache]:
     """Gated Residual Network forward.
 
-    fc1 -> tanh -> fc2 -> dropout -> GLU -> (projected) residual ->
-    LayerNorm, op for op the tape composition.  When dropout is
-    active (training mode and ``p > 0``) the mask is drawn from the
-    layer's own rng exactly as the tape would, so both consume the same
-    stream; the TFT's GRNs run with ``p == 0`` and skip the draw.
+    fc1 -> tanh -> fc2 -> GLU -> (projected) residual -> LayerNorm, op
+    for op the tape composition.
     """
     tanh_out = np.tanh(linear(grn.fc1, x))
-    hidden = linear(grn.fc2, tanh_out)
-    drop_mask = grn.dropout.mask(hidden.shape)
-    if drop_mask is not None:
-        hidden = hidden * drop_mask
-    gated, glu_cache = glu_forward(grn.glu, hidden)
+    gated, glu_cache = glu_forward(grn.glu, linear(grn.fc2, tanh_out))
     residual = x if grn.skip is None else linear(grn.skip, x)
     out, norm_cache = layer_norm(grn.norm, residual + gated)
-    return out, GRNCache(
-        x=x, tanh_out=tanh_out, drop_mask=drop_mask, glu=glu_cache, norm=norm_cache
-    )
+    return out, GRNCache(x=x, tanh_out=tanh_out, glu=glu_cache, norm=norm_cache)
 
 
 def prepare_attention_params(

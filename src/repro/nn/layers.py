@@ -1,4 +1,4 @@
-"""Feed-forward building blocks: Linear, Dropout, LayerNorm, and the
+"""Feed-forward building blocks: Linear, LayerNorm, and the
 Gated Linear Unit / Gated Residual Network used by the Temporal Fusion
 Transformer.
 
@@ -15,7 +15,6 @@ from .module import Module, Parameter
 
 __all__ = [
     "Linear",
-    "Dropout",
     "LayerNorm",
     "GatedLinearUnit",
     "GatedResidualNetwork",
@@ -52,28 +51,6 @@ class Linear(Module):
         if self.bias is not None:
             fastgrad.accumulate_grad(self.bias, db)
         return dx
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode.
-
-    The mask generator is owned by the layer so training runs are
-    reproducible given the layer's seed.
-    """
-
-    def __init__(self, p: float, rng: np.random.Generator | None = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-
-    def mask(self, shape: tuple[int, ...]) -> np.ndarray | None:
-        """Draw one inverted-dropout mask; ``None`` when dropout is inactive."""
-        if not self.training or self.p == 0.0:
-            return None
-        keep = 1.0 - self.p
-        return self._rng.binomial(1, keep, size=shape) / keep
 
 
 class LayerNorm(Module):
@@ -126,14 +103,13 @@ class GatedResidualNetwork(Module):
         hidden_features: int,
         out_features: int,
         rng: np.random.Generator,
-        dropout: float = 0.0,
     ) -> None:
         super().__init__()
         self.fc1 = Linear(in_features, hidden_features, rng)
         self.fc2 = Linear(hidden_features, hidden_features, rng)
         self.glu = GatedLinearUnit(hidden_features, out_features, rng)
         self.norm = LayerNorm(out_features)
-        self.dropout = Dropout(dropout, rng=np.random.default_rng(rng.integers(2**32)))
+        rng.integers(2**32)  # unused draw: it fixes the stream every later layer is built from
         if in_features != out_features:
             self.skip: Linear | None = Linear(in_features, out_features, rng, bias=False)
         else:

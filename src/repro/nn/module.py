@@ -1,11 +1,11 @@
 """Module/Parameter containers for the neural substrate.
 
 Mirrors the familiar torch-style API surface (``parameters()``,
-``state_dict()``, ``train()``/``eval()``) so the forecasting models read
-naturally.  A :class:`Module` only *holds* weights: each layer's one
-forward is its ``fast_forward`` on raw ndarrays (:mod:`repro.nn.fastpath`)
-and gradients come from the closed-form backwards of
-:mod:`repro.nn.fastgrad`.
+``state_dict()``) so the forecasting models read naturally.  A
+:class:`Module` only *holds* weights: each layer's one forward is its
+``fast_forward`` on raw ndarrays (:mod:`repro.nn.fastpath`) and gradients
+come from the closed-form backwards of :mod:`repro.nn.fastgrad`.  There is
+no train / eval mode: no layer behaves differently in training.
 """
 
 from __future__ import annotations
@@ -39,14 +39,12 @@ class Module:
     """Base class for layers and models.
 
     Subclasses assign :class:`Parameter` and :class:`Module` instances as
-    attributes; registration is automatic via ``__setattr__``.  The
-    ``training`` flag lets layers such as dropout switch behaviour.
+    attributes; registration is automatic via ``__setattr__``.
     """
 
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", {})
         object.__setattr__(self, "_modules", {})
-        object.__setattr__(self, "training", True)
 
     def __setattr__(self, name: str, value: object) -> None:
         if isinstance(value, Parameter):
@@ -86,20 +84,6 @@ class Module:
         """Clear gradients of every parameter."""
         for param in self.parameters():
             param.zero_grad()
-
-    # ------------------------------------------------------------------
-    # Train / eval mode
-    # ------------------------------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects dropout etc.)."""
-        object.__setattr__(self, "training", mode)
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        """Switch to inference mode recursively."""
-        return self.train(False)
 
     # ------------------------------------------------------------------
     # Serialization

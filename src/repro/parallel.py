@@ -1,8 +1,7 @@
 """Deterministic process fan-out for evaluation workloads.
 
-Backtests, grid searches and the benchmark runner share one shape: a list of
-independent items, a read-only context (a fitted forecaster, an objective)
-and the requirement that results come back **in item order** and
+Backtests and the benchmark runner share one shape: a list of independent
+items, a read-only context (a fitted forecaster) and the requirement that results come back **in item order** and
 **bit-identical** to a serial run.  :func:`parallel_map` provides that on one
 module-level ``concurrent.futures.ProcessPoolExecutor`` (``spawn`` context,
 so nothing is inherited from the parent), created on first use, kept between

@@ -9,8 +9,6 @@ from repro.core import (
     UncertaintyAwarePolicy,
     quantile_uncertainty,
 )
-from repro.core.uncertainty import distribution_uncertainty, forecast_uncertainty
-from repro.distributions import Gaussian
 from repro.forecast import QuantileForecast
 
 
@@ -59,17 +57,6 @@ class TestQuantileUncertainty:
         fc = QuantileForecast(levels=levels, values=values)
         u = quantile_uncertainty(fc)
         assert u[1] > u[0]
-
-    def test_distribution_uncertainty_is_std(self):
-        d = Gaussian(np.zeros(3), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(distribution_uncertainty(d), [1.0, 2.0, 3.0])
-
-    def test_normalised_variant_scale_free(self):
-        small = forecast_uncertainty(fan_forecast(10.0), normalise=True)
-        big_fc = fan_forecast(10.0)
-        big_fc = QuantileForecast(levels=big_fc.levels, values=big_fc.values * 10)
-        big = forecast_uncertainty(big_fc, normalise=True)
-        np.testing.assert_allclose(small, big, rtol=1e-9)
 
 
 class TestFixedPolicy:

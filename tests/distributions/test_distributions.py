@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from repro.distributions import Empirical, Gaussian, StudentT
+from repro.distributions import Empirical, Gaussian
 from repro.distributions.gaussian import ndtri
 
 
@@ -103,42 +103,6 @@ class TestGaussian:
         out = d.quantiles([0.1, 0.5, 0.9])
         assert out.shape == (3, 3)
         assert np.all(np.diff(out, axis=0) > 0)
-
-
-class TestStudentT:
-    def test_quantile_matches_scipy(self):
-        d = StudentT(np.array([1.0]), np.array([2.0]), 5.0)
-        assert d.quantile(0.8)[0] == pytest.approx(stats.t.ppf(0.8, 5, 1.0, 2.0))
-
-    def test_heavier_tails_than_gaussian(self):
-        t_dist = StudentT(np.array([0.0]), np.array([1.0]), 3.0)
-        g_dist = Gaussian(np.array([0.0]), np.array([1.0]))
-        assert t_dist.quantile(0.99)[0] > g_dist.quantile(0.99)[0]
-
-    def test_std_finite_df(self):
-        d = StudentT(np.array([0.0]), np.array([2.0]), 4.0)
-        assert d.std()[0] == pytest.approx(2.0 * np.sqrt(4.0 / 2.0))
-
-    def test_std_fallback_low_df(self):
-        d = StudentT(np.array([0.0]), np.array([2.0]), 1.5)
-        assert d.std()[0] == pytest.approx(2.0)  # falls back to scale
-
-    def test_sampling_location(self):
-        d = StudentT(np.array([10.0]), np.array([1.0]), 8.0)
-        samples = d.sample(20000, np.random.default_rng(1))
-        assert np.median(samples) == pytest.approx(10.0, abs=0.1)
-
-    def test_log_prob_matches_scipy(self):
-        d = StudentT(np.array([1.0]), np.array([0.5]), 6.0)
-        assert d.log_prob(np.array([2.0]))[0] == pytest.approx(
-            stats.t.logpdf(2.0, 6.0, 1.0, 0.5)
-        )
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            StudentT(np.array([0.0]), np.array([-1.0]), 3.0)
-        with pytest.raises(ValueError):
-            StudentT(np.array([0.0]), np.array([1.0]), 0.0)
 
 
 class TestEmpirical:

@@ -1,6 +1,6 @@
 """Determinism contract of the parallel evaluation layer.
 
-``backtest`` and ``grid_search`` with ``n_jobs > 1`` must return results
+``backtest`` and ``parallel_map`` with ``n_jobs > 1`` must return results
 bit-identical to (and in the same order as) ``n_jobs=1`` — randomness is
 derived from (seed, window), never from worker scheduling.
 """
@@ -18,7 +18,6 @@ import pytest
 from repro.evaluation.backtest import backtest
 from repro.forecast import DeepARForecaster, TrainingConfig
 from repro.parallel import parallel_map, shutdown_shared_pool
-from repro.tuning.grid import grid_search
 
 CONTEXT, HORIZON = 36, 12
 
@@ -60,19 +59,6 @@ def test_backtest_deterministic_across_repeat_runs(fitted):
     second = _run(forecaster, test_values, n_jobs=1)
     for a, b in zip(first.forecasts, second.forecasts):
         assert np.array_equal(a.values, b.values)
-
-
-def _objective(params):
-    return (params["a"] - 2.0) ** 2 + params["b"]
-
-
-def test_grid_search_parallel_matches_serial():
-    space = {"a": [0.0, 1.0, 2.0, 3.0], "b": [0.5, 0.0]}
-    best_serial, all_serial = grid_search(_objective, space)
-    best_parallel, all_parallel = grid_search(_objective, space, n_jobs=2)
-    assert all_serial == all_parallel  # same values, same order
-    assert best_serial == best_parallel
-    assert best_parallel.params == {"a": 2.0, "b": 0.0}
 
 
 def _square(context, item):
@@ -286,31 +272,3 @@ def test_worker_spans_rerooted_into_parent_trace(fitted):
     assert {s["span_id"] for s in worker_spans} == {
         "w0.1", "w0.2", "w0.3", "w0.4", "w0.5", "w1.1", "w1.2", "w1.3", "w1.4",
     }
-
-
-def _traced_objective(params):
-    from repro.obs import get_registry
-
-    with get_registry().span("objective"):
-        return _objective(params)
-
-
-def test_grid_search_worker_span_ids_are_chunk_scoped():
-    """8 grid points on 2 workers: span ids ``w<chunk>.<n>``, 4 per chunk."""
-    from repro.obs import MetricsRegistry, TraceCollector, using_registry
-
-    registry = MetricsRegistry()
-    collector = TraceCollector()
-    registry.set_tracer(collector)
-    collector.begin(0)
-    with using_registry(registry), registry.span("tune"):
-        grid_search(_traced_objective, {"a": [0.0, 1.0, 2.0, 3.0], "b": [0.5, 0.0]}, n_jobs=2)
-    spans = {s["span_id"]: s for s in collector.end()["spans"]}
-    tune = next(s for s in spans.values() if s["name"] == "tune")
-    workers = {sid: s for sid, s in spans.items() if sid.startswith("w")}
-    assert set(workers) == {
-        "w0.1", "w0.2", "w0.3", "w0.4", "w1.1", "w1.2", "w1.3", "w1.4",
-    }
-    for span in workers.values():
-        assert span["name"] == "tune/objective"
-        assert span["parent_id"] == tune["span_id"]

@@ -1,16 +1,8 @@
-"""Tests for linear quantile regression and the grid-output MLP."""
+"""Tests for the grid-output MLP."""
 
-import numpy as np
 import pytest
 
-from repro.forecast import (
-    MLPForecaster,
-    MLPQuantileForecaster,
-    QuantileRegressionForecaster,
-    TrainingConfig,
-)
-
-from .conftest import SEASON
+from repro.forecast import MLPForecaster, MLPQuantileForecaster, TrainingConfig
 
 CTX, HOR = 32, 16
 
@@ -18,45 +10,6 @@ CTX, HOR = 32, 16
 @pytest.fixture(scope="module")
 def grid_config():
     return TrainingConfig(epochs=4, batch_size=32, window_stride=6, patience=0, seed=0)
-
-
-class TestQuantileRegression:
-    def test_learns_conditional_quantiles_of_known_process(self):
-        """On y = x + noise, the quantile spread must match the noise."""
-        rng = np.random.default_rng(0)
-        n = 4000
-        series = np.zeros(n)
-        for t in range(1, n):
-            series[t] = 0.95 * series[t - 1] + rng.normal(0, 1.0)
-        config = TrainingConfig(epochs=20, batch_size=64, window_stride=1, patience=0)
-        f = QuantileRegressionForecaster(
-            8, 1, quantile_levels=(0.1, 0.5, 0.9), config=config
-        ).fit(series)
-        fc = f.predict(series[-8:])
-        # One-step-ahead 80% band of an AR(1) with unit noise: ~2.56 wide.
-        width = float(fc.at(0.9)[0] - fc.at(0.1)[0])
-        assert 1.2 < width < 5.0
-
-    def test_grid_shapes(self, seasonal_series, grid_config):
-        f = QuantileRegressionForecaster(
-            CTX, HOR, quantile_levels=(0.2, 0.5, 0.8), config=grid_config
-        ).fit(seasonal_series)
-        fc = f.predict(seasonal_series[-CTX:])
-        assert fc.values.shape == (3, HOR)
-        assert np.all(np.diff(fc.values, axis=0) >= 0)
-
-    def test_outside_grid_raises(self, seasonal_series, grid_config):
-        f = QuantileRegressionForecaster(
-            CTX, HOR, quantile_levels=(0.2, 0.5, 0.8), config=grid_config
-        ).fit(seasonal_series)
-        with pytest.raises(ValueError):
-            f.predict(seasonal_series[-CTX:], levels=(0.95,))
-
-    def test_rejects_bad_levels(self):
-        with pytest.raises(ValueError):
-            QuantileRegressionForecaster(CTX, HOR, quantile_levels=())
-        with pytest.raises(ValueError):
-            QuantileRegressionForecaster(CTX, HOR, quantile_levels=(0.5, 0.5))
 
 
 class TestMLPQuantile:
@@ -93,3 +46,16 @@ class TestMLPQuantile:
         ).fit(seasonal_series)
         with pytest.raises(ValueError):
             f.predict(seasonal_series[: CTX - 1])
+
+    def test_outside_grid_raises(self, seasonal_series, grid_config):
+        f = MLPQuantileForecaster(
+            CTX, HOR, quantile_levels=(0.2, 0.5, 0.8), hidden_size=16, config=grid_config
+        ).fit(seasonal_series)
+        with pytest.raises(ValueError):
+            f.predict(seasonal_series[-CTX:], levels=(0.95,))
+
+    def test_rejects_bad_levels(self):
+        with pytest.raises(ValueError):
+            MLPQuantileForecaster(CTX, HOR, quantile_levels=())
+        with pytest.raises(ValueError):
+            MLPQuantileForecaster(CTX, HOR, quantile_levels=(0.5, 0.5))

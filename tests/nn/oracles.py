@@ -37,12 +37,7 @@ from repro.forecast.deepar import _MIN_DF, _MIN_SCALE, DeepARForecaster, _DeepAR
 from repro.forecast.features import NUM_CALENDAR_FEATURES, calendar_window
 from repro.forecast.mlp import MLPForecaster, _MLPNetwork
 from repro.forecast.qb5000 import _LSTMPointForecaster, _LSTMPointNetwork
-from repro.forecast.quantile_regression import (
-    MLPQuantileForecaster,
-    QuantileRegressionForecaster,
-    _LinearGridNetwork,
-    _MLPGridNetwork,
-)
+from repro.forecast.quantile_regression import MLPQuantileForecaster, _MLPGridNetwork
 from repro.forecast.tft import TFTForecaster, _TFTNetwork
 from repro.nn import (
     LSTM,
@@ -54,7 +49,6 @@ from repro.nn import (
     causal_mask,
     fastpath,
 )
-from repro.nn.layers import Dropout
 from repro.nn.module import Parameter
 from repro.nn.rnn import LSTMCell
 
@@ -114,12 +108,6 @@ def _(layer: Linear, x: Tensor) -> Tensor:
 
 
 @forward.register
-def _(layer: Dropout, x: Tensor) -> Tensor:
-    mask = layer.mask(x.shape)
-    return x if mask is None else x * Tensor(mask)
-
-
-@forward.register
 def _(norm: LayerNorm, x: Tensor) -> Tensor:
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) * (x - mu)).mean(axis=-1, keepdims=True)
@@ -135,7 +123,6 @@ def _(glu: GatedLinearUnit, x: Tensor) -> Tensor:
 @forward.register
 def _(grn: GatedResidualNetwork, x: Tensor) -> Tensor:
     hidden = forward(grn.fc2, forward(grn.fc1, x).tanh())
-    hidden = forward(grn.dropout, hidden)
     gated = forward(grn.glu, hidden)
     residual = forward(grn.skip, x) if grn.skip is not None else x
     return forward(grn.norm, residual + gated)
@@ -284,12 +271,6 @@ def _(net: _LSTMPointNetwork, context: Tensor) -> Tensor:
 
 
 @forward.register
-def _(net: _LinearGridNetwork, context: Tensor) -> Tensor:
-    out = forward(net.head, context)
-    return out.reshape(out.shape[0], net.horizon, net.num_levels)
-
-
-@forward.register
 def _(net: _MLPGridNetwork, context: Tensor) -> Tensor:
     hidden = forward(net.fc2, forward(net.fc1, context).relu()).relu()
     out = forward(net.head, hidden)
@@ -335,9 +316,8 @@ def _(forecaster: TFTForecaster, context, horizon, start_indices) -> Tensor:
     return F.quantile_loss(predictions, horizon, list(forecaster.quantile_levels))
 
 
-@tape_loss.register(QuantileRegressionForecaster)
-@tape_loss.register(MLPQuantileForecaster)
-def _(forecaster, context, horizon, start_indices) -> Tensor:
+@tape_loss.register
+def _(forecaster: MLPQuantileForecaster, context, horizon, start_indices) -> Tensor:
     predictions = forward(forecaster.network, Tensor(context))
     return F.quantile_loss(predictions, horizon, list(forecaster.quantile_levels))
 

@@ -244,8 +244,6 @@ FLOAT32_CALLS = {
     ).fast_forward(_rand(2, 6)),
     # every backward and loss kernel: float32 gradients, in ``param.grad`` too
     "linear_backward": lambda: fastgrad.linear_backward(_rand(2, 3, 5), _rand(5, 4), _rand(2, 3, 4)),
-    "sigmoid_backward": lambda: fastgrad.sigmoid_backward(fastpath.sigmoid(_rand(4, 5)), _rand(5, 4).T),
-    "tanh_backward": lambda: fastgrad.tanh_backward(np.tanh(_rand(4, 5)), _rand(5, 4).T),
     "relu_backward": lambda: fastgrad.relu_backward(_rand(4, 5), _rand(5, 4).T),
     "softplus_backward": lambda: fastgrad.softplus_backward(_rand(4, 5), _rand(5, 4).T),
     "softmax_backward": lambda: fastgrad.softmax_backward(fastpath.softmax(_rand(4, 5)), _rand(5, 4).T),

@@ -1,4 +1,4 @@
-"""Tests for Module registration and Linear/Dropout/LayerNorm/GLU/GRN.
+"""Tests for Module registration and Linear/LayerNorm/GLU/GRN.
 
 Values and gradients are read off the tape composition of each layer
 (``tests/nn/oracles.py::forward``); its bitwise parity with the layer's
@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.nn import GatedLinearUnit, GatedResidualNetwork, LayerNorm, Linear, Module
-from repro.nn.layers import Dropout
 from repro.nn.module import Parameter
 from tests.nn.oracles import forward
 from tests.nn.tensor import Tensor
@@ -36,14 +35,6 @@ class TestModule:
     def test_num_parameters(self):
         layer = Linear(3, 4, rng())
         assert layer.num_parameters() == 3 * 4 + 4
-
-    def test_train_eval_propagates(self):
-        grn = GatedResidualNetwork(2, 2, 2, rng(), dropout=0.5)
-        assert grn.dropout in list(grn.modules())
-        grn.eval()
-        assert all(not m.training for m in grn.modules())
-        grn.train()
-        assert all(m.training for m in grn.modules())
 
     def test_zero_grad_clears_all(self):
         layer = Linear(2, 2, rng())
@@ -98,30 +89,6 @@ class TestLinear:
     def test_3d_input(self):
         layer = Linear(4, 2, rng())
         assert forward(layer, Tensor(np.ones((2, 5, 4)))).shape == (2, 5, 2)
-
-
-class TestDropout:
-    def test_eval_is_identity(self):
-        drop = Dropout(0.9)
-        drop.eval()
-        x = np.ones((10, 10))
-        np.testing.assert_array_equal(forward(drop, Tensor(x)).data, x)
-
-    def test_training_scales_kept_units(self):
-        drop = Dropout(0.5, rng=np.random.default_rng(0))
-        out = forward(drop, Tensor(np.ones((1000,)))).data
-        kept = out[out > 0]
-        np.testing.assert_allclose(kept, 2.0)
-        assert 300 < kept.size < 700  # ~50% kept
-
-    def test_zero_probability_identity_in_training(self):
-        drop = Dropout(0.0)
-        x = np.ones(5)
-        np.testing.assert_array_equal(forward(drop, Tensor(x)).data, x)
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestLayerNorm:

@@ -263,31 +263,6 @@ class TestKernelsAgainstTape:
         np.testing.assert_allclose(dx, tape_dx, rtol=1e-9, atol=1e-11)
         _assert_grads_match(_param_grads(grn), tape_grads)
 
-    def test_grn_with_active_dropout(self):
-        """Dropout active: both paths must consume the same rng stream."""
-        grn = GatedResidualNetwork(5, 6, 5, RNG(14), dropout=0.4)
-        grn.train(True)
-        rng = RNG(15)
-        x = rng.normal(size=(3, 5))
-        proj = rng.normal(size=(3, 5))
-
-        grn.zero_grad()
-        grn.dropout._rng = np.random.default_rng(77)
-        xt = Tensor(x, requires_grad=True)
-        out = forward(grn, xt)
-        (out * Tensor(proj)).sum().backward()
-        tape_grads = _param_grads(grn)
-        tape_dx = xt.grad.copy()
-        tape_out = out.data
-
-        grn.zero_grad()
-        grn.dropout._rng = np.random.default_rng(77)
-        fast_out, cache = fastpath.grn_forward(grn, x)
-        assert np.array_equal(fast_out, tape_out)
-        dx = fastgrad.grn_backward(grn, cache, proj)
-        np.testing.assert_allclose(dx, tape_dx, rtol=1e-9, atol=1e-11)
-        _assert_grads_match(_param_grads(grn), tape_grads)
-
     @pytest.mark.parametrize("batch,t_query,t_key,num_heads", [
         (1, 2, 2, 1), (3, 4, 7, 2), (2, 5, 5, 3),
     ])

@@ -110,20 +110,6 @@ class TestKernelParityBitwise:
         tape = _tape(grn, Tensor(x)).data
         assert np.array_equal(grn.fast_forward(x), tape)
 
-    def test_grn_with_active_dropout_pins_the_tape(self):
-        """p > 0 in training mode: the kernel must draw the mask from the
-        layer's rng exactly as the tape does, or the stream desynchronises."""
-        grn = GatedResidualNetwork(6, 8, 6, RNG(9), dropout=0.5)
-        grn.train(True)
-        x = RNG(10).normal(size=(3, 6))
-        grn.dropout._rng = np.random.default_rng(99)
-        fast = grn.fast_forward(x)
-        after_kernel = grn.dropout._rng.random()
-        grn.dropout._rng = np.random.default_rng(99)
-        tape = _tape(grn, Tensor(x)).data
-        assert np.array_equal(fast, tape)
-        assert grn.dropout._rng.random() == after_kernel  # same draws consumed
-
     @pytest.mark.parametrize("batch,t_query,t_key,num_heads", [
         (1, 3, 3, 1), (2, 4, 9, 2), (3, 6, 6, 4),
     ])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from repro.distributions import Empirical, Gaussian, StudentT
+from repro.distributions import Empirical, Gaussian
 from repro.forecast import ARIMAForecaster, PersistenceForecaster, QuantileForecast
 
 HORIZON = 6
@@ -23,10 +23,6 @@ levels = st.lists(
 )
 locations = arrays(np.float64, st.just(HORIZON), elements=st.floats(-1e6, 1e6))
 scales = arrays(np.float64, st.just(HORIZON), elements=st.floats(1e-3, 1e4))
-dfs = st.one_of(
-    st.floats(0.5, 200.0),
-    arrays(np.float64, st.just(HORIZON), elements=st.floats(0.5, 200.0)),
-)
 
 
 class TestQuantilesMatchPerLevelReference:
@@ -35,16 +31,6 @@ class TestQuantilesMatchPerLevelReference:
     def test_gaussian(self, mu, sigma, levels):
         reference = np.stack([stats.norm.ppf(tau, loc=mu, scale=sigma) for tau in levels])
         distribution = Gaussian(mu, sigma)
-        np.testing.assert_array_equal(distribution.quantiles(levels), reference)
-        np.testing.assert_array_equal(distribution.quantile(levels[0]), reference[0])
-
-    @settings(max_examples=100, deadline=None)
-    @given(locations, scales, dfs, levels)
-    def test_student_t(self, mu, scale, df, levels):
-        reference = np.stack(
-            [stats.t.ppf(tau, df=df, loc=mu, scale=scale) for tau in levels]
-        )
-        distribution = StudentT(mu, scale, df)
         np.testing.assert_array_equal(distribution.quantiles(levels), reference)
         np.testing.assert_array_equal(distribution.quantile(levels[0]), reference[0])
 
@@ -64,7 +50,6 @@ class TestQuantilesMatchPerLevelReference:
     def test_batch_shapes_broadcast_behind_the_level_axis(self):
         mu = np.arange(6.0).reshape(2, 3)
         assert Gaussian(mu, 2.0).quantiles([0.1, 0.9]).shape == (2, 2, 3)
-        assert StudentT(mu, np.ones(3), 4.0).quantiles([0.1, 0.9]).shape == (2, 2, 3)
         assert Gaussian(1.0, 2.0).quantiles([0.1, 0.5, 0.9]).shape == (3,)
 
 
@@ -72,12 +57,10 @@ series = arrays(np.float64, st.just(80), elements=st.floats(10.0, 2000.0))
 
 
 class TestLogProbMatchesScipyStats:
-    """The closed forms that keep ``scipy.stats`` out of ``import repro``.
+    """The closed form that keeps ``scipy.stats`` out of ``import repro``.
 
     Tolerance set beforehand from the arithmetic: the Gaussian form is
-    scipy's own expression; the Student-t form takes the normaliser from
-    two ``gammaln`` calls where scipy uses one Pochhammer ratio, a
-    difference of a few ulp of values that reach ~500 at df = 200.
+    scipy's own expression.
     """
 
     @settings(max_examples=100, deadline=None)
@@ -86,16 +69,6 @@ class TestLogProbMatchesScipyStats:
         np.testing.assert_allclose(
             Gaussian(mu, sigma).log_prob(value),
             stats.norm.logpdf(value, loc=mu, scale=sigma),
-            rtol=1e-12,
-            atol=1e-12,
-        )
-
-    @settings(max_examples=100, deadline=None)
-    @given(locations, scales, dfs, locations)
-    def test_student_t(self, mu, scale, df, value):
-        np.testing.assert_allclose(
-            StudentT(mu, scale, df).log_prob(value),
-            stats.t.logpdf(value, df=df, loc=mu, scale=scale),
             rtol=1e-12,
             atol=1e-12,
         )

@@ -1,50 +1,11 @@
-"""Property-based tests for forecast containers, ensembling, anomalies."""
+"""Property-based tests for the trace anomaly injectors."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.forecast import QuantileForecast, combine_quantile_forecasts
 from repro.traces import Trace, inject_level_shift, inject_outage_dip
-
-LEVELS = (0.1, 0.5, 0.9)
-
-
-def make_fan(base: np.ndarray, widths: np.ndarray) -> QuantileForecast:
-    values = np.stack([base - widths, base, base + widths])
-    return QuantileForecast(levels=np.array(LEVELS), values=values)
-
-
-fans = st.builds(
-    make_fan,
-    arrays(np.float64, st.just(5), elements=st.floats(10, 500)),
-    arrays(np.float64, st.just(5), elements=st.floats(0.0, 50)),
-)
-
-
-class TestEnsembleProperties:
-    @settings(max_examples=50)
-    @given(st.lists(fans, min_size=1, max_size=5))
-    def test_combined_monotone(self, members):
-        combined = combine_quantile_forecasts(members, LEVELS)
-        assert np.all(np.diff(combined.values, axis=0) >= -1e-9)
-
-    @settings(max_examples=50)
-    @given(st.lists(fans, min_size=1, max_size=5))
-    def test_combined_within_member_envelope(self, members):
-        combined = combine_quantile_forecasts(members, LEVELS)
-        for i, tau in enumerate(LEVELS):
-            stack = np.stack([m.at(tau) for m in members])
-            assert np.all(combined.values[i] >= stack.min(axis=0) - 1e-9)
-            assert np.all(combined.values[i] <= stack.max(axis=0) + 1e-9)
-
-    @settings(max_examples=30)
-    @given(fans)
-    def test_single_member_identity(self, fan):
-        combined = combine_quantile_forecasts([fan], LEVELS)
-        np.testing.assert_allclose(combined.values, fan.values)
-
 
 traces = st.builds(
     lambda v: Trace("t", v),
