@@ -16,6 +16,7 @@ import numpy as np
 
 from repro import (
     FixedQuantilePolicy,
+    QuantileForecast,
     RobustPredictiveAutoscaler,
     TFTForecaster,
     TrainingConfig,
@@ -46,19 +47,6 @@ print("training ...")
 forecaster.fit(train.values)
 
 
-def feed_monitor(monitor):
-    """evaluate_strategy callback streaming each plan's forecast into the monitor."""
-    def on_window(point, plan, actual_window):
-        levels = plan.metadata.get("forecast_levels")
-        values = plan.metadata.get("forecast_values")
-        if levels is None:
-            return
-        for h in range(min(plan.horizon, len(actual_window))):
-            monitor.observe(levels, values[:, h], actual_window[h],
-                            time_index=point + h)
-    return on_window
-
-
 print(f"\n{'policy':<12} {'under-prov':>11} {'p99 SLO viol.':>14} "
       f"{'mean p99 (ms)':>14} {'node-steps':>11} {'cal.err':>8} {'drift':>6}")
 monitors = {}
@@ -71,7 +59,10 @@ for tau in (0.5, 0.8, 0.9, 0.99):
     ev = evaluate_strategy(
         scaler, test.values, CONTEXT, HORIZON, THETA,
         series_start_index=len(train.values),
-        on_window=feed_monitor(monitor),
+        on_window=lambda point, plan, actual: monitor.observe_forecast(
+            QuantileForecast(plan.metadata["forecast_levels"],
+                             plan.metadata["forecast_values"]),
+            actual, start_index=point),
     )
     plan = ScalingPlan(nodes=ev.nodes, threshold=THETA)
     qos = evaluate_qos(plan, ev.actual, service_rate=SERVICE_RATE, slo_seconds=SLO)

@@ -299,7 +299,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             replace(spec, quantile=tau).planner(forecaster),
             test.values, args.context, args.horizon, args.threshold,
             series_start_index=len(train.values),
-            on_window=_monitor_feeder(monitor) if monitored else None,
+            on_window=_feed(monitor) if monitored else None,
         )
         rows.append((f"TFT-{tau}", ev.report, monitor))
     header = f"{'strategy':<16} {'under':>8} {'over':>8} {'nodes':>8}"
@@ -318,18 +318,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _monitor_feeder(monitor):
-    """An ``evaluate_strategy`` on_window callback feeding a health monitor."""
+def _feed(monitor):
+    """An ``evaluate_strategy`` on_window callback feeding each plan's
+    forecast window to a health monitor."""
+    from .forecast.base import QuantileForecast
 
-    def on_window(point, plan, actual_window):
-        levels = plan.metadata.get("forecast_levels")
-        values = plan.metadata.get("forecast_values")
-        if levels is None or values is None:
-            return
-        for h in range(min(plan.horizon, len(actual_window))):
-            monitor.observe(levels, values[:, h], actual_window[h], time_index=point + h)
-
-    return on_window
+    return lambda point, plan, actual: monitor.observe_forecast(
+        QuantileForecast(plan.metadata["forecast_levels"], plan.metadata["forecast_values"]),
+        actual, start_index=point,
+    )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -563,7 +560,7 @@ def _monitoring_parent() -> argparse.ArgumentParser:
                    help="steps per calibration window (default 24)")
     p.add_argument("--alert", action="append", metavar="RULE",
                    help="extra alert rule, e.g. 'coverage@0.9 < 0.8 for 12' "
-                        "or 'drift_score > 25' (repeatable; implies --monitor)")
+                        "or 'drift_score > 6' (repeatable; implies --monitor)")
     p.add_argument("--slo", action="append", metavar="SPEC",
                    help="service-level objective with error-budget burn-rate alerting, "
                         "e.g. 'qos_violation_rate < 0.05 over 288', 'coverage@0.9 >= 0.85 "

@@ -7,11 +7,11 @@ production autoscalers rely on, scaled down to a library:
 
 * :class:`MetricsRegistry` with :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` metrics and nested wall-clock ``span()`` timers;
-* pluggable sinks (:class:`InMemorySink`, :class:`JsonlSink`,
-  :class:`TableSink`);
+* pluggable sinks (:class:`InMemorySink`, :class:`JsonlSink`);
 * streaming **model-health monitors** (:mod:`repro.obs.monitor`):
   windowed quantile calibration, rolling wQL/MAPE, and residual drift
-  detection via Page-Hinkley and CUSUM;
+  detection by one :class:`CUSUM`, the detector a matched-false-alarm
+  trial kept over Page-Hinkley;
 * one declarative **rule language** (:mod:`repro.obs.alerts`): alert
   rules and service-level objectives, which compile to rules of the
   same engine, firing structured alert events into the same stream;
@@ -51,14 +51,7 @@ from .alerts import (
     parse_rule,
     parse_slo,
 )
-from .monitor import (
-    CUSUM,
-    DriftDetector,
-    DriftEvent,
-    ModelHealthMonitor,
-    PageHinkley,
-    WindowStats,
-)
+from .monitor import CUSUM, DriftEvent, ModelHealthMonitor, WindowStats
 from .prometheus import (
     PROMETHEUS_CONTENT_TYPE,
     parse_exposition,
@@ -84,7 +77,7 @@ from .report import (
     summarize_model_health,
     summarize_records,
 )
-from .sinks import InMemorySink, JsonlSink, Sink, TableSink
+from .sinks import InMemorySink, JsonlSink, Sink
 from .trace import TraceCollector, render_trace_timeline
 
 __all__ = [
@@ -98,11 +91,8 @@ __all__ = [
     "Sink",
     "InMemorySink",
     "JsonlSink",
-    "TableSink",
     "ModelHealthMonitor",
-    "DriftDetector",
     "DriftEvent",
-    "PageHinkley",
     "CUSUM",
     "WindowStats",
     "Alert",

@@ -9,7 +9,7 @@ service-level objective is a spec in the same grammar that
 (:class:`SLOTracker` attaches them and reports the error budget)::
 
     coverage@0.9 < 0.8 for 12            # rule: 12 consecutive windows
-    drift_score > 25                     # rule: this window
+    drift_score > 6                      # rule: this window
     violation_rate > 0.1 over 48         # rule: mean over 48 ticks
     qos_violation_rate < 0.05 over 288   # objective: bad rate
     coverage@0.9 >= 0.85 over 144        # objective: good rate
@@ -19,7 +19,9 @@ i.e. ``<metric>[@level] <op> <number>[ms|s] [for N] [over T]``:
 
 * ``metric`` is a numeric field of the window record (``coverage`` and
   ``wql`` take a quantile level; ``qos_violation_rate`` names
-  ``violation_rate``), or a span latency in seconds: a ``_p50`` /
+  ``violation_rate``; ``drift_score`` is the monitor's CUSUM statistic
+  at the window's close, which fires and restarts from zero above 8),
+  or a span latency in seconds: a ``_p50`` /
   ``_p90`` / ``_p99`` suffix or a unit makes it that quantile (default
   p99) of the ``span/<path>`` duration histogram, ``plan_latency``,
   ``actuate_latency``, ``observe_latency`` and ``step_latency`` naming

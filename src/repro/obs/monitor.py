@@ -15,21 +15,21 @@ realized value)`` pair per interval and maintains:
   over fixed-size windows, plus the mean absolute calibration error;
 * **rolling accuracy** — per-window wQL (per level and mean) and MAPE
   of the median forecast;
-* **residual drift** — :class:`PageHinkley` and :class:`CUSUM`
-  detectors on spread-normalised residuals, emitting regime-change
-  events the moment the forecaster's error distribution moves.
+* **residual drift** — one :class:`CUSUM` detector on spread-normalised
+  residuals, emitting a regime-change event the moment the forecaster's
+  error distribution moves.
 
 Everything is published through the ambient metrics registry
-(:func:`repro.obs.get_registry`), so any attached sink — JSONL file,
-in-memory buffer, summary table — receives ``model_health`` events for
-free, and ``repro-autoscale report`` can reconstruct the full health
-timeline from a telemetry file.
+(:func:`repro.obs.get_registry`), so any attached sink — JSONL file or
+in-memory buffer — receives ``model_health`` events for free, and
+``repro-autoscale report`` can reconstruct the full health timeline
+from a telemetry file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,151 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..forecast.base import QuantileForecast
     from .alerts import AlertEngine, SLOTracker
 
-__all__ = [
-    "DriftDetector",
-    "PageHinkley",
-    "CUSUM",
-    "DriftEvent",
-    "WindowStats",
-    "ModelHealthMonitor",
-]
+__all__ = ["CUSUM", "DriftEvent", "WindowStats", "ModelHealthMonitor"]
 
 #: Floor for the residual-normalisation scale, so degenerate (zero
 #: width) forecast fans cannot produce infinite drift statistics.
 _SCALE_FLOOR = 1e-9
-
-
-@runtime_checkable
-class DriftDetector(Protocol):
-    """Streaming change detector over a residual sequence."""
-
-    name: str
-
-    def update(self, value: float) -> bool:
-        """Feed one value; return True when a change-point fires."""
-        ...
-
-    def reset(self) -> None:
-        """Forget all state (called automatically after a firing)."""
-        ...
-
-    @property
-    def score(self) -> float:
-        """Current test statistic (compared against the threshold)."""
-        ...
-
-    @property
-    def direction(self) -> str:
-        """Which side is drifting: ``"up"``, ``"down"``, or ``"none"``."""
-        ...
-
-    fired_score: float
-    fired_direction: str
-
-
-class PageHinkley:
-    """Two-sided Page-Hinkley test for mean shift in a stream.
-
-    Tracks the cumulative deviation of the input from its running mean
-    (minus a slack ``delta``); a drift fires when the deviation exceeds
-    its historical minimum (resp. maximum, for downward shifts) by more
-    than ``threshold``.  Input is expected to be roughly unit-scale —
-    the monitor feeds spread-normalised residuals.
-
-    Parameters
-    ----------
-    threshold:
-        λ — firing threshold on the PH statistic.
-    delta:
-        Per-step slack absorbing benign drift of the mean.
-    min_samples:
-        Observations required before the test may fire (warm-up).
-    """
-
-    name = "page-hinkley"
-
-    def __init__(
-        self, threshold: float = 12.0, delta: float = 0.05, min_samples: int = 12
-    ) -> None:
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        self.threshold = threshold
-        self.delta = delta
-        self.min_samples = min_samples
-        self.reset()
-
-    #: statistic/direction at the moment of the most recent firing
-    fired_score: float = 0.0
-    fired_direction: str = "none"
-
-    def reset(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._cum_up = 0.0  # Σ (x - mean - delta)
-        self._cum_down = 0.0  # Σ (x - mean + delta)
-        self._min_up = 0.0
-        self._max_down = 0.0
-
-    def update(self, value: float) -> bool:
-        self._count += 1
-        self._mean += (value - self._mean) / self._count
-        self._cum_up += value - self._mean - self.delta
-        self._cum_down += value - self._mean + self.delta
-        self._min_up = min(self._min_up, self._cum_up)
-        self._max_down = max(self._max_down, self._cum_down)
-        if self._count < self.min_samples:
-            return False
-        if self.score > self.threshold:
-            # Snapshot the firing statistic before the reset wipes it —
-            # drift events report the score that crossed the threshold.
-            self.fired_score = self.score
-            self.fired_direction = self.direction
-            self.reset()
-            return True
-        return False
-
-    def state_dict(self) -> dict:
-        return {
-            "count": self._count,
-            "mean": self._mean,
-            "cum_up": self._cum_up,
-            "cum_down": self._cum_down,
-            "min_up": self._min_up,
-            "max_down": self._max_down,
-            "fired_score": self.fired_score,
-            "fired_direction": self.fired_direction,
-        }
-
-    def load_state_dict(self, state: dict) -> "PageHinkley":
-        self._count = int(state["count"])
-        self._mean = float(state["mean"])
-        self._cum_up = float(state["cum_up"])
-        self._cum_down = float(state["cum_down"])
-        self._min_up = float(state["min_up"])
-        self._max_down = float(state["max_down"])
-        self.fired_score = float(state["fired_score"])
-        self.fired_direction = state["fired_direction"]
-        return self
-
-    @property
-    def _score_up(self) -> float:
-        return self._cum_up - self._min_up
-
-    @property
-    def _score_down(self) -> float:
-        return self._max_down - self._cum_down
-
-    @property
-    def score(self) -> float:
-        return max(self._score_up, self._score_down)
-
-    @property
-    def direction(self) -> str:
-        if self._score_up == self._score_down == 0.0:
-            return "none"
-        return "up" if self._score_up >= self._score_down else "down"
 
 
 class CUSUM:
@@ -191,11 +51,12 @@ class CUSUM:
 
     Classic tabular CUSUM: accumulate deviations beyond a slack
     ``drift`` on each side, fire when either side's sum exceeds
-    ``threshold``.  Complements Page-Hinkley — CUSUM reacts faster to
-    abrupt jumps, PH is more sensitive to slow creep.
+    ``threshold``, then start again from zero.  Input is expected to be
+    roughly unit-scale — the monitor feeds spread-normalised residuals.
+    It is the monitor's one detector: at a matched false-alarm rate it
+    found level shifts sooner than Page-Hinkley, and missed fewer
+    (docs/observability.md, Drift detection).
     """
-
-    name = "cusum"
 
     def __init__(
         self, threshold: float = 8.0, drift: float = 0.5, min_samples: int = 6
@@ -211,6 +72,7 @@ class CUSUM:
         self.min_samples = min_samples
         self.reset()
 
+    #: statistic/direction at the moment of the most recent firing
     fired_score: float = 0.0
     fired_direction: str = "none"
 
@@ -226,6 +88,8 @@ class CUSUM:
         if self._count < self.min_samples:
             return False
         if self.score > self.threshold:
+            # Snapshot the firing statistic before the reset wipes it —
+            # drift events report the score that crossed the threshold.
             self.fired_score = self.score
             self.fired_direction = self.direction
             self.reset()
@@ -262,10 +126,9 @@ class CUSUM:
 
 @dataclass(frozen=True)
 class DriftEvent:
-    """One regime-change firing from a drift detector."""
+    """One regime-change firing of the monitor's :class:`CUSUM`."""
 
     time_index: int
-    detector: str
     score: float
     direction: str
 
@@ -274,7 +137,6 @@ class DriftEvent:
             "kind": "model_health",
             "name": "monitor.drift",
             "time_index": self.time_index,
-            "detector": self.detector,
             "score": self.score,
             "direction": self.direction,
         }
@@ -294,7 +156,7 @@ class WindowStats:
     mean_wql: float
     mape: float
     mean_residual: float
-    drift_score: float  # max detector statistic at window close
+    drift_score: float  # CUSUM statistic at window close
     drift_events: int  # firings inside this window
     violation_rate: float | None = None  # when allocations were observed
     degraded_intervals: int = 0  # intervals served by a degraded plan
@@ -352,7 +214,8 @@ class ModelHealthMonitor:
     runtime does this automatically when a monitor is attached), or a
     whole forecast window via :meth:`observe_forecast` (the backtest
     integration).  Aggregates are finalised every ``window`` steps;
-    drift detectors run on every step.
+    the :class:`CUSUM` drift detector (:attr:`detector`) runs on every
+    step, over spread-normalised residuals.
 
     Parameters
     ----------
@@ -361,9 +224,6 @@ class ModelHealthMonitor:
         better but make per-level coverage noisier; the default (24 =
         4 hours at 10-minute intervals) matches the paper's replan
         cadence order of magnitude.
-    detectors:
-        Drift detectors run on spread-normalised residuals; default is
-        one :class:`PageHinkley` and one :class:`CUSUM` instance.
     alerts:
         Optional :class:`~repro.obs.alerts.AlertEngine`; when present,
         every finalised window record is evaluated against its rules.
@@ -379,7 +239,6 @@ class ModelHealthMonitor:
     def __init__(
         self,
         window: int = 24,
-        detectors: "list[DriftDetector] | None" = None,
         alerts: "AlertEngine | None" = None,
         slos: "SLOTracker | None" = None,
         eps: float = 1e-9,
@@ -389,9 +248,7 @@ class ModelHealthMonitor:
         if slos is not None and slos.engine is not alerts:
             raise ValueError("slos must be a tracker over the monitor's alerts engine")
         self.window = window
-        self.detectors: list[DriftDetector] = (
-            list(detectors) if detectors is not None else [PageHinkley(), CUSUM()]
-        )
+        self.detector = CUSUM()
         self.alerts = alerts
         self.slos = slos
         self.eps = eps
@@ -479,22 +336,18 @@ class ModelHealthMonitor:
         # Drift detection on the spread-normalised residual.
         spread = float(values[-1] - values[0]) if len(values) > 1 else 0.0
         scale = max(spread, _SCALE_FLOOR)
-        normalised = residual / scale
-        registry = get_registry()
-        for detector in self.detectors:
-            if detector.update(normalised):
-                event = DriftEvent(
-                    time_index=int(time_index),
-                    detector=detector.name,
-                    score=float(detector.fired_score),
-                    direction=detector.fired_direction,
-                )
-                self.drift_events.append(event)
-                self._window_drift_events += 1
-                registry.emit_event(**event.as_record())
-                registry.counter(
-                    "monitor.drift_events", detector=detector.name
-                ).inc()
+        detector = self.detector
+        if detector.update(residual / scale):
+            event = DriftEvent(
+                time_index=int(time_index),
+                score=float(detector.fired_score),
+                direction=detector.fired_direction,
+            )
+            self.drift_events.append(event)
+            self._window_drift_events += 1
+            registry = get_registry()
+            registry.emit_event(**event.as_record())
+            registry.counter("monitor.drift_events").inc()
 
         self.steps_observed += 1
         self._window_steps += 1
@@ -581,7 +434,7 @@ class ModelHealthMonitor:
             mean_residual=(
                 float(np.mean(actuals - medians)) if len(actuals) else 0.0
             ),
-            drift_score=max((d.score for d in self.detectors), default=0.0),
+            drift_score=self.detector.score,
             drift_events=self._window_drift_events,
             violation_rate=(
                 float(np.mean(self._buf_violations))
@@ -600,11 +453,6 @@ class ModelHealthMonitor:
         registry.emit_event(**record)
         for key, value in coverage.items():
             registry.gauge("monitor.coverage", level=key).set(value)
-        registry.gauge("monitor.calibration_error").set(calibration_error)
-        registry.gauge("monitor.mean_wql").set(stats.mean_wql)
-        registry.gauge("monitor.mape").set(mape)
-        registry.gauge("monitor.drift_score").set(stats.drift_score)
-        registry.gauge("monitor.degraded_rate").set(stats.degraded_rate)
         registry.counter("monitor.windows").inc()
 
         if self.alerts is not None:
@@ -616,14 +464,14 @@ class ModelHealthMonitor:
     def state_dict(self) -> dict:
         """The monitor's full streaming state as JSON-safe containers.
 
-        Covers finalised windows, the open window's accumulators, drift
-        detector internals, and (when an alert engine is attached) its
-        streaks, firing flags and ledgers, which SLO objectives read too
-        — everything needed for a restored monitor
+        Covers finalised windows, the open window's accumulators, the
+        drift detector's internals, and (when an alert engine is
+        attached) its streaks, firing flags and ledgers, which SLO
+        objectives read too — everything needed for a restored monitor
         to produce bit-identical windows, drift events, and alerts from
         the same subsequent observation stream.  Configuration (window
-        size, detector thresholds, rules) is not serialized; a restored
-        monitor keeps what it was constructed with.
+        size, rules) is not serialized; a restored monitor keeps what it
+        was constructed with.
         """
         return {
             "steps_observed": self.steps_observed,
@@ -635,9 +483,7 @@ class ModelHealthMonitor:
                 for w in self.windows
             ],
             "drift_events": [dict(vars(d)) for d in self.drift_events],
-            "detectors": [
-                {"name": d.name, "state": d.state_dict()} for d in self.detectors
-            ],
+            "detector": self.detector.state_dict(),
             "buffer": {
                 "indices": list(self._buf_indices),
                 "actuals": list(self._buf_actuals),
@@ -656,26 +502,23 @@ class ModelHealthMonitor:
     def load_state_dict(self, state: dict) -> "ModelHealthMonitor":
         """Restore streaming state captured by :meth:`state_dict` in place.
 
-        Detector states are matched positionally and verified by name —
-        restoring into a monitor configured with different detectors is
-        an error, not a silent miscount.
+        The alert engine's state loads into this monitor's engine: a
+        state with an engine and a monitor without one, or the reverse,
+        is an error before anything is restored, not a silent loss of
+        streaks and fired alerts.
         """
+        saved, attached = state["alerts"] is not None, self.alerts is not None
+        if saved != attached:
+            raise ValueError(
+                f"checkpointed monitor.alerts is {'set' if saved else 'None'} but "
+                f"this monitor has {'an' if attached else 'no'} alert engine; "
+                "configure the same alert rules and SLOs as the checkpointed run"
+            )
         self.steps_observed = int(state["steps_observed"])
         self._window_count = int(state["window_count"])
         self.windows = [WindowStats(**w) for w in state["windows"]]
         self.drift_events = [DriftEvent(**d) for d in state["drift_events"]]
-        saved = state["detectors"]
-        if len(saved) != len(self.detectors) or any(
-            entry["name"] != detector.name
-            for entry, detector in zip(saved, self.detectors)
-        ):
-            raise ValueError(
-                "checkpointed detectors "
-                f"{[e['name'] for e in saved]} do not match configured "
-                f"{[d.name for d in self.detectors]}"
-            )
-        for entry, detector in zip(saved, self.detectors):
-            detector.load_state_dict(entry["state"])
+        self.detector.load_state_dict(state["detector"])
         buffer = state["buffer"]
         self._buf_indices = [int(v) for v in buffer["indices"]]
         self._buf_actuals = [float(v) for v in buffer["actuals"]]
@@ -689,7 +532,7 @@ class ModelHealthMonitor:
         self._window_drift_events = int(buffer["window_drift_events"])
         self._window_steps = int(buffer["window_steps"])
         self._window_degraded = int(buffer["window_degraded"])
-        if state["alerts"] is not None and self.alerts is not None:
+        if attached:
             self.alerts.load_state_dict(state["alerts"])
         return self
 

@@ -267,7 +267,6 @@ def format_model_health(
         for drift in health.drifts:
             lines.append(
                 f"  t={drift.get('time_index', '?'):<6} "
-                f"{drift.get('detector', '?'):<14} "
                 f"score={drift.get('score', 0.0):<8.2f} "
                 f"direction={drift.get('direction', '?')}"
             )

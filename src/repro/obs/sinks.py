@@ -9,24 +9,21 @@ events, and one ``metrics`` record per
 and gauges that changed since the previous one.  Counter and gauge
 updates are not records of their own: call ``registry.flush()`` (or
 ``remove_sink``) before closing a sink, or it never sees their values.
-Three implementations:
+Two implementations:
 
 * :class:`InMemorySink` — buffers records for programmatic inspection
   (tests, notebooks);
 * :class:`JsonlSink` — appends one JSON object per line to a file, the
-  interchange format ``repro-autoscale report`` consumes;
-* :class:`TableSink` — aggregates records and writes a human-readable
-  summary table to a stream on :meth:`close`.
+  interchange format ``repro-autoscale report`` consumes and summarises.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 from typing import IO, Protocol, runtime_checkable
 
-__all__ = ["Sink", "InMemorySink", "JsonlSink", "TableSink"]
+__all__ = ["Sink", "InMemorySink", "JsonlSink"]
 
 
 @runtime_checkable
@@ -123,29 +120,3 @@ def _jsonable(value):
 # json.dumps builds a JSONEncoder per call whenever an argument is not
 # the default; the sinks share this one.
 _ENCODER = json.JSONEncoder(default=_jsonable, allow_nan=False)
-
-
-class TableSink:
-    """Aggregate records, print a readable summary when closed.
-
-    Useful as a CLI-side "live" sink: attach it alongside a
-    :class:`JsonlSink` and the run ends with a telemetry table on
-    stderr without a separate ``report`` invocation.
-    """
-
-    def __init__(self, stream: IO[str] | None = None) -> None:
-        self.stream = stream if stream is not None else sys.stderr
-        self._records: list[dict] = []
-        self._closed = False
-
-    def emit(self, record: dict) -> None:
-        self._records.append(dict(record))
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        from .report import format_summary, summarize_records
-
-        if self._records:
-            self.stream.write(format_summary(summarize_records(self._records)) + "\n")

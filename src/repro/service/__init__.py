@@ -17,7 +17,7 @@ daemon with an operational surface:
 * :mod:`repro.service.dashboard` — ``repro-autoscale top``, a
   terminal dashboard polling the control plane;
 * :mod:`repro.service.checkpoint` — lossless checkpoint/restore of
-  runtime + monitor + drift detectors + model state, so ``repro serve
+  runtime + monitor + drift detector + model state, so ``repro serve
   --restore`` resumes mid-trace with bit-identical subsequent
   decisions.
 

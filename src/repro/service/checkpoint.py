@@ -4,7 +4,8 @@ A checkpoint is a directory holding one file, ``state.json``: ``runtime``
 is the fields of :class:`~repro.core.runtime.RuntimeState` (what the
 loop reads back on its next tick — clock, context window, plan in force,
 counters — and no decision history, so its size does not grow with
-uptime), ``monitor`` the health monitor + drift detectors + alert engine
+uptime), ``monitor`` the health monitor + its one drift detector (since
+version 8) + alert engine
 (:meth:`~repro.obs.monitor.ModelHealthMonitor.state_dict`; since version
 7 the engine's ledgers carry the SLOs' error budgets too), ``model``
 the live forecaster's ``state_dict()`` (weights, scaler, fit counters
@@ -54,7 +55,7 @@ __all__ = [
     "restore_from_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 _STATE_FILE = "state.json"
 #: Fields :func:`restore_from_checkpoint` and its caller read unconditionally.
@@ -231,7 +232,7 @@ def restore_from_checkpoint(
     loads whole or not at all, so a state that does not fit the
     configured family raises before runtime, monitor or manager are
     touched.  Then the loop clock and plan, monitor windows and
-    detectors, and planner-wrapper state.  Returns the source position
+    detector, and planner-wrapper state.  Returns the source position
     to resume from.
     """
     state = (

@@ -108,14 +108,12 @@ def make_runtime(
     horizon: int = 4,
     window: int = 10,
     rules: "tuple[str, ...]" = (),
-    detectors: "list | None" = None,
     replan_every: int = 4,
     start_tick: int = 0,
     record_provenance: bool = False,
 ) -> AutoscalingRuntime:
     monitor = ModelHealthMonitor(
         window=window,
-        detectors=detectors if detectors is not None else [],
         alerts=AlertEngine([parse_rule(r) for r in rules]) if rules else None,
     )
     return AutoscalingRuntime(

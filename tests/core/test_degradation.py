@@ -187,7 +187,7 @@ class TestDegradedMonitorFeed:
         from repro.obs import ModelHealthMonitor
 
         planner = CrashingPlanner(4, fail_calls={"all"})
-        monitor = ModelHealthMonitor(window=4, detectors=[])
+        monitor = ModelHealthMonitor(window=4)
         runtime = make_runtime(planner, monitor=monitor)
         runtime.run(np.full(12, 300.0))
         assert monitor.windows

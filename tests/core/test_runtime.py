@@ -259,7 +259,7 @@ class TestMonitorFeed:
 
         series = np.full(20, 300.0)
         planner = QuantilePlanner(horizon=4, threshold=60.0, center=300.0)
-        monitor = ModelHealthMonitor(window=4, detectors=[])
+        monitor = ModelHealthMonitor(window=4)
         runtime = AutoscalingRuntime(
             planner=planner, context_length=6, horizon=4, threshold=60.0,
             monitor=monitor,
@@ -279,7 +279,7 @@ class TestMonitorFeed:
         from repro.obs import ModelHealthMonitor
 
         series = np.full(20, 300.0)
-        monitor = ModelHealthMonitor(window=4, detectors=[])
+        monitor = ModelHealthMonitor(window=4)
         runtime, _ = make_runtime(series, context=6, horizon=4)
         runtime.monitor = monitor
         runtime.run(series)  # OraclePlanner stamps no forecast arrays

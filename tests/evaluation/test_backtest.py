@@ -71,7 +71,7 @@ class TestBacktest:
         from repro.obs import ModelHealthMonitor
 
         forecaster, _, test = fitted
-        monitor = ModelHealthMonitor(window=SEASON, detectors=[])
+        monitor = ModelHealthMonitor(window=SEASON)
         result = backtest(
             forecaster, test, SEASON, SEASON, LEVELS,
             series_start_index=1000, monitor=monitor,

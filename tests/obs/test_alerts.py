@@ -46,7 +46,7 @@ class TestParseRule:
         assert rule.severity == "warning"
 
     def test_minimal_grammar(self):
-        rule = parse_rule("drift_score > 25")
+        rule = parse_rule("drift_score > 6")
         assert rule.metric == "drift_score"
         assert rule.level is None
         assert rule.for_windows == 1

@@ -121,7 +121,7 @@ class TestSaveLoad:
         # The checkpoint is plain JSON on disk, not pickles: one file.
         assert [entry.name for entry in path.iterdir()] == ["state.json"]
         raw = json.loads((path / "state.json").read_text())
-        assert raw["version"] == CHECKPOINT_VERSION == 7
+        assert raw["version"] == CHECKPOINT_VERSION == 8
         # ...and every array in it is a raw-byte record, not a number list.
         plan = raw["runtime"]["current_plan"]
         for record in (plan["nodes"], plan["metadata"]["forecast_values"]):
@@ -155,7 +155,7 @@ class TestSaveLoad:
             "version": 1, "source_position": 0, "monitor": None,
             "runtime": {"current_plan": {"nodes": [1, 2]}},
         }))
-        with pytest.raises(ValueError, match=r"version 1 .*version 7"):
+        with pytest.raises(ValueError, match=r"version 1 .*version 8"):
             load_checkpoint(ckpt)
 
     def test_version_2_file_is_rejected_at_the_door(self, tmp_path):
@@ -164,7 +164,7 @@ class TestSaveLoad:
         runtime.run(SERIES[:20])
         ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime)
         _edit_state(ckpt, lambda state: state.update(version=2))
-        with pytest.raises(ValueError, match=r"version 2 .*version 7"):
+        with pytest.raises(ValueError, match=r"version 2 .*version 8"):
             load_checkpoint(ckpt)
 
     def test_version_3_directory_is_rejected_at_the_door(self, tmp_path):
@@ -177,7 +177,7 @@ class TestSaveLoad:
         _edit_state(ckpt, lambda state: state.update(
             version=3, model_file="model.npz", sampler=state.pop("model")["sampler"],
         ))
-        with pytest.raises(ValueError, match=r"version 3 .*version 7"):
+        with pytest.raises(ValueError, match=r"version 3 .*version 8"):
             load_checkpoint(ckpt)
 
 
@@ -188,7 +188,7 @@ class TestSaveLoad:
         runtime.run(SERIES[:20])
         ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime)
         _edit_state(ckpt, lambda state: state.update(version=4))
-        with pytest.raises(ValueError, match=r"version 4 .*version 7"):
+        with pytest.raises(ValueError, match=r"version 4 .*version 8"):
             load_checkpoint(ckpt)
 
     def test_version_5_file_is_rejected_at_the_door(self, tmp_path):
@@ -201,7 +201,7 @@ class TestSaveLoad:
         _edit_state(ckpt, lambda state: state.update(
             version=5, config={"model": "naive", "context": 144, "decisions_out": "x"},
         ))
-        with pytest.raises(ValueError, match=r"version 5 .*version 7"):
+        with pytest.raises(ValueError, match=r"version 5 .*version 8"):
             load_checkpoint(ckpt)
 
     def test_version_6_file_is_rejected_at_the_door(self, tmp_path):
@@ -212,7 +212,23 @@ class TestSaveLoad:
         runtime.run(SERIES[:20])
         ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime)
         _edit_state(ckpt, lambda state: state.update(version=6))
-        with pytest.raises(ValueError, match=r"unsupported checkpoint version 6 .*version 7"):
+        with pytest.raises(ValueError, match=r"unsupported checkpoint version 6 .*version 8"):
+            load_checkpoint(ckpt)
+
+    def test_version_7_file_is_rejected_at_the_door(self, tmp_path):
+        """The previous build's file - the monitor's drift state a list of
+        named detectors - is refused before anything in it is read."""
+        runtime, _ = make_loop()
+        runtime.run(SERIES[:20])
+        ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime)
+
+        def older(state):
+            monitor = state["monitor"]
+            monitor["detectors"] = [{"name": "cusum", "state": monitor.pop("detector")}]
+            state["version"] = 7
+
+        _edit_state(ckpt, older)
+        with pytest.raises(ValueError, match=r"unsupported checkpoint version 7 .*version 8"):
             load_checkpoint(ckpt)
 
 

@@ -180,7 +180,7 @@ class TestMonitorFlags:
     def test_an_alert_rule_attaches_the_monitor(self, capsys):
         """``--alert`` without ``--monitor`` used to build no monitor, so the
         rule was silently dropped."""
-        assert main(EVALUATE_ARGS + ["--alert", "drift_score > 25"]) == 0
+        assert main(EVALUATE_ARGS + ["--alert", "drift_score > 6"]) == 0
         assert "model health" in capsys.readouterr().out
 
     def test_compare_slo_attaches_the_monitor(self, capsys):

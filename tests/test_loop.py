@@ -97,7 +97,7 @@ class TestFromState:
 class TestFlags:
     @pytest.mark.parametrize(
         "flags",
-        [["--monitor"], ["--alert", "drift_score > 25"],
+        [["--monitor"], ["--alert", "drift_score > 6"],
          ["--slo", "qos_violation_rate < 0.2 over 48"], ["--adapt"]],
     )
     def test_any_monitoring_flag_attaches_the_monitor(self, flags):
