@@ -5,6 +5,13 @@ The paper's headline comparison on both traces: reactive scalers
 TFT-point), their CloudScale-style padding enhancements, and the robust
 quantile strategies DeepAR-tau / TFT-tau for tau in {0.6, 0.8, 0.9}.
 
+Every row is one :func:`~repro.core.evaluate_strategy` run: the
+runtime replans every ``EVAL_STRIDE`` steps and each row is scored on
+the same steps of the test split, once each.  The padding rows learn
+their margin from the unpadded forecast's errors on each next context;
+the DeepAR rows reseed the sampler before each tau, so the three taus
+read the same sample paths.
+
 Expected shape:
 * predictive strategies beat reactive ones (inherent reactive lag);
 * quantile strategies beat point strategies, even when the quantile
@@ -14,85 +21,59 @@ Expected shape:
 * under-provisioning falls monotonically with tau.
 """
 
-import numpy as np
-import pytest
-
 from repro.core import (
+    FixedQuantilePolicy,
     PointForecastScaler,
     ReactiveAvgScaler,
     ReactiveMaxScaler,
+    RobustPredictiveAutoscaler,
     evaluate_strategy,
 )
 from repro.forecast import PaddedPointForecaster
 
-from benchmarks.helpers import (
-    CONTEXT,
-    EVAL_STRIDE,
-    HORIZON,
-    THETA,
-    print_header,
-    provisioning_rates,
-)
+from benchmarks.helpers import CONTEXT, EVAL_STRIDE, HORIZON, THETA, print_header
 
 TAUS = (0.6, 0.8, 0.9)
+SAMPLER_SEED = 0
 
 
-def _point_rates(forecaster, name, test_series, train_length, padding=False):
-    if padding:
-        forecaster = PaddedPointForecaster(forecaster, window=HORIZON * 4, percentile=0.95)
-        forecaster._fitted = True
-    scaler = PointForecastScaler(forecaster, THETA, name=name)
-
-    def feedback(point, plan, actual):
-        if padding:
-            forecaster.observe(actual, plan.metadata["point_forecast"])
-
+def _rates(planner, test_series, train_length):
     ev = evaluate_strategy(
-        scaler, test_series, CONTEXT, HORIZON, THETA, stride=EVAL_STRIDE,
-        on_window=feedback, series_start_index=train_length,
+        planner, test_series, CONTEXT, HORIZON, THETA,
+        replan_every=EVAL_STRIDE, series_start_index=train_length,
     )
     return ev.report.under_provisioning_rate, ev.report.over_provisioning_rate
 
 
-def test_fig9(
-    benchmark,
-    trace_name,
-    test_series,
-    train_series,
-    qb5000,
-    tft_point,
-    deepar_rolling,
-    tft_rolling,
-):
+def test_fig9(benchmark, trace_name, test_series, train_series, qb5000, tft_point, deepar, tft):
+    train_length = len(train_series)
     rows: list[tuple[str, float, float]] = []
 
-    for scaler in (ReactiveMaxScaler(), ReactiveAvgScaler()):
-        ev = evaluate_strategy(
-            scaler, test_series, CONTEXT, HORIZON, THETA, stride=EVAL_STRIDE
-        )
-        rows.append(
-            (scaler.name, ev.report.under_provisioning_rate,
-             ev.report.over_provisioning_rate)
-        )
+    for scaler in (ReactiveMaxScaler(threshold=THETA), ReactiveAvgScaler(threshold=THETA)):
+        rows.append((scaler.name, *_rates(scaler, test_series, train_length)))
 
-    train_length = len(train_series)
     for name, forecaster, pad in [
         ("QB5000", qb5000, False),
         ("QB5000-padding", qb5000, True),
         ("TFT-point", tft_point, False),
         ("TFT-point-padding", tft_point, True),
     ]:
-        under, over = _point_rates(forecaster, name, test_series, train_length, pad)
-        rows.append((name, under, over))
+        if pad:
+            forecaster = PaddedPointForecaster(forecaster, window=HORIZON * 4, percentile=0.95)
+        scaler = PointForecastScaler(forecaster, THETA, name=name)
+        rows.append((name, *_rates(scaler, test_series, train_length)))
 
-    for rolling, label in ((deepar_rolling, "DeepAR"), (tft_rolling, "TFT")):
+    for model, label in ((deepar, "DeepAR"), (tft, "TFT")):
         for tau in TAUS:
-            under, over = provisioning_rates(rolling, lambda fc, t=tau: fc.at(t))
-            rows.append((f"{label}-{tau}", under, over))
+            if hasattr(model, "reseed_sampler"):
+                model.reseed_sampler(SAMPLER_SEED)
+            planner = RobustPredictiveAutoscaler(model, THETA, FixedQuantilePolicy(tau))
+            rows.append((f"{label}-{tau}", *_rates(planner, test_series, train_length)))
 
     print_header(
         f"Figure 9 — under-provisioning rates ({trace_name})",
-        f"theta = {THETA}% CPU per node, horizon {HORIZON} steps",
+        f"theta = {THETA}% CPU per node, horizon {HORIZON} steps, "
+        f"replan every {EVAL_STRIDE}",
     )
     print(f"{'strategy':<20} {'under-prov':>11} {'over-prov':>10}")
     for name, under, over in rows:
@@ -110,4 +91,4 @@ def test_fig9(
         taus = [by_name[f"{label}-{tau}"] for tau in TAUS]
         assert taus == sorted(taus, reverse=True) or max(taus) - min(taus) < 1e-9
 
-    benchmark(lambda: provisioning_rates(tft_rolling, lambda fc: fc.at(0.9)))
+    benchmark(lambda: _rates(ReactiveMaxScaler(threshold=THETA), test_series, train_length))

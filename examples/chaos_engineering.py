@@ -7,16 +7,20 @@ loop never crashes, every planner failure is served by the reactive
 fallback (visible as ``source="degraded"`` decisions), and the damage
 shows up as a violation/overhead delta, not an exception.
 
-Each campaign is a seeded :class:`~repro.faults.FaultSchedule`, so any
-row of the table is exactly reproducible from its seed.
+Each campaign is a seeded :class:`~repro.faults.FaultSchedule`, carried
+as the ``faults`` of one :class:`~repro.loop.LoopSpec`, so any row of the
+table is exactly reproducible from its seed.
 
 Run:  python examples/chaos_engineering.py
 """
 
-from repro import FixedQuantilePolicy, RobustPredictiveAutoscaler, alibaba_like_trace
+from dataclasses import replace
+
+from repro import alibaba_like_trace
 from repro.evaluation import chaos_run, format_chaos_report
 from repro.faults import FaultSchedule
 from repro.forecast import SeasonalNaiveForecaster
+from repro.loop import LoopSpec
 from repro.traces import STEPS_PER_DAY
 
 CONTEXT, HORIZON, THETA = 144, 36, 60.0
@@ -26,7 +30,8 @@ train, test = trace.split(test_fraction=0.3)
 
 forecaster = SeasonalNaiveForecaster(HORIZON, season=STEPS_PER_DAY)
 forecaster.fit(train.values)
-scaler = RobustPredictiveAutoscaler(forecaster, THETA, FixedQuantilePolicy(0.9))
+# Robust scaling at the fixed 0.9 quantile over the seasonal-naive fan.
+spec = LoopSpec("naive", context=CONTEXT, horizon=HORIZON, threshold=THETA, quantile=0.9)
 
 steps = len(test.values)
 campaigns = {
@@ -56,9 +61,8 @@ print(f"{'campaign':<16} {'faults':>7} {'viol. clean':>12} {'viol. chaos':>12} "
 reports = {}
 for name, faults in campaigns.items():
     report = chaos_run(
-        lambda: scaler, test.values,
-        context_length=CONTEXT, horizon=HORIZON, threshold=THETA,
-        faults=faults, start_index=len(train.values),
+        replace(spec, faults=faults.spec), forecaster, test.values,
+        start_tick=len(train.values),
     )
     reports[name] = report
     print(

@@ -10,17 +10,16 @@ the first context window fills.
 Run:  python examples/closed_loop_simulation.py
 """
 
-import numpy as np
-
 from repro import (
     AutoscalingRuntime,
     FixedQuantilePolicy,
     RobustPredictiveAutoscaler,
+    ScalingPlan,
     TFTForecaster,
     TrainingConfig,
     required_nodes,
 )
-from repro.simulator import DisaggregatedCluster, SharedStorage, Simulation
+from repro.simulator import SharedStorage, replay_plan
 from repro.traces import alibaba_like_trace
 
 CONTEXT, HORIZON, THETA = 72, 72, 60.0
@@ -46,33 +45,22 @@ runtime = AutoscalingRuntime(
     start_tick=len(train.values),
 )
 
-simulation = Simulation()
-storage = SharedStorage(checkpoint_gb=4.0, jitter_fraction=0.1, seed=1)
-cluster = DisaggregatedCluster(simulation, storage, initial_nodes=1)
-
-violations = warmup_violations = 0
-for t, workload in enumerate(test.values):
-    target = runtime.target_nodes()
-    cluster.scale_to(target)
-    interval_start = simulation.now
-    simulation.run(until=interval_start + INTERVAL)
-    serving_seconds = sum(
-        node.serving_seconds(interval_start, simulation.now) for node in cluster.nodes
-    )
-    effective = max(serving_seconds / INTERVAL, 1e-9)
-    if workload / effective > THETA:
-        violations += 1
-        if workload / target <= THETA:
-            warmup_violations += 1
-    runtime.observe(workload)
+# The runtime commits each interval's target before seeing its workload;
+# the cluster then enacts the targets from a single warm node.
+allocations = runtime.run(test.values)
+replay = replay_plan(
+    ScalingPlan(nodes=allocations, threshold=THETA), test.values, interval_seconds=INTERVAL,
+    storage=SharedStorage(checkpoint_gb=4.0, jitter_fraction=0.1, seed=1), initial_nodes=1,
+)
+violations = sum(o.violated for o in replay.outcomes)
 
 steps = len(test.values)
 needed = required_nodes(test.values, THETA)
 print(f"\nintervals simulated        : {steps}")
 print(f"planning decisions         : {len(runtime.decisions)}")
 print(f"threshold violations       : {violations} ({violations / steps:.1%})")
-print(f"  of which warm-up induced : {warmup_violations}")
-print(f"node-hours consumed        : {cluster.total_node_seconds() / 3600:.0f}")
+print(f"  of which warm-up induced : {replay.warmup_limited_violations}")
+print(f"node-hours consumed        : {replay.total_node_seconds / 3600:.0f}")
 print(f"ideal (oracle) node-hours  : {needed.sum() * INTERVAL / 3600:.0f}")
-print(f"scale-out events           : {cluster.scale_out_events}")
-print(f"scale-in events            : {cluster.scale_in_events}")
+print(f"scale-out events           : {replay.scale_out_events}")
+print(f"scale-in events            : {replay.scale_in_events}")

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro import (
     FixedQuantilePolicy,
-    QuantileForecast,
     RobustPredictiveAutoscaler,
     TFTForecaster,
     TrainingConfig,
@@ -58,11 +57,7 @@ for tau in (0.5, 0.8, 0.9, 0.99):
     scaler = RobustPredictiveAutoscaler(forecaster, THETA, FixedQuantilePolicy(tau))
     ev = evaluate_strategy(
         scaler, test.values, CONTEXT, HORIZON, THETA,
-        series_start_index=len(train.values),
-        on_window=lambda point, plan, actual: monitor.observe_forecast(
-            QuantileForecast(plan.metadata["forecast_levels"],
-                             plan.metadata["forecast_values"]),
-            actual, start_index=point),
+        series_start_index=len(train.values), monitor=monitor,
     )
     plan = ScalingPlan(nodes=ev.nodes, threshold=THETA)
     qos = evaluate_qos(plan, ev.actual, service_rate=SERVICE_RATE, slo_seconds=SLO)

@@ -145,15 +145,15 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Closed-loop evaluation of one robust scaling strategy.
 
-    The planner is driven by an :class:`AutoscalingRuntime` over the test
-    split (reactive fallback until a full context exists, then committed
-    predictive plans), and the resulting allocation series is replayed on
-    the simulated cluster so QoS violations include warm-up effects.
+    The spec's runtime is driven over the test split by
+    :meth:`~repro.loop.LoopSpec.run` (reactive fallback until a full
+    context exists, then committed predictive plans), and the resulting
+    allocation series is replayed on the simulated cluster so QoS
+    violations include warm-up effects.
     With ``--telemetry`` the whole run streams spans and counters to a
     JSONL file that ``repro-autoscale report`` can summarise.
     """
-    from .core.plan import ScalingPlan, evaluate_plan
-    from .simulator import replay_plan
+    from .core.plan import evaluate_plan
 
     spec = _spec(args)
     train, test = _load_trace(args.trace, args.days, args.seed)
@@ -162,21 +162,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         from .traces.anomalies import inject_level_shift
 
         test = inject_level_shift(test, *_parse_shift(args.inject_shift))
-    faults = spec.fault_schedule()
-    observed, telemetry_faults = test.values, {}
-    if faults:
-        from .faults import corrupt_series
-
-        # Fault times are test-relative, here and in the planner's schedule.
-        observed, telemetry_faults = corrupt_series(test.values, faults)
-    name = runtime.planner.name
-    committed = ScalingPlan(nodes=runtime.run(observed), threshold=spec.threshold, strategy=name)
-    # QoS is always judged against the *true* workload — corrupted
-    # telemetry changes what the loop believed, not what it had to serve.
+    # Fault times are test-relative, here and in the planner's schedule.
+    committed, telemetry_faults, replay = spec.run(runtime, test.values)
     report = evaluate_plan(committed, test.values)
-    replay = replay_plan(committed, test.values, faults=faults)
+    faults = spec.fault_schedule()
     violations = sum(o.violated for o in replay.outcomes)
-    print(f"strategy            : {name}")
+    print(f"strategy            : {committed.strategy}")
     print(f"under-provisioning  : {report.under_provisioning_rate:.4f}")
     print(f"over-provisioning   : {report.over_provisioning_rate:.4f}")
     print(f"total node-steps    : {report.total_nodes}")
@@ -288,7 +279,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     spec = _spec(args, model="tft")
     train, test = _load_trace(args.trace, args.days, args.seed)
     rows = []
-    for scaler in (ReactiveMaxScaler(), ReactiveAvgScaler()):
+    for scaler in (ReactiveMaxScaler(threshold=args.threshold),
+                   ReactiveAvgScaler(threshold=args.threshold)):
         ev = evaluate_strategy(scaler, test.values, args.context, args.horizon, args.threshold)
         rows.append((scaler.name, ev.report, None))
     forecaster = spec.forecaster().fit(train.values)
@@ -298,8 +290,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         ev = evaluate_strategy(
             replace(spec, quantile=tau).planner(forecaster),
             test.values, args.context, args.horizon, args.threshold,
-            series_start_index=len(train.values),
-            on_window=_feed(monitor) if monitored else None,
+            series_start_index=len(train.values), monitor=monitor,
         )
         rows.append((f"TFT-{tau}", ev.report, monitor))
     header = f"{'strategy':<16} {'under':>8} {'over':>8} {'nodes':>8}"
@@ -318,45 +309,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _feed(monitor):
-    """An ``evaluate_strategy`` on_window callback feeding each plan's
-    forecast window to a health monitor."""
-    from .forecast.base import QuantileForecast
-
-    return lambda point, plan, actual: monitor.observe_forecast(
-        QuantileForecast(plan.metadata["forecast_levels"], plan.metadata["forecast_values"]),
-        actual, start_index=point,
-    )
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    """Closed-loop run: runtime + forecaster + simulated cluster."""
+    """Closed-loop run: runtime + forecaster + simulated cluster, from one
+    node at the first interval."""
     from .core.plan import required_nodes
-    from .simulator import DisaggregatedCluster, SharedStorage, Simulation
+    from .simulator import SharedStorage
 
+    spec = _spec(args)
     train, test = _load_trace(args.trace, args.days, args.seed)
-    runtime, _, _ = _build(_spec(args), train)
-    simulation = Simulation()
+    runtime, _, _ = _build(spec, train)
     storage = SharedStorage(checkpoint_gb=args.checkpoint_gb, seed=args.seed)
-    cluster = DisaggregatedCluster(simulation, storage, initial_nodes=1)
+    _, _, replay = spec.run(runtime, test.values, storage=storage, initial_nodes=1)
     interval = 600.0
-    violations = 0
-    for workload in test.values:
-        cluster.scale_to(runtime.target_nodes())
-        start = simulation.now
-        simulation.run(until=start + interval)
-        serving = sum(node.serving_seconds(start, simulation.now) for node in cluster.nodes)
-        if workload / max(serving / interval, 1e-9) > args.threshold:
-            violations += 1
-        runtime.observe(workload)
+    violations = sum(o.violated for o in replay.outcomes)
     steps = len(test.values)
     ideal = int(required_nodes(test.values, args.threshold).sum())
     print(f"intervals simulated : {steps}")
     print(f"planning decisions  : {_predictive_plans(runtime)}")
     print(f"violations          : {violations} ({violations / steps:.1%})")
-    print(f"node-hours consumed : {cluster.total_node_seconds() / 3600:.0f}")
+    print(f"node-hours consumed : {replay.total_node_seconds / 3600:.0f}")
     print(f"oracle node-hours   : {ideal * interval / 3600:.0f}")
-    print(f"scale events        : {cluster.scale_out_events} out / {cluster.scale_in_events} in")
+    print(f"scale events        : {replay.scale_out_events} out / {replay.scale_in_events} in")
     return 0
 
 
@@ -368,29 +341,24 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     fallback, actuation failures hit the simulated cluster — and the
     whole faulted run must be bit-identical when repeated.  Exits
     non-zero if the repeat diverges or the violation-rate regression
-    exceeds ``--max-regression``.  :func:`~repro.evaluation.chaos.chaos_run`
-    builds each run's runtime from the spec's planner and monitor.
+    exceeds ``--max-regression``.  Without ``--faults`` a random schedule
+    (``--fault-seed``) becomes the spec's ``faults``, and
+    :func:`~repro.evaluation.chaos.chaos_run` runs the spec with and
+    without it.
     """
     from .evaluation.chaos import chaos_run, format_chaos_report
     from .faults import FaultSchedule
 
     spec = _spec(args)
     train, test = _load_trace(args.trace, args.days, args.seed)
-    forecaster = spec.forecaster()
-    planner = _checked(lambda: spec.planner(forecaster))
-    faults = _checked(spec.fault_schedule)
-    _checked(spec.monitor)  # a bad rule or SLO exits now, not mid-run
-    forecaster.fit(train.values)
-    if faults is None:
-        faults = FaultSchedule.random(
+    if spec.faults is None:
+        schedule = FaultSchedule.random(
             length=len(test.values), rates=DEFAULT_CHAOS_RATES, seed=args.fault_seed
         )
-    report = chaos_run(
-        lambda: planner, test.values,
-        context_length=spec.context, horizon=spec.horizon, threshold=spec.threshold,
-        faults=faults, replan_every=spec.replan_every, start_index=len(train.values),
-        monitor_factory=spec.monitor,
-    )
+        spec = replace(spec, faults=schedule.spec)
+    start, forecaster = len(train.values), spec.forecaster()
+    _checked(lambda: spec.build(forecaster, start_tick=start))  # a bad flag exits before the fit
+    report = chaos_run(spec, forecaster.fit(train.values), test.values, start_tick=start)
     print(format_chaos_report(report))
     if report.deterministic is False:
         print("chaos run is non-deterministic", file=sys.stderr)

@@ -21,14 +21,15 @@ __all__ = ["ReactiveScaler", "ReactiveMaxScaler", "ReactiveAvgScaler"]
 
 
 class ReactiveScaler:
-    """Base: replay a workload series, allocating from a trailing window.
+    """Base: allocate from a trailing window of observed workloads.
 
-    Besides step-by-step :meth:`replay` (the paper's protocol), reactive
-    scalers also satisfy the :class:`~repro.core.plan.Planner` contract
-    via :meth:`plan` when constructed with ``threshold`` (and usually
-    ``horizon``), so they slot into any harness typed against planners
-    — a reactive plan simply holds the trailing-window estimate flat
-    for the whole horizon, which is exactly the lag Figure 9 exposes.
+    Constructed with ``threshold``, a reactive scaler is a
+    :class:`~repro.core.plan.Planner`: :meth:`plan` holds the
+    trailing-window estimate flat for ``horizon`` steps (default one),
+    so a runtime replans it every step — the paper's step-by-step
+    protocol, and exactly the lag Figure 9 exposes.  Without
+    ``threshold`` it only supplies :meth:`window_statistic`, as the
+    runtime's cold-start fallback.
     """
 
     def __init__(
@@ -61,10 +62,7 @@ class ReactiveScaler:
         ignored — reactive scaling is calendar-blind).
         """
         if self.threshold is None:
-            raise ValueError(
-                f"{self.name} needs threshold= at construction to plan(); "
-                "replay() takes the threshold per call instead"
-            )
+            raise ValueError(f"{self.name} needs threshold= at construction to plan()")
         context = np.asarray(context, dtype=np.float64)
         if context.size == 0:
             raise ValueError("plan() needs at least one observed workload")
@@ -75,21 +73,6 @@ class ReactiveScaler:
             dtype=np.int64,
         )
         return ScalingPlan(nodes=nodes, threshold=self.threshold, strategy=self.name)
-
-    def replay(self, workload: np.ndarray, threshold: float) -> ScalingPlan:
-        """Allocate nodes for each step of ``workload`` reactively.
-
-        Step t's allocation is computed from the window of *observed*
-        workloads ``workload[max(0, t-window):t]``; the first step has no
-        history and allocates a single node.
-        """
-        workload = np.asarray(workload, dtype=np.float64)
-        nodes = np.ones(len(workload), dtype=np.int64)
-        for t in range(1, len(workload)):
-            recent = workload[max(0, t - self.window) : t]
-            estimate = self.window_statistic(recent)
-            nodes[t] = required_nodes(np.array([max(estimate, 0.0)]), threshold)[0]
-        return ScalingPlan(nodes=nodes, threshold=threshold, strategy=self.name)
 
     @property
     def name(self) -> str:

@@ -1,13 +1,14 @@
 """Chaos harness: score the closed loop under injected faults.
 
-:func:`chaos_run` drives the same closed-loop protocol as the
-``evaluate`` CLI command twice — once clean, once with a
-:class:`~repro.faults.schedule.FaultSchedule` wired into all three
-injection layers — and reports the damage as a
+:func:`chaos_run` runs one :class:`~repro.loop.LoopSpec`'s closed loop
+twice through :meth:`~repro.loop.LoopSpec.run` — the function the
+``evaluate`` CLI command scores — once clean (the spec without faults)
+and once with its :class:`~repro.faults.schedule.FaultSchedule` wired
+into all three injection layers, and reports the damage as a
 :class:`ChaosReport`:
 
 * the **telemetry layer** corrupts the observation feed before the
-  runtime sees it (the runtime imputes or rejects the bad samples);
+  runtime sees it (the runtime imputes the bad samples);
 * the **planner layer** wraps the planner in a
   :class:`~repro.faults.planner.FlakyPlanner` (the runtime degrades to
   its reactive fallback when planning fails);
@@ -26,15 +27,16 @@ chaos failure reproducible from ``(workload, fault schedule)`` alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.plan import Planner, ScalingPlan
-from ..core.runtime import AutoscalingRuntime
-from ..faults import FaultSchedule, FlakyPlanner, corrupt_series
-from ..simulator import ReplayResult, replay_plan
+from ..faults import FaultSchedule
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..loop import LoopSpec
 
 __all__ = ["ChaosReport", "chaos_run", "format_chaos_report"]
 
@@ -69,8 +71,7 @@ class ChaosReport:
     # Same-schedule repeat produced bit-identical results (None if the
     # check was skipped).
     deterministic: "bool | None" = None
-    # Model health during the faulted run (zero unless a monitor_factory
-    # was supplied).
+    # Model health during the faulted run (zero unless the spec monitors).
     monitored: bool = False
     monitor_windows: int = 0
     drift_events: int = 0
@@ -94,186 +95,86 @@ class ChaosReport:
         ) / self.baseline_node_steps
 
 
-def _reseed(planner: Planner) -> None:
-    """Reseed a stochastic forecaster so repeats are bit-identical."""
-    for owner in (planner, getattr(planner, "forecaster", None)):
-        reseed = getattr(owner, "reseed_sampler", None)
-        if reseed is not None:
-            reseed(_CHAOS_SEED)
-            return
-
-
-def _closed_loop(
-    planner: Planner,
-    observed: np.ndarray,
-    true_workload: np.ndarray,
-    *,
-    context_length: int,
-    horizon: int,
-    threshold: float,
-    replan_every: "int | None",
-    invalid_policy: str,
-    max_plan_retries: int,
-    start_index: int,
-    interval_seconds: float,
-    faults: "FaultSchedule | None",
-    monitor_factory: "Callable[[], object] | None" = None,
-) -> tuple[AutoscalingRuntime, np.ndarray, ReplayResult]:
-    """One full loop: observe ``observed``, get judged on ``true_workload``."""
-    _reseed(planner)
-    runtime = AutoscalingRuntime(
-        planner=planner,
-        context_length=context_length,
-        horizon=horizon,
-        threshold=threshold,
-        replan_every=replan_every,
-        start_tick=start_index,
-        invalid_policy=invalid_policy,
-        on_planner_error="degrade",
-        max_plan_retries=max_plan_retries,
-    )
-    if monitor_factory is not None:
-        # A fresh monitor per run: the baseline and every faulted
-        # repetition must start from identical (empty) health state or
-        # the determinism check would compare different universes.
-        runtime.monitor = monitor_factory()
-    allocations = runtime.run(observed)
-    committed = ScalingPlan(
-        nodes=allocations, threshold=threshold, strategy=runtime.planner.name
-    )
-    replay = replay_plan(
-        committed,
-        true_workload,
-        interval_seconds=interval_seconds,
-        faults=faults,
-    )
-    return runtime, allocations, replay
-
-
 def chaos_run(
-    planner_factory: Callable[[], Planner],
+    spec: "LoopSpec",
+    forecaster,
     workload: np.ndarray,
     *,
-    context_length: int,
-    horizon: int,
-    threshold: float,
-    faults: FaultSchedule,
-    interval_seconds: float = 600.0,
-    replan_every: "int | None" = None,
-    invalid_policy: str = "impute",
-    max_plan_retries: int = 1,
-    start_index: int = 0,
+    start_tick: int,
     check_determinism: bool = True,
-    monitor_factory: "Callable[[], object] | None" = None,
 ) -> ChaosReport:
-    """Run the closed loop clean and faulted; report the difference.
+    """Run ``spec``'s closed loop clean and faulted; report the difference.
 
     Parameters
     ----------
-    planner_factory:
-        Zero-argument callable returning a (fitted) planner.  Called
-        once per run so the baseline and each faulted repetition start
-        from identical planner state; returning the *same* object is
-        fine when the planner is stateless across runs (stochastic
-        forecasters are reseeded before every run).
+    spec:
+        The :class:`~repro.loop.LoopSpec` under test; its ``faults`` is
+        the schedule, applied at all three layers (fault times index into
+        ``workload``).  The clean baseline is the same spec without
+        faults.  Every run builds its own runtime and monitor, so each
+        starts from identical (empty) loop and health state.
+    forecaster:
+        The fitted forecaster every run plans with; a stochastic sampler
+        is reseeded before each run.
     workload:
-        The true workload series; fault times in ``faults`` are indices
-        into this array.
-    faults:
-        The fault schedule, applied at all three layers.
-    invalid_policy:
-        Passed to the runtime (``"impute"`` by default — a chaos run is
-        about surviving; use :func:`~repro.core.runtime.AutoscalingRuntime`
-        directly to study fail-fast behaviour).
-    start_index:
-        Absolute series index of ``workload[0]`` (e.g. ``len(train)``),
-        forwarded to the planner; fault times stay workload-relative.
+        The true workload series.
+    start_tick:
+        Absolute series index of ``workload[0]`` (e.g. ``len(train)``).
     check_determinism:
         Repeat the faulted run and verify bit-identical allocations and
         outcomes.
-    monitor_factory:
-        Zero-argument callable returning a fresh
-        :class:`~repro.obs.monitor.ModelHealthMonitor`; attached to
-        every run (each run gets its own, preserving determinism).  The
-        faulted run's window/drift/alert counts land in the report.
     """
     workload = np.asarray(workload, dtype=np.float64)
-    loop = dict(
-        context_length=context_length,
-        horizon=horizon,
-        threshold=threshold,
-        replan_every=replan_every,
-        invalid_policy=invalid_policy,
-        max_plan_retries=max_plan_retries,
-        start_index=start_index,
-        interval_seconds=interval_seconds,
-        monitor_factory=monitor_factory,
-    )
 
-    _, base_alloc, base_replay = _closed_loop(
-        planner_factory(), workload, workload, faults=None, **loop
-    )
+    def run(loop):
+        runtime, _, _ = loop.build(forecaster, start_tick=start_tick)
+        reseed = getattr(forecaster, "reseed_sampler", None)
+        if reseed is not None:
+            reseed(_CHAOS_SEED)
+        return (runtime, *loop.run(runtime, workload))
 
-    corrupted, injected = corrupt_series(workload, faults)
-
-    def faulted_run():
-        planner = FlakyPlanner(
-            planner_factory(), faults, time_offset=start_index
-        )
-        return _closed_loop(planner, corrupted, workload, faults=faults, **loop)
-
-    runtime, alloc, replay = faulted_run()
-    planner_faults = runtime.planner.faults_injected
+    _, base, _, base_replay = run(replace(spec, faults=None))
+    runtime, committed, injected, replay = run(spec)
 
     deterministic: "bool | None" = None
     if check_determinism:
-        _, alloc2, replay2 = faulted_run()
+        _, again, _, replay2 = run(spec)
         deterministic = bool(
-            np.array_equal(alloc, alloc2)
+            np.array_equal(committed.nodes, again.nodes)
             and [o.violated for o in replay.outcomes]
             == [o.violated for o in replay2.outcomes]
             and replay.failures == replay2.failures
         )
 
-    decisions_by_source: dict[str, int] = {}
-    for decision in runtime.decisions:
-        decisions_by_source[decision.source] = (
-            decisions_by_source.get(decision.source, 0) + 1
-        )
-
+    monitor = runtime.monitor
     return ChaosReport(
         intervals=len(workload),
-        fault_counts=faults.counts(),
+        fault_counts=(spec.fault_schedule() or FaultSchedule()).counts(),
         telemetry_faults=injected,
-        planner_faults=planner_faults,
+        planner_faults=getattr(runtime.planner, "faults_injected", 0),
         baseline_violation_rate=base_replay.violation_rate,
         faulted_violation_rate=replay.violation_rate,
-        baseline_node_steps=int(base_alloc.sum()),
-        faulted_node_steps=int(alloc.sum()),
+        baseline_node_steps=base.total_nodes,
+        faulted_node_steps=committed.total_nodes,
         invalid_observations=runtime.invalid_observations,
         planner_errors=runtime.planner_errors,
         degraded_intervals=runtime.degraded_intervals,
-        decisions_by_source=decisions_by_source,
+        decisions_by_source=dict(Counter(d.source for d in runtime.decisions)),
         node_failures=replay.node_failures,
         provision_failures=replay.provision_failures,
         warmup_failures=replay.warmup_failures,
         deterministic=deterministic,
-        monitored=runtime.monitor is not None,
-        monitor_windows=(
-            len(runtime.monitor.windows) if runtime.monitor is not None else 0
-        ),
-        drift_events=(
-            len(runtime.monitor.drift_events) if runtime.monitor is not None else 0
-        ),
+        monitored=monitor is not None,
+        monitor_windows=len(monitor.windows) if monitor is not None else 0,
+        drift_events=len(monitor.drift_events) if monitor is not None else 0,
         alerts_fired=(
-            len(runtime.monitor.alerts.alerts)
-            if runtime.monitor is not None and runtime.monitor.alerts is not None
+            len(monitor.alerts.alerts)
+            if monitor is not None and monitor.alerts is not None
             else 0
         ),
         slo_status=(
-            runtime.monitor.slos.status()
-            if runtime.monitor is not None
-            and getattr(runtime.monitor, "slos", None) is not None
+            monitor.slos.status()
+            if monitor is not None and monitor.slos is not None
             else []
         ),
     )

@@ -102,8 +102,8 @@ class FaultEvent:
 
     @property
     def spec(self) -> str:
-        """Canonical single-clause spec (parseable by ``parse``)."""
-        suffix = f":{self.param:g}" if self.param is not None else ""
+        """Canonical single-clause spec; ``parse`` reads it back exactly."""
+        suffix = f":{float(self.param)!r}" if self.param is not None else ""
         return f"{self.kind}@{self.time_index}{suffix}"
 
 

@@ -84,12 +84,18 @@ class MedianPointAdapter(PointForecaster):
 class PaddedPointForecaster(PointForecaster):
     """Point forecaster + additive padding learned from past underestimation.
 
-    After every decision cycle the caller feeds back what actually
-    happened via :meth:`observe`.  The padding added to subsequent
-    forecasts is a high percentile of the recent *underestimation* errors
-    ``max(0, actual - forecast)``, so sustained under-forecasting raises
-    the safety margin while overestimation leaves it untouched — the
-    CloudScale recipe.
+    The padding added to a forecast is a high percentile of the base
+    forecaster's recent *underestimation* errors ``max(0, actual -
+    forecast)``, so sustained under-forecasting raises the safety margin
+    while overestimation leaves it untouched — the CloudScale recipe.
+
+    The errors come from the forecasts themselves: the context of each
+    forecast holds the actual workloads of the steps the previous one
+    covered, as far as they have been observed, so :meth:`predict_point`
+    first records the unpadded previous forecast's errors on those steps
+    and then pads.  No feedback hook is needed, and the padding learns
+    inside any loop that plans from it.  The wrapper is fitted exactly
+    when its base is.
 
     Parameters
     ----------
@@ -111,20 +117,16 @@ class PaddedPointForecaster(PointForecaster):
         self.window = window
         self.percentile = percentile
         self._errors: deque[float] = deque(maxlen=window)
+        # (absolute index of its first step, the unpadded base forecast)
+        self._last: tuple[int, np.ndarray] | None = None
+
+    @property
+    def _fitted(self) -> bool:
+        return self.base._fitted
 
     def fit(self, series: np.ndarray) -> "PaddedPointForecaster":
         self.base.fit(series)
-        self._fitted = True
         return self
-
-    def observe(self, actual: np.ndarray, forecast: np.ndarray) -> None:
-        """Record the underestimation errors of a completed horizon."""
-        actual = np.asarray(actual, dtype=np.float64)
-        forecast = np.asarray(forecast, dtype=np.float64)
-        if actual.shape != forecast.shape:
-            raise ValueError("actual and forecast must have the same shape")
-        for error in np.maximum(actual - forecast, 0.0):
-            self._errors.append(float(error))
 
     @property
     def padding(self) -> float:
@@ -134,5 +136,21 @@ class PaddedPointForecaster(PointForecaster):
         return float(np.quantile(np.asarray(self._errors), self.percentile))
 
     def predict_point(self, context: np.ndarray, start_index: int = 0) -> np.ndarray:
+        """Record the previous forecast's errors on ``context``, then pad.
+
+        ``start_index`` is the absolute index of ``context[0]``; it is
+        how the steps of the previous forecast are found in the context.
+        """
         self._require_fitted()
-        return self.base.predict_point(context, start_index) + self.padding
+        context = np.asarray(context, dtype=np.float64)
+        end = start_index + len(context)
+        if self._last is not None:
+            first, forecast = self._last
+            lo, hi = max(first, start_index), min(first + len(forecast), end)
+            if lo < hi:
+                observed = context[lo - start_index : hi - start_index]
+                errors = np.maximum(observed - forecast[lo - first : hi - first], 0.0)
+                self._errors.extend(errors.tolist())
+        base = np.asarray(self.base.predict_point(context, start_index), dtype=np.float64)
+        self._last = (end, base)
+        return base + self.padding

@@ -12,8 +12,11 @@ is the only place that turns configuration into loop objects:
   instead and must never fit.
 * :meth:`LoopSpec.build` returns ``(runtime, monitor, adaptation)``
   around that forecaster (:meth:`~LoopSpec.planner` and
-  :meth:`~LoopSpec.monitor` are its parts, for harnesses such as
-  :func:`~repro.evaluation.chaos.chaos_run` that build their own runtime).
+  :meth:`~LoopSpec.monitor` are its parts).
+* :meth:`LoopSpec.run` drives a built runtime over a test series under
+  the spec's faults and replays its allocations on the simulated
+  cluster: the one closed loop ``evaluate``, ``simulate`` and
+  :func:`~repro.evaluation.chaos.chaos_run` score.
 * :meth:`Record.to_state` / :meth:`Record.from_state` carry the spec
   through a checkpoint's ``config`` as a JSON object, field by field
   through the one codec; a missing, unknown or mistyped field is a
@@ -238,3 +241,29 @@ class LoopSpec(Record):
             )
             adaptation.history.extend(float(value) for value in history)
         return runtime, monitor, adaptation
+
+    def run(self, runtime, workload, **replay):
+        """Drive ``runtime`` (from :meth:`build`) over ``workload``; replay it.
+
+        The loop observes ``workload`` corrupted by the spec's telemetry
+        faults; its committed allocations are replayed on the simulated
+        cluster under the cluster faults (``replay`` options such as
+        ``storage`` or ``initial_nodes`` go to
+        :func:`~repro.simulator.replay_plan`), always against the *true*
+        workload: corrupted telemetry changes what the loop believed, not
+        what it had to serve.  Returns ``(committed plan, telemetry faults
+        injected per kind, replay result)``.
+        """
+        from .core import ScalingPlan
+        from .simulator import replay_plan
+
+        faults = self.fault_schedule()
+        observed, injected = workload, {}
+        if faults:
+            from .faults import corrupt_series
+
+            observed, injected = corrupt_series(workload, faults)
+        committed = ScalingPlan(
+            nodes=runtime.run(observed), threshold=self.threshold, strategy=runtime.planner.name
+        )
+        return committed, injected, replay_plan(committed, workload, faults=faults, **replay)

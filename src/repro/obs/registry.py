@@ -72,7 +72,7 @@ def _label_key(labels: LabelDict) -> tuple[tuple[str, str], ...]:
 
 
 def format_metric_key(name: str, labels: LabelDict) -> str:
-    """Canonical flat key, e.g. ``evaluation.windows{strategy=TFT-0.9}``."""
+    """Canonical flat key, e.g. ``runtime.decisions{source=predictive}``."""
     if not labels:
         return name
     inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))

@@ -149,11 +149,13 @@ def replay_plan(
         )
         effective = max(serving_seconds / interval_seconds, 1e-9)
         per_node = workload / effective
-        violated = per_node > threshold[index] + 1e-12
+        # required_nodes' rule: n nodes cover w when n >= ceil(w / theta - 1e-12),
+        # i.e. n >= w / theta - 1e-12, so a whole-node interval is violated
+        # exactly when evaluate_plan calls it under-provisioned.
+        needed = workload / threshold[index] - 1e-12
+        violated = effective < needed
         # Would the violation clear with every target node serving fully?
-        warmup_limited = violated and (
-            workload / max(int(target), 1) <= threshold[index] + 1e-12
-        )
+        warmup_limited = violated and int(target) >= needed
         metrics.counter("simulator.intervals").inc()
         if violated:
             metrics.counter("simulator.qos_violations").inc()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    AutoscalingRuntime,
     FixedQuantilePolicy,
     PointForecastScaler,
     ReactiveAvgScaler,
@@ -24,13 +25,23 @@ def step_workload():
     return np.concatenate([np.full(20, 100.0), np.full(20, 600.0)])
 
 
+def step_by_step(scaler, workload):
+    """Reactive allocations, one step at a time: the runtime replans the
+    scaler's one-step plan every tick, and until a full window exists its
+    fallback is the same scaler over the shorter history."""
+    runtime = AutoscalingRuntime(
+        scaler, scaler.window, horizon=1, threshold=scaler.threshold, fallback=scaler
+    )
+    return runtime.run(workload)
+
+
 class TestReactiveScalers:
     def test_max_uses_window_maximum(self):
-        scaler = ReactiveMaxScaler(window=3)
+        scaler = ReactiveMaxScaler(window=3, threshold=60.0)
         w = np.array([60.0, 120.0, 60.0, 60.0, 60.0])
-        plan = scaler.replay(w, threshold=60.0)
+        nodes = step_by_step(scaler, w)
         # step 3 window = [120, 60, 60] -> max 120 -> 2 nodes
-        assert plan.nodes[3] == 2
+        assert nodes[3] == 2
 
     def test_avg_decay_weights_newest_most(self):
         scaler = ReactiveAvgScaler(window=2, half_life=1.0)
@@ -40,22 +51,23 @@ class TestReactiveScalers:
 
     def test_lag_causes_under_provisioning_on_jump(self):
         w = step_workload()
-        for scaler in (ReactiveMaxScaler(), ReactiveAvgScaler()):
-            plan = scaler.replay(w, threshold=60.0)
+        for scaler in (ReactiveMaxScaler(threshold=60.0), ReactiveAvgScaler(threshold=60.0)):
+            nodes = step_by_step(scaler, w)
             needed = required_nodes(w, 60.0)
             jump = 20
-            assert plan.nodes[jump] < needed[jump], scaler.name
+            assert nodes[jump] < needed[jump], scaler.name
 
     def test_max_more_conservative_than_avg(self):
         rng = np.random.default_rng(0)
         w = rng.uniform(50, 1000, size=300)
-        max_plan = ReactiveMaxScaler().replay(w, 60.0)
-        avg_plan = ReactiveAvgScaler().replay(w, 60.0)
-        assert max_plan.total_nodes > avg_plan.total_nodes
+        max_nodes = step_by_step(ReactiveMaxScaler(threshold=60.0), w)
+        avg_nodes = step_by_step(ReactiveAvgScaler(threshold=60.0), w)
+        assert max_nodes.sum() > avg_nodes.sum()
 
     def test_first_step_single_node(self):
-        plan = ReactiveMaxScaler().replay(np.full(5, 600.0), 60.0)
-        assert plan.nodes[0] == 1
+        nodes = step_by_step(ReactiveMaxScaler(threshold=60.0), np.full(5, 600.0))
+        assert nodes[0] == 1
+        assert (nodes[1:] == 10).all()
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
@@ -273,26 +285,15 @@ class TestEvaluationHarness:
                 return solve_closed_form(actual, 60.0, strategy="oracle")
 
         predictive = evaluate_strategy(PerfectPlanner(), values, 20, 10, 60.0)
-        reactive = evaluate_strategy(ReactiveMaxScaler(), values, 20, 10, 60.0)
+        reactive = evaluate_strategy(ReactiveMaxScaler(threshold=60.0), values, 20, 10, 60.0)
         assert len(predictive.actual) == len(reactive.actual)
         np.testing.assert_array_equal(predictive.actual, reactive.actual)
         # the oracle is perfect
         assert predictive.report.under_provisioning_rate == 0.0
         assert predictive.report.over_provisioning_rate == 0.0
 
-    def test_wrong_horizon_plan_rejected(self):
-        class BadPlanner:
-            name = "bad"
-
-            def plan(self, context, start_index=0):
-                from repro.core import ScalingPlan
-
-                return ScalingPlan(nodes=np.ones(3, dtype=int), threshold=60.0)
-
-        with pytest.raises(ValueError):
-            evaluate_strategy(BadPlanner(), np.ones(100), 20, 10, 60.0)
-
     def test_on_window_callback_fires_per_decision(self):
+        """The runtime plans once per decision point; nothing calls back."""
         calls = []
 
         class OnePlanner:
@@ -301,27 +302,41 @@ class TestEvaluationHarness:
             def plan(self, context, start_index=0):
                 from repro.core import ScalingPlan
 
+                calls.append(start_index + len(context))
                 return ScalingPlan(nodes=np.ones(10, dtype=int), threshold=60.0)
 
-        evaluate_strategy(
-            OnePlanner(), np.ones(100), 20, 10, 60.0,
-            on_window=lambda p, plan, actual: calls.append(p),
-        )
+        evaluate_strategy(OnePlanner(), np.ones(100), 20, 10, 60.0)
         assert calls == decision_points(100, 20, 10)
 
-    def test_window_reports_match_combined(self):
-        class OnePlanner:
-            name = "ones"
+    def test_replan_every_scores_each_step_once(self):
+        values = np.random.default_rng(9).uniform(10, 300, size=100)
+        planner = RobustPredictiveAutoscaler(
+            SeasonalNaiveForecaster(horizon=10, season=10).fit(values),
+            60.0, FixedQuantilePolicy(0.9), quantile_levels=(0.5, 0.9),
+        )
+        ev = evaluate_strategy(planner, values, 20, 10, 60.0, replan_every=5)
+        # decisions at 20, 25, ..., 90; scored on [20, 90 + 10) once each
+        np.testing.assert_array_equal(ev.actual, values[20:100])
+        assert len(ev.nodes) == 80
+
+    def test_monitor_sees_every_scored_step(self):
+        from repro.obs import ModelHealthMonitor
+
+        values = np.random.default_rng(9).uniform(10, 300, size=100)
+        planner = RobustPredictiveAutoscaler(
+            SeasonalNaiveForecaster(horizon=10, season=10).fit(values),
+            60.0, FixedQuantilePolicy(0.9), quantile_levels=(0.5, 0.9),
+        )
+        monitor = ModelHealthMonitor(window=10)
+        evaluate_strategy(planner, values, 20, 10, 60.0, monitor=monitor)
+        assert len(monitor.windows) == 8  # 80 scored steps
+
+    def test_a_raising_planner_fails_the_evaluation(self):
+        class BrokenPlanner:
+            name = "broken"
 
             def plan(self, context, start_index=0):
-                from repro.core import ScalingPlan
+                raise RuntimeError("boom")
 
-                return ScalingPlan(nodes=np.ones(10, dtype=int), threshold=60.0)
-
-        rng = np.random.default_rng(9)
-        values = rng.uniform(10, 300, size=100)
-        ev = evaluate_strategy(OnePlanner(), values, 20, 10, 60.0)
-        combined_under = np.mean(
-            [r.under_provisioning_rate for r in ev.window_reports]
-        )
-        assert ev.report.under_provisioning_rate == pytest.approx(combined_under)
+        with pytest.raises(RuntimeError, match="boom"):
+            evaluate_strategy(BrokenPlanner(), np.ones(100), 20, 10, 60.0)

@@ -1,6 +1,8 @@
 """Tests for the fault schedule: events, spec grammar, seeded sampling."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import (
     ALL_KINDS,
@@ -69,6 +71,25 @@ class TestParse:
 
     def test_spec_roundtrip(self):
         schedule = FaultSchedule.parse("nan@12,spike@30:8,node_crash@18")
+        assert FaultSchedule.parse(schedule.spec) == schedule
+
+    def test_spec_keeps_every_digit_of_a_parameter(self):
+        schedule = FaultSchedule.parse("spike@3:8.123456789")
+        assert schedule.events[0].param == 8.123456789
+        assert FaultSchedule.parse(schedule.spec) == schedule
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 300),
+        st.integers(0, 2**32 - 1),
+        st.floats(1e-6, 1e6, allow_nan=False),
+        st.floats(1e-6, 1e6, allow_nan=False),
+    )
+    def test_random_schedule_spec_round_trips(self, length, seed, spike, stall):
+        schedule = FaultSchedule.random(
+            length, {"spike": 0.2, "warmup_stall": 0.2, "nan": 0.1}, seed=seed,
+            params={"spike": spike, "warmup_stall": stall},
+        )
         assert FaultSchedule.parse(schedule.spec) == schedule
 
 

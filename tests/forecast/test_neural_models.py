@@ -198,6 +198,10 @@ class TestPointAdapters:
 
 
 class TestPadding:
+    """The padding learns from the context of its next forecast: a context
+    holding steps the previous forecast covered records that forecast's
+    unpadded underestimation errors there."""
+
     class _ConstantForecaster:
         _fitted = True
 
@@ -207,17 +211,8 @@ class TestPadding:
         def predict_point(self, context, start_index=0):
             return np.full(4, 10.0)
 
-        def _require_fitted(self):
-            pass
-
     def make(self, **kwargs):
-        from repro.forecast.base import PointForecaster
-
-        base = self._ConstantForecaster()
-        padded = PaddedPointForecaster.__new__(PaddedPointForecaster)
-        PaddedPointForecaster.__init__(padded, base, **kwargs)
-        padded._fitted = True
-        return padded
+        return PaddedPointForecaster(self._ConstantForecaster(), **kwargs)
 
     def test_no_history_no_padding(self):
         padded = self.make()
@@ -225,25 +220,46 @@ class TestPadding:
 
     def test_underestimation_raises_padding(self):
         padded = self.make(percentile=1.0)
-        padded.observe(actual=np.full(4, 13.0), forecast=np.full(4, 10.0))
+        padded.predict_point(np.ones(4), start_index=0)  # forecasts steps 4-7 at 10
+        forecast = padded.predict_point(np.full(4, 13.0), start_index=4)  # they came in at 13
         assert padded.padding == pytest.approx(3.0)
-        np.testing.assert_allclose(padded.predict_point(np.ones(4)), np.full(4, 13.0))
+        np.testing.assert_allclose(forecast, np.full(4, 13.0))
 
     def test_overestimation_ignored(self):
         padded = self.make()
-        padded.observe(actual=np.full(4, 5.0), forecast=np.full(4, 10.0))
+        padded.predict_point(np.ones(4), start_index=0)
+        padded.predict_point(np.full(4, 5.0), start_index=4)
         assert padded.padding == 0.0
 
     def test_window_evicts_old_errors(self):
         padded = self.make(window=4, percentile=1.0)
-        padded.observe(actual=np.full(4, 20.0), forecast=np.full(4, 10.0))
-        padded.observe(actual=np.full(4, 11.0), forecast=np.full(4, 10.0))
+        padded.predict_point(np.ones(4), start_index=0)
+        padded.predict_point(np.full(4, 20.0), start_index=4)
+        padded.predict_point(np.full(4, 11.0), start_index=8)
         assert padded.padding == pytest.approx(1.0)  # the 10.0 errors evicted
 
     def test_observe_shape_mismatch(self):
-        padded = self.make()
-        with pytest.raises(ValueError):
-            padded.observe(np.ones(3), np.ones(4))
+        """A context that saw only part of the last forecast records only
+        the steps it saw."""
+        padded = self.make(percentile=1.0)
+        padded.predict_point(np.ones(4), start_index=0)  # covers steps 4-7
+        padded.predict_point(np.full(4, 30.0), start_index=2)  # observed steps 4 and 5
+        assert list(padded._errors) == [20.0, 20.0]
+
+    def test_errors_are_the_unpadded_forecasts(self):
+        padded = self.make(percentile=1.0)
+        padded.predict_point(np.ones(4), start_index=0)
+        padded.predict_point(np.full(4, 13.0), start_index=4)  # padded forecast 13
+        padded.predict_point(np.full(4, 13.0), start_index=8)
+        assert padded.padding == pytest.approx(3.0)  # 13 - 10, not 13 - 13
+
+    def test_reports_the_base_fitted_state(self, seasonal_series):
+        base = LinearRegressionForecaster(CTX, HOR)
+        padded = PaddedPointForecaster(base)
+        with pytest.raises(RuntimeError, match="before fit"):
+            padded.predict_point(seasonal_series[-CTX:])
+        base.fit(seasonal_series)  # a fitted base needs no fit() of the wrapper
+        assert padded.predict_point(seasonal_series[-CTX:]).shape == (HOR,)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -7,14 +7,17 @@ degraded interval is visible in the decision log and provenance with
 seed are bit-identical.
 """
 
+from dataclasses import replace
+
 import numpy as np
-import pytest
 
 from repro.cli import main
 from repro.core import AutoscalingRuntime, ScalingPlan
 from repro.core.plan import required_nodes
 from repro.evaluation import chaos_run
 from repro.faults import FaultSchedule, FlakyPlanner, corrupt_series
+from repro.forecast import SeasonalNaiveForecaster
+from repro.loop import LoopSpec
 
 
 class OraclePlanner:
@@ -119,17 +122,25 @@ class TestDeterminism:
 
     def test_chaos_run_reports_determinism(self):
         faults = FaultSchedule.random(len(SERIES), FAULT_RATES, seed=3)
-        report = chaos_run(
-            lambda: OraclePlanner(SERIES, 8),
-            SERIES,
-            context_length=6,
-            horizon=8,
-            threshold=60.0,
-            faults=faults,
-        )
+        spec = LoopSpec("naive", context=6, horizon=8, faults=faults.spec)
+        forecaster = SeasonalNaiveForecaster(8, season=3).fit(SERIES)
+        report = chaos_run(spec, forecaster, SERIES, start_tick=0)
         assert report.deterministic is True
         assert report.degraded_intervals > 0
         assert report.decisions_by_source.get("degraded", 0) > 0
+        assert report.fault_counts == faults.counts()
+        assert report.telemetry_faults == corrupt_series(SERIES, faults)[1]
+
+    def test_chaos_run_baseline_is_the_spec_without_faults(self):
+        faults = FaultSchedule.parse("planner_error@10,node_crash@20")
+        spec = LoopSpec("naive", context=6, horizon=8, faults=faults.spec)
+        forecaster = SeasonalNaiveForecaster(8, season=3).fit(SERIES)
+        report = chaos_run(spec, forecaster, SERIES, start_tick=0, check_determinism=False)
+        runtime, _, _ = replace(spec, faults=None).build(forecaster, start_tick=0)
+        clean, _, replay = replace(spec, faults=None).run(runtime, SERIES)
+        assert report.baseline_node_steps == clean.total_nodes
+        assert report.baseline_violation_rate == replay.violation_rate
+        assert report.deterministic is None and report.node_failures == 1
 
 
 class TestChaosCLI:

@@ -95,20 +95,14 @@ class TestPaddingFeedbackLoop:
                 return super().predict_point(context, start_index) * 0.9
 
         plain = LowBall(CTX, HOR).fit(train.values)
-        padded_base = LowBall(CTX, HOR).fit(train.values)
-        padded = PaddedPointForecaster(padded_base, window=HOR * 3, percentile=0.95)
-        padded._fitted = True
+        # Wraps a fitted model; learns its errors from each next context.
+        padded = PaddedPointForecaster(plain, window=HOR * 3, percentile=0.95)
 
         plain_scaler = PointForecastScaler(plain, THETA, name="plain")
         padded_scaler = PointForecastScaler(padded, THETA, name="padded")
 
-        def feedback(point, plan, actual):
-            padded.observe(actual, plan.metadata["point_forecast"] - padded.padding)
-
         plain_ev = evaluate_strategy(plain_scaler, test.values, CTX, HOR, THETA)
-        padded_ev = evaluate_strategy(
-            padded_scaler, test.values, CTX, HOR, THETA, on_window=feedback
-        )
+        padded_ev = evaluate_strategy(padded_scaler, test.values, CTX, HOR, THETA)
         assert (
             padded_ev.report.under_provisioning_rate
             < plain_ev.report.under_provisioning_rate
@@ -157,7 +151,7 @@ class TestReactiveVersusOracleSpan:
             naive, THETA, FixedQuantilePolicy(0.9),
             quantile_levels=(0.1, 0.5, 0.9),
         )
-        reactive = ReactiveAvgScaler()
+        reactive = ReactiveAvgScaler(threshold=THETA)
         ev_p = evaluate_strategy(
             predictive, test.values, 144, HOR, THETA,
             series_start_index=len(train.values),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import ScalingPlan, solve_closed_form
+from repro.core import ScalingPlan, evaluate_plan, required_nodes, solve_closed_form
 from repro.simulator import MMcQueue, SharedStorage, replay_plan
 
 workloads = arrays(
@@ -83,3 +83,26 @@ class TestReplayProperties:
             initial_nodes=int(padded.nodes[0]),
         )
         assert result.violation_rate == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 20),  # nodes
+                st.integers(1, 20),  # whole nodes the workload needs, before the nudge
+                st.floats(-1e-10, 1e-10, allow_nan=False),  # nudge onto the boundary
+            ),
+            min_size=1, max_size=12,
+        ),
+        st.sampled_from([60.0, 45.5, 7.3, 100.0]),
+    )
+    def test_replay_violations_are_evaluate_plans_under_provisioned_steps(self, steps, theta):
+        """Both scorers apply ``required_nodes``' rule; without a scale-out
+        no node warms up, so they flag the same steps - on the boundary too."""
+        nodes = sorted((n for n, _, _ in steps), reverse=True)
+        workload = np.array([max(k * theta + nudge, 0.0) for _, k, nudge in steps])
+        plan = ScalingPlan(nodes=nodes, threshold=theta)
+        result = replay_plan(plan, workload)
+        under = plan.nodes < required_nodes(workload, theta)
+        assert [o.violated for o in result.outcomes] == under.tolist()
+        assert sum(o.violated for o in result.outcomes) == evaluate_plan(plan, workload).violation_steps
