@@ -126,43 +126,46 @@ class _TFTNetwork(Module):
         Reverse order of the forward: quantile head -> GRN -> attention
         block -> gated LSTM skip -> decoder -> encoder -> input
         projections, every gradient accumulated into ``param.grad``.
+        Each layer's entry is popped from ``cache`` as it is used, so its
+        activations are freed before the next layer's backward runs (the
+        attention's score-sized softmax goes before the BPTT sweeps).
         """
         hs = self.encoder.hidden_size
         steps = cache["past"].shape[1]
-        dgrn = self.quantile_head.backward(cache["grn_out"], dpred)
+        dgrn = self.quantile_head.backward(cache.pop("grn_out"), dpred)
 
-        dattended_res = fastgrad.grn_backward(self.feed_forward, cache["feed_forward"], dgrn)
-        dsum = fastgrad.layer_norm_backward(self.attn_norm, cache["attn_norm"], dattended_res)
+        dattended_res = fastgrad.grn_backward(self.feed_forward, cache.pop("feed_forward"), dgrn)
+        dsum = fastgrad.layer_norm_backward(self.attn_norm, cache.pop("attn_norm"), dattended_res)
         dquery = dsum.copy()  # residual branch
-        dattended = fastgrad.glu_backward(self.attn_gate, cache["attn_gate"], dsum)
+        dattended = fastgrad.glu_backward(self.attn_gate, cache.pop("attn_gate"), dsum)
         dq_attn, dkey, dvalue = fastgrad.attention_backward(
-            self.attention, cache["attention"], dattended
+            self.attention, cache.pop("attention"), dattended
         )
         dquery += dq_attn
         dsequence = dkey + dvalue
         dsequence[:, steps:, :] += dquery
 
-        dsum = fastgrad.layer_norm_backward(self.lstm_norm, cache["lstm_norm"], dsequence)
-        dseq_in = fastgrad.glu_backward(self.lstm_gate, cache["lstm_gate"], dsum)
+        dsum = fastgrad.layer_norm_backward(self.lstm_norm, cache.pop("lstm_norm"), dsequence)
+        dseq_in = fastgrad.glu_backward(self.lstm_gate, cache.pop("lstm_gate"), dsum)
         dskip = dsum  # residual branch; split below
         denc_in = dskip[:, :steps, :].copy()
         ddec_in = dskip[:, steps:, :].copy()
 
         dec_grads, ddec_x, dec_dstate = fastgrad.lstm_backward(
-            dseq_in[:, steps:, :], cache["decoder"], hs, need_dx=True
+            dseq_in[:, steps:, :], cache.pop("decoder"), hs, need_dx=True
         )
         ddec_in += ddec_x
         # The decoder's initial state is the encoder's final state, so
         # d(h0)/d(c0) of the decoder flows into the encoder backward.
         enc_grads, denc_x, _ = fastgrad.lstm_backward(
-            dseq_in[:, :steps, :], cache["encoder"], hs, need_dx=True, dstate=dec_dstate
+            dseq_in[:, :steps, :], cache.pop("encoder"), hs, need_dx=True, dstate=dec_dstate
         )
         denc_in += denc_x
         self.encoder.accumulate_grads(enc_grads)
         self.decoder.accumulate_grads(dec_grads)
 
-        self.past_proj.backward(cache["past"], denc_in, need_dx=False)
-        self.future_proj.backward(cache["future"], ddec_in, need_dx=False)
+        self.past_proj.backward(cache.pop("past"), denc_in, need_dx=False)
+        self.future_proj.backward(cache.pop("future"), ddec_in, need_dx=False)
 
 
 class TFTForecaster(NeuralForecaster):
@@ -198,11 +201,11 @@ class TFTForecaster(NeuralForecaster):
         self.default_levels = levels  # predict(levels=None) -> trained grid
         self.d_model = d_model
         self.num_heads = num_heads
-        # Per-window standardization (each window scaled by its own
-        # context mean/std) makes forecasts follow level drift — the
-        # scale-handling trick of the reference implementations.  The
-        # global scaler still runs first; window stats are computed in
-        # the globally-normalised space.
+        # Per-window centering (each window shifted by its own context
+        # mean) makes forecasts follow level drift — the level-handling
+        # trick of the reference implementations.  The global scaler
+        # still runs first; the window mean is computed in the
+        # globally-normalised space.
         self.window_normalization = window_normalization
 
     def _build(self, rng: np.random.Generator) -> Module:
@@ -218,7 +221,7 @@ class TFTForecaster(NeuralForecaster):
         future = calendar_features(future_idx)
         return past, future
 
-    def _window_stats(self, context: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _window_mean(self, context: np.ndarray) -> np.ndarray:
         """Per-window location from the context (B, T) -> (B, 1).
 
         Location-only centering: subtracting the window mean makes
@@ -226,8 +229,7 @@ class TFTForecaster(NeuralForecaster):
         leaves volatility differences between windows visible to the
         network (the signal behind the Eq. 8 uncertainty metric).
         """
-        mean = context.mean(axis=1, keepdims=True)
-        return mean, np.ones_like(mean)
+        return context.mean(axis=1, keepdims=True)
 
     def _forward_loss(
         self,
@@ -239,9 +241,9 @@ class TFTForecaster(NeuralForecaster):
         """Pinball loss (Eq. 2) of the network's (B, H, Q) grid."""
         assert self.network is not None
         if self.window_normalization:
-            mean, std = self._window_stats(context)
-            context = (context - mean) / std
-            horizon = (horizon - mean) / std
+            mean = self._window_mean(context)
+            context = context - mean
+            horizon = horizon - mean
         past, future, horizon = self._at_entry(*self._network_inputs(context, start_indices), horizon)
         predictions = self.network.fast_forward(past, future, cache=cache)
         return fastgrad.quantile_loss_grads(predictions, horizon, list(self.quantile_levels))
@@ -267,14 +269,14 @@ class TFTForecaster(NeuralForecaster):
             )
         normalised = self.scaler.transform(context)[None, :]
         if self.window_normalization:
-            mean, std = self._window_stats(normalised)
-            normalised = (normalised - mean) / std
+            mean = self._window_mean(normalised)
+            normalised = normalised - mean
         past, future = self._at_entry(*self._network_inputs(normalised, np.array([start_index])))
         # The float32 network's normalised output is widened before it is
         # mapped back to workload units.
         raw = self.network.fast_forward(past, future)[0].astype(np.float64, copy=False)  # (H, Q)
         if self.window_normalization:
-            raw = raw * std[0, 0] + mean[0, 0]
+            raw = raw + mean[0, 0]
         grid_values = self.scaler.inverse_transform(raw.T)  # (Q, H)
         full = QuantileForecast(
             levels=np.array(self.quantile_levels), values=grid_values

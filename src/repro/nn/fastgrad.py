@@ -26,8 +26,8 @@ whole backward pass collapses into a handful of fused numpy sweeps:
   mean/variance backward, and the GLU/GRN chain with the residual and
   gate paths folded together.  Because the shared value projection and
   the head average make every head's output gradient identical, the
-  attention backward needs one score-gradient batch and a handful of
-  whole-sequence gemms.
+  attention backward needs one shared weight gradient, one head's score
+  gradient at a time and a handful of whole-sequence gemms.
 * **Quantile (pinball) loss** — the subgradient is a sign test per
   quantile level, with both indicators firing at the kink.
 
@@ -360,7 +360,11 @@ def attention_backward(
       sum telescopes into the already-averaged attention pattern), and
     * the pre-softmax weight gradient is the same for every head; only
       the softmax JVP (which uses each head's own weights) splits per
-      head, followed by one ``(H*B)``-batched gemm pair for dQ/dK.
+      head.  It runs one head at a time, followed by that head's
+      ``B``-batched gemm pair for dQ/dK, so one head's ``(B, Tq, Tk)``
+      score gradient is alive at once, not all ``H``.  Each ``(h, b)``
+      slice is the same 2-D gemm and each row sum the same reduction as
+      a batch over all heads: the results are bitwise the same.
 
     Weight gradients accumulate into the per-head Q/K projections (by
     slicing the concatenated gemm gradient), the shared value
@@ -379,10 +383,15 @@ def attention_backward(
     dheads = dmean * (1.0 / num_heads)  # identical for every head
     dv = np.swapaxes(cache.mean_weights, -1, -2) @ dmean
     dweights = dheads @ np.swapaxes(cache.v, -1, -2)  # shared across heads
-    dscores = softmax_backward(cache.weights, dweights)
-    dscores *= 1.0 / float(np.sqrt(d_head))  # weak, as in the forward
-    dq_heads = dscores @ cache.k_heads  # (H, B, Tq, dh)
-    dk_heads = np.swapaxes(dscores, -1, -2) @ cache.q_heads  # (H, B, Tk, dh)
+    dq_heads = np.empty_like(cache.q_heads)  # (H, B, Tq, dh)
+    dk_heads = np.empty_like(cache.k_heads)  # (H, B, Tk, dh)
+    for head in range(num_heads):
+        dscores = softmax_backward(cache.weights[head], dweights)
+        dscores *= 1.0 / float(np.sqrt(d_head))  # weak, as in the forward
+        np.matmul(dscores, cache.k_heads[head], out=dq_heads[head])
+        np.matmul(np.swapaxes(dscores, -1, -2), cache.q_heads[head], out=dk_heads[head])
+        del dscores  # released before the next head's block is allocated
+    del dweights
     dq_all = np.moveaxis(dq_heads, 0, 2).reshape(batch, t_query, num_heads * d_head)
     dk_all = np.moveaxis(dk_heads, 0, 2).reshape(batch, t_key, num_heads * d_head)
     dquery, dw_q, db_q = linear_backward(cache.query, cache.w_q, dq_all)

@@ -94,17 +94,18 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax; bitwise-identical to the oracle tape's.
+    """Numerically stable softmax of ``x``, normalised in place and returned.
 
     Same max-subtraction composition as the tape op (``exp(x - max)``
     normalised by its sum), so every element matches bit for bit; the
-    ``exp`` and the division run in place on the one temporary the
-    subtraction allocates (``x`` itself is never written).
+    subtraction, ``exp`` and division all write ``x`` itself, so no
+    score-sized array is allocated.  A caller that keeps its input
+    passes a copy.
     """
-    out = x - x.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-    return out
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -261,17 +262,20 @@ def interpretable_attention(
     k_heads = np.ascontiguousarray(
         np.moveaxis(k_all.reshape(batch, t_key, num_heads, d_head), 2, 0)
     )
-    # Scale and mask in place on the gemm result: at the training shape each
-    # fresh (H, B, Tq, Tk) temporary is 10 MB.  float(): a strong-typed
-    # np.float64 scalar would run the float32 scaling in float64 under NEP 50.
+    # Scale, mask and normalise in place on the gemm result: at the training
+    # shape each fresh (H, B, Tq, Tk) float32 temporary is 5 MiB.  float(): a
+    # strong-typed np.float64 scalar would run the float32 scaling in float64
+    # under NEP 50.
     scores = q_heads @ np.swapaxes(k_heads, -1, -2)
     scores *= 1.0 / float(np.sqrt(d_head))
     if mask is not None:
         scores += mask.astype(scores.dtype, copy=False)  # the shared mask is float64
-    weights = softmax(scores, axis=-1)  # (H, B, Tq, Tk)
+    weights = softmax(scores, axis=-1)  # (H, B, Tq, Tk), the one score buffer
     heads = weights @ v  # value broadcast across the head axis
-    mean_heads = heads.sum(axis=0) * (1.0 / num_heads)
-    mean_weights = weights.sum(axis=0) * (1.0 / num_heads)
+    mean_heads = heads.sum(axis=0)
+    mean_heads *= 1.0 / num_heads
+    mean_weights = weights.sum(axis=0)
+    mean_weights *= 1.0 / num_heads
     out = linear(attn.out_proj, mean_heads)
     cache = AttentionCache(
         query=query, key=key, value=value, w_q=w_q, w_k=w_k,

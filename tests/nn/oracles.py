@@ -308,9 +308,9 @@ def _(forecaster: DeepARForecaster, context, horizon, start_indices) -> Tensor:
 @tape_loss.register
 def _(forecaster: TFTForecaster, context, horizon, start_indices) -> Tensor:
     if forecaster.window_normalization:
-        mean, std = forecaster._window_stats(context)
-        context = (context - mean) / std
-        horizon = (horizon - mean) / std
+        mean = forecaster._window_mean(context)
+        context = context - mean
+        horizon = horizon - mean
     past, future = forecaster._network_inputs(context, start_indices)
     predictions = forward(forecaster.network, Tensor(past), Tensor(future))  # (B, H, Q)
     return F.quantile_loss(predictions, horizon, list(forecaster.quantile_levels))

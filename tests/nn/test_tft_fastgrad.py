@@ -74,9 +74,9 @@ class TestKernelsAgainstFiniteDifferences:
         proj = rng.normal(size=(3, 5))
 
         def loss():
-            return float((fastpath.softmax(x, axis=-1) * proj).sum())
+            return float((fastpath.softmax(x.copy(), axis=-1) * proj).sum())
 
-        grad = fastgrad.softmax_backward(fastpath.softmax(x, axis=-1), proj)
+        grad = fastgrad.softmax_backward(fastpath.softmax(x.copy(), axis=-1), proj)
         np.testing.assert_allclose(grad, _fd_grad(loss, x), atol=1e-6)
 
     def test_softmax_backward_reuses_one_temporary_bitwise(self):
@@ -301,6 +301,72 @@ class TestKernelsAgainstTape:
         # (softmax is shift-invariant along the key axis, so their true
         # gradient is exactly zero) — atol alone covers them.
         _assert_grads_match(_param_grads(attn), tape_grads)
+
+
+def _batched_attention_backward(attn, cache, dout):
+    """The attention backward with every head's score gradient in one batch.
+
+    The kernel runs the softmax JVP and the dQ / dK gemms one head at a
+    time; this is the all-heads form it replaced, kept as its bitwise
+    oracle.
+    """
+    num_heads, d_head = attn.num_heads, attn.d_head
+    batch, t_query, _ = cache.query.shape
+    t_key = cache.key.shape[1]
+    dmean, dw_out, db_out = fastgrad.linear_backward(
+        cache.mean_heads, attn.out_proj.weight.data, dout
+    )
+    fastgrad.accumulate_grad(attn.out_proj.weight, dw_out)
+    fastgrad.accumulate_grad(attn.out_proj.bias, db_out)
+    dheads = dmean * (1.0 / num_heads)
+    dv = np.swapaxes(cache.mean_weights, -1, -2) @ dmean
+    dweights = dheads @ np.swapaxes(cache.v, -1, -2)
+    dscores = fastgrad.softmax_backward(cache.weights, dweights)  # (H, B, Tq, Tk)
+    dscores *= 1.0 / float(np.sqrt(d_head))
+    dq_heads = dscores @ cache.k_heads
+    dk_heads = np.swapaxes(dscores, -1, -2) @ cache.q_heads
+    dq_all = np.moveaxis(dq_heads, 0, 2).reshape(batch, t_query, num_heads * d_head)
+    dk_all = np.moveaxis(dk_heads, 0, 2).reshape(batch, t_key, num_heads * d_head)
+    dquery, dw_q, db_q = fastgrad.linear_backward(cache.query, cache.w_q, dq_all)
+    dkey, dw_k, db_k = fastgrad.linear_backward(cache.key, cache.w_k, dk_all)
+    for head, (q_proj, k_proj) in enumerate(zip(attn._q_projs, attn._k_projs)):
+        cols = slice(head * d_head, (head + 1) * d_head)
+        fastgrad.accumulate_grad(q_proj.weight, dw_q[:, cols])
+        fastgrad.accumulate_grad(q_proj.bias, db_q[cols])
+        fastgrad.accumulate_grad(k_proj.weight, dw_k[:, cols])
+        fastgrad.accumulate_grad(k_proj.bias, db_k[cols])
+    dvalue, dw_v, db_v = fastgrad.linear_backward(cache.value, attn.v_proj.weight.data, dv)
+    fastgrad.accumulate_grad(attn.v_proj.weight, dw_v)
+    fastgrad.accumulate_grad(attn.v_proj.bias, db_v)
+    return dquery, dkey, dvalue
+
+
+class TestPerHeadAttentionBackward:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("num_heads", [1, 4])
+    def test_bitwise_equal_to_the_all_heads_batch(self, dtype, masked, num_heads):
+        batch, t_query, t_key, d_model = 8, 72, 144, 32  # the TFT's attention, batch cut
+        attn = InterpretableMultiHeadAttention(d_model, num_heads, RNG(18))
+        for param in attn.parameters():
+            param.data = param.data.astype(dtype)
+        rng = RNG(19)
+        query, key, value, dout = (
+            rng.normal(size=(batch, t, d_model)).astype(dtype)
+            for t in (t_query, t_key, t_key, t_query)
+        )
+        mask = causal_mask(query_len=t_query, key_len=t_key) if masked else None
+        _, _, cache = fastpath.interpretable_attention(attn, query, key, value, mask=mask)
+
+        attn.zero_grad()
+        expected = _batched_attention_backward(attn, cache, dout)
+        expected_grads = _param_grads(attn)
+        attn.zero_grad()
+        got = fastgrad.attention_backward(attn, cache, dout)
+        for name, grad in _param_grads(attn).items():
+            assert grad.dtype == dtype and np.array_equal(grad, expected_grads[name]), name
+        for a, b in zip(got, expected, strict=True):
+            assert a.dtype == dtype and np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

