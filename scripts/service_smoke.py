@@ -13,7 +13,10 @@ Two phases, both against real subprocesses:
    lines for a tick that neither planned nor closed a monitor window,
    no per-update ``counter`` / ``gauge`` / ``service`` lines, no
    ``span`` line for a span its ``trace`` record already carries, and
-   counters that equal the last ``GET /metrics``.
+   counters that equal the last ``GET /metrics``.  Every span in it, in
+   a ``trace`` record or a ``span`` line, has the one lean shape (integer
+   ``start_ns`` / ``duration_ns``, ``parent`` an earlier index, labels
+   and status only when set), and ``report --traces 2`` renders the file.
 2. **Crash/restore divergence** — run an uninterrupted session to
    completion, repeat it with a mid-trace checkpoint + early stop (the
    simulated crash), restore from the checkpoint, and require the
@@ -112,9 +115,34 @@ def read_decisions(path: Path) -> list[dict]:
             if line.strip()]
 
 
+SPAN_FIELDS = {"name", "parent", "start_ns", "duration_ns", "labels", "status"}
+
+
+def check_span_shape(span: dict, index: int, where: str) -> None:
+    """The one span shape, in a ``trace`` record or on a ``span`` line."""
+    extra = span.keys() - SPAN_FIELDS - {"kind", "ts"}
+    if extra or not (isinstance(span.get("start_ns"), int)
+                     and isinstance(span.get("duration_ns"), int)):
+        fail(f"{where}: span {span} is not {{name, start_ns, duration_ns}} in integers "
+             f"(unknown fields: {sorted(extra)})")
+    if span.get("labels") == {} or span.get("status") == "ok":
+        fail(f"{where}: span {span} writes a default labels / status")
+    parent = span.get("parent")
+    if parent is not None and not 0 <= parent < index:
+        fail(f"{where}: span {index} names parent {parent}, not an earlier span")
+
+
 def check_telemetry_file(path: Path, final_counters: dict) -> None:
     """The write-once rule, as counts over the live phase's telemetry."""
     records = read_decisions(path)
+    spans = 0
+    for line, record in enumerate(records, 1):
+        if record["kind"] == "span":  # outside a trace: no parent to name
+            check_span_shape(record, 0, f"line {line}")
+        elif record["kind"] == "trace":
+            for index, span in enumerate(record["spans"]):
+                check_span_shape(span, index, f"line {line} (trace {record['trace_id']})")
+            spans += len(record["spans"])
     kinds = {record["kind"] for record in records}
     if kinds & {"counter", "gauge", "service"}:
         fail(f"per-update or orphan kinds in the telemetry file: {sorted(kinds)}")
@@ -152,7 +180,19 @@ def check_telemetry_file(path: Path, final_counters: dict) -> None:
              f"file {counters} vs /metrics {final_counters}")
     print(f"telemetry file OK: {len(records)} lines over {ticks} flushes "
           f"({quiet} quiet ticks at <= 3 lines), "
-          f"{len(counters)} counters equal to GET /metrics")
+          f"{len(counters)} counters equal to GET /metrics, "
+          f"{spans} trace spans in the lean shape")
+
+    report = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "report", str(path), "--traces", "2"],
+        env=env(), capture_output=True, text=True,
+    )
+    if report.returncode != 0:
+        fail(f"report --traces 2 exited {report.returncode}:\n{report.stderr}")
+    timelines = re.findall(r"^trace \d+ \[", report.stdout, flags=re.M)
+    if len(timelines) != 2 or not re.search(r"^\* runtime\.step ", report.stdout, flags=re.M):
+        fail(f"report --traces 2 drew no runtime.step timeline:\n{report.stdout[-2000:]}")
+    print("report --traces 2 OK: two timelines rooted at runtime.step")
 
 
 def phase_live_control_plane(workdir: Path) -> None:

@@ -237,7 +237,12 @@ def cmd_report(args: argparse.Namespace) -> int:
               f"JSON lines, or the run that wrote it was interrupted before any event was "
               f"flushed", file=sys.stderr)
         return 1
-    print(format_summary(summarize_records(records)))
+    try:
+        summary = summarize_records(records)
+    except ValueError as error:
+        print(f"cannot summarise {args.path}: {error}", file=sys.stderr)
+        return 1
+    print(format_summary(summary))
     health = summarize_model_health(records)
     if health:
         print()

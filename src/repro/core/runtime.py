@@ -59,6 +59,7 @@ and predictive planning is re-attempted at the next boundary.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -403,7 +404,7 @@ class AutoscalingRuntime:
         """
         state = self.state
         value = float(workload)
-        if not (np.isfinite(value) and value >= 0):
+        if not (math.isfinite(value) and value >= 0):
             value = self._handle_invalid(value)
         if value is not None:
             if self.monitor is not None:

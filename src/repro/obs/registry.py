@@ -34,11 +34,15 @@ the process-wide *ambient* registry via :func:`get_registry`, which
 callers replace with :func:`set_registry` or scope with
 :func:`using_registry`.  The default ambient registry has no sinks, so when
 telemetry is not being collected no event is built: a counter update is
-a dict lookup and a float add (0.35 us), a span two clock reads and a
-histogram update (1.4 us).  Cheap, not free — the four spans of an idle
-daemon tick are 5.7 us of its 23 us (``idle_tick_us_p50`` on the e2e
-benchmark's ``serve-bare`` workload; 21 us of 38 us before ``span()``
-became a plain class and the reservoir stopped drawing per observation).
+a dict lookup and a float add (0.35-0.5 us), a span two clock reads and a
+histogram update (1.4-2.0 us; ``timeit`` minima on 2 vCPUs).  Cheap, not
+free — the four spans of an idle daemon tick are about 7 us of its 23 us
+(``idle_tick_us_p50`` on the e2e benchmark's ``serve-bare`` workload;
+21 us of 38 us before ``span()`` became a plain class and the reservoir
+stopped drawing per observation).  With a tracer and a JSON-lines sink
+attached, encoding that tick's ``trace`` record (four spans in integer
+nanoseconds, ~475 bytes) costs 8-12 us; 24-26 us for the ~825 bytes of
+span ids and float seconds it replaced.
 """
 
 from __future__ import annotations
@@ -122,7 +126,10 @@ class Gauge(_Metric):
         self.value: float | None = None
 
     def set(self, value: float) -> None:
-        self.value = float(value)
+        value = float(value)
+        if value == self.value:  # unchanged: the next flush has nothing new
+            return
+        self.value = value
         registry = self._registry
         if registry._sinks:
             registry._dirty[self] = None
@@ -548,29 +555,29 @@ class _Span:
         self._path = path = "/".join(registry._span_stack)
         self._tracer = tracer = registry._tracer
         self._token = tracer.open_span(path, self._labels) if tracer is not None else None
-        self._start = time.perf_counter()
+        self._start = time.perf_counter_ns()
 
     def __exit__(self, exc_type, exc, traceback) -> None:
-        duration = time.perf_counter() - self._start
+        elapsed = time.perf_counter_ns() - self._start
         registry = self._registry
         registry._span_stack.pop()
         status = "ok" if exc_type is None else "error"
-        registry._intern(Histogram, f"span/{self._path}", self._labels)._record(duration)
+        # Seconds as ``report`` reads them back from the integer record.
+        registry._intern(Histogram, f"span/{self._path}", self._labels)._record(elapsed / 1e9)
         if self._token is not None:
             # Captured by the active trace: its ``trace`` record is the
             # one place this span is written.
-            self._tracer.close_span(self._token, duration, status)
+            self._tracer.close_span(self._token, elapsed, status)
         elif registry._sinks:
-            registry._emit(
-                {
-                    "kind": "span",
-                    "name": self._path,
-                    "labels": dict(self._labels),
-                    "duration_s": duration,
-                    "status": status,
-                    "depth": len(registry._span_stack),
-                }
-            )
+            # The trace span's shape; ``start_ns`` reads the process's
+            # monotonic clock, as there is no trace start to offset from.
+            record = {"kind": "span", "name": self._path, "start_ns": self._start,
+                      "duration_ns": elapsed}
+            if self._labels:
+                record["labels"] = dict(self._labels)
+            if status != "ok":
+                record["status"] = status
+            registry._emit(record)
 
 
 # -- ambient registry ----------------------------------------------------

@@ -113,7 +113,11 @@ class TelemetrySummary:
 
 
 def summarize_records(records: Iterable[dict]) -> TelemetrySummary:
-    """Reduce an event stream to a :class:`TelemetrySummary`."""
+    """Reduce an event stream to a :class:`TelemetrySummary`.
+
+    Raises :class:`ValueError` on a span without ``duration_ns`` (a file
+    written in the older float-seconds span shape).
+    """
     summary = TelemetrySummary()
     for record in records:
         summary.records += 1
@@ -134,14 +138,20 @@ def summarize_records(records: Iterable[dict]) -> TelemetrySummary:
                 float(record.get("value", 0.0))
             )
         elif kind in ("span", "trace"):
-            # A span is written once: as its own record, or (same name,
-            # labels and duration_s fields) inside the trace it closed in.
+            # A span is written once, in one shape: as its own record,
+            # or inside the trace it closed in.
             for span in (record,) if kind == "span" else record.get("spans") or ():
+                if "duration_ns" not in span:
+                    raise ValueError(
+                        f"a {kind} record has a span without duration_ns: the file "
+                        f"was written in the older float-seconds span shape "
+                        f"(duration_s); write a fresh one"
+                    )
                 span_key = format_metric_key(
                     span.get("name", ""), span.get("labels") or {}
                 )
                 summary.spans.setdefault(span_key, SpanSummary()).add(
-                    float(span.get("duration_s", 0.0))
+                    span["duration_ns"] / 1e9
                 )
         elif kind not in KNOWN_KINDS:
             label = str(kind) if kind is not None else "<missing>"

@@ -7,17 +7,23 @@ cost", useless for "what happened at tick 3071".  A
 (:meth:`~repro.obs.registry.MetricsRegistry.set_tracer`) promotes the
 live span stack into real trace records: every tick becomes one trace
 (``trace_id`` = tick), every ``registry.span(...)`` block inside it one
-span with a ``span_id``, ``parent_id``, start offset, duration, and
-``ok``/``error`` status.
+span in the trace's ``spans`` list.
+
+A span is written in integers: ``{"name", "start_ns", "duration_ns"}``
+(offset from the trace's start and length, in nanoseconds), plus
+``"parent"`` — the index of its parent in the same list — when it has
+one, ``"labels"`` when it has any and ``"status"`` only when it is not
+``ok``.  Positions are the ids: a span's index in ``spans`` is how its
+children name it.
 
 Traces survive the :func:`~repro.parallel.parallel_map` process
-boundary: the parent's ``(trace_id, parent span)`` context ships with
-each chunk of items, the worker collects the chunk's spans under
-deterministic ``w<chunk>.<n>`` span ids,
-and :meth:`absorb` grafts them back into the parent's live trace during
-the registry merge — so a ``backtest(n_jobs=2)`` timeline shows the
-worker's ``predict`` spans under the same ``backtest`` root a serial
-run would produce.
+boundary: each chunk of items ships the parent's ``trace_id``, the
+worker collects the chunk's spans in a trace of its own, and
+:meth:`~TraceCollector.absorb` grafts them back into the parent's live
+trace during the registry merge — shifting their parent indices past
+the live list and hanging their roots off the span open at the merge —
+so a ``backtest(n_jobs=2)`` timeline shows the worker's ``predict``
+spans under the same ``backtest`` root a serial run would produce.
 
 Completed traces land in a bounded ring (newest win) and are emitted as
 ``kind="trace"`` events to the registry's sinks;
@@ -51,23 +57,17 @@ class TraceCollector:
     ----------
     max_traces:
         Completed traces kept in the ring; older ones fall off.
-    id_prefix:
-        Prefix for generated span ids — workers use ``"w<chunk>."`` so
-        merged ids stay unique and depend only on the chunk layout,
-        never on which worker ran which chunk.
     """
 
-    def __init__(self, max_traces: int = 64, id_prefix: str = "") -> None:
+    def __init__(self, max_traces: int = 64) -> None:
         if max_traces < 1:
             raise ValueError("max_traces must be >= 1")
         self.max_traces = max_traces
-        self.id_prefix = id_prefix
         self.finished: deque[dict] = deque(maxlen=max_traces)
         self._trace: dict | None = None
-        self._open: list[dict] = []
-        self._root_parent: str | None = None
-        self._next_id = 0
-        self._t0 = 0.0
+        self._spans: list[dict] = []  # the live trace's span list
+        self._open: list[int] = []  # indices of the open spans, innermost last
+        self._t0 = 0
         self.traces_started = 0
         self.traces_finished = 0
 
@@ -81,25 +81,19 @@ class TraceCollector:
     def trace_id(self):
         return self._trace["trace_id"] if self._trace else None
 
-    @property
-    def current_span_id(self) -> str | None:
-        """Id of the innermost open span (the parent for fanned-out work)."""
-        return self._open[-1]["span_id"] if self._open else self._root_parent
-
-    def begin(self, trace_id, parent_id: str | None = None) -> None:
+    def begin(self, trace_id) -> None:
         """Open a trace; an unfinished previous trace is ended as-is."""
         if self._trace is not None:
             self.end(status="ok")
+        self._spans = []
         self._trace = {
             "trace_id": trace_id,
             "status": "ok",
-            "duration_s": 0.0,
-            "spans": [],
+            "duration_ns": 0,
+            "spans": self._spans,
         }
         self._open = []
-        self._root_parent = parent_id
-        self._next_id = 0
-        self._t0 = time.perf_counter()
+        self._t0 = time.perf_counter_ns()
         self.traces_started += 1
 
     def end(self, status: str = "ok") -> dict | None:
@@ -107,18 +101,19 @@ class TraceCollector:
         trace = self._trace
         if trace is None:
             return None
-        now = time.perf_counter()
+        elapsed = time.perf_counter_ns() - self._t0
         # A crashed block can leave spans open (the registry closes its
         # own, but a raised begin/end mismatch should not wedge us).
-        for span in self._open:
-            span["duration_s"] = (now - self._t0) - span["start_s"]
+        for index in self._open:
+            span = self._spans[index]
+            span["duration_ns"] = elapsed - span["start_ns"]
             span["status"] = "error"
         self._open = []
         # An error recorded mid-trace (failed span, absorbed worker
         # error) sticks even when the bracketing caller saw success.
         if trace["status"] != "error":
             trace["status"] = status
-        trace["duration_s"] = now - self._t0
+        trace["duration_ns"] = elapsed
         self._trace = None
         self.finished.append(trace)
         self.traces_finished += 1
@@ -129,31 +124,28 @@ class TraceCollector:
         """Record a span start; returns the live span dict (or None)."""
         if self._trace is None:
             return None
-        self._next_id += 1
-        span = {
-            "span_id": f"{self.id_prefix}{self._next_id}",
-            "parent_id": self.current_span_id,
-            "name": name,
-            "labels": dict(labels),
-            "start_s": time.perf_counter() - self._t0,
-            "duration_s": 0.0,
-            "status": "ok",
-        }
-        self._trace["spans"].append(span)
-        self._open.append(span)
+        span = {"name": name}
+        if self._open:
+            span["parent"] = self._open[-1]
+        span["start_ns"] = time.perf_counter_ns() - self._t0
+        span["duration_ns"] = 0
+        if labels:
+            span["labels"] = dict(labels)
+        self._open.append(len(self._spans))
+        self._spans.append(span)
         return span
 
-    def close_span(self, span: dict, duration: float, status: str) -> None:
+    def close_span(self, span: dict, duration_ns: int, status: str) -> None:
         if span is None or self._trace is None:
             return
-        span["duration_s"] = float(duration)
-        span["status"] = status
-        if status == "error":
+        span["duration_ns"] = duration_ns
+        if status != "ok":
+            span["status"] = status
             self._trace["status"] = "error"
-        if self._open and self._open[-1] is span:
+        if self._open and self._spans[self._open[-1]] is span:
             self._open.pop()
-        elif span in self._open:  # defensive: out-of-order close
-            self._open.remove(span)
+        else:  # defensive: out-of-order close
+            self._open = [i for i in self._open if self._spans[i] is not span]
 
     # -- worker merge ----------------------------------------------------
     def absorb(self, trace: dict, span_prefix: str | None = None) -> None:
@@ -162,9 +154,11 @@ class TraceCollector:
         When the worker's ``trace_id`` matches the live trace, its spans
         are re-anchored so they *end* at merge time (the parent cannot
         know when the worker actually started relative to its own
-        clock) and appended to the live span list; otherwise the trace
-        is kept whole in the finished ring.  ``span_prefix`` re-roots
-        span names the same way the registry re-roots span histograms.
+        clock), their parent indices are shifted past the live list, and
+        its root spans hang off the innermost open span; otherwise the
+        trace is kept whole in the finished ring.  ``span_prefix``
+        re-roots span names the same way the registry re-roots span
+        histograms.
         """
         spans = [dict(span) for span in trace.get("spans", [])]
         if span_prefix:
@@ -172,14 +166,16 @@ class TraceCollector:
                 span["name"] = f"{span_prefix}/{span['name']}"
         live = self._trace
         if live is not None and live["trace_id"] == trace.get("trace_id"):
-            base = (time.perf_counter() - self._t0) - float(
-                trace.get("duration_s", 0.0)
-            )
+            offset = len(self._spans)
+            anchor = self._open[-1] if self._open else None
+            base = (time.perf_counter_ns() - self._t0) - trace.get("duration_ns", 0)
             for span in spans:
-                span["start_s"] = float(span["start_s"]) + base
-                if span.get("parent_id") is None:
-                    span["parent_id"] = self.current_span_id
-            live["spans"].extend(spans)
+                span["start_ns"] += base
+                if "parent" in span:
+                    span["parent"] += offset
+                elif anchor is not None:
+                    span["parent"] = anchor
+            self._spans.extend(spans)
             if trace.get("status") == "error":
                 live["status"] = "error"
         else:
@@ -201,12 +197,12 @@ class TraceCollector:
         return traces
 
 
-def _format_seconds(seconds: float) -> str:
-    if seconds >= 1.0:
-        return f"{seconds:.2f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.1f}ms"
-    return f"{seconds * 1e6:.0f}us"
+def _format_ns(nanoseconds: int) -> str:
+    if nanoseconds >= 1_000_000_000:
+        return f"{nanoseconds / 1e9:.2f}s"
+    if nanoseconds >= 1_000_000:
+        return f"{nanoseconds / 1e6:.1f}ms"
+    return f"{nanoseconds / 1e3:.0f}us"
 
 
 def render_trace_timeline(trace: dict, width: int = 80) -> str:
@@ -217,69 +213,59 @@ def render_trace_timeline(trace: dict, width: int = 80) -> str:
     time axis, duration, and a trailing ``!`` for error spans.  Pure
     ASCII so it survives any terminal or CI log.
     """
-    spans = list(trace.get("spans", []))
-    total = float(trace.get("duration_s", 0.0)) or max(
-        (float(s["start_s"]) + float(s["duration_s"]) for s in spans),
-        default=0.0,
+    spans = trace.get("spans", [])
+    total = trace.get("duration_ns", 0) or max(
+        (s["start_ns"] + s["duration_ns"] for s in spans), default=0
     )
     header = (
         f"trace {trace.get('trace_id')} [{trace.get('status', '?')}] "
-        f"{_format_seconds(total)} - {len(spans)} spans"
+        f"{_format_ns(total)} - {len(spans)} spans"
     )
     if not spans:
         return header
-    children: dict[str | None, list[dict]] = {}
-    for span in spans:
-        children.setdefault(span.get("parent_id"), []).append(span)
-    for siblings in children.values():
-        siblings.sort(key=lambda s: float(s["start_s"]))
-    by_id = {s["span_id"]: s for s in spans}
-    roots = [s for s in spans if s.get("parent_id") not in by_id]
+    # Span indices throughout: a span's position is its id.
+    children: list[list[int]] = [[] for _ in spans]
+    roots: list[int] = []
+    depth = [0] * len(spans)
+    for index, span in enumerate(spans):
+        parent = span.get("parent")
+        if parent is not None and 0 <= parent < index:  # parents come first
+            children[parent].append(index)
+            depth[index] = depth[parent] + 1
+        else:
+            roots.append(index)
+    start = [span["start_ns"] for span in spans].__getitem__
+    duration = [span["duration_ns"] for span in spans].__getitem__
 
     # Critical path: from the longest root, repeatedly descend into the
     # longest child — the chain of spans that bounds the trace duration.
-    critical: set[str] = set()
-    if roots:
-        node = max(roots, key=lambda s: float(s["duration_s"]))
-        while node is not None:
-            critical.add(node["span_id"])
-            kids = children.get(node["span_id"], [])
-            node = max(kids, key=lambda s: float(s["duration_s"]), default=None)
+    critical: set[int] = set()
+    node = max(roots, key=duration)  # span 0 is always a root
+    while node is not None:
+        critical.add(node)
+        node = max(children[node], key=duration, default=None)
 
     name_width = min(
-        max((2 * _depth(s, by_id) + len(s["name"]) for s in spans), default=0),
+        max(2 * d + len(s["name"]) for d, s in zip(depth, spans)),
         max(width // 2, 20),
     )
     bar_width = max(width - name_width - 22, 10)
     lines = [header]
 
-    def emit(span: dict, depth: int) -> None:
-        start = float(span["start_s"])
-        duration = float(span["duration_s"])
-        begin = int(round(bar_width * start / total)) if total else 0
-        length = int(round(bar_width * duration / total)) if total else 0
+    def emit(index: int) -> None:
+        span = spans[index]
+        begin = int(round(bar_width * start(index) / total)) if total else 0
+        length = int(round(bar_width * duration(index) / total)) if total else 0
         begin = min(begin, bar_width - 1)
         length = max(1, min(length, bar_width - begin))
-        bar = "." * begin + "#" * length
-        bar = bar.ljust(bar_width, ".")
-        marker = "*" if span["span_id"] in critical else " "
+        bar = ("." * begin + "#" * length).ljust(bar_width, ".")
+        marker = "*" if index in critical else " "
         flag = " !" if span.get("status") == "error" else ""
-        label = ("  " * depth + span["name"])[:name_width].ljust(name_width)
-        lines.append(
-            f"{marker} {label} |{bar}| {_format_seconds(duration):>8}{flag}"
-        )
-        for child in children.get(span["span_id"], []):
-            emit(child, depth + 1)
+        label = ("  " * depth[index] + span["name"])[:name_width].ljust(name_width)
+        lines.append(f"{marker} {label} |{bar}| {_format_ns(duration(index)):>8}{flag}")
+        for child in sorted(children[index], key=start):
+            emit(child)
 
-    for root in sorted(roots, key=lambda s: float(s["start_s"])):
-        emit(root, 0)
+    for root in sorted(roots, key=start):
+        emit(root)
     return "\n".join(lines)
-
-
-def _depth(span: dict, by_id: dict) -> int:
-    depth = 0
-    parent = span.get("parent_id")
-    while parent in by_id:
-        depth += 1
-        parent = by_id[parent].get("parent_id")
-    return depth

@@ -12,7 +12,7 @@ down at interpreter exit.
   one task per worker.  ``(fn, context)`` is pickled once per call and
   unpickled once per chunk, so task-side mutations never reach the next call.
 * Each chunk runs under its own ``MetricsRegistry`` and, when the caller
-  has a live trace, a ``TraceCollector`` issuing span ids ``w<chunk>.<n>``.
+  has a live trace, a ``TraceCollector`` opened under that trace's id.
   The parent merges them in item order and re-roots worker spans under its
   open span: ``n_jobs`` does not change what the registry reports.
 * A chunk stops at its first failing item, and the lowest-index failure is
@@ -65,8 +65,10 @@ def _picklable(obj: Any) -> bool:
     return True
 
 
-def _run_chunk(payload: bytes, rank: int, chunk: list[tuple[int, Any]], trace_ctx) -> bytes:
+def _run_chunk(payload: bytes, chunk: list[tuple[int, Any]], trace_id) -> bytes:
     """Worker side: run ``[(item_index, item), ...]`` under a fresh context.
+
+    ``trace_id`` is the caller's live trace, or None when it has none.
 
     Returns pickled ``("ok", results, registry_state)`` or ``("error", index, exc)``.
     """
@@ -77,14 +79,14 @@ def _run_chunk(payload: bytes, rank: int, chunk: list[tuple[int, Any]], trace_ct
     try:
         fn, context = pickle.loads(payload)
         registry = MetricsRegistry()
-        if trace_ctx is not None:
-            collector = TraceCollector(max_traces=4, id_prefix=f"w{rank}.")
-            collector.begin(trace_ctx[0], parent_id=trace_ctx[1])
+        if trace_id is not None:
+            collector = TraceCollector(max_traces=4)
+            collector.begin(trace_id)
             registry.set_tracer(collector)
         with using_registry(registry):
             for index, item in chunk:
                 results.append(fn(context, item))
-        if trace_ctx is not None:
+        if trace_id is not None:
             collector.end("ok")
         reply = ("ok", results, registry.state_dict())
     except BaseException as exc:  # like the executor itself: ship it, keep serving
@@ -145,15 +147,14 @@ def parallel_map(
 
     registry = merge_into if merge_into is not None else get_registry()
     tracer = registry.tracer
-    live = tracer is not None and tracer.active
-    trace_ctx = (tracer.trace_id, tracer.current_span_id) if live else None
+    trace_id = tracer.trace_id if tracer is not None else None
     payload = pickle.dumps((fn, context), protocol=pickle.HIGHEST_PROTOCOL)
     chunks = _chunk_evenly(list(enumerate(work)), n_jobs)
     try:
         executor = _executor(len(chunks))
         futures = [
-            executor.submit(_run_chunk, payload, rank, chunk, trace_ctx)
-            for rank, chunk in enumerate(chunks)
+            executor.submit(_run_chunk, payload, chunk, trace_id)
+            for chunk in chunks
         ]
         replies = [pickle.loads(future.result()) for future in futures]
     except BrokenProcessPool as exc:

@@ -7,6 +7,7 @@ derived from (seed, window), never from worker scheduling.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import os
 import signal
@@ -229,46 +230,83 @@ def _traced_run(forecaster, test_values, n_jobs):
 
     registry = MetricsRegistry(sinks=[InMemorySink()])
     collector = TraceCollector()
+    absorbed = []  # the worker traces the parent merged, as they arrived
+    absorb = collector.absorb
+
+    def recording_absorb(trace, span_prefix=None):
+        absorbed.append((copy.deepcopy(trace), span_prefix))
+        absorb(trace, span_prefix=span_prefix)
+
+    collector.absorb = recording_absorb
     registry.set_tracer(collector)
     collector.begin(0)
     with using_registry(registry):
         result = _run(forecaster, test_values, n_jobs=n_jobs)
-    return result, collector.end()
+    return result, collector.end(), absorbed
+
+
+def _parent_chains(trace):
+    """Each span's name with its ancestors' names, in list order."""
+    spans = trace["spans"]
+
+    def chain(span):
+        names = [span["name"]]
+        while "parent" in span:
+            span = spans[span["parent"]]
+            names.append(span["name"])
+        return tuple(names)
+
+    return [chain(span) for span in spans]
 
 
 def test_backtest_results_identical_with_tracing_attached(fitted):
     """Tracing observes, never perturbs: n_jobs=1 == n_jobs=2 bit-for-bit."""
     forecaster, test_values = fitted
-    serial, serial_trace = _traced_run(forecaster, test_values, n_jobs=1)
-    fanned, fanned_trace = _traced_run(forecaster, test_values, n_jobs=2)
+    serial, serial_trace, serial_absorbed = _traced_run(forecaster, test_values, n_jobs=1)
+    fanned, fanned_trace, _ = _traced_run(forecaster, test_values, n_jobs=2)
+    assert serial_absorbed == []
     assert serial.points == fanned.points
     for a, b in zip(serial.forecasts, fanned.forecasts):
         assert np.array_equal(a.values, b.values)
-    # Same span names either way: re-rooting makes a worker's "predict"
-    # land where the serial run records it.
-    names = lambda t: sorted(s["name"] for s in t["spans"])  # noqa: E731
-    assert names(serial_trace) == names(fanned_trace)
+    # Same span names and parent chains either way: re-rooting makes a
+    # worker's "predict" land where the serial run records it.
+    assert _parent_chains(serial_trace) == _parent_chains(fanned_trace)
 
 
 def test_worker_spans_rerooted_into_parent_trace(fitted):
     forecaster, test_values = fitted
-    result, trace = _traced_run(forecaster, test_values, n_jobs=2)
+    result, trace, absorbed = _traced_run(forecaster, test_values, n_jobs=2)
+    # The windows really crossed the pool: 9 windows on 2 workers come
+    # back as two worker traces (chunks of 5 and 4, in item order), each
+    # in the live trace and holding only its windows' predict spans.
+    assert [len(t["spans"]) for t, _ in absorbed] == [5, 4]
+    for worker_trace, _ in absorbed:
+        assert worker_trace["trace_id"] == 0
+        assert all("parent" not in span for span in worker_trace["spans"])
     assert trace["status"] == "ok"
-    by_name = {}
-    for span in trace["spans"]:
-        by_name.setdefault(span["name"], []).append(span)
-    (backtest_span,) = by_name["backtest"]
-    predicts = by_name["backtest/predict"]
+    spans = trace["spans"]
+    (backtest_index,) = [i for i, s in enumerate(spans) if s["name"] == "backtest"]
+    predicts = [i for i, s in enumerate(spans) if s["name"] == "backtest/predict"]
     assert len(predicts) == len(result.points)
-    worker_spans = [s for s in predicts if s["span_id"].startswith("w")]
-    assert worker_spans  # at least some windows really crossed the pool
-    for span in worker_spans:
-        assert span["parent_id"] == backtest_span["span_id"]
-        assert span["status"] == "ok"
-    # Deterministic ids keyed by (chunk, position-in-chunk): windows are
-    # batched one contiguous chunk per worker, and each chunk's predict
-    # spans count up from 1 — nothing depends on worker scheduling.
-    # 9 windows on 2 workers = chunks of 5 and 4.
-    assert {s["span_id"] for s in worker_spans} == {
-        "w0.1", "w0.2", "w0.3", "w0.4", "w0.5", "w1.1", "w1.2", "w1.3", "w1.4",
-    }
+    for index in predicts:
+        assert spans[index]["parent"] == backtest_index
+        assert "status" not in spans[index]  # ok
+    # Every parent index resolves to an earlier span of the same trace.
+    for index, span in enumerate(spans):
+        assert "parent" not in span or 0 <= span["parent"] < index
+    # Positions are the ids: the merge appends chunk after chunk in item
+    # order (9 windows on 2 workers = chunks of 5 and 4): the windows'
+    # spans form one block right after the backtest span, whichever
+    # worker finished first.
+    assert predicts == list(range(backtest_index + 1, backtest_index + 1 + 9))
+    # ... and that block is exactly the worker spans, renamed under the
+    # prefix absorb was given and re-rooted at the backtest span.
+    merged = [
+        {**span, "name": f"{prefix}/{span['name']}" if prefix else span["name"]}
+        for worker_trace, prefix in absorbed
+        for span in worker_trace["spans"]
+    ]
+    strip = ("start_ns", "parent")
+    assert [{k: v for k, v in spans[i].items() if k not in strip} for i in predicts] == [
+        {k: v for k, v in span.items() if k not in strip} for span in merged
+    ]

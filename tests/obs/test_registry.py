@@ -68,6 +68,21 @@ class TestGauge:
         gauge.add(3)
         assert gauge.value == 3.0
 
+    def test_unchanged_value_is_not_written_again(self):
+        sink = InMemorySink()
+        registry = MetricsRegistry(sinks=[sink])
+        gauge = registry.gauge("nodes")
+        gauge.set(4)
+        registry.flush()
+        gauge.set(4)
+        registry.counter("ticks").inc()
+        registry.flush()
+        gauge.set(5)
+        registry.flush()
+        assert [r["gauges"] for r in sink.records] == [
+            {"nodes": 4.0}, {}, {"nodes": 5.0}
+        ]
+
 
 class TestHistogram:
     def test_exact_moments(self):
@@ -146,11 +161,17 @@ class TestSpans:
             with registry.span("b", model="tft"):
                 pass
         events = [r for r in sink.records if r["kind"] == "span"]
-        # Inner span completes (and is emitted) first.
+        # Inner span completes (and is emitted) first; its path is its depth.
         assert [e["name"] for e in events] == ["a/b", "a"]
-        assert events[0]["depth"] == 1
         assert events[0]["labels"] == {"model": "tft"}
-        assert all(e["duration_s"] >= 0.0 for e in events)
+        assert "labels" not in events[1]
+        assert all(e["duration_ns"] >= 0 for e in events)
+        # Both start on one monotonic clock: the outer span starts first
+        # and ends last.
+        inner, outer = events
+        assert outer["start_ns"] <= inner["start_ns"]
+        assert (inner["start_ns"] + inner["duration_ns"]
+                <= outer["start_ns"] + outer["duration_ns"])
 
     def test_failed_span_records_error_and_restores_the_stack(self):
         sink = InMemorySink()
@@ -174,15 +195,16 @@ class TestSpans:
         with registry.span("plan", model="tft"):
             pass
         (record,) = sink.records
+        # A trace span's shape: integers, labels only when set, status
+        # only when not ok, no parent outside a trace.
         assert list(record) == [
-            "kind", "name", "labels", "duration_s", "status", "depth", "ts"
+            "kind", "name", "start_ns", "duration_ns", "labels", "ts"
         ]
         assert record["kind"] == "span"
         assert record["name"] == "plan"
         assert record["labels"] == {"model": "tft"}
-        assert isinstance(record["duration_s"], float)
-        assert record["status"] == "ok"
-        assert record["depth"] == 0
+        assert isinstance(record["start_ns"], int)
+        assert isinstance(record["duration_ns"], int)
         assert record["ts"] == 7.0
 
     def test_tracer_hooks_called_once_per_span(self):

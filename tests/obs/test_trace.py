@@ -1,12 +1,16 @@
 """TraceCollector lifecycle, registry integration, and timeline rendering."""
 
+import time
+
 import pytest
 
 from repro.obs import (
     InMemorySink,
     MetricsRegistry,
     TraceCollector,
+    format_summary,
     render_trace_timeline,
+    summarize_records,
     using_registry,
 )
 
@@ -21,7 +25,7 @@ class TestLifecycle:
         assert not collector.active
         assert trace["trace_id"] == 42
         assert trace["status"] == "ok"
-        assert trace["duration_s"] >= 0.0
+        assert isinstance(trace["duration_ns"], int) and trace["duration_ns"] >= 0
         assert collector.traces_finished == 1
         assert list(collector.finished) == [trace]
 
@@ -70,30 +74,52 @@ class TestSpans:
         collector.begin(7)
         outer = collector.open_span("step", {})
         inner = collector.open_span("plan", {})
-        assert inner["parent_id"] == outer["span_id"]
-        collector.close_span(inner, 0.1, "ok")
-        collector.close_span(outer, 0.2, "ok")
+        assert inner["parent"] == 0  # the index of ``outer`` in the list
+        collector.close_span(inner, 100_000, "ok")
+        collector.close_span(outer, 200_000, "ok")
         trace = collector.end()
         assert [s["name"] for s in trace["spans"]] == ["step", "plan"]
-        assert trace["spans"][0]["parent_id"] is None
+        assert trace["spans"][0] is outer
+        assert "parent" not in outer
 
     def test_span_ids_are_deterministic(self):
         def run():
-            collector = TraceCollector(id_prefix="w0.")
+            collector = TraceCollector()
             collector.begin(1)
             a = collector.open_span("a", {})
-            collector.close_span(a, 0.0, "ok")
             b = collector.open_span("b", {})
-            collector.close_span(b, 0.0, "ok")
-            return [s["span_id"] for s in collector.end()["spans"]]
+            collector.close_span(b, 0, "ok")
+            collector.close_span(a, 0, "ok")
+            c = collector.open_span("c", {})
+            collector.close_span(c, 0, "ok")
+            return [s.get("parent") for s in collector.end()["spans"]]
 
-        assert run() == run() == ["w0.1", "w0.2"]
+        # Positions are the ids: they depend on the open / close order only.
+        assert run() == run() == [None, 0, None]
+
+    def test_span_shape_is_integers_and_set_fields_only(self):
+        collector = TraceCollector()
+        collector.begin(1)
+        plain = collector.open_span("plain", {})
+        collector.close_span(plain, 1_500, "ok")
+        labelled = collector.open_span("labelled", {"model": "tft"})
+        collector.close_span(labelled, 2_500, "error")
+        trace = collector.end()
+        assert list(trace) == ["trace_id", "status", "duration_ns", "spans"]
+        assert list(plain) == ["name", "start_ns", "duration_ns"]
+        assert list(labelled) == ["name", "start_ns", "duration_ns", "labels", "status"]
+        assert labelled["labels"] == {"model": "tft"}
+        assert labelled["status"] == "error"
+        for span in trace["spans"]:
+            assert isinstance(span["start_ns"], int)
+            assert isinstance(span["duration_ns"], int)
+        assert (plain["duration_ns"], labelled["duration_ns"]) == (1_500, 2_500)
 
     def test_error_status_propagates_to_trace(self):
         collector = TraceCollector()
         collector.begin(1)
         span = collector.open_span("boom", {})
-        collector.close_span(span, 0.0, "error")
+        collector.close_span(span, 0, "error")
         trace = collector.end("ok")
         assert trace["status"] == "error"
         assert trace["spans"][0]["status"] == "error"
@@ -104,12 +130,12 @@ class TestSpans:
         collector.open_span("leaked", {})
         trace = collector.end("error")
         assert trace["spans"][0]["status"] == "error"
-        assert trace["spans"][0]["duration_s"] >= 0.0
+        assert trace["spans"][0]["duration_ns"] >= 0
 
     def test_open_span_outside_trace_returns_none(self):
         collector = TraceCollector()
         assert collector.open_span("orphan", {}) is None
-        collector.close_span(None, 0.0, "ok")  # must not raise
+        collector.close_span(None, 0, "ok")  # must not raise
 
 
 class TestRegistryIntegration:
@@ -126,7 +152,7 @@ class TestRegistryIntegration:
         names = [s["name"] for s in trace["spans"]]
         assert names == ["runtime.step", "runtime.step/plan"]
         child = trace["spans"][1]
-        assert child["parent_id"] == trace["spans"][0]["span_id"]
+        assert child["parent"] == 0
         # Histograms still aggregate alongside the trace.
         snap = registry.snapshot()
         assert snap["spans"]["runtime.step/plan"]["count"] == 1
@@ -168,28 +194,36 @@ class TestAbsorb:
     def test_absorb_into_matching_live_trace(self):
         parent = TraceCollector()
         parent.begin(5)
+        setup = parent.open_span("setup", {})
+        parent.close_span(setup, 0, "ok")
         anchor = parent.open_span("backtest", {})
 
-        worker = TraceCollector(id_prefix="w0.")
+        worker = TraceCollector()
         worker.begin(5)
         span = worker.open_span("predict", {})
-        worker.close_span(span, 0.01, "ok")
+        inner = worker.open_span("sample", {})
+        worker.close_span(inner, 5_000_000, "ok")
+        worker.close_span(span, 10_000_000, "ok")
         finished = worker.end()
 
         parent.absorb(finished, span_prefix="workers/w0")
-        parent.close_span(anchor, 0.1, "ok")
+        parent.close_span(anchor, 100_000_000, "ok")
         trace = parent.end()
-        merged = [s for s in trace["spans"] if s["name"].startswith("workers/")]
-        assert len(merged) == 1
-        assert merged[0]["name"] == "workers/w0/predict"
-        assert merged[0]["span_id"] == "w0.1"
-        # Re-rooted: the worker's root span hangs off the parent's anchor.
-        assert merged[0]["parent_id"] == anchor["span_id"]
-        assert merged[0]["start_s"] >= 0.0
+        spans = trace["spans"]
+        assert [s["name"] for s in spans] == [
+            "setup", "backtest", "workers/w0/predict", "workers/w0/sample"
+        ]
+        # Re-rooted: the worker's root span hangs off the parent's anchor,
+        # and its child's index is shifted past the live list.
+        assert spans[2]["parent"] == 1
+        assert spans[3]["parent"] == 2
+        assert spans[2]["start_ns"] >= 0
+        # The worker's own record is left as it was.
+        assert "parent" not in finished["spans"][0]
 
     def test_absorb_without_matching_trace_keeps_whole(self):
         parent = TraceCollector()
-        worker = TraceCollector(id_prefix="w1.")
+        worker = TraceCollector()
         worker.begin(99)
         worker.end()
         parent.absorb(worker.finished[-1])
@@ -207,14 +241,12 @@ class TestTimeline:
         return {
             "trace_id": 17,
             "status": "ok",
-            "duration_s": 0.1,
+            "duration_ns": 100_000_000,
             "spans": [
-                {"span_id": "1", "parent_id": None, "name": "runtime.step",
-                 "start_s": 0.0, "duration_s": 0.1, "status": "ok"},
-                {"span_id": "2", "parent_id": "1", "name": "plan",
-                 "start_s": 0.0, "duration_s": 0.08, "status": "ok"},
-                {"span_id": "3", "parent_id": "1", "name": "observe",
-                 "start_s": 0.09, "duration_s": 0.01, "status": "error"},
+                {"name": "runtime.step", "start_ns": 0, "duration_ns": 100_000_000},
+                {"name": "plan", "parent": 0, "start_ns": 0, "duration_ns": 80_000_000},
+                {"name": "observe", "parent": 0, "start_ns": 90_000_000,
+                 "duration_ns": 10_000_000, "status": "error"},
             ],
         }
 
@@ -240,10 +272,46 @@ class TestTimeline:
 
     def test_empty_trace_renders_header_only(self):
         out = render_trace_timeline(
-            {"trace_id": 1, "status": "ok", "duration_s": 0.0, "spans": []}
+            {"trace_id": 1, "status": "ok", "duration_ns": 0, "spans": []}
         )
         assert out == "trace 1 [ok] 0us - 0 spans"
 
     def test_pure_ascii(self):
         out = render_trace_timeline(self.sample_trace())
         out.encode("ascii")  # raises if any non-ASCII slipped in
+
+
+class TestReport:
+    def test_phase_table_is_the_same_from_span_and_trace_lines(self, monkeypatch):
+        """One span shape: ``report`` reads a span alone or inside a trace alike."""
+        now = [0]
+        monkeypatch.setattr(time, "perf_counter_ns", lambda: now[0])
+
+        def work(registry):
+            with registry.span("runtime.step"):
+                now[0] += 1_000
+                with registry.span("plan", model="mlp"):
+                    now[0] += 250_000
+                with registry.span("observe"):
+                    now[0] += 40_000
+
+        alone = InMemorySink()
+        work(MetricsRegistry(sinks=[alone]))
+        traced = InMemorySink()
+        registry = MetricsRegistry(sinks=[traced])
+        collector = TraceCollector()
+        registry.set_tracer(collector)
+        collector.begin(0)
+        work(registry)
+        trace = collector.end()
+        registry.emit_event("trace", "tick:0", **trace)
+
+        assert [r["kind"] for r in alone.records] == ["span"] * 3
+        assert [r["kind"] for r in traced.records] == ["trace"]
+        from_spans = summarize_records(alone.records)
+        from_trace = summarize_records(traced.records)
+        assert from_spans.spans == from_trace.spans
+        assert from_spans.spans["runtime.step/plan{model=mlp}"].total_s == 250e-6
+        table = lambda summary: format_summary(summary).split("phase timings")[1]  # noqa: E731
+        assert table(from_spans) == table(from_trace)
+

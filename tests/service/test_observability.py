@@ -13,6 +13,7 @@ from repro.core.plan import required_nodes
 from repro.obs import (
     AlertEngine,
     InMemorySink,
+    JsonlSink,
     MetricsRegistry,
     ModelHealthMonitor,
     SLOTracker,
@@ -136,7 +137,7 @@ class TestTraces:
         assert payload["total"] >= 3
         assert len(payload["traces"]) == 3
         trace = payload["traces"][-1]
-        assert {"trace_id", "status", "duration_s", "spans"} <= trace.keys()
+        assert {"trace_id", "status", "duration_ns", "spans"} <= trace.keys()
         names = {span["name"] for span in trace["spans"]}
         assert "runtime.step" in names
         assert "runtime.step/observe" in names
@@ -144,10 +145,12 @@ class TestTraces:
     def test_span_tree_is_well_formed(self, traced):
         _, payload = request(traced.port, "GET", "/traces?limit=1")
         trace = payload["traces"][0]
-        ids = {span["span_id"] for span in trace["spans"]}
-        roots = [s for s in trace["spans"] if s["parent_id"] not in ids]
+        spans = trace["spans"]
+        roots = [s for s in spans if "parent" not in s]
         assert len(roots) == 1
         assert roots[0]["name"] == "runtime.step"
+        for index, span in enumerate(spans):
+            assert "parent" not in span or 0 <= span["parent"] < index
 
     @pytest.mark.parametrize("query", ["?limit=zebra", "?limit=0", "?limit=-3"])
     def test_bad_limit_is_400(self, traced, query):
@@ -215,7 +218,13 @@ class TestTelemetryStream:
             assert tick[1]["counters"].keys() == {
                 "runtime.observations", "service.ticks"
             }
-            assert tick[1]["gauges"].keys() == {"runtime.nodes_requested"}
+            assert tick[1]["gauges"].keys() <= {"runtime.nodes_requested"}
+        # A gauge is written when its value moves, not on every set.
+        written = [
+            r["gauges"]["runtime.nodes_requested"] for r in sink.records
+            if r["kind"] == "metrics" and "runtime.nodes_requested" in r["gauges"]
+        ]
+        assert written and all(a != b for a, b in zip(written, written[1:]))
 
         # The file and /metrics cannot disagree.
         replayed = summarize_records(sink.records)
@@ -226,6 +235,48 @@ class TestTelemetryStream:
             k: s["count"] for k, s in snapshot["spans"].items()
         }
         assert replayed.spans["runtime.step"].count == len(SERIES)
+
+
+    def test_served_tick_trace_is_lean_integers(self, tmp_path):
+        """One span shape: integers, set fields only, parents by index."""
+        path = tmp_path / "telemetry.jsonl"
+        runtime = AutoscalingRuntime(
+            planner=QuantilePlanner(4, 60.0), context_length=6, horizon=4,
+            threshold=60.0, replan_every=4,
+        )
+        runtime.monitor = ModelHealthMonitor(window=5, alerts=AlertEngine())
+        service = ServiceRuntime(
+            runtime, GeneratorSource(SERIES), tracer=TraceCollector(4),
+        )
+        with JsonlSink(path) as sink:
+            registry = MetricsRegistry(sinks=[sink])
+            with using_registry(registry):
+                service.serve_forever()
+                registry.remove_sink(sink)
+        lines = path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+
+        traces = [r for r in records if r["kind"] == "trace"]
+        assert len(traces) == len(SERIES)
+        for trace in traces:
+            assert isinstance(trace["duration_ns"], int)
+            for index, span in enumerate(trace["spans"]):
+                assert not {"span_id", "parent_id", "start_s", "duration_s"} & span.keys()
+                assert not [k for k, v in span.items() if isinstance(v, float)]
+                assert span.get("labels") != {}
+                assert span.get("status") != "ok"
+                assert isinstance(span["start_ns"], int)
+                assert isinstance(span["duration_ns"], int)
+                assert "parent" not in span or 0 <= span["parent"] < index
+
+        # An idle tick (no decision, no monitor window) writes its trace
+        # and its metrics record; the trace line stays small.
+        idle = [
+            line for previous, record, line in zip(records, records[1:], lines[1:])
+            if record["kind"] == "trace" and previous["kind"] == "metrics"
+        ]
+        assert idle
+        assert max(len(line.encode()) for line in idle) <= 520
 
 
 class TestSeries:

@@ -123,6 +123,20 @@ class TestReport:
         assert "flamegraph x2" in out
         assert "newer version" in out
 
+    @pytest.mark.parametrize("kind", ["span", "trace"])
+    def test_report_refuses_the_float_seconds_span_shape(self, tmp_path, capsys, kind):
+        old_span = {"name": "runtime.step", "span_id": "1", "depth": 0,
+                    "start_s": 0.0, "duration_s": 0.02}
+        record = ({"kind": "span", **old_span} if kind == "span" else
+                  {"kind": "trace", "trace_id": 0, "status": "ok",
+                   "duration_s": 0.02, "spans": [old_span]})
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert main(["report", str(path), "--traces", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "float-seconds span shape" in captured.err
+        assert "phase timings" not in captured.out  # no table of zeros
+
 
 class TestReportTraces:
     def trace_record(self, trace_id):
@@ -130,12 +144,11 @@ class TestReportTraces:
             "kind": "trace",
             "trace_id": trace_id,
             "status": "ok",
-            "duration_s": 0.02,
+            "duration_ns": 20_000_000,
             "spans": [
-                {"span_id": "1", "parent_id": None, "name": "runtime.step",
-                 "start_s": 0.0, "duration_s": 0.02, "status": "ok"},
-                {"span_id": "2", "parent_id": "1", "name": "runtime.step/plan",
-                 "start_s": 0.0, "duration_s": 0.015, "status": "ok"},
+                {"name": "runtime.step", "start_ns": 0, "duration_ns": 20_000_000},
+                {"name": "runtime.step/plan", "parent": 0, "start_ns": 0,
+                 "duration_ns": 15_000_000},
             ],
         }
 
