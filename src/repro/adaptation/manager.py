@@ -8,9 +8,7 @@ alerts, coverage sag); this manager *acts* on it:
    history.  Warm-capable models (:class:`~repro.forecast.neural
    .NeuralForecaster`) are refit incrementally with
    ``fit(warm_start=True)`` — the trained network and scaler are
-   reused, so a refit costs a fraction of a cold fit.  Alternatively a
-   :class:`~repro.adaptation.pool.ModelPool` reselects the best of
-   several registered candidate families on a holdout tail.
+   reused, so a refit costs a fraction of a cold fit.
 2. **shadow** — the candidate forecasts every tick alongside the live
    model, from *exactly* the context the incumbent planned from, scored
    by its own :class:`~repro.obs.monitor.ModelHealthMonitor`.  It never
@@ -57,15 +55,14 @@ from .promotion import GUARDING, IDLE, SHADOWING, PromotionPolicy, parse_promoti
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.runtime import AutoscalingRuntime
     from ..obs.alerts import Alert
-    from .pool import ModelPool
 
 __all__ = ["AdaptationError", "AdaptationManager"]
 
-#: Bump when a field of :class:`AdaptationState` changes meaning.  Version 4
-#: holds models as their ``state_dict()`` entries: no class layout is part
-#: of it any more, so renaming or reshaping a forecaster class no longer
-#: bumps it - only a change of the entries a family writes would.
-_STATE_VERSION = 4
+#: Bump when a field of :class:`AdaptationState` changes meaning.  Models
+#: are their ``state_dict()`` entries, so renaming or reshaping a
+#: forecaster class does not bump it - only a change of the entries a
+#: family writes would.
+_STATE_VERSION = 5
 
 
 class AdaptationError(RuntimeError):
@@ -77,22 +74,16 @@ class AdaptationState:
     """Every mutable field of the state machine — what a checkpoint holds of it.
 
     ``candidate`` / ``previous`` are forecaster objects, serialised as
-    their ``state_dict()``.  An ``*_origin`` says what the model is a
-    fitted copy of, which is what a restore builds its skeleton from:
-    None for the forecaster the loop was configured with, ``"pool:<name>"``
-    for a :class:`~repro.adaptation.pool.ModelPool` factory (a warm or
-    cold refit clones the live model, so it keeps the live origin).
+    their ``state_dict()``.  Both are fitted clones of the forecaster the
+    loop was configured with, so a restore loads each into a copy of it.
     """
 
     phase: str = IDLE
     tick: int = 0  # last tick fed via on_tick
     history: deque = field(default_factory=deque)
-    live_origin: "str | None" = None
     candidate: Any = None
-    candidate_origin: "str | None" = None
     candidate_mode: "str | None" = None
     previous: Any = None
-    previous_origin: "str | None" = None
     shadow_monitor: "ModelHealthMonitor | None" = None
     shadow_ticks: int = 0
     shadow_levels: "np.ndarray | None" = None
@@ -160,10 +151,6 @@ class AdaptationManager:
     auto_refit:
         When True (default), any *new* alert from the incumbent
         monitor's engine triggers a refit while idle.
-    pool:
-        Optional :class:`~repro.adaptation.pool.ModelPool`; when set,
-        the default refit strategy becomes pool reselection instead of
-        warm-starting the incumbent's own family.
     """
 
     def __init__(
@@ -176,7 +163,6 @@ class AdaptationManager:
         refit_epochs: "int | None" = None,
         cooldown: int = 48,
         auto_refit: bool = True,
-        pool: "ModelPool | None" = None,
     ) -> None:
         if runtime.monitor is None:
             raise ValueError(
@@ -196,10 +182,7 @@ class AdaptationManager:
         self.refit_epochs = refit_epochs
         self.cooldown = cooldown
         self.auto_refit = auto_refit
-        self.pool = pool
         _require_state_protocol(self._forecaster_owner().forecaster, "forecaster")
-        for name in pool.names() if pool is not None else ():
-            _require_state_protocol(pool.create(name), f"pool candidate {name!r}:")
         if history_size is None:
             history_size = max(
                 1024, 8 * (runtime.context_length + runtime.horizon)
@@ -381,21 +364,13 @@ class AdaptationManager:
         s.seen_alerts = count
 
     # -- transitions -------------------------------------------------------
-    def refit(
-        self,
-        *,
-        reason: str = "manual",
-        strategy: "str | None" = None,
-        force: bool = False,
-    ) -> dict:
-        """Train a candidate on the trailing history and start shadowing.
+    def refit(self, *, reason: str = "manual", force: bool = False) -> dict:
+        """Clone the live model, train it on the trailing history, start shadowing.
 
-        ``strategy`` is ``"warm"`` (clone the live model, warm-start
-        when supported), ``"pool"`` (reselect from the registered
-        :class:`~repro.adaptation.pool.ModelPool`), or None for the
-        default (pool when one is configured, else warm).  Raises
-        :class:`AdaptationError` while guarding, or while shadowing
-        unless ``force`` (which rejects the current candidate first).
+        The clone is warm-started when its ``fit`` supports it and
+        cold-fit otherwise.  Raises :class:`AdaptationError` while
+        guarding, or while shadowing unless ``force`` (which rejects the
+        current candidate first).
         """
         s = self.machine
         tick = s.tick
@@ -410,12 +385,6 @@ class AdaptationManager:
                     "already shadowing a candidate — pass force to replace it"
                 )
             self.reject(reason="superseded by forced refit")
-        if strategy is None:
-            strategy = "pool" if self.pool is not None else "warm"
-        if strategy not in ("warm", "pool"):
-            raise ValueError("strategy must be 'warm' or 'pool'")
-        if strategy == "pool" and self.pool is None:
-            raise AdaptationError("no model pool registered")
 
         series = np.asarray(s.history, dtype=np.float64)
         context_length = self.runtime.context_length
@@ -428,44 +397,22 @@ class AdaptationManager:
         # the history holds the observations for ticks
         # (tick - len + 1) .. tick — phase-aligns calendar features.
         start_index = tick + 1 - len(series)
-        owner = self._forecaster_owner()
-        incumbent = owner.forecaster
         registry = get_registry()
-        levels = getattr(self.runtime.planner, "quantile_levels", None)
-
-        if strategy == "pool":
-            with registry.span("adaptation/refit", strategy="pool"):
-                name, candidate, scores = self.pool.select(
+        candidate = copy.deepcopy(self._forecaster_owner().forecaster)
+        warm = _supports_warm_start(candidate)
+        mode = "warm" if warm else "cold"
+        with registry.span("adaptation/refit", strategy=mode, model=type(candidate).__name__):
+            if warm:
+                candidate.fit(
                     series,
-                    context_length=context_length,
-                    horizon=horizon,
-                    levels=levels,
+                    warm_start=True,
+                    epochs=self.refit_epochs,
                     start_index=start_index,
                 )
-            mode = f"pool:{name}"
-            detail = {"scores": scores}
-        else:
-            candidate = copy.deepcopy(incumbent)
-            warm = _supports_warm_start(candidate)
-            with registry.span(
-                "adaptation/refit",
-                strategy="warm" if warm else "cold",
-                model=type(candidate).__name__,
-            ):
-                if warm:
-                    candidate.fit(
-                        series,
-                        warm_start=True,
-                        epochs=self.refit_epochs,
-                        start_index=start_index,
-                    )
-                else:
-                    candidate.fit(series)
-            mode = "warm" if warm else "cold"
-            detail = {}
+            else:
+                candidate.fit(series)
 
         s.candidate = candidate
-        s.candidate_origin = mode if strategy == "pool" else s.live_origin
         s.candidate_mode = mode
         s.shadow_monitor = ModelHealthMonitor(
             window=self.runtime.monitor.window
@@ -477,16 +424,15 @@ class AdaptationManager:
         s.shadow_position = 0
         s.incumbent_window_mark = len(self.runtime.monitor.windows)
         s.refits += 1
-        registry.counter("adaptation.refits", strategy=strategy).inc()
+        registry.counter("adaptation.refits", strategy="warm").inc()
         return self._event(
             tick,
             "refit",
             reason=reason,
-            strategy=strategy,
+            strategy="warm",
             mode=mode,
             model=type(candidate).__name__,
             history=len(series),
-            **detail,
         )
 
     def promote(self, *, reason: str = "manual") -> dict:
@@ -500,8 +446,7 @@ class AdaptationManager:
             raise AdaptationError("no shadow candidate to promote")
         tick = s.tick
         owner = self._forecaster_owner()
-        s.previous, s.previous_origin = owner.forecaster, s.live_origin
-        owner.forecaster, s.live_origin = s.candidate, s.candidate_origin
+        s.previous, owner.forecaster = owner.forecaster, s.candidate
         model = type(s.candidate).__name__
         s.candidate = None
         s.shadow_monitor = None
@@ -542,8 +487,7 @@ class AdaptationManager:
         tick = s.tick
         owner = self._forecaster_owner()
         demoted = type(owner.forecaster).__name__
-        owner.forecaster, s.live_origin = s.previous, s.previous_origin
-        s.previous = None
+        owner.forecaster, s.previous = s.previous, None
         self.runtime.request_replan()
         s.phase = IDLE
         s.promote_tick = None
@@ -620,29 +564,17 @@ class AdaptationManager:
             state[f.name] = _encode_value(getattr(self.machine, f.name))
         return state
 
-    def _skeleton(self, origin: "str | None", field_name: str) -> Any:
-        """An unloaded forecaster of the family and hyperparameters ``origin`` names."""
-        if origin is None:
-            return copy.deepcopy(self._forecaster_owner().forecaster)
-        name = origin.removeprefix("pool:")
-        if self.pool is None or name == origin or name not in self.pool.names():
-            raise ValueError(
-                f"adaptation.{field_name}: {origin!r} names no candidate of this "
-                "manager's model pool"
-            )
-        return self.pool.create(name)
-
     def load_state_dict(self, state: dict, model: "dict | None" = None) -> "AdaptationManager":
         """Replace :attr:`machine` with one captured by :meth:`state_dict`.
 
         ``model`` is the live forecaster's ``state_dict()`` as the
-        checkpoint carries it.  Call on a freshly built loop: a model of
-        origin None loads into (live) or a clone of (candidate, previous)
-        the forecaster the planner holds now, the configured one.  Every
-        model is built and loaded before anything is assigned, the live
-        one - the only load in place - last: a state that does not fit
-        its skeleton is a ValueError naming the field, with manager,
-        planner and forecaster as they were.
+        checkpoint carries it.  Call on a freshly built loop: the live
+        model loads into the forecaster the planner holds now, the
+        configured one, and the candidate and previous models into
+        clones of it.  The clones are loaded first and the live model -
+        the only load in place - last: a state that does not fit is a
+        ValueError naming the field, with manager, planner and
+        forecaster as they were.
         """
         version = state.get("version")
         if version != _STATE_VERSION:
@@ -658,17 +590,13 @@ class AdaptationManager:
             loaded.shadow_monitor = ModelHealthMonitor(
                 window=self.runtime.monitor.window
             ).load_state_dict(loaded.shadow_monitor)
-        owner = self._forecaster_owner()
-        live = owner.forecaster
-        if loaded.live_origin is not None:
-            live = self._skeleton(loaded.live_origin, "live_origin")
+        live = self._forecaster_owner().forecaster
         for role in ("candidate", "previous"):
-            record, origin = getattr(loaded, role), f"{role}_origin"
+            record = getattr(loaded, role)
             if record is not None:
-                skeleton = self._skeleton(getattr(loaded, origin), origin)
+                skeleton = copy.deepcopy(live)
                 setattr(loaded, role, _load_state(skeleton, record, f"adaptation.{role}"))
         if model is not None:
             _load_state(live, model, "model")
-        owner.forecaster = live
         self.machine = loaded
         return self

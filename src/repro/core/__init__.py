@@ -13,46 +13,36 @@ Layout mirrors Section III-C:
 """
 
 from .autoscaler import RobustPredictiveAutoscaler
-from .evaluation import RollingEvaluation, decision_points, evaluate_strategy
+from .evaluation import decision_points, evaluate_strategy
 from .manager import RobustAutoScalingManager
 from .optimizer import solve_closed_form, solve_lp, solve_with_ramp_limits
-from .plan import Planner, ProvisioningReport, ScalingPlan, evaluate_plan, required_nodes
-from .policies import (
-    FixedQuantilePolicy,
-    QuantilePolicy,
-    StaircasePolicy,
-    UncertaintyAwarePolicy,
-)
+from .plan import Planner, ScalingPlan, evaluate_plan, required_nodes
+from .policies import FixedQuantilePolicy, StaircasePolicy, UncertaintyAwarePolicy
 from .predictive import PointForecastScaler
-from .reactive import ReactiveAvgScaler, ReactiveMaxScaler, ReactiveScaler
-from .runtime import AutoscalingRuntime, Decision, RuntimeState, StepResult
+from .reactive import ReactiveAvgScaler, ReactiveMaxScaler
+from .runtime import AutoscalingRuntime, Decision, StepResult
 from .uncertainty import quantile_uncertainty
 
 __all__ = [
     "Planner",
     "ScalingPlan",
-    "ProvisioningReport",
     "required_nodes",
     "evaluate_plan",
     "solve_closed_form",
     "solve_lp",
     "solve_with_ramp_limits",
     "quantile_uncertainty",
-    "QuantilePolicy",
     "FixedQuantilePolicy",
     "UncertaintyAwarePolicy",
     "StaircasePolicy",
     "RobustAutoScalingManager",
     "RobustPredictiveAutoscaler",
     "PointForecastScaler",
-    "ReactiveScaler",
     "ReactiveMaxScaler",
     "ReactiveAvgScaler",
     "evaluate_strategy",
-    "RollingEvaluation",
     "decision_points",
     "AutoscalingRuntime",
     "Decision",
-    "RuntimeState",
     "StepResult",
 ]

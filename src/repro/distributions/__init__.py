@@ -1,7 +1,6 @@
 """Output distributions for probabilistic workload forecasting."""
 
-from .base import Distribution
 from .empirical import Empirical
 from .gaussian import Gaussian
 
-__all__ = ["Distribution", "Gaussian", "Empirical"]
+__all__ = ["Gaussian", "Empirical"]

@@ -1,34 +1,17 @@
 """Forecast evaluation metrics, reports, and backtesting (Section IV)."""
 
-from .backtest import BacktestResult, backtest
-from .chaos import ChaosReport, chaos_run, format_chaos_report
-from .metrics import (
-    calibration_table,
-    coverage,
-    mae,
-    mape,
-    mean_weighted_quantile_loss,
-    mse,
-    quantile_loss,
-    weighted_quantile_loss,
-)
-from .report import ForecastReport, evaluate_quantile_forecast, format_table
+from .backtest import backtest
+from .chaos import chaos_run, format_chaos_report
+from .metrics import coverage, mean_weighted_quantile_loss, weighted_quantile_loss
+from .report import evaluate_quantile_forecast, format_table
 
 __all__ = [
-    "quantile_loss",
     "weighted_quantile_loss",
     "mean_weighted_quantile_loss",
     "coverage",
-    "mse",
-    "mae",
-    "mape",
-    "calibration_table",
-    "ForecastReport",
     "evaluate_quantile_forecast",
     "format_table",
     "backtest",
-    "BacktestResult",
-    "ChaosReport",
     "chaos_run",
     "format_chaos_report",
 ]

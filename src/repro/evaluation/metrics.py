@@ -17,9 +17,6 @@ __all__ = [
     "mean_weighted_quantile_loss",
     "coverage",
     "mse",
-    "mae",
-    "mape",
-    "calibration_table",
 ]
 
 
@@ -95,37 +92,6 @@ def mse(target: np.ndarray, predicted: np.ndarray) -> float:
     target = np.asarray(target, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
     return float(((predicted - target) ** 2).mean())
-
-
-def mae(target: np.ndarray, predicted: np.ndarray) -> float:
-    """Mean absolute error of a point forecast."""
-    target = np.asarray(target, dtype=np.float64)
-    predicted = np.asarray(predicted, dtype=np.float64)
-    return float(np.abs(predicted - target).mean())
-
-
-def mape(target: np.ndarray, predicted: np.ndarray, eps: float = 1e-9) -> float:
-    """Mean absolute percentage error (targets near zero are epsilon-guarded)."""
-    target = np.asarray(target, dtype=np.float64)
-    predicted = np.asarray(predicted, dtype=np.float64)
-    return float((np.abs(predicted - target) / np.maximum(np.abs(target), eps)).mean())
-
-
-def calibration_table(
-    target: np.ndarray, quantile_forecasts: dict[float, np.ndarray]
-) -> dict[float, float]:
-    """Per-level coverage, for calibration diagnostics (Fig. 7 discussion).
-
-    Every key must be a valid quantile level in (0, 1) — these tables
-    feed the model-health monitors, where an out-of-range nominal level
-    would silently corrupt calibration error.
-    """
-    for tau in quantile_forecasts:
-        _check_tau(tau)
-    return {
-        tau: coverage(target, forecast)
-        for tau, forecast in sorted(quantile_forecasts.items())
-    }
 
 
 def _check_tau(tau: float) -> None:

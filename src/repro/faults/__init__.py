@@ -26,28 +26,8 @@ Quick start::
 """
 
 from .cluster import ClusterFaultInjector
-from .planner import FlakyPlanner, InjectedPlannerError, PlannerTimeoutError
-from .schedule import (
-    ALL_KINDS,
-    CLUSTER_KINDS,
-    PLANNER_KINDS,
-    TELEMETRY_KINDS,
-    FaultEvent,
-    FaultSchedule,
-)
-from .telemetry import TelemetryFaultInjector, corrupt_series
+from .planner import FlakyPlanner
+from .schedule import FaultSchedule
+from .telemetry import corrupt_series
 
-__all__ = [
-    "FaultEvent",
-    "FaultSchedule",
-    "TELEMETRY_KINDS",
-    "PLANNER_KINDS",
-    "CLUSTER_KINDS",
-    "ALL_KINDS",
-    "TelemetryFaultInjector",
-    "corrupt_series",
-    "FlakyPlanner",
-    "InjectedPlannerError",
-    "PlannerTimeoutError",
-    "ClusterFaultInjector",
-]
+__all__ = ["FaultSchedule", "corrupt_series", "FlakyPlanner", "ClusterFaultInjector"]

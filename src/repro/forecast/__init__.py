@@ -9,18 +9,18 @@ Two methodological families are implemented, matching Figure 3:
 
 Plus the evaluation baselines: :class:`ARIMAForecaster`,
 :class:`QB5000Forecaster`, :class:`TFTPointForecaster`, the
-:class:`PaddedPointForecaster` enhancement, and naive floors.
+:class:`PaddedPointForecaster` enhancement, and the seasonal-naive floor.
 """
 
 from .arima import ARIMAForecaster
-from .base import DEFAULT_QUANTILE_LEVELS, Forecaster, PointForecaster, QuantileForecast
+from .base import Forecaster, PointForecaster, QuantileForecast
 from .deepar import DeepARForecaster
-from .features import NUM_CALENDAR_FEATURES, calendar_features
+from .features import NUM_CALENDAR_FEATURES
 from .mlp import MLPForecaster
-from .naive import PersistenceForecaster, SeasonalNaiveForecaster
+from .naive import SeasonalNaiveForecaster
 from .neural import NeuralForecaster, TrainingConfig
-from .point import MedianPointAdapter, PaddedPointForecaster, TFTPointForecaster
-from .qb5000 import KernelRegressionForecaster, LinearRegressionForecaster, QB5000Forecaster
+from .point import PaddedPointForecaster, TFTPointForecaster
+from .qb5000 import QB5000Forecaster
 from .quantile_regression import MLPQuantileForecaster
 from .tft import TFTForecaster
 
@@ -28,7 +28,6 @@ __all__ = [
     "QuantileForecast",
     "Forecaster",
     "PointForecaster",
-    "DEFAULT_QUANTILE_LEVELS",
     "TrainingConfig",
     "NeuralForecaster",
     "ARIMAForecaster",
@@ -36,14 +35,9 @@ __all__ = [
     "DeepARForecaster",
     "TFTForecaster",
     "QB5000Forecaster",
-    "LinearRegressionForecaster",
-    "KernelRegressionForecaster",
     "MLPQuantileForecaster",
     "TFTPointForecaster",
-    "MedianPointAdapter",
     "PaddedPointForecaster",
     "SeasonalNaiveForecaster",
-    "PersistenceForecaster",
-    "calendar_features",
     "NUM_CALENDAR_FEATURES",
 ]

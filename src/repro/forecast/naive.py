@@ -1,6 +1,6 @@
-"""Naive baselines: persistence and seasonal-naive quantile forecasters.
+"""Naive baseline: the seasonal-naive quantile forecaster.
 
-Not evaluated in the paper's tables, but indispensable as sanity floors —
+Not evaluated in the paper's tables, but indispensable as a sanity floor —
 any learned model that loses to seasonal-naive on a seasonal trace is
 broken, and the test suite uses exactly that check.
 """
@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..distributions.gaussian import ndtri
 from ..nn.serialization import _encode_value
 from ..traces.synthetic import STEPS_PER_DAY
 from .base import Forecaster, QuantileForecast, _read_state
 
-__all__ = ["SeasonalNaiveForecaster", "PersistenceForecaster"]
+__all__ = ["SeasonalNaiveForecaster"]
 
 
 class SeasonalNaiveForecaster(Forecaster):
@@ -79,46 +78,3 @@ class SeasonalNaiveForecaster(Forecaster):
         offsets = np.quantile(self._residuals, levels)
         values = base[None, :] + offsets[:, None]
         return QuantileForecast(levels=np.array(levels), values=values, mean=base)
-
-
-class PersistenceForecaster(Forecaster):
-    """Repeat the last observed value; quantiles from one-step diffs.
-
-    Uncertainty widens with horizon like a random walk (sqrt scaling).
-    """
-
-    def __init__(self, horizon: int) -> None:
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        self.horizon = horizon
-        self._diff_std: float = 0.0
-
-    def fit(self, series: np.ndarray) -> "PersistenceForecaster":
-        series = np.asarray(series, dtype=np.float64)
-        if len(series) < 2:
-            raise ValueError("need at least 2 points")
-        self._diff_std = float(np.diff(series).std())
-        self._fitted = True
-        return self
-
-    def predict(
-        self,
-        context: np.ndarray,
-        levels: tuple[float, ...] | None = None,
-        start_index: int = 0,
-    ) -> QuantileForecast:
-        """Random-walk fan around the last value.
-
-        ``levels=None`` serves :attr:`default_levels`; any level in
-        (0, 1) is exact (parametric).  ``start_index`` is ignored —
-        persistence has no calendar features.
-        """
-        self._require_fitted()
-        last = float(np.asarray(context)[-1])
-        levels = self._resolve_levels(levels)
-        steps = np.arange(1, self.horizon + 1)
-        spread = self._diff_std * np.sqrt(steps)
-        values = last + ndtri(levels)[:, None] * spread
-        return QuantileForecast(
-            levels=np.array(levels), values=values, mean=np.full(self.horizon, last)
-        )

@@ -15,11 +15,11 @@ from collections import deque
 
 import numpy as np
 
-from .base import Forecaster, PointForecaster
+from .base import PointForecaster
 from .neural import TrainingConfig
 from .tft import TFTForecaster
 
-__all__ = ["TFTPointForecaster", "MedianPointAdapter", "PaddedPointForecaster"]
+__all__ = ["TFTPointForecaster", "PaddedPointForecaster"]
 
 
 class TFTPointForecaster(PointForecaster):
@@ -63,22 +63,6 @@ class TFTPointForecaster(PointForecaster):
     def predict_point(self, context: np.ndarray, start_index: int = 0) -> np.ndarray:
         self._require_fitted()
         return self._tft.predict(context, levels=(0.5,), start_index=start_index).values[0]
-
-
-class MedianPointAdapter(PointForecaster):
-    """Use any quantile forecaster's median as a point forecast."""
-
-    def __init__(self, forecaster: Forecaster) -> None:
-        self.forecaster = forecaster
-
-    def fit(self, series: np.ndarray) -> "MedianPointAdapter":
-        self.forecaster.fit(series)
-        self._fitted = True
-        return self
-
-    def predict_point(self, context: np.ndarray, start_index: int = 0) -> np.ndarray:
-        self._require_fitted()
-        return self.forecaster.predict(context, levels=(0.5,), start_index=start_index).values[0]
 
 
 class PaddedPointForecaster(PointForecaster):

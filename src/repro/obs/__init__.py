@@ -5,13 +5,14 @@ cost — is only demonstrable if the loop's behaviour is visible.  This
 package provides the monitoring substrate RobustScaler/OptScaler-style
 production autoscalers rely on, scaled down to a library:
 
-* :class:`MetricsRegistry` with :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` metrics and nested wall-clock ``span()`` timers;
-* pluggable sinks (:class:`InMemorySink`, :class:`JsonlSink`);
+* :class:`MetricsRegistry` with counter / gauge / histogram metrics
+  and nested wall-clock ``span()`` timers;
+* pluggable sinks (:mod:`repro.obs.sinks`; :class:`JsonlSink` writes
+  the stream ``report`` reads);
 * streaming **model-health monitors** (:mod:`repro.obs.monitor`):
   windowed quantile calibration, rolling wQL/MAPE, and residual drift
-  detection by one :class:`CUSUM`, the detector a matched-false-alarm
-  trial kept over Page-Hinkley;
+  detection by one :class:`~repro.obs.monitor.CUSUM`, the detector a
+  matched-false-alarm trial kept over Page-Hinkley;
 * one declarative **rule language** (:mod:`repro.obs.alerts`): alert
   rules and service-level objectives, which compile to rules of the
   same engine, firing structured alert events into the same stream;
@@ -41,69 +42,33 @@ Instrumented modules (``core.runtime``, ``simulator``, ``forecast``,
         obs.read_jsonl("run.jsonl"))))
 """
 
-from .alerts import (
-    Alert,
-    AlertEngine,
-    AlertRule,
-    SLOTracker,
-    default_rules,
-    degradation_rules,
-    parse_rule,
-    parse_slo,
-)
-from .monitor import CUSUM, DriftEvent, ModelHealthMonitor, WindowStats
-from .prometheus import (
-    PROMETHEUS_CONTENT_TYPE,
-    parse_exposition,
-    render_prometheus,
-)
-from .registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-    using_registry,
-)
+from .alerts import Alert, AlertEngine, SLOTracker, default_rules, parse_rule
+from .monitor import ModelHealthMonitor, WindowStats
+from .prometheus import PROMETHEUS_CONTENT_TYPE, parse_exposition, render_prometheus
+from .registry import Counter, MetricsRegistry, get_registry, using_registry
 from .report import (
-    DistributionSummary,
     ModelHealthSummary,
-    SpanSummary,
-    TelemetrySummary,
     format_model_health,
     format_summary,
     read_jsonl,
     summarize_model_health,
     summarize_records,
 )
-from .sinks import InMemorySink, JsonlSink, Sink
+from .sinks import JsonlSink
 from .trace import TraceCollector, render_trace_timeline
 
 __all__ = [
     "MetricsRegistry",
     "Counter",
-    "Gauge",
-    "Histogram",
     "get_registry",
-    "set_registry",
     "using_registry",
-    "Sink",
-    "InMemorySink",
     "JsonlSink",
     "ModelHealthMonitor",
-    "DriftEvent",
-    "CUSUM",
     "WindowStats",
     "Alert",
-    "AlertRule",
     "AlertEngine",
     "parse_rule",
     "default_rules",
-    "degradation_rules",
-    "TelemetrySummary",
-    "SpanSummary",
-    "DistributionSummary",
     "ModelHealthSummary",
     "summarize_records",
     "summarize_model_health",
@@ -111,7 +76,6 @@ __all__ = [
     "format_summary",
     "format_model_health",
     "SLOTracker",
-    "parse_slo",
     "TraceCollector",
     "render_trace_timeline",
     "render_prometheus",

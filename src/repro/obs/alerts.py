@@ -50,7 +50,7 @@ from .registry import get_registry
 
 __all__ = [
     "Alert", "AlertRule", "AlertEngine", "SLOTracker",
-    "parse_rule", "parse_slo", "default_rules", "degradation_rules",
+    "parse_rule", "parse_slo", "default_rules",
 ]
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -293,20 +293,6 @@ def default_rules(
         AlertRule("coverage", "<", coverage, level=nominal_level, for_windows=2),
         AlertRule("drift_events", ">", 0.0, severity="critical"),
         AlertRule("violation_rate", ">", 0.2, for_windows=2, severity="critical"),
-    ]
-
-
-def degradation_rules(max_degraded_rate: float = 0.5) -> list[AlertRule]:
-    """Rules on degraded intervals (planner failures served by the
-    reactive fallback, see
-    :meth:`~repro.obs.monitor.ModelHealthMonitor.observe_degraded`): any
-    in a window (warning), more than ``max_degraded_rate`` of it (critical).
-    """
-    if not 0.0 <= max_degraded_rate <= 1.0:
-        raise ValueError("max_degraded_rate must be in [0, 1]")
-    return [
-        AlertRule("degraded_intervals", ">", 0.0),
-        AlertRule("degraded_rate", ">", max_degraded_rate, severity="critical"),
     ]
 
 

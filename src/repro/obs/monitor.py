@@ -360,8 +360,8 @@ class ModelHealthMonitor:
         Degraded intervals carry no forecast quantiles, so they cannot
         feed calibration — but they must still advance the window and be
         visible to alerting: the per-window ``degraded_intervals`` /
-        ``degraded_rate`` fields count them, and rules from
-        :func:`~repro.obs.alerts.degradation_rules` fire on them.
+        ``degraded_rate`` fields count them, and rules such as
+        ``degraded_intervals > 0`` fire on them.
         """
         self._buf_indices.append(int(time_index))
         self._window_degraded += 1

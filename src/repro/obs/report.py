@@ -167,8 +167,8 @@ class ModelHealthSummary:
     records and drift events from
     :class:`~repro.obs.monitor.ModelHealthMonitor`, fired alerts from
     :class:`~repro.obs.alerts.AlertEngine`, model-swap transitions from
-    :class:`~repro.adaptation.AdaptationManager` (and its pool's failed
-    candidates), and per-decision provenance records from
+    :class:`~repro.adaptation.AdaptationManager`, and per-decision
+    provenance records from
     :class:`~repro.core.runtime.AutoscalingRuntime`.
     """
 
@@ -294,16 +294,11 @@ def format_model_health(
         lines.append("")
         lines.append("  adaptation timeline")
         for event in health.adaptation:
-            # Manager transitions carry tick/action/model/reason; a failed
-            # pool candidate has no tick of its own and names its error.
-            action = event.get("action") or str(event.get("name", "?")).removeprefix(
-                "adaptation."
-            )
             lines.append(
                 f"  t={event.get('tick', '-'):<6} "
-                f"{action:<22} "
-                f"{event.get('model') or event.get('candidate') or '-':<24} "
-                f"{event.get('reason') or event.get('error') or ''}".rstrip()
+                f"{event.get('action', '?'):<22} "
+                f"{event.get('model') or '-':<24} "
+                f"{event.get('reason') or ''}".rstrip()
             )
 
     if health.slos:

@@ -5,8 +5,8 @@ and scaling actions out, continuously.  This package wraps the batch
 :class:`~repro.core.runtime.AutoscalingRuntime` step API in an asyncio
 daemon with an operational surface:
 
-* :mod:`repro.service.sources` — pluggable telemetry tick sources
-  (in-memory generator, file tail, stdin JSONL);
+* :mod:`repro.service.sources` — telemetry tick sources (in-memory
+  generator, file tail);
 * :mod:`repro.service.daemon` — :class:`ServiceRuntime`, the event
   loop that steps the runtime per tick, re-plans on schedule or on
   health alert, and coordinates checkpoints;
@@ -33,28 +33,14 @@ from .checkpoint import (
     CHECKPOINT_VERSION, load_checkpoint, restore_from_checkpoint, save_checkpoint,
 )
 from .daemon import ServiceRuntime
-from .dashboard import render_dashboard, run_dashboard
-from .http import ControlPlane, HttpError, RawResponse
-from .sources import (
-    FileTailSource,
-    GeneratorSource,
-    StdinJsonlSource,
-    TelemetrySource,
-    parse_tick_line,
-)
+from .dashboard import run_dashboard
+from .sources import FileTailSource, GeneratorSource
 
 __all__ = [
     "ServiceRuntime",
-    "ControlPlane",
-    "HttpError",
-    "RawResponse",
-    "render_dashboard",
     "run_dashboard",
-    "TelemetrySource",
     "GeneratorSource",
     "FileTailSource",
-    "StdinJsonlSource",
-    "parse_tick_line",
     "CHECKPOINT_VERSION",
     "save_checkpoint",
     "load_checkpoint",

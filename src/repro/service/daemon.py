@@ -461,17 +461,15 @@ class ServiceRuntime:
     def _handle_refit(self, query: dict, body: Any) -> dict:
         manager = self._require_adaptation()
         body = body if isinstance(body, dict) else {}
-        strategy = body.get("strategy")
-        if strategy is not None and strategy not in ("warm", "pool"):
+        if "strategy" in body:
             raise HttpError(
-                400, f"strategy must be 'warm' or 'pool', got {strategy!r}"
+                400, "refit takes no strategy: it always refits a clone of the live model"
             )
+        force = body.get("force", False)
+        if not isinstance(force, bool):
+            raise HttpError(400, f"force must be a JSON boolean, got {force!r}")
         try:
-            return manager.refit(
-                reason=str(body.get("reason", "operator")),
-                strategy=strategy,
-                force=bool(body.get("force", False)),
-            )
+            return manager.refit(reason=str(body.get("reason", "operator")), force=force)
         except AdaptationError as error:
             raise HttpError(409, str(error))
 

@@ -1,19 +1,16 @@
 """Telemetry tick sources for the service runtime.
 
 A *source* is an async iterable of workload observations — one float
-per interval.  Three implementations cover the deployment shapes the
+per interval.  Two implementations cover the deployment shapes the
 daemon needs:
 
 * :class:`GeneratorSource` — an in-memory series (synthetic traces,
   tests, replays);
 * :class:`FileTailSource` — read a file of ticks, optionally following
-  it as a producer appends (the classic ``tail -f`` integration);
-* :class:`StdinJsonlSource` — consume ticks piped into the process.
+  it as a producer appends (the classic ``tail -f`` integration).
 
 Every source counts the ticks it has emitted (:attr:`position`) and
-supports :meth:`seek` to skip ticks already processed before a restore
-— for replayable sources (memory, file) this is a true random-access
-skip, for stdin it consumes and discards.
+supports :meth:`seek` to skip ticks already processed before a restore.
 
 Tick lines are either a bare number (``123.4``) or a JSON object with a
 ``value`` field (``{"value": 123.4}``); blank lines and ``#`` comments
@@ -24,7 +21,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import sys
 from pathlib import Path
 from typing import AsyncIterator, Iterable, Protocol, runtime_checkable
 
@@ -34,7 +30,6 @@ __all__ = [
     "TelemetrySource",
     "GeneratorSource",
     "FileTailSource",
-    "StdinJsonlSource",
     "parse_tick_line",
 ]
 
@@ -42,15 +37,16 @@ __all__ = [
 def parse_tick_line(line: str) -> float | None:
     """One tick from one line; None for blanks and comments.
 
-    Accepts a bare number or a JSON object carrying ``value``.  Raises
-    :class:`ValueError` for anything else — a malformed telemetry line
-    is an upstream bug, not something to silently drop (the runtime's
-    ``invalid_policy`` governs *semantically* bad values; this guards
-    the wire format).
+    Accepts a bare number or a JSON object whose ``value`` is a JSON
+    number.  Raises :class:`ValueError` for anything else — a malformed
+    telemetry line is an upstream bug, not something to silently drop
+    (the runtime's ``invalid_policy`` governs *semantically* bad values
+    such as NaN; this guards the wire format).
     """
     text = line.strip()
     if not text or text.startswith("#"):
         return None
+    number = text
     if text.startswith("{"):
         try:
             record = json.loads(text)
@@ -58,10 +54,13 @@ def parse_tick_line(line: str) -> float | None:
             raise ValueError(f"malformed telemetry line: {text!r}") from error
         if "value" not in record:
             raise ValueError(f"telemetry record missing 'value': {text!r}")
-        return float(record["value"])
+        number = record["value"]
+        # a JSON boolean is an int to Python; null, strings and lists are no number
+        if isinstance(number, bool) or not isinstance(number, (int, float)):
+            raise ValueError(f"malformed telemetry line: {text!r}")
     try:
-        return float(text)
-    except ValueError as error:
+        return float(number)
+    except (ValueError, OverflowError) as error:
         raise ValueError(f"malformed telemetry line: {text!r}") from error
 
 
@@ -179,44 +178,3 @@ class FileTailSource:
                     continue
                 self._position += 1
                 yield value
-
-
-class StdinJsonlSource:
-    """Consume ticks piped to the process on stdin.
-
-    Blocking reads happen in the default executor so the event loop
-    (and the HTTP control plane on it) stays responsive.  ``seek``
-    consumes and discards — stdin cannot rewind, so a restore against a
-    stdin source expects the producer to resend the full stream.
-    """
-
-    def __init__(self, stream=None) -> None:
-        self.stream = stream if stream is not None else sys.stdin
-        self._position = 0
-        self._skip = 0
-
-    @property
-    def position(self) -> int:
-        return self._position
-
-    def seek(self, position: int) -> None:
-        if position < 0:
-            raise ValueError("seek position must be >= 0")
-        self._skip = int(position)
-        self._position = int(position)
-
-    async def ticks(self) -> AsyncIterator[float]:
-        loop = asyncio.get_running_loop()
-        skipped = 0
-        while True:
-            line = await loop.run_in_executor(None, self.stream.readline)
-            if not line:
-                return
-            value = parse_tick_line(line)
-            if value is None:
-                continue
-            if skipped < self._skip:
-                skipped += 1
-                continue
-            self._position += 1
-            yield value

@@ -7,24 +7,17 @@ plans are replayed against actual workload traces.
 """
 
 from .cluster import DisaggregatedCluster
-from .engine import Event, EventQueue, Simulation
-from .node import ComputeNode, NodeState
-from .qos import MMcQueue, QoSReport, evaluate_qos
-from .replay import IntervalOutcome, ReplayResult, replay_plan
+from .engine import Event, Simulation
+from .qos import MMcQueue, evaluate_qos
+from .replay import replay_plan
 from .storage import SharedStorage
 
 __all__ = [
     "Simulation",
     "Event",
-    "EventQueue",
     "SharedStorage",
-    "ComputeNode",
-    "NodeState",
     "DisaggregatedCluster",
     "replay_plan",
-    "ReplayResult",
-    "IntervalOutcome",
     "MMcQueue",
-    "QoSReport",
     "evaluate_qos",
 ]

@@ -1,45 +1,24 @@
 """Workload traces: synthetic generators, real-format loaders, containers."""
 
-from .alibaba import alibaba_like_trace, alibaba_workload_model, load_machine_usage_csv
+from .alibaba import alibaba_like_trace, load_machine_usage_csv
 from .anomalies import (
     inject_flash_crowd,
     inject_level_shift,
     inject_noise_burst,
     inject_outage_dip,
 )
-from .dataset import DEFAULT_INTERVAL_SECONDS, StandardScaler, Trace, aggregate
-from .google import google_like_trace, google_workload_model, load_task_usage_csv
-from .synthetic import (
-    STEPS_PER_DAY,
-    STEPS_PER_WEEK,
-    BurstComponent,
-    NoiseComponent,
-    RegimeSwitchComponent,
-    SeasonalComponent,
-    SpikeComponent,
-    SyntheticWorkload,
-    TrendComponent,
-)
+from .dataset import StandardScaler, Trace
+from .google import google_like_trace, load_task_usage_csv
+from .synthetic import STEPS_PER_DAY, STEPS_PER_WEEK
 
 __all__ = [
     "Trace",
     "StandardScaler",
-    "aggregate",
-    "DEFAULT_INTERVAL_SECONDS",
     "STEPS_PER_DAY",
     "STEPS_PER_WEEK",
-    "SyntheticWorkload",
-    "SeasonalComponent",
-    "TrendComponent",
-    "NoiseComponent",
-    "BurstComponent",
-    "SpikeComponent",
-    "RegimeSwitchComponent",
     "alibaba_like_trace",
-    "alibaba_workload_model",
     "load_machine_usage_csv",
     "google_like_trace",
-    "google_workload_model",
     "load_task_usage_csv",
     "inject_level_shift",
     "inject_flash_crowd",

@@ -55,13 +55,6 @@ class FakeForecaster:
         return QuantileForecast(levels=levels, values=values)
 
 
-class BrokenForecaster(FakeForecaster):
-    """Pool candidate that always fails to fit."""
-
-    def fit(self, series):
-        raise ValueError("broken candidate")
-
-
 class BadForecaster(FakeForecaster):
     """Fits to a fixed absurd level — the injectable bad candidate."""
 

@@ -5,20 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.adaptation import (
-    GUARDING,
-    IDLE,
-    SHADOWING,
-    AdaptationError,
-    AdaptationManager,
-    ModelPool,
-    PromotionPolicy,
-)
+from repro.adaptation import SHADOWING, AdaptationError, AdaptationManager
+from repro.adaptation.promotion import GUARDING, IDLE, PromotionPolicy
 from repro.core import AutoscalingRuntime
 
 from tests.adaptation.doubles import (
     BadForecaster,
-    BrokenForecaster,
     FakeForecaster,
     FakePlanner,
     drive,
@@ -75,9 +67,6 @@ class TestConstruction:
 
         with pytest.raises(ValueError, match=r"Stateless does not implement state_dict\(\)"):
             AdaptationManager(make_runtime(Stateless()))
-        pool = ModelPool({"fake": FakeForecaster, "stateless": Stateless})
-        with pytest.raises(ValueError, match="pool candidate 'stateless'"):
-            AdaptationManager(make_runtime(fitted_fake()), pool=pool)
 
     def test_starts_idle(self):
         manager = make_manager(make_runtime(fitted_fake()))
@@ -121,13 +110,14 @@ class TestRefit:
         assert manager.refits == 2
 
     def test_invalid_strategy_rejected(self):
+        # a refit always clones the live model: no strategy is accepted
         runtime = make_runtime(fitted_fake())
         manager = make_manager(runtime)
         drive(runtime, manager, np.full(20, STABLE))
-        with pytest.raises(ValueError, match="strategy"):
-            manager.refit(strategy="bogus")
-        with pytest.raises(AdaptationError, match="pool"):
-            manager.refit(strategy="pool")
+        for strategy in ("warm", "pool"):
+            with pytest.raises(TypeError, match="strategy"):
+                manager.refit(strategy=strategy)
+        assert manager.state == IDLE and manager.refits == 0
 
     def test_invalid_transitions_raise(self):
         runtime = make_runtime(fitted_fake())
@@ -180,13 +170,13 @@ class TestPromotionFlow:
 
     def test_report_renders_the_recorded_transitions_as_a_timeline(self):
         from repro.obs import (
-            InMemorySink,
             MetricsRegistry,
             format_model_health,
             summarize_model_health,
             summarize_records,
             using_registry,
         )
+        from repro.obs.sinks import InMemorySink
 
         sink = InMemorySink()
         registry = MetricsRegistry(sinks=[sink])
@@ -380,24 +370,6 @@ class TestAutoRefit:
         assert manager.refits == refits_after_reject
 
 
-class TestPoolStrategy:
-    def test_pool_reselection_becomes_the_candidate(self):
-        pool = ModelPool(
-            {
-                "biased": lambda: FakeForecaster(spread=2000.0),
-                "tracking": lambda: FakeForecaster(),
-            }
-        )
-        runtime = make_runtime(fitted_fake())
-        manager = make_manager(runtime, pool=pool)
-        drive(runtime, manager, np.full(30, STABLE))
-        event = manager.refit()  # default strategy becomes "pool"
-        assert event["strategy"] == "pool"
-        assert event["mode"] == "pool:tracking"
-        assert set(event["scores"]) == {"biased", "tracking"}
-        assert manager.candidate.spread == 20.0
-
-
 class TestStatusAndCheckpoint:
     def shadowing_manager(self):
         runtime = make_runtime(fitted_fake(), record_provenance=True)
@@ -554,56 +526,41 @@ class TestStatusAndCheckpoint:
         assert not fresh.history and not fresh.events
         assert fresh_runtime.planner.forecaster.network is None  # the live load is last
 
-    def pool_loop(self, pool):
-        runtime = make_runtime(fitted_fake(), rules=("mean_wql > 0.5",))
-        return runtime, make_manager(
-            runtime, pool=pool, auto_refit=False, policy=PromotionPolicy(guard_windows=3)
-        )
-
-    def test_a_promoted_pool_family_restores_from_its_factory(self, tmp_path):
-        """The live model's family is state once a pool candidate was promoted:
-        the configured forecaster is the skeleton of ``previous``, not of it."""
-        from repro.service import restore_from_checkpoint, save_checkpoint
-
-        factories = {"wide": lambda: FakeForecaster(spread=60.0, tail=3)}
-        runtime, manager = self.pool_loop(ModelPool(factories))
-        drive(runtime, manager, np.full(30, STABLE))
-        drive(runtime, manager, np.full(8, SHIFTED))
-        assert manager.refit(reason="test")["mode"] == "pool:wide"
-        manager.promote(reason="test")
-        drive(runtime, manager, np.full(3, SHIFTED))
-        ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime, adaptation=manager)
-
-        fresh_runtime, fresh = self.pool_loop(ModelPool(factories))
-        configured = fresh_runtime.planner.forecaster
-        restore_from_checkpoint(ckpt, runtime=fresh_runtime, adaptation=fresh)
-        live = fresh_runtime.planner.forecaster
-        assert live is not configured and (live.spread, live.tail) == (60.0, 3)
-        assert (fresh.previous.spread, fresh.previous.center) == (20.0, STABLE)
-        assert fresh.state_dict() == manager.state_dict()
-        # the guard commits on both sides; a refit that clones the promoted
-        # family keeps its origin
-        for loop in ((runtime, manager), (fresh_runtime, fresh)):
-            drive(*loop, np.full(45, SHIFTED))
-            assert loop[1].state == IDLE and loop[1].previous is None
-            loop[1].refit(reason="test", strategy="warm")
-        assert fresh.events == manager.events
-        assert fresh.state_dict() == manager.state_dict()
-        assert fresh.candidate_origin == "pool:wide" and fresh.candidate.spread == 60.0
-
-        # ... and without that factory the checkpoint is refused, naming the field
-        for pool in (None, ModelPool({"narrow": FakeForecaster})):
-            bare_runtime, bare = self.pool_loop(pool)
-            with pytest.raises(ValueError, match=r"adaptation\.live_origin: 'pool:wide'"):
-                restore_from_checkpoint(ckpt, runtime=bare_runtime, adaptation=bare)
-            assert bare_runtime.tick == bare_runtime.start_tick and bare.state == IDLE
-
     def test_version_mismatch_rejected(self):
         _, manager = self.shadowing_manager()
         state = manager.state_dict()
         state["version"] = 99
         with pytest.raises(ValueError, match="version"):
             manager.load_state_dict(state)
+
+    def test_a_version_4_state_is_refused_and_leaves_the_loop_untouched(self, tmp_path):
+        """Version 4 named each model's origin (``live_origin`` ...); version 5
+        holds only clones of the configured forecaster and refuses it whole."""
+        from repro.service import restore_from_checkpoint, save_checkpoint
+
+        runtime, manager = self.shadowing_manager()
+        ckpt = save_checkpoint(tmp_path / "ckpt", runtime=runtime, adaptation=manager)
+        state = json.loads((ckpt / "state.json").read_text())
+        state["adaptation"].update(
+            version=4, live_origin="pool:wide", candidate_origin=None, previous_origin=None
+        )
+        (ckpt / "state.json").write_text(json.dumps(state))
+
+        fresh_runtime = make_runtime(fitted_fake(level=SHIFTED), record_provenance=True)
+        fresh = make_manager(fresh_runtime)
+        configured = fresh_runtime.planner.forecaster
+        for restore in (
+            lambda: fresh.load_state_dict(state["adaptation"], model=state["model"]),
+            lambda: restore_from_checkpoint(ckpt, runtime=fresh_runtime, adaptation=fresh),
+        ):
+            with pytest.raises(ValueError, match="unsupported adaptation state version 4"):
+                restore()
+            assert fresh_runtime.planner.forecaster is configured
+            assert configured.center == SHIFTED
+            assert fresh_runtime.tick == fresh_runtime.start_tick
+            assert not fresh_runtime.decisions
+            assert fresh.state == IDLE and fresh.candidate is None
+            assert not fresh.history and not fresh.events
 
 
 class TestServingCopyAcrossSwaps:

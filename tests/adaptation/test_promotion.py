@@ -4,10 +4,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.adaptation import (
+from repro.adaptation import SHADOWING
+from repro.adaptation.promotion import (
     GUARDING,
     IDLE,
-    SHADOWING,
     STATES,
     PromotionPolicy,
     parse_promotion_policy,

@@ -22,7 +22,7 @@ from repro.core import (
     RobustPredictiveAutoscaler,
 )
 from repro.forecast import SeasonalNaiveForecaster
-from repro.forecast.point import MedianPointAdapter
+from repro.forecast.qb5000 import LinearRegressionForecaster
 
 SEASON = 12
 HORIZON = 6
@@ -43,8 +43,7 @@ def shipped_planners() -> list:
         naive, THRESHOLD, FixedQuantilePolicy(0.9)
     ).fit(series)
     point = PointForecastScaler(
-        MedianPointAdapter(SeasonalNaiveForecaster(HORIZON, season=SEASON)).fit(series),
-        THRESHOLD,
+        LinearRegressionForecaster(SEASON, HORIZON).fit(series), THRESHOLD
     )
     reactive_max = ReactiveMaxScaler(window=4, threshold=THRESHOLD, horizon=HORIZON)
     reactive_avg = ReactiveAvgScaler(window=4, threshold=THRESHOLD, horizon=HORIZON)

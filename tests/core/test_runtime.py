@@ -222,7 +222,8 @@ class TestProvenance:
         assert record["nodes_first"] == 10
 
     def test_records_flow_to_sinks_without_record_provenance(self):
-        from repro.obs import InMemorySink, MetricsRegistry, using_registry
+        from repro.obs import MetricsRegistry, using_registry
+        from repro.obs.sinks import InMemorySink
 
         series = np.full(20, 300.0)
         sink = InMemorySink()
@@ -288,12 +289,8 @@ class TestMonitorFeed:
 
 class TestTelemetry:
     def test_runtime_emits_counters_spans_and_gauge(self):
-        from repro.obs import (
-            InMemorySink,
-            MetricsRegistry,
-            summarize_records,
-            using_registry,
-        )
+        from repro.obs import MetricsRegistry, summarize_records, using_registry
+        from repro.obs.sinks import InMemorySink
 
         series = np.full(20, 300.0)
         sink = InMemorySink()

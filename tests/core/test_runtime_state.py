@@ -5,9 +5,11 @@ import json
 
 import numpy as np
 
-from repro.core import AutoscalingRuntime, RuntimeState, ScalingPlan
+from repro.core import AutoscalingRuntime, ScalingPlan
+from repro.core.runtime import RuntimeState
 from repro.core.plan import required_nodes
-from repro.obs import InMemorySink, MetricsRegistry, using_registry
+from repro.obs import MetricsRegistry, using_registry
+from repro.obs.sinks import InMemorySink
 
 
 class RecordedPlanner:

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from repro.evaluation import (
-    ForecastReport,
-    calibration_table,
     coverage,
     evaluate_quantile_forecast,
     format_table,
-    mae,
-    mape,
     mean_weighted_quantile_loss,
-    mse,
-    quantile_loss,
     weighted_quantile_loss,
 )
+from repro.evaluation.metrics import mse, quantile_loss
+from repro.evaluation.report import ForecastReport
 
 
 class TestQuantileLoss:
@@ -123,30 +119,6 @@ class TestPointMetrics:
     def test_mse(self):
         assert mse(np.array([0.0, 0.0]), np.array([1.0, 3.0])) == pytest.approx(5.0)
 
-    def test_mae(self):
-        assert mae(np.array([0.0, 0.0]), np.array([1.0, -3.0])) == pytest.approx(2.0)
-
-    def test_mape(self):
-        assert mape(np.array([10.0]), np.array([11.0])) == pytest.approx(0.1)
-
-    def test_calibration_table_sorted(self):
-        y = np.zeros(4)
-        table = calibration_table(
-            y, {0.9: np.ones(4), 0.5: np.array([1.0, -1.0, 1.0, -1.0])}
-        )
-        assert list(table) == [0.5, 0.9]
-        assert table[0.9] == 1.0
-        assert table[0.5] == 0.5
-
-    def test_calibration_table_rejects_tau_outside_unit_interval(self):
-        y = np.zeros(4)
-        for bad_tau in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError, match=r"quantile level"):
-                calibration_table(y, {bad_tau: np.ones(4)})
-
-    def test_calibration_table_rejects_empty_target(self):
-        with pytest.raises(ValueError):
-            calibration_table(np.array([]), {0.5: np.array([])})
 
 
 class TestReport:

@@ -221,12 +221,8 @@ def test_backtest_repeated_parallel_calls_stay_deterministic(fitted):
 
 
 def _traced_run(forecaster, test_values, n_jobs):
-    from repro.obs import (
-        InMemorySink,
-        MetricsRegistry,
-        TraceCollector,
-        using_registry,
-    )
+    from repro.obs import MetricsRegistry, TraceCollector, using_registry
+    from repro.obs.sinks import InMemorySink
 
     registry = MetricsRegistry(sinks=[InMemorySink()])
     collector = TraceCollector()

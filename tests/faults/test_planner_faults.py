@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import ScalingPlan
-from repro.faults import (
-    FaultSchedule,
-    FlakyPlanner,
-    InjectedPlannerError,
-    PlannerTimeoutError,
-)
+from repro.faults import FaultSchedule, FlakyPlanner
+from repro.faults.planner import InjectedPlannerError, PlannerTimeoutError
 
 
 class StubPlanner:

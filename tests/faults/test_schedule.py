@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import (
+from repro.faults import FaultSchedule
+from repro.faults.schedule import (
     ALL_KINDS,
     CLUSTER_KINDS,
     PLANNER_KINDS,
     TELEMETRY_KINDS,
     FaultEvent,
-    FaultSchedule,
 )
 
 

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from repro.faults import FaultSchedule, TelemetryFaultInjector, corrupt_series
+from repro.faults import FaultSchedule, corrupt_series
+from repro.faults.telemetry import TelemetryFaultInjector
 
 
 class TestInjector:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.forecast import NUM_CALENDAR_FEATURES, TrainingConfig, calendar_features
+from repro.forecast import NUM_CALENDAR_FEATURES, TrainingConfig
+from repro.forecast.features import calendar_features
 from repro.forecast.neural import NeuralForecaster
 from repro.traces import STEPS_PER_DAY, STEPS_PER_WEEK
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.forecast import ARIMAForecaster, PersistenceForecaster, SeasonalNaiveForecaster
+from repro.forecast import ARIMAForecaster, SeasonalNaiveForecaster
 
 from .conftest import SEASON
 
@@ -42,19 +42,6 @@ class TestSeasonalNaive:
     def test_short_series_raises(self):
         with pytest.raises(ValueError):
             SeasonalNaiveForecaster(horizon=4, season=100).fit(np.ones(50))
-
-
-class TestPersistence:
-    def test_repeats_last_value(self, seasonal_series):
-        f = PersistenceForecaster(horizon=5).fit(seasonal_series)
-        fc = f.predict(seasonal_series[:100])
-        np.testing.assert_array_equal(fc.mean, np.full(5, seasonal_series[99]))
-
-    def test_uncertainty_grows_with_horizon(self, seasonal_series):
-        f = PersistenceForecaster(horizon=10).fit(seasonal_series)
-        fc = f.predict(seasonal_series[:100], levels=(0.1, 0.9))
-        width = fc.at(0.9) - fc.at(0.1)
-        assert np.all(np.diff(width) > 0)
 
 
 class TestARIMA:

@@ -16,7 +16,6 @@ from repro.forecast import (
     TFTForecaster,
     TFTPointForecaster,
     TrainingConfig,
-    MedianPointAdapter,
 )
 from repro.forecast.qb5000 import KernelRegressionForecaster, LinearRegressionForecaster
 
@@ -187,15 +186,6 @@ class TestPointAdapters:
         pred = f.predict_point(seasonal_series[-CTX:])
         assert pred.shape == (HOR,)
         assert f._tft.quantile_levels == (0.5,)
-
-    def test_median_adapter(self, seasonal_series, tiny_config):
-        base = MLPForecaster(CTX, HOR, hidden_size=8, config=tiny_config)
-        adapter = MedianPointAdapter(base).fit(seasonal_series)
-        pred = adapter.predict_point(seasonal_series[-CTX:])
-        np.testing.assert_allclose(
-            pred, base.predict(seasonal_series[-CTX:], levels=(0.5,)).values[0]
-        )
-
 
 class TestPadding:
     """The padding learns from the context of its next forecast: a context

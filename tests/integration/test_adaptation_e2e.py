@@ -22,12 +22,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.adaptation import (
-    IDLE,
-    SHADOWING,
-    AdaptationManager,
-    PromotionPolicy,
-)
+from repro.adaptation import SHADOWING, AdaptationManager
+from repro.adaptation.promotion import IDLE, PromotionPolicy
 from repro.core import AutoscalingRuntime
 from repro.core.autoscaler import RobustPredictiveAutoscaler
 from repro.forecast.mlp import MLPForecaster

@@ -22,7 +22,7 @@ from repro import (
     evaluate_strategy,
 )
 from repro.core import decision_points, solve_with_ramp_limits
-from repro.forecast import LinearRegressionForecaster
+from repro.forecast.qb5000 import LinearRegressionForecaster
 from repro.simulator import SharedStorage, replay_plan
 
 CTX = HOR = 36

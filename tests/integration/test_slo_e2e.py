@@ -29,8 +29,8 @@ from repro.obs import (
     TraceCollector,
     parse_exposition,
     render_trace_timeline,
-    set_registry,
 )
+from repro.obs.registry import set_registry
 from repro.service import GeneratorSource, ServiceRuntime, run_dashboard
 
 QUIET, SHIFTED = 30.0, 300.0

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from repro.obs import (
     Alert,
     AlertEngine,
-    AlertRule,
-    InMemorySink,
     MetricsRegistry,
     default_rules,
     parse_rule,
     using_registry,
 )
+from repro.obs.alerts import AlertRule
+from repro.obs.sinks import InMemorySink
 
 
 def window_record(**overrides):

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.obs import (
-    InMemorySink,
-    MetricsRegistry,
     PROMETHEUS_CONTENT_TYPE,
+    MetricsRegistry,
     parse_exposition,
     render_prometheus,
     using_registry,
 )
+from repro.obs.sinks import InMemorySink
 
 
 def live_snapshot():

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.obs import (
-    InMemorySink,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-    using_registry,
-)
+from repro.obs import MetricsRegistry, get_registry, using_registry
+from repro.obs.registry import set_registry
+from repro.obs.sinks import InMemorySink
 
 
 class TestCounter:

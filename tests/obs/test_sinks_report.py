@@ -10,10 +10,8 @@ import numpy as np
 import pytest
 
 from repro.obs import (
-    InMemorySink,
     JsonlSink,
     MetricsRegistry,
-    Sink,
     TraceCollector,
     format_model_health,
     format_summary,
@@ -21,6 +19,7 @@ from repro.obs import (
     summarize_model_health,
     summarize_records,
 )
+from repro.obs.sinks import InMemorySink, Sink
 
 
 class TestInMemorySink:
@@ -379,24 +378,6 @@ class TestModelHealthSummary:
         assert len(health.drifts) == 1
         assert len(health.alerts) == 1
         assert len(health.provenance) == 1
-
-    def test_failed_pool_candidate_joins_the_adaptation_timeline(self):
-        stream = health_stream() + [
-            {
-                "kind": "adaptation",
-                "name": "adaptation.pool_candidate_failed",
-                "labels": {},
-                "candidate": "naive",
-                "error": "series too short",
-            }
-        ]
-        assert summarize_records(stream).unknown_kinds == {}
-        text = format_model_health(summarize_model_health(stream))
-        (line,) = [l for l in text.splitlines() if "pool_candidate_failed" in l]
-        assert line.split() == [
-            "t=-", "pool_candidate_failed", "naive", "series", "too", "short"
-        ]
-        assert text.index("alerts") < text.index("adaptation timeline")
 
     def test_falsy_when_stream_has_no_health_records(self):
         assert not summarize_model_health(

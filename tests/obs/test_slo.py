@@ -4,16 +4,9 @@ import time
 
 import pytest
 
-from repro.obs import (
-    AlertEngine,
-    AlertRule,
-    InMemorySink,
-    MetricsRegistry,
-    ModelHealthMonitor,
-    SLOTracker,
-    parse_slo,
-    using_registry,
-)
+from repro.obs import AlertEngine, MetricsRegistry, ModelHealthMonitor, SLOTracker, using_registry
+from repro.obs.alerts import AlertRule, parse_slo
+from repro.obs.sinks import InMemorySink
 
 GRAMMAR = "'<metric>[@level] <op> <number>[ms|s] [for N] [over T]'"
 

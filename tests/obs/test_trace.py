@@ -5,7 +5,6 @@ import time
 import pytest
 
 from repro.obs import (
-    InMemorySink,
     MetricsRegistry,
     TraceCollector,
     format_summary,
@@ -13,6 +12,7 @@ from repro.obs import (
     summarize_records,
     using_registry,
 )
+from repro.obs.sinks import InMemorySink
 
 
 class TestLifecycle:

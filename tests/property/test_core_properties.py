@@ -225,7 +225,7 @@ class TestMetricProperties:
         st.floats(0.05, 0.95),
     )
     def test_quantile_loss_non_negative(self, y, pred, tau):
-        from repro.evaluation import quantile_loss
+        from repro.evaluation.metrics import quantile_loss
 
         assert quantile_loss(y, pred, tau) >= 0.0
 
@@ -234,7 +234,7 @@ class TestMetricProperties:
         st.floats(0.05, 0.95),
     )
     def test_quantile_loss_zero_iff_exact(self, y, tau):
-        from repro.evaluation import quantile_loss
+        from repro.evaluation.metrics import quantile_loss
 
         assert quantile_loss(y, y, tau) == 0.0
 

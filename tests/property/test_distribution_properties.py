@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from repro.distributions import Empirical, Gaussian
-from repro.forecast import ARIMAForecaster, PersistenceForecaster, QuantileForecast
+from repro.forecast import ARIMAForecaster, QuantileForecast
 
 HORIZON = 6
 
@@ -53,9 +53,6 @@ class TestQuantilesMatchPerLevelReference:
         assert Gaussian(1.0, 2.0).quantiles([0.1, 0.5, 0.9]).shape == (3,)
 
 
-series = arrays(np.float64, st.just(80), elements=st.floats(10.0, 2000.0))
-
-
 class TestLogProbMatchesScipyStats:
     """The closed form that keeps ``scipy.stats`` out of ``import repro``.
 
@@ -75,17 +72,6 @@ class TestLogProbMatchesScipyStats:
 
 
 class TestGaussianFanForecastersMatchPerLevelReference:
-    @settings(max_examples=50, deadline=None)
-    @given(series, levels)
-    def test_persistence(self, values, levels):
-        model = PersistenceForecaster(HORIZON).fit(values)
-        forecast = model.predict(values[-10:], levels=tuple(levels))
-        spread = model._diff_std * np.sqrt(np.arange(1, HORIZON + 1))
-        reference = np.stack(
-            [values[-1] + stats.norm.ppf(tau) * spread for tau in sorted(levels)]
-        )
-        np.testing.assert_array_equal(forecast.values, reference)
-
     def test_arima(self):
         rng = np.random.default_rng(0)
         values = 500.0 + np.cumsum(rng.normal(0.0, 5.0, 300))

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from repro.core import AutoscalingRuntime, ScalingPlan
 from repro.core.plan import required_nodes
-from repro.faults import FaultEvent, FaultSchedule, FlakyPlanner, corrupt_series
+from repro.faults import FaultSchedule, FlakyPlanner, corrupt_series
+from repro.faults.schedule import FaultEvent
 
 CONTEXT, HORIZON, START = 8, 6, 500
 MAX_KILL, TAIL = 150, 100

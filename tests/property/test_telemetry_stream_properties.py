@@ -15,12 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import (
-    InMemorySink,
-    MetricsRegistry,
-    TraceCollector,
-    summarize_records,
-)
+from repro.obs import MetricsRegistry, TraceCollector, summarize_records
+from repro.obs.sinks import InMemorySink
 
 NAMES = ("a", "b", "c")
 finite = st.floats(-1e9, 1e9)

@@ -407,7 +407,8 @@ class TestDamagedCheckpoints:
         """Weights keep their dtype: a float64 array where the TFT skeleton has a
         float32 parameter is named and refused - never narrowed - before the
         runtime, the monitor or the adaptation manager is touched."""
-        from repro.adaptation import AdaptationManager, PromotionPolicy
+        from repro.adaptation import AdaptationManager
+        from repro.adaptation.promotion import PromotionPolicy
         from repro.nn.serialization import _decode_value, _encode_value
         from tests.adaptation.doubles import drive, make_runtime
         from tests.forecast.test_serving_copy import build

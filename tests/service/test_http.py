@@ -8,9 +8,12 @@ import time
 import numpy as np
 import pytest
 
+from repro.adaptation import AdaptationManager
 from repro.core import AutoscalingRuntime, ScalingPlan
 from repro.core.plan import required_nodes
 from repro.service import GeneratorSource, ServiceRuntime
+
+from tests.adaptation.doubles import FakeForecaster, make_runtime
 
 
 class QuantilePlanner:
@@ -101,6 +104,21 @@ def cold():
     )
     service = ServiceRuntime(runtime, GeneratorSource([]), linger=60.0)
     thread = start_service(service)
+    yield service
+    service.request_stop()
+    thread.join(timeout=10)
+
+
+@pytest.fixture(scope="module")
+def adapting():
+    """A service with an idle adaptation manager and enough history to refit."""
+    runtime = make_runtime(FakeForecaster().fit(np.full(20, 100.0)))
+    manager = AdaptationManager(runtime, auto_refit=False)
+    service = ServiceRuntime(
+        runtime, GeneratorSource(np.full(30, 100.0)), adaptation=manager, linger=60.0
+    )
+    thread = start_service(service)
+    wait_for_ticks(service.port, 30)
     yield service
     service.request_stop()
     thread.join(timeout=10)
@@ -201,6 +219,36 @@ class TestCheckpoint:
                                   body="{not json")
         assert status == 400
         assert "JSON" in payload["error"]
+
+
+class TestRefit:
+    def test_a_body_naming_a_strategy_is_400(self, adapting):
+        manager = adapting.adaptation
+        refits = manager.refits
+        for strategy in ("warm", "pool", None):
+            status, payload = request(
+                adapting.port, "POST", "/refit", body={"strategy": strategy}
+            )
+            assert status == 400
+            assert "refit takes no strategy" in payload["error"]
+        assert manager.refits == refits
+
+    def test_force_must_be_a_json_boolean(self, adapting):
+        manager = adapting.adaptation
+        status, payload = request(adapting.port, "POST", "/refit", body={"reason": "test"})
+        assert status == 200 and payload["action"] == "refit"
+        candidate, rejections = manager.candidate, manager.rejections
+        for force in ("false", "true", 1, 0, None):
+            status, payload = request(adapting.port, "POST", "/refit", body={"force": force})
+            assert status == 400
+            assert "force must be a JSON boolean" in payload["error"]
+        assert manager.candidate is candidate and manager.rejections == rejections
+        status, _ = request(adapting.port, "POST", "/refit", body={"force": False})
+        assert status == 409  # already shadowing
+        status, _ = request(adapting.port, "POST", "/refit", body={"force": True})
+        assert status == 200
+        assert manager.candidate is not candidate
+        assert manager.rejections == rejections + 1
 
 
 class TestRouting:

@@ -12,7 +12,6 @@ from repro.core import AutoscalingRuntime, ScalingPlan
 from repro.core.plan import required_nodes
 from repro.obs import (
     AlertEngine,
-    InMemorySink,
     JsonlSink,
     MetricsRegistry,
     ModelHealthMonitor,
@@ -22,7 +21,9 @@ from repro.obs import (
     summarize_records,
     using_registry,
 )
-from repro.service import GeneratorSource, ServiceRuntime, render_dashboard
+from repro.obs.sinks import InMemorySink
+from repro.service import GeneratorSource, ServiceRuntime
+from repro.service.dashboard import render_dashboard
 from repro.service.dashboard import sparkline
 
 

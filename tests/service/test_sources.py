@@ -1,17 +1,12 @@
 """Tests for telemetry tick sources and the wire format."""
 
 import asyncio
-import io
+import math
 
 import pytest
 
-from repro.service import (
-    FileTailSource,
-    GeneratorSource,
-    StdinJsonlSource,
-    TelemetrySource,
-    parse_tick_line,
-)
+from repro.service import FileTailSource, GeneratorSource
+from repro.service.sources import TelemetrySource, parse_tick_line
 
 
 def drain(source, limit=None):
@@ -46,6 +41,29 @@ class TestParseTickLine:
     def test_malformed_lines_raise(self, line):
         with pytest.raises(ValueError):
             parse_tick_line(line)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ("null", ValueError),
+            ("true", ValueError),
+            ("false", ValueError),
+            ('"12.5"', ValueError),
+            ("[1]", ValueError),
+            ("12.5", 12.5),
+            ("7", 7.0),
+            # non-finite numbers are the runtime's invalid_policy to judge
+            ("NaN", math.nan),
+            ("-Infinity", -math.inf),
+        ],
+    )
+    def test_a_record_value_must_be_a_json_number(self, value, expected):
+        line = f'{{"value": {value}}}'
+        if expected is ValueError:
+            with pytest.raises(ValueError, match="malformed telemetry line"):
+                parse_tick_line(line)
+        else:
+            assert parse_tick_line(line) == pytest.approx(expected, nan_ok=True)
 
 
 class TestGeneratorSource:
@@ -90,14 +108,3 @@ class TestFileTailSource:
         path.write_text("")
         assert isinstance(FileTailSource(path), TelemetrySource)
 
-
-class TestStdinJsonlSource:
-    def test_reads_from_stream(self):
-        source = StdinJsonlSource(io.StringIO("10\n20\n# skip\n30\n"))
-        assert drain(source) == [10.0, 20.0, 30.0]
-        assert source.position == 3
-
-    def test_seek_consumes_and_discards(self):
-        source = StdinJsonlSource(io.StringIO("10\n20\n30\n"))
-        source.seek(1)
-        assert drain(source) == [20.0, 30.0]

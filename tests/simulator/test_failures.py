@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.simulator import DisaggregatedCluster, NodeState, SharedStorage, Simulation
+from repro.simulator import DisaggregatedCluster, SharedStorage, Simulation
+from repro.simulator.node import NodeState
 
 
 def make_cluster(initial=3, warmup=5.0):

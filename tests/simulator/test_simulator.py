@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import ScalingPlan
-from repro.simulator import (
-    ComputeNode,
-    DisaggregatedCluster,
-    NodeState,
-    SharedStorage,
-    Simulation,
-    replay_plan,
-)
+from repro.simulator import DisaggregatedCluster, SharedStorage, Simulation, replay_plan
+from repro.simulator.node import ComputeNode, NodeState
 
 
 class TestSimulation:

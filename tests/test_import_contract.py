@@ -2,7 +2,7 @@
 
 ``scipy`` is a runtime dependency of one reference path only: ``solve_lp``
 imports ``linprog`` when called, and no served loop runs it.  The Gaussian
-quantile fans (MLP, ARIMA, persistence) use the Cephes ``ndtri`` port in
+quantile fans (MLP, ARIMA) use the Cephes ``ndtri`` port in
 ``repro.distributions.gaussian``.  Importing ``scipy.special`` alone costs
 a process ~16 MB of resident memory and ~0.1 s of start-up (it loads
 ``numpy.testing``, ``unittest`` and ``numpy.f2py``); ``scipy.stats`` /
@@ -19,15 +19,25 @@ Every public name has a consumer: :data:`CONSUMERS` maps each name in
 ``repro.__all__`` to one file that uses it - a paper Table / Fig /
 ablation test (or the fixtures and helpers they share), an e2e ledger or
 perf benchmark, the CLI or its loop spec, or a script or example CI runs.
-A name with none is deleted, not exported.
+A name with none is deleted, not exported.  The rule holds one level
+down too: every name in a sub-package's ``__all__`` is used in the code
+of a :data:`CONSUMER_ROOTS` file or of a ``src/repro`` module outside
+that sub-package (a package ``__init__`` re-exporting it does not
+count).  A name used only inside its own package leaves ``__all__`` and
+is imported from its defining module.
 """
 
+import ast
 import fnmatch
+import functools
+import importlib
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.loop import MODELS
@@ -50,8 +60,12 @@ CONSUMER_ROOTS = (
     "src/repro/loop.py",
     "scripts/service_smoke.py",
     "scripts/adaptation_smoke.py",
-    "examples/chaos_engineering.py",
+    "examples/*.py",
 )
+
+#: The one exemption from the sub-package rule: the real-trace CSV loaders
+#: stay until trace files are in the repo (ROADMAP item 14).
+REAL_TRACE_LOADERS = frozenset({"load_machine_usage_csv", "load_task_usage_csv"})
 
 #: One consumer file per public name; the tier-1 CI job prints the count
 #: per root in its summary.
@@ -106,6 +120,60 @@ CONSUMERS: dict[str, str] = {
 def consumer_root(path: str) -> str | None:
     """The :data:`CONSUMER_ROOTS` pattern ``path`` falls under, if any."""
     return next((root for root in CONSUMER_ROOTS if fnmatch.fnmatch(path, root)), None)
+
+
+SUBPACKAGES = tuple(
+    sorted(init.parent.name for init in (REPO / "src/repro").glob("*/__init__.py"))
+)
+
+
+def subpackage_exports() -> dict[str, list[str]]:
+    """``__all__`` of every sub-package of ``repro``, by package name."""
+    return {name: importlib.import_module(f"repro.{name}").__all__ for name in SUBPACKAGES}
+
+
+def names_in_code(path: Path) -> set[str]:
+    """Every name ``path`` imports, reads or takes as an attribute (not
+    what its docstrings and comments mention)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.update(node.module.split("."))  # a submodule is used by importing from it
+    return names
+
+
+@functools.cache
+def names_by_consumer() -> dict[str, set[str]]:
+    """:func:`names_in_code` of every consumer root file and every
+    ``src/repro`` module but a package ``__init__``."""
+    used = {}
+    for path in REPO.rglob("*.py"):
+        relative = path.relative_to(REPO).as_posix()
+        if consumer_root(relative) or (
+            relative.startswith("src/repro/") and path.name != "__init__.py"
+        ):
+            used[relative] = names_in_code(path)
+    return used
+
+
+def unconsumed_exports(package: str) -> set[str]:
+    """Names in ``repro.<package>.__all__`` no file outside the package uses."""
+    outside = [
+        names
+        for relative, names in names_by_consumer().items()
+        if not relative.startswith(f"src/repro/{package}/")
+    ]
+    return {
+        name
+        for name in subpackage_exports()[package]
+        if not any(name in names for names in outside)
+    }
 
 
 def run_fresh(body: str) -> dict:
@@ -166,8 +234,21 @@ def test_every_public_name_has_a_consumer():
         assert consumer_root(path), f"{name}: {path} is not a consumer file"
         source = (REPO / path).read_text()
         assert re.search(rf"\b{re.escape(name)}\b", source), f"{path} never names {name}"
-    # the scripts and the example count only because CI runs them
+    # the scripts and the examples count only because CI runs them
     workflow = (REPO / ".github/workflows/ci.yml").read_text()
     for root in CONSUMER_ROOTS:
         if root.startswith(("scripts/", "examples/")):
             assert root in workflow, f"CI does not run {root}"
+
+
+@pytest.mark.parametrize("package", SUBPACKAGES)
+def test_every_subpackage_export_has_a_consumer(package):
+    # an export no consumer uses outside its own package is deleted, or
+    # leaves __all__ and is imported from its defining module
+    exempt = REAL_TRACE_LOADERS if package == "traces" else set()
+    assert unconsumed_exports(package) == exempt
+
+
+def test_the_one_exemption_is_the_real_trace_loaders():
+    assert REAL_TRACE_LOADERS == {"load_machine_usage_csv", "load_task_usage_csv"}
+    assert REAL_TRACE_LOADERS <= set(subpackage_exports()["traces"])

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.traces import (
-    StandardScaler,
-    Trace,
-    aggregate,
-    load_machine_usage_csv,
-    load_task_usage_csv,
-)
+from repro.traces import StandardScaler, Trace, load_machine_usage_csv, load_task_usage_csv
+from repro.traces.dataset import aggregate
 
 
 class TestTrace:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.traces import (
-    STEPS_PER_DAY,
+from repro.traces import STEPS_PER_DAY, alibaba_like_trace, google_like_trace
+from repro.traces.synthetic import (
     BurstComponent,
     NoiseComponent,
     RegimeSwitchComponent,
@@ -12,8 +12,6 @@ from repro.traces import (
     SpikeComponent,
     SyntheticWorkload,
     TrendComponent,
-    alibaba_like_trace,
-    google_like_trace,
 )
 
 
