@@ -60,7 +60,6 @@ and predictive planning is re-attempted at the next boundary.
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
@@ -185,8 +184,8 @@ class StepResult:
         failure) plan.
     phase_seconds:
         Wall-clock seconds spent in each phase of this step, keyed
-        ``"plan"`` / ``"actuate"`` / ``"observe"``.  The same durations
-        feed the ``runtime.step/<phase>`` span histograms.
+        ``"plan"`` / ``"actuate"`` / ``"observe"``: the durations the
+        ``runtime.step/<phase>`` spans recorded, one clock per phase.
     """
 
     tick: int
@@ -481,11 +480,9 @@ class AutoscalingRuntime:
         status = "ok"
         try:
             with metrics.span("runtime.step"):
-                t0 = time.perf_counter()
-                with metrics.span("plan"):
+                with metrics.span("plan") as plan_span:
                     decision = self.maybe_plan()
-                t1 = time.perf_counter()
-                with metrics.span("actuate"):
+                with metrics.span("actuate") as actuate_span:
                     target = self.actuate()
                 plan = state.current_plan
                 degraded = bool(plan is not None and plan.metadata.get("degraded"))
@@ -493,10 +490,8 @@ class AutoscalingRuntime:
                     source = "degraded" if degraded else "predictive"
                 else:
                     source = "reactive-fallback"
-                t2 = time.perf_counter()
-                with metrics.span("observe"):
+                with metrics.span("observe") as observe_span:
                     observed = self.observe(workload)
-                t3 = time.perf_counter()
         except BaseException:
             status = "error"
             raise
@@ -514,9 +509,9 @@ class AutoscalingRuntime:
             observed=observed,
             degraded=degraded,
             phase_seconds={
-                "plan": t1 - t0,
-                "actuate": t2 - t1,
-                "observe": t3 - t2,
+                "plan": plan_span.seconds,
+                "actuate": actuate_span.seconds,
+                "observe": observe_span.seconds,
             },
         )
 

@@ -34,20 +34,26 @@ the process-wide *ambient* registry via :func:`get_registry`, which
 callers replace with :func:`set_registry` or scope with
 :func:`using_registry`.  The default ambient registry has no sinks, so when
 telemetry is not being collected no event is built: a counter update is
-a dict lookup and a float add (0.35-0.5 us), a span two clock reads and a
-histogram update (1.4-2.0 us; ``timeit`` minima on 2 vCPUs).  Cheap, not
-free — the four spans of an idle daemon tick are about 7 us of its 23 us
-(``idle_tick_us_p50`` on the e2e benchmark's ``serve-bare`` workload;
-21 us of 38 us before ``span()`` became a plain class and the reservoir
-stopped drawing per observation).  With a tracer and a JSON-lines sink
-attached, encoding that tick's ``trace`` record (four spans in integer
-nanoseconds, ~475 bytes) costs 8-12 us; 24-26 us for the ~825 bytes of
-span ids and float seconds it replaced.
+a dict lookup and a float add (0.35-0.5 us), a span two clock reads, one
+dict lookup for its path and histogram, and a histogram update (1.5-2.0
+us; ``timeit`` minima on 2 vCPUs).  A minimum never contains a reservoir
+keep.  Averaged over a benchmark lap on a fresh registry (6 072
+observations, ~1 820 of them kept), a histogram update is 0.7 us and a
+span 2.0-2.3 us; 2.1-2.4 us and 3.2-4.4 us while a keep drew three numpy
+scalars.  Cheap, not free — the four spans of an idle daemon tick are
+7.4-7.8 us (12.3-13.3 us before) of its 17-20 us (``idle_tick_us_p50``
+on the e2e benchmark's ``serve-bare`` workload; 21-23 us before the
+stdlib draws, 38 us before ``span()`` became a plain class and the
+reservoir stopped drawing per observation).  With a tracer and a
+JSON-lines sink attached, encoding that tick's ``trace`` record (four
+spans in integer nanoseconds, ~475 bytes) costs 8-12 us; 24-26 us for
+the ~825 bytes of span ids and float seconds it replaced.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import time
 import zlib
 from contextlib import contextmanager
@@ -138,15 +144,19 @@ class Gauge(_Metric):
         self.set((self.value or 0.0) + amount)
 
 
+#: The quantile levels :meth:`Histogram.summary` reports, as one array.
+_SUMMARY_LEVELS = np.array([0.5, 0.9, 0.99])
+
+
 class Histogram(_Metric):
     """Distribution sketch: exact moments + reservoir-sampled quantiles.
 
-    The reservoir (Vitter's Algorithm L, deterministic per-histogram
-    seed) keeps a uniform sample of all observed values in a fixed
-    numpy buffer, so quantile queries stay O(reservoir) regardless of
-    how many observations flowed through.  Once the buffer is full the
-    rng is consulted only when a value is actually kept — about
-    ``size * ln(count / size)`` times — not once per observation.
+    The reservoir (Li's Algorithm L, a stdlib :class:`random.Random`
+    seeded per histogram) keeps a uniform sample of all observed values
+    in a fixed numpy buffer, so quantile queries stay O(reservoir)
+    regardless of how many observations flowed through.  Once the buffer
+    is full the rng is consulted only when a value is actually kept —
+    about ``size * ln(count / size)`` times — not once per observation.
     """
 
     kind = "histogram"
@@ -169,8 +179,10 @@ class Histogram(_Metric):
         self._reservoir = np.empty(reservoir_size, dtype=np.float64)
         # crc32, not hash(): str hashing is salted by PYTHONHASHSEED, so
         # reservoir contents (and thus quantiles) would differ between
-        # processes observing the same value stream.
-        self._rng = np.random.default_rng(zlib.crc32(self.key.encode("utf-8")))
+        # processes observing the same value stream.  A stdlib Random, not
+        # a numpy Generator: a keep draws three scalars, 0.6 us from the
+        # stdlib against 2.6 us as numpy scalar calls.
+        self._rng = random.Random(zlib.crc32(self.key.encode("utf-8")))
         # Algorithm L skip state, valid while the buffer is full: the
         # keep-threshold and the ``count`` at which the next value is kept.
         self._threshold = 1.0
@@ -205,8 +217,9 @@ class Histogram(_Metric):
             if self._filled == size:
                 self._restart_skips()
         elif self.count >= self._next_keep:
-            self._reservoir[int(self._rng.integers(0, size))] = value
-            self._threshold *= math.exp(math.log(1.0 - self._rng.random()) / size)
+            rng = self._rng
+            self._reservoir[rng.randrange(size)] = value
+            self._threshold *= math.exp(math.log(1.0 - rng.random()) / size)
             self._skip()
 
     def _restart_skips(self) -> None:
@@ -220,7 +233,7 @@ class Histogram(_Metric):
         ``count`` by a jump.
         """
         size = len(self._reservoir)
-        self._threshold = float(self._rng.beta(size, self.count - size + 1))
+        self._threshold = self._rng.betavariate(size, self.count - size + 1)
         self._skip()
 
     def _skip(self) -> None:
@@ -252,7 +265,7 @@ class Histogram(_Metric):
             self._reservoir[: len(combined)] = combined
             self._filled = len(combined)
         else:
-            keep = np.sort(self._rng.choice(len(combined), size=size, replace=False))
+            keep = sorted(self._rng.sample(range(len(combined)), size))
             self._reservoir[:] = combined[keep]
             self._filled = size
         if self._filled == size:
@@ -281,15 +294,19 @@ class Histogram(_Metric):
     def summary(self) -> dict[str, float]:
         if self.count == 0:
             return {"count": 0, "sum": 0.0}
+        # One np.quantile call for the three levels: bitwise the values of
+        # three calls, at a third of the cost.
+        quantiles = self.quantile(_SUMMARY_LEVELS)
+        p50, p90, p99 = (None,) * 3 if quantiles is None else quantiles.tolist()
         return {
             "count": self.count,
             "sum": self.sum,
             "mean": self.mean,
             "min": self.min,
             "max": self.max,
-            "p50": self.quantile(0.5),
-            "p90": self.quantile(0.9),
-            "p99": self.quantile(0.99),
+            "p50": p50,
+            "p90": p90,
+            "p99": p99,
         }
 
 
@@ -313,7 +330,11 @@ class MetricsRegistry:
         # yet written by flush(); a dict for its insertion order.
         self._dirty: dict[_Metric, None] = {}
         self._time = time_source
+        # Full paths of the open spans, innermost last.
         self._span_stack: list[str] = []
+        # (parent path, name, labels) -> (path, duration histogram): a span
+        # resolves its path and histogram once per registry, not per entry.
+        self._span_paths: dict[tuple, tuple[str, Histogram]] = {}
         self._tracer = None
 
     # -- metric accessors ------------------------------------------------
@@ -352,14 +373,17 @@ class MetricsRegistry:
         (``plan/forecast`` inside ``plan``); each completed span records
         its duration into a histogram keyed by the full path.  A span
         closed inside an active trace is exported by that trace's record;
-        any other span emits its own ``span`` record to the sinks.
+        any other span emits its own ``span`` record to the sinks.  The
+        ``with`` target is the span; after the block its ``seconds`` is
+        the duration it recorded.
         """
         return _Span(self, name, labels)
 
     @property
     def current_span_path(self) -> str | None:
         """Slash-joined path of the currently open spans (None at top level)."""
-        return "/".join(self._span_stack) or None
+        stack = self._span_stack
+        return stack[-1] if stack else None
 
     # -- tracing ---------------------------------------------------------
     def set_tracer(self, tracer):
@@ -540,30 +564,43 @@ class _Span:
 
     A plain slotted class: the idle daemon tick opens four spans, and a
     generator-based context manager cost more than the work they time.
+    ``seconds`` is the duration the span recorded, set when it exits.
     """
 
-    __slots__ = ("_registry", "_name", "_labels", "_path", "_tracer", "_token", "_start")
+    __slots__ = ("_registry", "_name", "_labels", "_path", "_histogram", "_tracer",
+                 "_token", "_start", "seconds")
 
     def __init__(self, registry: MetricsRegistry, name: str, labels: LabelDict):
         self._registry = registry
         self._name = name
         self._labels = labels
 
-    def __enter__(self) -> None:
+    def __enter__(self) -> "_Span":
         registry = self._registry
-        registry._span_stack.append(self._name)
-        self._path = path = "/".join(registry._span_stack)
+        stack = registry._span_stack
+        parent = stack[-1] if stack else None
+        labels = self._labels
+        key = (parent, self._name, tuple(labels.items()) if labels else ())
+        resolved = registry._span_paths.get(key)
+        if resolved is None:
+            path = f"{parent}/{self._name}" if stack else self._name
+            histogram = registry._intern(Histogram, f"span/{path}", labels)
+            resolved = registry._span_paths[key] = (path, histogram)
+        self._path, self._histogram = resolved
+        stack.append(self._path)
         self._tracer = tracer = registry._tracer
-        self._token = tracer.open_span(path, self._labels) if tracer is not None else None
+        self._token = tracer.open_span(self._path, labels) if tracer is not None else None
         self._start = time.perf_counter_ns()
+        return self
 
     def __exit__(self, exc_type, exc, traceback) -> None:
         elapsed = time.perf_counter_ns() - self._start
         registry = self._registry
         registry._span_stack.pop()
-        status = "ok" if exc_type is None else "error"
         # Seconds as ``report`` reads them back from the integer record.
-        registry._intern(Histogram, f"span/{self._path}", self._labels)._record(elapsed / 1e9)
+        self.seconds = seconds = elapsed / 1e9
+        self._histogram._record(seconds)
+        status = "ok" if exc_type is None else "error"
         if self._token is not None:
             # Captured by the active trace: its ``trace`` record is the
             # one place this span is written.

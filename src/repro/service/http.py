@@ -21,10 +21,12 @@ POST   /plan          force a replan now; returns the new decision
 POST   /checkpoint    write a checkpoint; returns its path
 ====== ============== ==================================================
 
-Unknown paths are 404, wrong methods 405, handler-refused operations
-carry their own status (e.g. 409 when planning is impossible during
-cold start).  Responses always close the connection — the control
-plane is for curl/monitoring probes, not high-QPS serving.
+Malformed framing (a Content-Length that is not a non-negative integer,
+a body shorter than it declares) is 400, unknown paths are 404, wrong
+methods 405, handler-refused operations carry their own status (e.g.
+409 when planning is impossible during cold start).  Responses always
+close the connection — the control plane is for curl/monitoring probes,
+not high-QPS serving.
 """
 
 from __future__ import annotations
@@ -163,10 +165,16 @@ class ControlPlane:
                 break
             key, _, value = line.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            return 400, {"error": f"malformed Content-Length: {declared!r}"}
+        length = int(declared)
         if length > _MAX_BODY:
             return 400, {"error": f"body too large ({length} bytes)"}
-        raw = await reader.readexactly(length) if length else b""
+        try:
+            raw = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as error:
+            return 400, {"error": f"body ends after {len(error.partial)} of {length} bytes"}
 
         split = urlsplit(target)
         path = split.path.rstrip("/") or "/"

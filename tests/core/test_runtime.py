@@ -324,6 +324,40 @@ class TestTelemetry:
             key: span["count"] for key, span in snap["spans"].items()
         }
 
+    def test_phase_seconds_are_the_phase_spans_durations(self):
+        # One clock per phase: a step reports the durations its plan /
+        # actuate / observe spans recorded, to the bit, whether the spans
+        # stream to a sink or are captured by a trace.
+        from repro.obs import MetricsRegistry, using_registry
+        from repro.obs.sinks import InMemorySink
+        from repro.obs.trace import TraceCollector
+
+        series = np.full(20, 300.0)
+        phases = ("plan", "actuate", "observe")
+        registry = MetricsRegistry(sinks=[InMemorySink()])
+        with using_registry(registry):
+            runtime, _ = make_runtime(series, context=6, horizon=4)
+            steps = [runtime.step(value) for value in series]
+        snap = registry.snapshot()
+        for phase in phases:
+            total = 0.0
+            for step in steps:
+                total += step.phase_seconds[phase]
+            assert snap["spans"][f"runtime.step/{phase}"]["sum"] == total
+
+        tracer = TraceCollector(max_traces=len(series))
+        registry = MetricsRegistry()
+        registry.set_tracer(tracer)
+        with using_registry(registry):
+            runtime, _ = make_runtime(series, context=6, horizon=4)
+            steps = [runtime.step(value) for value in series]
+        traces = tracer.traces()
+        assert [trace["trace_id"] for trace in traces] == [step.tick for step in steps]
+        for trace, step in zip(traces, steps):
+            durations = {span["name"]: span["duration_ns"] for span in trace["spans"]}
+            for phase in phases:
+                assert durations[f"runtime.step/{phase}"] / 1e9 == step.phase_seconds[phase]
+
     def test_no_telemetry_leaks_outside_scoped_registry(self):
         from repro.obs import MetricsRegistry, using_registry
 

@@ -122,6 +122,24 @@ class TestHistogram:
     def test_empty_summary(self):
         assert MetricsRegistry().histogram("h").summary() == {"count": 0, "sum": 0.0}
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 100, 1023, 1024])
+    def test_summary_quantiles_equal_per_level_quantiles(self, size):
+        # summary() asks np.quantile for the three levels at once; each
+        # must equal its own quantile() call to the bit.
+        hist = MetricsRegistry().histogram("h", reservoir_size=1024)
+        for value in np.random.default_rng(size).lognormal(size=size):
+            hist.observe(value)
+        summary = hist.summary()
+        for key, level in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
+            assert summary[key] == hist.quantile(level)
+            assert type(summary[key]) is float
+
+    def test_summary_without_a_sample_has_no_quantiles(self):
+        hist = MetricsRegistry().histogram("h")
+        hist.merge_state({"count": 3, "sum": 6.0, "min": 1.0, "max": 3.0, "reservoir": []})
+        summary = hist.summary()
+        assert (summary["p50"], summary["p90"], summary["p99"]) == (None, None, None)
+
 
 class TestSpans:
     def test_span_records_duration_histogram(self):
@@ -255,6 +273,26 @@ class TestSpans:
         assert set(registry.snapshot()["spans"]) == {
             "before", "step", "step/plan", "after"
         }
+
+    def test_a_span_resolves_its_path_per_parent_and_labels(self):
+        registry = MetricsRegistry()
+        recorded = []
+        for _ in range(2):
+            with registry.span("step") as step:
+                with registry.span("plan", model="a"):
+                    assert registry.current_span_path == "step/plan"
+                with registry.span("plan", model="b"):
+                    pass
+            recorded.append(step.seconds)
+            with registry.span("plan"):
+                assert registry.current_span_path == "plan"
+        assert registry.current_span_path is None
+        spans = registry.snapshot()["spans"]
+        assert {key: span["count"] for key, span in spans.items()} == {
+            "step": 2, "step/plan{model=a}": 2, "step/plan{model=b}": 2, "plan": 2,
+        }
+        # The with-target is the span; it exposes the seconds it recorded.
+        assert registry.histogram("span/step").sum == recorded[0] + recorded[1]
 
     def test_span_closes_on_the_tracer_that_opened_it(self):
         class Tracer:
@@ -480,11 +518,11 @@ class TestReservoirSampling:
         hist = MetricsRegistry().histogram("lat", reservoir_size=self.SIZE)
         for i in range(self.SIZE):
             hist.observe(float(i))
-        state = hist._rng.bit_generator.state
+        state = hist._rng.getstate()
         before = hist._reservoir.copy()
         while hist.count + 1 < hist._next_keep:
             hist.observe(-1.0)
-        assert hist._rng.bit_generator.state == state
+        assert hist._rng.getstate() == state
         assert np.array_equal(hist._reservoir, before)
         hist.observe(-2.0)
         assert -2.0 in hist._reservoir

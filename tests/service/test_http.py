@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -263,3 +264,28 @@ class TestRouting:
 
     def test_trailing_slash_is_normalised(self, warm):
         assert request(warm.port, "GET", "/health/")[0] == 200
+
+
+def raw_request(port, data):
+    """Send ``data`` as-is, close the write side, return (status, payload)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestFraming:
+    @pytest.mark.parametrize("data, message", [
+        (b"POST /plan HTTP/1.1\r\nContent-Length: abc\r\n\r\n", "malformed Content-Length"),
+        (b"POST /plan HTTP/1.1\r\nContent-Length: -5\r\n\r\n", "malformed Content-Length"),
+        (b"POST /plan HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}", "body ends after 2 of 10 bytes"),
+    ], ids=["not-a-number", "negative", "short-body"])
+    def test_malformed_framing_is_400_and_the_daemon_still_serves(self, warm, data, message):
+        status, payload = raw_request(warm.port, data)
+        assert status == 400
+        assert message in payload["error"]
+        assert request(warm.port, "GET", "/health")[0] == 200
