@@ -89,6 +89,23 @@ class Decision:
         """Alias for :attr:`time_index` in the step API's vocabulary."""
         return self.time_index
 
+    def summary(self) -> dict:
+        """The keys every form of the decision leads with: ``time_index``,
+        ``source``, ``strategy``, ``horizon``, ``nodes``, ``nodes_first``.
+
+        :meth:`record` starts from it; the daemon's wire form is exactly
+        it, so a decision log computes none of the record's reductions.
+        """
+        plan = self.plan
+        return {
+            "time_index": int(self.time_index),
+            "source": self.source,
+            "strategy": plan.strategy,
+            "horizon": int(plan.horizon),
+            "nodes": plan.nodes.tolist(),
+            "nodes_first": int(plan.nodes[0]),
+        }
+
     def record(self, **extra) -> dict:
         """The decision as one flat JSON-safe record — its only emitted form.
 
@@ -102,12 +119,7 @@ class Decision:
         plan = self.plan
         meta = plan.metadata
         record: dict = {
-            "time_index": int(self.time_index),
-            "source": self.source,
-            "strategy": plan.strategy,
-            "horizon": int(plan.horizon),
-            "nodes": plan.nodes.tolist(),
-            "nodes_first": int(plan.nodes[0]),
+            **self.summary(),
             **extra,
             "ramp_clipped_steps": int(meta.get("ramp_clipped_steps", 0)),
         }

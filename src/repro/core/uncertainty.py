@@ -34,11 +34,15 @@ def quantile_uncertainty(forecast: QuantileForecast) -> np.ndarray:
     Returns an array of shape (horizon,).  Every level on the forecast's
     grid participates; the median (0.5 quantile, interpolated if not on
     the grid) is the reference.
+
+    One ``(L, H)`` expression, summed over the levels in grid order: a
+    running sum along axis 0 adds row after row, where ``sum(axis=0)``
+    would pairwise-sum a single column (``H == 1``) and move the last
+    bit.  Every term is >= +0, so no ``0 +`` start is needed.  The last
+    row is copied out so a retained plan does not pin the whole buffer.
     """
     median = forecast.at(0.5)
-    total = np.zeros(forecast.horizon)
-    for i, tau in enumerate(forecast.levels):
-        values = forecast.values[i]
-        indicator = (values < median).astype(np.float64)
-        total += (tau - indicator) * (values - median)
-    return total
+    values = forecast.values
+    terms = forecast.levels[:, None] - (values < median)
+    terms *= values - median
+    return np.cumsum(terms, axis=0)[-1].copy()

@@ -84,7 +84,7 @@ class Gaussian(Distribution):
     def __init__(self, mu: np.ndarray, sigma: np.ndarray) -> None:
         self.mu = np.asarray(mu, dtype=np.float64)
         self.sigma = np.asarray(sigma, dtype=np.float64)
-        if np.any(self.sigma <= 0):
+        if (self.sigma <= 0).any():
             raise ValueError("sigma must be strictly positive")
 
     def mean(self) -> np.ndarray:

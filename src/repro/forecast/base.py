@@ -55,9 +55,13 @@ class QuantileForecast:
                 f"values first axis ({self.values.shape[0]}) must match "
                 f"number of levels ({len(self.levels)})"
             )
-        if np.any(self.levels <= 0) or np.any(self.levels >= 1):
+        # A 7-11 level grid is checked as Python floats: numpy's wrappers
+        # cost more per call than the whole scan.  NaN compares false
+        # everywhere, as it does in the array form.
+        grid = self.levels.tolist()
+        if any(level <= 0 or level >= 1 for level in grid):
             raise ValueError("quantile levels must lie in (0, 1)")
-        if np.any(np.diff(self.levels) <= 0):
+        if any(upper - lower <= 0 for lower, upper in zip(grid, grid[1:])):
             raise ValueError("levels must be strictly increasing")
         if self.mean is not None:
             self.mean = np.asarray(self.mean, dtype=np.float64)
@@ -77,12 +81,14 @@ class QuantileForecast:
         parametric models expose arbitrary levels natively and build
         a dense grid before wrapping results in this container.
         """
-        # np.isclose's default test (rtol=1e-5, atol=1e-8) without its
-        # array finiteness scans; an infinite tau would make the
-        # tolerance infinite, hence the scalar check.
-        exact = np.flatnonzero(np.abs(self.levels - tau) <= 1e-8 + 1e-5 * abs(tau))
-        if exact.size and math.isfinite(tau):
-            return self.values[exact[0]]
+        # np.isclose's default test (rtol=1e-5, atol=1e-8), first match
+        # wins; an infinite tau would make the tolerance infinite, hence
+        # the finiteness check.
+        if math.isfinite(tau):
+            tolerance = 1e-8 + 1e-5 * abs(tau)
+            for index, level in enumerate(self.levels.tolist()):
+                if abs(level - tau) <= tolerance:
+                    return self.values[index]
         if tau < self.levels[0] or tau > self.levels[-1]:
             raise ValueError(
                 f"tau={tau} outside forecast grid [{self.levels[0]}, {self.levels[-1]}]"
@@ -105,20 +111,6 @@ class QuantileForecast:
     def as_dict(self) -> dict[float, np.ndarray]:
         """Mapping tau -> series, the format the metrics module consumes."""
         return {float(tau): self.values[i] for i, tau in enumerate(self.levels)}
-
-    def sorted_monotone(self) -> "QuantileForecast":
-        """Return a copy with quantile crossing removed.
-
-        Independently-trained quantile heads can cross; sorting values
-        per step restores monotonicity without changing pinball loss
-        (the standard rearrangement fix).
-        """
-        return QuantileForecast(
-            levels=self.levels,
-            values=np.sort(self.values, axis=0),
-            mean=self.mean,
-            metadata=dict(self.metadata),
-        )
 
 
 class Forecaster(ABC):

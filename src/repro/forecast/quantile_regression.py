@@ -109,10 +109,11 @@ class MLPQuantileForecaster(NeuralForecaster):
                 f"context must have length {self.context_length}, got {len(context)}"
             )
         raw = self.network.fast_forward(self.scaler.transform(context)[None, :])[0]  # (H, Q)
+        # Sorting each step's values removes quantile crossing (as in TFT).
         full = QuantileForecast(
             levels=np.array(self.quantile_levels),
-            values=self.scaler.inverse_transform(raw.T),
-        ).sorted_monotone()
+            values=np.sort(self.scaler.inverse_transform(raw.T), axis=0),
+        )
         if levels is None:
             return full
         levels = tuple(sorted(levels))

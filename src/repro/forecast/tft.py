@@ -278,9 +278,11 @@ class TFTForecaster(NeuralForecaster):
         if self.window_normalization:
             raw = raw + mean[0, 0]
         grid_values = self.scaler.inverse_transform(raw.T)  # (Q, H)
+        # Independently trained heads can cross; sorting each step's values
+        # restores monotonicity without changing the pinball loss.
         full = QuantileForecast(
-            levels=np.array(self.quantile_levels), values=grid_values
-        ).sorted_monotone()
+            levels=np.array(self.quantile_levels), values=np.sort(grid_values, axis=0)
+        )
         if levels is None:
             return full
         levels = tuple(sorted(levels))

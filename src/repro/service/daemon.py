@@ -61,15 +61,11 @@ def _parse_limit(query: dict, default: int) -> int:
     return limit
 
 
-#: What ``/decisions`` and the decision log show of ``Decision.record()``
-#: (``time_index`` goes out as ``tick``).
-_WIRE_KEYS = ("source", "strategy", "horizon", "nodes", "nodes_first")
-
-
 def _wire_form(decision: Decision) -> dict:
-    """The control plane / decision-log projection of a decision's record."""
-    record = decision.record()
-    return {"tick": record["time_index"], **{key: record[key] for key in _WIRE_KEYS}}
+    """What ``/decisions``, ``POST /plan`` and the decision log show of a
+    decision: :meth:`Decision.summary`, ``time_index`` sent as ``tick``."""
+    summary = decision.summary()
+    return {"tick": summary.pop("time_index"), **summary}
 
 
 class ServiceRuntime:

@@ -22,11 +22,12 @@ POST   /checkpoint    write a checkpoint; returns its path
 ====== ============== ==================================================
 
 Malformed framing (a Content-Length that is not a non-negative integer,
-a body shorter than it declares) is 400, unknown paths are 404, wrong
-methods 405, handler-refused operations carry their own status (e.g.
-409 when planning is impossible during cold start).  Responses always
-close the connection — the control plane is for curl/monitoring probes,
-not high-QPS serving.
+a body shorter than it declares) is 400, a request whose head and body
+have not arrived within ``_READ_TIMEOUT`` seconds is 408, unknown paths
+are 404, wrong methods 405, handler-refused operations carry their own
+status (e.g. 409 when planning is impossible during cold start).
+Responses always close the connection — the control plane is for
+curl/monitoring probes, not high-QPS serving.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     500: "Internal Server Error",
 }
@@ -50,6 +52,11 @@ _STATUS_TEXT = {
 #: Request bodies beyond this are refused (the control plane accepts
 #: only empty or tiny JSON bodies).
 _MAX_BODY = 1 << 20
+
+#: Seconds a client has to deliver its request head and body; a request
+#: still incomplete then is answered 408 and its connection closed, so a
+#: stalled client cannot hold a connection open.
+_READ_TIMEOUT = 5.0
 
 
 class HttpError(Exception):
@@ -153,28 +160,12 @@ class ControlPlane:
         self.requests_served += 1
 
     async def _respond(self, reader: asyncio.StreamReader) -> tuple[int, Any]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        parts = request_line.split()
-        if len(parts) < 2:
-            return 400, {"error": f"malformed request line: {request_line!r}"}
-        method, target = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            key, _, value = line.decode("latin-1").partition(":")
-            headers[key.strip().lower()] = value.strip()
-        declared = headers.get("content-length") or "0"
-        if not (declared.isascii() and declared.isdigit()):
-            return 400, {"error": f"malformed Content-Length: {declared!r}"}
-        length = int(declared)
-        if length > _MAX_BODY:
-            return 400, {"error": f"body too large ({length} bytes)"}
         try:
-            raw = await reader.readexactly(length) if length else b""
-        except asyncio.IncompleteReadError as error:
-            return 400, {"error": f"body ends after {len(error.partial)} of {length} bytes"}
+            method, target, raw = await asyncio.wait_for(_read_request(reader), _READ_TIMEOUT)
+        except HttpError as error:
+            return error.status, {"error": error.message}
+        except asyncio.TimeoutError:
+            return 408, {"error": f"request incomplete after {_READ_TIMEOUT} s"}
 
         split = urlsplit(target)
         path = split.path.rstrip("/") or "/"
@@ -195,6 +186,32 @@ class ControlPlane:
             return 200, handler(query, body)
         except HttpError as error:
             return error.status, {"error": error.message}
+
+
+async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
+    """``(method, target, body)`` of one request; malformed framing is a 400."""
+    request_line = (await reader.readline()).decode("latin-1").strip()
+    parts = request_line.split()
+    if len(parts) < 2:
+        raise HttpError(400, f"malformed request line: {request_line!r}")
+    headers: dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        key, _, value = line.decode("latin-1").partition(":")
+        headers[key.strip().lower()] = value.strip()
+    declared = headers.get("content-length") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise HttpError(400, f"malformed Content-Length: {declared!r}")
+    length = int(declared)
+    if length > _MAX_BODY:
+        raise HttpError(400, f"body too large ({length} bytes)")
+    try:
+        raw = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError as error:
+        raise HttpError(400, f"body ends after {len(error.partial)} of {length} bytes")
+    return parts[0].upper(), parts[1], raw
 
 
 def _jsonable(value):

@@ -10,8 +10,14 @@ import numpy as np
 import pytest
 
 from repro.adaptation import AdaptationManager
-from repro.core import AutoscalingRuntime, ScalingPlan
+from repro.core import (
+    AutoscalingRuntime,
+    FixedQuantilePolicy,
+    RobustPredictiveAutoscaler,
+    ScalingPlan,
+)
 from repro.core.plan import required_nodes
+from repro.forecast import SeasonalNaiveForecaster
 from repro.service import GeneratorSource, ServiceRuntime
 
 from tests.adaptation.doubles import FakeForecaster, make_runtime
@@ -266,11 +272,13 @@ class TestRouting:
         assert request(warm.port, "GET", "/health/")[0] == 200
 
 
-def raw_request(port, data):
-    """Send ``data`` as-is, close the write side, return (status, payload)."""
+def raw_request(port, data, close_write=True):
+    """Send ``data`` as-is, close the write side unless told not to (a
+    stalled client), read until the server closes; (status, payload)."""
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         sock.sendall(data)
-        sock.shutdown(socket.SHUT_WR)
+        if close_write:
+            sock.shutdown(socket.SHUT_WR)
         chunks = []
         while chunk := sock.recv(65536):
             chunks.append(chunk)
@@ -289,3 +297,55 @@ class TestFraming:
         assert status == 400
         assert message in payload["error"]
         assert request(warm.port, "GET", "/health")[0] == 200
+
+    def test_a_stalled_request_is_408_and_the_daemon_still_serves(self, warm, monkeypatch):
+        monkeypatch.setattr("repro.service.http._READ_TIMEOUT", 0.2)
+        started = time.monotonic()
+        status, payload = raw_request(warm.port, b"GET /health HTTP/1.1\r\n", close_write=False)
+        assert status == 408
+        assert "request incomplete" in payload["error"]
+        assert time.monotonic() - started < 5.0
+        assert request(warm.port, "GET", "/health")[0] == 200
+
+
+# Decision.record()'s keys the daemon's wire form carries, in order
+# (``time_index`` is sent as ``tick``).
+WIRE_KEYS = ("source", "strategy", "horizon", "nodes", "nodes_first")
+
+
+def projected(decision):
+    record = decision.record()
+    return {"tick": record["time_index"], **{key: record[key] for key in WIRE_KEYS}}
+
+
+class TestWireForm:
+    def test_decision_log_and_decisions_are_the_records_projection(self, tmp_path):
+        series = list(np.random.default_rng(11).gamma(20.0, 15.0, size=40))
+        forecaster = SeasonalNaiveForecaster(4, season=6).fit(np.asarray(series[:20]))
+        planner = RobustPredictiveAutoscaler(forecaster, 60.0, FixedQuantilePolicy(0.9))
+        runtime = AutoscalingRuntime(
+            planner=planner, context_length=8, horizon=4, threshold=60.0
+        )
+        log = tmp_path / "decisions.jsonl"
+        service = ServiceRuntime(
+            runtime, GeneratorSource(series), decision_log=log, linger=60.0
+        )
+        thread = start_service(service)
+        try:
+            wait_for_ticks(service.port, len(series))
+            conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+            conn.request("GET", "/decisions?limit=1000")
+            body = conn.getresponse().read()
+            conn.close()
+        finally:
+            service.request_stop()
+            thread.join(timeout=10)
+        decisions = runtime.decisions
+        assert decisions and "uncertainty_mean" in decisions[-1].record()
+        assert body == json.dumps({
+            "total": runtime.state.decisions_committed,
+            "decisions": [projected(d) for d in decisions],
+        }).encode("utf-8")
+        assert log.read_text(encoding="utf-8") == "".join(
+            json.dumps({"kind": "decision", **projected(d)}) + "\n" for d in decisions
+        )
