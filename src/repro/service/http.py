@@ -160,12 +160,20 @@ class ControlPlane:
         self.requests_served += 1
 
     async def _respond(self, reader: asyncio.StreamReader) -> tuple[int, Any]:
+        # The deadline fails the pending read in place: no task wraps the
+        # read, so a request costs no extra event-loop round trips (and the
+        # daemon's ticks interleaved with them).
+        expiry = asyncio.get_running_loop().call_later(
+            _READ_TIMEOUT, reader.set_exception, asyncio.TimeoutError()
+        )
         try:
-            method, target, raw = await asyncio.wait_for(_read_request(reader), _READ_TIMEOUT)
+            method, target, raw = await _read_request(reader)
         except HttpError as error:
             return error.status, {"error": error.message}
         except asyncio.TimeoutError:
             return 408, {"error": f"request incomplete after {_READ_TIMEOUT} s"}
+        finally:
+            expiry.cancel()
 
         split = urlsplit(target)
         path = split.path.rstrip("/") or "/"

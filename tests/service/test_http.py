@@ -298,10 +298,14 @@ class TestFraming:
         assert message in payload["error"]
         assert request(warm.port, "GET", "/health")[0] == 200
 
-    def test_a_stalled_request_is_408_and_the_daemon_still_serves(self, warm, monkeypatch):
+    @pytest.mark.parametrize("data", [
+        b"GET /health HTTP/1.1\r\n",
+        b"POST /plan HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}",
+    ], ids=["head", "body"])
+    def test_a_stalled_request_is_408_and_the_daemon_still_serves(self, warm, monkeypatch, data):
         monkeypatch.setattr("repro.service.http._READ_TIMEOUT", 0.2)
         started = time.monotonic()
-        status, payload = raw_request(warm.port, b"GET /health HTTP/1.1\r\n", close_write=False)
+        status, payload = raw_request(warm.port, data, close_write=False)
         assert status == 408
         assert "request incomplete" in payload["error"]
         assert time.monotonic() - started < 5.0
