@@ -9,9 +9,10 @@ Two phases, both against real subprocesses:
    dashboard once against the live daemon, force a replan and a
    checkpoint over HTTP, and fail on any non-200 (or non-JSON body).
    The daemon runs with ``--telemetry``; once it has stopped, the file
-   must obey the write-once rule (exact counts, no timing): at most 3
-   lines for a tick that neither planned nor closed a monitor window,
-   no per-update ``counter`` / ``gauge`` / ``service`` lines, no
+   must obey the write-once rule (exact counts, no timing): each tick
+   ends in its ``trace`` record carrying the tick's counters and gauges,
+   at most 2 lines for a tick that neither planned nor closed a monitor
+   window, no per-update ``counter`` / ``gauge`` / ``service`` lines, no
    ``span`` line for a span its ``trace`` record already carries, and
    counters that equal the last ``GET /metrics``.  Every span in it, in
    a ``trace`` record or a ``span`` line, has the one lean shape (integer
@@ -151,15 +152,18 @@ def check_telemetry_file(path: Path, final_counters: dict) -> None:
     if doubled:
         fail(f"{len(doubled)} runtime.step spans written outside their trace")
 
-    # The daemon flushes once per tick, so a `metrics` record ends each
-    # tick's lines.
+    # The daemon writes each tick's counters and gauges in the tick's
+    # `trace` record, so one trace record carrying them ends each tick's
+    # lines.
     ticks, quiet, lines = 0, 0, []
     counters: dict = {}
     for record in records:
         lines.append(record)
-        if record["kind"] != "metrics":
+        counters.update(record.get("counters", {}))
+        if record["kind"] != "trace":
             continue
-        counters.update(record["counters"])
+        if "counters" not in record:
+            fail(f"the trace of tick {record['trace_id']} carries no counters")
         ticks += 1
         busy = any(
             r["kind"] == "provenance" or r["name"] == "monitor.window"
@@ -167,19 +171,19 @@ def check_telemetry_file(path: Path, final_counters: dict) -> None:
         )
         if not busy:
             quiet += 1
-            if len(lines) > 3:
+            if len(lines) > 2:
                 fail(f"{len(lines)} telemetry lines for one quiet tick: "
                      f"{[r['kind'] for r in lines]}")
         lines = []
-    if records[-1]["kind"] != "metrics":
+    if "counters" not in records[-1]:
         fail(f"the file ends in a {records[-1]['kind']!r} record: "
              f"counters of the last tick were never flushed")
     # Last value wins, so this holds the last record to /metrics too.
     if counters != final_counters:
         fail(f"telemetry file and GET /metrics disagree: "
              f"file {counters} vs /metrics {final_counters}")
-    print(f"telemetry file OK: {len(records)} lines over {ticks} flushes "
-          f"({quiet} quiet ticks at <= 3 lines), "
+    print(f"telemetry file OK: {len(records)} lines over {ticks} ticks "
+          f"({quiet} quiet ticks at <= 2 lines), "
           f"{len(counters)} counters equal to GET /metrics, "
           f"{spans} trace spans in the lean shape")
 

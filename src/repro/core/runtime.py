@@ -45,9 +45,9 @@ when a sink or ``record_provenance`` listens, emits
 degradation counters (``runtime.invalid_observations``,
 ``runtime.planner_errors``, ``runtime.planner_retries``,
 ``runtime.degraded_intervals``) flow to the ambient
-:mod:`repro.obs` registry; with a
-:class:`~repro.obs.trace.TraceCollector` attached every step is one
-``trace`` record (trace_id = tick).
+:mod:`repro.obs` registry.  A step opens no trace: the daemon
+(:class:`repro.service.ServiceRuntime`) brackets its whole tick in one,
+so the step's spans are written inside that tick's ``trace`` record.
 
 **Failure modes** (injectors in :mod:`repro.faults`): an invalid
 observation (NaN, inf, negative) never reaches the context —
@@ -311,6 +311,8 @@ class AutoscalingRuntime:
         # This process's audit lists: appended by _commit, never serialised.
         self.decisions: list[Decision] = []
         self.provenance: list[dict] = []
+        # (levels array, LevelGrid) of the plan the monitor was last fed.
+        self._monitor_grid: tuple | None = None
 
     @property
     def tick(self) -> int:
@@ -464,9 +466,14 @@ class AutoscalingRuntime:
         values = plan.metadata.get("forecast_values")
         if levels is None or values is None:
             return
+        # The grid is resolved once per committed plan, whose arrays are
+        # never written after the commit.
+        grid = self._monitor_grid
+        if grid is None or grid[0] is not levels:
+            grid = self._monitor_grid = (levels, self.monitor.level_grid(levels))
         position = min(state.plan_position, plan.horizon - 1)
         self.monitor.observe(
-            levels,
+            grid[1],
             values[:, position],
             workload,
             time_index=tick,
@@ -486,32 +493,19 @@ class AutoscalingRuntime:
         state = self.state
         tick = state.tick
         metrics = get_registry()
-        tracer = metrics.tracer
-        if tracer is not None:
-            tracer.begin(tick)
-        status = "ok"
-        try:
-            with metrics.span("runtime.step"):
-                with metrics.span("plan") as plan_span:
-                    decision = self.maybe_plan()
-                with metrics.span("actuate") as actuate_span:
-                    target = self.actuate()
-                plan = state.current_plan
-                degraded = bool(plan is not None and plan.metadata.get("degraded"))
-                if plan is not None:
-                    source = "degraded" if degraded else "predictive"
-                else:
-                    source = "reactive-fallback"
-                with metrics.span("observe") as observe_span:
-                    observed = self.observe(workload)
-        except BaseException:
-            status = "error"
-            raise
-        finally:
-            if tracer is not None:
-                trace = tracer.end(status)
-                if trace is not None and metrics.active:
-                    metrics.emit_event("trace", f"tick:{tick}", **trace)
+        with metrics.span("runtime.step"):
+            with metrics.span("plan") as plan_span:
+                decision = self.maybe_plan()
+            with metrics.span("actuate") as actuate_span:
+                target = self.actuate()
+            plan = state.current_plan
+            degraded = bool(plan is not None and plan.metadata.get("degraded"))
+            if plan is not None:
+                source = "degraded" if degraded else "predictive"
+            else:
+                source = "reactive-fallback"
+            with metrics.span("observe") as observe_span:
+                observed = self.observe(workload)
         return StepResult(
             tick=tick,
             target_nodes=target,

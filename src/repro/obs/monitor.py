@@ -28,6 +28,7 @@ from a telemetry file.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..forecast.base import QuantileForecast
     from .alerts import AlertEngine, SLOTracker
 
-__all__ = ["CUSUM", "DriftEvent", "WindowStats", "ModelHealthMonitor"]
+__all__ = ["CUSUM", "DriftEvent", "WindowStats", "LevelGrid", "ModelHealthMonitor"]
 
 #: Floor for the residual-normalisation scale, so degenerate (zero
 #: width) forecast fans cannot produce infinite drift statistics.
@@ -191,20 +192,75 @@ def _level_key(tau: float) -> str:
     return format(float(tau), "g")
 
 
-def _sorted_grid(levels: np.ndarray) -> tuple:
-    """``(order, ascending levels, their keys, their float values)``.
+def _sum(values: list) -> float:
+    """``np.add.reduce(values)`` to the bit, calling numpy only from 8 values.
 
-    np.interp requires ascending abscissae and the drift spread assumes
-    values[0]/values[-1] are the extreme quantiles; an unsorted grid
-    would silently corrupt both, so forecasts are sorted by level with
-    ``order`` (None when the grid is already ascending).
+    Below 8 values numpy adds them one after another starting from 0.0,
+    as the loop does; from 8 on it sums pairwise in blocks of 8, so a
+    longer list takes the one numpy call.
     """
-    order = None
-    if len(levels) > 1 and np.any(np.diff(levels) < 0):
-        order = np.argsort(levels)
-    levels = levels.copy() if order is None else levels[order]
-    taus = levels.tolist()
-    return order, levels, [_level_key(tau) for tau in taus], taus
+    if len(values) >= 8:
+        return float(np.add.reduce(values))
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _mean(values: list) -> float:
+    """``np.mean(values)`` to the bit (its sum over the count)."""
+    return _sum(values) / len(values)
+
+
+class LevelGrid:
+    """A quantile-level grid resolved once for :meth:`ModelHealthMonitor.observe`.
+
+    What a tick would otherwise derive from the levels again: the order
+    that sorts them ascending (None when they already are — np.interp
+    needs ascending abscissae and the drift spread reads the extreme
+    quantiles at the ends), the sorted levels as Python floats and their
+    keys, and where 0.5 falls among them.  Built by
+    :meth:`ModelHealthMonitor.level_grid`, which the runtime asks once
+    per committed plan.
+    """
+
+    __slots__ = ("order", "taus", "keys", "_at", "_span")
+
+    def __init__(self, levels) -> None:
+        levels = np.asarray(levels, dtype=np.float64)
+        if levels.ndim != 1 or not len(levels):
+            raise ValueError("levels must be a non-empty 1-D grid")
+        order = None
+        if len(levels) > 1 and np.any(np.diff(levels) < 0):
+            order = np.argsort(levels)
+            levels = levels[order]
+            order = order.tolist()
+        self.order = order
+        self.taus = taus = levels.tolist()
+        self.keys = [_level_key(tau) for tau in taus]
+        # np.interp(0.5, taus, column) reads column[at] when 0.5 is a
+        # level or lies outside the grid, and interpolates between at and
+        # at + 1 otherwise, at being the last level <= 0.5.
+        at = bisect_right(taus, 0.5) - 1
+        self._at, self._span = max(at, 0), None
+        if 0 <= at < len(taus) - 1 and taus[at] != 0.5:
+            lo, hi = taus[at], taus[at + 1]
+            self._span = (0.5 - lo, hi - lo, 0.5 - hi)
+
+    def median(self, column: list) -> float:
+        """``np.interp(0.5, taus, column)``: the same operations, on floats."""
+        at = self._at
+        if self._span is None:
+            return column[at]
+        offset, width, offset_hi = self._span
+        lo, hi = column[at], column[at + 1]
+        slope = (hi - lo) / width
+        median = slope * offset + lo
+        if median != median:  # np.interp's retry from the upper end
+            median = slope * offset_hi + hi
+            if median != median and lo == hi:
+                median = lo
+        return median
 
 
 class ModelHealthMonitor:
@@ -233,7 +289,7 @@ class ModelHealthMonitor:
         the engine has evaluated a finalised window, the tracker
         publishes each objective's error-budget status.
     eps:
-        Denominator guard for MAPE.
+        Denominator guard for MAPE (positive).
     """
 
     def __init__(
@@ -245,6 +301,8 @@ class ModelHealthMonitor:
     ) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
+        if not eps > 0:
+            raise ValueError("eps must be positive")
         if slos is not None and slos.engine is not alerts:
             raise ValueError("slos must be a tracker over the monitor's alerts engine")
         self.window = window
@@ -259,29 +317,62 @@ class ModelHealthMonitor:
         self._reset_window()
         self._window_count = 0
         self._window_drift_events = 0
-        # What observe() derives from a levels grid (see _sorted_grid),
-        # kept for the grid it saw last and recognised by its raw bytes:
-        # a planner feeds the same grid every tick.
+        # The last LevelGrid built, and the bytes of its levels (a caller
+        # may overwrite one array, so identity cannot recognise a grid).
         self._grid_bytes: bytes | None = None
-        self._grid: tuple = ()
+        self._grid: LevelGrid | None = None
 
     # -- per-window accumulator state ----------------------------------
     def _reset_window(self) -> None:
         self._buf_indices: list[int] = []
         self._buf_actuals: list[float] = []
         self._buf_medians: list[float] = []
-        self._buf_covered: dict[str, list[bool]] = {}
-        self._buf_taus: dict[str, float] = {}
-        self._buf_ql: dict[str, float] = {}
         self._buf_violations: list[bool] = []
+        # One slot per level key, in the order the window first saw them:
+        # its key, first-seen level, coverage flags and summed pinball loss.
+        self._slot_of: dict[str, int] = {}
+        self._keys: list[str] = []
+        self._taus: list[float] = []
+        self._covered: list[list[bool]] = []
+        self._ql: list[float] = []
+        # The grid observe() last mapped onto the slots, and that mapping.
+        self._bound: LevelGrid | None = None
+        self._bound_slots: list[int] = []
         self._window_drift_events = 0
         self._window_steps = 0
         self._window_degraded = 0
 
+    def _add_slot(self, key: str, tau: float) -> int:
+        slot = self._slot_of[key] = len(self._keys)
+        self._keys.append(key)
+        self._taus.append(tau)
+        self._covered.append([])
+        self._ql.append(0.0)
+        return slot
+
+    def _bind(self, grid: LevelGrid) -> None:
+        """Map ``grid``'s levels onto this window's slots (once per grid)."""
+        slot_of = self._slot_of
+        slots = [
+            slot_of[key] if key in slot_of else self._add_slot(key, tau)
+            for key, tau in zip(grid.keys, grid.taus)
+        ]
+        self._bound, self._bound_slots = grid, slots
+
+    def level_grid(self, levels) -> LevelGrid:
+        """The :class:`LevelGrid` of ``levels``, built again only when
+        their bytes differ from the last grid's: a planner commits the
+        same grid plan after plan."""
+        levels = np.asarray(levels, dtype=np.float64)
+        raw = levels.tobytes()
+        if raw != self._grid_bytes:
+            self._grid_bytes, self._grid = raw, LevelGrid(levels)
+        return self._grid
+
     # -- feeding -------------------------------------------------------
     def observe(
         self,
-        levels: np.ndarray,
+        levels: "LevelGrid | np.ndarray",
         values: np.ndarray,
         actual: float,
         time_index: int,
@@ -290,11 +381,16 @@ class ModelHealthMonitor:
     ) -> None:
         """Ingest one interval's forecast quantiles and realized value.
 
+        Python floats throughout: the same IEEE arithmetic as the numpy
+        calls the window statistics are defined by, without one per tick.
+
         Parameters
         ----------
         levels, values:
-            The quantile levels (shape ``(L,)``) and the corresponding
-            forecasts *for this single step* (shape ``(L,)``).
+            The quantile levels (shape ``(L,)``, or a :class:`LevelGrid`
+            built from them) and the corresponding forecasts *for this
+            single step* (shape ``(L,)``; a numpy array when ``levels``
+            is a grid).
         actual:
             The workload that materialised.
         time_index:
@@ -304,40 +400,39 @@ class ModelHealthMonitor:
             per-node threshold — enables the window's QoS
             ``violation_rate`` (and alert rules on it).
         """
-        levels = np.asarray(levels, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        raw = levels.tobytes()
-        if raw != self._grid_bytes:
-            self._grid_bytes, self._grid = raw, _sorted_grid(levels)
-        order, levels, keys, taus = self._grid
-        if order is not None:
-            values = values[order]
+        if type(levels) is not LevelGrid:
+            levels = self.level_grid(levels)
+            values = np.asarray(values, dtype=np.float64)
+        column = values.tolist()
+        if len(column) != len(levels.taus):
+            raise ValueError(
+                f"{len(column)} forecast values for {len(levels.taus)} levels"
+            )
+        if levels.order is not None:
+            column = [column[i] for i in levels.order]
+        if levels is not self._bound:
+            self._bind(levels)
         actual = float(actual)
-        median = float(np.interp(0.5, levels, values))
-        residual = actual - median
+        median = levels.median(column)
 
         self._buf_indices.append(int(time_index))
         self._buf_actuals.append(actual)
         self._buf_medians.append(median)
-        # Python floats from here: the same IEEE arithmetic as the numpy
-        # scalars they stand for, without a numpy call per level.
-        for key, tau, predicted in zip(keys, taus, values.tolist()):
-            self._buf_taus.setdefault(key, tau)
+        covered, ql = self._covered, self._ql
+        for slot, tau, predicted in zip(self._bound_slots, levels.taus, column):
             # Ties count as covered: the quantile definition is
             # P(X <= q) >= tau, so actual == predicted satisfies it.
-            self._buf_covered.setdefault(key, []).append(bool(predicted >= actual))
+            covered[slot].append(predicted >= actual)
             indicator = 1.0 if actual <= predicted else 0.0
-            self._buf_ql[key] = self._buf_ql.get(key, 0.0) + (
-                (tau - indicator) * (actual - predicted)
-            )
+            ql[slot] += (tau - indicator) * (actual - predicted)
         if nodes is not None and threshold is not None:
             self._buf_violations.append(actual > nodes * threshold)
 
         # Drift detection on the spread-normalised residual.
-        spread = float(values[-1] - values[0]) if len(values) > 1 else 0.0
+        spread = column[-1] - column[0] if len(column) > 1 else 0.0
         scale = max(spread, _SCALE_FLOOR)
         detector = self.detector
-        if detector.update(residual / scale):
+        if detector.update((actual - median) / scale):
             event = DriftEvent(
                 time_index=int(time_index),
                 score=float(detector.fired_score),
@@ -390,37 +485,44 @@ class ModelHealthMonitor:
 
     # -- window finalisation -------------------------------------------
     def _finalize_window(self) -> None:
-        actuals = np.asarray(self._buf_actuals, dtype=np.float64)
-        medians = np.asarray(self._buf_medians, dtype=np.float64)
-        steps = self._window_steps
+        """Close the window in one pass over its buffers.
+
+        Each statistic has the bits of its numpy definition (np.mean of
+        the flags, of the per-level errors, of the 24 ratios...):
+        coverage is a count over a count, a mean of fewer than 8 values
+        a sequential sum, and each longer float reduction one numpy call.
+        """
+        actuals, medians = self._buf_actuals, self._buf_medians
+        steps, count = self._window_steps, len(actuals)
+        keys = self._keys
         coverage = {
-            key: float(np.mean(flags)) for key, flags in self._buf_covered.items()
+            key: flags.count(True) / len(flags)
+            for key, flags in zip(keys, self._covered)
         }
         calibration_error = (
-            float(
-                np.mean(
-                    [abs(coverage[k] - self._buf_taus[k]) for k in coverage]
-                )
-            )
+            _mean([abs(c - tau) for c, tau in zip(coverage.values(), self._taus)])
             if coverage
             else 0.0
         )
-        abs_sum = float(np.abs(actuals).sum())
+        absolute = [abs(a) for a in actuals]
+        abs_sum = _sum(absolute)
         if abs_sum > 0.0:
-            wql = {k: 2.0 * ql / abs_sum for k, ql in self._buf_ql.items()}
+            wql = {key: 2.0 * ql / abs_sum for key, ql in zip(keys, self._ql)}
         else:
-            wql = {k: 0.0 for k in self._buf_ql}
+            wql = dict.fromkeys(keys, 0.0)
         # A fully degraded window has no forecasted steps at all — the
         # accuracy aggregates are defined as 0 rather than NaN.
-        mape = (
-            float(
-                np.mean(
-                    np.abs(medians - actuals) / np.maximum(np.abs(actuals), self.eps)
-                )
-            )
-            if len(actuals)
-            else 0.0
-        )
+        mape = mean_residual = 0.0
+        if count:
+            eps = self.eps
+            residuals = [a - m for a, m in zip(actuals, medians)]
+            mean_residual = _sum(residuals) / count
+            # |median - actual| / np.maximum(|actual|, eps); a NaN passes
+            # through the guard as np.maximum lets it.
+            mape = _sum(
+                [abs(r) / (eps if d < eps else d) for r, d in zip(residuals, absolute)]
+            ) / count
+        violations = self._buf_violations
         stats = WindowStats(
             window=self._window_count,
             start_index=self._buf_indices[0],
@@ -429,17 +531,13 @@ class ModelHealthMonitor:
             coverage=coverage,
             calibration_error=calibration_error,
             wql=wql,
-            mean_wql=float(np.mean(list(wql.values()))) if wql else 0.0,
+            mean_wql=_mean(list(wql.values())) if wql else 0.0,
             mape=mape,
-            mean_residual=(
-                float(np.mean(actuals - medians)) if len(actuals) else 0.0
-            ),
+            mean_residual=mean_residual,
             drift_score=self.detector.score,
             drift_events=self._window_drift_events,
             violation_rate=(
-                float(np.mean(self._buf_violations))
-                if self._buf_violations
-                else None
+                violations.count(True) / len(violations) if violations else None
             ),
             degraded_intervals=self._window_degraded,
             degraded_rate=self._window_degraded / steps if steps else 0.0,
@@ -488,9 +586,9 @@ class ModelHealthMonitor:
                 "indices": list(self._buf_indices),
                 "actuals": list(self._buf_actuals),
                 "medians": list(self._buf_medians),
-                "covered": {k: list(v) for k, v in self._buf_covered.items()},
-                "taus": dict(self._buf_taus),
-                "ql": dict(self._buf_ql),
+                "covered": {k: list(v) for k, v in zip(self._keys, self._covered)},
+                "taus": dict(zip(self._keys, self._taus)),
+                "ql": dict(zip(self._keys, self._ql)),
                 "violations": list(self._buf_violations),
                 "window_drift_events": self._window_drift_events,
                 "window_steps": self._window_steps,
@@ -523,12 +621,13 @@ class ModelHealthMonitor:
         self._buf_indices = [int(v) for v in buffer["indices"]]
         self._buf_actuals = [float(v) for v in buffer["actuals"]]
         self._buf_medians = [float(v) for v in buffer["medians"]]
-        self._buf_covered = {
-            k: [bool(f) for f in v] for k, v in buffer["covered"].items()
-        }
-        self._buf_taus = {k: float(v) for k, v in buffer["taus"].items()}
-        self._buf_ql = {k: float(v) for k, v in buffer["ql"].items()}
         self._buf_violations = [bool(v) for v in buffer["violations"]]
+        self._slot_of, self._keys, self._taus, self._covered, self._ql = {}, [], [], [], []
+        self._bound = None
+        for key, flags in buffer["covered"].items():
+            slot = self._add_slot(key, float(buffer["taus"][key]))
+            self._covered[slot].extend(bool(f) for f in flags)
+            self._ql[slot] = float(buffer["ql"][key])
         self._window_drift_events = int(buffer["window_drift_events"])
         self._window_steps = int(buffer["window_steps"])
         self._window_degraded = int(buffer["window_degraded"])

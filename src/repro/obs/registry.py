@@ -19,9 +19,10 @@ aggregates in memory, and optionally writes to attached sinks (see
 
 * counters and gauges are state, not events: an update while a sink is
   attached only marks the metric dirty, and :meth:`MetricsRegistry.flush`
-  writes one ``metrics`` record with the current value of everything
-  that changed since the previous flush.  The owner of a loop flushes
-  (the daemon once per tick, the CLI before it closes its sink,
+  writes the current value of everything that changed since the
+  previous flush, as one ``metrics`` record or inside a record it is
+  given.  The owner of a loop flushes (the daemon once per tick, into
+  the tick's ``trace`` record; the CLI before it closes its sink;
   :meth:`~MetricsRegistry.remove_sink` on the way out);
 * a span closed inside an active trace is exported inside that trace's
   ``trace`` record and nowhere else; a span outside any trace streams
@@ -45,9 +46,12 @@ scalars.  Cheap, not free — the four spans of an idle daemon tick are
 on the e2e benchmark's ``serve-bare`` workload; 21-23 us before the
 stdlib draws, 38 us before ``span()`` became a plain class and the
 reservoir stopped drawing per observation).  With a tracer and a
-JSON-lines sink attached, encoding that tick's ``trace`` record (four
-spans in integer nanoseconds, ~475 bytes) costs 8-12 us; 24-26 us for
-the ~825 bytes of span ids and float seconds it replaced.
+JSON-lines sink attached, that tick is one ``trace`` record: four spans
+in integer nanoseconds and the tick's counters and gauges, ~545 bytes,
+10.2 us to encode and 11.6 us to emit (encode, write, flush).  The two
+records it replaced, the trace alone (~465 bytes) and a ``metrics``
+record (~200 bytes), took 11.9 + 7.9 us to emit (``timeit`` minima of
+``JsonlSink.emit``).
 """
 
 from __future__ import annotations
@@ -412,32 +416,33 @@ class MetricsRegistry:
         self.flush()
         self._sinks.remove(sink)
 
-    def flush(self) -> None:
+    def flush(self, record: dict | None = None) -> None:
         """Write the counters and gauges that changed since the last flush.
 
-        One ``metrics`` record carries the current value of each, keyed
-        by flat metric key; nothing is written when nothing changed.
-        Whoever owns a loop calls this once per iteration — a crash
-        then loses at most the counter values of the iteration in
-        flight (events, spans and traces are written as they happen).
+        The current value of each, keyed by flat metric key, goes out as
+        a record's ``counters`` / ``gauges``: by default a ``metrics``
+        record, and nothing is written when nothing changed.  Given
+        ``record`` — the daemon passes the ``trace`` record of the tick
+        it just closed — they ride in it, which is written either way,
+        so the tick costs one record.  Whoever owns a loop calls this
+        once per iteration — a crash then loses at most the counter
+        values of the iteration in flight (events, spans and traces are
+        written as they happen).  Callers check :attr:`active` first.
         """
         dirty = self._dirty
-        if not dirty:
-            return
-        counters: dict[str, float] = {}
-        gauges: dict[str, float] = {}
-        for metric in dirty:
-            (counters if metric.kind == "counter" else gauges)[metric.key] = metric.value
-        dirty.clear()
-        self._emit(
-            {
-                "kind": "metrics",
-                "name": "registry",
-                "labels": {},
-                "counters": counters,
-                "gauges": gauges,
-            }
-        )
+        if record is None:
+            if not dirty:
+                return
+            record = {"kind": "metrics", "name": "registry", "labels": {}}
+        if dirty:
+            counters: dict[str, float] = {}
+            gauges: dict[str, float] = {}
+            for metric in dirty:
+                (counters if metric.kind == "counter" else gauges)[metric.key] = metric.value
+            dirty.clear()
+            record["counters"] = counters
+            record["gauges"] = gauges
+        self._emit(record)
 
     @property
     def active(self) -> bool:

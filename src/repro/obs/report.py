@@ -5,7 +5,8 @@ Consumes the flat records produced by
 an :class:`~repro.obs.sinks.InMemorySink`, or any iterable of dicts —
 and reduces them to the aggregate view a human wants after a run:
 per-phase span timings (``span`` records plus the spans inside ``trace``
-records), counter totals and last gauge values (``metrics`` records),
+records), counter totals and last gauge values (``metrics`` records, and
+the ``trace`` records of daemon ticks, which carry their tick's flush),
 and histogram statistics.
 """
 
@@ -124,8 +125,9 @@ def summarize_records(records: Iterable[dict]) -> TelemetrySummary:
         kind = record.get("kind")
         name = record.get("name", "")
         key = format_metric_key(name, record.get("labels") or {})
-        if kind == "metrics":
+        if kind == "metrics" or kind == "trace":
             # Each flush carries current values; the last one wins.  A
+            # daemon tick's flush rides in its trace record.  A
             # non-finite gauge was written as null and is left out.
             summary.counters.update(record.get("counters") or {})
             summary.gauges.update(
@@ -133,7 +135,7 @@ def summarize_records(records: Iterable[dict]) -> TelemetrySummary:
                 for gauge, value in (record.get("gauges") or {}).items()
                 if value is not None
             )
-        elif kind == "histogram":
+        if kind == "histogram":
             summary.histograms.setdefault(key, DistributionSummary()).values.append(
                 float(record.get("value", 0.0))
             )

@@ -3,8 +3,9 @@
 A sink receives every record a
 :class:`~repro.obs.registry.MetricsRegistry` writes as a plain dict:
 ``histogram`` observations, ``span`` records of spans outside any trace,
-``trace`` records (which carry the spans closed inside them), free-form
-events, and one ``metrics`` record per
+``trace`` records (which carry the spans closed inside them, and for a
+daemon tick that tick's counters and gauges), free-form events, and
+one ``metrics`` record per plain
 :meth:`~repro.obs.registry.MetricsRegistry.flush` holding the counters
 and gauges that changed since the previous one.  Counter and gauge
 updates are not records of their own: call ``registry.flush()`` (or

@@ -25,8 +25,9 @@ the live list and hanging their roots off the span open at the merge —
 so a ``backtest(n_jobs=2)`` timeline shows the worker's ``predict``
 spans under the same ``backtest`` root a serial run would produce.
 
-Completed traces land in a bounded ring (newest win) and are emitted as
-``kind="trace"`` events to the registry's sinks;
+Completed traces land in a bounded ring (newest win); whoever brackets
+them writes them as ``kind="trace"`` records (the daemon adds its
+tick's counters and gauges to the record);
 :func:`render_trace_timeline` draws one trace as an indented
 critical-path timeline for ``report --traces`` and the control plane's
 ``GET /traces``.
@@ -50,8 +51,8 @@ class TraceCollector:
 
     Attach with ``registry.set_tracer(collector)``; the registry then
     calls :meth:`open_span` / :meth:`close_span` from its ``span()``
-    context manager.  Bracket each unit of work (the runtime brackets
-    every ``step()``) with :meth:`begin` / :meth:`end`.
+    context manager.  Bracket each unit of work (the daemon brackets
+    every tick) with :meth:`begin` / :meth:`end`.
 
     Parameters
     ----------

@@ -117,8 +117,10 @@ class ServiceRuntime:
         rides along in checkpoints.
     tracer:
         Optional :class:`~repro.obs.trace.TraceCollector`; when given,
-        :meth:`run` attaches it to the ambient registry so every step
-        produces a trace record, and ``GET /traces`` serves the ring.
+        :meth:`run` attaches it to the ambient registry and brackets
+        every tick in one trace, written as one ``trace`` record that
+        also carries the tick's counters and gauges; ``GET /traces``
+        serves the ring.
     linger:
         Seconds to keep the control plane up after the tick stream
         ends (lets probes scrape final state; 0 exits immediately).
@@ -221,34 +223,31 @@ class ServiceRuntime:
     # -- the loop --------------------------------------------------------
     async def _step_loop(self) -> None:
         metrics = get_registry()
+        tracer = metrics.tracer
         async for value in self.source.ticks():
             if self._stop.is_set():
                 return
-            result = self.runtime.step(value)
-            self.last_step = result
-            self.ticks_processed += 1
-            self.series.append(
-                {
-                    "tick": result.tick,
-                    "workload": (
-                        float(result.observed)
-                        if result.observed is not None
-                        else None
-                    ),
-                    "nodes": result.target_nodes,
-                }
-            )
-            metrics.counter("service.ticks").inc()
-            self._drain_decisions()
-            if self.plan_on_alert:
-                self._check_alerts()
-            if self.adaptation is not None:
-                self.adaptation.on_tick(
-                    result.tick, result.observed, result.planned
-                )
-            # The tick's counters and gauges, once; before the checkpoint
-            # so a crash in a long write cannot lose them.
-            metrics.flush()
+            # One trace per tick (trace_id = tick) around the step and the
+            # daemon's bookkeeping; the daemon opens no span of its own, so
+            # span paths are the step's.
+            tick = self.runtime.tick
+            if tracer is not None:
+                tracer.begin(tick)
+            status = "error"
+            try:
+                self._serve_tick(value)
+                status = "ok"
+            finally:
+                # The tick's counters and gauges, once, in its trace record
+                # (one encode, one write); before the checkpoint so a crash
+                # in a long write cannot lose them.
+                trace = tracer.end(status) if tracer is not None else None
+                if trace is None:
+                    metrics.flush()
+                elif metrics.active:
+                    metrics.flush(
+                        {"kind": "trace", "name": f"tick:{tick}", "labels": {}, **trace}
+                    )
             if (
                 self.checkpoint_at is not None
                 and self.ticks_processed == self.checkpoint_at
@@ -270,6 +269,29 @@ class ServiceRuntime:
             else:
                 # Yield so control-plane requests interleave between steps.
                 await asyncio.sleep(0)
+
+    def _serve_tick(self, value: float) -> None:
+        """Step the runtime once and do the daemon's bookkeeping for it."""
+        result = self.runtime.step(value)
+        self.last_step = result
+        self.ticks_processed += 1
+        self.series.append(
+            {
+                "tick": result.tick,
+                "workload": (
+                    float(result.observed)
+                    if result.observed is not None
+                    else None
+                ),
+                "nodes": result.target_nodes,
+            }
+        )
+        get_registry().counter("service.ticks").inc()
+        self._drain_decisions()
+        if self.plan_on_alert:
+            self._check_alerts()
+        if self.adaptation is not None:
+            self.adaptation.on_tick(result.tick, result.observed, result.planned)
 
     def _alert_count(self) -> int:
         monitor = self.runtime.monitor

@@ -22,12 +22,14 @@ POST   /checkpoint    write a checkpoint; returns its path
 ====== ============== ==================================================
 
 Malformed framing (a Content-Length that is not a non-negative integer,
-a body shorter than it declares) is 400, a request whose head and body
-have not arrived within ``_READ_TIMEOUT`` seconds is 408, unknown paths
-are 404, wrong methods 405, handler-refused operations carry their own
-status (e.g. 409 when planning is impossible during cold start).
-Responses always close the connection — the control plane is for
-curl/monitoring probes, not high-QPS serving.
+a body shorter than it declares, a request or header line beyond the
+stream's 64 KiB line limit) is 400, a request whose head and body have
+not arrived within ``_READ_TIMEOUT`` seconds is 408, unknown paths are
+404, wrong methods 405, handler-refused operations carry their own
+status (e.g. 409 when planning is impossible during cold start).  A
+connection beyond ``_MAX_CONNECTIONS`` open at once is answered 503 and
+closed without reading it.  Responses always close the connection — the
+control plane is for curl/monitoring probes, not high-QPS serving.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ _STATUS_TEXT = {
     408: "Request Timeout",
     409: "Conflict",
     500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 #: Request bodies beyond this are refused (the control plane accepts
@@ -57,6 +60,10 @@ _MAX_BODY = 1 << 20
 #: still incomplete then is answered 408 and its connection closed, so a
 #: stalled client cannot hold a connection open.
 _READ_TIMEOUT = 5.0
+
+#: Connections served at once; one more is answered 503 and closed at
+#: once, so idle clients cannot pile up on the tick's event loop.
+_MAX_CONNECTIONS = 64
 
 
 class HttpError(Exception):
@@ -112,6 +119,7 @@ class ControlPlane:
         self._server: asyncio.AbstractServer | None = None
         self.port: int | None = None
         self.requests_served = 0
+        self._connections = 0  # open now, each counted until it closes
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -133,10 +141,23 @@ class ControlPlane:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if self._connections >= _MAX_CONNECTIONS:
+            await self._reply(
+                writer, 503, {"error": f"over {_MAX_CONNECTIONS} open connections"}
+            )
+            return
+        self._connections += 1
         try:
-            status, payload = await self._respond(reader)
-        except Exception as error:  # a broken handler must not kill the daemon
-            status, payload = 500, {"error": f"{type(error).__name__}: {error}"}
+            try:
+                status, payload = await self._respond(reader)
+            except Exception as error:  # a broken handler must not kill the daemon
+                status, payload = 500, {"error": f"{type(error).__name__}: {error}"}
+            await self._reply(writer, status, payload)
+        finally:
+            self._connections -= 1
+
+    async def _reply(self, writer: asyncio.StreamWriter, status: int, payload: Any) -> None:
+        """Write one response and close the connection."""
         if isinstance(payload, RawResponse):
             status = payload.status
             content_type = payload.content_type
@@ -196,15 +217,23 @@ class ControlPlane:
             return error.status, {"error": error.message}
 
 
+async def _readline(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One line of the request head; a line beyond the reader's limit is a 400."""
+    try:
+        return await reader.readline()
+    except ValueError:  # the line outgrew the StreamReader's 64 KiB limit
+        raise HttpError(400, f"{what} longer than the 64 KiB line limit")
+
+
 async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
     """``(method, target, body)`` of one request; malformed framing is a 400."""
-    request_line = (await reader.readline()).decode("latin-1").strip()
+    request_line = (await _readline(reader, "request line")).decode("latin-1").strip()
     parts = request_line.split()
     if len(parts) < 2:
         raise HttpError(400, f"malformed request line: {request_line!r}")
     headers: dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = await _readline(reader, "header line")
         if line in (b"\r\n", b"\n", b""):
             break
         key, _, value = line.decode("latin-1").partition(":")

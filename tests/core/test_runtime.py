@@ -350,13 +350,39 @@ class TestTelemetry:
         registry.set_tracer(tracer)
         with using_registry(registry):
             runtime, _ = make_runtime(series, context=6, horizon=4)
-            steps = [runtime.step(value) for value in series]
+            steps = []
+            for value in series:
+                # A step opens no trace: its driver brackets the tick, as
+                # the daemon does.
+                tracer.begin(runtime.tick)
+                steps.append(runtime.step(value))
+                tracer.end()
         traces = tracer.traces()
         assert [trace["trace_id"] for trace in traces] == [step.tick for step in steps]
         for trace, step in zip(traces, steps):
             durations = {span["name"]: span["duration_ns"] for span in trace["spans"]}
             for phase in phases:
                 assert durations[f"runtime.step/{phase}"] / 1e9 == step.phase_seconds[phase]
+
+    def test_a_step_opens_no_trace(self):
+        # Traces are the daemon's, one per tick: a bare step under an
+        # attached tracer streams its spans as records of their own.
+        from repro.obs import MetricsRegistry, using_registry
+        from repro.obs.sinks import InMemorySink
+        from repro.obs.trace import TraceCollector
+
+        sink = InMemorySink()
+        registry = MetricsRegistry(sinks=[sink])
+        tracer = TraceCollector()
+        registry.set_tracer(tracer)
+        with using_registry(registry):
+            runtime, _ = make_runtime(np.full(8, 300.0), context=6, horizon=4)
+            runtime.step(300.0)
+        assert tracer.traces_started == 0
+        assert [r["name"] for r in sink.records if r["kind"] == "span"] == [
+            "runtime.step/plan", "runtime.step/actuate", "runtime.step/observe",
+            "runtime.step",
+        ]
 
     def test_no_telemetry_leaks_outside_scoped_registry(self):
         from repro.obs import MetricsRegistry, using_registry

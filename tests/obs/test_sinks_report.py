@@ -113,9 +113,10 @@ class TestJsonlSink:
 
     def test_killed_daemon_leaves_counters_at_most_one_tick_stale(self, tmp_path):
         # What a crash can lose, stated as a test: counters and gauges
-        # are written once per tick, so SIGKILL at any moment leaves a
-        # last `metrics` record at most one tick behind the last `trace`
-        # (which, like events and provenance, is written as it happens).
+        # are written once per tick, in the tick's `trace` record, so
+        # SIGKILL at any moment leaves the last counters written at most
+        # one tick behind the last `trace` (which, like events and
+        # provenance, is written as it happens).
         path = tmp_path / "killed.jsonl"
         import repro
 
@@ -155,7 +156,7 @@ class TestJsonlSink:
 
         records = read_jsonl(path)  # drops a half-written last line
         traces = [r for r in records if r["kind"] == "trace"]
-        flushed = [r for r in records if r["kind"] == "metrics"]
+        flushed = [r for r in records if "counters" in r]
         assert [t["trace_id"] for t in traces] == list(range(288, 288 + len(traces)))
         assert len(traces) - flushed[-1]["counters"]["service.ticks"] in (0, 1)
         assert len(traces) - len(flushed) in (0, 1)

@@ -1,8 +1,9 @@
 """The telemetry file and ``/metrics`` cannot disagree.
 
 A tick's telemetry is written once: counters and gauges in the
-``metrics`` record of the next ``flush()``, a span inside an open trace
-in that trace's record, everything else as its own line.  Whatever the
+record of the next ``flush()`` (a ``metrics`` record, or the ``trace``
+record a daemon tick closes with), a span inside an open trace in that
+trace's record, everything else as its own line.  Whatever the
 interleaving, replaying the stream through ``summarize_records`` must
 rebuild what ``registry.snapshot()`` holds, and no span may be written
 twice or not at all.
@@ -45,9 +46,11 @@ def run(registry, tracer, sink, ops):
     outside, inside = Counter(), Counter()
 
     def end_trace():
-        # What AutoscalingRuntime.step does with a finished trace.
+        # What the daemon does at the end of a tick: the flush rides in
+        # the finished trace's record.
         trace = tracer.end()
-        registry.emit_event("trace", f"tick:{trace['trace_id']}", **trace)
+        registry.flush({"kind": "trace", "name": f"tick:{trace['trace_id']}",
+                        "labels": {}, **trace})
 
     for index, (op, *args) in enumerate(ops):
         if op == "inc":

@@ -291,7 +291,13 @@ class TestFraming:
         (b"POST /plan HTTP/1.1\r\nContent-Length: abc\r\n\r\n", "malformed Content-Length"),
         (b"POST /plan HTTP/1.1\r\nContent-Length: -5\r\n\r\n", "malformed Content-Length"),
         (b"POST /plan HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}", "body ends after 2 of 10 bytes"),
-    ], ids=["not-a-number", "negative", "short-body"])
+        # Beyond the StreamReader's 64 KiB line limit.
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+         "request line longer than the 64 KiB line limit"),
+        (b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+         "header line longer than the 64 KiB line limit"),
+    ], ids=["not-a-number", "negative", "short-body", "overlong-request-line",
+            "overlong-header-line"])
     def test_malformed_framing_is_400_and_the_daemon_still_serves(self, warm, data, message):
         status, payload = raw_request(warm.port, data)
         assert status == 400
@@ -310,6 +316,88 @@ class TestFraming:
         assert "request incomplete" in payload["error"]
         assert time.monotonic() - started < 5.0
         assert request(warm.port, "GET", "/health")[0] == 200
+
+
+class TestConnectionCap:
+    def test_connections_beyond_the_cap_are_503_while_ticks_flow(self, monkeypatch):
+        cap, extra = 4, 3
+        monkeypatch.setattr("repro.service.http._MAX_CONNECTIONS", cap)
+        monkeypatch.setattr("repro.service.http._READ_TIMEOUT", 0.5)
+        runtime = AutoscalingRuntime(
+            planner=QuantilePlanner(4, 60.0), context_length=6, horizon=4,
+            threshold=60.0,
+        )
+        service = ServiceRuntime(
+            runtime, GeneratorSource(np.full(2000, 300.0), interval=0.002), linger=60.0
+        )
+        thread = start_service(service)
+        held = [socket.create_connection(("127.0.0.1", service.port), timeout=10)
+                for _ in range(cap)]
+        try:
+            time.sleep(0.1)  # the held connections are accepted, in order
+            refused = [socket.create_connection(("127.0.0.1", service.port), timeout=10)
+                       for _ in range(extra)]
+            for sock in refused:
+                with sock:
+                    head = sock.recv(65536)
+                assert head.startswith(b"HTTP/1.1 503 ")
+            # Idle clients hold every slot: the tick loop keeps stepping.
+            ticks = service.ticks_processed
+            time.sleep(0.2)
+            assert service.ticks_processed > ticks
+            for sock in held:  # each held slot times out with a 408
+                assert sock.recv(65536).startswith(b"HTTP/1.1 408 ")
+        finally:
+            for sock in held:
+                sock.close()
+        try:
+            assert request(service.port, "GET", "/health")[0] == 200
+        finally:
+            service.request_stop()
+            thread.join(timeout=10)
+
+
+def adaptation_service(phase):
+    """A drained daemon whose adaptation manager is in ``phase`` (None:
+    the daemon has no manager), reached through the control plane."""
+    runtime = make_runtime(FakeForecaster().fit(np.full(20, 100.0)))
+    manager = AdaptationManager(runtime, auto_refit=False) if phase else None
+    service = ServiceRuntime(
+        runtime, GeneratorSource(np.full(30, 100.0)), adaptation=manager, linger=60.0
+    )
+    thread = start_service(service)
+    wait_for_ticks(service.port, 30)
+    for route in {"idle": (), "shadowing": ("/refit",),
+                  "guarding": ("/refit", "/promote")}.get(phase, ()):
+        assert request(service.port, "POST", route, body={"reason": "set-up"})[0] == 200
+    return service, thread
+
+
+class TestPromoteAndRollback:
+    @pytest.mark.parametrize("phase, route, status, message", [
+        (None, "/promote", 409, "adaptation is not enabled"),
+        (None, "/rollback", 409, "adaptation is not enabled"),
+        ("idle", "/promote", 409, "no shadow candidate to promote"),
+        ("idle", "/rollback", 409, "no guarded promotion to roll back"),
+        ("shadowing", "/promote", 200, None),
+        ("guarding", "/rollback", 200, None),
+    ], ids=["no-manager-promote", "no-manager-rollback", "idle-promote",
+            "idle-rollback", "shadowing-promote", "guarding-rollback"])
+    def test_route_answers_by_phase(self, phase, route, status, message):
+        service, thread = adaptation_service(phase)
+        try:
+            got, payload = request(service.port, "POST", route, body={"reason": "row"})
+        finally:
+            service.request_stop()
+            thread.join(timeout=10)
+        assert got == status
+        if message is not None:
+            assert message in payload["error"]
+            return
+        # The reason the operator gave is the one the event carries.
+        event = service.adaptation.machine.events[-1]
+        assert event["action"] == route.strip("/") and event["reason"] == "row"
+        assert payload == event
 
 
 # Decision.record()'s keys the daemon's wire form carries, in order
