@@ -1,12 +1,9 @@
 """Inference micro-benchmarks -> BENCH_inference.json.
 
-Two sections, neither of which the end-to-end ledger (``benchmarks/e2e``,
-which owns per-layer timings such as ``nn.lstm_step_us``,
-``forecast.sample_ms_p50`` and ``forecast.predict_ms_p50``) measures:
+One section, which the end-to-end ledger (``benchmarks/e2e``, which owns
+per-layer timings such as ``nn.lstm_step_us``, ``forecast.sample_ms_p50``
+and ``forecast.predict_ms_p50``) does not measure:
 
-* **backtest** — rolling-origin evaluation wall-clock, ``n_jobs=1`` vs
-  ``n_jobs=N``, with a ``parallel_speedup`` field (jobs1 median over
-  jobsN median) and a bit-determinism check of the fanned-out run;
 * **serving_precision** — DeepAR trains and serves one float32 network
   (docs/nn.md, Precision); this times its sampler against the float64
   reference - the same seed fitted *and* served in float64 through
@@ -19,11 +16,6 @@ cache state hit every variant equally — on noisy shared machines the
 *ratio* is far more stable than any absolute number.  Raw-kernel vs
 autograd-tape parity is not measured here: it is bitwise and a tier-1
 test (``tests/nn``, ``tests/property/test_kernel_properties.py``).
-
-The parallel gate follows the machine, not a flag: when
-``os.cpu_count() < 2`` the parallel rows are not timed and the section
-records ``"skipped": "cpu_count < 2"`` (a one-core machine cannot win);
-otherwise ``parallel_speedup < 1.0`` is a non-zero exit.
 
 Usage::
 
@@ -74,78 +66,6 @@ def interleaved_times(variants: dict, repeats: int) -> dict[str, dict[str, float
         name: {"best_ms": float(np.min(ts)), "median_ms": float(np.median(ts))}
         for name, ts in timings.items()
     }
-
-
-def parallel_skip_reason() -> str | None:
-    """Why the parallel rows are skipped on this machine, or ``None``."""
-    return "cpu_count < 2" if (os.cpu_count() or 1) < 2 else None
-
-
-def parallel_gate_failure(section: dict) -> str | None:
-    """The gate message when a timed section's fan-out lost to ``n_jobs=1``."""
-    if "skipped" in section or section["parallel_speedup"] >= 1.0:
-        return None
-    return (
-        f"parallel_speedup {section['parallel_speedup']:.2f}x < 1.0 "
-        f"(cpu_count={os.cpu_count()})"
-    )
-
-
-def bench_backtest(
-    forecaster: DeepARForecaster,
-    test_values: np.ndarray,
-    train_length: int,
-    repeats: int,
-    jobs: int,
-    stride: int,
-) -> dict:
-    """Rolling-origin evaluation wall-clock, ``n_jobs=1`` vs ``n_jobs=jobs``.
-
-    Beyond the raw timings this records ``parallel_speedup`` (jobs1
-    median over jobsN median — the acceptance-gate ratio) and
-    ``deterministic`` (the fanned-out run must be bit-identical to
-    n_jobs=1, which the ``(seed, window)`` reseeding scheme guarantees;
-    checked on one core too, where only the timings are skipped).
-    """
-    context_length = forecaster.context_length
-    horizon = forecaster.horizon
-
-    def run_backtest(n_jobs):
-        return backtest(
-            forecaster,
-            test_values,
-            context_length,
-            horizon,
-            LEVELS,
-            series_start_index=train_length,
-            stride=stride,
-            n_jobs=n_jobs,
-        )
-
-    serial_result = run_backtest(1)
-    parallel_result = run_backtest(jobs)  # also warms the pool: time steady state
-    deterministic = len(serial_result.forecasts) == len(
-        parallel_result.forecasts
-    ) and all(
-        np.array_equal(a.values, b.values)
-        for a, b in zip(serial_result.forecasts, parallel_result.forecasts)
-    )
-    section = {
-        "windows": serial_result.num_windows,
-        "jobs": jobs,
-        "stride": stride,
-        "deterministic": deterministic,
-    }
-    skipped = parallel_skip_reason()
-    if skipped:
-        times = interleaved_times({"jobs1": lambda: run_backtest(1)}, repeats)
-        return {**times, **section, "skipped": skipped}
-    jobs_key = f"jobs{jobs}"
-    times = interleaved_times(
-        {"jobs1": lambda: run_backtest(1), jobs_key: lambda: run_backtest(jobs)}, repeats
-    )
-    speedup = times["jobs1"]["median_ms"] / times[jobs_key]["median_ms"]
-    return {**times, **section, "parallel_speedup": speedup}
 
 
 def bench_serving_precision(
@@ -224,15 +144,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", default="BENCH_inference.json")
     parser.add_argument("--repeats", type=int, default=None,
                         help="timing repeats per variant (overrides --quick)")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="worker count for the backtest benchmark")
     args = parser.parse_args(argv)
 
     repeats = args.repeats if args.repeats is not None else (3 if args.quick else 7)
     epochs = 2 if args.quick else 6
     days = 8 if args.quick else 12
     context_length, horizon = 72, 72
-    stride = 12  # 72/72 back-to-back yields too few windows to amortise fan-out
+    stride = 12  # 13 windows in the accuracy backtest; back-to-back 72/72 gives 3
 
     print(f"training DeepAR ({epochs} epochs, {days}-day trace)...", file=sys.stderr)
     trace = alibaba_like_trace(num_steps=days * STEPS_PER_DAY, seed=3)
@@ -261,10 +179,6 @@ def main(argv: list[str] | None = None) -> int:
             "stride": stride,
             "cpu_count": os.cpu_count(),
         },
-        "backtest": bench_backtest(
-            forecaster, test.values, len(train.values), max(1, repeats // 2),
-            args.jobs, stride,
-        ),
         "serving_precision": bench_serving_precision(
             forecaster, make(), train.values, sample_context, test.values,
             len(train.values), max(1, repeats // 2), stride,
@@ -275,19 +189,6 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(report, handle, indent=2)
         handle.write("\n")
 
-    bt = report["backtest"]
-    if "skipped" in bt:
-        parallel = f"parallel rows skipped: {bt['skipped']}"
-    else:
-        jobs_key = f"jobs{bt['jobs']}"
-        parallel = (
-            f"{jobs_key} {bt[jobs_key]['best_ms']:.0f}ms  "
-            f"{bt['parallel_speedup']:.2f}x parallel"
-        )
-    print(
-        f"backtest    : jobs1 {bt['jobs1']['best_ms']:.0f}ms  {parallel}  "
-        f"({bt['windows']} windows, deterministic={bt['deterministic']})"
-    )
     f32 = report["serving_precision"]
     print(
         f"float32     : {f32['speedup']:.2f}x vs the float64 route  "
@@ -296,24 +197,13 @@ def main(argv: list[str] | None = None) -> int:
         f"accuracy_ok={f32['accuracy_ok']}"
     )
     print(f"wrote {args.output}")
-    failed = False
-    if not bt["deterministic"]:
-        print(
-            "DETERMINISM FAILURE: parallel backtest differs from n_jobs=1",
-            file=sys.stderr,
-        )
-        failed = True
     if not f32["accuracy_ok"]:
         print(
             "PRECISION FAILURE: float32 deltas exceed the documented tolerance",
             file=sys.stderr,
         )
-        failed = True
-    gate = parallel_gate_failure(bt)
-    if gate:
-        print(f"PARALLEL GATE FAILURE: {gate}", file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -166,7 +166,7 @@ def check_telemetry_file(path: Path, final_counters: dict) -> None:
             fail(f"the trace of tick {record['trace_id']} carries no counters")
         ticks += 1
         busy = any(
-            r["kind"] == "provenance" or r["name"] == "monitor.window"
+            r["kind"] == "provenance" or r.get("name") == "monitor.window"
             for r in lines
         )
         if not busy:

@@ -194,6 +194,9 @@ class AdaptationManager:
             seen_alerts=self._alert_count(),
             cooldown_until=runtime.tick,  # no cooldown at start
         )
+        # The shadow forecast's levels and their LevelGrid, built once per
+        # forecast; not state: a restore rebuilds it on the next shadow tick.
+        self._shadow_grid: tuple = (None, None)
 
     # -- small accessors -------------------------------------------------
     @property
@@ -289,11 +292,15 @@ class AdaptationManager:
             s.shadow_levels = np.asarray(forecast.levels, dtype=np.float64)
             s.shadow_values = np.asarray(forecast.values, dtype=np.float64)
             s.shadow_position = 0
+        levels, grid = self._shadow_grid
+        if levels is not s.shadow_levels:  # a new forecast, or a restore
+            grid = s.shadow_monitor.level_grid(s.shadow_levels)
+            self._shadow_grid = (s.shadow_levels, grid)
         position = min(
             s.shadow_position, s.shadow_values.shape[1] - 1
         )
         s.shadow_monitor.observe(
-            s.shadow_levels,
+            grid,
             s.shadow_values[:, position],
             value,
             time_index=tick,

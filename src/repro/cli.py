@@ -191,12 +191,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
-    """Rolling-origin forecast evaluation over the test split.
-
-    With ``--jobs N`` the decision windows are fanned out across N
-    worker processes; the per-window sampler reseeding makes the result
-    bit-identical to ``--jobs 1`` (see :func:`repro.evaluation.backtest`).
-    """
+    """Rolling-origin forecast evaluation over the test split."""
     from .evaluation.backtest import backtest
     from .evaluation.report import format_table
 
@@ -207,7 +202,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     monitor = _checked(spec.monitor)
     result = backtest(
         forecaster, test.values, args.context, args.horizon, levels,
-        series_start_index=len(train.values), n_jobs=args.jobs, monitor=monitor,
+        series_start_index=len(train.values), monitor=monitor,
     )
     print(f"windows evaluated   : {result.num_windows}")
     print(f"steps scored        : {len(result.merged_actual)}")
@@ -503,9 +498,6 @@ def _common_parent() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=60.0, help="per-node workload threshold")
     p.add_argument("--telemetry", metavar="PATH", help="stream telemetry events (spans, "
                    "counters, gauges, histograms) to PATH as JSON lines")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for commands that fan out (backtest); results "
-                        "are bit-identical to --jobs 1 and worker telemetry is merged")
     return p
 
 

@@ -29,30 +29,8 @@ __all__ = ["BacktestResult", "backtest"]
 
 # Base seed for per-window sampler reseeding; combined with the window's
 # absolute decision point so draws depend only on (seed, window), never
-# on worker layout.
+# on which windows were forecast before it.
 _WINDOW_SEED = 0x5EED
-
-
-def _reseed_for_window(forecaster: Forecaster, absolute_point: int) -> None:
-    reseed = getattr(forecaster, "reseed_sampler", None)
-    if reseed is not None:
-        reseed((_WINDOW_SEED, absolute_point))
-
-
-def _predict_window(context: dict, point: int) -> QuantileForecast:
-    """One decision window; module-level so workers can pickle it."""
-    from ..obs import get_registry
-
-    forecaster = context["forecaster"]
-    values = context["values"]
-    start = context["series_start_index"] + point - context["context_length"]
-    _reseed_for_window(forecaster, context["series_start_index"] + point)
-    with get_registry().span("predict"):
-        return forecaster.predict(
-            values[point - context["context_length"] : point],
-            levels=context["levels"],
-            start_index=start,
-        )
 
 
 @dataclass
@@ -140,7 +118,6 @@ def backtest(
     stride: int | None = None,
     series_start_index: int = 0,
     monitor=None,
-    n_jobs: int = 1,
 ) -> BacktestResult:
     """Rolling-origin evaluation of a fitted forecaster.
 
@@ -159,33 +136,29 @@ def backtest(
         Optional :class:`~repro.obs.monitor.ModelHealthMonitor`: every
         evaluated (forecast, actual) pair is streamed into it, so the
         backtest doubles as an offline calibration/drift analysis.
-    n_jobs:
-        A sampling forecaster is reseeded per decision window from
-        ``(seed, window)``, so draws depend only on the window;
-        ``n_jobs >= 2`` fans the windows across spawn workers (see
-        :func:`repro.parallel.parallel_map`) and is bit-identical to
-        ``n_jobs=1``.  The monitor is fed in window order either way,
-        and worker telemetry merges into the ambient registry.
+
+    A sampling forecaster is reseeded before every decision window from
+    ``(seed, window)``, so a window's draws depend on the window alone.
     """
     from ..core.evaluation import decision_points
     from ..obs import get_registry
-    from ..parallel import parallel_map
 
     values = np.asarray(values, dtype=np.float64)
     points = decision_points(len(values), context_length, horizon, stride)
     result = BacktestResult(levels=tuple(sorted(levels)), points=points)
     metrics = get_registry()
     model = type(forecaster).__name__
+    reseed = getattr(forecaster, "reseed_sampler", None)
     with metrics.span("backtest", model=model):
-        context = {
-            "forecaster": forecaster,
-            "values": values,
-            "levels": result.levels,
-            "context_length": context_length,
-            "series_start_index": series_start_index,
-        }
-        forecasts = parallel_map(_predict_window, points, context, n_jobs=n_jobs)
-        for point, forecast in zip(points, forecasts):
+        for point in points:
+            if reseed is not None:
+                reseed((_WINDOW_SEED, series_start_index + point))
+            with metrics.span("predict"):
+                forecast = forecaster.predict(
+                    values[point - context_length : point],
+                    levels=result.levels,
+                    start_index=series_start_index + point - context_length,
+                )
             metrics.counter("backtest.windows", model=model).inc()
             result.forecasts.append(forecast)
             actual = values[point : point + horizon]

@@ -179,8 +179,7 @@ class DeepARForecaster(NeuralForecaster):
 
         ``backtest`` calls this before every decision window so that
         sample draws depend only on (seed, window), never on how many
-        windows some worker processed before — which is what makes
-        ``n_jobs=1`` and ``n_jobs=4`` bit-identical.
+        windows were forecast before it.
         """
         self._sample_rng = np.random.default_rng(seed)
 

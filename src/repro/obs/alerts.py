@@ -108,8 +108,7 @@ def _read(record: dict, metric: str, level: "float | None") -> "float | None":
     """
     if metric.startswith("span/"):
         histograms = get_registry().histograms(metric) if level is not None else []
-        quantiles = [h.quantile(level) for h in histograms if h.count]
-        return max((q for q in quantiles if q is not None), default=None)
+        return max((h.quantile(level) for h in histograms if h.count), default=None)
     value = record.get(metric)
     if isinstance(value, dict):
         if level is None:

@@ -221,7 +221,9 @@ class LevelGrid:
     quantiles at the ends), the sorted levels as Python floats and their
     keys, and where 0.5 falls among them.  Built by
     :meth:`ModelHealthMonitor.level_grid`, which the runtime asks once
-    per committed plan.
+    per committed plan, the adaptation shadow feed once per candidate
+    forecast and :meth:`ModelHealthMonitor.observe_forecast` once per
+    window.
     """
 
     __slots__ = ("order", "taus", "keys", "_at", "_span")
@@ -474,14 +476,10 @@ class ModelHealthMonitor:
     ) -> None:
         """Ingest a whole forecast window step by step (backtest path)."""
         actuals = np.asarray(actuals, dtype=np.float64)
-        steps = min(forecast.horizon, len(actuals))
-        for h in range(steps):
-            self.observe(
-                forecast.levels,
-                forecast.values[:, h],
-                actuals[h],
-                time_index=start_index + h,
-            )
+        grid = self.level_grid(forecast.levels)
+        values = np.asarray(forecast.values, dtype=np.float64)
+        for h in range(min(forecast.horizon, len(actuals))):
+            self.observe(grid, values[:, h], actuals[h], time_index=start_index + h)
 
     # -- window finalisation -------------------------------------------
     def _finalize_window(self) -> None:

@@ -71,8 +71,8 @@ def _summary_lines(
     for q, key in quantiles:
         value = summary.get(key)
         if value is None:
-            # Empty reservoir (e.g. merged moments without samples):
-            # quantiles are unknowable, sum/count below still hold.
+            # A summary without quantiles (an empty histogram's): sum
+            # and count below still hold.
             continue
         lines.append(
             f"{name}{_label_pairs({**labels, 'quantile': q})} {_number(value)}"

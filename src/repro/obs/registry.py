@@ -47,9 +47,10 @@ on the e2e benchmark's ``serve-bare`` workload; 21-23 us before the
 stdlib draws, 38 us before ``span()`` became a plain class and the
 reservoir stopped drawing per observation).  With a tracer and a
 JSON-lines sink attached, that tick is one ``trace`` record: four spans
-in integer nanoseconds and the tick's counters and gauges, ~545 bytes,
-10.2 us to encode and 11.6 us to emit (encode, write, flush).  The two
-records it replaced, the trace alone (~465 bytes) and a ``metrics``
+in integer nanoseconds and the tick's counters and gauges, ~515 bytes
+(``trace_id`` names the tick; the record has no ``name`` or ``labels``).
+With those two keys, at ~545 bytes, it took 10.2 us to encode and
+11.6 us to emit (encode, write, flush).  The two records it replaced, the trace alone (~465 bytes) and a ``metrics``
 record (~200 bytes), took 11.9 + 7.9 us to emit (``timeit`` minima of
 ``JsonlSink.emit``).
 """
@@ -227,14 +228,12 @@ class Histogram(_Metric):
             self._skip()
 
     def _restart_skips(self) -> None:
-        """(Re)enter Algorithm L with a full buffer at the current count.
+        """Enter Algorithm L with a full buffer at the current count.
 
         Give every value seen a uniform key and keep the ``size``
         smallest: after ``count`` values the largest kept key is
-        Beta(size, count - size + 1).  Drawing the threshold from that
-        law is exact both when the buffer first fills (Beta(size, 1),
-        the textbook start) and after :meth:`merge_state` moved
-        ``count`` by a jump.
+        Beta(size, count - size + 1).  When the buffer first fills that
+        law is Beta(size, 1), the textbook start.
         """
         size = len(self._reservoir)
         self._threshold = self._rng.betavariate(size, self.count - size + 1)
@@ -247,50 +246,14 @@ class Histogram(_Metric):
         skipped = int(math.log(1.0 - self._rng.random()) / log_miss)
         self._next_keep = self.count + skipped + 1
 
-    def merge_state(self, state: dict) -> None:
-        """Fold another histogram's state (see ``MetricsRegistry.state_dict``).
-
-        Moments (count/sum/min/max) merge exactly; the reservoir merge is
-        approximate — a deterministic subsample of the union, drawn from
-        this histogram's own seeded rng, so repeated runs with the same
-        merge order produce identical quantile estimates.
-        """
-        if not state["count"]:
-            return
-        self.count += int(state["count"])
-        self.sum += state["sum"]
-        self.min = min(self.min, state["min"])
-        self.max = max(self.max, state["max"])
-        combined = np.concatenate(
-            [self._reservoir[: self._filled], np.asarray(state["reservoir"])]
-        )
-        size = len(self._reservoir)
-        if len(combined) <= size:
-            self._reservoir[: len(combined)] = combined
-            self._filled = len(combined)
-        else:
-            keep = sorted(self._rng.sample(range(len(combined)), size))
-            self._reservoir[:] = combined[keep]
-            self._filled = size
-        if self._filled == size:
-            self._restart_skips()
-
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def quantile(self, q: float | np.ndarray) -> float | np.ndarray | None:
-        """Approximate quantile(s) from the reservoir sample.
-
-        Returns ``None`` when the histogram has a count but no sampled
-        values (a merged state can carry moments without a reservoir) —
-        the quantile is unknowable, and ``None`` stays valid JSON where
-        NaN would not.
-        """
+    def quantile(self, q: float | np.ndarray) -> float | np.ndarray:
+        """Approximate quantile(s) from the reservoir sample."""
         if self.count == 0:
             raise ValueError(f"histogram {self.key!r} has no observations")
-        if self._filled == 0:
-            return None
         sample = self._reservoir[: self._filled]
         result = np.quantile(sample, q)
         return float(result) if np.ndim(result) == 0 else result
@@ -300,8 +263,7 @@ class Histogram(_Metric):
             return {"count": 0, "sum": 0.0}
         # One np.quantile call for the three levels: bitwise the values of
         # three calls, at a third of the cost.
-        quantiles = self.quantile(_SUMMARY_LEVELS)
-        p50, p90, p99 = (None,) * 3 if quantiles is None else quantiles.tolist()
+        p50, p90, p99 = self.quantile(_SUMMARY_LEVELS).tolist()
         return {
             "count": self.count,
             "sum": self.sum,
@@ -382,12 +344,6 @@ class MetricsRegistry:
         the duration it recorded.
         """
         return _Span(self, name, labels)
-
-    @property
-    def current_span_path(self) -> str | None:
-        """Slash-joined path of the currently open spans (None at top level)."""
-        stack = self._span_stack
-        return stack[-1] if stack else None
 
     # -- tracing ---------------------------------------------------------
     def set_tracer(self, tracer):
@@ -472,75 +428,6 @@ class MetricsRegistry:
         record.setdefault("ts", self._time())
         for sink in self._sinks:
             sink.emit(record)
-
-    # -- cross-process state ---------------------------------------------
-    def state_dict(self) -> dict:
-        """Picklable aggregate state, for shipping across process boundaries.
-
-        Multiprocessing workers run under a fresh registry, return its
-        ``state_dict()`` with their result, and the parent folds it back
-        via :meth:`merge_state_dict` — so telemetry recorded inside
-        workers is not silently dropped.  Only plain Python containers
-        and floats, so any pickle protocol (and JSON) can carry it.
-        """
-        counters, gauges, histograms = [], [], []
-        for metric in self._metrics.values():
-            entry = {"name": metric.name, "labels": dict(metric.labels)}
-            if isinstance(metric, Counter):
-                counters.append({**entry, "value": metric.value})
-            elif isinstance(metric, Gauge):
-                gauges.append({**entry, "value": metric.value})
-            elif isinstance(metric, Histogram):
-                histograms.append(
-                    {
-                        **entry,
-                        "count": metric.count,
-                        "sum": metric.sum,
-                        "min": metric.min,
-                        "max": metric.max,
-                        "reservoir": metric._reservoir[: metric._filled].tolist(),
-                        "reservoir_size": len(metric._reservoir),
-                    }
-                )
-        state = {"counters": counters, "gauges": gauges, "histograms": histograms}
-        if self._tracer is not None and self._tracer.finished:
-            state["traces"] = self._tracer.drain()
-        return state
-
-    def merge_state_dict(self, state: dict, span_prefix: str | None = None) -> None:
-        """Fold a worker's :meth:`state_dict` into this registry.
-
-        Counters add (through :meth:`Counter.inc`, so the next flush
-        carries the merged total), gauges take the incoming value, histograms
-        merge moments exactly and reservoirs approximately (see
-        :meth:`Histogram.merge_state`).  Span histograms ride along like
-        any other histogram; pass ``span_prefix`` (typically the
-        parent's :attr:`current_span_path`) to re-root them under the
-        spans that were open when the work was fanned out, so a worker's
-        ``predict`` span lands in the same ``backtest/predict`` histogram
-        a serial run would record.  When no sink is attached this is a
-        few dict lookups and float adds; no event is built.
-        """
-        for entry in state.get("counters", []):
-            if entry["value"]:
-                self.counter(entry["name"], **entry["labels"]).inc(entry["value"])
-        for entry in state.get("gauges", []):
-            if entry["value"] is not None:
-                self.gauge(entry["name"], **entry["labels"]).set(entry["value"])
-        for entry in state.get("histograms", []):
-            name = entry["name"]
-            if span_prefix and name.startswith("span/"):
-                name = f"span/{span_prefix}/{name[len('span/'):]}"
-            histogram = self._intern(
-                Histogram,
-                name,
-                entry["labels"],
-                reservoir_size=entry.get("reservoir_size", 1024),
-            )
-            histogram.merge_state(entry)
-        if self._tracer is not None:
-            for trace in state.get("traces", []):
-                self._tracer.absorb(trace, span_prefix=span_prefix)
 
     def snapshot(self) -> dict[str, dict]:
         """Aggregate state as plain dicts, keyed by flat metric key.

@@ -16,15 +16,6 @@ one, ``"labels"`` when it has any and ``"status"`` only when it is not
 ``ok``.  Positions are the ids: a span's index in ``spans`` is how its
 children name it.
 
-Traces survive the :func:`~repro.parallel.parallel_map` process
-boundary: each chunk of items ships the parent's ``trace_id``, the
-worker collects the chunk's spans in a trace of its own, and
-:meth:`~TraceCollector.absorb` grafts them back into the parent's live
-trace during the registry merge — shifting their parent indices past
-the live list and hanging their roots off the span open at the merge —
-so a ``backtest(n_jobs=2)`` timeline shows the worker's ``predict``
-spans under the same ``backtest`` root a serial run would produce.
-
 Completed traces land in a bounded ring (newest win); whoever brackets
 them writes them as ``kind="trace"`` records (the daemon adds its
 tick's counters and gauges to the record);
@@ -34,8 +25,8 @@ critical-path timeline for ``report --traces`` and the control plane's
 
 Tracing never feeds decisions: the collector only observes timing, so
 attaching one cannot perturb the planner — the bit-determinism
-contracts (``n_jobs=1 == n_jobs=N``, checkpoint/restore) hold with
-tracing on.
+contracts (repeated backtests, checkpoint/restore) hold with tracing
+on.
 """
 
 from __future__ import annotations
@@ -110,8 +101,8 @@ class TraceCollector:
             span["duration_ns"] = elapsed - span["start_ns"]
             span["status"] = "error"
         self._open = []
-        # An error recorded mid-trace (failed span, absorbed worker
-        # error) sticks even when the bracketing caller saw success.
+        # An error recorded mid-trace (a failed span) sticks even when
+        # the bracketing caller saw success.
         if trace["status"] != "error":
             trace["status"] = status
         trace["duration_ns"] = elapsed
@@ -148,48 +139,7 @@ class TraceCollector:
         else:  # defensive: out-of-order close
             self._open = [i for i in self._open if self._spans[i] is not span]
 
-    # -- worker merge ----------------------------------------------------
-    def absorb(self, trace: dict, span_prefix: str | None = None) -> None:
-        """Graft a worker's finished trace into this collector.
-
-        When the worker's ``trace_id`` matches the live trace, its spans
-        are re-anchored so they *end* at merge time (the parent cannot
-        know when the worker actually started relative to its own
-        clock), their parent indices are shifted past the live list, and
-        its root spans hang off the innermost open span; otherwise the
-        trace is kept whole in the finished ring.  ``span_prefix``
-        re-roots span names the same way the registry re-roots span
-        histograms.
-        """
-        spans = [dict(span) for span in trace.get("spans", [])]
-        if span_prefix:
-            for span in spans:
-                span["name"] = f"{span_prefix}/{span['name']}"
-        live = self._trace
-        if live is not None and live["trace_id"] == trace.get("trace_id"):
-            offset = len(self._spans)
-            anchor = self._open[-1] if self._open else None
-            base = (time.perf_counter_ns() - self._t0) - trace.get("duration_ns", 0)
-            for span in spans:
-                span["start_ns"] += base
-                if "parent" in span:
-                    span["parent"] += offset
-                elif anchor is not None:
-                    span["parent"] = anchor
-            self._spans.extend(spans)
-            if trace.get("status") == "error":
-                live["status"] = "error"
-        else:
-            self.finished.append({**trace, "spans": spans})
-            self.traces_finished += 1
-
     # -- inspection ------------------------------------------------------
-    def drain(self) -> list[dict]:
-        """Pop and return all finished traces (oldest first)."""
-        traces = list(self.finished)
-        self.finished.clear()
-        return traces
-
     def traces(self, limit: int | None = None) -> list[dict]:
         """The newest ``limit`` finished traces, oldest first."""
         traces = list(self.finished)

@@ -245,9 +245,7 @@ class ServiceRuntime:
                 if trace is None:
                     metrics.flush()
                 elif metrics.active:
-                    metrics.flush(
-                        {"kind": "trace", "name": f"tick:{tick}", "labels": {}, **trace}
-                    )
+                    metrics.flush({"kind": "trace", **trace})
             if (
                 self.checkpoint_at is not None
                 and self.ticks_processed == self.checkpoint_at

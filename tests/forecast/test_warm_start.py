@@ -149,8 +149,8 @@ class TestWarmRefitDeterminism:
 
 class TestFittedNetworkHoldsNoGradients:
     """The last minibatch's gradients are not fitted state: ``fit`` releases
-    them, so ``copy.deepcopy`` (an adaptation refit) and pickling (a
-    ``parallel_map`` context) carry the weights and nothing else."""
+    them, so ``copy.deepcopy`` (an adaptation refit) and pickling carry
+    the weights and nothing else."""
 
     @pytest.mark.parametrize("family", ["mlp", "deepar", "tft", "qb5000_lstm"])
     def test_every_grad_is_none_after_a_cold_and_a_warm_fit(self, family):

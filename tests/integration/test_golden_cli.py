@@ -3,7 +3,9 @@
 Recorded when ``compare`` walked its own decision windows, ``simulate``
 ran its own cluster loop and ``chaos`` assembled a private runtime; one
 :class:`~repro.core.runtime.AutoscalingRuntime` per run, scored by
-``evaluate_plan`` / ``replay_plan``, prints the same bytes.
+``evaluate_plan`` / ``replay_plan``, prints the same bytes.  The
+``backtest`` case was recorded while it could still fan its windows
+across worker processes; the serial loop prints the same bytes.
 """
 
 import pytest
@@ -12,6 +14,10 @@ from repro.cli import main
 
 #: name -> (argv, stdout)
 GOLDEN = {
+    'backtest-monitor': (
+        ['backtest', '--model', 'deepar', '--epochs', '1', '--days', '6', '--context', '96', '--horizon', '24', '--monitor'],
+        'windows evaluated   : 5\nsteps scored        : 120\n Model  mean_wQL  wQL[0.7]  wQL[0.8]  wQL[0.9]  Cov[0.7]  Cov[0.8]  Cov[0.9]       MSE\ndeepar    0.1311    0.1735    0.1533    0.1110     0.983     1.000     1.000  127083.5\n\nmodel health\n\n  calibration over time (24 steps/window)\n   win       t-range   cov@0.5   cov@0.6   cov@0.7   cov@0.8   cov@0.9  cal.err  mean_wQL    MAPE  drift\n     0       744-767     0.458     0.833     0.917     1.000     1.000    0.185    0.0709   0.047      0\n     1       768-791     0.958     1.000     1.000     1.000     1.000    0.247    0.0851   0.103      0\n     2       792-815     0.917     1.000     1.000     1.000     1.000    0.226    0.0727   0.074      0\n     3       816-839     1.000     1.000     1.000     1.000     1.000    0.369    0.2647   0.395      0\n     4       840-863     1.000     1.000     1.000     1.000     1.000    0.343    0.2473   0.384      0\n',
+    ),
     'compare': (
         ['compare', '--trace', 'google', '--days', '6', '--epochs', '1', '--context', '96', '--horizon', '24'],
         'strategy            under     over    nodes\nReactive-Max       0.0750   0.8167     6083\nReactive-Avg       0.2750   0.4917     5311\nTFT-0.5            0.2750   0.6667     5496\nTFT-0.8            0.1500   0.8250     6095\nTFT-0.9            0.0917   0.9000     6520\nTFT-0.95           0.0833   0.9167     6845\n',

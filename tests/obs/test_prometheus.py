@@ -73,8 +73,8 @@ class TestRender:
         assert "repro_set 2.0" in text
 
     def test_empty_reservoir_quantiles_omitted(self):
-        # A histogram summary with count>0 but unknowable quantiles
-        # (merged moments without samples) must not render NaN samples.
+        # A histogram summary with count>0 but no quantiles must not
+        # render NaN samples.
         snapshot = {
             "histograms": {
                 "h": {"count": 5, "sum": 1.0, "p50": None, "p90": None,

@@ -53,13 +53,6 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             TraceCollector(max_traces=0)
 
-    def test_drain_empties_the_ring(self):
-        collector = TraceCollector()
-        collector.begin(1)
-        collector.end()
-        assert [t["trace_id"] for t in collector.drain()] == [1]
-        assert collector.drain() == []
-
     def test_traces_limit(self):
         collector = TraceCollector()
         for tick in range(5):
@@ -175,65 +168,6 @@ class TestRegistryIntegration:
         assert registry.set_tracer(a) is None
         assert registry.set_tracer(b) is a
         assert registry.tracer is b
-
-    def test_state_dict_ships_finished_traces(self):
-        registry = MetricsRegistry(sinks=[InMemorySink()])
-        collector = TraceCollector()
-        registry.set_tracer(collector)
-        collector.begin(3)
-        with using_registry(registry):
-            with registry.span("work"):
-                pass
-        collector.end()
-        state = registry.state_dict()
-        assert [t["trace_id"] for t in state["traces"]] == [3]
-        assert not collector.finished  # drained into the state dict
-
-
-class TestAbsorb:
-    def test_absorb_into_matching_live_trace(self):
-        parent = TraceCollector()
-        parent.begin(5)
-        setup = parent.open_span("setup", {})
-        parent.close_span(setup, 0, "ok")
-        anchor = parent.open_span("backtest", {})
-
-        worker = TraceCollector()
-        worker.begin(5)
-        span = worker.open_span("predict", {})
-        inner = worker.open_span("sample", {})
-        worker.close_span(inner, 5_000_000, "ok")
-        worker.close_span(span, 10_000_000, "ok")
-        finished = worker.end()
-
-        parent.absorb(finished, span_prefix="workers/w0")
-        parent.close_span(anchor, 100_000_000, "ok")
-        trace = parent.end()
-        spans = trace["spans"]
-        assert [s["name"] for s in spans] == [
-            "setup", "backtest", "workers/w0/predict", "workers/w0/sample"
-        ]
-        # Re-rooted: the worker's root span hangs off the parent's anchor,
-        # and its child's index is shifted past the live list.
-        assert spans[2]["parent"] == 1
-        assert spans[3]["parent"] == 2
-        assert spans[2]["start_ns"] >= 0
-        # The worker's own record is left as it was.
-        assert "parent" not in finished["spans"][0]
-
-    def test_absorb_without_matching_trace_keeps_whole(self):
-        parent = TraceCollector()
-        worker = TraceCollector()
-        worker.begin(99)
-        worker.end()
-        parent.absorb(worker.finished[-1])
-        assert parent.finished[-1]["trace_id"] == 99
-
-    def test_absorb_propagates_error(self):
-        parent = TraceCollector()
-        parent.begin(5)
-        parent.absorb({"trace_id": 5, "status": "error", "spans": []})
-        assert parent.end()["status"] == "error"
 
 
 class TestTimeline:

@@ -49,8 +49,7 @@ def run(registry, tracer, sink, ops):
         # What the daemon does at the end of a tick: the flush rides in
         # the finished trace's record.
         trace = tracer.end()
-        registry.flush({"kind": "trace", "name": f"tick:{trace['trace_id']}",
-                        "labels": {}, **trace})
+        registry.flush({"kind": "trace", **trace})
 
     for index, (op, *args) in enumerate(ops):
         if op == "inc":

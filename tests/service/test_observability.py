@@ -275,7 +275,7 @@ class TestTelemetryStream:
 
         # An idle tick (no decision, no monitor window) writes one line,
         # its trace with the tick's counters and gauges, and it stays
-        # small (~545 bytes).
+        # small (~515 bytes).
         idle = [
             line for previous, record, line in zip(records, records[1:], lines[1:])
             if record["kind"] == "trace" and previous["kind"] == "trace"
