@@ -1,4 +1,4 @@
-"""Observability for the autoscaling loop (zero-dependency telemetry).
+"""Observability for the autoscaling loop (telemetry on numpy and orjson).
 
 The paper's pitch — robust planning cuts under-provisioning at modest
 cost — is only demonstrable if the loop's behaviour is visible.  This

@@ -16,15 +16,19 @@ Two implementations:
   (tests, notebooks);
 * :class:`JsonlSink` — appends one JSON object per line to a file, the
   interchange format ``repro-autoscale report`` consumes and summarises.
+
+Both the sink and the daemon's control plane write JSON through
+:func:`encode`.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import IO, Protocol, runtime_checkable
 
-__all__ = ["Sink", "InMemorySink", "JsonlSink"]
+import orjson
+
+__all__ = ["Sink", "InMemorySink", "JsonlSink", "encode"]
 
 
 @runtime_checkable
@@ -63,23 +67,13 @@ class JsonlSink:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._file: IO[str] | None = self.path.open("w", encoding="utf-8")
+        self._file: IO[bytes] | None = self.path.open("wb")
         self.records_written = 0
 
     def emit(self, record: dict) -> None:
         if self._file is None:
             raise ValueError(f"JsonlSink({self.path}) already closed")
-        try:
-            line = _ENCODER.encode(record)
-        except ValueError:
-            # Non-finite floats (empty-histogram min/max, inf burn
-            # rates) would serialize as bare NaN/Infinity tokens no
-            # strict JSON parser accepts; null them instead.  The
-            # round-trip normalises numpy scalars first so _sanitize
-            # only ever sees plain floats.
-            normalized = json.loads(json.dumps(record, default=_jsonable))
-            line = json.dumps(_sanitize(normalized), allow_nan=False)
-        self._file.write(line + "\n")
+        self._file.write(encode(record) + b"\n")
         self.records_written += 1
         self._file.flush()
 
@@ -95,15 +89,19 @@ class JsonlSink:
         self.close()
 
 
-def _sanitize(value):
-    """Replace non-finite floats with None, recursively."""
-    if isinstance(value, float):
-        return value if value == value and abs(value) != float("inf") else None
-    if isinstance(value, dict):
-        return {key: _sanitize(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(item) for item in value]
-    return value
+def encode(value) -> bytes:
+    """One strict-JSON UTF-8 document for ``value``.
+
+    Non-finite floats (empty-histogram min/max, inf burn rates) become
+    ``null``, since no strict JSON parser accepts a bare ``NaN`` or
+    ``Infinity``; non-string dict keys are stringified.  numpy values go
+    through :func:`_jsonable` (not orjson's own numpy option), so a
+    ``float32`` is written at its float64 value, as Python prints it.
+    A value JSON cannot carry exactly - an int beyond 64 bits, a string
+    holding a lone surrogate - raises ``TypeError``
+    (``orjson.JSONEncodeError``) before anything is written.
+    """
+    return orjson.dumps(value, default=_jsonable, option=orjson.OPT_NON_STR_KEYS)
 
 
 def _jsonable(value):
@@ -116,8 +114,3 @@ def _jsonable(value):
     if hasattr(value, "tolist"):
         return value.tolist()
     return str(value)
-
-
-# json.dumps builds a JSONEncoder per call whenever an argument is not
-# the default; the sinks share this one.
-_ENCODER = json.JSONEncoder(default=_jsonable, allow_nan=False)

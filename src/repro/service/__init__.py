@@ -10,7 +10,7 @@ daemon with an operational surface:
 * :mod:`repro.service.daemon` — :class:`ServiceRuntime`, the event
   loop that steps the runtime per tick, re-plans on schedule or on
   health alert, and coordinates checkpoints;
-* :mod:`repro.service.http` — a stdlib-only HTTP+JSON control plane
+* :mod:`repro.service.http` — an asyncio HTTP+JSON control plane
   (``GET /forecast /decisions /traces /series /health /metrics
   /adaptation``, ``POST /plan /checkpoint /refit /promote
   /rollback``);

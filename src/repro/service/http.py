@@ -1,7 +1,8 @@
-"""Stdlib-only HTTP+JSON control plane for the service daemon.
+"""Asyncio HTTP+JSON control plane for the service daemon.
 
 A deliberately tiny HTTP/1.1 server on :func:`asyncio.start_server` —
-no third-party dependency, one connection per request, everything JSON.
+one connection per request, everything JSON (written by
+:func:`repro.obs.sinks.encode`, so a non-finite float answers ``null``).
 It runs on the *same* event loop as the stepping daemon, so handlers
 read live state without locks.
 
@@ -38,6 +39,8 @@ import asyncio
 import json
 from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
+
+from ..obs.sinks import encode
 
 __all__ = ["ControlPlane", "HttpError", "RawResponse"]
 
@@ -164,7 +167,7 @@ class ControlPlane:
             body = payload.body
         else:
             content_type = "application/json"
-            body = json.dumps(payload, default=_jsonable).encode("utf-8")
+            body = encode(payload)
         head = (
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
             f"Content-Type: {content_type}\r\n"
@@ -249,15 +252,3 @@ async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
     except asyncio.IncompleteReadError as error:
         raise HttpError(400, f"body ends after {len(error.partial)} of {length} bytes")
     return parts[0].upper(), parts[1], raw
-
-
-def _jsonable(value):
-    """Fallback encoder for numpy scalars/arrays in payloads."""
-    if hasattr(value, "item"):
-        try:
-            return value.item()
-        except (ValueError, TypeError):
-            pass
-    if hasattr(value, "tolist"):
-        return value.tolist()
-    return str(value)

@@ -70,9 +70,8 @@ class TestJsonlSink:
             sink.emit(finite)
             sink.emit({"kind": "gauge", "min": np.inf, "nested": [float("nan"), 1.0]})
         first, second = path.read_text(encoding="utf-8").splitlines()
-        assert first == json.dumps(
-            {"kind": "gauge", "name": "g", "labels": {"a": "é"}, "value": 0.1}
-        )
+        # Compact separators, raw UTF-8, numpy scalars at their Python value.
+        assert first == '{"kind":"gauge","name":"g","labels":{"a":"é"},"value":0.1}'
         assert json.loads(second) == {"kind": "gauge", "min": None, "nested": [None, 1.0]}
 
     def test_emit_after_close_raises(self, tmp_path):

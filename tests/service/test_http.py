@@ -1,5 +1,6 @@
 """Control-plane contract tests: real HTTP requests on an ephemeral port."""
 
+import functools
 import http.client
 import json
 import socket
@@ -434,10 +435,12 @@ class TestWireForm:
             thread.join(timeout=10)
         decisions = runtime.decisions
         assert decisions and "uncertainty_mean" in decisions[-1].record()
-        assert body == json.dumps({
+        # Compact JSON: no space after ':' or ','.
+        compact = functools.partial(json.dumps, separators=(",", ":"))
+        assert body == compact({
             "total": runtime.state.decisions_committed,
             "decisions": [projected(d) for d in decisions],
         }).encode("utf-8")
         assert log.read_text(encoding="utf-8") == "".join(
-            json.dumps({"kind": "decision", **projected(d)}) + "\n" for d in decisions
+            compact({"kind": "decision", **projected(d)}) + "\n" for d in decisions
         )

@@ -84,7 +84,12 @@ def traced():
     """A drained service with tracer, monitor, and SLOs attached."""
     engine = AlertEngine()
     slos = SLOTracker(
-        ["qos_violation_rate < 0.05 over 24", "plan_latency_p99 < 10s"],
+        [
+            "qos_violation_rate < 0.05 over 24",
+            "plan_latency_p99 < 10s",
+            # A zero budget: its burn rates are inf once a violation lands.
+            "qos_violation_rate <= 0 over 48",
+        ],
         engine=engine,
     )
     runtime = AutoscalingRuntime(
@@ -123,6 +128,29 @@ class TestHealthObservability:
         assert "plan_latency_p99 < 10s" in objectives
         for entry in health["slo"]:
             assert "healthy" in entry
+
+    def test_health_is_strict_json_when_a_zero_budget_slo_burns(self, traced):
+        # The wire form writes an inf burn rate as null, never a bare
+        # Infinity, which RFC 8259 parsers reject.
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        conn = http.client.HTTPConnection("127.0.0.1", traced.port, timeout=10)
+        try:
+            conn.request("GET", "/health")
+            health = json.loads(conn.getresponse().read(), parse_constant=refuse)
+        finally:
+            conn.close()
+        objective = "qos_violation_rate <= 0 over 48"
+        (entry,) = [e for e in health["slo"] if e["objective"] == objective]
+        (tracked,) = [
+            e for e in traced.runtime.monitor.slos.status() if e["objective"] == objective
+        ]
+        assert entry["bad_ticks"] > 0
+        for severity, rates in tracked["burn"].items():
+            for key in ("long_burn", "short_burn"):
+                assert rates[key] == float("inf")
+                assert entry["burn"][severity][key] is None
 
     def test_health_carries_phase_latencies(self, traced):
         _, health = request(traced.port, "GET", "/health")
@@ -275,13 +303,14 @@ class TestTelemetryStream:
 
         # An idle tick (no decision, no monitor window) writes one line,
         # its trace with the tick's counters and gauges, and it stays
-        # small (~515 bytes).
+        # small (460-467 bytes measured; the margin covers timing
+        # fields gaining a digit on a slower machine).
         idle = [
             line for previous, record, line in zip(records, records[1:], lines[1:])
             if record["kind"] == "trace" and previous["kind"] == "trace"
         ]
         assert idle
-        assert max(len(line.encode()) for line in idle) <= 600
+        assert max(len(line.encode()) for line in idle) <= 500
 
 
 class TestSeries:
