@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """End-to-end smoke test for ``repro-autoscale serve`` (CI gate).
 
-Two phases, both against real subprocesses:
+Three phases, all against real subprocesses:
 
 1. **Live control plane** — start the daemon paced like a live feed
    (with an SLO attached), poll every GET endpoint while it steps,
@@ -18,7 +18,12 @@ Two phases, both against real subprocesses:
    a ``trace`` record or a ``span`` line, has the one lean shape (integer
    ``start_ns`` / ``duration_ns``, ``parent`` an earlier index, labels
    and status only when set), and ``report --traces 2`` renders the file.
-2. **Crash/restore divergence** — run an uninterrupted session to
+2. **Unpaced replay** — serve a long tick file with ``--tick-interval 0``
+   (several seconds of stepping) and poll ``/health`` while it steps:
+   the control plane must answer mid-replay, at least twice, with
+   distinct ticks below the final one, since the daemon hands control to
+   the event loop after each millisecond of stepping.
+3. **Crash/restore divergence** — run an uninterrupted session to
    completion, repeat it with a mid-trace checkpoint + early stop (the
    simulated crash), restore from the checkpoint, and require the
    restored session's decision stream to be bit-identical to the
@@ -37,6 +42,7 @@ from __future__ import annotations
 import argparse
 import http.client
 import json
+import math
 import os
 import re
 import shutil
@@ -55,6 +61,7 @@ SERVE = [sys.executable, "-m", "repro.cli", "serve",
          "--seed", "3"]
 CHECKPOINT_AT = 150
 MAX_TICKS = 165
+UNPACED_TICKS = 60_000  # about 5 s of stepping on two vCPUs
 
 
 def fail(message: str) -> None:
@@ -315,6 +322,55 @@ def phase_live_control_plane(workdir: Path) -> None:
     check_telemetry_file(telemetry, final_counters)
 
 
+def phase_unpaced_replay(workdir: Path) -> None:
+    print("== phase 2: unpaced replay answers its control plane ==")
+    ticks = workdir / "unpaced-ticks.txt"
+    ticks.write_text("".join(
+        f"{300 + 100 * math.sin(2 * math.pi * i / 144):.3f}\n"
+        for i in range(UNPACED_TICKS)
+    ))
+    port_file = workdir / "unpaced-port.txt"
+    process = subprocess.Popen(
+        SERVE + ["--source", str(ticks), "--tick-interval", "0", "--linger", "5",
+                 "--port-file", str(port_file)],
+        cwd=workdir, env=env(),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        port = wait_for_port(port_file, process)
+        stepping, waits = [], []
+        deadline = time.monotonic() + 120
+        while True:
+            sent = time.perf_counter()
+            status, health = request(port, "GET", "/health")
+            waits.append(time.perf_counter() - sent)
+            if status != 200:
+                fail(f"/health returned {status} during the unpaced replay")
+            if health["status"] != "serving":
+                break
+            stepping.append(health["tick"])
+            if time.monotonic() > deadline:
+                fail(f"unpaced replay never finished (at tick {health['tick']})")
+            time.sleep(0.05)
+    finally:
+        process.send_signal(signal.SIGINT)
+        try:
+            process.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            process.kill()
+    if health["ticks_processed"] != UNPACED_TICKS:
+        fail(f"unpaced replay stepped {health['ticks_processed']} of {UNPACED_TICKS} ticks")
+    final = health["tick"]
+    answered = sorted({tick for tick in stepping if tick < final})
+    if len(answered) < 2:
+        fail(f"/health answered at {len(answered)} distinct ticks before the final "
+             f"tick {final} of an unpaced replay (need >= 2): {answered}")
+    waits.sort()
+    print(f"unpaced replay OK: /health answered at {len(answered)} distinct ticks "
+          f"before tick {final}; round trip p50 {waits[len(waits) // 2] * 1e3:.1f} ms, "
+          f"max {waits[-1] * 1e3:.1f} ms")
+
+
 def check_checkpoint_format(ckpt: Path) -> dict:
     sys.path.insert(0, str(REPO / "src"))
     from repro.service import CHECKPOINT_VERSION
@@ -350,7 +406,7 @@ def check_checkpoint_format(ckpt: Path) -> dict:
 
 
 def phase_crash_restore(workdir: Path, keep: "Path | None") -> None:
-    print("== phase 2: crash/restore bit-identity ==")
+    print("== phase 3: crash/restore bit-identity ==")
     ckpt = workdir / "ckpt"
 
     run_serve(["--decisions-out", str(workdir / "full.jsonl")], workdir)
@@ -393,12 +449,13 @@ def phase_crash_restore(workdir: Path, keep: "Path | None") -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--keep", type=Path, metavar="DIR",
-                        help="copy the phase-2 checkpoint directory here")
+                        help="copy the phase-3 checkpoint directory here")
     args = parser.parse_args()
     keep = args.keep.resolve() if args.keep else None
     with tempfile.TemporaryDirectory(prefix="service-smoke-") as tmp:
         workdir = Path(tmp)
         phase_live_control_plane(workdir)
+        phase_unpaced_replay(workdir)
         phase_crash_restore(workdir, keep)
     print("service smoke OK")
     return 0

@@ -42,10 +42,11 @@ keep.  Averaged over a benchmark lap on a fresh registry (6 072
 observations, ~1 820 of them kept), a histogram update is 0.7 us and a
 span 2.0-2.3 us; 2.1-2.4 us and 3.2-4.4 us while a keep drew three numpy
 scalars.  Cheap, not free — the four spans of an idle daemon tick are
-7.4-7.8 us (12.3-13.3 us before) of its 17-20 us (``idle_tick_us_p50``
-on the e2e benchmark's ``serve-bare`` workload; 21-23 us before the
-stdlib draws, 38 us before ``span()`` became a plain class and the
-reservoir stopped drawing per observation).  With a tracer and a
+7.4-7.8 us (12.3-13.3 us before) of its 14-15 us (``idle_tick_us_p50``
+on the e2e benchmark's ``serve-bare`` workload; 17-20 us while the
+daemon handed control to its event loop after every tick, 21-23 us
+before the stdlib draws, 38 us before ``span()`` became a plain class
+and the reservoir stopped drawing per observation).  With a tracer and a
 JSON-lines sink attached, that tick is one ``trace`` record: four spans
 in integer nanoseconds and the tick's counters and gauges, ~500 bytes
 (``trace_id`` names the tick; the record has no ``name`` or ``labels``).

@@ -105,12 +105,9 @@ def encode(value) -> bytes:
 
 
 def _jsonable(value):
-    """Fallback encoder for numpy scalars/arrays in metadata."""
-    if hasattr(value, "item"):
-        try:
-            return value.item()
-        except (ValueError, TypeError):
-            pass
+    """Fallback encoder for numpy values in metadata: an array becomes
+    nested lists, whatever its size (a 0-d array, like a numpy scalar,
+    becomes its Python scalar)."""
     if hasattr(value, "tolist"):
         return value.tolist()
     return str(value)

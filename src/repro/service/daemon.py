@@ -29,6 +29,7 @@ event log that survives a kill between checkpoints.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from collections import deque
 from pathlib import Path
@@ -47,6 +48,24 @@ __all__ = ["ServiceRuntime"]
 
 #: How many recent ticks ``GET /series`` retains for dashboards.
 _SERIES_RING = 512
+
+#: Seconds an unpaced replay steps between two handoffs to the event
+#: loop.  A handoff is one event-loop pass and one ``epoll`` call; after
+#: every tick it cost about a fifth of an idle tick.  Each event-loop
+#: step of a control-plane request (accept, read, reply) waits for one.
+_HANDOFF_BUDGET_S = 0.001
+
+
+def _handoff_budget() -> float:
+    """Seconds of stepping before the next handoff.
+
+    A handoff is also the step loop's only release of the GIL.  A thread
+    waiting for the GIL is woken by each release but mostly loses the
+    race to retake it, and being woken keeps CPython from forcing a
+    switch.  So while other Python threads share the process, the loop
+    hands off after every tick: they get the GIL as often as before.
+    """
+    return _HANDOFF_BUDGET_S if threading.active_count() == 1 else 0.0
 
 
 def _parse_limit(query: dict, default: int) -> int:
@@ -84,8 +103,13 @@ class ServiceRuntime:
         Control-plane bind address; ``port=0`` (default) picks an
         ephemeral port, readable from :attr:`port` once serving.
     tick_interval:
-        Extra seconds to sleep between steps (paces a replayed trace
-        like a live feed; sources may additionally pace themselves).
+        Seconds to wait between steps, pacing a replayed trace like a
+        live feed; the control plane is served during each wait.  At 0
+        (default) the replay steps as fast as it can and hands control
+        to the control plane after each millisecond of stepping, so
+        each event-loop step of a request waits at most about 1 ms plus
+        the tick in flight; while other Python threads share the
+        process, it hands off after every tick instead.
     checkpoint_dir:
         Where ``POST /checkpoint`` and automatic checkpoints write;
         None disables checkpointing.
@@ -208,10 +232,7 @@ class ServiceRuntime:
             await self._step_loop()
             self.status = "draining"
             if self.linger > 0 and not self._stop.is_set():
-                try:
-                    await asyncio.wait_for(self._stop.wait(), timeout=self.linger)
-                except asyncio.TimeoutError:
-                    pass
+                await self._wait_for_stop(self.linger)
         finally:
             self.status = "stopped"
             if self.tracer is not None:
@@ -221,9 +242,19 @@ class ServiceRuntime:
                 self._decision_sink.close()
 
     # -- the loop --------------------------------------------------------
+    async def _wait_for_stop(self, timeout: float) -> bool:
+        """Serve the event loop for up to ``timeout`` seconds; True when a
+        stop was requested meanwhile."""
+        try:
+            await asyncio.wait_for(self._stop.wait(), timeout=timeout)
+        except asyncio.TimeoutError:
+            return False
+        return True
+
     async def _step_loop(self) -> None:
         metrics = get_registry()
         tracer = metrics.tracer
+        handoff_at = time.perf_counter() + _handoff_budget()
         async for value in self.source.ticks():
             if self._stop.is_set():
                 return
@@ -257,16 +288,13 @@ class ServiceRuntime:
             if self.max_ticks is not None and self.ticks_processed >= self.max_ticks:
                 return
             if self.tick_interval > 0:
-                try:
-                    await asyncio.wait_for(
-                        self._stop.wait(), timeout=self.tick_interval
-                    )
-                    return  # stop requested during the pause
-                except asyncio.TimeoutError:
-                    pass
-            else:
-                # Yield so control-plane requests interleave between steps.
+                if await self._wait_for_stop(self.tick_interval):
+                    return
+            elif time.perf_counter() >= handoff_at:
+                # Control-plane requests interleave between steps, once
+                # per budget of stepping rather than once per tick.
                 await asyncio.sleep(0)
+                handoff_at = time.perf_counter() + _handoff_budget()
 
     def _serve_tick(self, value: float) -> None:
         """Step the runtime once and do the daemon's bookkeeping for it."""

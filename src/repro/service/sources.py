@@ -83,21 +83,17 @@ class TelemetrySource(Protocol):
 
 
 class GeneratorSource:
-    """Serve ticks from an in-memory sequence.
+    """Serve ticks from an in-memory sequence, as fast as they are asked
+    for (the daemon's ``tick_interval`` paces a replay like a live feed).
 
     Parameters
     ----------
     values:
         The workload series (any iterable of floats; materialised).
-    interval:
-        Seconds to sleep between ticks — 0 (default) replays as fast as
-        the loop can step, a positive value paces the stream like a
-        live feed.
     """
 
-    def __init__(self, values: Iterable[float], interval: float = 0.0) -> None:
+    def __init__(self, values: Iterable[float]) -> None:
         self.values = np.asarray(list(values), dtype=np.float64)
-        self.interval = float(interval)
         self._position = 0
 
     @property
@@ -119,8 +115,6 @@ class GeneratorSource:
             value = float(self.values[self._position])
             self._position += 1
             yield value
-            if self.interval > 0:
-                await asyncio.sleep(self.interval)
 
 
 class FileTailSource:

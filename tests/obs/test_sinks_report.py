@@ -19,7 +19,7 @@ from repro.obs import (
     summarize_model_health,
     summarize_records,
 )
-from repro.obs.sinks import InMemorySink, Sink
+from repro.obs.sinks import InMemorySink, Sink, encode
 
 
 class TestInMemorySink:
@@ -62,6 +62,12 @@ class TestJsonlSink:
         record = read_jsonl(path)[0]
         assert record["value"] == 1.5
         assert record["n"] == 2
+
+    def test_an_array_is_a_list_whatever_its_size(self):
+        # A horizon-1 forecast is still a list; only a 0-d array is a scalar.
+        assert encode(
+            {"one": np.array([1.5]), "nested": np.array([[7]]), "zero_d": np.array(2.5)}
+        ) == b'{"one":[1.5],"nested":[[7]],"zero_d":2.5}'
 
     def test_lines_are_strict_json_and_non_finite_values_become_null(self, tmp_path):
         path = tmp_path / "strict.jsonl"
@@ -135,7 +141,7 @@ class TestJsonlSink:
             "    replan_every=6, start_tick=288)\n"
             f"get_registry().add_sink(JsonlSink({repr(str(path))}))\n"
             "ServiceRuntime(\n"
-            "    runtime, GeneratorSource(values[288:], interval=0.002),\n"
+            "    runtime, GeneratorSource(values[288:]), tick_interval=0.002,\n"
             "    tracer=TraceCollector(8)).serve_forever()\n"
         )
         process = subprocess.Popen(

@@ -5,7 +5,9 @@ a non-finite float, fell back to a round trip that nulled it.
 :class:`~repro.obs.sinks.JsonlSink` now writes through one orjson call.
 Its bytes differ (compact separators, raw UTF-8, shortest float forms),
 but every line must parse to the value the old path's line parsed to,
-type for type.  The old path is kept below verbatim as the reference.
+type for type.  The old path is kept below verbatim as the reference,
+but for its numpy fallback, which now writes an array of any size as a
+list.
 The two values orjson refuses and the stdlib encoded - an int beyond
 64 bits and a lone surrogate - must raise and leave the file as it was.
 """
@@ -49,11 +51,8 @@ def _sanitize(value):
 
 def _jsonable(value):
     """Fallback encoder for numpy scalars/arrays in metadata."""
-    if hasattr(value, "item"):
-        try:
-            return value.item()
-        except (ValueError, TypeError):
-            pass
+    # The old path tried ``.item()`` first, so a one-element array was
+    # written as a bare scalar; the reference takes the sink's fix.
     if hasattr(value, "tolist"):
         return value.tolist()
     return str(value)

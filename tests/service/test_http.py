@@ -329,7 +329,8 @@ class TestConnectionCap:
             threshold=60.0,
         )
         service = ServiceRuntime(
-            runtime, GeneratorSource(np.full(2000, 300.0), interval=0.002), linger=60.0
+            runtime, GeneratorSource(np.full(2000, 300.0)), tick_interval=0.002,
+            linger=60.0,
         )
         thread = start_service(service)
         held = [socket.create_connection(("127.0.0.1", service.port), timeout=10)
