@@ -11,14 +11,16 @@ Run:  python examples/stress_scenarios.py
 import numpy as np
 
 from repro import (
+    FaultSchedule,
     FixedQuantilePolicy,
     RobustPredictiveAutoscaler,
+    ScalingPlan,
     TFTForecaster,
     TrainingConfig,
     alibaba_like_trace,
     evaluate_strategy,
 )
-from repro.simulator import DisaggregatedCluster, SharedStorage, Simulation
+from repro.simulator import SharedStorage, replay_plan
 from repro.traces import (
     Trace,
     inject_flash_crowd,
@@ -64,13 +66,14 @@ for name, scenario in scenarios.items():
 
 # Node failure on the cluster: capacity gap lasts one warm-up.
 print("\nnode-failure drill on the simulated cluster:")
-simulation = Simulation()
-cluster = DisaggregatedCluster(
-    simulation, SharedStorage(checkpoint_gb=4.0, jitter_fraction=0.0), initial_nodes=20
+drill = replay_plan(
+    ScalingPlan(nodes=np.full(8, 20), threshold=THETA),
+    np.full(8, 20 * 0.8 * THETA),
+    storage=SharedStorage(checkpoint_gb=4.0, jitter_fraction=0.0),
+    faults=FaultSchedule.parse("node_crash@6"),  # control plane auto-replaces
 )
-simulation.run(until=3600.0)
-victim = cluster.fail_node()  # control plane auto-replaces
-print(f"  failed node {victim.node_id}; serving now: {cluster.serving_nodes()}/20")
-simulation.run(until=simulation.now + 10.0)
-print(f"  10 s later (post warm-up):   {cluster.serving_nodes()}/20")
-print(f"  failures recorded: {cluster.failures}")
+crashed, after = drill.outcomes[6], drill.outcomes[7]
+print(f"  node crash at interval 6; serving at its start: {crashed.serving_nodes_start}/20")
+print(f"  effective nodes over its 600 s:  {crashed.effective_nodes:.3f}/20")
+print(f"  serving at the next interval:    {after.serving_nodes_start}/20")
+print(f"  failures recorded: {drill.failures}")

@@ -6,8 +6,9 @@ layers — telemetry corruption
 (:class:`~repro.faults.telemetry.TelemetryFaultInjector`), planner
 crashes and deadline overruns
 (:class:`~repro.faults.planner.FlakyPlanner`), and cluster actuation
-failures (:class:`~repro.faults.cluster.ClusterFaultInjector`) — while
-the runtime's graceful-degradation path
+failures, which :func:`~repro.simulator.replay_plan` reads from
+:attr:`FaultSchedule.cluster` by interval index — while the runtime's
+graceful-degradation path
 (:class:`~repro.core.runtime.AutoscalingRuntime` with
 ``invalid_policy="impute"`` and ``on_planner_error="degrade"``) keeps
 the loop alive.  :func:`repro.evaluation.chaos.chaos_run` ties it all
@@ -25,9 +26,8 @@ Quick start::
     )
 """
 
-from .cluster import ClusterFaultInjector
 from .planner import FlakyPlanner
 from .schedule import FaultSchedule
 from .telemetry import corrupt_series
 
-__all__ = ["FaultSchedule", "corrupt_series", "FlakyPlanner", "ClusterFaultInjector"]
+__all__ = ["FaultSchedule", "corrupt_series", "FlakyPlanner"]

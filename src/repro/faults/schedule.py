@@ -18,7 +18,7 @@ Three injection layers share one schedule, split by fault kind:
   (:mod:`repro.faults.planner`);
 * **cluster** (``node_crash``, ``provision_fail``, ``warmup_stall``,
   ``warmup_fail``) — actuation failures on the simulated cluster
-  (:mod:`repro.faults.cluster`).
+  (:func:`repro.simulator.replay_plan`).
 
 Schedules come from three constructors: an explicit event list, the
 compact spec grammar the CLI exposes (:meth:`FaultSchedule.parse`), or

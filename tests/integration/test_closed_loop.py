@@ -7,10 +7,11 @@ from repro import (
     AutoscalingRuntime,
     FixedQuantilePolicy,
     RobustPredictiveAutoscaler,
+    ScalingPlan,
     SeasonalNaiveForecaster,
 )
 from repro.core.plan import required_nodes
-from repro.simulator import DisaggregatedCluster, SharedStorage, Simulation
+from repro.simulator import SharedStorage, replay_plan
 
 SEASON = 48
 THETA = 60.0
@@ -43,28 +44,20 @@ def runtime_and_series(series):
 class TestClosedLoop:
     def test_cluster_follows_runtime(self, runtime_and_series):
         runtime, test = runtime_and_series
-        simulation = Simulation()
-        cluster = DisaggregatedCluster(
-            simulation, SharedStorage(jitter_fraction=0.0), initial_nodes=1
+        allocations = runtime.run(test)
+        result = replay_plan(
+            ScalingPlan(nodes=allocations, threshold=THETA),
+            test,
+            storage=SharedStorage(jitter_fraction=0.0),
+            initial_nodes=1,
         )
-        violations = 0
-        for workload in test:
-            target = runtime.target_nodes()
-            cluster.scale_to(target)
-            start = simulation.now
-            simulation.run(until=start + 600.0)
-            serving = sum(
-                node.serving_seconds(start, simulation.now) for node in cluster.nodes
-            )
-            if workload / max(serving / 600.0, 1e-9) > THETA:
-                violations += 1
-            runtime.observe(workload)
+        violations = sum(o.per_node_workload > THETA for o in result.outcomes)
 
         # After the cold-start context fills, the 0.9-quantile policy keeps
         # violations well below the reactive-only level.
         assert violations / len(test) < 0.25
-        assert cluster.scale_out_events > 0
-        assert cluster.scale_in_events > 0
+        assert result.scale_out_events > 0
+        assert result.scale_in_events > 0
         assert runtime.decisions  # predictive planning actually engaged
 
     def test_runtime_allocation_tracks_demand(self, runtime_and_series):

@@ -106,3 +106,27 @@ class TestReplayProperties:
         under = plan.nodes < required_nodes(workload, theta)
         assert [o.violated for o in result.outcomes] == under.tolist()
         assert sum(o.violated for o in result.outcomes) == evaluate_plan(plan, workload).violation_steps
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 20),  # nodes, in any order: scale-outs included
+                st.integers(0, 20),  # whole nodes the workload needs, before the nudge
+                st.floats(-1e-10, 1e-10, allow_nan=False),  # nudge onto the boundary
+            ),
+            min_size=1, max_size=12,
+        ),
+        st.sampled_from([60.0, 45.5, 7.3, 100.0]),
+        st.none() | st.integers(1, 20),
+    )
+    def test_zero_warmup_replay_is_evaluate_plan(self, steps, theta, initial):
+        """With no warm-up a scaled-out node serves its whole first interval,
+        so the replay flags exactly evaluate_plan's under-provisioned steps."""
+        plan = ScalingPlan(nodes=[n for n, _, _ in steps], threshold=theta)
+        workload = np.array([max(k * theta + nudge, 0.0) for _, k, nudge in steps])
+        storage = SharedStorage(checkpoint_gb=0, attach_latency_s=0, jitter_fraction=0)
+        result = replay_plan(plan, workload, storage=storage, initial_nodes=initial)
+        under = plan.nodes < required_nodes(workload, theta)
+        assert [o.violated for o in result.outcomes] == under.tolist()
+        assert sum(o.violated for o in result.outcomes) == evaluate_plan(plan, workload).violation_steps

@@ -1,9 +1,13 @@
-"""Tests for cluster-layer fault injection (actuation failures)."""
+"""Tests for cluster-layer fault injection (actuation failures) on the
+event-driven oracle (``tests/simulator/oracle.py``); ``replay_plan``'s
+handling of the same faults is pinned against it in
+``tests/simulator/test_replay_oracle.py``."""
 
 import pytest
 
-from repro.faults import ClusterFaultInjector, FaultSchedule
-from repro.simulator import DisaggregatedCluster, SharedStorage, Simulation
+from repro.faults import FaultSchedule
+from repro.simulator import SharedStorage
+from tests.simulator.oracle import ClusterFaultInjector, DisaggregatedCluster, Simulation
 
 INTERVAL = 600.0
 

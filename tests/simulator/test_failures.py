@@ -1,10 +1,11 @@
-"""Tests for node-failure injection in the cluster."""
+"""Tests for node-failure injection in the event-driven oracle's cluster
+(``tests/simulator/oracle.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.simulator import DisaggregatedCluster, SharedStorage, Simulation
-from repro.simulator.node import NodeState
+from repro.simulator import SharedStorage
+from tests.simulator.oracle import DisaggregatedCluster, NodeState, Simulation
 
 
 def make_cluster(initial=3, warmup=5.0):

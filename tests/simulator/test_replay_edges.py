@@ -125,3 +125,15 @@ class TestValidationAndFaults:
         # The crashed node's replacement warms up within the interval,
         # so the 600 s interval barely notices.
         assert result.outcomes[1].effective_nodes > 2.9
+
+    def test_negative_warmup_stall_rejected(self):
+        # The spec grammar accepts a signed parameter; a warm-up that ends
+        # before its attach is refused, as the event engine refused to
+        # schedule into the past.
+        with pytest.raises(ValueError):
+            replay_plan(
+                make_plan([1, 2]),
+                np.zeros(2),
+                storage=storage(),
+                faults=FaultSchedule.parse("warmup_stall@1:-1"),
+            )

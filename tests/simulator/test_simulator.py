@@ -1,11 +1,12 @@
-"""Tests for the event engine, storage, nodes, cluster, and replay."""
+"""Tests for storage and replay, and for the event engine, nodes and
+cluster of the event-driven oracle (``tests/simulator/oracle.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.core import ScalingPlan
-from repro.simulator import DisaggregatedCluster, SharedStorage, Simulation, replay_plan
-from repro.simulator.node import ComputeNode, NodeState
+from repro.simulator import SharedStorage, replay_plan
+from tests.simulator.oracle import ComputeNode, DisaggregatedCluster, NodeState, Simulation
 
 
 class TestSimulation:

@@ -252,3 +252,16 @@ def test_every_subpackage_export_has_a_consumer(package):
 def test_the_one_exemption_is_the_real_trace_loaders():
     assert REAL_TRACE_LOADERS == {"load_machine_usage_csv", "load_task_usage_csv"}
     assert REAL_TRACE_LOADERS <= set(subpackage_exports()["traces"])
+
+
+def test_the_event_driven_cluster_lives_only_in_the_test_oracle():
+    # replay_plan is a per-interval recurrence; the event engine, the node
+    # and cluster classes and the clock-based fault injector are its oracle
+    # in tests/simulator/oracle.py, which FORBIDDEN_MODULES keeps out of src/
+    oracle_only = {
+        "Simulation", "Event", "EventQueue", "ComputeNode", "NodeState",
+        "DisaggregatedCluster", "ClusterFaultInjector",
+    }
+    exports = subpackage_exports()
+    for names in (repro.__all__, exports["simulator"], exports["faults"]):
+        assert oracle_only.isdisjoint(names)
