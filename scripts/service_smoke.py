@@ -18,11 +18,14 @@ Three phases, all against real subprocesses:
    a ``trace`` record or a ``span`` line, has the one lean shape (integer
    ``start_ns`` / ``duration_ns``, ``parent`` an earlier index, labels
    and status only when set), and ``report --traces 2`` renders the file.
+   A tick from ``/traces`` that did not replan is exactly one span,
+   ``runtime.step``.
 2. **Unpaced replay** — serve a long tick file with ``--tick-interval 0``
    (several seconds of stepping) and poll ``/health`` while it steps:
    the control plane must answer mid-replay, at least twice, with
    distinct ticks below the final one, since the daemon hands control to
-   the event loop after each millisecond of stepping.
+   the event loop after each millisecond of stepping (after every tick
+   while a connection is open); the ``/health`` round-trip p50 is printed.
 3. **Crash/restore divergence** — run an uninterrupted session to
    completion, repeat it with a mid-trace checkpoint + early stop (the
    simulated crash), restore from the checkpoint, and require the
@@ -262,11 +265,18 @@ def phase_live_control_plane(workdir: Path) -> None:
             fail(f"prometheus exposition missing service.ticks: "
                  f"{sorted(families)[:10]}")
 
-        status, traces = request(port, "GET", "/traces?limit=3")
+        status, traces = request(port, "GET", "/traces?limit=16")
         if status != 200 or not traces["tracing"] or not traces["traces"]:
             fail(f"/traces returned {status}: {traces}")
-        if not traces["traces"][-1]["spans"]:
-            fail("latest trace has no spans")
+        # A tick that did not replan is its one runtime.step span.
+        idle = [trace for trace in traces["traces"]
+                if not any(span["name"] == "runtime.step/plan" for span in trace["spans"])]
+        if not idle:
+            fail(f"no idle tick among the last {len(traces['traces'])} traces")
+        for trace in idle:
+            names = [span["name"] for span in trace["spans"]]
+            if names != ["runtime.step"]:
+                fail(f"idle tick {trace['trace_id']} has spans {names}, not [runtime.step]")
 
         status, _ = request(port, "GET", "/decisions?limit=zebra")
         if status != 400:
@@ -281,7 +291,8 @@ def phase_live_control_plane(workdir: Path) -> None:
             fail(f"top --once exited {top.returncode}:\n{top.stderr}")
         if "repro-autoscale top" not in top.stdout or "SLO" not in top.stdout:
             fail(f"top --once frame looks wrong:\n{top.stdout}")
-        print("observability endpoints OK (slo/prometheus/traces/top)")
+        print(f"observability endpoints OK (slo/prometheus/traces/top); "
+              f"{len(idle)} idle ticks of the last {len(traces['traces'])} are one span")
 
         status, forecast = request(port, "GET", "/forecast")
         if status != 200 or len(forecast["nodes"]) != 36:
@@ -367,7 +378,7 @@ def phase_unpaced_replay(workdir: Path) -> None:
              f"tick {final} of an unpaced replay (need >= 2): {answered}")
     waits.sort()
     print(f"unpaced replay OK: /health answered at {len(answered)} distinct ticks "
-          f"before tick {final}; round trip p50 {waits[len(waits) // 2] * 1e3:.1f} ms, "
+          f"before tick {final}; /health p50 {waits[len(waits) // 2] * 1e3:.1f} ms, "
           f"max {waits[-1] * 1e3:.1f} ms")
 
 

@@ -39,9 +39,12 @@ across restarts.
 :meth:`~AutoscalingRuntime._commit`, which appends the
 :class:`Decision`, counts it (``runtime.decisions{source}``) and, only
 when a sink or ``record_provenance`` listens, emits
-:meth:`Decision.record` as a ``provenance`` event.  Per-phase spans
-(``runtime.step/plan`` ``/actuate`` ``/observe``, the planner call under
-``/plan/planner``), the ``runtime.nodes_requested`` gauge and the
+:meth:`Decision.record` as a ``provenance`` event.  A step is one
+``runtime.step`` span; a replan adds its ``runtime.step/plan`` child
+(the planner call under ``/plan/planner``), so an idle step pays for
+one span and times its phases by four reads of the registry's clock
+(:attr:`StepResult.phase_seconds`).  Those spans, the
+``runtime.nodes_requested`` gauge and the
 degradation counters (``runtime.invalid_observations``,
 ``runtime.planner_errors``, ``runtime.planner_retries``,
 ``runtime.degraded_intervals``) flow to the ambient
@@ -196,8 +199,10 @@ class StepResult:
         failure) plan.
     phase_seconds:
         Wall-clock seconds spent in each phase of this step, keyed
-        ``"plan"`` / ``"actuate"`` / ``"observe"``: the durations the
-        ``runtime.step/<phase>`` spans recorded, one clock per phase.
+        ``"plan"`` / ``"actuate"`` / ``"observe"``: the gaps between four
+        reads of the registry's span clock inside the ``runtime.step``
+        span, so they sum to at most its duration.  ``"plan"`` includes
+        the ``runtime.step/plan`` span when the step replanned.
     """
 
     tick: int
@@ -349,7 +354,8 @@ class AutoscalingRuntime:
             return None
         if not (force or self._needs_replan()):
             return None
-        decision = self._replan()
+        with get_registry().span("plan"):
+            decision = self._replan()
         self.state.replan_requested = False
         return decision
 
@@ -493,19 +499,21 @@ class AutoscalingRuntime:
         state = self.state
         tick = state.tick
         metrics = get_registry()
+        clock = metrics.clock
         with metrics.span("runtime.step"):
-            with metrics.span("plan") as plan_span:
-                decision = self.maybe_plan()
-            with metrics.span("actuate") as actuate_span:
-                target = self.actuate()
+            start = clock()
+            decision = self.maybe_plan()
+            planned = clock()
+            target = self.actuate()
             plan = state.current_plan
             degraded = bool(plan is not None and plan.metadata.get("degraded"))
             if plan is not None:
                 source = "degraded" if degraded else "predictive"
             else:
                 source = "reactive-fallback"
-            with metrics.span("observe") as observe_span:
-                observed = self.observe(workload)
+            actuated = clock()
+            observed = self.observe(workload)
+            end = clock()
         return StepResult(
             tick=tick,
             target_nodes=target,
@@ -515,9 +523,9 @@ class AutoscalingRuntime:
             observed=observed,
             degraded=degraded,
             phase_seconds={
-                "plan": plan_span.seconds,
-                "actuate": actuate_span.seconds,
-                "observe": observe_span.seconds,
+                "plan": (planned - start) / 1e9,
+                "actuate": (actuated - planned) / 1e9,
+                "observe": (end - actuated) / 1e9,
             },
         )
 

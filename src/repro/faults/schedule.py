@@ -27,6 +27,7 @@ seeded Bernoulli sampling (:meth:`FaultSchedule.random`).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -77,7 +78,9 @@ class FaultEvent:
     index space (the chaos harness and CLI use test-relative interval
     indices throughout).  ``param`` carries the kind's magnitude where
     one applies: the spike multiplier for ``spike``, the warm-up
-    multiplier for ``warmup_stall``.
+    multiplier for ``warmup_stall``.  It must be finite and non-negative
+    (checked when the event is built, so a spec's ``:-1`` or ``:1e999``
+    fails at parse).
     """
 
     time_index: int
@@ -92,6 +95,10 @@ class FaultEvent:
             )
         if self.time_index < 0:
             raise ValueError("time_index must be non-negative")
+        if self.param is not None and not 0.0 <= self.param < math.inf:
+            raise ValueError(
+                f"{self.kind} parameter must be finite and non-negative, got {self.param!r}"
+            )
 
     @property
     def parameter(self) -> float:

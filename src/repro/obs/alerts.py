@@ -23,9 +23,10 @@ i.e. ``<metric>[@level] <op> <number>[ms|s] [for N] [over T]``:
   at the window's close, which fires and restarts from zero above 8),
   or a span latency in seconds: a ``_p50`` /
   ``_p90`` / ``_p99`` suffix or a unit makes it that quantile (default
-  p99) of the ``span/<path>`` duration histogram, ``plan_latency``,
-  ``actuate_latency``, ``observe_latency`` and ``step_latency`` naming
-  the ``runtime.step`` phases and any other base a literal span path;
+  p99) of the ``span/<path>`` duration histogram, ``plan_latency``
+  naming the ``runtime.step/plan`` span (one per committed plan),
+  ``step_latency`` the ``runtime.step`` span, any other ``*_latency``
+  base an error and any other base a literal span path;
 * ``op`` is one of ``< <= > >=``; ``for N`` asks for ``N`` consecutive
   breaching windows (default 1);
 * ``over T`` tests the step-weighted mean of the metric over the
@@ -61,8 +62,6 @@ _RATE_ALIASES = {"qos_violation_rate": "violation_rate"}
 #: Span paths addressable from a latency spec, by friendly name.
 _LATENCY_ALIASES = {
     "plan_latency": "runtime.step/plan",
-    "actuate_latency": "runtime.step/actuate",
-    "observe_latency": "runtime.step/observe",
     "step_latency": "runtime.step",
 }
 _QUANTILE_SUFFIXES = {"_p50": 0.5, "_p90": 0.9, "_p99": 0.99}
@@ -215,6 +214,11 @@ def parse_rule(spec: str, severity: str = "warning") -> AlertRule:
     if quantile is not None or unit is not None:
         if quantile is not None:
             metric = metric[:-4]
+        if metric.endswith("_latency") and metric not in _LATENCY_ALIASES:
+            raise ValueError(
+                f"unknown latency alias {metric!r} in {spec!r}; the aliases are "
+                f"{', '.join(sorted(_LATENCY_ALIASES))}, any other base a span path"
+            )
         path = _LATENCY_ALIASES.get(metric, metric).removeprefix("span/")
         metric, level = f"span/{path}", quantile or level or 0.99
         threshold = threshold / 1000.0 if unit == "ms" else threshold

@@ -36,23 +36,27 @@ callers replace with :func:`set_registry` or scope with
 :func:`using_registry`.  The default ambient registry has no sinks, so when
 telemetry is not being collected no event is built: a counter update is
 a dict lookup and a float add (0.35-0.5 us), a span two clock reads, one
-dict lookup for its path and histogram, and a histogram update (1.5-2.0
+dict lookup for its path and histogram, and a histogram update (1.2-2.0
 us; ``timeit`` minima on 2 vCPUs).  A minimum never contains a reservoir
 keep.  Averaged over a benchmark lap on a fresh registry (6 072
 observations, ~1 820 of them kept), a histogram update is 0.7 us and a
 span 2.0-2.3 us; 2.1-2.4 us and 3.2-4.4 us while a keep drew three numpy
-scalars.  Cheap, not free — the four spans of an idle daemon tick are
-7.4-7.8 us (12.3-13.3 us before) of its 14-15 us (``idle_tick_us_p50``
-on the e2e benchmark's ``serve-bare`` workload; 17-20 us while the
-daemon handed control to its event loop after every tick, 21-23 us
-before the stdlib draws, 38 us before ``span()`` became a plain class
-and the reservoir stopped drawing per observation).  With a tracer and a
-JSON-lines sink attached, that tick is one ``trace`` record: four spans
-in integer nanoseconds and the tick's counters and gauges, ~500 bytes
-(``trace_id`` names the tick; the record has no ``name`` or ``labels``).
-It takes 1.6 us to encode and 3.3 us to emit (encode, write, flush;
-``timeit`` minima of :func:`~repro.obs.sinks.encode` and
-``JsonlSink.emit``), against 10.4 and 11.6 us with the stdlib encoder.
+scalars.  Cheap, not free — so an idle daemon tick opens one span,
+``runtime.step``, and times its three phases by four reads of
+:attr:`MetricsRegistry.clock` (0.1 us each).  The tick is 8.5-8.6 us
+(``idle_tick_us_p50`` on the e2e benchmark's ``serve-bare`` workload),
+against 13.9-14.3 us with a span per phase, 17-20 us while the daemon
+handed control to its event loop after every tick, 21-23 us before the
+stdlib draws, and 38 us before ``span()`` became a plain class and the
+reservoir stopped drawing per observation.  With a tracer and a
+JSON-lines sink attached, that tick is one ``trace`` record: its span
+in integer nanoseconds and the tick's counters and gauges, ~230-330
+bytes (``trace_id`` names the tick; the record has no ``name`` or
+``labels``).  A 265-byte one takes 1.4 us to encode and 2.7 us to emit
+(encode, write, flush; ``timeit`` minima of
+:func:`~repro.obs.sinks.encode` and ``JsonlSink.emit``); the ~500-byte
+record of a four-span tick took 1.6 and 3.3 us, and 10.4 and 11.6 us
+with the stdlib encoder.
 """
 
 from __future__ import annotations
@@ -345,6 +349,14 @@ class MetricsRegistry:
         """
         return _Span(self, name, labels)
 
+    @property
+    def clock(self):
+        """The clock spans read: a function returning monotonic integer
+        nanoseconds (:func:`time.perf_counter_ns`).  Code that times work
+        between spans, such as ``AutoscalingRuntime.step``'s phases,
+        reads it here, so its timings and the spans' share one clock."""
+        return time.perf_counter_ns
+
     # -- tracing ---------------------------------------------------------
     def set_tracer(self, tracer):
         """Attach a :class:`~repro.obs.trace.TraceCollector` (or None).
@@ -454,8 +466,8 @@ class MetricsRegistry:
 class _Span:
     """The context manager behind :meth:`MetricsRegistry.span`.
 
-    A plain slotted class: the idle daemon tick opens four spans, and a
-    generator-based context manager cost more than the work they time.
+    A plain slotted class: a generator-based context manager cost more
+    than the work the idle daemon tick's spans timed.
     ``seconds`` is the duration the span recorded, set when it exits.
     """
 

@@ -56,16 +56,21 @@ _SERIES_RING = 512
 _HANDOFF_BUDGET_S = 0.001
 
 
-def _handoff_budget() -> float:
+def _handoff_budget(control: ControlPlane) -> float:
     """Seconds of stepping before the next handoff.
 
-    A handoff is also the step loop's only release of the GIL.  A thread
+    While a control-plane connection is open the loop hands off after
+    every tick, so each later event-loop step of its request (read,
+    reply) waits for one tick, not for a millisecond of stepping.  A
+    handoff is also the step loop's only release of the GIL.  A thread
     waiting for the GIL is woken by each release but mostly loses the
     race to retake it, and being woken keeps CPython from forcing a
     switch.  So while other Python threads share the process, the loop
-    hands off after every tick: they get the GIL as often as before.
+    hands off after every tick too: they get the GIL as often as before.
     """
-    return _HANDOFF_BUDGET_S if threading.active_count() == 1 else 0.0
+    if control.connections or threading.active_count() != 1:
+        return 0.0
+    return _HANDOFF_BUDGET_S
 
 
 def _parse_limit(query: dict, default: int) -> int:
@@ -106,10 +111,10 @@ class ServiceRuntime:
         Seconds to wait between steps, pacing a replayed trace like a
         live feed; the control plane is served during each wait.  At 0
         (default) the replay steps as fast as it can and hands control
-        to the control plane after each millisecond of stepping, so
-        each event-loop step of a request waits at most about 1 ms plus
-        the tick in flight; while other Python threads share the
-        process, it hands off after every tick instead.
+        to the control plane after each millisecond of stepping, so a
+        request's accept waits at most about 1 ms plus the tick in
+        flight; while a connection is open, or other Python threads
+        share the process, it hands off after every tick instead.
     checkpoint_dir:
         Where ``POST /checkpoint`` and automatic checkpoints write;
         None disables checkpointing.
@@ -254,7 +259,7 @@ class ServiceRuntime:
     async def _step_loop(self) -> None:
         metrics = get_registry()
         tracer = metrics.tracer
-        handoff_at = time.perf_counter() + _handoff_budget()
+        handoff_at = time.perf_counter() + _handoff_budget(self.control)
         async for value in self.source.ticks():
             if self._stop.is_set():
                 return
@@ -294,7 +299,7 @@ class ServiceRuntime:
                 # Control-plane requests interleave between steps, once
                 # per budget of stepping rather than once per tick.
                 await asyncio.sleep(0)
-                handoff_at = time.perf_counter() + _handoff_budget()
+                handoff_at = time.perf_counter() + _handoff_budget(self.control)
 
     def _serve_tick(self, value: float) -> None:
         """Step the runtime once and do the daemon's bookkeeping for it."""

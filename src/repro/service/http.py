@@ -1,6 +1,6 @@
 """Asyncio HTTP+JSON control plane for the service daemon.
 
-A deliberately tiny HTTP/1.1 server on :func:`asyncio.start_server` —
+A deliberately tiny HTTP/1.1 server on asyncio's streams —
 one connection per request, everything JSON (written by
 :func:`repro.obs.sinks.encode`, so a non-finite float answers ``null``).
 It runs on the *same* event loop as the stepping daemon, so handlers
@@ -122,11 +122,21 @@ class ControlPlane:
         self._server: asyncio.AbstractServer | None = None
         self.port: int | None = None
         self.requests_served = 0
-        self._connections = 0  # open now, each counted until it closes
+        self._connections = 0  # accepted and not yet answered
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self._requested_port
+        # asyncio.start_server's protocol factory, counting each connection
+        # from its accept: the handler starts a few event-loop passes later,
+        # and the daemon's handoff rule reads the count meanwhile.
+        loop = asyncio.get_running_loop()
+
+        def accepted() -> asyncio.StreamReaderProtocol:
+            self._connections += 1
+            reader = asyncio.StreamReader(loop=loop)
+            return asyncio.StreamReaderProtocol(reader, self._handle, loop=loop)
+
+        self._server = await loop.create_server(
+            accepted, self.host, self._requested_port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -137,6 +147,11 @@ class ControlPlane:
             self._server = None
 
     @property
+    def connections(self) -> int:
+        """Connections open now: accepted, and not yet answered."""
+        return self._connections
+
+    @property
     def address(self) -> str:
         return f"http://{self.host}:{self.port}"
 
@@ -144,17 +159,14 @@ class ControlPlane:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        if self._connections >= _MAX_CONNECTIONS:
-            await self._reply(
-                writer, 503, {"error": f"over {_MAX_CONNECTIONS} open connections"}
-            )
-            return
-        self._connections += 1
         try:
-            try:
-                status, payload = await self._respond(reader)
-            except Exception as error:  # a broken handler must not kill the daemon
-                status, payload = 500, {"error": f"{type(error).__name__}: {error}"}
+            if self._connections > _MAX_CONNECTIONS:
+                status, payload = 503, {"error": f"over {_MAX_CONNECTIONS} open connections"}
+            else:
+                try:
+                    status, payload = await self._respond(reader)
+                except Exception as error:  # a broken handler must not kill the daemon
+                    status, payload = 500, {"error": f"{type(error).__name__}: {error}"}
             await self._reply(writer, status, payload)
         finally:
             self._connections -= 1

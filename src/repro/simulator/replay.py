@@ -161,8 +161,6 @@ def replay_plan(
             metrics.counter("simulator.provision_failures").inc()
             return
         warmup = storage.warmup_seconds() * stall
-        if warmup < 0:
-            raise ValueError(f"warm-up of {warmup}s ends before the attach")
         live.append(_Node(len(billed), now, now + warmup, wedged))
         billed.append(0.0)
         metrics.counter("simulator.node_attaches").inc()

@@ -40,6 +40,24 @@ def make_runtime(series, context=6, horizon=4, replan=None, threshold=60.0):
     return runtime, planner
 
 
+def count_replans(runtime):
+    """Wrap ``runtime._replan`` so every call lands in the returned list."""
+    calls = []
+    replan = runtime._replan
+
+    def counted():
+        calls.append(runtime.tick)
+        return replan()
+
+    runtime._replan = counted
+    return calls
+
+
+def phase_ns(step):
+    """A step's phases, summed, in the integer nanoseconds spans record."""
+    return sum(round(seconds * 1e9) for seconds in step.phase_seconds.values())
+
+
 class TestColdStart:
     def test_first_interval_single_node(self):
         runtime, _ = make_runtime(np.full(20, 100.0))
@@ -297,6 +315,7 @@ class TestTelemetry:
         registry = MetricsRegistry(sinks=[sink])
         with using_registry(registry):
             runtime, _ = make_runtime(series, context=6, horizon=4)
+            replans = count_replans(runtime)
             allocations = runtime.run(series)
         assert len(allocations) == len(series)
 
@@ -305,11 +324,14 @@ class TestTelemetry:
         # Fallback serves the first `context` intervals, prediction after.
         assert snap["counters"]["runtime.fallback_activations"] == 6
         expected_plans = snap["counters"]["runtime.decisions{source=predictive}"]
-        assert expected_plans >= 1
+        assert expected_plans == len(replans) >= 1
+        # One span per step; a `plan` child per replan, around the planner.
+        assert snap["spans"]["runtime.step"]["count"] == len(series)
+        assert snap["spans"]["runtime.step/plan"]["count"] == len(replans)
         assert snap["spans"]["runtime.step/plan/planner"]["count"] == expected_plans
-        # Every step times all three phases.
-        for phase in ("plan", "actuate", "observe"):
-            assert snap["spans"][f"runtime.step/{phase}"]["count"] == len(series)
+        assert set(snap["spans"]) == {
+            "runtime.step", "runtime.step/plan", "runtime.step/plan/planner",
+        }
         assert snap["gauges"]["runtime.nodes_requested"] == allocations[-1]
 
         # The same facts flow to the sink as a replayable stream: spans
@@ -325,31 +347,37 @@ class TestTelemetry:
         }
 
     def test_phase_seconds_are_the_phase_spans_durations(self):
-        # One clock per phase: a step reports the durations its plan /
-        # actuate / observe spans recorded, to the bit, whether the spans
-        # stream to a sink or are captured by a trace.
+        # An idle step is one span and times its phases by the registry's
+        # clock; a planning step adds `plan` around the planner's spans.
+        # The phases sum to at most the step's span, traced or not.
+        from repro import FixedQuantilePolicy, RobustPredictiveAutoscaler
+        from repro.forecast import SeasonalNaiveForecaster
         from repro.obs import MetricsRegistry, using_registry
         from repro.obs.sinks import InMemorySink
         from repro.obs.trace import TraceCollector
 
         series = np.full(20, 300.0)
-        phases = ("plan", "actuate", "observe")
-        registry = MetricsRegistry(sinks=[InMemorySink()])
-        with using_registry(registry):
+        sink = InMemorySink()
+        with using_registry(MetricsRegistry(sinks=[sink])):
             runtime, _ = make_runtime(series, context=6, horizon=4)
             steps = [runtime.step(value) for value in series]
-        snap = registry.snapshot()
-        for phase in phases:
-            total = 0.0
-            for step in steps:
-                total += step.phase_seconds[phase]
-            assert snap["spans"][f"runtime.step/{phase}"]["sum"] == total
+        step_spans = [
+            r["duration_ns"] for r in sink.records
+            if r["kind"] == "span" and r["name"] == "runtime.step"
+        ]
+        assert len(step_spans) == len(steps)
+        for step, duration_ns in zip(steps, step_spans):
+            assert set(step.phase_seconds) == {"plan", "actuate", "observe"}
+            assert all(seconds >= 0 for seconds in step.phase_seconds.values())
+            assert phase_ns(step) <= duration_ns
 
+        forecaster = SeasonalNaiveForecaster(4, season=4).fit(np.full(24, 300.0))
+        planner = RobustPredictiveAutoscaler(forecaster, 60.0, FixedQuantilePolicy(0.9))
         tracer = TraceCollector(max_traces=len(series))
         registry = MetricsRegistry()
         registry.set_tracer(tracer)
         with using_registry(registry):
-            runtime, _ = make_runtime(series, context=6, horizon=4)
+            runtime = AutoscalingRuntime(planner, context_length=6, horizon=4, threshold=60.0)
             steps = []
             for value in series:
                 # A step opens no trace: its driver brackets the tick, as
@@ -359,10 +387,21 @@ class TestTelemetry:
                 tracer.end()
         traces = tracer.traces()
         assert [trace["trace_id"] for trace in traces] == [step.tick for step in steps]
+        assert any(step.planned for step in steps)
         for trace, step in zip(traces, steps):
-            durations = {span["name"]: span["duration_ns"] for span in trace["spans"]}
-            for phase in phases:
-                assert durations[f"runtime.step/{phase}"] / 1e9 == step.phase_seconds[phase]
+            spans = trace["spans"]
+            tree = [(span["name"], span.get("parent")) for span in spans]
+            if step.planned:
+                assert tree == [
+                    ("runtime.step", None),
+                    ("runtime.step/plan", 0),
+                    ("runtime.step/plan/planner", 1),
+                    ("runtime.step/plan/planner/forecast", 2),
+                    ("runtime.step/plan/planner/solve", 2),
+                ]
+            else:
+                assert tree == [("runtime.step", None)]
+            assert phase_ns(step) <= spans[0]["duration_ns"]
 
     def test_a_step_opens_no_trace(self):
         # Traces are the daemon's, one per tick: a bare step under an
@@ -380,7 +419,6 @@ class TestTelemetry:
             runtime.step(300.0)
         assert tracer.traces_started == 0
         assert [r["name"] for r in sink.records if r["kind"] == "span"] == [
-            "runtime.step/plan", "runtime.step/actuate", "runtime.step/observe",
             "runtime.step",
         ]
 

@@ -23,6 +23,19 @@ class TestFaultEvent:
         with pytest.raises(ValueError):
             FaultEvent(time_index=-1, kind="nan")
 
+    @pytest.mark.parametrize("param", [-1.0, -1e-9, float("inf"), float("-inf"), float("nan")])
+    def test_rejects_a_negative_or_non_finite_param(self, param):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            FaultEvent(time_index=0, kind="warmup_stall", param=param)
+
+    @pytest.mark.parametrize("spec", ["warmup_stall@1:-1", "spike@3:1e999", "spike@0..9/3:-0.5"])
+    def test_parse_refuses_a_negative_or_overflowing_param(self, spec):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            FaultSchedule.parse(spec)
+
+    def test_zero_param_is_allowed(self):
+        assert FaultEvent(0, "warmup_stall", param=0.0).parameter == 0.0
+
     def test_parameter_defaults(self):
         assert FaultEvent(0, "spike").parameter == 10.0
         assert FaultEvent(0, "spike", param=3.0).parameter == 3.0

@@ -65,6 +65,22 @@ class TestParseSlo:
         assert rule.level == 0.9
         assert rule.threshold == pytest.approx(0.25)
 
+    @pytest.mark.parametrize(
+        "spec, base",
+        [
+            ("actuate_latency_p99 < 1ms", "actuate_latency"),
+            ("observe_latency < 5ms", "observe_latency"),
+            ("typo_latency_p50 > 1s", "typo_latency"),
+        ],
+    )
+    def test_unknown_latency_alias_is_refused(self, spec, base):
+        # The step has no actuate / observe spans; a spec naming them must
+        # not silently read a histogram that never fills.
+        with pytest.raises(ValueError) as error:
+            parse_slo(spec)
+        assert f"unknown latency alias {base!r}" in str(error.value)
+        assert "plan_latency, step_latency" in str(error.value)
+
     def test_literal_span_path(self):
         (rule,) = parse_slo("forecast/fit_p50 < 2s")
         assert rule.metric == "span/forecast/fit"

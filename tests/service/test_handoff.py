@@ -2,9 +2,11 @@
 
 While the daemon is its process's only Python thread, an unpaced replay
 hands off after each millisecond of stepping, not after every tick;
-while other Python threads share the process it hands off after every
-tick, so they get the GIL as often as they did.  The single-thread cases
-run the daemon in a fresh interpreter, where no other thread is about.
+while other Python threads share the process, or a control-plane
+connection is open, it hands off after every tick, so they get the GIL
+and the request its event-loop steps as often as they did.  The
+single-thread cases run the daemon in a fresh interpreter, where no
+other thread is about.
 """
 
 import asyncio
@@ -76,12 +78,36 @@ class CountingSource:
         self.last = (self.passes, time.perf_counter())
 
 
-def count_handoffs(ticks):
+class HoldingSource(CountingSource):
+    """A :class:`CountingSource` that, before its first tick, opens a
+    control-plane connection and sends nothing on it, so the connection
+    stays open for the whole replay (the read timer is seconds away).
+
+    It waits out the daemon's first handoff budget before the first tick,
+    so every tick it counts ran with the connection open.
+    """
+
+    service = None
+
+    async def ticks(self):
+        control = self.service.control
+        _, writer = await asyncio.open_connection("127.0.0.1", control.port)
+        while not control.connections:
+            await asyncio.sleep(0)
+        await asyncio.sleep(0.005)
+        try:
+            async for value in super().ticks():
+                yield value
+        finally:
+            writer.close()
+
+
+def count_handoffs(ticks, hold_connection=False):
     """Serve ``ticks`` unpaced ticks in this thread: the handoffs between
     the first tick and the last, the milliseconds between them, and how
     many Python threads the process had."""
-    source = CountingSource(ticks)
-    service = new_service(source)
+    source = (HoldingSource if hold_connection else CountingSource)(ticks)
+    service = source.service = new_service(source)
 
     async def main():
         counter = asyncio.ensure_future(source.count_passes())
@@ -98,6 +124,10 @@ def count_handoffs(ticks):
         "elapsed_ms": (source.last[1] - source.first[1]) * 1e3,
         "threads": threads,
     }
+
+
+def count_handoffs_holding_a_connection(ticks):
+    return count_handoffs(ticks, hold_connection=True)
 
 
 def serve_printing_port(ticks):
@@ -145,6 +175,18 @@ def test_beside_another_python_thread_it_hands_off_after_every_tick():
     finally:
         release.set()
         other.join()
+    assert counted["handoffs"] >= 2_000 - 1, counted
+
+
+def test_with_a_connection_open_it_hands_off_after_every_tick():
+    # Alone in its process, so only the open connection sets the rule.
+    result = subprocess.run(
+        child("count_handoffs_holding_a_connection", 2_000),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    counted = json.loads(result.stdout)
+    assert counted["threads"] == 1
     assert counted["handoffs"] >= 2_000 - 1, counted
 
 

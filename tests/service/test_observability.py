@@ -167,9 +167,25 @@ class TestTraces:
         assert len(payload["traces"]) == 3
         trace = payload["traces"][-1]
         assert {"trace_id", "status", "duration_ns", "spans"} <= trace.keys()
-        names = {span["name"] for span in trace["spans"]}
-        assert "runtime.step" in names
-        assert "runtime.step/observe" in names
+        # An idle tick is the one step span; a planning tick adds `plan`
+        # around the planner (this test double opens no spans of its own).
+        planned = {
+            d.time_index for d in traced.runtime.decisions if d.source != "reactive-fallback"
+        }
+        _, payload = request(traced.port, "GET", f"/traces?limit={len(SERIES)}")
+        shapes = set()
+        for trace in payload["traces"]:
+            tree = [(span["name"], span.get("parent")) for span in trace["spans"]]
+            if trace["trace_id"] in planned:
+                assert tree == [
+                    ("runtime.step", None),
+                    ("runtime.step/plan", 0),
+                    ("runtime.step/plan/planner", 1),
+                ]
+            else:
+                assert tree == [("runtime.step", None)]
+            shapes.add(len(tree))
+        assert shapes == {1, 3}
 
     def test_span_tree_is_well_formed(self, traced):
         _, payload = request(traced.port, "GET", "/traces?limit=1")

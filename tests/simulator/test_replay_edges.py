@@ -127,9 +127,9 @@ class TestValidationAndFaults:
         assert result.outcomes[1].effective_nodes > 2.9
 
     def test_negative_warmup_stall_rejected(self):
-        # The spec grammar accepts a signed parameter; a warm-up that ends
-        # before its attach is refused, as the event engine refused to
-        # schedule into the past.
+        # The spec grammar reads a signed parameter, and a warm-up that
+        # would end before its attach is refused: the fault event itself
+        # rejects a negative parameter, so the schedule fails at parse.
         with pytest.raises(ValueError):
             replay_plan(
                 make_plan([1, 2]),
