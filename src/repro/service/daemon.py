@@ -29,6 +29,7 @@ event log that survives a kill between checkpoints.
 from __future__ import annotations
 
 import asyncio
+import os
 import threading
 import time
 from collections import deque
@@ -50,9 +51,9 @@ __all__ = ["ServiceRuntime"]
 _SERIES_RING = 512
 
 #: Seconds an unpaced replay steps between two handoffs to the event
-#: loop.  A handoff is one event-loop pass and one ``epoll`` call; after
-#: every tick it cost about a fifth of an idle tick.  Each event-loop
-#: step of a control-plane request (accept, read, reply) waits for one.
+#: loop.  An event-loop pass is one ``epoll`` call; a pass after every
+#: tick cost about a fifth of an idle tick.  Each event-loop step of a
+#: control-plane request (accept, read, reply) waits for a handoff.
 _HANDOFF_BUDGET_S = 0.001
 
 
@@ -61,16 +62,11 @@ def _handoff_budget(control: ControlPlane) -> float:
 
     While a control-plane connection is open the loop hands off after
     every tick, so each later event-loop step of its request (read,
-    reply) waits for one tick, not for a millisecond of stepping.  A
-    handoff is also the step loop's only release of the GIL.  A thread
-    waiting for the GIL is woken by each release but mostly loses the
-    race to retake it, and being woken keeps CPython from forcing a
-    switch.  So while other Python threads share the process, the loop
-    hands off after every tick too: they get the GIL as often as before.
+    reply) waits for one tick, not for a millisecond of stepping.  The
+    number of Python threads does not enter: the step loop releases the
+    GIL to them after every tick without an event-loop pass.
     """
-    if control.connections or threading.active_count() != 1:
-        return 0.0
-    return _HANDOFF_BUDGET_S
+    return 0.0 if control.connections else _HANDOFF_BUDGET_S
 
 
 def _parse_limit(query: dict, default: int) -> int:
@@ -113,8 +109,10 @@ class ServiceRuntime:
         (default) the replay steps as fast as it can and hands control
         to the control plane after each millisecond of stepping, so a
         request's accept waits at most about 1 ms plus the tick in
-        flight; while a connection is open, or other Python threads
-        share the process, it hands off after every tick instead.
+        flight; while a connection is open it hands off after every
+        tick instead.  While other Python threads share the process it
+        also releases the GIL to them after every tick
+        (``os.sched_yield``).
     checkpoint_dir:
         Where ``POST /checkpoint`` and automatic checkpoints write;
         None disables checkpointing.
@@ -259,7 +257,9 @@ class ServiceRuntime:
     async def _step_loop(self) -> None:
         metrics = get_registry()
         tracer = metrics.tracer
-        handoff_at = time.perf_counter() + _handoff_budget(self.control)
+        budget = _handoff_budget(self.control)
+        handoff_at = time.perf_counter() + budget
+        shared = threading.active_count() != 1
         async for value in self.source.ticks():
             if self._stop.is_set():
                 return
@@ -295,11 +295,23 @@ class ServiceRuntime:
             if self.tick_interval > 0:
                 if await self._wait_for_stop(self.tick_interval):
                     return
-            elif time.perf_counter() >= handoff_at:
+                continue
+            if shared:
+                # A syscall that releases the GIL: a thread waiting for it
+                # takes it now, not at CPython's next forced switch (5 ms).
+                os.sched_yield()
+            if time.perf_counter() >= handoff_at:
                 # Control-plane requests interleave between steps, once
-                # per budget of stepping rather than once per tick.
-                await asyncio.sleep(0)
-                handoff_at = time.perf_counter() + _handoff_budget(self.control)
+                # per budget of stepping rather than once per tick.  This
+                # task resumes ahead of the I/O its pass's poll found, so
+                # a handoff that ends a stretch takes three passes: the
+                # accept runs in the first, the task it starts counts the
+                # connection in the second, and the budget is read after.
+                for _ in range(3 if budget else 1):
+                    await asyncio.sleep(0)
+                budget = _handoff_budget(self.control)
+                handoff_at = time.perf_counter() + budget
+                shared = threading.active_count() != 1
 
     def _serve_tick(self, value: float) -> None:
         """Step the runtime once and do the daemon's bookkeeping for it."""

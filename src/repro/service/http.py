@@ -126,8 +126,9 @@ class ControlPlane:
 
     async def start(self) -> None:
         # asyncio.start_server's protocol factory, counting each connection
-        # from its accept: the handler starts a few event-loop passes later,
-        # and the daemon's handoff rule reads the count meanwhile.
+        # in the event-loop pass after its accept, a few passes before the
+        # handler starts.  The daemon's handoff rule reads the count, and a
+        # handoff that ends a stretch of stepping waits for it.
         loop = asyncio.get_running_loop()
 
         def accepted() -> asyncio.StreamReaderProtocol:
